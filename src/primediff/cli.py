@@ -2,8 +2,8 @@
 
 Every command stamps its output with a run manifest (command, parameters,
 seed, tool version, timestamp).  Identical manifests produce byte-identical
-output: anything that cannot change the bytes, like the worker count or the
-output path, stays out of the manifest, and the timestamp can be pinned
+output: anything that cannot change the bytes, like the inert worker count
+or the output path, stays out of the manifest, and the timestamp can be pinned
 with --timestamp.  Manifest placement by format: CSV and plain-value
 outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
@@ -19,9 +19,7 @@ import dataclasses
 import datetime
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .arith import ExceptionalDatum, build_tables, psi
@@ -36,7 +34,7 @@ from .errors import (
 )
 from .increment import DensitySet
 from .mangoldt import MangoldtWeight, render_csv_rows, spectrum_report
-from .spectral import TorusPoint, grid_spectrum
+from .spectral import TorusPoint
 
 # beyond this, sieve tables are skipped in favor of per-value primality
 # tests where a fallback exists
@@ -70,6 +68,13 @@ def _write_text(out_path: str | None, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_at(text: str) -> TorusPoint:
     """Torus point from "0", "0.31", or "1/3"."""
     s = text.strip()
@@ -79,7 +84,7 @@ def _parse_at(text: str) -> TorusPoint:
         if q < 1:
             raise DomainError(f"denominator must be positive in {text!r}")
         return TorusPoint.rational(a, q)
-    return TorusPoint.from_float(float(s))
+    return TorusPoint.from_float(_finite_float(s))
 
 
 # ---------------------------------------------------------------------------
@@ -134,34 +139,8 @@ def _cmd_spectrum(args) -> None:
         exceptional = ExceptionalDatum(args.exc_modulus, args.exc_beta)
 
     tables = build_tables(args.d * args.n + 2)
-    weight = MangoldtWeight.from_tables(args.n, args.d, tables)
     m = args.grid_factor * args.n
-    grid = grid_spectrum(weight.signal, m)
-
-    workers = max(1, args.workers)
-    bounds = [(i * m) // workers for i in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-    def shard(lo: int, hi: int):
-        return spectrum_report(
-            args.n,
-            args.d,
-            args.q_prime,
-            args.big_q,
-            m,
-            tables,
-            exceptional=exceptional,
-            k_start=lo,
-            k_stop=hi,
-            grid=grid,
-        )
-
-    if len(chunks) == 1:
-        rows = shard(*chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(shard, lo, hi) for lo, hi in chunks]
-            rows = [row for fut in futures for row in fut.result()]
+    rows = spectrum_report(args.n, args.d, args.q_prime, args.big_q, m, tables, exceptional)
 
     params = {
         "n": args.n,
@@ -225,21 +204,17 @@ def _read_set_file(path: str) -> list[int]:
     return elements
 
 
-_CONFIG_INT_FIELDS = {"grid_factor", "max_steps", "n_floor", "q_cap", "seed"}
+_CONFIG_INT_FIELDS = {"grid_factor", "max_steps", "n_floor", "q_cap"}
 
 
-def _read_config(path: str | None, seed: int) -> IterationConfig:
-    """Flat key=value file over IterationConfig fields and tolerance knobs.
+def _read_config(path: str | None) -> IterationConfig:
+    """Flat key=value file over IterationConfig fields.
 
-    Missing keys keep their defaults; unknown keys are rejected.  The seed
-    flag applies unless the file sets one itself.
+    Missing keys keep their defaults; unknown keys are rejected.
     """
-    values: dict = {"seed": seed}
-    tolerances = dict(IterationConfig().tolerances)
+    values: dict = {}
     if path is not None:
-        field_names = {
-            f.name for f in dataclasses.fields(IterationConfig) if f.name != "tolerances"
-        }
+        field_names = {f.name for f in dataclasses.fields(IterationConfig)}
         with open(path) as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
@@ -248,45 +223,34 @@ def _read_config(path: str | None, seed: int) -> IterationConfig:
                 if "=" not in line:
                     raise PreconditionError(f"config line {raw.strip()!r} is not key=value")
                 key, _, val = (part.strip() for part in line.partition("="))
-                if key not in tolerances and key not in field_names:
+                if key not in field_names:
                     raise PreconditionError(f"unknown config key {key!r}")
                 try:
-                    if key in tolerances:
-                        tolerances[key] = float(val)
-                    else:
-                        values[key] = (
-                            int(val) if key in _CONFIG_INT_FIELDS else float(val)
-                        )
+                    values[key] = int(val) if key in _CONFIG_INT_FIELDS else float(val)
                 except ValueError:
                     raise PreconditionError(
                         f"config value for {key!r} is not numeric: {val!r}"
                     ) from None
-    return IterationConfig(tolerances=tolerances, **values)
+    return IterationConfig(**values)
 
 
 def _cmd_iterate(args) -> None:
-    config = _read_config(args.config, args.seed)
+    config = _read_config(args.config)
+    # one table serves the forbidden set and the driver; ForbiddenSet.build
+    # falls back to Miller-Rabin past TABLE_CAP
+    need = args.d * (args.n - 1) + 2
+    tables = build_tables(min(need, TABLE_CAP))
     if args.greedy:
         source = "greedy"
-        need = args.d * (args.n - 1) + 2
-        fs_tables = build_tables(need) if need <= TABLE_CAP else None
-        fs = ForbiddenSet.build(args.n, args.d, fs_tables)
-        elements = greedy_avoiding(fs, strategy="first_fit", seed=config.seed).elements
+        fs = ForbiddenSet.build(args.n, args.d, tables)
+        elements = greedy_avoiding(fs, strategy="first_fit").elements
     else:
         source = args.input
         elements = _read_set_file(args.input)
     A = DensitySet.from_iterable(args.n, elements)
 
-    need = args.d * (args.n - 1) + 2
-    tables = build_tables(min(need, TABLE_CAP))
-
-    params = {
-        "n": args.n,
-        "d": args.d,
-        "source": source,
-        "config": dataclasses.asdict(config),
-    }
-    manifest = _manifest("iterate", params, config.seed, args.timestamp)
+    params = {"n": args.n, "d": args.d, "source": source}
+    manifest = _manifest("iterate", params, args.seed, args.timestamp)
 
     trace = run(A, args.d, config, tables)
     for line in certify(trace, tables):
@@ -306,8 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker count; never changes output bytes (default: available parallelism)",
+        default=1,
+        help="accepted for compatibility; has no effect",
     )
     common.add_argument(
         "--timestamp",
@@ -327,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("psi", parents=[common], help="Chebyshev psi(x; q, a)")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.set_defaults(func=_cmd_psi)
@@ -354,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--big-q", type=int, required=True, help="dissection parameter")
     p.add_argument("--grid-factor", type=int, default=8)
     p.add_argument("--exc-modulus", type=int, default=None)
-    p.add_argument("--exc-beta", type=float, default=None)
+    p.add_argument("--exc-beta", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .increment import (
     extract_progression,
     rescale,
 )
+from .spectral import grid_spectrum
 
 __all__ = [
     "Budget",
@@ -53,15 +54,6 @@ __all__ = [
     "run",
     "trace_to_jsonl",
 ]
-
-
-def _default_knobs() -> dict:
-    # named absolute constants from the analytic estimates; all are bare
-    # knobs at desk scale, kept visible so sweeps can vary them
-    knobs = {f"c_{i}": 1.0 for i in range(1, 11)}
-    knobs["c_E"] = 1.0
-    knobs["C"] = 1.0
-    return knobs
 
 
 @dataclass(frozen=True)
@@ -91,13 +83,10 @@ class IterationConfig:
     d_ceiling_exponent: float = 0.25
     q_cap: int = 50
     c_len: float = 0.25
-    c_slack: float = 2.0
-    seed: int = 0
-    tolerances: dict = field(default_factory=_default_knobs)
 
     def __post_init__(self):
         for name in ("c", "c_prime", "c_double_prime", "gain_threshold",
-                     "alpha_floor", "c_len", "c_slack"):
+                     "alpha_floor", "c_len"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"config field {name} must be positive")
         if self.grid_factor < 8:
@@ -106,9 +95,6 @@ class IterationConfig:
             raise DomainError("max_steps, n_floor, q_cap out of range")
         if self.d_ceiling_exponent <= 0 or self.d_ceiling_exponent > 1:
             raise DomainError("d_ceiling_exponent must lie in (0, 1]")
-        for k, v in self.tolerances.items():
-            if v <= 0:
-                raise DomainError(f"tolerance {k} must be positive")
 
     def n_prime(self, n: int, alpha: float) -> int:
         return math.floor(self.c * alpha * n)
@@ -302,7 +288,9 @@ def iterate_once(
     q_double = config.extraction_cap(alpha)
     q_top = max(q_prime, q_double)
 
-    table = energy_table(A, q_top, big_q, m=config.grid_factor * n)
+    m = config.grid_factor * n
+    grid = grid_spectrum(A.balanced(), m)
+    table = energy_table(A, q_top, big_q, m=m, grid=grid)
     trigger = sum(r.star_energy / euler_phi(r.q) for r in table.rows if r.q <= q_prime)
     diagnostics = {
         "n_prime": n_prime,
@@ -324,7 +312,8 @@ def iterate_once(
                 1.0 / (best.q * big_q),
                 target_e,
                 c_len=config.c_len,
-                m=config.grid_factor * n,
+                m=m,
+                grid=grid,
             )
         except EnergyShortfall as shortfall:
             return (

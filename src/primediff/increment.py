@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import FareyArc, IntegerSignal, SpectrumGrid, grid_spectrum
+from .spectral import IntegerSignal, SpectrumGrid, arc_indices, grid_spectrum
 
 __all__ = [
     "DensitySet",
@@ -181,6 +181,26 @@ def _inside_slice(f_min: int, counts: np.ndarray, n: int, step: int, length: int
 
 
 # ---------------------------------------------------------------------------
+# arc energy: energy_table and extract_progression share these helpers, so
+# certify's recount through energy_table reproduces a recorded energy exactly
+
+
+def _balanced_power(A: DensitySet, m: int | None, grid: SpectrumGrid | None):
+    """(|g_hat(k/M)|^2 on the M-point grid, M, normalization 1/(alpha |A| M))."""
+    if m is None:
+        m = 8 * A.n
+    if m < 8 * A.n:
+        raise PreconditionError(f"grid {m} below 8x support {A.n}")
+    if grid is None:
+        grid = grid_spectrum(A.balanced(), m)
+    return np.abs(grid.values) ** 2, m, 1.0 / (A.alpha * A.size * m)
+
+
+def _level_energy(mags2: np.ndarray, norm: float, q: int, big_q: int, star: bool) -> float:
+    return float(mags2[arc_indices(len(mags2), q, big_q, star=star)].sum() * norm)
+
+
+# ---------------------------------------------------------------------------
 # operations
 
 
@@ -228,38 +248,16 @@ def energy_table(
         raise DomainError(f"need Q' >= 1, got {q_prime}")
     if big_q < 2:
         raise DomainError(f"need Q >= 2 so same-level arcs stay disjoint, got {big_q}")
-    g = A.balanced()
-    if m is None:
-        m = 8 * A.n
-    if m < 8 * g.support_length():
-        raise PreconditionError(f"grid {m} below 8x support {g.support_length()}")
-    if grid is None:
-        grid = grid_spectrum(g, m)
-    mags2 = np.abs(grid.values) ** 2
-    norm = 1.0 / (A.alpha * A.size * m)
-    rows = []
-    for q in range(1, q_prime + 1):
-        eta = 1.0 / (q * big_q)
-        full_idx = np.unique(
-            np.concatenate([FareyArc(a, q, eta).grid_indices(m) for a in range(1, q + 1)])
+    mags2, m, norm = _balanced_power(A, m, grid)
+    rows = [
+        EnergyStats(
+            q=q,
+            eta=1.0 / (q * big_q),
+            energy=_level_energy(mags2, norm, q, big_q, star=False),
+            star_energy=_level_energy(mags2, norm, q, big_q, star=True),
         )
-        star_idx = np.unique(
-            np.concatenate(
-                [
-                    FareyArc(a, q, eta).grid_indices(m)
-                    for a in range(1, q + 1)
-                    if math.gcd(a, q) == 1
-                ]
-            )
-        )
-        rows.append(
-            EnergyStats(
-                q=q,
-                eta=eta,
-                energy=float(mags2[full_idx].sum() * norm),
-                star_energy=float(mags2[star_idx].sum() * norm),
-            )
-        )
+        for q in range(1, q_prime + 1)
+    ]
     total = float(mags2.sum() * norm)
     return EnergyTable(rows=rows, total=total, m=m, big_q=big_q)
 
@@ -276,7 +274,9 @@ def extract_progression(
     """Turn level-q arc energy into a step-q progression where A beats its
     density by (1 + E/4).
 
-    The progression length respects both |P| q eta <= 1/2 and
+    eta must be the level-q half-width 1/(q Q) for an integer Q, so that E
+    is measured on the same arcs as energy_table's level-q row.  The
+    progression length respects both |P| q eta <= 1/2 and
     |P| <= c_len min(eta^{-1}, E |A|) / q, then the best translate fully
     inside [1, N] is recounted.  Raises EnergyShortfall when the measured
     E is below target_e."""
@@ -284,18 +284,11 @@ def extract_progression(
         raise DomainError(f"need q >= 1, got {q}")
     if not (0.0 < eta <= 0.5):
         raise DomainError(f"need eta in (0, 1/2], got {eta}")
-    g = A.balanced()
-    if m is None:
-        m = 8 * A.n
-    if m < 8 * g.support_length():
-        raise PreconditionError(f"grid {m} below 8x support {g.support_length()}")
-    if grid is None:
-        grid = grid_spectrum(g, m)
-    mags2 = np.abs(grid.values) ** 2
-    idx = np.unique(
-        np.concatenate([FareyArc(a, q, eta).grid_indices(m) for a in range(1, q + 1)])
-    )
-    energy = float(mags2[idx].sum() / (A.alpha * A.size * m))
+    big_q = round(1.0 / (q * eta))
+    if big_q < 1 or eta != 1.0 / (q * big_q):
+        raise DomainError(f"need eta = 1/(q Q) for an integer Q, got eta={eta} at q={q}")
+    mags2, m, norm = _balanced_power(A, m, grid)
+    energy = _level_energy(mags2, norm, q, big_q, star=False)
     if energy < target_e:
         raise EnergyShortfall(energy, target_e)
 

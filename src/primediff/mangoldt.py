@@ -20,7 +20,14 @@ import numpy as np
 
 from .arith import ArithTables, ExceptionalDatum, euler_phi, psi, tau
 from .errors import DomainError, PreconditionError
-from .spectral import ArcFamily, IntegerSignal, SpectrumGrid, grid_spectrum, transform_at
+from .spectral import (
+    ArcFamily,
+    IntegerSignal,
+    arc_indices,
+    dirichlet_approx_grid,
+    grid_spectrum,
+    transform_at,
+)
 
 __all__ = [
     "BoundRow",
@@ -142,46 +149,47 @@ def spectrum_report(
     m: int,
     tables: ArithTables,
     exceptional: ExceptionalDatum | None = None,
-    k_start: int = 0,
-    k_stop: int | None = None,
-    grid: SpectrumGrid | None = None,
 ) -> list[BoundRow]:
-    """One row per grid point k/M, k in [k_start, k_stop): measured
-    |Lambda_hat| against the class bound (major: sup bound plus the
-    exceptional magnitude when a datum is supplied; minor: Vinogradov
-    shape).  Chunk bounds exist so callers can shard row construction."""
+    """One row per grid point k/M, k in [0, M): measured |Lambda_hat|
+    against the class bound (major: sup bound plus the exceptional
+    magnitude when a datum is supplied; minor: Vinogradov shape).
+
+    A row is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
+    q <= Q', and then carries that arc's a/q; otherwise it carries the last
+    convergent of the exact fraction k/M with denominator <= Q."""
     weight = MangoldtWeight.from_tables(n, d, tables)
-    if grid is None:
-        grid = grid_spectrum(weight.signal, m)
-    family = ArcFamily(q_prime=q_prime, big_q=big_q)
+    grid = grid_spectrum(weight.signal, m)
+    ArcFamily(q_prime=q_prime, big_q=big_q)  # rejects overlapping major arcs
     hat_zero = weight.hat_zero()
     if hat_zero <= 0:
         raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
-    if k_stop is None:
-        k_stop = m
-    if not (0 <= k_start <= k_stop <= m):
-        raise DomainError(f"bad row range [{k_start}, {k_stop}) for grid {m}")
 
-    minor_cache: dict[int, float] = {}
-    exc_mag_cache: dict[int, float] = {}
+    a_col, q_col = dirichlet_approx_grid(m, big_q)
+    major = np.zeros(m, dtype=bool)
+    for q in range(1, q_prime + 1):
+        k = arc_indices(m, q, big_q, star=True)
+        major[k] = True
+        q_col[k] = q
+        a_col[k] = (2 * k * q + m) // (2 * m) % q  # the nearest numerator is the arc's
+
+    # one bound per (class, q), shared by its rows
+    bounds: dict[tuple[bool, int], float] = {}
+    for q in np.unique(q_col[major]).tolist():
+        bound = hat_zero / euler_phi(q)
+        if exceptional is not None and d % exceptional.modulus == 0:
+            bound += float(
+                abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
+            )
+        bounds[True, q] = bound
+    for q in np.unique(q_col[~major]).tolist():
+        bounds[False, q] = vinogradov_bound(n, d, q, big_q)
+
     rows = []
-    for k in range(k_start, k_stop):
-        theta = k / m
-        a, q, kind = family.classify(theta)
-        actual = float(abs(grid.values[k]))
-        if kind == "major":
-            bound = hat_zero / euler_phi(q)
-            if exceptional is not None and d % exceptional.modulus == 0:
-                if q not in exc_mag_cache:
-                    exc_mag_cache[q] = float(
-                        abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
-                    )
-                bound += exc_mag_cache[q]
-        else:
-            if q not in minor_cache:
-                minor_cache[q] = vinogradov_bound(n, d, q, big_q)
-            bound = minor_cache[q]
-        rows.append(BoundRow(theta, a, q, kind, actual, bound, actual / bound))
+    for k, (a, q, is_major) in enumerate(zip(a_col.tolist(), q_col.tolist(), major.tolist())):
+        actual = float(abs(grid.values[k]))  # scalar abs: np.abs on arrays rounds differently
+        bound = bounds[is_major, q]
+        kind = "major" if is_major else "minor"
+        rows.append(BoundRow(k / m, a, q, kind, actual, bound, actual / bound))
     return rows
 
 
@@ -198,15 +206,16 @@ def major_sup_ratio(
     weight = MangoldtWeight.from_tables(n, d, tables)
     m = grid_factor * n
     grid = grid_spectrum(weight.signal, m)
-    family = ArcFamily(q_prime=q_prime, big_q=big_q)
+    ArcFamily(q_prime=q_prime, big_q=big_q)  # rejects overlapping major arcs
     hat_zero = weight.hat_zero()
     if hat_zero <= 0:
         raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
     mags = np.abs(grid.values)
     best = 0.0
     for q in range(1, q_prime + 1):
-        idx = np.unique(np.concatenate([arc.grid_indices(m) for arc in family.star_arcs(q)]))
-        best = max(best, euler_phi(q) * float(mags[idx].max()) / hat_zero)
+        idx = arc_indices(m, q, big_q, star=True)
+        if idx.size:
+            best = max(best, euler_phi(q) * float(mags[idx].max()) / hat_zero)
     return best
 
 

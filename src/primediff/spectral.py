@@ -27,8 +27,10 @@ __all__ = [
     "SpectrumGrid",
     "TorusPoint",
     "arc_energy",
+    "arc_indices",
     "convolve",
     "dirichlet_approx",
+    "dirichlet_approx_grid",
     "grid_spectrum",
     "transform_at",
 ]
@@ -221,6 +223,35 @@ def dirichlet_approx(theta: float, big_q: int) -> tuple[int, int]:
     return h, k
 
 
+def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
+    """dirichlet_approx(k/M, big_q) for every k in [0, M), as arrays (a, q).
+
+    Runs the same continued-fraction recurrence on the exact integer
+    fractions k/M, all k at once, not on the binary values of k/M.
+    """
+    if m < 1:
+        raise DomainError(f"grid size must be >= 1, got {m}")
+    if big_q < 1:
+        raise DomainError(f"cutoff must be >= 1, got {big_q}")
+    big_q = min(big_q, m)  # no convergent of k/M has a denominator above M
+    # k/M = [0; c_1, c_2, ...]: h/q starts at 0/1, num/den holds the remainder
+    num, den = np.full(m, m, dtype=np.int64), np.arange(m, dtype=np.int64)
+    h_prev, h = np.ones(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    q_prev, q = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    live = np.flatnonzero(den)
+    while live.size:
+        c = num[live] // den[live]
+        q_next = c * q[live] + q_prev[live]
+        keep = q_next <= big_q
+        live, c, q_next = live[keep], c[keep], q_next[keep]
+        h_prev[live], h[live] = h[live], c * h[live] + h_prev[live]
+        q_prev[live], q[live] = q[live], q_next
+        num[live], den[live] = den[live], num[live] - c * den[live]
+        live = live[den[live] != 0]
+    h[h == q] = 0  # 1/1 is the arc of 0/1
+    return h, q
+
+
 # ---------------------------------------------------------------------------
 # Farey arcs
 
@@ -288,10 +319,23 @@ class ArcFamily:
             raise DomainError(f"q must be >= 1, got {q}")
         return [FareyArc(a, q, self.eta(q)) for a in range(1, q + 1)]
 
-    def classify(self, theta: float) -> tuple[int, int, str]:
-        """(a, q, kind) for the arc containing theta, kind in {major, minor}."""
-        a, q = dirichlet_approx(theta, self.big_q)
-        return a, q, ("major" if q <= self.q_prime else "minor")
+
+def arc_indices(m: int, q: int, big_q: int, star: bool = False) -> np.ndarray:
+    """Sorted grid indices k in [0, M) with k/M in a level-q arc
+    |theta - a/q| <= 1/(q Q), for some a in 1..q (gcd(a, q) = 1 when star).
+
+    Decided in exact integer arithmetic, |k q Q - a M Q| <= M with a taken
+    mod q, so points on a closed arc's boundary are members.
+    """
+    if m < 1 or q < 1 or big_q < 1:
+        raise DomainError(f"need M, q, Q >= 1, got M={m}, q={q}, Q={big_q}")
+    inside = np.zeros(m, dtype=bool)
+    for a in range(1, q + 1):
+        if not star or math.gcd(a, q) == 1:
+            lo = -((m - a * m * big_q) // (q * big_q))  # ceil((aMQ - M) / (qQ))
+            hi = (a * m * big_q + m) // (q * big_q)
+            inside[np.arange(lo, hi + 1) % m] = True
+    return np.flatnonzero(inside)
 
 
 def arc_energy(f: IntegerSignal, arcs, m: int, grid: SpectrumGrid | None = None) -> float:

@@ -96,6 +96,22 @@ class TestLambdaCommand:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--x", "nan", "--q", "1", "--a", "0"],
+        ["psi", "--x", "inf", "--q", "1", "--a", "0"],
+        ["lambda", "--n", "5", "--d", "2", "--at", "nan"],
+        ["lambda", "--n", "5", "--d", "2", "--at", "inf"],
+    ],
+)
+def test_non_finite_float_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
 class TestSieveCommand:
     def test_rows_match_oracles(self, capsys):
         code, out, _ = run_cli(["sieve", "--n-max", "40"], capsys)
@@ -230,27 +246,28 @@ class TestIterateCommand:
 
     def test_config_defaults_and_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("gain_threshold = 0.01\nmax_steps = 5  # few\nc_1 = 2.0\n")
+        cfg.write_text("gain_threshold = 0.01\nmax_steps = 5  # few\n")
         code, out, _ = run_cli(
             ["iterate", "--greedy", "--n", "200", "--config", str(cfg), "--timestamp", "T"],
             capsys,
         )
         assert code == 0
         header = json.loads(out.splitlines()[0])
-        effective = header["manifest"]["parameters"]["config"]
+        effective = header["config"]
         assert effective["gain_threshold"] == 0.01
         assert effective["max_steps"] == 5
-        assert effective["tolerances"]["c_1"] == 2.0
         assert effective["c"] == 0.25  # untouched default
+        assert "config" not in header["manifest"]["parameters"]
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("warp_speed = 9\n")
-        code, _, err = run_cli(
-            ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
-        )
-        assert code == 3
-        assert "unknown config key" in err
+        for key in ("warp_speed", "c_1", "seed"):  # the last two were removed knobs
+            cfg.write_text(f"{key} = 9\n")
+            code, _, err = run_cli(
+                ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
+            )
+            assert code == 3
+            assert "unknown config key" in err
 
     def test_malformed_set_file(self, capsys, tmp_path):
         path = tmp_path / "set.txt"

@@ -41,7 +41,6 @@ class TestIterationConfig:
     def test_defaults_valid(self):
         cfg = IterationConfig()
         assert cfg.c == 0.25
-        assert set(cfg.tolerances) == {f"c_{i}" for i in range(1, 11)} | {"c_E", "C"}
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -50,8 +49,6 @@ class TestIterationConfig:
             IterationConfig(grid_factor=4)
         with pytest.raises(DomainError):
             IterationConfig(d_ceiling_exponent=1.5)
-        with pytest.raises(DomainError):
-            IterationConfig(tolerances={"c_1": 0.0})
 
     def test_derived_quantities(self):
         cfg = IterationConfig(c=0.25, c_prime=2000.0, q_cap=50)

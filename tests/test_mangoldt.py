@@ -2,6 +2,7 @@
 identity, major-arc predictions, minor-arc bound shape, and CSV reports."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,18 +129,26 @@ class TestSpectrumReport:
             assert r.ratio == r.actual / r.bound
             assert r.bound > 0
 
-    def test_sharding_is_exact(self, tables_small):
-        """Chunked construction reproduces the full report bit for bit."""
-        n, m = 150, 1200
-        full = spectrum_report(n, 2, 3, 30, m, tables_small)
-        parts = spectrum_report(n, 2, 3, 30, m, tables_small, k_stop=400) + spectrum_report(
-            n, 2, 3, 30, m, tables_small, k_start=400
-        )
-        assert parts == full
-
-    def test_bad_range(self, tables_small):
-        with pytest.raises(DomainError):
-            spectrum_report(100, 1, 3, 30, 800, tables_small, k_start=500, k_stop=100)
+    def test_labels_follow_arc_membership(self, tables_small):
+        """Major iff k/M lies in a closed arc |k/M - a/q| <= 1/(qQ) with
+        q <= Q', carrying that arc's a/q; minor rows carry an approximation
+        a/q with Q' < q <= Q and |k/M - a/q| < 1/(qQ).  All exact."""
+        n, q_prime, big_q, m = 2000, 20, 200, 16000
+        rows = spectrum_report(n, 1, q_prime, big_q, m, tables_small)
+        k = np.arange(m, dtype=np.int64)
+        in_major = np.zeros(m, dtype=bool)
+        for q in range(1, q_prime + 1):
+            a = (2 * k * q + m) // (2 * m)  # nearest numerator, any a
+            in_major |= np.abs(k * q * big_q - a * m * big_q) <= m
+        assert [r.kind == "major" for r in rows] == in_major.tolist()
+        for k, r in enumerate(rows):
+            assert math.gcd(r.a, r.q) == 1
+            dist = abs(Fraction(k, m) - Fraction(r.a, r.q))
+            dist = min(dist, 1 - dist)
+            if r.kind == "major":
+                assert r.q <= q_prime and dist <= Fraction(1, r.q * big_q)
+            else:
+                assert q_prime < r.q <= big_q and dist < Fraction(1, r.q * big_q)
 
     def test_exceptional_widens_major_bounds(self, tables_small):
         n, m = 150, 1200
@@ -174,6 +183,12 @@ class TestMajorSupRatio:
         low levels never blow it far past one."""
         r = major_sup_ratio(2000, 1, 10, 200, 8, tables_small)
         assert 1.0 - 1e-9 <= r < 3.0
+
+    def test_arc_without_grid_points(self, tables_small):
+        """At Q = 10000 the level-3 star arcs hold no point of the 800-point
+        grid; the level-1 arc still pins the ratio at one or more."""
+        r = major_sup_ratio(100, 1, 3, 10_000, 8, tables_small)
+        assert r >= 1.0 - 1e-9
 
     def test_grid_refinement_stable(self, tables_small):
         r8 = major_sup_ratio(1000, 1, 8, 125, 8, tables_small)

@@ -2,6 +2,7 @@
 and Farey arc families."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from primediff.spectral import (
     IntegerSignal,
     TorusPoint,
     arc_energy,
+    arc_indices,
     convolve,
     dirichlet_approx,
+    dirichlet_approx_grid,
     grid_spectrum,
     transform_at,
 )
@@ -168,6 +171,54 @@ class TestDirichletApprox:
             dist = min(dist, 1 - dist)
             assert dist < 1 / (q * big_q) + 1e-15
 
+    def test_grid_matches_scalar(self):
+        """The array version agrees with the scalar one wherever k/M is
+        exact in binary, that is for M a power of two."""
+        for m in (1, 2, 1024, 4096):
+            for big_q in (1, 3, 40, 500, 10**6):
+                a, q = dirichlet_approx_grid(m, big_q)
+                want = [dirichlet_approx(k / m, big_q) for k in range(m)]
+                assert list(zip(a.tolist(), q.tolist())) == want
+
+
+def arc_members_naive(m, q, big_q, star):
+    """Grid indices in some closed arc |k/M - a/q| <= 1/(qQ), by Fractions."""
+    width = Fraction(1, q * big_q)
+    centers = [Fraction(a, q) for a in range(1, q + 1) if not star or math.gcd(a, q) == 1]
+    members = []
+    for k in range(m):
+        for c in centers:
+            dist = abs(Fraction(k, m) - c) % 1
+            if min(dist, 1 - dist) <= width:
+                members.append(k)
+                break
+    return members
+
+
+class TestArcIndices:
+    def test_against_fractions(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            m = int(rng.integers(1, 200))
+            q = int(rng.integers(1, 13))
+            big_q = int(rng.integers(1, 40))
+            star = bool(rng.integers(0, 2))
+            got = arc_indices(m, q, big_q, star=star).tolist()
+            assert got == arc_members_naive(m, q, big_q, star), (m, q, big_q, star)
+
+    def test_closed_boundary(self):
+        """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
+        Q = 100, which the float range of FareyArc.grid_indices drops."""
+        idx = arc_indices(7000, 2, 100)
+        assert 35 in idx and 6965 in idx
+        assert idx.tolist() == arc_members_naive(7000, 2, 100, star=False)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            arc_indices(0, 1, 2)
+        with pytest.raises(DomainError):
+            arc_indices(10, 0, 2)
+
 
 class TestFareyArcs:
     def test_contains_matches_indices(self):
@@ -200,24 +251,6 @@ class TestFareyArcs:
     def test_family_validation(self):
         with pytest.raises(PreconditionError):
             ArcFamily(q_prime=5, big_q=10)
-
-    def test_classify(self):
-        fam = ArcFamily(q_prime=5, big_q=64)
-        a, q, kind = fam.classify(1 / 3 + 1e-4)
-        assert (a, q, kind) == (1, 3, "major")
-        a, q, kind = fam.classify(5 / 11)
-        assert q > 5 and kind == "minor"
-
-    def test_classify_covers_torus(self):
-        fam = ArcFamily(q_prime=4, big_q=40)
-        rng = np.random.default_rng(43)
-        for _ in range(500):
-            theta = float(rng.uniform())
-            a, q, kind = fam.classify(theta)
-            assert kind == ("major" if q <= 4 else "minor")
-            dist = abs(theta - a / q)
-            dist = min(dist, 1 - dist)
-            assert dist < 1 / (q * 40) + 1e-15
 
 
 class TestArcEnergy:
