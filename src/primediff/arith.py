@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
+    "TABLE_CAP",
     "ArithTables",
     "build_tables",
     "DirichletCharacter",
@@ -38,6 +39,9 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # tables
+
+# largest n_max build_tables accepts: its four 8-byte tables take 128 MB here
+TABLE_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,8 @@ def build_tables(n_max: int) -> ArithTables:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if n_max > TABLE_CAP:
+        raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got {n_max}")
     size = n_max + 1
     spf = np.zeros(size, dtype=np.int64)
     for p in range(2, math.isqrt(n_max) + 1):

@@ -20,9 +20,10 @@ import datetime
 import json
 import math
 import sys
+import typing
 
 from . import __version__
-from .arith import ExceptionalDatum, build_tables, psi
+from .arith import TABLE_CAP, ExceptionalDatum, build_tables, psi
 from .avoider import ForbiddenSet, greedy_avoiding, max_avoiding_exact
 from .driver import IterationConfig, certify, run, trace_to_jsonl
 from .errors import (
@@ -35,10 +36,6 @@ from .errors import (
 from .increment import DensitySet
 from .mangoldt import MangoldtWeight, render_csv_rows, spectrum_report
 from .spectral import TorusPoint
-
-# beyond this, sieve tables are skipped in favor of per-value primality
-# tests where a fallback exists
-TABLE_CAP = 4_000_000
 
 
 def _manifest(command: str, parameters: dict, seed: int, timestamp: str | None) -> dict:
@@ -157,6 +154,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_extremal(args) -> None:
+    # past TABLE_CAP, ForbiddenSet.build falls back to Miller-Rabin
     need = args.d * (args.n - 1) + 2
     tables = build_tables(need) if need <= TABLE_CAP else None
     fs = ForbiddenSet.build(args.n, args.d, tables)
@@ -204,9 +202,6 @@ def _read_set_file(path: str) -> list[int]:
     return elements
 
 
-_CONFIG_INT_FIELDS = {"grid_factor", "max_steps", "n_floor", "q_cap"}
-
-
 def _read_config(path: str | None) -> IterationConfig:
     """Flat key=value file over IterationConfig fields.
 
@@ -214,7 +209,8 @@ def _read_config(path: str | None) -> IterationConfig:
     """
     values: dict = {}
     if path is not None:
-        field_names = {f.name for f in dataclasses.fields(IterationConfig)}
+        hints = typing.get_type_hints(IterationConfig)
+        field_types = {f.name: hints[f.name] for f in dataclasses.fields(IterationConfig)}
         with open(path) as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
@@ -223,10 +219,10 @@ def _read_config(path: str | None) -> IterationConfig:
                 if "=" not in line:
                     raise PreconditionError(f"config line {raw.strip()!r} is not key=value")
                 key, _, val = (part.strip() for part in line.partition("="))
-                if key not in field_names:
+                if key not in field_types:
                     raise PreconditionError(f"unknown config key {key!r}")
                 try:
-                    values[key] = int(val) if key in _CONFIG_INT_FIELDS else float(val)
+                    values[key] = field_types[key](val)  # int or float
                 except ValueError:
                     raise PreconditionError(
                         f"config value for {key!r} is not numeric: {val!r}"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class IterationConfig:
     c_len: float = 0.25
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"config field {f.name} must be finite, got {value}")
         for name in ("c", "c_prime", "c_double_prime", "gain_threshold",
                      "alpha_floor", "c_len"):
             if getattr(self, name) <= 0:

@@ -157,27 +157,31 @@ class EnergyTable:
 # ---------------------------------------------------------------------------
 # window counting
 
-# counts[i] = |A ∩ {f, f+step, ..., f+(L-1)step}| for f = f_min + i; exact
-# integer convolution, windows allowed to protrude unless clamped by caller.
+
+def _window_counts(A: DensitySet, step: int, length: int) -> np.ndarray:
+    """counts[t] = |A ∩ {f, f + step, ..., f + (length - 1) step}| for
+    f = 1 - (length - 1) step + t, over every translate that meets [1, N].
+
+    Exact integers from prefix sums along each residue class mod step."""
+    reach = (length - 1) * step
+    # one zero row, the left overhang, [1, N], the right overhang
+    rows = -(-(step + 2 * reach + A.n) // step)
+    padded = np.zeros(rows * step, dtype=np.int64)
+    padded[step + reach - 1 + A.elements] = 1
+    prefix = padded.reshape(rows, step).cumsum(axis=0).ravel()
+    # prefix[i] - prefix[i - length step] counts the window ending at i
+    return prefix[step + reach : step + 2 * reach + A.n] - prefix[: reach + A.n]
 
 
-def _window_counts(A: DensitySet, step: int, length: int) -> tuple[int, np.ndarray]:
-    ind = A.indicator().values
-    kernel = np.zeros((length - 1) * step + 1, dtype=np.int64)
-    kernel[::step] = 1
-    conv = np.convolve(ind, kernel[::-1])
-    f_min = 1 - (length - 1) * step
-    return f_min, conv
-
-
-def _inside_slice(f_min: int, counts: np.ndarray, n: int, step: int, length: int):
-    lo = 1 - f_min
-    hi = n - (length - 1) * step - f_min
-    if hi < lo:
-        raise PreconditionError(
-            f"no window of span {(length - 1) * step + 1} fits inside [1, {n}]"
-        )
-    return lo, counts[lo : hi + 1]
+def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
+    """(first, count) of the window inside [1, N] that holds the most of A,
+    the leftmost among ties."""
+    reach = (length - 1) * step
+    if reach >= A.n:
+        raise PreconditionError(f"no window of span {reach + 1} fits inside [1, {A.n}]")
+    inside = _window_counts(A, step, length)[reach : A.n]
+    best = int(np.argmax(inside))
+    return 1 + best, int(inside[best])
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,8 @@ def _balanced_power(A: DensitySet, m: int | None, grid: SpectrumGrid | None):
         raise PreconditionError(f"grid {m} below 8x support {A.n}")
     if grid is None:
         grid = grid_spectrum(A.balanced(), m)
+    elif grid.m != m:
+        raise PreconditionError(f"grid size {grid.m} does not match m={m}")
     return np.abs(grid.values) ** 2, m, 1.0 / (A.alpha * A.size * m)
 
 
@@ -213,14 +219,13 @@ def l2_witness(A: DensitySet, step: int, length: int, c_slack: float = 2.0) -> I
         raise DomainError(f"need step, length >= 1, got {step}, {length}")
     alpha = A.alpha
     n = A.n
-    f_min, counts = _window_counts(A, step, length)
+    counts = _window_counts(A, step, length)
     interval = DensitySet(n, np.arange(1, n + 1, dtype=np.int64))
-    _, inside = _window_counts(interval, step, length)
-    h = counts - alpha * inside
+    h = counts - alpha * _window_counts(interval, step, length)
     c = float(np.sum(h * h) / (alpha * alpha * n * length * length))
     best = int(np.argmax(counts))
     count = int(counts[best])
-    first = f_min + best
+    first = 1 - (length - 1) * step + best
     new_alpha = count / length
     slack = c_slack * step * length * length / n
     met = count >= alpha * (1.0 + c) * length - slack - 1e-9
@@ -296,11 +301,7 @@ def extract_progression(
     cap_mass = math.floor(c_len * min(1.0 / eta, energy * A.size) / q)
     length = max(1, min(cap_eta, cap_mass, (A.n - 1) // q + 1))
 
-    f_min, counts = _window_counts(A, q, length)
-    lo, inside = _inside_slice(f_min, counts, A.n, q, length)
-    best = int(np.argmax(inside))
-    count = int(inside[best])
-    first = f_min + lo + best
+    first, count = _best_inside(A, q, length)
     alpha = A.alpha
     new_alpha = count / length
     met = count >= alpha * (1.0 + energy / 4.0) * length - 1e-9
@@ -324,11 +325,7 @@ def averaging_projection(A: DensitySet, step: int) -> IncrementOutcome:
         raise DomainError(f"need step >= 1, got {step}")
     alpha = A.alpha
     length = max(1, math.ceil(A.size / (8 * step)))
-    f_min, counts = _window_counts(A, step, length)
-    lo, inside = _inside_slice(f_min, counts, A.n, step, length)
-    best = int(np.argmax(inside))
-    count = int(inside[best])
-    first = f_min + lo + best
+    first, count = _best_inside(A, step, length)
     new_alpha = count / length
     met = count >= alpha * length / 2.0 - 1e-9
     return IncrementOutcome(

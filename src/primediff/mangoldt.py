@@ -141,6 +141,20 @@ class BoundRow:
     ratio: float
 
 
+def _weight_spectrum(
+    n: int, d: int, q_prime: int, big_q: int, m: int, tables: ArithTables
+) -> tuple[np.ndarray, float]:
+    """The weight's transform on the M-point grid and its mass Lambda_hat(0),
+    after checking the dissection (Q > 2 Q') and that the mass is positive."""
+    weight = MangoldtWeight.from_tables(n, d, tables)
+    grid = grid_spectrum(weight.signal, m)
+    ArcFamily(q_prime=q_prime, big_q=big_q)
+    hat_zero = weight.hat_zero()
+    if hat_zero <= 0:
+        raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
+    return grid.values, hat_zero
+
+
 def spectrum_report(
     n: int,
     d: int,
@@ -157,13 +171,7 @@ def spectrum_report(
     A row is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
-    weight = MangoldtWeight.from_tables(n, d, tables)
-    grid = grid_spectrum(weight.signal, m)
-    ArcFamily(q_prime=q_prime, big_q=big_q)  # rejects overlapping major arcs
-    hat_zero = weight.hat_zero()
-    if hat_zero <= 0:
-        raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
-
+    spec, hat_zero = _weight_spectrum(n, d, q_prime, big_q, m, tables)
     a_col, q_col = dirichlet_approx_grid(m, big_q)
     major = np.zeros(m, dtype=bool)
     for q in range(1, q_prime + 1):
@@ -186,7 +194,7 @@ def spectrum_report(
 
     rows = []
     for k, (a, q, is_major) in enumerate(zip(a_col.tolist(), q_col.tolist(), major.tolist())):
-        actual = float(abs(grid.values[k]))  # scalar abs: np.abs on arrays rounds differently
+        actual = float(abs(spec[k]))  # scalar abs: np.abs on arrays rounds differently
         bound = bounds[is_major, q]
         kind = "major" if is_major else "minor"
         rows.append(BoundRow(k / m, a, q, kind, actual, bound, actual / bound))
@@ -203,14 +211,9 @@ def major_sup_ratio(
 ) -> float:
     """max over q <= Q' and star-arc grid points of
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
-    weight = MangoldtWeight.from_tables(n, d, tables)
     m = grid_factor * n
-    grid = grid_spectrum(weight.signal, m)
-    ArcFamily(q_prime=q_prime, big_q=big_q)  # rejects overlapping major arcs
-    hat_zero = weight.hat_zero()
-    if hat_zero <= 0:
-        raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
-    mags = np.abs(grid.values)
+    spec, hat_zero = _weight_spectrum(n, d, q_prime, big_q, m, tables)
+    mags = np.abs(spec)
     best = 0.0
     for q in range(1, q_prime + 1):
         idx = arc_indices(m, q, big_q, star=True)

@@ -22,11 +22,9 @@ from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
     "ArcFamily",
-    "FareyArc",
     "IntegerSignal",
     "SpectrumGrid",
     "TorusPoint",
-    "arc_energy",
     "arc_indices",
     "convolve",
     "dirichlet_approx",
@@ -257,40 +255,10 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class FareyArc:
-    """Closed arc {theta : |theta - a/q| <= eta} on the torus."""
-
-    a: int
-    q: int
-    eta: float
-
-    def __post_init__(self):
-        if self.q < 1 or not (0 <= self.a <= self.q):
-            raise DomainError(f"bad arc center {self.a}/{self.q}")
-        if not (0.0 < self.eta <= 0.5):
-            raise DomainError(f"arc half-width must lie in (0, 1/2], got {self.eta}")
-
-    def center(self) -> float:
-        return self.a / self.q
-
-    def contains(self, theta: float) -> bool:
-        dist = abs((theta - self.center()) % 1.0)
-        return min(dist, 1.0 - dist) <= self.eta + 1e-15
-
-    def grid_indices(self, m: int) -> np.ndarray:
-        """Grid indices k with k/M inside the arc: the integer range
-        [ceil(M(a/q - eta)), floor(M(a/q + eta))], taken mod M."""
-        lo = math.ceil(m * (self.a / self.q - self.eta))
-        hi = math.floor(m * (self.a / self.q + self.eta))
-        if hi - lo + 1 >= m:
-            return np.arange(m, dtype=np.int64)
-        return np.arange(lo, hi + 1, dtype=np.int64) % m
-
-
-@dataclass(frozen=True)
 class ArcFamily:
     """Major/minor dissection at level (Q_prime, Q): arcs of half-width
-    1/(qQ) around rationals a/q, major when q <= Q_prime."""
+    1/(qQ) around rationals a/q, major when q <= Q_prime.  Constructing one
+    checks the parameters; arc_indices decides membership on a grid."""
 
     q_prime: int
     big_q: int
@@ -302,22 +270,6 @@ class ArcFamily:
             raise PreconditionError(
                 f"need Q > 2 Q' for disjoint major arcs, got Q={self.big_q}, Q'={self.q_prime}"
             )
-
-    def eta(self, q: int) -> float:
-        return 1.0 / (q * self.big_q)
-
-    def star_arcs(self, q: int) -> list[FareyArc]:
-        """Arcs around a/q for 1 <= a <= q with gcd(a, q) = 1."""
-        if q < 1:
-            raise DomainError(f"q must be >= 1, got {q}")
-        return [FareyArc(a, q, self.eta(q)) for a in range(1, q + 1) if math.gcd(a, q) == 1]
-
-    def all_arcs(self, q: int) -> list[FareyArc]:
-        """Arcs around a/q for every 1 <= a <= q (centers repeat across
-        divisors; this is the level-q family, not the star family)."""
-        if q < 1:
-            raise DomainError(f"q must be >= 1, got {q}")
-        return [FareyArc(a, q, self.eta(q)) for a in range(1, q + 1)]
 
 
 def arc_indices(m: int, q: int, big_q: int, star: bool = False) -> np.ndarray:
@@ -336,23 +288,3 @@ def arc_indices(m: int, q: int, big_q: int, star: bool = False) -> np.ndarray:
             hi = (a * m * big_q + m) // (q * big_q)
             inside[np.arange(lo, hi + 1) % m] = True
     return np.flatnonzero(inside)
-
-
-def arc_energy(f: IntegerSignal, arcs, m: int, grid: SpectrumGrid | None = None) -> float:
-    """Quadrature energy (1/M) sum |f_hat(k/M)|^2 over the union of the arcs.
-
-    Needs m >= 8 x support length so each arc's main lobe is resolved; pass a
-    precomputed grid to amortize the FFT across many arc families.
-    """
-    if m < 8 * f.support_length():
-        raise ResourceError(
-            f"grid {m} too coarse for support {f.support_length()}; need >= 8x"
-        )
-    if grid is None:
-        grid = grid_spectrum(f, m)
-    elif grid.m != m:
-        raise PreconditionError(f"grid size {grid.m} does not match m={m}")
-    if not arcs:
-        return 0.0
-    idx = np.unique(np.concatenate([arc.grid_indices(m) for arc in arcs]))
-    return float(np.sum(np.abs(grid.values[idx]) ** 2) / m)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from primediff.arith import (
+    TABLE_CAP,
     ArithTables,
     ExceptionalDatum,
     build_tables,
@@ -67,6 +68,10 @@ class TestTables:
         assert t.phi[1] == 1 and t.mangoldt[1] == 0.0
         with pytest.raises(DomainError):
             build_tables(0)
+
+    def test_size_cap(self):
+        with pytest.raises(ResourceError):
+            build_tables(TABLE_CAP + 1)
 
 
 class TestIsPrime:

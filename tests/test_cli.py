@@ -8,6 +8,7 @@ import math
 import pytest
 
 from primediff import cli
+from primediff.arith import TABLE_CAP
 from primediff.errors import CertificationError
 
 from oracles import (
@@ -110,6 +111,23 @@ def test_non_finite_float_is_usage_error(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--n-max", str(TABLE_CAP + 1)],
+        ["psi", "--x", str(TABLE_CAP + 1), "--q", "1", "--a", "1"],
+        ["lambda", "--n", str(TABLE_CAP // 2), "--d", "2", "--at", "0"],
+        ["spectrum", "--n", str(TABLE_CAP), "--d", "1", "--q-prime", "2", "--big-q", "10"],
+    ],
+)
+def test_table_cap_is_resource_error(argv, capsys):
+    """Each of these needs tables to TABLE_CAP + 1 or + 2."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "tables limited" in err
 
 
 class TestSieveCommand:
@@ -268,6 +286,20 @@ class TestIterateCommand:
             )
             assert code == 3
             assert "unknown config key" in err
+
+    @pytest.mark.parametrize(
+        "line", ["c = nan", "c = inf", "c_prime = -inf", "alpha_floor = nan",
+                 "d_ceiling_exponent = nan"]
+    )
+    def test_non_finite_config_value(self, line, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(
+            ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "must be finite" in err
 
     def test_malformed_set_file(self, capsys, tmp_path):
         path = tmp_path / "set.txt"

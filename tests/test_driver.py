@@ -49,6 +49,10 @@ class TestIterationConfig:
             IterationConfig(grid_factor=4)
         with pytest.raises(DomainError):
             IterationConfig(d_ceiling_exponent=1.5)
+        for name in ("c", "alpha_floor", "d_ceiling_exponent"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    IterationConfig(**{name: value})
 
     def test_derived_quantities(self):
         cfg = IterationConfig(c=0.25, c_prime=2000.0, q_cap=50)

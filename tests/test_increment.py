@@ -16,6 +16,7 @@ from primediff.increment import (
     l2_witness,
     rescale,
 )
+from primediff.spectral import grid_spectrum
 
 from oracles import window_count_naive
 
@@ -69,6 +70,44 @@ class TestProgression:
             Progression(1, 2, 0)
 
 
+def best_window_naive(A, step, length, inside):
+    """(first, count) maximizing window_count_naive over the translates
+    inside [1, N] (or, when not inside, every translate meeting it),
+    the leftmost among ties."""
+    reach = (length - 1) * step
+    firsts = range(1, A.n - reach + 1) if inside else range(1 - reach, A.n + 1)
+    counts = [window_count_naive(A.elements.tolist(), f, step, length) for f in firsts]
+    best = max(counts)
+    return firsts[counts.index(best)], best
+
+
+class TestWindowCounts:
+    def test_reported_count_is_the_maximum(self):
+        rng = np.random.default_rng(83)
+        draws = []
+        for _ in range(40):
+            A = random_set(rng, 20, 200)
+            step = int(rng.integers(1, 6))
+            draws.append((A, step, int(rng.integers(1, max(2, A.n // step)))))
+        # (A, step, length) whose best windows sit at either end of [1, N]
+        draws += [
+            (DensitySet.from_iterable(30, [30]), 1, 1),
+            (DensitySet.from_iterable(30, [1]), 2, 3),
+            (DensitySet.from_iterable(30, [*range(1, 26, 3), 29, 30]), 1, 2),
+        ]
+        for A, step, length in draws:
+            q = int(rng.integers(1, 6))
+            outs = [
+                (l2_witness(A, step, length), False),
+                (averaging_projection(A, step), True),
+                (extract_progression(A, q, 1 / (q * int(rng.integers(2, 40))), 0.0), True),
+            ]
+            for out, inside in outs:
+                P = out.progression
+                want = best_window_naive(A, P.step, P.length, inside)
+                assert (P.first, out.intersection_count) == want, out.method
+
+
 class TestL2Witness:
     def test_count_is_recountable(self):
         rng = np.random.default_rng(53)
@@ -118,6 +157,7 @@ class TestEnergyTable:
             table = energy_table(A, 8, max(18, A.n // 8))
             for r in table.rows:
                 assert 0 <= r.star_energy <= r.energy + 1e-12
+                assert r.energy <= table.total + 1e-12
                 assert r.eta == 1 / (r.q * table.big_q)
 
     def test_row_lookup(self):
@@ -144,6 +184,8 @@ class TestEnergyTable:
             energy_table(A, 3, 1)
         with pytest.raises(PreconditionError):
             energy_table(A, 3, 10, m=100)
+        with pytest.raises(PreconditionError):  # grid of M = 400, default M = 320
+            energy_table(A, 3, 10, grid=grid_spectrum(A.balanced(), 400))
 
 
 class TestExtractProgression:

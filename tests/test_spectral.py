@@ -9,10 +9,8 @@ import pytest
 
 from primediff.spectral import (
     ArcFamily,
-    FareyArc,
     IntegerSignal,
     TorusPoint,
-    arc_energy,
     arc_indices,
     convolve,
     dirichlet_approx,
@@ -208,7 +206,7 @@ class TestArcIndices:
 
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
-        Q = 100, which the float range of FareyArc.grid_indices drops."""
+        Q = 100, which rounding the arc ends in floats can drop."""
         idx = arc_indices(7000, 2, 100)
         assert 35 in idx and 6965 in idx
         assert idx.tolist() == arc_members_naive(7000, 2, 100, star=False)
@@ -221,66 +219,6 @@ class TestArcIndices:
 
 
 class TestFareyArcs:
-    def test_contains_matches_indices(self):
-        m = 256
-        arc = FareyArc(1, 3, 0.02)
-        idx = set(arc.grid_indices(m).tolist())
-        for k in range(m):
-            theta = k / m
-            dist = abs(theta - 1 / 3)
-            dist = min(dist, 1 - dist)
-            if dist < 0.02 - 1e-12:
-                assert k in idx
-            elif dist > 0.02 + 1e-12:
-                assert k not in idx
-
-    def test_wraparound_arc(self):
-        m = 100
-        arc = FareyArc(0, 1, 0.03)
-        idx = arc.grid_indices(m)
-        assert 0 in idx and (m - 1) in idx and (m - 2) in idx
-
-    def test_family_levels(self):
-        fam = ArcFamily(q_prime=5, big_q=64)
-        assert fam.eta(3) == 1 / (3 * 64)
-        stars = fam.star_arcs(6)
-        assert sorted(arc.a for arc in stars) == [1, 5]
-        full = fam.all_arcs(6)
-        assert sorted(arc.a for arc in full) == [1, 2, 3, 4, 5, 6]
-
     def test_family_validation(self):
         with pytest.raises(PreconditionError):
             ArcFamily(q_prime=5, big_q=10)
-
-
-class TestArcEnergy:
-    def test_against_manual_quadrature(self):
-        rng = np.random.default_rng(47)
-        vals = rng.normal(size=20)
-        f = IntegerSignal(1, vals)
-        m = 160
-        fam = ArcFamily(q_prime=3, big_q=16)
-        arcs = fam.star_arcs(3)
-        grid = grid_spectrum(f, m)
-        idx = np.unique(np.concatenate([a.grid_indices(m) for a in arcs]))
-        manual = float(np.sum(np.abs(grid.values[idx]) ** 2) / m)
-        assert abs(arc_energy(f, arcs, m) - manual) < 1e-12
-
-    def test_total_energy_bound(self):
-        """Energy over any arc family never exceeds the Parseval total."""
-        f = IntegerSignal.from_indicator([1, 3, 8, 9, 14])
-        m = 8 * f.support_length()
-        fam = ArcFamily(q_prime=4, big_q=40)
-        arcs = [arc for q in range(1, 5) for arc in fam.all_arcs(q)]
-        assert arc_energy(f, arcs, m) <= f.energy() + 1e-12
-
-    def test_requires_fine_grid(self):
-        f = IntegerSignal.interval(100)
-        with pytest.raises(ResourceError):
-            arc_energy(f, ArcFamily(q_prime=2, big_q=30).star_arcs(2), 400)
-
-    def test_grid_size_mismatch(self):
-        f = IntegerSignal.interval(10)
-        grid = grid_spectrum(f, 80)
-        with pytest.raises(PreconditionError):
-            arc_energy(f, ArcFamily(q_prime=2, big_q=30).star_arcs(2), 96, grid=grid)
