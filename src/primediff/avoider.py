@@ -1,12 +1,14 @@
 """Extremal sets avoiding forbidden differences s with d s + 1 prime.
 
-Sets live in [1, n]; bitmasks are arbitrary-precision ints with bit x for
-element x, so conflict probes are single shift-and-AND operations.  The
-exact solver is branch-and-bound over a most-constrained-first static
-vertex order with the popcount bound; the greedy strategies share the same
-blocked-mask insertion logic.  Primality is deterministic Miller-Rabin or,
-when tables covering d(n-1)+1 are supplied, the sieve route; the two agree
-(tested), keeping the search independent of the sieve stack.
+Sets live in [1, n]; the forbidden differences are one bool array,
+`ForbiddenSet.bits`.  The exact solver is branch-and-bound over a
+most-constrained-first static vertex order with the popcount bound; its
+candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
+bool arrays.  The greedy strategies take a point when no chosen element
+sits at a forbidden distance from it, kept as a conflict count per point.
+Primality is deterministic Miller-Rabin or, when tables covering d(n-1)+1
+are supplied, the sieve route; the two agree (tested), keeping the search
+independent of the sieve stack.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTables, is_prime
+from .arith import TABLE_CAP, ArithTables, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
@@ -29,15 +31,19 @@ __all__ = [
     "max_avoiding_exact",
 ]
 
+EXACT_CAP = 64  # largest n exact search takes without a node budget
+ROW_BYTES_CAP = 32 * TABLE_CAP  # exact search rows' n^2/8 bytes: 128 MB, as tables
+LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
+
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """Differences s in [1, n-1] with d s + 1 prime, as bool array + bitmask."""
+    """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
+    is forbidden (bits[0] is False)."""
 
     n: int
     d: int
     bits: np.ndarray
-    mask: int
 
     @classmethod
     def build(cls, n: int, d: int, tables: ArithTables | None = None) -> "ForbiddenSet":
@@ -52,10 +58,7 @@ class ForbiddenSet:
             for s in range(1, n):
                 if is_prime(d * s + 1):
                     bits[s] = True
-        mask = 0
-        for s in np.nonzero(bits)[0].tolist():
-            mask |= 1 << int(s)
-        return cls(n=n, d=d, bits=bits, mask=mask)
+        return cls(n=n, d=d, bits=bits)
 
     def forbidden(self, s: int) -> bool:
         return 0 < s < self.n and bool(self.bits[s])
@@ -64,11 +67,9 @@ class ForbiddenSet:
         return int(self.bits.sum())
 
 
-def _set_mask(elements) -> int:
-    mask = 0
-    for x in elements:
-        mask |= 1 << int(x)
-    return mask
+def _bitset(flags: np.ndarray) -> int:
+    """The int with bit i set iff flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def is_avoiding(elements, fs: ForbiddenSet) -> bool:
@@ -79,12 +80,12 @@ def is_avoiding(elements, fs: ForbiddenSet) -> bool:
 def find_forbidden_pair(elements, fs: ForbiddenSet):
     """Smallest forbidden difference realized in the set, as
     (s, smaller, larger), or None.  Scans s ascending, then position."""
-    mask = _set_mask(elements)
-    for s in np.nonzero(fs.bits)[0].tolist():
-        hit = mask & (mask >> int(s))
+    mask = _bitset(np.bincount(np.asarray(elements, dtype=np.int64)) > 0)
+    for s in np.flatnonzero(fs.bits).tolist():
+        hit = mask & (mask >> s)
         if hit:
             b = (hit & -hit).bit_length() - 1
-            return int(s), int(b), int(b + s)
+            return s, b, b + s
     return None
 
 
@@ -102,11 +103,7 @@ class SearchResult:
 # exact search
 
 
-def max_avoiding_exact(
-    fs: ForbiddenSet,
-    node_budget: int | None = None,
-    exact_cap: int = 64,
-) -> SearchResult:
+def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> SearchResult:
     """Maximum avoiding subset of [1, n] by branch-and-bound.
 
     Vertices are processed in a static most-constrained-first order
@@ -114,33 +111,36 @@ def max_avoiding_exact(
     lowest-order open vertex is branched on and subtrees die when
     size + popcount(candidates) cannot beat the incumbent.  With no budget
     the answer is optimal; with an exhausted budget the incumbent is
-    returned with optimal=False."""
+    returned with optimal=False.  Past EXACT_CAP a node budget is
+    required, and past n^2/8 > ROW_BYTES_CAP the compatibility rows are
+    refused before any is built."""
     n = fs.n
-    if node_budget is None and n > exact_cap:
+    if node_budget is None and n > EXACT_CAP:
         raise ResourceError(
-            f"exact search beyond n={exact_cap} needs an explicit node budget, got n={n}"
+            f"exact search beyond n={EXACT_CAP} needs an explicit node budget, got n={n}"
         )
-    verts = list(range(1, n + 1))
-    succ_count = {
-        v: sum(1 for u in range(v + 1, n + 1) if not fs.bits[u - v]) for v in verts
-    }
-    order = sorted(verts, key=lambda v: (succ_count[v], v))
-    pos = {v: i for i, v in enumerate(order)}
+    if n * n > 8 * ROW_BYTES_CAP:
+        raise ResourceError(
+            f"exact search limited to n <= {math.isqrt(8 * ROW_BYTES_CAP)}"
+            f" (n^2/8 bytes of rows), got n={n}"
+        )
+    # v has n - v successors u > v, of which those at a forbidden u - v clash
+    verts = np.arange(1, n + 1)
+    succ_count = (n - verts) - np.cumsum(fs.bits)[n - verts]
+    order = np.argsort(succ_count, kind="stable") + 1
 
-    compat = [0] * n
-    for i, v in enumerate(order):
-        m = 0
-        for u in verts:
-            if u != v and not fs.bits[abs(u - v)]:
-                m |= 1 << pos[u]
-        compat[i] = m
+    # row i: the positions j != i whose vertex is at an allowed distance
+    compat = []
+    for i, v in enumerate(order.tolist()):
+        flags = ~fs.bits[np.abs(order - v)]
+        flags[i] = False
+        compat.append(_bitset(flags))
 
     # greedy incumbent for early pruning
     seed = greedy_avoiding(fs, strategy="first_fit")
     best_size = seed.size
-    best_mask = 0
-    for v in seed.elements:
-        best_mask |= 1 << pos[v]
+    best_mask = _bitset(np.isin(order, seed.elements))
+    order = order.tolist()
 
     t0 = time.perf_counter()
     nodes = 0
@@ -180,43 +180,44 @@ def max_avoiding_exact(
 # greedy strategies
 
 
-def _insert_allowed(x: int, a_mask: int, a_rev: int, n: int, fs: ForbiddenSet) -> bool:
-    # conflicts above: y = x + s in A;  below: via the reflected mask
-    if (a_mask >> x) & fs.mask:
-        return False
-    xr = n + 1 - x
-    if (a_rev >> xr) & fs.mask:
-        return False
-    return True
+def _toggle(conflicts: np.ndarray, diffs: np.ndarray, x: int, step: int) -> None:
+    """Add (step 1) or remove (step -1) element x: shift the conflict count
+    of every y in [1, n] at a forbidden distance from x."""
+    n = len(conflicts) - 1
+    conflicts[x + diffs[: np.searchsorted(diffs, n - x, "right")]] += step
+    conflicts[x - diffs[: np.searchsorted(diffs, x - 1, "right")]] += step
 
 
-def _greedy_order(order, n: int, fs: ForbiddenSet):
-    a_mask = 0
-    a_rev = 0
-    chosen = []
+def _take_free(order, conflicts: np.ndarray, diffs: np.ndarray, limit: int = 0) -> list:
+    """Take each x of `order` whose conflict count is zero, counting its
+    conflicts in; stop after `limit` takes when limit > 0."""
+    taken = []
     for x in order:
-        if _insert_allowed(x, a_mask, a_rev, n, fs):
-            chosen.append(x)
-            a_mask |= 1 << x
-            a_rev |= 1 << (n + 1 - x)
-    return chosen
+        if not conflicts[x]:
+            taken.append(x)
+            _toggle(conflicts, diffs, x, 1)
+            if len(taken) == limit:
+                break
+    return taken
 
 
 def greedy_avoiding(
-    fs: ForbiddenSet,
-    strategy: str = "first_fit",
-    seed: int = 0,
-    passes: int = 4,
+    fs: ForbiddenSet, strategy: str = "first_fit", seed: int = 0
 ) -> SearchResult:
     """Heuristic avoiding set.
 
     first_fit: ascending scan, keep what fits.  random_local: best of a few
     random insertion orders, then remove-1/add-2 first-improvement local
-    search, capped at `passes` sweeps.  Never claims optimality."""
+    search, capped at LOCAL_PASSES sweeps.  Never claims optimality."""
     n = fs.n
     t0 = time.perf_counter()
+    diffs = np.flatnonzero(fs.bits)
+
+    def fill(order):
+        return _take_free(order, np.zeros(n + 1, dtype=np.int64), diffs)
+
     if strategy == "first_fit":
-        chosen = _greedy_order(range(1, n + 1), n, fs)
+        chosen = fill(range(1, n + 1))
         return SearchResult(
             tuple(chosen), len(chosen), False, 0, time.perf_counter() - t0, strategy
         )
@@ -224,36 +225,32 @@ def greedy_avoiding(
         raise DomainError(f"unknown strategy {strategy!r}")
 
     rng = np.random.default_rng(seed)
-    best = _greedy_order(range(1, n + 1), n, fs)
+    best = fill(range(1, n + 1))
     for _ in range(3):
         order = rng.permutation(np.arange(1, n + 1)).tolist()
-        cand = sorted(_greedy_order(order, n, fs))
+        cand = sorted(fill(order))
         if len(cand) > len(best):
             best = cand
 
     current = set(best)
-    for _ in range(passes):
+    conflicts = np.zeros(n + 1, dtype=np.int64)
+    for x in best:
+        _toggle(conflicts, diffs, x, 1)
+    for _ in range(LOCAL_PASSES):
         improved = False
         removal_order = sorted(current)
         rng.shuffle(removal_order)
         for r in removal_order:
-            rest = current - {r}
-            a_mask = _set_mask(rest)
-            a_rev = _set_mask(n + 1 - x for x in rest)
-            adds = []
-            for x in range(1, n + 1):
-                if x in rest:
-                    continue
-                if _insert_allowed(x, a_mask, a_rev, n, fs):
-                    adds.append(x)
-                    a_mask |= 1 << x
-                    a_rev |= 1 << (n + 1 - x)
-                    if len(adds) == 2:
-                        break
+            _toggle(conflicts, diffs, r, -1)
+            outside = (x for x in range(1, n + 1) if x == r or x not in current)
+            adds = _take_free(outside, conflicts, diffs, limit=2)
             if len(adds) == 2:
-                current = rest | set(adds)
+                current = (current - {r}) | set(adds)
                 improved = True
                 break
+            for x in adds:
+                _toggle(conflicts, diffs, x, -1)
+            _toggle(conflicts, diffs, r, 1)
         if not improved:
             break
 
@@ -273,7 +270,6 @@ def growth_table(
     n_values,
     d: int,
     exact_cap: int = 24,
-    seed: int = 0,
     tables: ArithTables | None = None,
 ) -> list[dict]:
     """Size-vs-n profile: exact solver up to exact_cap, first-fit greedy
@@ -286,7 +282,7 @@ def growth_table(
         if n <= exact_cap:
             res = max_avoiding_exact(fs)
         else:
-            res = greedy_avoiding(fs, strategy="first_fit", seed=seed)
+            res = greedy_avoiding(fs, strategy="first_fit")
         shape = (math.log(2) / 2) * math.log(n) / math.log(math.log(n)) if n >= 3 else 0.0
         rows.append(
             {

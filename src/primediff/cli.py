@@ -161,7 +161,7 @@ def _cmd_extremal(args) -> None:
     if args.mode == "exact":
         result = max_avoiding_exact(fs, node_budget=args.budget)
     elif args.mode == "greedy":
-        result = greedy_avoiding(fs, strategy="first_fit", seed=args.seed)
+        result = greedy_avoiding(fs, strategy="first_fit")
     else:
         result = greedy_avoiding(fs, strategy="random_local", seed=args.seed)
 

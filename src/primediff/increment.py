@@ -81,12 +81,6 @@ class DensitySet:
         vals[self.elements - 1] += 1.0
         return IntegerSignal(1, vals)
 
-    def bitmask(self) -> int:
-        mask = 0
-        for x in self.elements.tolist():
-            mask |= 1 << x
-        return mask
-
     def contains(self, x: int) -> bool:
         i = np.searchsorted(self.elements, x)
         return i < self.size and self.elements[i] == x

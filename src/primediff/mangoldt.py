@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTables, ExceptionalDatum, euler_phi, psi, tau
-from .errors import DomainError, PreconditionError
+from .arith import TABLE_CAP, ArithTables, ExceptionalDatum, euler_phi, psi, tau
+from .errors import DomainError, PreconditionError, ResourceError
 from .spectral import (
     ArcFamily,
     IntegerSignal,
@@ -145,7 +145,10 @@ def _weight_spectrum(
     n: int, d: int, q_prime: int, big_q: int, m: int, tables: ArithTables
 ) -> tuple[np.ndarray, float]:
     """The weight's transform on the M-point grid and its mass Lambda_hat(0),
-    after checking the dissection (Q > 2 Q') and that the mass is positive."""
+    after checking the grid size (M <= TABLE_CAP), the dissection (Q > 2 Q')
+    and that the mass is positive."""
+    if m > TABLE_CAP:
+        raise ResourceError(f"spectrum grid limited to M <= {TABLE_CAP} points, got M={m}")
     weight = MangoldtWeight.from_tables(n, d, tables)
     grid = grid_spectrum(weight.signal, m)
     ArcFamily(q_prime=q_prime, big_q=big_q)

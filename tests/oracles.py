@@ -97,6 +97,17 @@ def forbidden_diffs_naive(n: int, d: int) -> set[int]:
     return {s for s in range(1, n) if is_prime_naive(d * s + 1)}
 
 
+def first_fit_naive(n: int, d: int) -> list[int]:
+    """Ascending scan of [1, n] keeping each x whose difference to every
+    element kept so far is allowed."""
+    bad = forbidden_diffs_naive(n, d)
+    kept = []
+    for x in range(1, n + 1):
+        if all(x - y not in bad for y in kept):
+            kept.append(x)
+    return kept
+
+
 def avoiding_prefix_optima(n: int, d: int) -> list[int]:
     """optima[k] = max size of a subset of [1, k] with no difference s such
     that d s + 1 is prime, for every k <= n.  Exhaustive depth-first

@@ -4,6 +4,7 @@ branch-and-bound search, and greedy heuristics."""
 import numpy as np
 import pytest
 
+from primediff import avoider
 from primediff.avoider import (
     ForbiddenSet,
     find_forbidden_pair,
@@ -14,7 +15,12 @@ from primediff.avoider import (
 )
 from primediff.errors import DomainError, ResourceError
 
-from oracles import avoiding_prefix_optima, forbidden_diffs_naive, is_prime_naive
+from oracles import (
+    avoiding_prefix_optima,
+    first_fit_naive,
+    forbidden_diffs_naive,
+    is_prime_naive,
+)
 
 
 class TestForbiddenSet:
@@ -30,7 +36,7 @@ class TestForbiddenSet:
         # a too-small table forces the per-value primality fallback
         tiny = ForbiddenSet.build(300, 7, None)
         fast = ForbiddenSet.build(300, 7, tables_small)
-        assert tiny.mask == fast.mask
+        assert np.array_equal(tiny.bits, fast.bits)
 
     def test_small_universe(self):
         fs = ForbiddenSet.build(1, 1, None)
@@ -95,6 +101,34 @@ class TestExactSearch:
         res = max_avoiding_exact(fs, node_budget=100_000)
         assert is_avoiding(res.elements, fs)
 
+    def test_row_budget(self, monkeypatch):
+        """Rows take n^2/8 bytes; past ROW_BYTES_CAP the search is refused
+        whatever the node budget, before any row is built."""
+        big = 32_001  # 32000^2/8 bytes is exactly the 128 MB budget
+        fs = ForbiddenSet(big, 1, np.zeros(big, dtype=bool))
+        with pytest.raises(ResourceError, match="n <= 32000"):
+            max_avoiding_exact(fs, node_budget=1)
+        monkeypatch.setattr(avoider, "ROW_BYTES_CAP", 800)  # n <= 80
+        assert max_avoiding_exact(ForbiddenSet.build(80, 1, None), node_budget=5).nodes == 6
+        with pytest.raises(ResourceError):
+            max_avoiding_exact(ForbiddenSet.build(81, 1, None), node_budget=5)
+
+    @pytest.mark.parametrize(
+        "n, d, budget, nodes, elements",
+        [
+            (40, 1, None, 3667, (1, 4, 9, 12, 33, 36)),
+            (88, 1, 2000, 2001, (1, 4, 9, 12, 33, 36, 57, 60, 65, 68)),
+            (150, 2, 500, 501, (26, 39, 43, 71, 81, 88, 98, 105, 130, 143, 147)),
+            (300, 4, 50, 51, (1, 3, 9, 15, 17, 47, 53, 55, 173, 179, 181, 187, 225)),
+        ],
+    )
+    def test_pinned_search(self, tables_small, n, d, budget, nodes, elements):
+        """Node counts and incumbents pin the static order, the
+        compatibility rows and the greedy incumbent."""
+        res = max_avoiding_exact(ForbiddenSet.build(n, d, tables_small), node_budget=budget)
+        assert (res.nodes, res.elements) == (nodes, elements)
+        assert res.optimal == (budget is None)
+
 
 class TestGreedy:
     def test_first_fit_small_case(self, tables_small):
@@ -105,6 +139,16 @@ class TestGreedy:
         assert res.elements[0] == 1
         assert is_avoiding(res.elements, fs)
         assert not res.optimal
+
+    def test_first_fit_matches_naive_scan(self, tables_small):
+        rng = np.random.default_rng(404)
+        for _ in range(12):
+            n = int(rng.integers(1, 401))
+            d = int(rng.integers(1, 5))
+            want = tuple(first_fit_naive(n, d))
+            for tables in (tables_small, None):  # sieve and Miller-Rabin paths
+                fs = ForbiddenSet.build(n, d, tables)
+                assert greedy_avoiding(fs, strategy="first_fit").elements == want
 
     def test_first_fit_deterministic(self, tables_small):
         fs = ForbiddenSet.build(500, 2, tables_small)
@@ -124,6 +168,24 @@ class TestGreedy:
         a = greedy_avoiding(fs, strategy="random_local", seed=11)
         b = greedy_avoiding(fs, strategy="random_local", seed=11)
         assert a.elements == b.elements
+
+    @pytest.mark.parametrize(
+        "n, d, seed, elements",
+        [
+            (200, 2, 3, (19, 29, 36, 74, 96, 106, 123, 151, 168, 178, 200)),
+            (300, 3, 5, (5, 13, 43, 61, 62, 90, 118, 143, 146, 161, 190, 191, 199,
+                         218, 239, 246, 274)),
+            (180, 4, 1, (6, 27, 48, 53, 69, 74, 95, 107, 109, 128, 130, 149, 151,
+                         170, 172)),
+            (400, 1, 5, (20, 40, 45, 65, 89, 96, 130, 139, 180, 214, 229, 253, 264,
+                         298, 343, 348, 363, 382, 387, 396)),
+        ],
+    )
+    def test_pinned_random_local(self, tables_small, n, d, seed, elements):
+        """Pinned outputs: the random orders and, on the last three, the
+        remove-1/add-2 step decide them, so any change in RNG use fails."""
+        fs = ForbiddenSet.build(n, d, tables_small)
+        assert greedy_avoiding(fs, strategy="random_local", seed=seed).elements == elements
 
     def test_unknown_strategy(self, tables_small):
         fs = ForbiddenSet.build(30, 1, tables_small)

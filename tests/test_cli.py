@@ -2,10 +2,14 @@
 manifests, determinism, and exit codes."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primediff import cli
 from primediff.arith import TABLE_CAP
@@ -128,6 +132,94 @@ def test_table_cap_is_resource_error(argv, capsys):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and "tables limited" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # n^2/8 bytes of compatibility rows past 128 MB
+        (["extremal", "--n", "32001", "--d", "1", "--mode", "exact", "--budget", "1"],
+         "exact search limited to n <= 32000"),
+        # a 10^12-point FFT grid
+        (["spectrum", "--n", "1000", "--d", "1", "--q-prime", "2", "--big-q", "10",
+          "--grid-factor", "1000000000"], "spectrum grid limited"),
+    ],
+)
+def test_memory_budget_is_resource_error(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def _flag(name, values):
+    # "--x=-1e-05", not "--x -1e-05", which argparse reads as an option
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+_SMALL = st.integers(-2, 150)
+_ARGV = st.one_of(
+    st.tuples(st.just(["sieve"]), _flag("--n-max", _SMALL)),
+    st.tuples(
+        st.just(["psi"]),
+        _flag("--x", st.floats(-10, 3000, allow_nan=False)),
+        _flag("--q", st.integers(-1, 12)),
+        _flag("--a", st.integers(-3, 20)),
+    ),
+    st.tuples(
+        st.just(["lambda"]),
+        _flag("--n", _SMALL),
+        _flag("--d", st.integers(-1, 5)),
+        _flag("--at", st.one_of(
+            st.floats(-2, 2, allow_nan=False),
+            st.tuples(st.integers(-5, 5), st.integers(-2, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+            st.sampled_from(["0", "nan", "inf", "x"]),
+        )),
+    ),
+    st.tuples(
+        st.just(["spectrum"]),
+        _flag("--n", _SMALL),
+        _flag("--d", st.integers(0, 4)),
+        _flag("--q-prime", st.integers(0, 6)),
+        _flag("--big-q", st.integers(0, 60)),
+        _flag("--grid-factor", st.integers(0, 10)),
+        st.one_of(
+            st.just([]),
+            st.tuples(st.integers(0, 5), st.floats(0.4, 1)).map(
+                lambda t: [f"--exc-modulus={t[0]}", f"--exc-beta={t[1]}"]
+            ),
+        ),
+    ),
+    st.tuples(
+        st.just(["extremal"]),
+        _flag("--n", _SMALL),
+        _flag("--d", st.integers(-1, 4)),
+        _flag("--mode", st.sampled_from(["exact", "greedy", "random-local"])),
+        st.one_of(st.just([]), _flag("--budget", st.integers(-1, 2000))),
+        _flag("--seed", st.integers(0, 5)),
+    ),
+    st.tuples(
+        st.just(["iterate", "--greedy"]),
+        _flag("--n", st.integers(-2, 400)),
+        _flag("--d", st.integers(-1, 3)),
+    ),
+).map(lambda parts: [token for part in parts for token in part] + ["--timestamp", "T"])
+
+
+@settings(max_examples=120, database=None, deadline=None, derandomize=True)
+@given(_ARGV)
+def test_fuzzed_arguments_exit_cleanly(argv):
+    """Small arguments to every subcommand: success or a clean exit 2, 3
+    or 4, never a traceback and never a nan result."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv
 
 
 class TestSieveCommand:

@@ -142,11 +142,12 @@ class TestIterateOnce:
         """A sparse avoiding set still yields a recounted density jump."""
         n = 3000
         fs = ForbiddenSet.build(n, 1, tables_small)
-        taken, blocked = [], 0
+        taken, blocked = [], np.zeros(2 * n + 1, dtype=bool)
+        diffs = np.flatnonzero(fs.bits)
         for x in range(1, n + 1, 3):
-            if not (blocked >> x) & 1:
+            if not blocked[x]:
                 taken.append(x)
-                blocked |= fs.mask << x
+                blocked[x + diffs] = True
         A = DensitySet.from_iterable(n, taken)
         out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
         assert isinstance(out, DensityIncrement)

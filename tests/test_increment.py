@@ -51,10 +51,6 @@ class TestDensitySet:
         with pytest.raises(DomainError):
             DensitySet.from_iterable(5, [2, 6])
 
-    def test_bitmask(self):
-        A = DensitySet.from_iterable(6, [1, 4])
-        assert A.bitmask() == (1 << 1) | (1 << 4)
-
 
 class TestProgression:
     def test_points(self):

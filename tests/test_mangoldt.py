@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primediff.arith import ExceptionalDatum, euler_phi, psi, tau
-from primediff.errors import DomainError, PreconditionError
+from primediff.arith import TABLE_CAP, ExceptionalDatum, euler_phi, psi, tau
+from primediff.errors import DomainError, PreconditionError, ResourceError
 from primediff.mangoldt import (
     MangoldtWeight,
     lambda_hat_rational,
@@ -189,6 +189,13 @@ class TestMajorSupRatio:
         grid; the level-1 arc still pins the ratio at one or more."""
         r = major_sup_ratio(100, 1, 3, 10_000, 8, tables_small)
         assert r >= 1.0 - 1e-9
+
+    def test_grid_budget(self, tables_small):
+        """A grid past TABLE_CAP points is refused before its FFT."""
+        with pytest.raises(ResourceError, match="grid limited"):
+            major_sup_ratio(100, 1, 3, 10, TABLE_CAP // 100 + 1, tables_small)
+        with pytest.raises(ResourceError, match="grid limited"):
+            spectrum_report(100, 1, 3, 10, TABLE_CAP + 1, tables_small)
 
     def test_grid_refinement_stable(self, tables_small):
         r8 = major_sup_ratio(1000, 1, 8, 125, 8, tables_small)
