@@ -3,7 +3,7 @@ and Chebyshev partial sums.
 
 Everything downstream (exponential sums, arc energy, the iteration driver)
 pulls its arithmetic from one ArithTables instance, built once per run by a
-linear-time sieve. The exponential-sum primitives (ramanujan, tau) are
+sieve. The exponential-sum primitives (ramanujan, tau) are
 normatively DIRECT sums; closed forms are exposed separately so consistency
 between the two routes stays a checkable statement rather than a tautology.
 """
@@ -43,6 +43,9 @@ __all__ = [
 # largest n_max build_tables accepts: its four 8-byte tables take 128 MB here
 TABLE_CAP = 4_000_000
 
+# longest block build_tables fills in one numpy pass; bounds its temporaries
+_SIEVE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ArithTables:
@@ -74,11 +77,13 @@ class ArithTables:
 
 
 def build_tables(n_max: int) -> ArithTables:
-    """Sieve smallest prime factors up to n_max and derive the rest.
-
-    Per-prime slice updates keep everything in numpy; total work is
-    O(n_max log log n_max).
-    """
+    """Sieve smallest prime factors (primes p <= sqrt(n_max)), then one
+    recurrence on n = p m, p = spf[n]: if spf[m] = p, mu(n) = 0 and
+    phi(n) = phi(m) p, else mu(n) = -mu(m) and phi(n) = phi(m) (p - 1);
+    Lambda(n) = log p if m = 1 or (spf[m] = p and Lambda(m) > 0), else 0.
+    As m <= n/2, blocks [lo, hi) with hi <= 2 lo, at most _SIEVE_BLOCK long,
+    read only entries below lo: each is one numpy pass.  log p is math.log
+    (np.log is 1 ulp off at some primes)."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     if n_max > TABLE_CAP:
@@ -89,33 +94,25 @@ def build_tables(n_max: int) -> ArithTables:
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
-
-    is_p = spf == np.arange(size, dtype=np.int64)
-    is_p[:2] = False
-    primes = np.nonzero(is_p)[0]
+    primes = np.flatnonzero(spf == 0)[2:]  # spf[0] = spf[1] = 0 stay
+    spf[primes] = primes
 
     mangoldt = np.zeros(size, dtype=np.float64)
-    for p in primes.tolist():
-        logp = math.log(p)
-        pk = p
-        while pk <= n_max:
-            mangoldt[pk] = logp
-            pk *= p
-
-    mobius = np.ones(size, dtype=np.int64)
-    phi = np.arange(size, dtype=np.int64)
-    for p in primes.tolist():
-        mobius[p::p] *= -1
-        p2 = p * p
-        if p2 <= n_max:
-            mobius[p2::p2] = 0
-        phi[p::p] -= phi[p::p] // p
-    mobius[0] = 0
-    if n_max >= 1:
-        phi[0] = 0
+    mangoldt[primes] = [math.log(p) for p in primes.tolist()]
+    mobius = np.zeros(size, dtype=np.int64)
+    phi = np.zeros(size, dtype=np.int64)
+    mobius[1] = phi[1] = 1
+    lo = 2
+    while lo < size:
+        hi = min(2 * lo, lo + _SIEVE_BLOCK, size)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        same = spf[m] == p
+        mobius[lo:hi] = np.where(same, 0, -mobius[m])
+        phi[lo:hi] = phi[m] * np.where(same, p, p - 1)
+        power = (m == 1) | (same & (mangoldt[m] > 0.0))
+        mangoldt[lo:hi] = np.where(power, mangoldt[p], 0.0)
+        lo = hi
 
     return ArithTables(n_max=n_max, spf=spf, mangoldt=mangoldt, mobius=mobius, phi=phi)
 
@@ -304,56 +301,55 @@ def _unit_group_generators(p: int, e: int) -> list[tuple[int, int]]:
     return [(root % pe, euler_phi(pe))]
 
 
-def characters_mod(q: int, q_cap: int = 10_000) -> list[DirichletCharacter]:
-    """All phi(q) Dirichlet characters mod q as dense value tables.
+def _powers(g: int, n: int, q: int) -> np.ndarray:
+    """g^0, ..., g^(n-1) mod q, doubling the filled prefix each pass."""
+    out = np.ones(n, dtype=np.int64)
+    filled = 1
+    while filled < n:
+        step = min(filled, n - filled)
+        out[filled : filled + step] = out[:step] * pow(g, filled, q) % q
+        filled += step
+    return out
 
-    Construction: factor q, pick explicit generators of each (Z/p^e)^* (two
-    generators for the 2-part when 8 | q), take discrete logs of every unit,
-    and exponentiate.  The principal character is first in the returned list.
-    """
+
+def characters_mod(q: int) -> list[DirichletCharacter]:
+    """All phi(q) Dirichlet characters mod q, rows of one phi(q) x q value
+    table of at most TABLE_CAP entries, the principal character first.
+
+    Generators g_j of order n_j are picked for each (Z/p^e)^* (two for the
+    2-part when 8 | q).  Exponent tuple k_i, in lexicographic order, is both
+    the discrete log of unit u_i and the label of chi_i: chi_i(u_r) =
+    e(sum_j k_ij k_rj / n_j)."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
-    if q > q_cap:
-        raise ResourceError(f"characters_mod limited to q <= {q_cap}, got {q}")
+    phi_q = euler_phi(q)
+    if phi_q * q > TABLE_CAP:
+        raise ResourceError(f"characters mod {q} need {phi_q * q} entries > {TABLE_CAP}")
     if q == 1:
         return [DirichletCharacter(1, np.ones(1, dtype=np.complex128), True, ())]
 
-    factors = _factorize(q)
-    gen_specs: list[tuple[int, int, int]] = []  # (generator lifted mod q, order, pe)
-    for p, e in factors:
+    gens: list[tuple[int, int]] = []  # (generator lifted mod q, order)
+    for p, e in _factorize(q):
         pe = p**e
         for g, order in _unit_group_generators(p, e):
             # lift to a unit mod q that is g mod p^e and 1 mod q/p^e
             rest = q // pe
             lifted = (g * rest * pow(rest, -1, pe) + pe * pow(pe, -1, rest) if rest > 1 else g) % q
-            gen_specs.append((lifted, order, pe))
+            gens.append((lifted, order))
 
-    orders = [order for _, order, _ in gen_specs]
-
-    # discrete log of each unit with respect to the generator tuple
-    dlog: dict[int, tuple[int, ...]] = {}
-    exponents = [range(n) for n in orders]
-    for exps in product(*exponents):
-        u = 1
-        for (g, _, _), k in zip(gen_specs, exps):
-            u = u * pow(g, k, q) % q
-        dlog[u] = exps
-    if len(dlog) != euler_phi(q):
+    exps = np.array(list(product(*(range(n) for _, n in gens))), dtype=np.int64)
+    units = np.ones(len(exps), dtype=np.int64)
+    angle = np.zeros((len(exps), len(exps)), dtype=np.float64)
+    for j, (g, n) in enumerate(gens):
+        units = units * _powers(g, n, q)[exps[:, j]] % q
+        angle += np.multiply.outer(exps[:, j], exps[:, j]) / n
+    if np.unique(units).size != phi_q:
         raise PreconditionError(f"generator set for q={q} does not span the units")
 
-    units = sorted(dlog)
-    chars = []
-    for ks in product(*exponents):
-        values = np.zeros(q, dtype=np.complex128)
-        for u in units:
-            exps = dlog[u]
-            angle = sum(k * x / n for k, x, n in zip(ks, exps, orders))
-            values[u] = np.exp(2j * np.pi * angle)
-        chars.append(
-            DirichletCharacter(q, values, all(k == 0 for k in ks), tuple(ks))
-        )
-    chars.sort(key=lambda c: (not c.is_principal, c.label))
-    return chars
+    values = np.zeros((len(units), q), dtype=np.complex128)
+    values[:, units] = np.exp(2j * np.pi * angle)
+    labels = map(tuple, exps.tolist())
+    return [DirichletCharacter(q, row, not any(k), k) for row, k in zip(values, labels)]
 
 
 # ---------------------------------------------------------------------------

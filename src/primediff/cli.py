@@ -90,11 +90,10 @@ def _parse_at(text: str) -> TorusPoint:
 
 def _cmd_sieve(args) -> None:
     tables = build_tables(args.n_max)
+    cols = (t[1:].tolist() for t in (tables.mangoldt, tables.mobius, tables.phi))
+    rows = zip(range(1, args.n_max + 1), *cols)
     lines = ["n,mangoldt,mobius,phi"]
-    for n in range(1, args.n_max + 1):
-        lines.append(
-            f"{n},{tables.mangoldt[n]:.12g},{int(tables.mobius[n])},{int(tables.phi[n])}"
-        )
+    lines.extend(f"{n},{lam:.12g},{mu},{ph}" for n, lam, mu, ph in rows)
     manifest = _manifest("sieve", {"n_max": args.n_max}, args.seed, args.timestamp)
     lines.append(_manifest_comment(manifest))
     _write_text(args.out, lines)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from primediff.arith import (
+    _SIEVE_BLOCK,
     TABLE_CAP,
     ArithTables,
     ExceptionalDatum,
@@ -32,6 +33,7 @@ from oracles import (
     psi_naive,
     ramanujan_closed_form,
     tau_naive,
+    trial_division_factor,
 )
 
 
@@ -72,6 +74,41 @@ class TestTables:
     def test_size_cap(self):
         with pytest.raises(ResourceError):
             build_tables(TABLE_CAP + 1)
+
+    def test_sampled_against_oracles(self, tables_million):
+        """Block edges, powers of two and the top of a 10^6 table agree with
+        trial division (phi from the oracle's factorization: phi_naive's
+        gcd scan is too slow at this size)."""
+        t = tables_million
+        rng = np.random.default_rng(5)
+        samples = {t.n_max - 2, t.n_max - 1, t.n_max}
+        for k in range(1, t.n_max.bit_length()):
+            samples.update((2**k - 1, 2**k, 2**k + 1))
+        for j in range(1, t.n_max // _SIEVE_BLOCK + 1):
+            samples.update((j * _SIEVE_BLOCK - 1, j * _SIEVE_BLOCK + 1))
+        samples.update(rng.integers(2, t.n_max + 1, size=200).tolist())
+        for n in sorted(s for s in samples if s <= t.n_max):
+            f = trial_division_factor(n)
+            phi = n
+            for p in f:
+                phi = phi // p * (p - 1)
+            assert t.spf[n] == (min(f) if f else 0), n
+            assert t.mangoldt[n] == mangoldt_naive(n), n
+            assert t.mobius[n] == mobius_naive(n), n
+            assert t.phi[n] == phi, n
+
+    def test_small_tables_are_prefixes(self, tables_million):
+        """A table to n equals the first n + 1 entries of a larger one, with
+        the same dtypes, including sizes that end inside or just past a
+        block."""
+        big = tables_million
+        for n in (1, 2, 3, 4, 65536, 65537, 131073):
+            t = build_tables(n)
+            assert t.n_max == n
+            for name in ("spf", "mangoldt", "mobius", "phi"):
+                small, full = getattr(t, name), getattr(big, name)
+                assert small.dtype == full.dtype, (n, name)
+                assert np.array_equal(small, full[: n + 1]), (n, name)
 
 
 class TestIsPrime:
@@ -204,6 +241,39 @@ class TestCharacters:
         chi = characters_mod(12)[0]
         for x in (0, 2, 3, 4, 6, 8, 9, 10):
             assert chi(x) == 0
+
+    def test_group_of_homomorphisms(self):
+        """phi(q) distinct homomorphisms from the units to the unit circle,
+        0 off the units, labels strictly increasing from the principal one."""
+        for q in (*range(1, 201), 997):
+            chars = characters_mod(q)
+            phi_q = euler_phi(q)
+            assert len(chars) == phi_q, q
+            table = np.array([chi.values for chi in chars])
+            assert table.shape == (phi_q, q), q
+            is_unit = np.array([math.gcd(x, q) == 1 for x in range(q)])
+            units = np.flatnonzero(is_unit)
+            assert np.all(table[:, ~is_unit] == 0), q
+            assert np.allclose(np.abs(table[:, units]), 1.0, atol=1e-12), q
+            rng = np.random.default_rng(q)
+            for b in rng.choice(units, size=min(4, units.size), replace=False):
+                assert np.allclose(
+                    table[:, units * b % q], table[:, units] * table[:, [b]], atol=1e-9
+                ), (q, b)
+            assert np.unique(np.round(table, 6), axis=0).shape[0] == phi_q, q
+            labels = [chi.label for chi in chars]
+            assert all(x < y for x, y in zip(labels, labels[1:])), q
+            assert chars[0].is_principal and not any(chars[0].label), q
+            assert np.allclose(table[0, units], 1.0, atol=1e-12), q
+            assert not any(chi.is_principal for chi in chars[1:]), q
+
+    def test_table_budget(self):
+        """The first modulus whose phi(q) x q value table passes TABLE_CAP is
+        refused before anything is allocated; the one below it is not."""
+        q = next(q for q in range(1, 10_000) if euler_phi(q) * q > TABLE_CAP)
+        assert euler_phi(q - 1) * (q - 1) <= TABLE_CAP
+        with pytest.raises(ResourceError):
+            characters_mod(q)
 
 
 class TestPsi:
