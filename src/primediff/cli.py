@@ -15,12 +15,18 @@ Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
+import itertools
 import json
 import math
+import re
 import sys
 import typing
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from . import __version__
 from .arith import TABLE_CAP, ExceptionalDatum, build_tables, psi
@@ -34,7 +40,7 @@ from .errors import (
     ResourceError,
 )
 from .increment import DensitySet
-from .mangoldt import MangoldtWeight, render_csv_rows, spectrum_report
+from .mangoldt import MangoldtWeight, spectrum_report
 from .spectral import TorusPoint
 
 
@@ -56,13 +62,27 @@ def _manifest_comment(manifest: dict) -> str:
     return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
 
-def _write_text(out_path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+_CHUNK_ROWS = 1 << 16  # lines formatted, and written, at a time
+
+
+def _write_text(out_path: str | None, lines: Iterable[str]) -> None:
+    """Write the lines, each newline-terminated, to out_path or stdout,
+    _CHUNK_ROWS lines at a time."""
+    lines = iter(lines)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
+
+
+def _csv_lines(header: str, fmt: str, columns, manifest: dict) -> Iterator[str]:
+    """CSV table: the header, one `fmt % row` line per row of the
+    equal-length array columns, then the manifest comment.  Each column is
+    converted to Python values _CHUNK_ROWS rows at a time."""
+    yield header
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
+        yield from (fmt % row for row in rows)
+    yield _manifest_comment(manifest)
 
 
 def _finite_float(text: str) -> float:
@@ -90,12 +110,10 @@ def _parse_at(text: str) -> TorusPoint:
 
 def _cmd_sieve(args) -> None:
     tables = build_tables(args.n_max)
-    cols = (t[1:].tolist() for t in (tables.mangoldt, tables.mobius, tables.phi))
-    rows = zip(range(1, args.n_max + 1), *cols)
-    lines = ["n,mangoldt,mobius,phi"]
-    lines.extend(f"{n},{lam:.12g},{mu},{ph}" for n, lam, mu, ph in rows)
+    columns = [np.arange(1, args.n_max + 1)]
+    columns += [t[1:] for t in (tables.mangoldt, tables.mobius, tables.phi)]
     manifest = _manifest("sieve", {"n_max": args.n_max}, args.seed, args.timestamp)
-    lines.append(_manifest_comment(manifest))
+    lines = _csv_lines("n,mangoldt,mobius,phi", "%d,%.12g,%d,%d", columns, manifest)
     _write_text(args.out, lines)
 
 
@@ -136,7 +154,7 @@ def _cmd_spectrum(args) -> None:
 
     tables = build_tables(args.d * args.n + 2)
     m = args.grid_factor * args.n
-    rows = spectrum_report(args.n, args.d, args.q_prime, args.big_q, m, tables, exceptional)
+    report = spectrum_report(args.n, args.d, args.q_prime, args.big_q, m, tables, exceptional)
 
     params = {
         "n": args.n,
@@ -149,7 +167,11 @@ def _cmd_spectrum(args) -> None:
         params["exc_modulus"] = exceptional.modulus
         params["exc_beta"] = exceptional.beta
     manifest = _manifest("spectrum", params, args.seed, args.timestamp)
-    _write_text(args.out, render_csv_rows(rows) + [_manifest_comment(manifest)])
+    actual, bound = report.actual, report.bound
+    kind = np.where(report.major, "major", "minor")
+    columns = (np.arange(m) / m, report.a, report.q, kind, actual, bound, actual / bound)
+    header, fmt = "theta,a,q,class,actual,bound,ratio", "%.12g,%d,%d,%s,%.12g,%.12g,%.12g"
+    _write_text(args.out, _csv_lines(header, fmt, columns, manifest))
 
 
 def _cmd_extremal(args) -> None:
@@ -257,6 +279,15 @@ def _cmd_iterate(args) -> None:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in exponent form ("-1e-05") as a value, as
+    it does "-0.5", not as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -275,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primediff",
         description="experiments on difference sets avoiding shifted primes",
     )

@@ -21,7 +21,6 @@ import numpy as np
 from .arith import TABLE_CAP, ArithTables, ExceptionalDatum, euler_phi, psi, tau
 from .errors import DomainError, PreconditionError, ResourceError
 from .spectral import (
-    ArcFamily,
     IntegerSignal,
     arc_indices,
     dirichlet_approx_grid,
@@ -30,13 +29,12 @@ from .spectral import (
 )
 
 __all__ = [
-    "BoundRow",
     "MangoldtWeight",
     "Prediction",
+    "SpectrumReport",
     "lambda_hat_rational",
     "major_prediction",
     "major_sup_ratio",
-    "render_csv_rows",
     "spectrum_report",
     "vinogradov_bound",
 ]
@@ -131,14 +129,29 @@ def vinogradov_bound(n: int, d: int, q: int, big_q: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundRow:
-    theta: float
-    a: int
-    q: int
-    kind: str
-    actual: float
-    bound: float
-    ratio: float
+class SpectrumReport:
+    """One entry per grid point k/M, k in [0, M), in columns: the label a/q,
+    whether k/M is major, the measured |Lambda_hat(k/M)| and its class bound."""
+
+    a: np.ndarray
+    q: np.ndarray
+    major: np.ndarray
+    actual: np.ndarray
+    bound: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.actual)
+
+
+def _check_dissection(q_prime: int, big_q: int) -> None:
+    """Major arcs of half-width 1/(qQ) around a/q, q <= Q', are disjoint
+    only when Q > 2 Q'."""
+    if q_prime < 1:
+        raise DomainError(f"Q' must be >= 1, got {q_prime}")
+    if big_q <= 2 * q_prime:
+        raise PreconditionError(
+            f"need Q > 2 Q' for disjoint major arcs, got Q={big_q}, Q'={q_prime}"
+        )
 
 
 def _weight_spectrum(
@@ -151,7 +164,7 @@ def _weight_spectrum(
         raise ResourceError(f"spectrum grid limited to M <= {TABLE_CAP} points, got M={m}")
     weight = MangoldtWeight.from_tables(n, d, tables)
     grid = grid_spectrum(weight.signal, m)
-    ArcFamily(q_prime=q_prime, big_q=big_q)
+    _check_dissection(q_prime, big_q)
     hat_zero = weight.hat_zero()
     if hat_zero <= 0:
         raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
@@ -166,15 +179,17 @@ def spectrum_report(
     m: int,
     tables: ArithTables,
     exceptional: ExceptionalDatum | None = None,
-) -> list[BoundRow]:
-    """One row per grid point k/M, k in [0, M): measured |Lambda_hat|
-    against the class bound (major: sup bound plus the exceptional
-    magnitude when a datum is supplied; minor: Vinogradov shape).
+) -> SpectrumReport:
+    """Measured |Lambda_hat(k/M)| at every grid point against the class
+    bound (major: sup bound plus the exceptional magnitude when a datum is
+    supplied; minor: Vinogradov shape).
 
-    A row is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
+    A point is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
     spec, hat_zero = _weight_spectrum(n, d, q_prime, big_q, m, tables)
+    actual = np.hypot(spec.real, spec.imag)  # equals scalar abs(); np.abs rounds differently
+    del spec  # free the complex grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
     major = np.zeros(m, dtype=bool)
     for q in range(1, q_prime + 1):
@@ -183,25 +198,18 @@ def spectrum_report(
         q_col[k] = q
         a_col[k] = (2 * k * q + m) // (2 * m) % q  # the nearest numerator is the arc's
 
-    # one bound per (class, q), shared by its rows
-    bounds: dict[tuple[bool, int], float] = {}
+    # one bound per (class, q), looked up by every point of that class and q
+    bounds = np.zeros((2, int(q_col.max()) + 1))
     for q in np.unique(q_col[major]).tolist():
         bound = hat_zero / euler_phi(q)
         if exceptional is not None and d % exceptional.modulus == 0:
             bound += float(
                 abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
             )
-        bounds[True, q] = bound
+        bounds[1, q] = bound
     for q in np.unique(q_col[~major]).tolist():
-        bounds[False, q] = vinogradov_bound(n, d, q, big_q)
-
-    rows = []
-    for k, (a, q, is_major) in enumerate(zip(a_col.tolist(), q_col.tolist(), major.tolist())):
-        actual = float(abs(spec[k]))  # scalar abs: np.abs on arrays rounds differently
-        bound = bounds[is_major, q]
-        kind = "major" if is_major else "minor"
-        rows.append(BoundRow(k / m, a, q, kind, actual, bound, actual / bound))
-    return rows
+        bounds[0, q] = vinogradov_bound(n, d, q, big_q)
+    return SpectrumReport(a_col, q_col, major, actual, bounds[major.view(np.int8), q_col])
 
 
 def major_sup_ratio(
@@ -223,13 +231,3 @@ def major_sup_ratio(
         if idx.size:
             best = max(best, euler_phi(q) * float(mags[idx].max()) / hat_zero)
     return best
-
-
-def render_csv_rows(rows: list[BoundRow]) -> list[str]:
-    """CSV lines (no newlines), header first: theta,a,q,class,actual,bound,ratio."""
-    out = ["theta,a,q,class,actual,bound,ratio"]
-    for r in rows:
-        out.append(
-            f"{r.theta:.12g},{r.a},{r.q},{r.kind},{r.actual:.12g},{r.bound:.12g},{r.ratio:.12g}"
-        )
-    return out

@@ -1,5 +1,5 @@
-"""Finitely supported signals on Z, their transforms on the torus, and the
-Farey arc dissection.
+"""Finitely supported signals on Z, their transforms on the torus, rational
+approximation, and Farey arc membership on a grid.
 
 Sign convention, used everywhere in this package:
 
@@ -18,15 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceError
+from .errors import DomainError, ResourceError
 
 __all__ = [
-    "ArcFamily",
     "IntegerSignal",
     "SpectrumGrid",
     "TorusPoint",
     "arc_indices",
-    "convolve",
     "dirichlet_approx",
     "dirichlet_approx_grid",
     "grid_spectrum",
@@ -77,26 +75,6 @@ class IntegerSignal:
 
     def total_mass(self) -> complex:
         return complex(self.values.sum())
-
-    def reflect(self) -> "IntegerSignal":
-        """The signal x -> f(-x)."""
-        return IntegerSignal(-(self.offset + len(self.values) - 1), self.values[::-1].copy())
-
-    def scaled(self, c: float) -> "IntegerSignal":
-        return IntegerSignal(self.offset, self.values * c)
-
-    def minus(self, other: "IntegerSignal") -> "IntegerSignal":
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        vals = np.zeros(hi - lo, dtype=np.result_type(self.values, other.values))
-        vals[self.offset - lo : self.offset - lo + len(self.values)] += self.values
-        vals[other.offset - lo : other.offset - lo + len(other.values)] -= other.values
-        return IntegerSignal(lo, vals)
-
-
-def convolve(f: IntegerSignal, g: IntegerSignal) -> IntegerSignal:
-    """Full linear convolution; supports add, offsets add."""
-    return IntegerSignal(f.offset + g.offset, np.convolve(f.values, g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +230,6 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Farey arcs
-
-
-@dataclass(frozen=True)
-class ArcFamily:
-    """Major/minor dissection at level (Q_prime, Q): arcs of half-width
-    1/(qQ) around rationals a/q, major when q <= Q_prime.  Constructing one
-    checks the parameters; arc_indices decides membership on a grid."""
-
-    q_prime: int
-    big_q: int
-
-    def __post_init__(self):
-        if self.q_prime < 1:
-            raise DomainError(f"Q' must be >= 1, got {self.q_prime}")
-        if self.big_q <= 2 * self.q_prime:
-            raise PreconditionError(
-                f"need Q > 2 Q' for disjoint major arcs, got Q={self.big_q}, Q'={self.q_prime}"
-            )
 
 
 def arc_indices(m: int, q: int, big_q: int, star: bool = False) -> np.ndarray:

@@ -84,15 +84,6 @@ def dft_naive(values, offset: int, theta: float) -> complex:
     return total
 
 
-def convolve_naive(f_off, f_vals, g_off, g_vals):
-    n = len(f_vals) + len(g_vals) - 1
-    out = [0.0] * n
-    for i, fv in enumerate(f_vals):
-        for j, gv in enumerate(g_vals):
-            out[i + j] += fv * gv
-    return f_off + g_off, out
-
-
 def forbidden_diffs_naive(n: int, d: int) -> set[int]:
     return {s for s in range(1, n) if is_prime_naive(d * s + 1)}
 

@@ -3,10 +3,15 @@ manifests, determinism, and exit codes."""
 
 import cmath
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +74,15 @@ class TestPsiCommand:
         code, _, err = run_cli(["psi", "--x", "-3", "--q", "1", "--a", "0"], capsys)
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("x", ["-0.5", "-1e-05", "-1E+2", "-.5e1"])
+    def test_negative_x_reaches_domain_check(self, x, capsys):
+        """A negative --x, in exponent form too, is read as the option's
+        value and refused by the domain check, not taken for an option."""
+        code, out, err = run_cli(["psi", "--x", x, "--q", "1", "--a", "0"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: need x >= 0")
 
 
 class TestLambdaCommand:
@@ -152,8 +166,75 @@ def test_memory_budget_is_resource_error(argv, message, capsys):
     assert len(err.splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["spectrum", "--n", "2000", "--d", "1", "--q-prime", "20", "--big-q", "200"],
+         "f649076d5bf1d504bc035832486b95e3e1ef218fe84e1a5f0d8769fc260b5d05"),
+        (["spectrum", "--n", "150", "--d", "2", "--q-prime", "3", "--big-q", "30",
+          "--exc-modulus", "2", "--exc-beta", "0.8"],
+         "a2549b1f9b5f9fe09dfd11b7a426b7e83d5958eec4da0c12029b26f0c4b695ac"),
+        # 65,537 rows cross the 2^16-row chunk boundary
+        (["sieve", "--n-max", "65537"],
+         "13af67027ce88a26fbc1c947bd4b779244cd02e0fa7b58031f110b7764f62189"),
+    ],
+    ids=["spectrum", "spectrum_exceptional", "sieve_65537"],
+)
+def test_pinned_output_bytes(argv, digest, capsys):
+    """SHA-256 of stdout with the timestamp pinned: the chunked CSV
+    renderer must reproduce these bytes exactly."""
+    code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_sieve_streams_its_rows(tmp_path):
+    """A million-row sieve CSV is written a chunk at a time: a fresh
+    interpreter running it peaks below 160 MB resident (266 MB when every
+    line was built before the first write).  The child reads the peak of its
+    own address space (VmHWM); its ru_maxrss would also count the address
+    space that exec replaced, which under vfork is this test process's."""
+    child = (
+        "import re, sys\n"
+        "from primediff import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "sieve.csv"
+    argv = ["sieve", "--n-max", "1000000", "--out", str(out), "--timestamp", "T"]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 1 + 1_000_000 + 1  # header, rows, manifest
+    assert peak_kb < 160 * 1024, f"peak {peak_kb // 1024} MB"
+
+
+def test_refused_spectrum_leaves_out_file_alone(tmp_path, capsys):
+    """Rendering starts only after the computation: a spectrum run refused
+    with exit 3 neither creates nor truncates its --out file."""
+    argv = ["spectrum", "--n", "1000", "--d", "1", "--q-prime", "2", "--big-q", "10",
+            "--grid-factor", "4001"]  # M = 4,001,000 > TABLE_CAP
+    fresh = tmp_path / "fresh.csv"
+    code, _, err = run_cli(argv + ["--out", str(fresh)], capsys)
+    assert code == 3 and "spectrum grid limited" in err
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier run\n")
+    code, _, _ = run_cli(argv + ["--out", str(kept)], capsys)
+    assert code == 3
+    assert kept.read_text() == "earlier run\n"
+
+
 def _flag(name, values):
-    # "--x=-1e-05", not "--x -1e-05", which argparse reads as an option
+    # "--at=-5/3", not "--at -5/3", which argparse reads as an option
     return values.map(lambda v: [f"{name}={v}"])
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primediff import cli
 from primediff.arith import TABLE_CAP, ExceptionalDatum, euler_phi, psi, tau
 from primediff.errors import DomainError, PreconditionError, ResourceError
 from primediff.mangoldt import (
@@ -14,11 +15,10 @@ from primediff.mangoldt import (
     lambda_hat_rational,
     major_prediction,
     major_sup_ratio,
-    render_csv_rows,
     spectrum_report,
     vinogradov_bound,
 )
-from primediff.spectral import TorusPoint
+from primediff.spectral import TorusPoint, grid_spectrum
 
 from oracles import dft_naive, mangoldt_naive
 
@@ -121,34 +121,54 @@ class TestVinogradovBound:
 class TestSpectrumReport:
     def test_row_structure(self, tables_small):
         n, m = 200, 1600
-        rows = spectrum_report(n, 1, 3, 25, m, tables_small)
-        assert len(rows) == m
-        for k, r in enumerate(rows):
-            assert r.theta == k / m
-            assert r.kind == ("major" if r.q <= 3 else "minor")
-            assert r.ratio == r.actual / r.bound
-            assert r.bound > 0
+        report = spectrum_report(n, 1, 3, 25, m, tables_small)
+        assert len(report) == m
+        for col in (report.a, report.q, report.major, report.actual, report.bound):
+            assert col.shape == (m,)
+        assert report.major.tolist() == (report.q <= 3).tolist()
+        assert (report.bound > 0).all()
+
+    def test_actual_is_scalar_abs(self, tables_small):
+        """The actual column equals Python's abs() of every grid value, bit
+        for bit, on a 16,000-point grid."""
+        n, m = 2000, 16000
+        report = spectrum_report(n, 1, 20, 200, m, tables_small)
+        spectrum = grid_spectrum(MangoldtWeight.from_tables(n, 1, tables_small).signal, m)
+        assert len(report) == m
+        assert report.actual.tolist() == [abs(z) for z in spectrum.values.tolist()]
 
     def test_labels_follow_arc_membership(self, tables_small):
         """Major iff k/M lies in a closed arc |k/M - a/q| <= 1/(qQ) with
-        q <= Q', carrying that arc's a/q; minor rows carry an approximation
+        q <= Q', carrying that arc's a/q; minor points carry an approximation
         a/q with Q' < q <= Q and |k/M - a/q| < 1/(qQ).  All exact."""
         n, q_prime, big_q, m = 2000, 20, 200, 16000
-        rows = spectrum_report(n, 1, q_prime, big_q, m, tables_small)
+        report = spectrum_report(n, 1, q_prime, big_q, m, tables_small)
         k = np.arange(m, dtype=np.int64)
         in_major = np.zeros(m, dtype=bool)
         for q in range(1, q_prime + 1):
             a = (2 * k * q + m) // (2 * m)  # nearest numerator, any a
             in_major |= np.abs(k * q * big_q - a * m * big_q) <= m
-        assert [r.kind == "major" for r in rows] == in_major.tolist()
-        for k, r in enumerate(rows):
-            assert math.gcd(r.a, r.q) == 1
-            dist = abs(Fraction(k, m) - Fraction(r.a, r.q))
+        assert report.major.tolist() == in_major.tolist()
+        rows = zip(report.a.tolist(), report.q.tolist(), report.major.tolist())
+        for k, (a, q, major) in enumerate(rows):
+            assert math.gcd(a, q) == 1
+            dist = abs(Fraction(k, m) - Fraction(a, q))
             dist = min(dist, 1 - dist)
-            if r.kind == "major":
-                assert r.q <= q_prime and dist <= Fraction(1, r.q * big_q)
+            if major:
+                assert q <= q_prime and dist <= Fraction(1, q * big_q)
             else:
-                assert q_prime < r.q <= big_q and dist < Fraction(1, r.q * big_q)
+                assert q_prime < q <= big_q and dist < Fraction(1, q * big_q)
+
+    def test_bound_is_per_class_and_q(self, tables_small):
+        """Every point's bound is its class's bound at its q: the sup bound
+        Lambda_hat(0)/phi(q) on major points, the Vinogradov shape on minor."""
+        n, big_q = 150, 30
+        report = spectrum_report(n, 2, 3, big_q, 1200, tables_small)
+        hat_zero = MangoldtWeight.from_tables(n, 2, tables_small).hat_zero()
+        rows = zip(report.q.tolist(), report.major.tolist(), report.bound.tolist())
+        for q, major, bound in rows:
+            want = hat_zero / euler_phi(q) if major else vinogradov_bound(n, 2, q, big_q)
+            assert bound == want
 
     def test_exceptional_widens_major_bounds(self, tables_small):
         n, m = 150, 1200
@@ -156,25 +176,37 @@ class TestSpectrumReport:
         datum = ExceptionalDatum(2, 0.8)
         wide = spectrum_report(n, 2, 3, 30, m, tables_small, exceptional=datum)
         # tau(-a, d, q) vanishes where gcd(d, q) does not divide a, so some
-        # major rows keep their bound; none may shrink
-        for b, w in zip(base, wide):
-            if b.kind == "major":
-                assert w.bound >= b.bound
-            else:
-                assert w.bound == b.bound
-        assert any(
-            w.bound > b.bound for b, w in zip(base, wide) if b.kind == "major"
-        )
+        # major points keep their bound; none may shrink
+        assert (wide.bound[base.major] >= base.bound[base.major]).all()
+        assert (wide.bound[~base.major] == base.bound[~base.major]).all()
+        assert (wide.bound[base.major] > base.bound[base.major]).any()
 
-    def test_csv_rendering(self, tables_small):
-        rows = spectrum_report(100, 1, 2, 20, 800, tables_small)
-        lines = render_csv_rows(rows)
+    def test_dissection_validation(self, tables_small):
+        """Major arcs must be disjoint (Q > 2 Q') and their cutoff positive."""
+        with pytest.raises(PreconditionError):
+            spectrum_report(100, 1, 5, 10, 800, tables_small)
+        with pytest.raises(DomainError):
+            spectrum_report(100, 1, 0, 10, 800, tables_small)
+
+    def test_csv_rendering(self, tables_small, capsys):
+        """The spectrum command writes the report's columns as CSV."""
+        n, q_prime, big_q, m = 100, 2, 20, 800
+        report = spectrum_report(n, 1, q_prime, big_q, m, tables_small)
+        argv = ["spectrum", "--n", str(n), "--d", "1", "--q-prime", str(q_prime),
+                "--big-q", str(big_q)]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "theta,a,q,class,actual,bound,ratio"
-        assert len(lines) == len(rows) + 1
-        fields = lines[1].split(",")
-        assert len(fields) == 7
-        assert fields[3] in ("major", "minor")
-        float(fields[0]); float(fields[4]); float(fields[5]); float(fields[6])
+        assert len(lines) == len(report) + 2  # header, rows, manifest
+        assert lines[-1].startswith("# manifest: ")
+        for k, line in enumerate(lines[1:-1]):
+            theta, a, q, kind, actual, bound, ratio = line.split(",")
+            assert theta == f"{k / m:.12g}"
+            assert (int(a), int(q)) == (report.a[k], report.q[k])
+            assert kind == ("major" if report.major[k] else "minor")
+            assert actual == f"{report.actual[k]:.12g}"
+            assert bound == f"{report.bound[k]:.12g}"
+            assert ratio == f"{report.actual[k] / report.bound[k]:.12g}"
 
 
 class TestMajorSupRatio:

@@ -1,5 +1,5 @@
 """Tests for signals, torus points, grid spectra, rational approximation,
-and Farey arc families."""
+and Farey arc membership."""
 
 import math
 from fractions import Fraction
@@ -8,19 +8,17 @@ import numpy as np
 import pytest
 
 from primediff.spectral import (
-    ArcFamily,
     IntegerSignal,
     TorusPoint,
     arc_indices,
-    convolve,
     dirichlet_approx,
     dirichlet_approx_grid,
     grid_spectrum,
     transform_at,
 )
-from primediff.errors import DomainError, PreconditionError, ResourceError
+from primediff.errors import DomainError, ResourceError
 
-from oracles import convolve_naive, dft_naive
+from oracles import dft_naive
 
 
 class TestIntegerSignal:
@@ -39,43 +37,6 @@ class TestIntegerSignal:
     def test_energy(self):
         f = IntegerSignal(0, np.array([1.0, -2.0, 2.0]))
         assert f.energy() == 9.0
-
-    def test_balanced_combination(self):
-        f = IntegerSignal.from_indicator([1, 4])
-        g = IntegerSignal.interval(4).scaled(0.5)
-        h = f.minus(g)
-        assert h.offset == 1
-        assert list(h.values) == [0.5, -0.5, -0.5, 0.5]
-
-    def test_reflect(self):
-        f = IntegerSignal(2, np.array([1.0, 2.0, 3.0]))
-        r = f.reflect()
-        assert r.offset == -4
-        assert list(r.values) == [3.0, 2.0, 1.0]
-
-
-class TestConvolve:
-    def test_against_naive(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            fo, go = int(rng.integers(-5, 6)), int(rng.integers(-5, 6))
-            fv = rng.normal(size=int(rng.integers(1, 9)))
-            gv = rng.normal(size=int(rng.integers(1, 9)))
-            out = convolve(IntegerSignal(fo, fv), IntegerSignal(go, gv))
-            off, vals = convolve_naive(fo, fv.tolist(), go, gv.tolist())
-            assert out.offset == off
-            assert np.allclose(out.values, vals, atol=1e-12)
-
-    def test_transform_multiplies(self):
-        """Transform of a convolution is the product of transforms."""
-        f = IntegerSignal(1, np.array([1.0, 2.0, 0.5]))
-        g = IntegerSignal(-2, np.array([0.25, 1.0]))
-        theta = 0.137
-        lhs = transform_at(convolve(f, g), TorusPoint.from_float(theta))
-        rhs = transform_at(f, TorusPoint.from_float(theta)) * transform_at(
-            g, TorusPoint.from_float(theta)
-        )
-        assert abs(lhs - rhs) < 1e-12
 
 
 class TestTorusPoint:
@@ -216,9 +177,3 @@ class TestArcIndices:
             arc_indices(0, 1, 2)
         with pytest.raises(DomainError):
             arc_indices(10, 0, 2)
-
-
-class TestFareyArcs:
-    def test_family_validation(self):
-        with pytest.raises(PreconditionError):
-            ArcFamily(q_prime=5, big_q=10)
