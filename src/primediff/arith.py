@@ -46,6 +46,9 @@ TABLE_CAP = 4_000_000
 # longest block build_tables fills in one numpy pass; bounds its temporaries
 _SIEVE_BLOCK = 1 << 16
 
+# most angle entries characters_mod computes in one pass; bounds its temporaries
+_CHAR_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class ArithTables:
@@ -339,15 +342,20 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 
     exps = np.array(list(product(*(range(n) for _, n in gens))), dtype=np.int64)
     units = np.ones(len(exps), dtype=np.int64)
-    angle = np.zeros((len(exps), len(exps)), dtype=np.float64)
     for j, (g, n) in enumerate(gens):
         units = units * _powers(g, n, q)[exps[:, j]] % q
-        angle += np.multiply.outer(exps[:, j], exps[:, j]) / n
     if np.unique(units).size != phi_q:
         raise PreconditionError(f"generator set for q={q} does not span the units")
 
-    values = np.zeros((len(units), q), dtype=np.complex128)
-    values[:, units] = np.exp(2j * np.pi * angle)
+    # a block of rows at a time; each angle still adds its generator terms in
+    # order, so every value is bit-identical to the one-matrix computation
+    values = np.zeros((phi_q, q), dtype=np.complex128)
+    rows = max(1, _CHAR_BLOCK // phi_q)
+    for lo in range(0, phi_q, rows):
+        angle = np.zeros((min(rows, phi_q - lo), phi_q), dtype=np.float64)
+        for j, (_, n) in enumerate(gens):
+            angle += np.multiply.outer(exps[lo : lo + rows, j], exps[:, j]) / n
+        values[lo : lo + rows, units] = np.exp(2j * np.pi * angle)
     labels = map(tuple, exps.tolist())
     return [DirichletCharacter(q, row, not any(k), k) for row, k in zip(values, labels)]
 
@@ -373,18 +381,20 @@ def psi(x: float, q: int, a: int, tables: ArithTables) -> float:
     return float(tables.mangoldt[start : top + 1 : q].sum())
 
 
-def psi_chi(x: float, chi: DirichletCharacter, tables: ArithTables) -> complex:
-    """psi(x, chi) = sum of chi(n) mangoldt(n) over n <= x."""
+def _residue_mass(x: float, q: int, tables: ArithTables) -> np.ndarray:
+    """mass[r] = sum of mangoldt(n) over n <= x with n ≡ r (mod q)."""
     if x < 0:
         raise DomainError(f"need x >= 0, got {x}")
     top = int(math.floor(x))
     if top < 1:
-        return 0.0 + 0.0j
+        return np.zeros(q)
     tables.check_range(top)
-    q = chi.modulus
-    reps = -(-(top + 1) // q)  # ceil
-    tiled = np.tile(chi.values, reps)[: top + 1]
-    return complex(np.dot(tiled, tables.mangoldt[: top + 1]))
+    return np.bincount(np.arange(top + 1) % q, weights=tables.mangoldt[: top + 1], minlength=q)
+
+
+def psi_chi(x: float, chi: DirichletCharacter, tables: ArithTables) -> complex:
+    """psi(x, chi) = sum of chi(n) mangoldt(n) over n <= x."""
+    return complex(np.dot(chi.values, _residue_mass(x, chi.modulus, tables)))
 
 
 def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
@@ -396,11 +406,11 @@ def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
     """
     direct = psi(x, q, a, tables)
     chars = characters_mod(q)
-    phi_q = len(chars)
+    mass = _residue_mass(x, q, tables)  # one pass over Lambda serves every psi(x, chi)
     acc = 0.0 + 0.0j
     for chi in chars:
-        acc += np.conj(chi(a)) * psi_chi(x, chi, tables)
-    return float(abs(direct - acc / phi_q))
+        acc += np.conj(chi(a)) * np.dot(chi.values, mass)
+    return float(abs(direct - acc / len(chars)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Extremal sets avoiding forbidden differences s with d s + 1 prime.
 
 Sets live in [1, n]; the forbidden differences are one bool array,
-`ForbiddenSet.bits`.  The exact solver is branch-and-bound over a
-most-constrained-first static vertex order with the popcount bound; its
-candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
+`ForbiddenSet.bits`.  The exact solver is Russian-doll search: it proves
+the optima f(1), ..., f(n) in ascending order and bounds each subtree by
+the optimum already known for its candidates' span, since the conflict
+graph is translation-invariant.  When its node budget runs out, a
+branch-and-bound over a most-constrained-first static vertex order with
+the popcount bound runs with the same budget, and `nodes` counts both.
+Candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
 bool arrays.  The greedy strategies take a point when no chosen element
 sits at a forbidden distance from it, kept as a conflict count per point.
 Primality is deterministic Miller-Rabin or, when tables covering d(n-1)+1
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,17 +108,21 @@ class SearchResult:
 
 
 def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> SearchResult:
-    """Maximum avoiding subset of [1, n] by branch-and-bound.
+    """Maximum avoiding subset of [1, n] by Russian-doll search.
 
-    Vertices are processed in a static most-constrained-first order
-    (fewest compatible successors, index as tie-break); at each node the
-    lowest-order open vertex is branched on and subtrees die when
-    size + popcount(candidates) cannot beat the incumbent.  With no budget
-    the answer is optimal; with an exhausted budget the incumbent is
-    returned with optimal=False.  Past EXACT_CAP a node budget is
-    required, and past n^2/8 > ROW_BYTES_CAP the compatibility rows are
-    refused before any is built."""
+    The conflict graph is translation-invariant, so the optimum on any
+    interval [lo, hi] is f(hi - lo + 1).  Stage m = 1, ..., n decides
+    whether [1, m] holds a set of size f(m - 1) + 1 containing m, branching
+    on the largest open position first and pruning a node when
+    size + f(hi - lo + 1) < target for its candidates' span [lo, hi].  With
+    no budget the answer is optimal.  When the budget runs out first,
+    `_branch_and_bound` runs with the same budget and its incumbent is
+    returned with optimal=False; `nodes` counts both phases.  Past
+    EXACT_CAP a node budget is required, and past n^2/8 > ROW_BYTES_CAP
+    the search is refused before anything is built."""
     n = fs.n
+    if node_budget is not None and node_budget < 1:
+        raise DomainError(f"node budget must be >= 1, got {node_budget}")
     if node_budget is None and n > EXACT_CAP:
         raise ResourceError(
             f"exact search beyond n={EXACT_CAP} needs an explicit node budget, got n={n}"
@@ -124,6 +132,60 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
             f"exact search limited to n <= {math.isqrt(8 * ROW_BYTES_CAP)}"
             f" (n^2/8 bytes of rows), got n={n}"
         )
+    t0 = time.perf_counter()
+    budget = math.inf if node_budget is None else node_budget
+    # bit n - s of rev is set iff s in [1, n - 1] is allowed, so bit j of
+    # rev >> (n - x) is set iff x - j is allowed
+    allowed = ~fs.bits
+    allowed[0] = False
+    rev = _bitset(allowed[::-1]) << 1
+    f = [0] * (n + 1)  # f[k]: optimum on any interval of k positions
+    best = 0  # bitset of the last set found, of size f[m]
+    nodes = 0
+    for m in range(1, n + 1):
+        target = f[m - 1] + 1
+        stack = [((rev >> (n - m)) & ((1 << m) - 2), 1, 1 << m)]  # cand, size, chosen
+        while stack:
+            cand, size, chosen = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                seconds = time.perf_counter() - t0
+                res = _branch_and_bound(fs, node_budget)
+                return replace(res, nodes=nodes + res.nodes, seconds=seconds + res.seconds)
+            if size == target:
+                best = chosen
+                break
+            if not cand:
+                continue
+            hi = cand.bit_length() - 1
+            if size + f[hi - (cand & -cand).bit_length() + 2] < target:
+                continue
+            top = 1 << hi
+            # exclude branch first so the include branch is explored first (LIFO)
+            stack.append((cand ^ top, size, chosen))
+            stack.append((cand & (rev >> (n - hi)), size + 1, chosen | top))
+        f[m] = target if best >> m & 1 else f[m - 1]
+
+    elements = tuple(x for x in range(1, n + 1) if best >> x & 1)
+    if elements and not is_avoiding(elements, fs):
+        raise PreconditionError("search produced a non-avoiding set; invariant broken")
+    return SearchResult(
+        elements=elements,
+        size=f[n],
+        optimal=True,
+        nodes=nodes,
+        seconds=time.perf_counter() - t0,
+        strategy="exact",
+    )
+
+
+def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult:
+    """Branch-and-bound from the first-fit incumbent over a static
+    most-constrained-first order (fewest compatible successors, index as
+    tie-break): branch on the lowest-order open vertex, and a subtree dies
+    when size + popcount(candidates) cannot beat the incumbent.  An
+    exhausted budget returns the incumbent with optimal=False."""
+    n = fs.n
     # v has n - v successors u > v, of which those at a forbidden u - v clash
     verts = np.arange(1, n + 1)
     succ_count = (n - verts) - np.cumsum(fs.bits)[n - verts]
@@ -266,20 +328,15 @@ def greedy_avoiding(
 # growth profile
 
 
-def growth_table(
-    n_values,
-    d: int,
-    exact_cap: int = 24,
-    tables: ArithTables | None = None,
-) -> list[dict]:
-    """Size-vs-n profile: exact solver up to exact_cap, first-fit greedy
+def growth_table(n_values, d: int, tables: ArithTables | None = None) -> list[dict]:
+    """Size-vs-n profile: exact solver up to EXACT_CAP, first-fit greedy
     beyond, each row carrying the reference shape
     (log 2 / 2) log n / log log n for eyeballing growth."""
     rows = []
     for n in n_values:
         n = int(n)
         fs = ForbiddenSet.build(n, d, tables)
-        if n <= exact_cap:
+        if n <= EXACT_CAP:
             res = max_avoiding_exact(fs)
         else:
             res = greedy_avoiding(fs, strategy="first_fit")

@@ -63,6 +63,12 @@ def psi_naive(x: float, q: int, a: int) -> float:
     return sum(mangoldt_naive(n) for n in range(1, top + 1) if n % q == a % q)
 
 
+def psi_chi_naive(x: float, values) -> complex:
+    """Sum of values[n mod q] * Lambda(n) over 1 <= n <= x, q = len(values)."""
+    q = len(values)
+    return sum(values[n % q] * mangoldt_naive(n) for n in range(1, int(math.floor(x)) + 1))
+
+
 def ramanujan_closed_form(q: int, a: int) -> float:
     """c_q(a) = mu(q/g) phi(q) / phi(q/g) with g = gcd(a, q)."""
     g = math.gcd(a % q, q)

@@ -2,6 +2,10 @@
 Dirichlet characters, and Chebyshev partial sums."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from oracles import (
     mangoldt_naive,
     mobius_naive,
     phi_naive,
+    psi_chi_naive,
     psi_naive,
     ramanujan_closed_form,
     tau_naive,
@@ -275,6 +280,29 @@ class TestCharacters:
         with pytest.raises(ResourceError):
             characters_mod(q)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_table_is_filled_in_blocks(self):
+        """characters_mod(1999) holds a 64 MB value table; a fresh
+        interpreter building it peaks below 120 MB resident (183 MB when the
+        whole angle matrix and its two complex temporaries were alive at
+        once).  The child reads the peak of its own address space (VmHWM)."""
+        child = (
+            "import re\n"
+            "from primediff.arith import characters_mod\n"
+            "chars = characters_mod(1999)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(len(chars), re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+        )
+        src = str(pathlib.Path(characters_mod.__code__.co_filename).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), check=True,
+        )
+        count, peak_kb = map(int, proc.stdout.split())
+        assert count == euler_phi(1999)
+        assert peak_kb < 120 * 1024, f"peak {peak_kb // 1024} MB"
+
 
 class TestPsi:
     def test_against_naive(self, tables_small):
@@ -313,6 +341,14 @@ class TestInversion:
             psi_naive(x, q, a) for a in range(q) if math.gcd(a, q) == 1
         )
         assert abs(psi_chi(x, chi0, tables_small) - direct) < 1e-9
+
+    def test_psi_chi_against_naive(self, tables_small):
+        for q in (1, 5, 8, 12):
+            for chi in characters_mod(q):
+                values = chi.values.tolist()
+                for x in (0.0, 1.0, 10.5, 97.0, 800.0):
+                    got = psi_chi(x, chi, tables_small)
+                    assert abs(got - psi_chi_naive(x, values)) < 1e-9, (q, chi.label, x)
 
     def test_units_identity(self, tables_small):
         for q in range(2, 21):

@@ -1,5 +1,5 @@
 """Tests for forbidden difference sets, avoidance checks, exact
-branch-and-bound search, and greedy heuristics."""
+Russian-doll and branch-and-bound search, and greedy heuristics."""
 
 import numpy as np
 import pytest
@@ -109,25 +109,63 @@ class TestExactSearch:
         with pytest.raises(ResourceError, match="n <= 32000"):
             max_avoiding_exact(fs, node_budget=1)
         monkeypatch.setattr(avoider, "ROW_BYTES_CAP", 800)  # n <= 80
-        assert max_avoiding_exact(ForbiddenSet.build(80, 1, None), node_budget=5).nodes == 6
+        assert max_avoiding_exact(ForbiddenSet.build(80, 1, None), node_budget=5).nodes == 12
         with pytest.raises(ResourceError):
             max_avoiding_exact(ForbiddenSet.build(81, 1, None), node_budget=5)
 
     @pytest.mark.parametrize(
         "n, d, budget, nodes, elements",
         [
-            (40, 1, None, 3667, (1, 4, 9, 12, 33, 36)),
-            (88, 1, 2000, 2001, (1, 4, 9, 12, 33, 36, 57, 60, 65, 68)),
-            (150, 2, 500, 501, (26, 39, 43, 71, 81, 88, 98, 105, 130, 143, 147)),
-            (300, 4, 50, 51, (1, 3, 9, 15, 17, 47, 53, 55, 173, 179, 181, 187, 225)),
+            (40, 1, None, 1031, (1, 4, 25, 28, 33, 36)),
+            (88, 1, 2000, 4002, (1, 4, 9, 12, 33, 36, 57, 60, 65, 68)),
+            (150, 2, 500, 1002, (26, 39, 43, 71, 81, 88, 98, 105, 130, 143, 147)),
+            (300, 4, 50, 102, (1, 3, 9, 15, 17, 47, 53, 55, 173, 179, 181, 187, 225)),
         ],
     )
     def test_pinned_search(self, tables_small, n, d, budget, nodes, elements):
-        """Node counts and incumbents pin the static order, the
-        compatibility rows and the greedy incumbent."""
+        """Node counts and sets pin the doll's branching order; a truncated
+        run's set pins the static order, the compatibility rows and the
+        greedy incumbent of the fallback."""
         res = max_avoiding_exact(ForbiddenSet.build(n, d, tables_small), node_budget=budget)
         assert (res.nodes, res.elements) == (nodes, elements)
         assert res.optimal == (budget is None)
+
+    def test_doll_agrees_with_branch_and_bound(self, tables_small):
+        for d in (1, 2, 3, 4):
+            for n in range(1, 65):
+                fs = ForbiddenSet.build(n, d, tables_small)
+                doll = max_avoiding_exact(fs)
+                bnb = avoider._branch_and_bound(fs, None)
+                assert doll.optimal and bnb.optimal
+                assert doll.size == bnb.size == len(doll.elements), (n, d)
+                assert is_avoiding(doll.elements, fs)
+
+    @pytest.mark.parametrize("n, d, optimum", [(128, 1, 12), (200, 2, 12), (160, 4, 15)])
+    def test_frontier_proven(self, tables_small, n, d, optimum):
+        """Optima branch-and-bound alone does not prove within 3M nodes."""
+        res = max_avoiding_exact(ForbiddenSet.build(n, d, tables_small), node_budget=3_000_000)
+        assert res.optimal and res.size == optimum
+
+    def test_node_guard(self, tables_small):
+        """The benchmark's exact case: 442,089 nodes by branch-and-bound."""
+        res = max_avoiding_exact(ForbiddenSet.build(88, 1, tables_small), node_budget=3_000_000)
+        assert res.optimal and res.size == 10
+        assert res.nodes <= 10_000
+
+    def test_truncated_run_is_the_fallback(self, tables_small):
+        """An exhausted budget spends budget + 1 nodes in the doll, then
+        returns branch-and-bound's set under the same budget."""
+        fs = ForbiddenSet.build(120, 3, tables_small)
+        res = max_avoiding_exact(fs, node_budget=300)
+        bnb = avoider._branch_and_bound(fs, 300)
+        assert not res.optimal and not bnb.optimal
+        assert res.elements == bnb.elements and res.size == bnb.size
+        assert res.nodes == 301 + bnb.nodes
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one(self, tables_small, budget):
+        with pytest.raises(DomainError, match="node budget"):
+            max_avoiding_exact(ForbiddenSet.build(20, 1, tables_small), node_budget=budget)
 
 
 class TestGreedy:
@@ -195,17 +233,17 @@ class TestGreedy:
 
 class TestGrowthTable:
     def test_rows(self, tables_small):
-        rows = growth_table([10, 20, 64], 1, exact_cap=24, tables=tables_small)
-        assert [r["n"] for r in rows] == [10, 20, 64]
-        assert rows[0]["optimal"] and rows[1]["optimal"]
-        assert not rows[2]["optimal"]
-        assert rows[2]["strategy"] == "first_fit"
+        rows = growth_table([10, 20, 64, 65], 1, tables=tables_small)
+        assert [r["n"] for r in rows] == [10, 20, 64, 65]
+        assert all(r["optimal"] and r["strategy"] == "exact" for r in rows[:3])
+        assert not rows[3]["optimal"]
+        assert rows[3]["strategy"] == "first_fit"
         for r in rows:
             assert r["shape"] > 0
             assert r["size"] >= 1
 
     def test_sizes_match_exact_solver(self, tables_small):
-        rows = growth_table([12, 18], 2, exact_cap=24, tables=tables_small)
+        rows = growth_table([12, 18], 2, tables=tables_small)
         for row in rows:
             fs = ForbiddenSet.build(row["n"], 2, tables_small)
             assert row["size"] == max_avoiding_exact(fs).size

@@ -406,6 +406,16 @@ class TestExtremalCommand:
         assert payload["optimal"] is False
         assert payload["manifest"]["parameters"]["budget"] == 5
 
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_budget_below_one_is_domain_error(self, budget, capsys):
+        code, out, err = run_cli(
+            ["extremal", "--n", "88", "--d", "1", "--mode", "exact", "--budget", budget],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "node budget must be >= 1" in err
+
 
 class TestIterateCommand:
     def test_full_interval_single_step(self, capsys, tmp_path):
