@@ -43,7 +43,7 @@ LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
 @dataclass(frozen=True)
 class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
-    is forbidden (bits[0] is False)."""
+    is forbidden (bits[0] is False).  n is at most TABLE_CAP."""
 
     n: int
     d: int
@@ -53,6 +53,8 @@ class ForbiddenSet:
     def build(cls, n: int, d: int, tables: ArithTables | None = None) -> "ForbiddenSet":
         if n < 1 or d < 1:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
+        if n > TABLE_CAP:
+            raise ResourceError(f"forbidden set limited to n <= {TABLE_CAP}, got n={n}")
         bits = np.zeros(n, dtype=bool)
         if tables is not None and d * (n - 1) + 1 <= tables.n_max:
             s = np.arange(1, n, dtype=np.int64)

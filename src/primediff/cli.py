@@ -175,6 +175,8 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_extremal(args) -> None:
+    if args.budget is not None and args.mode != "exact":
+        raise DomainError(f"--budget applies to --mode exact only, got --mode {args.mode}")
     # past TABLE_CAP, ForbiddenSet.build falls back to Miller-Rabin
     need = args.d * (args.n - 1) + 2
     tables = build_tables(need) if need <= TABLE_CAP else None

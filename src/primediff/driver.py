@@ -292,9 +292,8 @@ def iterate_once(
     q_double = config.extraction_cap(alpha)
     q_top = max(q_prime, q_double)
 
-    m = config.grid_factor * n
-    grid = grid_spectrum(A.balanced(), m)
-    table = energy_table(A, q_top, big_q, m=m, grid=grid)
+    grid = grid_spectrum(A.balanced(), config.grid_factor * n)
+    table = energy_table(A, q_top, big_q, grid=grid)
     trigger = sum(r.star_energy / euler_phi(r.q) for r in table.rows if r.q <= q_prime)
     diagnostics = {
         "n_prime": n_prime,
@@ -316,7 +315,6 @@ def iterate_once(
                 1.0 / (best.q * big_q),
                 target_e,
                 c_len=config.c_len,
-                m=m,
                 grid=grid,
             )
         except EnergyShortfall as shortfall:
@@ -533,8 +531,8 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
             # energy recount from the snapshot on the same grid
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
-            table = energy_table(A, out.q, big_q, m=cfg.grid_factor * s.n)
-            recomputed = table.row(out.q).energy
+            grid = grid_spectrum(A.balanced(), cfg.grid_factor * s.n)
+            recomputed = energy_table(A, out.q, big_q, grid=grid).row(out.q).energy
             recorded = o.detail.get("energy")
             if recorded is None or abs(recomputed - recorded) > 1e-9 * max(1.0, recorded):
                 raise CertificationError(

@@ -6,11 +6,12 @@ balanced function g = 1_A - alpha 1_[1,N],
     E_{A,q,eta}  = (alpha |A|)^{-1} sum_{a=1}^{q} integral_{|t - a/q| <= eta} |g_hat|^2
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
 
-with integrals realized as M-point grid quadrature.  Summed over the whole
-torus the normalized energy is exactly (1 - alpha)/alpha, which pins the
-normalization in tests.  Extraction converts E-mass at level q into a step-q
-progression on which A beats alpha by the factor (1 + E/4); the counts are
-recounted exactly, never inferred from the transform side.
+with integrals realized as quadrature on the M-point grid the caller passes
+(M >= 8N, 8N by default), E and E* from one arc walk per level.  Summed over
+the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
+pins the normalization in tests.  Extraction converts E-mass at level q into
+a step-q progression on which A beats alpha by the factor (1 + E/4); the
+counts are recounted exactly, never inferred from the transform side.
 """
 
 from __future__ import annotations
@@ -183,21 +184,20 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 # certify's recount through energy_table reproduces a recorded energy exactly
 
 
-def _balanced_power(A: DensitySet, m: int | None, grid: SpectrumGrid | None):
-    """(|g_hat(k/M)|^2 on the M-point grid, M, normalization 1/(alpha |A| M))."""
-    if m is None:
-        m = 8 * A.n
-    if m < 8 * A.n:
-        raise PreconditionError(f"grid {m} below 8x support {A.n}")
+def _balanced_power(A: DensitySet, grid: SpectrumGrid | None):
+    """(|g_hat(k/M)|^2, 1/(alpha |A| M)) on the grid, by default the 8N-point one."""
     if grid is None:
-        grid = grid_spectrum(A.balanced(), m)
-    elif grid.m != m:
-        raise PreconditionError(f"grid size {grid.m} does not match m={m}")
-    return np.abs(grid.values) ** 2, m, 1.0 / (A.alpha * A.size * m)
+        grid = grid_spectrum(A.balanced(), 8 * A.n)
+    elif grid.m < 8 * A.n:
+        raise PreconditionError(f"grid {grid.m} below 8x support {A.n}")
+    return np.abs(grid.values) ** 2, 1.0 / (A.alpha * A.size * grid.m)
 
 
-def _level_energy(mags2: np.ndarray, norm: float, q: int, big_q: int, star: bool) -> float:
-    return float(mags2[arc_indices(len(mags2), q, big_q, star=star)].sum() * norm)
+def _level_energy(mags2: np.ndarray, norm: float, q: int, big_q: int) -> tuple[float, float]:
+    """(E, E*) at level q: the power on all level-q arcs, then on the star arcs."""
+    k, a = arc_indices(len(mags2), q, big_q)
+    power = mags2[k]
+    return float(power.sum() * norm), float(power[np.gcd(a, q) == 1].sum() * norm)
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +238,21 @@ def energy_table(
     A: DensitySet,
     q_prime: int,
     big_q: int,
-    m: int | None = None,
     grid: SpectrumGrid | None = None,
 ) -> EnergyTable:
     """Normalized arc energies E and E* for every level q <= q_prime at
-    half-width eta = 1/(q big_q)."""
+    half-width eta = 1/(q big_q), on A.balanced()'s grid (M >= 8N, default 8N)."""
     if q_prime < 1:
         raise DomainError(f"need Q' >= 1, got {q_prime}")
     if big_q < 2:
         raise DomainError(f"need Q >= 2 so same-level arcs stay disjoint, got {big_q}")
-    mags2, m, norm = _balanced_power(A, m, grid)
+    mags2, norm = _balanced_power(A, grid)
     rows = [
-        EnergyStats(
-            q=q,
-            eta=1.0 / (q * big_q),
-            energy=_level_energy(mags2, norm, q, big_q, star=False),
-            star_energy=_level_energy(mags2, norm, q, big_q, star=True),
-        )
+        EnergyStats(q, 1.0 / (q * big_q), *_level_energy(mags2, norm, q, big_q))
         for q in range(1, q_prime + 1)
     ]
     total = float(mags2.sum() * norm)
-    return EnergyTable(rows=rows, total=total, m=m, big_q=big_q)
+    return EnergyTable(rows=rows, total=total, m=len(mags2), big_q=big_q)
 
 
 def extract_progression(
@@ -267,7 +261,6 @@ def extract_progression(
     eta: float,
     target_e: float,
     c_len: float = 0.25,
-    m: int | None = None,
     grid: SpectrumGrid | None = None,
 ) -> IncrementOutcome:
     """Turn level-q arc energy into a step-q progression where A beats its
@@ -286,8 +279,8 @@ def extract_progression(
     big_q = round(1.0 / (q * eta))
     if big_q < 1 or eta != 1.0 / (q * big_q):
         raise DomainError(f"need eta = 1/(q Q) for an integer Q, got eta={eta} at q={q}")
-    mags2, m, norm = _balanced_power(A, m, grid)
-    energy = _level_energy(mags2, norm, q, big_q, star=False)
+    mags2, norm = _balanced_power(A, grid)
+    energy, _ = _level_energy(mags2, norm, q, big_q)
     if energy < target_e:
         raise EnergyShortfall(energy, target_e)
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import TABLE_CAP, ArithTables, ExceptionalDatum, euler_phi, psi, tau
-from .errors import DomainError, PreconditionError, ResourceError
+from .arith import ArithTables, ExceptionalDatum, euler_phi, psi, tau
+from .errors import DomainError, PreconditionError
 from .spectral import (
     IntegerSignal,
     arc_indices,
@@ -158,10 +158,7 @@ def _weight_spectrum(
     n: int, d: int, q_prime: int, big_q: int, m: int, tables: ArithTables
 ) -> tuple[np.ndarray, float]:
     """The weight's transform on the M-point grid and its mass Lambda_hat(0),
-    after checking the grid size (M <= TABLE_CAP), the dissection (Q > 2 Q')
-    and that the mass is positive."""
-    if m > TABLE_CAP:
-        raise ResourceError(f"spectrum grid limited to M <= {TABLE_CAP} points, got M={m}")
+    after checking the dissection (Q > 2 Q') and that the mass is positive."""
     weight = MangoldtWeight.from_tables(n, d, tables)
     grid = grid_spectrum(weight.signal, m)
     _check_dissection(q_prime, big_q)
@@ -193,10 +190,11 @@ def spectrum_report(
     a_col, q_col = dirichlet_approx_grid(m, big_q)
     major = np.zeros(m, dtype=bool)
     for q in range(1, q_prime + 1):
-        k = arc_indices(m, q, big_q, star=True)
-        major[k] = True
-        q_col[k] = q
-        a_col[k] = (2 * k * q + m) // (2 * m) % q  # the nearest numerator is the arc's
+        k, a = arc_indices(m, q, big_q)
+        star = np.gcd(a, q) == 1
+        major[k[star]] = True
+        q_col[k[star]] = q
+        a_col[k[star]] = a[star] % q  # 1/1 is the arc of 0/1
 
     # one bound per (class, q), looked up by every point of that class and q
     bounds = np.zeros((2, int(q_col.max()) + 1))
@@ -227,7 +225,7 @@ def major_sup_ratio(
     mags = np.abs(spec)
     best = 0.0
     for q in range(1, q_prime + 1):
-        idx = arc_indices(m, q, big_q, star=True)
-        if idx.size:
-            best = max(best, euler_phi(q) * float(mags[idx].max()) / hat_zero)
+        k, a = arc_indices(m, q, big_q)
+        star = mags[k[np.gcd(a, q) == 1]]
+        best = max(best, euler_phi(q) * float(star.max(initial=0.0)) / hat_zero)
     return best

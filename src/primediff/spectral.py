@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import TABLE_CAP
 from .errors import DomainError, ResourceError
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "transform_at",
 ]
 
-TWO_PI = 2.0 * np.pi
+_GRID_BLOCK = 1 << 16  # grid points dirichlet_approx_grid works on at a time
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +148,6 @@ class SpectrumGrid:
     m: int
     values: np.ndarray
 
-    def theta(self, k: int) -> float:
-        return k / self.m
-
     def total_energy(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) / self.m)
 
@@ -158,8 +156,11 @@ def grid_spectrum(f: IntegerSignal, m: int) -> SpectrumGrid:
     """Exact f_hat on the M-point grid via FFT of the zero-padded support.
 
     Requires m >= support length; below that the grid aliases and the
-    Parseval identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.
+    Parseval identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids
+    past TABLE_CAP points are refused before anything is allocated.
     """
+    if m > TABLE_CAP:
+        raise ResourceError(f"spectrum grid limited to M <= {TABLE_CAP} points, got M={m}")
     n = f.support_length()
     if m < n:
         raise ResourceError(f"grid size {m} below support length {n}")
@@ -203,48 +204,53 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
     """dirichlet_approx(k/M, big_q) for every k in [0, M), as arrays (a, q).
 
     Runs the same continued-fraction recurrence on the exact integer
-    fractions k/M, all k at once, not on the binary values of k/M.
+    fractions k/M, not on the binary values of k/M, _GRID_BLOCK values of k
+    at a time, so its working arrays stay small at any M.
     """
     if m < 1:
         raise DomainError(f"grid size must be >= 1, got {m}")
     if big_q < 1:
         raise DomainError(f"cutoff must be >= 1, got {big_q}")
     big_q = min(big_q, m)  # no convergent of k/M has a denominator above M
-    # k/M = [0; c_1, c_2, ...]: h/q starts at 0/1, num/den holds the remainder
-    num, den = np.full(m, m, dtype=np.int64), np.arange(m, dtype=np.int64)
-    h_prev, h = np.ones(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
-    q_prev, q = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
-    live = np.flatnonzero(den)
-    while live.size:
-        c = num[live] // den[live]
-        q_next = c * q[live] + q_prev[live]
-        keep = q_next <= big_q
-        live, c, q_next = live[keep], c[keep], q_next[keep]
-        h_prev[live], h[live] = h[live], c * h[live] + h_prev[live]
-        q_prev[live], q[live] = q[live], q_next
-        num[live], den[live] = den[live], num[live] - c * den[live]
-        live = live[den[live] != 0]
-    h[h == q] = 0  # 1/1 is the arc of 0/1
-    return h, q
+    h_all, q_all = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    for lo in range(0, m, _GRID_BLOCK):
+        # k/M = [0; c_1, c_2, ...]: h/q starts at 0/1, num/den holds the remainder
+        h, q = h_all[lo : lo + _GRID_BLOCK], q_all[lo : lo + _GRID_BLOCK]  # views
+        den = np.arange(lo, lo + len(h), dtype=np.int64)
+        num, h_prev, q_prev = np.full_like(den, m), np.ones_like(den), np.zeros_like(den)
+        live = np.flatnonzero(den)
+        while live.size:
+            c = num[live] // den[live]
+            q_next = c * q[live] + q_prev[live]
+            keep = q_next <= big_q
+            live, c, q_next = live[keep], c[keep], q_next[keep]
+            h_prev[live], h[live] = h[live], c * h[live] + h_prev[live]
+            q_prev[live], q[live] = q[live], q_next
+            num[live], den[live] = den[live], num[live] - c * den[live]
+            live = live[den[live] != 0]
+        h[h == q] = 0  # 1/1 is the arc of 0/1
+    return h_all, q_all
 
 
 # ---------------------------------------------------------------------------
 # Farey arcs
 
 
-def arc_indices(m: int, q: int, big_q: int, star: bool = False) -> np.ndarray:
-    """Sorted grid indices k in [0, M) with k/M in a level-q arc
-    |theta - a/q| <= 1/(q Q), for some a in 1..q (gcd(a, q) = 1 when star).
-
-    Decided in exact integer arithmetic, |k q Q - a M Q| <= M with a taken
-    mod q, so points on a closed arc's boundary are members.
-    """
+def arc_indices(m: int, q: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid points k/M, k in [0, M), in a level-q arc |theta - a/q| <= 1/(qQ),
+    as sorted k and, for each k, the numerator a in 1..q of an arc holding it;
+    a is reduced whenever a reduced arc holds k (arcs share points only at
+    Q <= 2), so the star arcs hold k[np.gcd(a, q) == 1].  Decided exactly,
+    |k q - a M| <= floor(M / Q), so closed arcs keep their boundary points."""
     if m < 1 or q < 1 or big_q < 1:
         raise DomainError(f"need M, q, Q >= 1, got M={m}, q={q}, Q={big_q}")
-    inside = np.zeros(m, dtype=bool)
-    for a in range(1, q + 1):
-        if not star or math.gcd(a, q) == 1:
-            lo = -((m - a * m * big_q) // (q * big_q))  # ceil((aMQ - M) / (qQ))
-            hi = (a * m * big_q + m) // (q * big_q)
-            inside[np.arange(lo, hi + 1) % m] = True
-    return np.flatnonzero(inside)
+    # reduced numerators first: np.unique keeps each k's first occurrence
+    a = np.arange(1, q + 1, dtype=np.int64)
+    a = a[np.argsort(np.gcd(a, q) != 1, kind="stable")]
+    w = m // big_q
+    lo = -((w - a * m) // q)  # ceil((aM - w) / q)
+    sizes = np.maximum((a * m + w) // q - lo + 1, 0)
+    # one ragged run lo, lo + 1, ..., hi per arc
+    k = np.arange(sizes.sum(), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+    k, first = np.unique(k % m, return_index=True)
+    return k, np.repeat(a, sizes)[first]

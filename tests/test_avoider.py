@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from primediff import avoider
+from primediff.arith import TABLE_CAP
 from primediff.avoider import (
     ForbiddenSet,
     find_forbidden_pair,
@@ -37,6 +38,11 @@ class TestForbiddenSet:
         tiny = ForbiddenSet.build(300, 7, None)
         fast = ForbiddenSet.build(300, 7, tables_small)
         assert np.array_equal(tiny.bits, fast.bits)
+
+    def test_table_budget(self):
+        """Past TABLE_CAP the difference array is refused before it is built."""
+        with pytest.raises(ResourceError, match="forbidden set limited"):
+            ForbiddenSet.build(TABLE_CAP + 1, 1)
 
     def test_small_universe(self):
         fs = ForbiddenSet.build(1, 1, None)

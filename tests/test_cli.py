@@ -167,6 +167,44 @@ def test_memory_budget_is_resource_error(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a 10^11-entry forbidden-difference array
+        (["extremal", "--n", "100000000000", "--d", "1", "--mode", "greedy"],
+         "forbidden set limited to n <= 4000000"),
+        (["iterate", "--greedy", "--n", "100000000000"], "forbidden set limited"),
+        # a node budget means nothing to the heuristics
+        (["extremal", "--n", "50", "--d", "1", "--mode", "greedy", "--budget", "-5"],
+         "--budget applies to --mode exact only"),
+        (["extremal", "--n", "50", "--d", "1", "--mode", "random-local", "--budget", "100"],
+         "--budget applies to --mode exact only"),
+    ],
+    ids=["extremal_n1e11", "iterate_n1e11", "budget_greedy", "budget_random_local"],
+)
+def test_refused_arguments_exit_3(argv, message, capsys):
+    code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_driver_grid_budget(tmp_path, capsys):
+    """The driver's FFT grid, grid_factor times n points, is held to the
+    spectrum's TABLE_CAP budget: 10^12 points are refused, not allocated."""
+    code, out, _ = run_cli(["extremal", "--n", "1000", "--d", "1", "--mode", "greedy"], capsys)
+    assert code == 0
+    elements = json.loads(out)["elements"]
+    set_file, config = tmp_path / "ff1000.txt", tmp_path / "gf.cfg"
+    set_file.write_text("".join(f"{x}\n" for x in elements))
+    config.write_text("grid_factor = 1000000000\n")
+    argv = ["iterate", "--input", str(set_file), "--n", "1000", "--config", str(config)]
+    code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "spectrum grid limited" in err
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (["spectrum", "--n", "2000", "--d", "1", "--q-prime", "20", "--big-q", "200"],

@@ -178,10 +178,15 @@ class TestEnergyTable:
             energy_table(A, 0, 10)
         with pytest.raises(DomainError):
             energy_table(A, 3, 1)
-        with pytest.raises(PreconditionError):
-            energy_table(A, 3, 10, m=100)
-        with pytest.raises(PreconditionError):  # grid of M = 400, default M = 320
-            energy_table(A, 3, 10, grid=grid_spectrum(A.balanced(), 400))
+        with pytest.raises(PreconditionError):  # M = 100 below 8N = 320
+            energy_table(A, 3, 10, grid=grid_spectrum(A.balanced(), 100))
+
+    def test_grid_sets_m(self):
+        """The grid given fixes M: a 400-point grid, not the default 320."""
+        A = DensitySet.from_iterable(40, [1, 5, 9])
+        table = energy_table(A, 3, 10, grid=grid_spectrum(A.balanced(), 400))
+        assert table.m == 400
+        assert abs(table.total - (1 - A.alpha) / A.alpha) <= 1e-9 * table.total
 
 
 class TestExtractProgression:

@@ -2,6 +2,10 @@
 and Farey arc membership."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -140,37 +144,78 @@ class TestDirichletApprox:
                 assert list(zip(a.tolist(), q.tolist())) == want
 
 
-def arc_members_naive(m, q, big_q, star):
-    """Grid indices in some closed arc |k/M - a/q| <= 1/(qQ), by Fractions."""
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_grid_approximation_runs_in_blocks():
+    """dirichlet_approx_grid at M = 4e6 holds 64 MB of output but runs its
+    recurrence a block at a time: a fresh interpreter peaks below 150 MB
+    resident (381 MB when all M points were in flight at once)."""
+    child = (
+        "import re\n"
+        "from primediff.spectral import dirichlet_approx_grid\n"
+        "a, q = dirichlet_approx_grid(4_000_000, 10)\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(int(q.max()), re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+    )
+    src = str(pathlib.Path(dirichlet_approx_grid.__code__.co_filename).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+    )
+    q_max, peak_kb = map(int, proc.stdout.split())
+    assert q_max == 10
+    assert peak_kb < 150 * 1024, f"peak {peak_kb // 1024} MB"
+
+
+def arc_numerators_naive(m, q, big_q):
+    """{k: [a, ...]} over grid indices k in some closed arc
+    |k/M - a/q| <= 1/(qQ), a in 1..q, by Fractions."""
     width = Fraction(1, q * big_q)
-    centers = [Fraction(a, q) for a in range(1, q + 1) if not star or math.gcd(a, q) == 1]
-    members = []
+    owners = {}
     for k in range(m):
-        for c in centers:
-            dist = abs(Fraction(k, m) - c) % 1
+        for a in range(1, q + 1):
+            dist = abs(Fraction(k, m) - Fraction(a, q)) % 1
             if min(dist, 1 - dist) <= width:
-                members.append(k)
-                break
-    return members
+                owners.setdefault(k, []).append(a)
+    return owners
+
+
+def check_arcs(m, q, big_q):
+    """arc_indices against the oracle: the same points, each labelled by an
+    arc that holds it, a reduced one whenever any reduced arc does.
+    Returns the number of points more than one arc holds."""
+    k, a = arc_indices(m, q, big_q)
+    owners = arc_numerators_naive(m, q, big_q)
+    assert k.tolist() == sorted(owners), (m, q, big_q)
+    for point, label in zip(k.tolist(), a.tolist()):
+        held_by = owners[point]
+        assert label in held_by, (m, q, big_q, point)
+        if any(math.gcd(b, q) == 1 for b in held_by):
+            assert math.gcd(label, q) == 1, (m, q, big_q, point)
+    return sum(len(held_by) > 1 for held_by in owners.values())
 
 
 class TestArcIndices:
     def test_against_fractions(self):
         rng = np.random.default_rng(44)
+        shared = 0
         for _ in range(300):
             m = int(rng.integers(1, 200))
             q = int(rng.integers(1, 13))
             big_q = int(rng.integers(1, 40))
-            star = bool(rng.integers(0, 2))
-            got = arc_indices(m, q, big_q, star=star).tolist()
-            assert got == arc_members_naive(m, q, big_q, star), (m, q, big_q, star)
+            shared += check_arcs(m, q, big_q)
+        for big_q in (1, 2):  # arcs overlap only at Q <= 2
+            for q in (1, 2, 6, 7):
+                shared += check_arcs(60, q, big_q)
+        assert shared > 0
 
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
         Q = 100, which rounding the arc ends in floats can drop."""
-        idx = arc_indices(7000, 2, 100)
-        assert 35 in idx and 6965 in idx
-        assert idx.tolist() == arc_members_naive(7000, 2, 100, star=False)
+        k, a = arc_indices(7000, 2, 100)
+        assert 35 in k and 6965 in k
+        assert a[np.searchsorted(k, [35, 6965])].tolist() == [2, 2]
+        check_arcs(7000, 2, 100)
 
     def test_validation(self):
         with pytest.raises(DomainError):
