@@ -10,9 +10,10 @@ the popcount bound runs with the same budget, and `nodes` counts both.
 Candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
 bool arrays.  The greedy strategies take a point when no chosen element
 sits at a forbidden distance from it, kept as a conflict count per point.
-Primality is deterministic Miller-Rabin or, when tables covering d(n-1)+1
-are supplied, the sieve route; the two agree (tested), keeping the search
-independent of the sieve stack.
+Primality comes from tables covering d(n-1)+1 when they are supplied, else
+from a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1), or
+from deterministic Miller-Rabin when that root is large against n; the
+routes agree (tested), keeping the search independent of the sieve stack.
 """
 
 from __future__ import annotations
@@ -38,12 +39,19 @@ __all__ = [
 EXACT_CAP = 64  # largest n exact search takes without a node budget
 ROW_BYTES_CAP = 32 * TABLE_CAP  # exact search rows' n^2/8 bytes: 128 MB, as tables
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
+# ForbiddenSet.build sieves d s + 1, s < n, when sqrt(d (n - 1) + 1) is at
+# most SIEVE_REACH n: the sieve's work grows with that root, Miller-Rabin's
+# with n, and the two cost about the same near 128 n
+SIEVE_REACH = 128
 
 
 @dataclass(frozen=True)
 class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
-    is forbidden (bits[0] is False).  n is at most TABLE_CAP."""
+    is forbidden (bits[0] is False).  n is at most TABLE_CAP.  build reads
+    the tables when they cover d (n - 1) + 1, else sieves the values d s + 1
+    (_shifted_primes), else, for a large d and a small n, runs Miller-Rabin
+    on each."""
 
     n: int
     d: int
@@ -55,15 +63,16 @@ class ForbiddenSet:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
         if n > TABLE_CAP:
             raise ResourceError(f"forbidden set limited to n <= {TABLE_CAP}, got n={n}")
+        top = d * (n - 1) + 1
         bits = np.zeros(n, dtype=bool)
-        if tables is not None and d * (n - 1) + 1 <= tables.n_max:
+        if tables is not None and top <= tables.n_max:
             s = np.arange(1, n, dtype=np.int64)
             vals = d * s + 1
             bits[1:] = tables.spf[vals] == vals
+        elif math.isqrt(top) <= min(TABLE_CAP, SIEVE_REACH * n):
+            bits = _shifted_primes(n, d)
         else:
-            for s in range(1, n):
-                if is_prime(d * s + 1):
-                    bits[s] = True
+            bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]
         return cls(n=n, d=d, bits=bits)
 
     def forbidden(self, s: int) -> bool:
@@ -71,6 +80,42 @@ class ForbiddenSet:
 
     def count(self) -> int:
         return int(self.bits.sum())
+
+
+def _primes_upto(x: int) -> np.ndarray:
+    """The primes p <= x, by the sieve of Eratosthenes."""
+    composite = np.zeros(x + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, math.isqrt(x) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite)
+
+
+def _shifted_primes(n: int, d: int) -> np.ndarray:
+    """flags[s] iff d s + 1 is prime, for s in [0, n) (flags[0] is False).
+
+    Sieves the progression d s + 1 by the primes p <= sqrt(d (n - 1) + 1)
+    that do not divide d: p strikes s_p, s_p + p, ... from s_p = -1/d mod p,
+    the first s >= 1 with p | d s + 1.  A prime p = d s + 1 strikes its own
+    s, which is set back.  Needs d (n - 1) + 1 below 2^63."""
+    flags = np.ones(n, dtype=bool)
+    flags[0] = False
+    p = _primes_upto(math.isqrt(d * (n - 1) + 1))
+    p = p[d % p != 0]
+    # 1/d = d^(p - 2) mod p, square-and-multiply on every p at once (p^2 < 2^63)
+    inv, base, e = np.ones_like(p), d % p, p - 2
+    while e.any():
+        inv = np.where(e & 1, inv * base % p, inv)
+        base, e = base * base % p, e >> 1
+    first = p - inv
+    flags[first[first < n]] = False
+    again = first + p < n  # p strikes more than once: p < n
+    for step, s in zip(p[again].tolist(), (first + p)[again].tolist()):
+        flags[s::step] = False
+    own = p[(p - 1) % d == 0]
+    flags[(own - 1) // d] = True
+    return flags
 
 
 def _bitset(flags: np.ndarray) -> int:

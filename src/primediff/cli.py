@@ -74,14 +74,15 @@ def _write_text(out_path: str | None, lines: Iterable[str]) -> None:
             fh.write("\n".join(chunk) + "\n")
 
 
-def _csv_lines(header: str, fmt: str, columns, manifest: dict) -> Iterator[str]:
-    """CSV table: the header, one `fmt % row` line per row of the
-    equal-length array columns, then the manifest comment.  Each column is
-    converted to Python values _CHUNK_ROWS rows at a time."""
+def _csv_lines(header: str, fmt: str, n_rows: int, columns, manifest: dict) -> Iterator[str]:
+    """CSV table: the header, one `fmt % row` line per row, then the manifest
+    comment.  `columns(rows)` builds the array columns of a slice of rows;
+    it is called, and its columns converted to Python values, _CHUNK_ROWS
+    rows at a time, so no full-length column is made here."""
     yield header
-    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
-        yield from (fmt % row for row in rows)
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        chunk = columns(slice(lo, min(lo + _CHUNK_ROWS, n_rows)))
+        yield from (fmt % row for row in zip(*(col.tolist() for col in chunk)))
     yield _manifest_comment(manifest)
 
 
@@ -110,10 +111,13 @@ def _parse_at(text: str) -> TorusPoint:
 
 def _cmd_sieve(args) -> None:
     tables = build_tables(args.n_max)
-    columns = [np.arange(1, args.n_max + 1)]
-    columns += [t[1:] for t in (tables.mangoldt, tables.mobius, tables.phi)]
+
+    def columns(rows: slice):
+        n = slice(rows.start + 1, rows.stop + 1)
+        return [np.arange(n.start, n.stop), tables.mangoldt[n], tables.mobius[n], tables.phi[n]]
+
     manifest = _manifest("sieve", {"n_max": args.n_max}, args.seed, args.timestamp)
-    lines = _csv_lines("n,mangoldt,mobius,phi", "%d,%.12g,%d,%d", columns, manifest)
+    lines = _csv_lines("n,mangoldt,mobius,phi", "%d,%.12g,%d,%d", args.n_max, columns, manifest)
     _write_text(args.out, lines)
 
 
@@ -167,11 +171,15 @@ def _cmd_spectrum(args) -> None:
         params["exc_modulus"] = exceptional.modulus
         params["exc_beta"] = exceptional.beta
     manifest = _manifest("spectrum", params, args.seed, args.timestamp)
-    actual, bound = report.actual, report.bound
-    kind = np.where(report.major, "major", "minor")
-    columns = (np.arange(m) / m, report.a, report.q, kind, actual, bound, actual / bound)
+
+    def columns(rows: slice):
+        actual, bound = report.actual[rows], report.bound[rows]
+        kind = np.where(report.major[rows], "major", "minor")
+        theta = np.arange(rows.start, rows.stop) / m
+        return theta, report.a[rows], report.q[rows], kind, actual, bound, actual / bound
+
     header, fmt = "theta,a,q,class,actual,bound,ratio", "%.12g,%d,%d,%s,%.12g,%.12g,%.12g"
-    _write_text(args.out, _csv_lines(header, fmt, columns, manifest))
+    _write_text(args.out, _csv_lines(header, fmt, m, columns, manifest))
 
 
 def _cmd_extremal(args) -> None:

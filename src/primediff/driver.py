@@ -31,6 +31,7 @@ from .errors import CertificationError, DomainError, EnergyShortfall, Preconditi
 from .increment import (
     DensitySet,
     IncrementOutcome,
+    _level_energy,
     energy_table,
     extract_progression,
     rescale,
@@ -294,7 +295,8 @@ def iterate_once(
 
     grid = grid_spectrum(A.balanced(), config.grid_factor * n)
     table = energy_table(A, q_top, big_q, grid=grid)
-    trigger = sum(r.star_energy / euler_phi(r.q) for r in table.rows if r.q <= q_prime)
+    phi = {r.q: euler_phi(r.q) for r in table.rows}
+    trigger = sum(r.star_energy / phi[r.q] for r in table.rows if r.q <= q_prime)
     diagnostics = {
         "n_prime": n_prime,
         "q_prime": q_prime,
@@ -306,7 +308,7 @@ def iterate_once(
 
     candidates = [r for r in table.rows if r.q <= q_double and r.star_energy > 0]
     if candidates:
-        best = max(candidates, key=lambda r: (r.star_energy / euler_phi(r.q), -r.q))
+        best = max(candidates, key=lambda r: (r.star_energy / phi[r.q], -r.q))
         target_e = 4.0 * config.gain_threshold
         try:
             out = extract_progression(
@@ -528,11 +530,12 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                     raise CertificationError(f"{where}: next step (n, d) mismatch")
                 if tuple(expected.elements.tolist()) != nxt.set_snapshot:
                     raise CertificationError(f"{where}: rescaled snapshot mismatch")
-            # energy recount from the snapshot on the same grid
+            # energy recount from the snapshot on the same grid, at level q
+            # alone, through the helper extract_progression recorded it with
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
             grid = grid_spectrum(A.balanced(), cfg.grid_factor * s.n)
-            recomputed = energy_table(A, out.q, big_q, grid=grid).row(out.q).energy
+            recomputed = _level_energy(A, out.q, big_q, grid)
             recorded = o.detail.get("energy")
             if recorded is None or abs(recomputed - recorded) > 1e-9 * max(1.0, recorded):
                 raise CertificationError(

@@ -7,7 +7,7 @@ balanced function g = 1_A - alpha 1_[1,N],
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
 
 with integrals realized as quadrature on the M-point grid the caller passes
-(M >= 8N, 8N by default), E and E* from one arc walk per level.  Summed over
+(M >= 8N, 8N by default), E and E* of every level from one arc walk.  Summed over
 the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
 pins the normalization in tests.  Extraction converts E-mass at level q into
 a step-q progression on which A beats alpha by the factor (1 + E/4); the
@@ -180,8 +180,8 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# arc energy: energy_table and extract_progression share these helpers, so
-# certify's recount through energy_table reproduces a recorded energy exactly
+# arc energy: energy_table and extract_progression share these helpers, and
+# certify recounts a recorded energy through _level_energy
 
 
 def _balanced_power(A: DensitySet, grid: SpectrumGrid | None):
@@ -193,11 +193,28 @@ def _balanced_power(A: DensitySet, grid: SpectrumGrid | None):
     return np.abs(grid.values) ** 2, 1.0 / (A.alpha * A.size * grid.m)
 
 
-def _level_energy(mags2: np.ndarray, norm: float, q: int, big_q: int) -> tuple[float, float]:
-    """(E, E*) at level q: the power on all level-q arcs, then on the star arcs."""
-    k, a = arc_indices(len(mags2), q, big_q)
-    power = mags2[k]
-    return float(power.sum() * norm), float(power[np.gcd(a, q) == 1].sum() * norm)
+def _run_sums(x: np.ndarray, q: np.ndarray, levels) -> list:
+    """x summed over each level's run of the sorted level column q: one
+    .sum() per run, so a level's sum does not depend on the other levels."""
+    ends = np.searchsorted(q, levels, side="right").tolist()
+    return [x[lo:hi].sum() for lo, hi in zip([0, *ends], ends)]
+
+
+def _level_energies(mags2: np.ndarray, norm: float, levels, big_q: int) -> list:
+    """(E, E*) for each ascending level from one arc walk: the power on all
+    of the level's arcs, then on its star arcs."""
+    q, k, a = arc_indices(len(mags2), levels, big_q)
+    power, star = mags2[k], np.gcd(a, q) == 1
+    return [
+        (float(e * norm), float(e_star * norm))
+        for e, e_star in zip(_run_sums(power, q, levels), _run_sums(power[star], q[star], levels))
+    ]
+
+
+def _level_energy(A: DensitySet, q: int, big_q: int, grid: SpectrumGrid | None) -> float:
+    """E at level q alone: the value energy_table's level-q row holds."""
+    mags2, norm = _balanced_power(A, grid)
+    return _level_energies(mags2, norm, [q], big_q)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +264,10 @@ def energy_table(
     if big_q < 2:
         raise DomainError(f"need Q >= 2 so same-level arcs stay disjoint, got {big_q}")
     mags2, norm = _balanced_power(A, grid)
+    levels = range(1, q_prime + 1)
     rows = [
-        EnergyStats(q, 1.0 / (q * big_q), *_level_energy(mags2, norm, q, big_q))
-        for q in range(1, q_prime + 1)
+        EnergyStats(q, 1.0 / (q * big_q), *e)
+        for q, e in zip(levels, _level_energies(mags2, norm, levels, big_q))
     ]
     total = float(mags2.sum() * norm)
     return EnergyTable(rows=rows, total=total, m=len(mags2), big_q=big_q)
@@ -279,8 +297,7 @@ def extract_progression(
     big_q = round(1.0 / (q * eta))
     if big_q < 1 or eta != 1.0 / (q * big_q):
         raise DomainError(f"need eta = 1/(q Q) for an integer Q, got eta={eta} at q={q}")
-    mags2, norm = _balanced_power(A, grid)
-    energy, _ = _level_energy(mags2, norm, q, big_q)
+    energy = _level_energy(A, q, big_q, grid)
     if energy < target_e:
         raise EnergyShortfall(energy, target_e)
 

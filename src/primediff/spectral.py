@@ -1,5 +1,6 @@
 """Finitely supported signals on Z, their transforms on the torus, rational
-approximation, and Farey arc membership on a grid.
+approximation, and Farey arc membership on a grid: the arcs of every level
+a caller asks for come from one walk, arc_indices.
 
 Sign convention, used everywhere in this package:
 
@@ -236,21 +237,30 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
 # Farey arcs
 
 
-def arc_indices(m: int, q: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid points k/M, k in [0, M), in a level-q arc |theta - a/q| <= 1/(qQ),
-    as sorted k and, for each k, the numerator a in 1..q of an arc holding it;
-    a is reduced whenever a reduced arc holds k (arcs share points only at
-    Q <= 2), so the star arcs hold k[np.gcd(a, q) == 1].  Decided exactly,
-    |k q - a M| <= floor(M / Q), so closed arcs keep their boundary points."""
-    if m < 1 or q < 1 or big_q < 1:
-        raise DomainError(f"need M, q, Q >= 1, got M={m}, q={q}, Q={big_q}")
-    # reduced numerators first: np.unique keeps each k's first occurrence
-    a = np.arange(1, q + 1, dtype=np.int64)
-    a = a[np.argsort(np.gcd(a, q) != 1, kind="stable")]
+def arc_indices(m: int, levels, big_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid points k/M, k in [0, M), in the level-q arcs |theta - a/q| <= 1/(qQ)
+    for every q of the strictly ascending `levels`, from one walk: arrays
+    (q, k, a) sorted by (q, k), each k once per level, with a in 1..q the
+    numerator of an arc holding it; a is reduced whenever a reduced arc holds
+    k (arcs share points only at Q <= 2), so level q's star arcs hold the rows
+    with gcd(a, q) = 1.  Decided exactly, |k q - a M| <= floor(M / Q), so
+    closed arcs keep their boundary points."""
+    levels = np.asarray(levels, dtype=np.int64)
+    if m < 1 or big_q < 1 or levels.ndim != 1 or (levels.size and levels[0] < 1):
+        raise DomainError(f"need M, Q >= 1 and levels q >= 1, got M={m}, Q={big_q}")
+    if (np.diff(levels) <= 0).any():
+        raise DomainError("levels must be strictly ascending")
+    # every arc of every level, reduced numerators first within a level:
+    # np.unique keeps each (q, k)'s first occurrence
+    q = np.repeat(levels, levels)
+    a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(levels) - levels, levels)
+    order = np.argsort(2 * q + (np.gcd(a, q) != 1), kind="stable")
+    q, a = q[order], a[order]
     w = m // big_q
     lo = -((w - a * m) // q)  # ceil((aM - w) / q)
     sizes = np.maximum((a * m + w) // q - lo + 1, 0)
-    # one ragged run lo, lo + 1, ..., hi per arc
+    # one ragged run lo, lo + 1, ..., hi per arc, keyed by q M + (k mod M)
     k = np.arange(sizes.sum(), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-    k, first = np.unique(k % m, return_index=True)
-    return k, np.repeat(a, sizes)[first]
+    key, first = np.unique(np.repeat(q * m, sizes) + k % m, return_index=True)
+    q = key // m
+    return q, key - q * m, np.repeat(a, sizes)[first]

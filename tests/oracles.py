@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 
 def trial_division_factor(n: int) -> dict[int, int]:
@@ -158,3 +159,16 @@ def inner_products_naive(elements, n: int):
             if 0 < a - b < n:
                 r_ia[a - b] += 1
     return r_aa, r_ii, r_ai, r_ia
+
+
+def arc_numerators_naive(m: int, q: int, big_q: int) -> dict[int, list[int]]:
+    """{k: [a, ...]} over grid indices k in some closed arc
+    |k/M - a/q| <= 1/(qQ), a in 1..q, by Fractions."""
+    width = Fraction(1, q * big_q)
+    owners: dict[int, list[int]] = {}
+    for k in range(m):
+        for a in range(1, q + 1):
+            dist = abs(Fraction(k, m) - Fraction(a, q)) % 1
+            if min(dist, 1 - dist) <= width:
+                owners.setdefault(k, []).append(a)
+    return owners

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from primediff import avoider
-from primediff.arith import TABLE_CAP
+from primediff.arith import TABLE_CAP, build_tables, is_prime
 from primediff.avoider import (
     ForbiddenSet,
     find_forbidden_pair,
@@ -34,10 +34,25 @@ class TestForbiddenSet:
             assert fs.count() == len(want)
 
     def test_table_and_direct_paths_agree(self, tables_small):
-        # a too-small table forces the per-value primality fallback
+        # no table: the sieve of the values d s + 1
         tiny = ForbiddenSet.build(300, 7, None)
         fast = ForbiddenSet.build(300, 7, tables_small)
         assert np.array_equal(tiny.bits, fast.bits)
+
+    def test_sieve_matches_miller_rabin(self):
+        """Past the tables' reach the values d s + 1 are sieved: the bits
+        equal is_prime's for d = 1..6 at sizes on both sides of the largest
+        n a 2,000-entry table covers, down to n = 1, and on the
+        Miller-Rabin route a large d takes at a small n."""
+        tables = build_tables(2000)
+        cases = [(5, 10**6), (40, 10**9)]  # sqrt(d (n - 1) + 1) above SIEVE_REACH n
+        for d in range(1, 7):
+            edge = (tables.n_max - 1) // d + 1  # d (edge - 1) + 1 <= n_max
+            cases += [(n, d) for n in (1, 2, 3, 4, 11, edge, edge + 1, edge + 37)]
+        for n, d in cases:
+            want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
+            assert ForbiddenSet.build(n, d, tables).bits.tolist() == want, (n, d)
+            assert ForbiddenSet.build(n, d, None).bits.tolist() == want, (n, d)
 
     def test_table_budget(self):
         """Past TABLE_CAP the difference array is refused before it is built."""

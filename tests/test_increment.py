@@ -18,7 +18,7 @@ from primediff.increment import (
 )
 from primediff.spectral import grid_spectrum
 
-from oracles import window_count_naive
+from oracles import arc_numerators_naive, window_count_naive
 
 
 def random_set(rng, n_lo=40, n_hi=400):
@@ -171,6 +171,25 @@ class TestEnergyTable:
         star7 = table.row(7).star_energy
         assert star7 > 0.5 * table.total
         assert star7 > 10 * table.row(5).star_energy
+
+    def test_rows_are_oracle_sums(self):
+        """Every row equals, bit for bit, |g_hat|^2 summed over the level's
+        oracle points in ascending k, then over those a reduced arc holds,
+        times 1/(alpha |A| M): the one walk keeps each level's sums."""
+        rng = np.random.default_rng(71)
+        for _ in range(6):
+            A = random_set(rng, 20, 60)
+            big_q = int(rng.integers(2, 12))
+            grid = grid_spectrum(A.balanced(), 8 * A.n)
+            table = energy_table(A, 6, big_q, grid=grid)
+            mags2 = np.abs(grid.values) ** 2
+            norm = 1.0 / (A.alpha * A.size * grid.m)
+            for r in table.rows:
+                owners = arc_numerators_naive(grid.m, r.q, big_q)
+                k = np.array(sorted(owners), dtype=np.int64)
+                star = [any(math.gcd(a, r.q) == 1 for a in owners[p]) for p in k.tolist()]
+                assert r.energy == float(mags2[k].sum() * norm)
+                assert r.star_energy == float(mags2[k[np.array(star, dtype=bool)]].sum() * norm)
 
     def test_validation(self):
         A = DensitySet.from_iterable(40, [1, 5, 9])

@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from primediff.spectral import (
 )
 from primediff.errors import DomainError, ResourceError
 
-from oracles import dft_naive
+from oracles import arc_numerators_naive, dft_naive
 
 
 class TestIntegerSignal:
@@ -167,24 +166,12 @@ def test_grid_approximation_runs_in_blocks():
     assert peak_kb < 150 * 1024, f"peak {peak_kb // 1024} MB"
 
 
-def arc_numerators_naive(m, q, big_q):
-    """{k: [a, ...]} over grid indices k in some closed arc
-    |k/M - a/q| <= 1/(qQ), a in 1..q, by Fractions."""
-    width = Fraction(1, q * big_q)
-    owners = {}
-    for k in range(m):
-        for a in range(1, q + 1):
-            dist = abs(Fraction(k, m) - Fraction(a, q)) % 1
-            if min(dist, 1 - dist) <= width:
-                owners.setdefault(k, []).append(a)
-    return owners
-
-
 def check_arcs(m, q, big_q):
     """arc_indices against the oracle: the same points, each labelled by an
     arc that holds it, a reduced one whenever any reduced arc does.
     Returns the number of points more than one arc holds."""
-    k, a = arc_indices(m, q, big_q)
+    levels, k, a = arc_indices(m, [q], big_q)
+    assert (levels == q).all()
     owners = arc_numerators_naive(m, q, big_q)
     assert k.tolist() == sorted(owners), (m, q, big_q)
     for point, label in zip(k.tolist(), a.tolist()):
@@ -209,16 +196,44 @@ class TestArcIndices:
                 shared += check_arcs(60, q, big_q)
         assert shared > 0
 
+    def test_many_levels_against_fractions(self):
+        """One walk over random, non-contiguous ascending levels gives the
+        per-level oracle's points, level after level, each labelled as
+        check_arcs demands; at Q <= 2 arcs share points, and the a = q arc
+        wraps past M onto small k."""
+        rng = np.random.default_rng(45)
+        shared = wrapped = 0
+        for trial in range(60):
+            m = int(rng.integers(1, 120))
+            big_q = int(rng.integers(1, 3) if trial % 3 == 0 else rng.integers(1, 40))
+            levels = sorted(rng.choice(10, size=int(rng.integers(1, 5)), replace=False) + 1)
+            q, k, a = arc_indices(m, levels, big_q)
+            owners = {lv: arc_numerators_naive(m, lv, big_q) for lv in levels}
+            want = [(lv, point) for lv in levels for point in sorted(owners[lv])]
+            assert list(zip(q.tolist(), k.tolist())) == want, (m, levels, big_q)
+            for lv, point, label in zip(q.tolist(), k.tolist(), a.tolist()):
+                held_by = owners[lv][point]
+                assert label in held_by, (m, levels, big_q, point)
+                if any(math.gcd(b, lv) == 1 for b in held_by):
+                    assert math.gcd(label, lv) == 1, (m, levels, big_q, point)
+                shared += len(held_by) > 1
+                wrapped += label == lv and 0 < point < m / 2
+        assert shared > 0 and wrapped > 0
+
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
         Q = 100, which rounding the arc ends in floats can drop."""
-        k, a = arc_indices(7000, 2, 100)
+        _, k, a = arc_indices(7000, [2], 100)
         assert 35 in k and 6965 in k
         assert a[np.searchsorted(k, [35, 6965])].tolist() == [2, 2]
         check_arcs(7000, 2, 100)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            arc_indices(0, 1, 2)
+            arc_indices(0, [1], 2)
         with pytest.raises(DomainError):
-            arc_indices(10, 0, 2)
+            arc_indices(10, [0], 2)
+        with pytest.raises(DomainError, match="ascending"):
+            arc_indices(10, [2, 1], 2)
+        with pytest.raises(DomainError, match="ascending"):
+            arc_indices(10, [3, 3], 2)
