@@ -12,7 +12,7 @@ bool arrays.  The greedy strategies take a point when no chosen element
 sits at a forbidden distance from it, kept as a conflict count per point.
 Primality comes from tables covering d(n-1)+1 when they are supplied, else
 from a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1), or
-from deterministic Miller-Rabin when that root is large against n; the
+from deterministic Miller-Rabin when that root exceeds TABLE_CAP; the
 routes agree (tested), keeping the search independent of the sieve stack.
 """
 
@@ -39,10 +39,6 @@ __all__ = [
 EXACT_CAP = 64  # largest n exact search takes without a node budget
 ROW_BYTES_CAP = 32 * TABLE_CAP  # exact search rows' n^2/8 bytes: 128 MB, as tables
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
-# ForbiddenSet.build sieves d s + 1, s < n, when sqrt(d (n - 1) + 1) is at
-# most SIEVE_REACH n: the sieve's work grows with that root, Miller-Rabin's
-# with n, and the two cost about the same near 128 n
-SIEVE_REACH = 128
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,8 @@ class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
     is forbidden (bits[0] is False).  n is at most TABLE_CAP.  build reads
     the tables when they cover d (n - 1) + 1, else sieves the values d s + 1
-    (_shifted_primes), else, for a large d and a small n, runs Miller-Rabin
-    on each."""
+    (_shifted_primes) when sqrt(d (n - 1) + 1) is at most TABLE_CAP, else
+    runs Miller-Rabin on each."""
 
     n: int
     d: int
@@ -69,7 +65,7 @@ class ForbiddenSet:
             s = np.arange(1, n, dtype=np.int64)
             vals = d * s + 1
             bits[1:] = tables.spf[vals] == vals
-        elif math.isqrt(top) <= min(TABLE_CAP, SIEVE_REACH * n):
+        elif math.isqrt(top) <= TABLE_CAP:
             bits = _shifted_primes(n, d)
         else:
             bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]

@@ -185,7 +185,7 @@ def _cmd_spectrum(args) -> None:
 def _cmd_extremal(args) -> None:
     if args.budget is not None and args.mode != "exact":
         raise DomainError(f"--budget applies to --mode exact only, got --mode {args.mode}")
-    # past TABLE_CAP, ForbiddenSet.build falls back to Miller-Rabin
+    # past TABLE_CAP, ForbiddenSet.build sieves the values d s + 1 instead
     need = args.d * (args.n - 1) + 2
     tables = build_tables(need) if need <= TABLE_CAP else None
     fs = ForbiddenSet.build(args.n, args.d, tables)
@@ -263,8 +263,8 @@ def _read_config(path: str | None) -> IterationConfig:
 
 def _cmd_iterate(args) -> None:
     config = _read_config(args.config)
-    # one table serves the forbidden set and the driver; ForbiddenSet.build
-    # falls back to Miller-Rabin past TABLE_CAP
+    # one table serves the forbidden set and the driver; past TABLE_CAP,
+    # ForbiddenSet.build sieves the values d s + 1 instead
     need = args.d * (args.n - 1) + 2
     tables = build_tables(min(need, TABLE_CAP))
     if args.greedy:

@@ -7,7 +7,8 @@ balanced function g = 1_A - alpha 1_[1,N],
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
 
 with integrals realized as quadrature on the M-point grid the caller passes
-(M >= 8N, 8N by default), E and E* of every level from one arc walk.  Summed over
+(M >= 8N, 8N by default), E and E* of every level from one arc walk per
+level run (spectral.level_runs).  Summed over
 the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
 pins the normalization in tests.  Extraction converts E-mass at level q into
 a step-q progression on which A beats alpha by the factor (1 + E/4); the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import IntegerSignal, SpectrumGrid, arc_indices, grid_spectrum
+from .spectral import IntegerSignal, SpectrumGrid, arc_indices, grid_spectrum, level_runs
 
 __all__ = [
     "DensitySet",
@@ -201,14 +202,17 @@ def _run_sums(x: np.ndarray, q: np.ndarray, levels) -> list:
 
 
 def _level_energies(mags2: np.ndarray, norm: float, levels, big_q: int) -> list:
-    """(E, E*) for each ascending level from one arc walk: the power on all
-    of the level's arcs, then on its star arcs."""
-    q, k, a = arc_indices(len(mags2), levels, big_q)
-    power, star = mags2[k], np.gcd(a, q) == 1
-    return [
-        (float(e * norm), float(e_star * norm))
-        for e, e_star in zip(_run_sums(power, q, levels), _run_sums(power[star], q[star], levels))
-    ]
+    """(E, E*) for each ascending level from one arc walk per level run: the
+    power on all of the level's arcs, then on its star arcs."""
+    rows = []
+    for run in level_runs(len(mags2), levels, big_q):
+        q, k, a = arc_indices(len(mags2), run, big_q)
+        power, star = mags2[k], np.gcd(a, q) == 1
+        rows += [
+            (float(e * norm), float(e_star * norm))
+            for e, e_star in zip(_run_sums(power, q, run), _run_sums(power[star], q[star], run))
+        ]
+    return rows
 
 
 def _level_energy(A: DensitySet, q: int, big_q: int, grid: SpectrumGrid | None) -> float:

@@ -25,6 +25,7 @@ from .spectral import (
     arc_indices,
     dirichlet_approx_grid,
     grid_spectrum,
+    level_runs,
     transform_at,
 )
 
@@ -188,13 +189,14 @@ def spectrum_report(
     actual = np.hypot(spec.real, spec.imag)  # equals scalar abs(); np.abs rounds differently
     del spec  # free the complex grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
-    q, k, a = arc_indices(m, range(1, q_prime + 1), big_q)
-    star = np.gcd(a, q) == 1
-    q, k, a = q[star], k[star], a[star]  # disjoint across levels, as Q > 2 Q'
     major = np.zeros(m, dtype=bool)
-    major[k] = True
-    q_col[k] = q
-    a_col[k] = a % q  # 1/1 is the arc of 0/1
+    for run in level_runs(m, range(1, q_prime + 1), big_q):
+        q, k, a = arc_indices(m, run, big_q)
+        star = np.gcd(a, q) == 1
+        q, k, a = q[star], k[star], a[star]  # disjoint across levels, as Q > 2 Q'
+        major[k] = True
+        q_col[k] = q
+        a_col[k] = a % q  # 1/1 is the arc of 0/1
     del q, k, a, star  # free the walk before the bound column is built
 
     # one bound per (class, q), looked up by every point of that class and q
@@ -223,8 +225,9 @@ def major_sup_ratio(
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
     spec, hat_zero = _weight_spectrum(n, d, q_prime, big_q, m, tables)
-    q, k, a = arc_indices(m, range(1, q_prime + 1), big_q)
-    star = np.gcd(a, q) == 1
     peak = np.zeros(q_prime + 1)  # per level, the largest |Lambda_hat| on its star arcs
-    np.maximum.at(peak, q[star], np.abs(spec[k[star]]))
+    for run in level_runs(m, range(1, q_prime + 1), big_q):
+        q, k, a = arc_indices(m, run, big_q)
+        star = np.gcd(a, q) == 1
+        np.maximum.at(peak, q[star], np.abs(spec[k[star]]))
     return max(euler_phi(q) * float(peak[q]) / hat_zero for q in range(1, q_prime + 1))

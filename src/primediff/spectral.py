@@ -1,6 +1,7 @@
 """Finitely supported signals on Z, their transforms on the torus, rational
-approximation, and Farey arc membership on a grid: the arcs of every level
-a caller asks for come from one walk, arc_indices.
+approximation, and Farey arc membership on a grid: arc_indices walks the
+arcs of many levels at once, and level_runs splits a caller's levels into
+runs whose walks hold a bounded number of points.
 
 Sign convention, used everywhere in this package:
 
@@ -30,10 +31,12 @@ __all__ = [
     "dirichlet_approx",
     "dirichlet_approx_grid",
     "grid_spectrum",
+    "level_runs",
     "transform_at",
 ]
 
 _GRID_BLOCK = 1 << 16  # grid points dirichlet_approx_grid works on at a time
+_WALK_POINTS = 1 << 19  # arc points one level run holds beyond its first level
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +248,7 @@ def arc_indices(m: int, levels, big_q: int) -> tuple[np.ndarray, np.ndarray, np.
     k (arcs share points only at Q <= 2), so level q's star arcs hold the rows
     with gcd(a, q) = 1.  Decided exactly, |k q - a M| <= floor(M / Q), so
     closed arcs keep their boundary points."""
-    levels = np.asarray(levels, dtype=np.int64)
-    if m < 1 or big_q < 1 or levels.ndim != 1 or (levels.size and levels[0] < 1):
-        raise DomainError(f"need M, Q >= 1 and levels q >= 1, got M={m}, Q={big_q}")
-    if (np.diff(levels) <= 0).any():
-        raise DomainError("levels must be strictly ascending")
+    levels = _check_levels(m, levels, big_q)
     # every arc of every level, reduced numerators first within a level:
     # np.unique keeps each (q, k)'s first occurrence
     q = np.repeat(levels, levels)
@@ -264,3 +263,23 @@ def arc_indices(m: int, levels, big_q: int) -> tuple[np.ndarray, np.ndarray, np.
     key, first = np.unique(np.repeat(q * m, sizes) + k % m, return_index=True)
     q = key // m
     return q, key - q * m, np.repeat(a, sizes)[first]
+
+
+def level_runs(m: int, levels, big_q: int) -> list[np.ndarray]:
+    """The strictly ascending levels cut into consecutive runs for
+    arc_indices: a run holds at most _WALK_POINTS arc points beyond its
+    first level (level q's q arcs hold at most 2 floor(M/Q) + q points), so
+    a walk's working arrays stay bounded at any M, while a small grid walks
+    every level in one run."""
+    levels = _check_levels(m, levels, big_q)
+    points = np.cumsum(2 * (m // big_q) + levels)
+    return np.split(levels, np.flatnonzero(np.diff(points // _WALK_POINTS)) + 1)
+
+
+def _check_levels(m: int, levels, big_q: int) -> np.ndarray:
+    levels = np.asarray(levels, dtype=np.int64)
+    if m < 1 or big_q < 1 or levels.ndim != 1 or (levels.size and levels[0] < 1):
+        raise DomainError(f"need M, Q >= 1 and levels q >= 1, got M={m}, Q={big_q}")
+    if (np.diff(levels) <= 0).any():
+        raise DomainError("levels must be strictly ascending")
+    return levels

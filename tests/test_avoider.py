@@ -43,9 +43,9 @@ class TestForbiddenSet:
         """Past the tables' reach the values d s + 1 are sieved: the bits
         equal is_prime's for d = 1..6 at sizes on both sides of the largest
         n a 2,000-entry table covers, down to n = 1, and on the
-        Miller-Rabin route a large d takes at a small n."""
+        Miller-Rabin route, where sqrt(d (n - 1) + 1) exceeds TABLE_CAP."""
         tables = build_tables(2000)
-        cases = [(5, 10**6), (40, 10**9)]  # sqrt(d (n - 1) + 1) above SIEVE_REACH n
+        cases = [(2, 10**14), (3, 10**14)]  # roots 10^7 and 1.4 10^7
         for d in range(1, 7):
             edge = (tables.n_max - 1) // d + 1  # d (edge - 1) + 1 <= n_max
             cases += [(n, d) for n in (1, 2, 3, 4, 11, edge, edge + 1, edge + 37)]

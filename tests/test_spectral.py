@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from primediff import spectral
 from primediff.spectral import (
     IntegerSignal,
     TorusPoint,
@@ -17,6 +18,7 @@ from primediff.spectral import (
     dirichlet_approx,
     dirichlet_approx_grid,
     grid_spectrum,
+    level_runs,
     transform_at,
 )
 from primediff.errors import DomainError, ResourceError
@@ -237,3 +239,39 @@ class TestArcIndices:
             arc_indices(10, [2, 1], 2)
         with pytest.raises(DomainError, match="ascending"):
             arc_indices(10, [3, 3], 2)
+
+
+class TestLevelRuns:
+    def test_runs_walk_as_one(self, monkeypatch):
+        """The runs cut the levels in order, each holding at most
+        _WALK_POINTS arc points beyond its first level, and their walks
+        concatenate to the walk of every level at once."""
+        monkeypatch.setattr(spectral, "_WALK_POINTS", 40)
+        rng = np.random.default_rng(46)
+        cuts = 0
+        for _ in range(60):
+            m = int(rng.integers(1, 300))
+            big_q = int(rng.integers(1, 40))
+            levels = np.sort(rng.choice(30, size=int(rng.integers(0, 12)), replace=False) + 1)
+            runs = level_runs(m, levels, big_q)
+            cuts += len(runs) - 1
+            assert np.concatenate(runs).tolist() == levels.tolist()
+            for run in runs:
+                assert (2 * (m // big_q) + run[1:]).sum() <= 40, (m, big_q, run)
+            walks = [arc_indices(m, run, big_q) for run in runs]
+            whole = arc_indices(m, levels, big_q)
+            for part, col in zip(zip(*walks), whole):
+                assert np.concatenate(part).tolist() == col.tolist()
+        assert cuts > 0
+
+    def test_driver_grid_is_one_run(self):
+        """A 32,000-point grid walks its 50 levels at Q = 100 in one run;
+        a 4,000,000-point grid does not."""
+        assert len(level_runs(32_000, range(1, 51), 100)) == 1
+        assert len(level_runs(4_000_000, range(1, 51), 100)) > 1
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            level_runs(10, [1], 0)
+        with pytest.raises(DomainError, match="ascending"):
+            level_runs(10, [2, 1], 2)
