@@ -8,154 +8,113 @@ Mangoldt weights, an energy-based density increment step, exact and
 heuristic extremal-set search, and an iteration driver whose traces can be
 independently re-certified.  The `primediff` console script exposes all of
 it as reproducible, manifest-stamped experiments.
+
+Each layer is imported on first access to one of its names (PEP 562), so
+`import primediff` loads no layer and a CLI run loads only the layers its
+subcommand uses.
 """
 
-from .arith import (
-    ArithTables,
-    DirichletCharacter,
-    ExceptionalDatum,
-    build_tables,
-    characters_mod,
-    euler_phi,
-    is_prime,
-    mobius_of,
-    psi,
-    psi_chi,
-    ramanujan,
-    tau,
-    tau_closed_form,
-    verify_inversion,
-)
-from .avoider import (
-    ForbiddenSet,
-    SearchResult,
-    find_forbidden_pair,
-    greedy_avoiding,
-    growth_table,
-    is_avoiding,
-    max_avoiding_exact,
-)
-from .driver import (
-    Budget,
-    DensityIncrement,
-    InnerProductStats,
-    IterationConfig,
-    LargeDOrSmallAlpha,
-    SmallAlpha,
-    SmallN,
-    StructureFound,
-    Trace,
-    TraceStep,
-    certify,
-    inner_product_stats,
-    iterate_once,
-    run,
-    trace_to_jsonl,
-)
-from .errors import (
-    CertificationError,
-    DomainError,
-    EnergyShortfall,
-    PreconditionError,
-    ResourceError,
-)
-from .increment import (
-    DensitySet,
-    EnergyStats,
-    EnergyTable,
-    IncrementOutcome,
-    Progression,
-    averaging_projection,
-    energy_table,
-    extract_progression,
-    l2_witness,
-    rescale,
-)
-from .mangoldt import (
-    MangoldtWeight,
-    Prediction,
-    SpectrumReport,
-    lambda_hat_rational,
-    major_prediction,
-    major_sup_ratio,
-    spectrum_report,
-    vinogradov_bound,
-)
-from .spectral import (
-    IntegerSignal,
-    SpectrumGrid,
-    TorusPoint,
-    dirichlet_approx,
-    grid_spectrum,
-    transform_at,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArithTables",
-    "Budget",
-    "CertificationError",
-    "DensityIncrement",
-    "DensitySet",
-    "DirichletCharacter",
-    "DomainError",
-    "EnergyShortfall",
-    "EnergyStats",
-    "EnergyTable",
-    "ExceptionalDatum",
-    "ForbiddenSet",
-    "IncrementOutcome",
-    "InnerProductStats",
-    "IntegerSignal",
-    "IterationConfig",
-    "LargeDOrSmallAlpha",
-    "MangoldtWeight",
-    "Prediction",
-    "PreconditionError",
-    "Progression",
-    "ResourceError",
-    "SearchResult",
-    "SmallAlpha",
-    "SmallN",
-    "SpectrumGrid",
-    "SpectrumReport",
-    "StructureFound",
-    "TorusPoint",
-    "Trace",
-    "TraceStep",
-    "averaging_projection",
-    "build_tables",
-    "certify",
-    "characters_mod",
-    "dirichlet_approx",
-    "energy_table",
-    "euler_phi",
-    "extract_progression",
-    "find_forbidden_pair",
-    "greedy_avoiding",
-    "grid_spectrum",
-    "growth_table",
-    "inner_product_stats",
-    "is_avoiding",
-    "is_prime",
-    "iterate_once",
-    "l2_witness",
-    "lambda_hat_rational",
-    "major_prediction",
-    "major_sup_ratio",
-    "max_avoiding_exact",
-    "mobius_of",
-    "psi",
-    "psi_chi",
-    "ramanujan",
-    "rescale",
-    "run",
-    "spectrum_report",
-    "tau",
-    "tau_closed_form",
-    "trace_to_jsonl",
-    "transform_at",
-    "verify_inversion",
-    "vinogradov_bound",
-]
+# home module of each exported name
+_EXPORTS = {
+    "arith": (
+        "ArithTables",
+        "DirichletCharacter",
+        "ExceptionalDatum",
+        "build_tables",
+        "characters_mod",
+        "euler_phi",
+        "is_prime",
+        "mobius_of",
+        "psi",
+        "psi_chi",
+        "ramanujan",
+        "tau",
+        "tau_closed_form",
+        "verify_inversion",
+    ),
+    "avoider": (
+        "ForbiddenSet",
+        "SearchResult",
+        "find_forbidden_pair",
+        "greedy_avoiding",
+        "growth_table",
+        "is_avoiding",
+        "max_avoiding_exact",
+    ),
+    "driver": (
+        "Budget",
+        "DensityIncrement",
+        "InnerProductStats",
+        "IterationConfig",
+        "LargeDOrSmallAlpha",
+        "SmallAlpha",
+        "SmallN",
+        "StructureFound",
+        "Trace",
+        "TraceStep",
+        "certify",
+        "inner_product_stats",
+        "iterate_once",
+        "run",
+        "trace_to_jsonl",
+    ),
+    "errors": (
+        "CertificationError",
+        "DomainError",
+        "EnergyShortfall",
+        "PreconditionError",
+        "ResourceError",
+    ),
+    "increment": (
+        "DensitySet",
+        "EnergyStats",
+        "EnergyTable",
+        "IncrementOutcome",
+        "Progression",
+        "averaging_projection",
+        "energy_table",
+        "extract_progression",
+        "l2_witness",
+        "rescale",
+    ),
+    "mangoldt": (
+        "MangoldtWeight",
+        "Prediction",
+        "SpectrumReport",
+        "lambda_hat_rational",
+        "major_prediction",
+        "major_sup_ratio",
+        "spectrum_report",
+        "vinogradov_bound",
+    ),
+    "spectral": (
+        "IntegerSignal",
+        "SpectrumGrid",
+        "TorusPoint",
+        "dirichlet_approx",
+        "grid_spectrum",
+        "transform_at",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a layer, as in primediff.driver after a bare import
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _EXPORTS.keys() | _HOME.keys())

@@ -40,7 +40,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tables
 
-# largest n_max build_tables accepts: its four 8-byte tables take 128 MB here
+# largest n_max build_tables accepts: its tables (int32 spf, float64 mangoldt,
+# int8 mobius, int64 phi) take 84 MB here
 TABLE_CAP = 4_000_000
 
 # longest block build_tables fills in one numpy pass; bounds its temporaries
@@ -56,7 +57,8 @@ class ArithTables:
 
     mangoldt[n] = log p if n = p^k, else 0.  mobius and phi are the usual
     multiplicative functions; spf[n] is the smallest prime factor (spf[p] = p
-    for primes, spf[0] = spf[1] = 0).
+    for primes, spf[0] = spf[1] = 0).  spf is int32, mangoldt float64,
+    mobius int8 and phi int64.
     """
 
     n_max: int
@@ -92,7 +94,7 @@ def build_tables(n_max: int) -> ArithTables:
     if n_max > TABLE_CAP:
         raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got {n_max}")
     size = n_max + 1
-    spf = np.zeros(size, dtype=np.int64)
+    spf = np.zeros(size, dtype=np.int32)
     for p in range(2, math.isqrt(n_max) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
@@ -102,7 +104,7 @@ def build_tables(n_max: int) -> ArithTables:
 
     mangoldt = np.zeros(size, dtype=np.float64)
     mangoldt[primes] = [math.log(p) for p in primes.tolist()]
-    mobius = np.zeros(size, dtype=np.int64)
+    mobius = np.zeros(size, dtype=np.int8)
     phi = np.zeros(size, dtype=np.int64)
     mobius[1] = phi[1] = 1
     lo = 2

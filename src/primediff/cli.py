@@ -16,22 +16,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import datetime
 import itertools
 import json
 import math
 import re
 import sys
-import typing
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .arith import TABLE_CAP, ExceptionalDatum, build_tables, psi
-from .avoider import ForbiddenSet, greedy_avoiding, max_avoiding_exact
-from .driver import IterationConfig, certify, run, trace_to_jsonl
 from .errors import (
     CertificationError,
     DomainError,
@@ -39,9 +35,9 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .increment import DensitySet
-from .mangoldt import MangoldtWeight, spectrum_report
-from .spectral import TorusPoint
+
+# Each subcommand imports the layers it runs past arith inside its own
+# function, so a process loads only those.
 
 
 def _manifest(command: str, parameters: dict, seed: int, timestamp: str | None) -> dict:
@@ -95,6 +91,8 @@ def _finite_float(text: str) -> float:
 
 def _parse_at(text: str) -> TorusPoint:
     """Torus point from "0", "0.31", or "1/3"."""
+    from .spectral import TorusPoint
+
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
@@ -132,7 +130,9 @@ def _cmd_psi(args) -> None:
 
 
 def _cmd_lambda(args) -> None:
-    tables = build_tables(args.d * args.n + 2)
+    from .mangoldt import MangoldtWeight
+
+    tables = build_tables(args.d * args.n + 1)
     weight = MangoldtWeight.from_tables(args.n, args.d, tables)
     z = weight.hat(args.at)
     manifest = _manifest(
@@ -148,6 +148,8 @@ def _cmd_lambda(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
+    from .mangoldt import spectrum_report
+
     if args.grid_factor < 1:
         raise DomainError(f"grid factor must be >= 1, got {args.grid_factor}")
     if (args.exc_modulus is None) != (args.exc_beta is None):
@@ -156,7 +158,7 @@ def _cmd_spectrum(args) -> None:
     if args.exc_modulus is not None:
         exceptional = ExceptionalDatum(args.exc_modulus, args.exc_beta)
 
-    tables = build_tables(args.d * args.n + 2)
+    tables = build_tables(args.d * args.n + 1)
     m = args.grid_factor * args.n
     report = spectrum_report(args.n, args.d, args.q_prime, args.big_q, m, tables, exceptional)
 
@@ -183,6 +185,8 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_extremal(args) -> None:
+    from .avoider import ForbiddenSet, greedy_avoiding, max_avoiding_exact
+
     if args.budget is not None and args.mode != "exact":
         raise DomainError(f"--budget applies to --mode exact only, got --mode {args.mode}")
     # past TABLE_CAP, ForbiddenSet.build sieves the values d s + 1 instead
@@ -238,6 +242,11 @@ def _read_config(path: str | None) -> IterationConfig:
 
     Missing keys keep their defaults; unknown keys are rejected.
     """
+    import dataclasses
+    import typing
+
+    from .driver import IterationConfig
+
     values: dict = {}
     if path is not None:
         hints = typing.get_type_hints(IterationConfig)
@@ -262,6 +271,10 @@ def _read_config(path: str | None) -> IterationConfig:
 
 
 def _cmd_iterate(args) -> None:
+    from .avoider import ForbiddenSet, greedy_avoiding
+    from .driver import certify, run, trace_to_jsonl
+    from .increment import DensitySet
+
     config = _read_config(args.config)
     # one table serves the forbidden set and the driver; past TABLE_CAP,
     # ForbiddenSet.build sieves the values d s + 1 instead

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -186,8 +185,8 @@ def dirichlet_approx(theta: float, big_q: int) -> tuple[int, int]:
     """
     if big_q < 1:
         raise DomainError(f"cutoff must be >= 1, got {big_q}")
-    frac = Fraction(float(theta)) % 1
-    num, den = frac.numerator, frac.denominator
+    num, den = float(theta).as_integer_ratio()  # den is a power of 2, so num % den
+    num %= den  # keeps the fraction in lowest terms
     h_prev, h = 1, num // den
     k_prev, k = 0, 1
     num, den = den, num - (num // den) * den

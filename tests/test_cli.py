@@ -16,7 +16,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primediff import cli
+from primediff import arith, cli, driver
 from primediff.arith import TABLE_CAP
 from primediff.errors import CertificationError
 
@@ -141,11 +141,29 @@ def test_non_finite_float_is_usage_error(argv, capsys):
     ],
 )
 def test_table_cap_is_resource_error(argv, capsys):
-    """Each of these needs tables to TABLE_CAP + 1 or + 2."""
+    """Each of these needs tables to TABLE_CAP + 1."""
     code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and "tables limited" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--d", "1", "--at", "1/3"],
+        ["spectrum", "--d", "1", "--q-prime", "2", "--big-q", "10"],
+    ],
+)
+def test_tables_end_at_d_n_plus_1(argv, capsys, monkeypatch):
+    """lambda and spectrum read Lambda(d x + 1) for x <= n, so n =
+    TABLE_CAP - 1 at d = 1 fits under the cap and n = TABLE_CAP does not."""
+    monkeypatch.setattr(arith, "TABLE_CAP", 1000)
+    code, _, err = run_cli(argv + ["--n", "999"], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(argv + ["--n", "1000"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: tables limited to n_max <= 1000, got 1001\n"
 
 
 @pytest.mark.parametrize(
@@ -561,7 +579,7 @@ class TestIterateCommand:
         def boom(trace, tables):
             raise CertificationError("forced")
 
-        monkeypatch.setattr(cli, "certify", boom)
+        monkeypatch.setattr(driver, "certify", boom)
         code, _, err = run_cli(["iterate", "--greedy", "--n", "100"], capsys)
         assert code == 4
         assert "certification failed" in err

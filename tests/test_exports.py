@@ -1,7 +1,13 @@
-"""The package's export lists name only things that exist."""
+"""The package's export lists name only things that exist, and a CLI run
+loads only the layers its subcommand uses."""
 
 import importlib
+import json
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +17,26 @@ MODULES = ["primediff"] + [
     f"primediff.{info.name}" for info in pkgutil.iter_modules(primediff.__path__)
 ]
 
+# the package's exports; a change to this list is a change to the public API
+EXPORTS = """
+    ArithTables Budget CertificationError DensityIncrement DensitySet
+    DirichletCharacter DomainError EnergyShortfall EnergyStats EnergyTable
+    ExceptionalDatum ForbiddenSet IncrementOutcome InnerProductStats
+    IntegerSignal IterationConfig LargeDOrSmallAlpha MangoldtWeight Prediction
+    PreconditionError Progression ResourceError SearchResult SmallAlpha SmallN
+    SpectrumGrid SpectrumReport StructureFound TorusPoint Trace TraceStep
+    averaging_projection build_tables certify characters_mod dirichlet_approx
+    energy_table euler_phi extract_progression find_forbidden_pair
+    greedy_avoiding grid_spectrum growth_table inner_product_stats is_avoiding
+    is_prime iterate_once l2_witness lambda_hat_rational major_prediction
+    major_sup_ratio max_avoiding_exact mobius_of psi psi_chi ramanujan rescale
+    run spectrum_report tau tau_closed_form trace_to_jsonl transform_at
+    verify_inversion vinogradov_bound
+""".split()
+
+# the layers that only some subcommands run
+LAZY_LAYERS = {"primediff.driver", "primediff.increment", "primediff.mangoldt", "primediff.spectral"}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
@@ -18,3 +44,62 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_package_exports_are_pinned():
+    assert sorted(primediff.__all__) == sorted(EXPORTS)
+
+
+def test_exports_are_their_home_objects():
+    """Each exported name is the object its home module defines, and dir()
+    lists it."""
+    assert set(primediff.__all__) <= set(dir(primediff))
+    for name in primediff.__all__:
+        value = getattr(primediff, name)
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value, name
+
+
+def loaded_after(code):
+    """Sorted primediff.* modules in a fresh interpreter after it runs
+    `code`."""
+    child = (
+        "import contextlib, io, json, sys\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'primediff')))\n"
+    )
+    src = str(pathlib.Path(primediff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_subcommand_layer():
+    loaded = loaded_after("import primediff.cli")
+    expected = ["primediff", "primediff.arith", "primediff.cli", "primediff.errors"]
+    assert loaded == expected, f"import primediff.cli loaded {loaded}"
+
+
+def test_layers_resolve_as_package_attributes():
+    loaded = loaded_after("import primediff\nassert primediff.increment.rescale is primediff.rescale")
+    assert "primediff.increment" in loaded and "primediff.driver" not in loaded, loaded
+
+
+def test_search_and_table_commands_skip_analytic_layers():
+    runs = [
+        ["extremal", "--n", "30", "--d", "1", "--mode", "exact"],
+        ["extremal", "--n", "30", "--d", "1", "--mode", "random-local"],
+        ["psi", "--x", "100", "--q", "4", "--a", "1"],
+        ["sieve", "--n-max", "100"],
+    ]
+    code = (
+        "from primediff import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "assert codes == [0] * len(codes), codes\n"
+    )
+    loaded = loaded_after(code)
+    assert not LAZY_LAYERS & set(loaded), f"extremal, psi and sieve loaded {loaded}"
