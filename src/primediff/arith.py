@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -141,7 +142,10 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=1 << 12, typed=True)
 def euler_phi(n: int) -> int:
+    """phi(n) by trial division, memoized: the driver and the spectrum
+    bounds ask for the same small moduli at every step."""
     if n < 1:
         raise DomainError(f"phi undefined for {n}")
     out = n

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .increment import (
     extract_progression,
     rescale,
 )
-from .spectral import grid_spectrum
+from .spectral import grid_power
 
 __all__ = [
     "Budget",
@@ -117,6 +118,13 @@ class IterationConfig:
 
     def d_ceiling(self, n: int) -> float:
         return n**self.d_ceiling_exponent
+
+    @cached_property
+    def _header(self) -> dict:
+        """asdict(self) for the trace header, built once per config (the
+        cached value sits outside the frozen fields; callers must not
+        mutate it)."""
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def iterate_once(
     q_double = config.extraction_cap(alpha)
     q_top = max(q_prime, q_double)
 
-    grid = grid_spectrum(A.balanced(), config.grid_factor * n)
+    grid = grid_power(A.balanced(), config.grid_factor * n)
     table = energy_table(A, q_top, big_q, grid=grid)
     phi = {r.q: euler_phi(r.q) for r in table.rows}
     trigger = sum(r.star_energy / phi[r.q] for r in table.rows if r.q <= q_prime)
@@ -438,7 +446,7 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
         "initial_n": trace.initial_n,
         "initial_d": trace.initial_d,
         "terminal": trace.terminal,
-        "config": asdict(trace.config),
+        "config": trace.config._header,
     }
     if manifest is not None:
         header["manifest"] = manifest
@@ -534,7 +542,7 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
             # alone, through the helper extract_progression recorded it with
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
-            grid = grid_spectrum(A.balanced(), cfg.grid_factor * s.n)
+            grid = grid_power(A.balanced(), cfg.grid_factor * s.n)
             recomputed = _level_energy(A, out.q, big_q, grid)
             recorded = o.detail.get("energy")
             if recorded is None or abs(recomputed - recorded) > 1e-9 * max(1.0, recorded):

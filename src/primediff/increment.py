@@ -6,9 +6,10 @@ balanced function g = 1_A - alpha 1_[1,N],
     E_{A,q,eta}  = (alpha |A|)^{-1} sum_{a=1}^{q} integral_{|t - a/q| <= eta} |g_hat|^2
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
 
-with integrals realized as quadrature on the M-point grid the caller passes
-(M >= 8N, 8N by default), E and E* of every level from one arc walk per
-level run (spectral.level_runs).  Summed over
+with integrals realized as quadrature on the power grid the caller passes,
+(M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power (M >= 8N, 8N by
+default), E and E* of every level from one arc walk per level run
+(spectral.level_runs), each level's sum taken in ascending k.  Summed over
 the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
 pins the normalization in tests.  Extraction converts E-mass at level q into
 a step-q progression on which A beats alpha by the factor (1 + E/4); the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import IntegerSignal, SpectrumGrid, arc_indices, grid_spectrum, level_runs
+from .spectral import IntegerSignal, arc_indices, grid_power, level_runs
 
 __all__ = [
     "DensitySet",
@@ -185,40 +186,40 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 # certify recounts a recorded energy through _level_energy
 
 
-def _balanced_power(A: DensitySet, grid: SpectrumGrid | None):
-    """(|g_hat(k/M)|^2, 1/(alpha |A| M)) on the grid, by default the 8N-point one."""
-    if grid is None:
-        grid = grid_spectrum(A.balanced(), 8 * A.n)
-    elif grid.m < 8 * A.n:
-        raise PreconditionError(f"grid {grid.m} below 8x support {A.n}")
-    return np.abs(grid.values) ** 2, 1.0 / (A.alpha * A.size * grid.m)
+def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
+    """(M, |g_hat(k/M)|^2 for k <= M/2, 1/(alpha |A| M)) from the power grid,
+    by default the 8N-point one."""
+    m, power = grid_power(A.balanced(), 8 * A.n) if grid is None else grid
+    if m < 8 * A.n:
+        raise PreconditionError(f"grid {m} below 8x support {A.n}")
+    if len(power) != m // 2 + 1:
+        raise PreconditionError(
+            f"power grid of M={m} needs {m // 2 + 1} values, got {len(power)}"
+        )
+    return m, power, 1.0 / (A.alpha * A.size * m)
 
 
-def _run_sums(x: np.ndarray, q: np.ndarray, levels) -> list:
-    """x summed over each level's run of the sorted level column q: one
-    .sum() per run, so a level's sum does not depend on the other levels."""
-    ends = np.searchsorted(q, levels, side="right").tolist()
-    return [x[lo:hi].sum() for lo, hi in zip([0, *ends], ends)]
-
-
-def _level_energies(mags2: np.ndarray, norm: float, levels, big_q: int) -> list:
+def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> list:
     """(E, E*) for each ascending level from one arc walk per level run: the
-    power on all of the level's arcs, then on its star arcs."""
+    power on all of the level's arcs, then on its star arcs, each summed in
+    ascending k by one bincount, so a level's sum does not depend on the
+    other levels."""
     rows = []
-    for run in level_runs(len(mags2), levels, big_q):
-        q, k, a = arc_indices(len(mags2), run, big_q)
-        power, star = mags2[k], np.gcd(a, q) == 1
-        rows += [
-            (float(e * norm), float(e_star * norm))
-            for e, e_star in zip(_run_sums(power, q, run), _run_sums(power[star], q[star], run))
-        ]
+    for run in level_runs(m, levels, big_q):
+        q, k, a = arc_indices(m, run, big_q)
+        at_k, star = power[np.minimum(k, m - k)], np.gcd(a, q) == 1
+        e = np.bincount(q, weights=at_k, minlength=run[-1] + 1)[run]
+        e_star = np.bincount(q[star], weights=at_k[star], minlength=run[-1] + 1)[run]
+        rows += zip((e * norm).tolist(), (e_star * norm).tolist())
     return rows
 
 
-def _level_energy(A: DensitySet, q: int, big_q: int, grid: SpectrumGrid | None) -> float:
+def _level_energy(
+    A: DensitySet, q: int, big_q: int, grid: tuple[int, np.ndarray] | None
+) -> float:
     """E at level q alone: the value energy_table's level-q row holds."""
-    mags2, norm = _balanced_power(A, grid)
-    return _level_energies(mags2, norm, [q], big_q)[0][0]
+    m, power, norm = _balanced_power(A, grid)
+    return _level_energies(m, power, norm, [q], big_q)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +260,24 @@ def energy_table(
     A: DensitySet,
     q_prime: int,
     big_q: int,
-    grid: SpectrumGrid | None = None,
+    grid: tuple[int, np.ndarray] | None = None,
 ) -> EnergyTable:
     """Normalized arc energies E and E* for every level q <= q_prime at
-    half-width eta = 1/(q big_q), on A.balanced()'s grid (M >= 8N, default 8N)."""
+    half-width eta = 1/(q big_q), on the power grid of A.balanced() that
+    grid_power gives (M >= 8N, default 8N)."""
     if q_prime < 1:
         raise DomainError(f"need Q' >= 1, got {q_prime}")
     if big_q < 2:
         raise DomainError(f"need Q >= 2 so same-level arcs stay disjoint, got {big_q}")
-    mags2, norm = _balanced_power(A, grid)
+    m, power, norm = _balanced_power(A, grid)
     levels = range(1, q_prime + 1)
     rows = [
         EnergyStats(q, 1.0 / (q * big_q), *e)
-        for q, e in zip(levels, _level_energies(mags2, norm, levels, big_q))
+        for q, e in zip(levels, _level_energies(m, power, norm, levels, big_q))
     ]
-    total = float(mags2.sum() * norm)
-    return EnergyTable(rows=rows, total=total, m=len(mags2), big_q=big_q)
+    # the half grid holds k = 0 and, for even M, k = M/2 once; every other k twice
+    total = 2 * power.sum() - power[0] - (power[-1] if m % 2 == 0 else 0.0)
+    return EnergyTable(rows=rows, total=float(total * norm), m=m, big_q=big_q)
 
 
 def extract_progression(
@@ -283,7 +286,7 @@ def extract_progression(
     eta: float,
     target_e: float,
     c_len: float = 0.25,
-    grid: SpectrumGrid | None = None,
+    grid: tuple[int, np.ndarray] | None = None,
 ) -> IncrementOutcome:
     """Turn level-q arc energy into a step-q progression where A beats its
     density by (1 + E/4).
@@ -355,7 +358,9 @@ def rescale(A: DensitySet, P: Progression) -> DensitySet:
         raise PreconditionError(
             f"progression [{P.first}, {P.last()}] not inside [1, {A.n}]"
         )
-    hits = np.isin(P.points(), A.elements)
-    if not hits.any():
+    offset = A.elements - P.first
+    j = offset[(offset >= 0) & (offset % P.step == 0)] // P.step
+    j = j[j < P.length]
+    if not j.size:
         raise PreconditionError("progression misses A entirely; nothing to rescale")
-    return DensitySet(P.length, np.nonzero(hits)[0].astype(np.int64) + 1)
+    return DensitySet(P.length, j + 1)

@@ -24,7 +24,7 @@ from .spectral import (
     IntegerSignal,
     arc_indices,
     dirichlet_approx_grid,
-    grid_spectrum,
+    grid_power,
     level_runs,
     transform_at,
 )
@@ -155,18 +155,19 @@ def _check_dissection(q_prime: int, big_q: int) -> None:
         )
 
 
-def _weight_spectrum(
+def _weight_power(
     n: int, d: int, q_prime: int, big_q: int, m: int, tables: ArithTables
 ) -> tuple[np.ndarray, float]:
-    """The weight's transform on the M-point grid and its mass Lambda_hat(0),
-    after checking the dissection (Q > 2 Q') and that the mass is positive."""
+    """The weight's power |Lambda_hat(k/M)|^2 for k <= M/2 (grid_power) and
+    its mass Lambda_hat(0), after checking the dissection (Q > 2 Q') and that
+    the mass is positive."""
     weight = MangoldtWeight.from_tables(n, d, tables)
-    grid = grid_spectrum(weight.signal, m)
+    _, power = grid_power(weight.signal, m)
     _check_dissection(q_prime, big_q)
     hat_zero = weight.hat_zero()
     if hat_zero <= 0:
         raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
-    return grid.values, hat_zero
+    return power, hat_zero
 
 
 def spectrum_report(
@@ -185,9 +186,12 @@ def spectrum_report(
     A point is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
-    spec, hat_zero = _weight_spectrum(n, d, q_prime, big_q, m, tables)
-    actual = np.hypot(spec.real, spec.imag)  # equals scalar abs(); np.abs rounds differently
-    del spec  # free the complex grid before the label arrays are built
+    power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
+    # |Lambda_hat| at k <= M/2, mirrored to M - k: cheaper than gathering at min(k, M - k)
+    actual = np.empty(m)
+    np.sqrt(power, out=actual[: len(power)])
+    actual[len(power) :] = actual[(m + 1) // 2 - 1 : 0 : -1]
+    del power  # free the power grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
     major = np.zeros(m, dtype=bool)
     for run in level_runs(m, range(1, q_prime + 1), big_q):
@@ -224,10 +228,12 @@ def major_sup_ratio(
     """max over q <= Q' and star-arc grid points of
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
-    spec, hat_zero = _weight_spectrum(n, d, q_prime, big_q, m, tables)
-    peak = np.zeros(q_prime + 1)  # per level, the largest |Lambda_hat| on its star arcs
+    power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
+    peak = np.zeros(q_prime + 1)  # per level, the largest power on its star arcs
     for run in level_runs(m, range(1, q_prime + 1), big_q):
         q, k, a = arc_indices(m, run, big_q)
         star = np.gcd(a, q) == 1
-        np.maximum.at(peak, q[star], np.abs(spec[k[star]]))
-    return max(euler_phi(q) * float(peak[q]) / hat_zero for q in range(1, q_prime + 1))
+        k = k[star]
+        np.maximum.at(peak, q[star], power[np.minimum(k, m - k)])
+    # sqrt is monotone and correctly rounded: the root of the peak power is the peak magnitude
+    return max(euler_phi(q) * math.sqrt(peak[q]) / hat_zero for q in range(1, q_prime + 1))

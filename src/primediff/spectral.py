@@ -3,6 +3,12 @@ approximation, and Farey arc membership on a grid: arc_indices walks the
 arcs of many levels at once, and level_runs splits a caller's levels into
 runs whose walks hold a bounded number of points.
 
+grid_power gives the power |f_hat(k/M)|^2 of a real signal on the M-point
+grid from one real FFT: M // 2 + 1 values, k = 0..M//2, since a real
+signal has |f_hat(-theta)| = |f_hat(theta)|.  Every energy and magnitude in
+the package reads it, grid point k at index min(k, M - k).  grid_spectrum
+keeps the complex values for callers that need the phase.
+
 Sign convention, used everywhere in this package:
 
     f_hat(theta) = sum_x f(x) e(-x theta),      e(t) = exp(2 pi i t).
@@ -29,6 +35,7 @@ __all__ = [
     "arc_indices",
     "dirichlet_approx",
     "dirichlet_approx_grid",
+    "grid_power",
     "grid_spectrum",
     "level_runs",
     "transform_at",
@@ -156,21 +163,40 @@ class SpectrumGrid:
 
 
 def grid_spectrum(f: IntegerSignal, m: int) -> SpectrumGrid:
-    """Exact f_hat on the M-point grid via FFT of the zero-padded support.
+    """Exact f_hat on the M-point grid via FFT of the support placed at
+    offset mod M in a zero-padded buffer.
 
     Requires m >= support length; below that the grid aliases and the
     Parseval identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids
     past TABLE_CAP points are refused before anything is allocated.
     """
+    _check_grid(f, m)
+    n, start = f.support_length(), f.offset % m
+    buf = np.zeros(m, dtype=np.result_type(f.values, 1j))  # the dtype fft computes in
+    head = min(n, m - start)  # the support wraps past M - 1 back to 0
+    buf[start : start + head] = f.values[:head]
+    buf[: n - head] = f.values[head:]
+    return SpectrumGrid(m, np.fft.fft(buf))
+
+
+def grid_power(f: IntegerSignal, m: int) -> tuple[int, np.ndarray]:
+    """(M, |f_hat(k/M)|^2 for k = 0..M//2) of a real signal from one real
+    FFT; grid point k reads index min(k, M - k).  The power does not depend
+    on f's offset.  Refuses the grids grid_spectrum refuses."""
+    if np.iscomplexobj(f.values):
+        raise DomainError("grid_power needs a real-valued signal")
+    _check_grid(f, m)
+    spec = np.fft.rfft(f.values, n=m)
+    power = spec.real**2
+    power += spec.imag**2
+    return m, power
+
+
+def _check_grid(f: IntegerSignal, m: int) -> None:
     if m > TABLE_CAP:
         raise ResourceError(f"spectrum grid limited to M <= {TABLE_CAP} points, got M={m}")
-    n = f.support_length()
-    if m < n:
-        raise ResourceError(f"grid size {m} below support length {n}")
-    spec = np.fft.fft(f.values, n=m)
-    k = np.arange(m, dtype=np.int64)
-    spec = spec * np.exp(-2j * np.pi * ((f.offset % m) * k % m) / m)
-    return SpectrumGrid(m, spec)
+    if m < f.support_length():
+        raise ResourceError(f"grid size {m} below support length {f.support_length()}")
 
 
 # ---------------------------------------------------------------------------

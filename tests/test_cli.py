@@ -226,10 +226,10 @@ def test_driver_grid_budget(tmp_path, capsys):
     "argv, digest",
     [
         (["spectrum", "--n", "2000", "--d", "1", "--q-prime", "20", "--big-q", "200"],
-         "f649076d5bf1d504bc035832486b95e3e1ef218fe84e1a5f0d8769fc260b5d05"),
+         "c3f07f117f43b01e2f9a7c6d34ecbe38fec18ae9f37494adc2d7bdd3fda2f1b4"),
         (["spectrum", "--n", "150", "--d", "2", "--q-prime", "3", "--big-q", "30",
           "--exc-modulus", "2", "--exc-beta", "0.8"],
-         "a2549b1f9b5f9fe09dfd11b7a426b7e83d5958eec4da0c12029b26f0c4b695ac"),
+         "60894384648ff8e30a1fb009fab247c3214de80db6101a634ff707160f21a801"),
         # 65,537 rows cross the 2^16-row chunk boundary
         (["sieve", "--n-max", "65537"],
          "13af67027ce88a26fbc1c947bd4b779244cd02e0fa7b58031f110b7764f62189"),

@@ -241,7 +241,7 @@ def test_trace_digest_is_pinned(tables_small):
         trace = run(DensitySet.from_iterable(n, elements), d, IterationConfig(), tables_small)
         for line in trace_to_jsonl(trace) + certify(trace, tables_small):
             h.update(line.encode() + b"\n")
-    assert h.hexdigest() == "9bf4ded62b7863e124a158ea8ab353f876bf8fc26a56fda9e6d9330915acb50e"
+    assert h.hexdigest() == "fa1615b3cce66fd96f30392fc196540408c99ece93eb69ac0f0ed95946dcd4b9"
 
 
 class TestCertify:

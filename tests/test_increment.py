@@ -19,7 +19,7 @@ from primediff.increment import (
     l2_witness,
     rescale,
 )
-from primediff.spectral import grid_spectrum
+from primediff.spectral import grid_power
 
 from oracles import arc_numerators_naive, window_count_naive
 
@@ -176,23 +176,31 @@ class TestEnergyTable:
         assert star7 > 10 * table.row(5).star_energy
 
     def test_rows_are_oracle_sums(self):
-        """Every row equals, bit for bit, |g_hat|^2 summed over the level's
-        oracle points in ascending k, then over those a reduced arc holds,
-        times 1/(alpha |A| M): the one walk keeps each level's sums."""
+        """Every row equals, bit for bit, grid_power's |g_hat|^2 summed one
+        point at a time over the level's oracle points in ascending k, then
+        over those a reduced arc holds, times 1/(alpha |A| M): the one walk
+        keeps each level's sums."""
+
+        def ascending_sum(power, m, points):
+            total = 0.0
+            for k in points:
+                total += float(power[min(k, m - k)])
+            return total
+
         rng = np.random.default_rng(71)
         for _ in range(6):
             A = random_set(rng, 20, 60)
             big_q = int(rng.integers(2, 12))
-            grid = grid_spectrum(A.balanced(), 8 * A.n)
+            grid = grid_power(A.balanced(), 8 * A.n)
             table = energy_table(A, 6, big_q, grid=grid)
-            mags2 = np.abs(grid.values) ** 2
-            norm = 1.0 / (A.alpha * A.size * grid.m)
+            m, power = grid
+            norm = 1.0 / (A.alpha * A.size * m)
             for r in table.rows:
-                owners = arc_numerators_naive(grid.m, r.q, big_q)
-                k = np.array(sorted(owners), dtype=np.int64)
-                star = [any(math.gcd(a, r.q) == 1 for a in owners[p]) for p in k.tolist()]
-                assert r.energy == float(mags2[k].sum() * norm)
-                assert r.star_energy == float(mags2[k[np.array(star, dtype=bool)]].sum() * norm)
+                owners = arc_numerators_naive(m, r.q, big_q)
+                k = sorted(owners)
+                star = [p for p in k if any(math.gcd(a, r.q) == 1 for a in owners[p])]
+                assert r.energy == ascending_sum(power, m, k) * norm
+                assert r.star_energy == ascending_sum(power, m, star) * norm
 
     def test_rows_across_level_runs(self, monkeypatch):
         """Walking the levels in many short runs gives the same rows, bit
@@ -207,10 +215,10 @@ class TestEnergyTable:
         """50 levels at Q = 100 on a 2^21-point grid put about 2.1M points
         on their arcs: walked in runs, the energies allocate about 62 MB,
         one walk of all of them about 114 MB."""
-        mags2 = np.ones(1 << 21)
+        power = np.ones((1 << 20) + 1)
         tracemalloc.start()
         try:
-            _level_energies(mags2, 1.0, range(1, 51), 100)
+            _level_energies(1 << 21, power, 1.0, range(1, 51), 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,12 +231,12 @@ class TestEnergyTable:
         with pytest.raises(DomainError):
             energy_table(A, 3, 1)
         with pytest.raises(PreconditionError):  # M = 100 below 8N = 320
-            energy_table(A, 3, 10, grid=grid_spectrum(A.balanced(), 100))
+            energy_table(A, 3, 10, grid=grid_power(A.balanced(), 100))
 
     def test_grid_sets_m(self):
         """The grid given fixes M: a 400-point grid, not the default 320."""
         A = DensitySet.from_iterable(40, [1, 5, 9])
-        table = energy_table(A, 3, 10, grid=grid_spectrum(A.balanced(), 400))
+        table = energy_table(A, 3, 10, grid=grid_power(A.balanced(), 400))
         assert table.m == 400
         assert abs(table.total - (1 - A.alpha) / A.alpha) <= 1e-9 * table.total
 
@@ -324,3 +332,26 @@ class TestRescale:
             rescale(A, Progression(8, 2, 3))
         with pytest.raises(PreconditionError):
             rescale(A, Progression(2, 2, 3))
+
+    def test_matches_membership_formula(self):
+        """rescale keeps the j with first + j step in A, as np.isin of the
+        progression's points against A finds them, on seeded sets and
+        progressions; a progression that misses A is refused."""
+        rng = np.random.default_rng(83)
+        misses = 0
+        for _ in range(300):
+            A = random_set(rng, 10, 120)
+            step = int(rng.integers(1, 12))
+            length = int(rng.integers(1, (A.n - 1) // step + 2))
+            first = int(rng.integers(1, A.n - (length - 1) * step + 1))
+            P = Progression(first, step, length)
+            hits = np.flatnonzero(np.isin(P.points(), A.elements)) + 1
+            if hits.size == 0:
+                misses += 1
+                with pytest.raises(PreconditionError, match="misses A"):
+                    rescale(A, P)
+                continue
+            B = rescale(A, P)
+            assert B.n == length
+            assert B.elements.tolist() == hits.tolist()
+        assert misses > 0

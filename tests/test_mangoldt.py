@@ -2,6 +2,10 @@
 identity, major-arc predictions, minor-arc bound shape, and CSV reports."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +22,7 @@ from primediff.mangoldt import (
     spectrum_report,
     vinogradov_bound,
 )
-from primediff.spectral import TorusPoint, grid_spectrum
+from primediff.spectral import TorusPoint, grid_power, grid_spectrum
 
 from oracles import dft_naive, mangoldt_naive
 
@@ -129,13 +133,19 @@ class TestSpectrumReport:
         assert (report.bound > 0).all()
 
     def test_actual_is_scalar_abs(self, tables_small):
-        """The actual column equals Python's abs() of every grid value, bit
-        for bit, on a 16,000-point grid."""
-        n, m = 2000, 16000
-        report = spectrum_report(n, 1, 20, 200, m, tables_small)
-        spectrum = grid_spectrum(MangoldtWeight.from_tables(n, 1, tables_small).signal, m)
-        assert len(report) == m
-        assert report.actual.tolist() == [abs(z) for z in spectrum.values.tolist()]
+        """The actual column is the root of grid_power's power at
+        min(k, M - k), bit for bit, on even and odd grids of about 16,000
+        points, and Python's abs() of the complex grid to rounding: the real
+        and the complex FFT round differently."""
+        n = 2000
+        signal = MangoldtWeight.from_tables(n, 1, tables_small).signal
+        for m in (16000, 16001):
+            report = spectrum_report(n, 1, 20, 200, m, tables_small)
+            _, power = grid_power(signal, m)
+            assert len(report) == m
+            assert report.actual.tolist() == [math.sqrt(power[min(k, m - k)]) for k in range(m)]
+            scalar = np.array([abs(z) for z in grid_spectrum(signal, m).values.tolist()])
+            assert np.abs(report.actual - scalar).max() <= 1e-12 * scalar.max()
 
     def test_labels_follow_arc_membership(self, tables_small):
         """Major iff k/M lies in a closed arc |k/M - a/q| <= 1/(qQ) with
@@ -244,3 +254,27 @@ class TestMajorSupRatio:
         r8 = major_sup_ratio(1000, 1, 8, 125, 8, tables_small)
         r16 = major_sup_ratio(1000, 1, 8, 125, 16, tables_small)
         assert abs(r8 - r16) <= 0.15 * r8
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_spectrum_stage_memory():
+    """spectrum_report on a 2,000,000-point grid takes the weight's power
+    from one real FFT: a fresh interpreter peaks below 125 MB resident
+    (140 MB with the complex transform and its full-length phase)."""
+    child = (
+        "import re\n"
+        "from primediff.arith import build_tables\n"
+        "from primediff.mangoldt import spectrum_report\n"
+        "report = spectrum_report(1000, 1, 2, 10, 2_000_000, build_tables(1001))\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(len(report), re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+    )
+    src = str(pathlib.Path(spectrum_report.__code__.co_filename).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+    )
+    rows, peak_kb = map(int, proc.stdout.split())
+    assert rows == 2_000_000
+    assert peak_kb < 125 * 1024, f"peak {peak_kb // 1024} MB"

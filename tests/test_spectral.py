@@ -17,10 +17,12 @@ from primediff.spectral import (
     arc_indices,
     dirichlet_approx,
     dirichlet_approx_grid,
+    grid_power,
     grid_spectrum,
     level_runs,
     transform_at,
 )
+from primediff.arith import TABLE_CAP
 from primediff.errors import DomainError, ResourceError
 
 from oracles import arc_numerators_naive, dft_naive
@@ -95,10 +97,46 @@ class TestTransforms:
             want = transform_at(f, TorusPoint.rational(k, m))
             assert abs(grid.values[k] - want) < 1e-9
 
+    def test_grid_wraps_the_support(self):
+        """A support placed at offset mod M runs past M - 1 and wraps to 0;
+        negative and large offsets land on the same grid values."""
+        rng = np.random.default_rng(33)
+        vals = rng.normal(size=17)
+        m = 20
+        for offset in (25, -7, 10**12 + 3):
+            grid = grid_spectrum(IntegerSignal(offset, vals), m)
+            for k in range(m):
+                want = transform_at(IntegerSignal(offset, vals), TorusPoint.rational(k, m))
+                assert abs(grid.values[k] - want) < 1e-9
+
     def test_grid_too_small(self):
         f = IntegerSignal.interval(10)
         with pytest.raises(ResourceError):
             grid_spectrum(f, 9)
+
+    def test_power_matches_pointwise(self):
+        """grid_power holds |f_hat(k/M)|^2 for k <= M/2, and grid point k
+        reads index min(k, M - k), on even and odd grids; the support
+        here wraps past M - 1."""
+        rng = np.random.default_rng(32)
+        f = IntegerSignal(25, rng.normal(size=17))
+        for m in (32, 33):
+            size, power = grid_power(f, m)
+            assert size == m and len(power) == m // 2 + 1
+            for k in range(m):
+                want = abs(transform_at(f, TorusPoint.rational(k, m))) ** 2
+                assert abs(power[min(k, m - k)] - want) < 1e-9
+
+    def test_power_refusals(self):
+        """The grids grid_spectrum refuses, and complex signals, whose power
+        is not symmetric."""
+        f = IntegerSignal.interval(10)
+        with pytest.raises(ResourceError):
+            grid_power(f, 9)
+        with pytest.raises(ResourceError, match="grid limited"):
+            grid_power(f, TABLE_CAP + 1)
+        with pytest.raises(DomainError):
+            grid_power(IntegerSignal(0, np.ones(4, dtype=complex)), 8)
 
     def test_parseval(self):
         rng = np.random.default_rng(37)
