@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,14 +41,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tables
 
-# largest n_max build_tables accepts: its tables (int32 spf, float64 mangoldt,
-# int8 mobius, int64 phi) take 84 MB here
+# largest n_max build_tables accepts: spf (int32) and mangoldt (float64)
+# take 48 MB here, and the first read of mobius or phi adds mobius (int8)
+# and phi (int64), 36 MB more
 TABLE_CAP = 4_000_000
 
-# longest block build_tables fills in one numpy pass; bounds its temporaries
+# longest block the mobius/phi recurrence fills in one numpy pass; bounds
+# its temporaries
 _SIEVE_BLOCK = 1 << 16
 
-# most angle entries characters_mod computes in one pass; bounds its temporaries
+# most angle entries _character_table computes in one pass; bounds its
+# temporaries
 _CHAR_BLOCK = 1 << 18
 
 
@@ -59,14 +62,25 @@ class ArithTables:
     mangoldt[n] = log p if n = p^k, else 0.  mobius and phi are the usual
     multiplicative functions; spf[n] is the smallest prime factor (spf[p] = p
     for primes, spf[0] = spf[1] = 0).  spf is int32, mangoldt float64,
-    mobius int8 and phi int64.
+    mobius int8 and phi int64.  build_tables fills spf and mangoldt; the
+    first read of mobius or phi computes and stores both (_mobius_phi), so
+    a caller that never reads them never pays for them.
     """
 
     n_max: int
     spf: np.ndarray
     mangoldt: np.ndarray
-    mobius: np.ndarray
-    phi: np.ndarray
+
+    @cached_property
+    def mobius(self) -> np.ndarray:
+        # frozen: store the partner table past __setattr__, as cached_property does
+        mobius, self.__dict__["phi"] = _mobius_phi(self.spf)
+        return mobius
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        self.__dict__["mobius"], phi = _mobius_phi(self.spf)
+        return phi
 
     def check_range(self, n: int) -> None:
         if n > self.n_max:
@@ -82,29 +96,13 @@ class ArithTables:
         return self.is_prime_power(n) and self.spf[n] != n
 
 
-def build_tables(n_max: int) -> ArithTables:
-    """Sieve smallest prime factors (primes p <= sqrt(n_max)), then one
-    recurrence on n = p m, p = spf[n]: if spf[m] = p, mu(n) = 0 and
-    phi(n) = phi(m) p, else mu(n) = -mu(m) and phi(n) = phi(m) (p - 1);
-    Lambda(n) = log p if m = 1 or (spf[m] = p and Lambda(m) > 0), else 0.
-    As m <= n/2, blocks [lo, hi) with hi <= 2 lo, at most _SIEVE_BLOCK long,
-    read only entries below lo: each is one numpy pass.  log p is math.log
-    (np.log is 1 ulp off at some primes)."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if n_max > TABLE_CAP:
-        raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got {n_max}")
-    size = n_max + 1
-    spf = np.zeros(size, dtype=np.int32)
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    primes = np.flatnonzero(spf == 0)[2:]  # spf[0] = spf[1] = 0 stay
-    spf[primes] = primes
-
-    mangoldt = np.zeros(size, dtype=np.float64)
-    mangoldt[primes] = [math.log(p) for p in primes.tolist()]
+def _mobius_phi(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mobius and phi from one recurrence on n = p m, p = spf[n]: if
+    spf[m] = p, mu(n) = 0 and phi(n) = phi(m) p, else mu(n) = -mu(m) and
+    phi(n) = phi(m) (p - 1).  As m <= n/2, blocks [lo, hi) with hi <= 2 lo,
+    at most _SIEVE_BLOCK long, read only entries below lo: each is one
+    numpy pass."""
+    size = spf.size
     mobius = np.zeros(size, dtype=np.int8)
     phi = np.zeros(size, dtype=np.int64)
     mobius[1] = phi[1] = 1
@@ -116,11 +114,51 @@ def build_tables(n_max: int) -> ArithTables:
         same = spf[m] == p
         mobius[lo:hi] = np.where(same, 0, -mobius[m])
         phi[lo:hi] = phi[m] * np.where(same, p, p - 1)
-        power = (m == 1) | (same & (mangoldt[m] > 0.0))
-        mangoldt[lo:hi] = np.where(power, mangoldt[p], 0.0)
         lo = hi
+    return mobius, phi
 
-    return ArithTables(n_max=n_max, spf=spf, mangoldt=mangoldt, mobius=mobius, phi=phi)
+
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by a plain boolean sieve."""
+    is_p = np.ones(n + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p)
+
+
+def build_tables(n_max: int) -> ArithTables:
+    """Sieve smallest prime factors, then Lambda from the prime powers.
+
+    spf[p p::p] = p for the primes p <= sqrt(n_max) in descending order:
+    the smallest prime factor p of a composite n has p^2 <= n and is
+    written last.  Lambda(p) = log p by math.log (np.log is 1 ulp off at
+    some primes), then Lambda(p^k) = Lambda(p) for k >= 2, one numpy pass
+    per exponent over the primes p <= sqrt(n_max) with p^k <= n_max.
+    mobius and phi are left to their first read (see ArithTables)."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if n_max > TABLE_CAP:
+        raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got {n_max}")
+    size = n_max + 1
+    spf = np.zeros(size, dtype=np.int32)
+    small = _primes_upto(math.isqrt(n_max))
+    for p in small[::-1].tolist():
+        spf[p * p :: p] = p
+    primes = np.flatnonzero(spf == 0)[2:]  # spf[0] = spf[1] = 0 stay
+    spf[primes] = primes
+
+    mangoldt = np.zeros(size, dtype=np.float64)
+    mangoldt[primes] = [math.log(p) for p in primes.tolist()]
+    base, power = small, small * small
+    while power.size:
+        mangoldt[power] = mangoldt[base]
+        power *= base
+        keep = power <= n_max
+        base, power = base[keep], power[keep]
+
+    return ArithTables(n_max=n_max, spf=spf, mangoldt=mangoldt)
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -321,21 +359,22 @@ def _powers(g: int, n: int, q: int) -> np.ndarray:
     return out
 
 
-def characters_mod(q: int) -> list[DirichletCharacter]:
-    """All phi(q) Dirichlet characters mod q, rows of one phi(q) x q value
-    table of at most TABLE_CAP entries, the principal character first.
+@lru_cache(maxsize=1)
+def _character_table(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, exps): the phi(q) x q complex value table of the characters
+    mod q and their phi(q) x r exponent labels, both read-only.  Row i is
+    chi_i, the principal character first.
 
     Generators g_j of order n_j are picked for each (Z/p^e)^* (two for the
     2-part when 8 | q).  Exponent tuple k_i, in lexicographic order, is both
     the discrete log of unit u_i and the label of chi_i: chi_i(u_r) =
-    e(sum_j k_ij k_rj / n_j)."""
+    e(sum_j k_ij k_rj / n_j).  Only the latest modulus's table is kept:
+    at most TABLE_CAP entries, 64 MB."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     phi_q = euler_phi(q)
     if phi_q * q > TABLE_CAP:
         raise ResourceError(f"characters mod {q} need {phi_q * q} entries > {TABLE_CAP}")
-    if q == 1:
-        return [DirichletCharacter(1, np.ones(1, dtype=np.complex128), True, ())]
 
     gens: list[tuple[int, int]] = []  # (generator lifted mod q, order)
     for p, e in _factorize(q):
@@ -347,7 +386,8 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
             gens.append((lifted, order))
 
     exps = np.array(list(product(*(range(n) for _, n in gens))), dtype=np.int64)
-    units = np.ones(len(exps), dtype=np.int64)
+    # q <= 2 has no generator: one empty label, and the unit 1 % q
+    units = np.full(phi_q, 1 % q, dtype=np.int64)
     for j, (g, n) in enumerate(gens):
         units = units * _powers(g, n, q)[exps[:, j]] % q
     if np.unique(units).size != phi_q:
@@ -362,6 +402,17 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
         for j, (_, n) in enumerate(gens):
             angle += np.multiply.outer(exps[lo : lo + rows, j], exps[:, j]) / n
         values[lo : lo + rows, units] = np.exp(2j * np.pi * angle)
+    values.flags.writeable = exps.flags.writeable = False
+    return values, exps
+
+
+def characters_mod(q: int) -> list[DirichletCharacter]:
+    """All phi(q) Dirichlet characters mod q, the principal character first:
+    read-only rows of one phi(q) x q value table of at most TABLE_CAP
+    entries, labelled by their exponent tuples (see _character_table).  The
+    table of the latest modulus asked for is cached, one entry, so asking
+    again for it builds nothing."""
+    values, exps = _character_table(q)
     labels = map(tuple, exps.tolist())
     return [DirichletCharacter(q, row, not any(k), k) for row, k in zip(values, labels)]
 
@@ -411,12 +462,11 @@ def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
     mass itself; callers that want the identity should stay on units.
     """
     direct = psi(x, q, a, tables)
-    chars = characters_mod(q)
-    mass = _residue_mass(x, q, tables)  # one pass over Lambda serves every psi(x, chi)
-    acc = 0.0 + 0.0j
-    for chi in chars:
-        acc += np.conj(chi(a)) * np.dot(chi.values, mass)
-    return float(abs(direct - acc / len(chars)))
+    values, _ = _character_table(q)
+    # one pass over Lambda serves every psi(x, chi) = values @ mass
+    psi_chis = values @ _residue_mass(x, q, tables)
+    acc = np.conj(values[:, a % q]) @ psi_chis
+    return float(abs(direct - acc / len(values)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,8 @@ def _cmd_sieve(args) -> None:
 
 def _cmd_psi(args) -> None:
     top = int(math.floor(args.x)) if args.x >= 0 else 0
+    if top > TABLE_CAP:  # refused before n_max, which can run to 300 digits, is printed
+        raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got x = {args.x:.12g}")
     tables = build_tables(max(2, top))
     value = psi(args.x, args.q, args.a, tables)
     manifest = _manifest(

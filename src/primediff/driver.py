@@ -485,9 +485,10 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
         where = f"step {s.step}"
         if s.step != idx + 1:
             raise CertificationError(f"{where}: step indices not contiguous")
-        A = DensitySet.from_iterable(s.n, s.set_snapshot)
-        if A.size != len(s.set_snapshot):
-            raise CertificationError(f"{where}: snapshot has duplicate elements")
+        try:
+            A = DensitySet(s.n, np.array(s.set_snapshot, dtype=np.int64))
+        except (DomainError, OverflowError) as exc:
+            raise CertificationError(f"{where}: bad snapshot: {exc}") from None
         if not math.isclose(A.alpha, s.alpha, rel_tol=0, abs_tol=1e-12):
             raise CertificationError(f"{where}: alpha {s.alpha} != recount {A.alpha}")
         out = s.outcome

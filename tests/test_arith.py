@@ -12,6 +12,7 @@ import pytest
 
 from primediff.arith import (
     _SIEVE_BLOCK,
+    _character_table,
     TABLE_CAP,
     ArithTables,
     ExceptionalDatum,
@@ -114,6 +115,62 @@ class TestTables:
                 small, full = getattr(t, name), getattr(big, name)
                 assert small.dtype == full.dtype, (n, name)
                 assert np.array_equal(small, full[: n + 1]), (n, name)
+
+
+def _oracle_row(n: int) -> tuple[int, float, int, int]:
+    """(spf, Lambda, mu, phi) of n >= 1 from trial division."""
+    f = trial_division_factor(n)
+    phi = n
+    for p in f:
+        phi = phi // p * (p - 1)
+    return (min(f) if f else 0), mangoldt_naive(n), mobius_naive(n), phi
+
+
+# n_max at prime-power edges: p^k - 1, p^k, p^k + 1 for p = 2 (2^16 is also
+# the _SIEVE_BLOCK edge), p = 3, and primes p whose square is the top, the
+# largest prime the spf sieve and the power walk use
+_EDGE_BASES = [2**12, 2**16, 3**8, 251**2, 1999**2]
+
+
+class TestLeanTables:
+    @pytest.mark.parametrize("n_max", [b + e for b in _EDGE_BASES for e in (-1, 0, 1)])
+    def test_prime_power_edges(self, n_max):
+        """All four tables agree with trial division on their first 2,000
+        entries, their last 300 and every prime power."""
+        t = build_tables(n_max)
+        samples = set(range(1, min(n_max, 2000) + 1)) | set(range(n_max - 299, n_max + 1))
+        for p in range(2, math.isqrt(n_max) + 1):
+            if is_prime_naive(p):
+                pk = p
+                while pk <= n_max:
+                    samples.update((pk - 1, pk, pk + 1))
+                    pk *= p
+        for n in sorted(s for s in samples if 1 <= s <= n_max):
+            got = (t.spf[n], t.mangoldt[n], t.mobius[n], t.phi[n])
+            assert got == _oracle_row(n), (n_max, n)
+
+    @pytest.mark.parametrize("n_max", [*range(1, 18), 1000])
+    def test_whole_tables_against_oracles(self, n_max):
+        t = build_tables(n_max)
+        assert t.spf[0] == t.spf[1] == 0 and t.mangoldt[0] == 0.0
+        rows = np.array([_oracle_row(n) for n in range(1, n_max + 1)])
+        assert np.array_equal(t.spf[1:], rows[:, 0]), n_max
+        assert np.array_equal(t.mangoldt[1:], rows[:, 1]), n_max
+        assert np.array_equal(t.mobius[1:], rows[:, 2]), n_max
+        assert np.array_equal(t.phi[1:], rows[:, 3]), n_max
+
+    @pytest.mark.parametrize("first", ["mobius", "phi"])
+    def test_mobius_and_phi_built_on_first_read(self, first):
+        """build_tables leaves mobius and phi out; reading either one
+        stores both, and later reads return the stored arrays."""
+        t = build_tables(1000)
+        assert "mobius" not in vars(t) and "phi" not in vars(t)
+        table = getattr(t, first)
+        assert "mobius" in vars(t) and "phi" in vars(t)
+        assert getattr(t, first) is table
+        assert t.mobius.dtype == np.int8 and t.phi.dtype == np.int64
+        assert np.array_equal(t.phi[1:13], [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4])
+        assert np.array_equal(t.mobius[1:13], [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0])
 
 
 class TestIsPrime:
@@ -304,6 +361,27 @@ class TestCharacters:
         assert peak_kb < 120 * 1024, f"peak {peak_kb // 1024} MB"
 
 
+    def test_values_are_read_only(self):
+        """Every call shares the cached table, so no caller may write it."""
+        for chi in characters_mod(12):
+            with pytest.raises(ValueError):
+                chi.values[1] = 0.0
+
+    def test_one_table_is_cached(self):
+        """Asking for q1, q2, q1 evicts q1's table and rebuilds it equal."""
+        q1, q2 = 15, 16
+        _character_table.cache_clear()
+        first = [chi.values.copy() for chi in characters_mod(q1)]
+        assert _character_table.cache_info().currsize == 1
+        other = characters_mod(q2)
+        assert len(other) == euler_phi(q2) and other[0].values.shape == (q2,)
+        assert _character_table.cache_info().currsize == 1
+        again = characters_mod(q1)
+        assert _character_table.cache_info().misses == 3
+        assert [chi.modulus for chi in again] == [q1] * euler_phi(q1)
+        assert all(np.array_equal(a, chi.values) for a, chi in zip(first, again))
+
+
 class TestPsi:
     def test_against_naive(self, tables_small):
         for x in (0.0, 1.0, 10.0, 100.0, 997.5):
@@ -357,6 +435,20 @@ class TestInversion:
                     continue
                 disc = verify_inversion(500.0, q, a, tables_small)
                 assert disc < 1e-9
+
+    def test_matches_character_sum(self, tables_small):
+        """verify_inversion equals |psi(x; q, a) - sum over characters_mod(q)
+        of conj(chi(a)) psi_chi(x, chi) / phi(q)| to 1e-12 max(1, psi), on
+        every class a mod q, units or not."""
+        for q in range(1, 31):
+            chars = characters_mod(q)
+            for x in (0.0, 1.0, 97.5, 5000.0):
+                for a in range(q):
+                    direct = psi(x, q, a, tables_small)
+                    acc = sum(np.conj(chi(a)) * psi_chi(x, chi, tables_small) for chi in chars)
+                    want = abs(direct - acc / len(chars))
+                    got = verify_inversion(x, q, a, tables_small)
+                    assert abs(got - want) <= 1e-12 * max(1.0, direct), (q, x, a)
 
     def test_non_unit_discrepancy_is_class_mass(self, tables_small):
         # off units every character vanishes, so the inversion side is 0

@@ -3,6 +3,7 @@ manifests, determinism, and exit codes."""
 
 import cmath
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -148,6 +149,14 @@ def test_table_cap_is_resource_error(argv, capsys):
     assert len(err.splitlines()) == 1 and "tables limited" in err
 
 
+def test_psi_refuses_huge_x_in_one_short_line(capsys):
+    """x past TABLE_CAP is refused as x, not as a 301-digit n_max."""
+    code, out, err = run_cli(["psi", "--x", "1e300", "--q", "4", "--a", "1"], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: tables limited to n_max <= {TABLE_CAP}, got x = 1e+300\n"
+    assert len(err) < 120
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,6 +288,20 @@ def test_sieve_streams_its_rows(tmp_path):
     with open(out) as fh:
         assert sum(1 for _ in fh) == 1 + 1_000_000 + 1  # header, rows, manifest
     assert peak_kb < 160 * 1024, f"peak {peak_kb // 1024} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_psi_builds_only_what_it_reads(tmp_path):
+    """psi at the table cap builds spf and Lambda only: a fresh interpreter
+    running it peaks below 105 MB resident (117 MB when every table, mobius
+    and phi too, was built; 92 MB without them)."""
+    out = tmp_path / "psi.txt"
+    code, peak_kb = cli_peak_kb(
+        ["psi", "--x", "4000000", "--q", "4", "--a", "1", "--out", str(out), "--timestamp", "T"]
+    )
+    assert code == 0
+    assert abs(float(out.read_text().split()[0]) - 1999847.16839) < 1e-5
+    assert peak_kb < 105 * 1024, f"peak {peak_kb // 1024} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -583,6 +606,22 @@ class TestIterateCommand:
         code, _, err = run_cli(["iterate", "--greedy", "--n", "100"], capsys)
         assert code == 4
         assert "certification failed" in err
+
+    def test_bad_snapshot_fails_certification(self, capsys, monkeypatch):
+        """A trace whose snapshot is out of order exits 4, not 3 or 0."""
+        real_run = driver.run
+
+        def unsorted(*args):
+            trace = real_run(*args)
+            step = dataclasses.replace(
+                trace.steps[0], set_snapshot=trace.steps[0].set_snapshot[::-1]
+            )
+            return dataclasses.replace(trace, steps=[step, *trace.steps[1:]])
+
+        monkeypatch.setattr(driver, "run", unsorted)
+        code, _, err = run_cli(["iterate", "--greedy", "--n", "100"], capsys)
+        assert code == 4
+        assert err.startswith("certification failed: step 1: bad snapshot")
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         f1, f2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"

@@ -311,6 +311,20 @@ class TestCertify:
         with pytest.raises(CertificationError):
             certify(bad, tables_small)
 
+    @pytest.mark.parametrize(
+        "snapshot",
+        [(), (1, 1, 2), (2, 1, 3), (0, 1, 2), (1, 2, 101), (1, 2**70)],
+        ids=["empty", "duplicate", "unsorted", "below_1", "above_n", "overflow"],
+    )
+    def test_rejects_malformed_snapshot(self, snapshot, tables_small):
+        """A snapshot that is not a strictly increasing subset of [1, n]
+        fails certification; none of it is repaired or escapes as another
+        error."""
+        trace = run(DensitySet.from_iterable(100, range(1, 101)), 1, IterationConfig(), tables_small)
+        bad = self._tampered(trace, set_snapshot=snapshot)
+        with pytest.raises(CertificationError, match="step 1: bad snapshot"):
+            certify(bad, tables_small)
+
     def test_detects_step_gap(self, tables_small):
         trace = run(DensitySet.from_iterable(100, range(1, 101)), 1, IterationConfig(), tables_small)
         bad = self._tampered(trace, step=2)
