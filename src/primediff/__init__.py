@@ -41,7 +41,6 @@ _EXPORTS = {
         "SearchResult",
         "find_forbidden_pair",
         "greedy_avoiding",
-        "growth_table",
         "is_avoiding",
         "max_avoiding_exact",
     ),
@@ -78,7 +77,6 @@ _EXPORTS = {
         "averaging_projection",
         "energy_table",
         "extract_progression",
-        "l2_witness",
         "rescale",
     ),
     "mangoldt": (

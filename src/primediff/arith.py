@@ -46,8 +46,8 @@ __all__ = [
 # and phi (int64), 36 MB more
 TABLE_CAP = 4_000_000
 
-# longest block the mobius/phi recurrence fills in one numpy pass; bounds
-# its temporaries
+# longest block the mobius/phi recurrence fills in one numpy pass, and most
+# primes build_tables takes Lambda(p) of at a time; bounds their temporaries
 _SIEVE_BLOCK = 1 << 16
 
 # most angle entries _character_table computes in one pass; bounds its
@@ -88,13 +88,6 @@ class ArithTables:
                 f"tables built to {self.n_max}, need {n}; rebuild larger"
             )
 
-    def is_prime_power(self, n: int) -> bool:
-        return 2 <= n <= self.n_max and self.mangoldt[n] > 0.0
-
-    def is_proper_prime_power(self, n: int) -> bool:
-        # prime power with exponent >= 2, i.e. Lambda-positive but not prime
-        return self.is_prime_power(n) and self.spf[n] != n
-
 
 def _mobius_phi(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """mobius and phi from one recurrence on n = p m, p = spf[n]: if
@@ -134,8 +127,9 @@ def build_tables(n_max: int) -> ArithTables:
     spf[p p::p] = p for the primes p <= sqrt(n_max) in descending order:
     the smallest prime factor p of a composite n has p^2 <= n and is
     written last.  Lambda(p) = log p by math.log (np.log is 1 ulp off at
-    some primes), then Lambda(p^k) = Lambda(p) for k >= 2, one numpy pass
-    per exponent over the primes p <= sqrt(n_max) with p^k <= n_max.
+    some primes), _SIEVE_BLOCK primes at a time, then Lambda(p^k) =
+    Lambda(p) for k >= 2, one numpy pass per exponent over the primes
+    p <= sqrt(n_max) with p^k <= n_max.
     mobius and phi are left to their first read (see ArithTables)."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -150,7 +144,9 @@ def build_tables(n_max: int) -> ArithTables:
     spf[primes] = primes
 
     mangoldt = np.zeros(size, dtype=np.float64)
-    mangoldt[primes] = [math.log(p) for p in primes.tolist()]
+    for lo in range(0, primes.size, _SIEVE_BLOCK):
+        block = primes[lo : lo + _SIEVE_BLOCK]
+        mangoldt[block] = [math.log(p) for p in block.tolist()]
     base, power = small, small * small
     while power.size:
         mangoldt[power] = mangoldt[base]

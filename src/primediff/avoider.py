@@ -11,9 +11,10 @@ Candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
 bool arrays.  The greedy strategies take a point when no chosen element
 sits at a forbidden distance from it, kept as a conflict count per point.
 Primality comes from tables covering d(n-1)+1 when they are supplied, else
-from a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1), or
-from deterministic Miller-Rabin when that root exceeds TABLE_CAP; the
-routes agree (tested), keeping the search independent of the sieve stack.
+from a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1)
+(from arith._primes_upto), or from deterministic Miller-Rabin when that
+root exceeds TABLE_CAP; the routes agree (tested), keeping the search
+independent of the tables.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arith import TABLE_CAP, ArithTables, is_prime
+from .arith import TABLE_CAP, ArithTables, _primes_upto, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
     "ForbiddenSet",
     "SearchResult",
     "greedy_avoiding",
-    "growth_table",
     "is_avoiding",
     "max_avoiding_exact",
 ]
@@ -76,16 +76,6 @@ class ForbiddenSet:
 
     def count(self) -> int:
         return int(self.bits.sum())
-
-
-def _primes_upto(x: int) -> np.ndarray:
-    """The primes p <= x, by the sieve of Eratosthenes."""
-    composite = np.zeros(x + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, math.isqrt(x) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite)
 
 
 def _shifted_primes(n: int, d: int) -> np.ndarray:
@@ -365,33 +355,3 @@ def greedy_avoiding(
     return SearchResult(
         elements, len(elements), False, 0, time.perf_counter() - t0, strategy
     )
-
-
-# ---------------------------------------------------------------------------
-# growth profile
-
-
-def growth_table(n_values, d: int, tables: ArithTables | None = None) -> list[dict]:
-    """Size-vs-n profile: exact solver up to EXACT_CAP, first-fit greedy
-    beyond, each row carrying the reference shape
-    (log 2 / 2) log n / log log n for eyeballing growth."""
-    rows = []
-    for n in n_values:
-        n = int(n)
-        fs = ForbiddenSet.build(n, d, tables)
-        if n <= EXACT_CAP:
-            res = max_avoiding_exact(fs)
-        else:
-            res = greedy_avoiding(fs, strategy="first_fit")
-        shape = (math.log(2) / 2) * math.log(n) / math.log(math.log(n)) if n >= 3 else 0.0
-        rows.append(
-            {
-                "n": n,
-                "d": d,
-                "size": res.size,
-                "optimal": res.optimal,
-                "strategy": res.strategy,
-                "shape": shape,
-            }
-        )
-    return rows

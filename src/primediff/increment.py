@@ -12,8 +12,11 @@ default), E and E* of every level from one arc walk per level run
 (spectral.level_runs), each level's sum taken in ascending k.  Summed over
 the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
 pins the normalization in tests.  Extraction converts E-mass at level q into
-a step-q progression on which A beats alpha by the factor (1 + E/4); the
-counts are recounted exactly, never inferred from the transform side.
+a step-q progression on which A beats alpha by the factor (1 + E/4), and the
+averaging projection keeps half of alpha on a step-d progression.  Both take
+the best window inside [1, N], its count recounted exactly from prefix sums
+along each residue class (_best_inside), never inferred from the transform
+side.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "averaging_projection",
     "energy_table",
     "extract_progression",
-    "l2_witness",
     "rescale",
 ]
 
@@ -74,11 +76,6 @@ class DensitySet:
     def alpha(self) -> float:
         return self.size / self.n
 
-    def indicator(self) -> IntegerSignal:
-        vals = np.zeros(self.n, dtype=np.int64)
-        vals[self.elements - 1] = 1
-        return IntegerSignal(1, vals)
-
     def balanced(self) -> IntegerSignal:
         vals = np.full(self.n, -self.alpha, dtype=np.float64)
         vals[self.elements - 1] += 1.0
@@ -116,14 +113,11 @@ class Progression:
 @dataclass(frozen=True)
 class IncrementOutcome:
     """Result of one extraction attempt.  met_guarantee refers to the
-    operation's own inequality; measured_gain = new_alpha/alpha - 1 is the
-    recounted density ratio and may be negative for the slack-bearing
-    operations even when their guarantee holds."""
+    operation's own inequality, checked on the recounted intersection."""
 
     progression: Progression
     intersection_count: int
     new_alpha: float
-    measured_gain: float
     met_guarantee: bool
     method: str
     detail: dict = field(default_factory=dict)
@@ -144,39 +138,26 @@ class EnergyTable:
     m: int
     big_q: int
 
-    def row(self, q: int) -> EnergyStats:
-        for r in self.rows:
-            if r.q == q:
-                return r
-        raise DomainError(f"no energy row for q={q}")
-
 
 # ---------------------------------------------------------------------------
 # window counting
 
 
-def _window_counts(A: DensitySet, step: int, length: int) -> np.ndarray:
-    """counts[t] = |A ∩ {f, f + step, ..., f + (length - 1) step}| for
-    f = 1 - (length - 1) step + t, over every translate that meets [1, N].
+def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
+    """(first, count) of the window {f, f + step, ..., f + (length - 1) step}
+    inside [1, N] that holds the most of A, the leftmost among ties.
 
     Exact integers from prefix sums along each residue class mod step."""
     reach = (length - 1) * step
-    # one zero row, the left overhang, [1, N], the right overhang
-    rows = -(-(step + 2 * reach + A.n) // step)
-    padded = np.zeros(rows * step, dtype=np.int64)
-    padded[step + reach - 1 + A.elements] = 1
-    prefix = padded.reshape(rows, step).cumsum(axis=0).ravel()
-    # prefix[i] - prefix[i - length step] counts the window ending at i
-    return prefix[step + reach : step + 2 * reach + A.n] - prefix[: reach + A.n]
-
-
-def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
-    """(first, count) of the window inside [1, N] that holds the most of A,
-    the leftmost among ties."""
-    reach = (length - 1) * step
     if reach >= A.n:
         raise PreconditionError(f"no window of span {reach + 1} fits inside [1, {A.n}]")
-    inside = _window_counts(A, step, length)[reach : A.n]
+    # one zero row, then [1, N]
+    rows = -(-(step + A.n) // step)
+    padded = np.zeros(rows * step, dtype=np.int64)
+    padded[step - 1 + A.elements] = 1
+    prefix = padded.reshape(rows, step).cumsum(axis=0).ravel()
+    # prefix[i] - prefix[i - length step] counts the window ending at i
+    inside = prefix[step + reach : step + A.n] - prefix[: A.n - reach]
     best = int(np.argmax(inside))
     return 1 + best, int(inside[best])
 
@@ -224,36 +205,6 @@ def _level_energy(
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def l2_witness(A: DensitySet, step: int, length: int, c_slack: float = 2.0) -> IncrementOutcome:
-    """Correlation witness: measures c = sum_f h(f)^2 / (alpha^2 N L^2) for
-    h = balanced-count over windows, then reports the best window against
-    the guarantee  count >= alpha (1 + c) L - c_slack * step * L^2 / N.
-    All translates are scanned, protruding windows included."""
-    if step < 1 or length < 1:
-        raise DomainError(f"need step, length >= 1, got {step}, {length}")
-    alpha = A.alpha
-    n = A.n
-    counts = _window_counts(A, step, length)
-    interval = DensitySet(n, np.arange(1, n + 1, dtype=np.int64))
-    h = counts - alpha * _window_counts(interval, step, length)
-    c = float(np.sum(h * h) / (alpha * alpha * n * length * length))
-    best = int(np.argmax(counts))
-    count = int(counts[best])
-    first = 1 - (length - 1) * step + best
-    new_alpha = count / length
-    slack = c_slack * step * length * length / n
-    met = count >= alpha * (1.0 + c) * length - slack - 1e-9
-    return IncrementOutcome(
-        progression=Progression(first, step, length),
-        intersection_count=count,
-        new_alpha=new_alpha,
-        measured_gain=new_alpha / alpha - 1.0,
-        met_guarantee=bool(met),
-        method="l2_witness",
-        detail={"correlation": c, "slack": slack},
-    )
 
 
 def energy_table(
@@ -320,7 +271,6 @@ def extract_progression(
         progression=Progression(first, q, length),
         intersection_count=count,
         new_alpha=new_alpha,
-        measured_gain=new_alpha / alpha - 1.0,
         met_guarantee=bool(met),
         method="extract_progression",
         detail={"energy": energy, "cap_eta": cap_eta, "cap_mass": cap_mass},
@@ -343,7 +293,6 @@ def averaging_projection(A: DensitySet, step: int) -> IncrementOutcome:
         progression=Progression(first, step, length),
         intersection_count=count,
         new_alpha=new_alpha,
-        measured_gain=new_alpha / alpha - 1.0,
         met_guarantee=bool(met),
         method="averaging_projection",
         detail={},

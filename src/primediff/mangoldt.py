@@ -86,9 +86,6 @@ class Prediction:
     exceptional_term: complex
     sup_bound: float
 
-    def predicted(self) -> complex:
-        return self.main_term + self.exceptional_term
-
 
 def major_prediction(
     n: int,

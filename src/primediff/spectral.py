@@ -61,31 +61,11 @@ class IntegerSignal:
         if self.values.ndim != 1:
             raise DomainError("signal values must be one-dimensional")
 
-    @classmethod
-    def from_indicator(cls, points, dtype=np.float64) -> "IntegerSignal":
-        pts = sorted(set(int(p) for p in points))
-        if not pts:
-            raise DomainError("empty support")
-        lo, hi = pts[0], pts[-1]
-        vals = np.zeros(hi - lo + 1, dtype=dtype)
-        vals[np.asarray(pts) - lo] = 1
-        return cls(lo, vals)
-
-    @classmethod
-    def interval(cls, n: int) -> "IntegerSignal":
-        """Indicator of [1, n]."""
-        if n < 1:
-            raise DomainError(f"interval length must be >= 1, got {n}")
-        return cls(1, np.ones(n, dtype=np.float64))
-
     def support_length(self) -> int:
         return len(self.values)
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
-
-    def total_mass(self) -> complex:
-        return complex(self.values.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +106,6 @@ class TorusPoint:
         if t > 0.5:
             return cls(1, 1, t - 1.0)
         return cls(0, 1, t)
-
-    def value(self) -> float:
-        return (self.a / self.q + self.kappa) % 1.0
 
 
 # ---------------------------------------------------------------------------

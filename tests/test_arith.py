@@ -58,14 +58,6 @@ class TestTables:
                 d += 1
             assert tables_small.spf[n] == d
 
-    def test_prime_power_flags(self, tables_small):
-        assert tables_small.is_prime_power(8)
-        assert tables_small.is_prime_power(7)
-        assert not tables_small.is_prime_power(6)
-        assert not tables_small.is_prime_power(1)
-        assert tables_small.is_proper_prime_power(9)
-        assert not tables_small.is_proper_prime_power(3)
-
     def test_check_range(self, tables_small):
         tables_small.check_range(20_000)
         with pytest.raises(ResourceError):
@@ -171,6 +163,30 @@ class TestLeanTables:
         assert t.mobius.dtype == np.int8 and t.phi.dtype == np.int64
         assert np.array_equal(t.phi[1:13], [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4])
         assert np.array_equal(t.mobius[1:13], [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_lambda_is_filled_in_blocks(self):
+        """build_tables(TABLE_CAP) takes log p of _SIEVE_BLOCK primes at a
+        time: a fresh interpreter building the tables peaks below 85 MB
+        resident (91 MB when one Python list held all 283,146 primes' logs;
+        79 MB in blocks).  The child reads the peak of its own address
+        space (VmHWM)."""
+        child = (
+            "import re\n"
+            "from primediff.arith import TABLE_CAP, build_tables\n"
+            "t = build_tables(TABLE_CAP)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int((t.mangoldt > 0).sum()), re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+        )
+        src = str(pathlib.Path(build_tables.__code__.co_filename).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), check=True,
+        )
+        prime_powers, peak_kb = map(int, proc.stdout.split())
+        assert prime_powers == 283_146 + 393  # primes, then p^k for k >= 2
+        assert peak_kb < 85 * 1024, f"peak {peak_kb // 1024} MB"
 
 
 class TestIsPrime:

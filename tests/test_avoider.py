@@ -10,7 +10,6 @@ from primediff.avoider import (
     ForbiddenSet,
     find_forbidden_pair,
     greedy_avoiding,
-    growth_table,
     is_avoiding,
     max_avoiding_exact,
 )
@@ -250,21 +249,3 @@ class TestGreedy:
         fs = ForbiddenSet.build(30, 1, tables_small)
         with pytest.raises(DomainError):
             greedy_avoiding(fs, strategy="simulated_annealing")
-
-
-class TestGrowthTable:
-    def test_rows(self, tables_small):
-        rows = growth_table([10, 20, 64, 65], 1, tables=tables_small)
-        assert [r["n"] for r in rows] == [10, 20, 64, 65]
-        assert all(r["optimal"] and r["strategy"] == "exact" for r in rows[:3])
-        assert not rows[3]["optimal"]
-        assert rows[3]["strategy"] == "first_fit"
-        for r in rows:
-            assert r["shape"] > 0
-            assert r["size"] >= 1
-
-    def test_sizes_match_exact_solver(self, tables_small):
-        rows = growth_table([12, 18], 2, tables=tables_small)
-        for row in rows:
-            fs = ForbiddenSet.build(row["n"], 2, tables_small)
-            assert row["size"] == max_avoiding_exact(fs).size

@@ -294,7 +294,7 @@ def test_sieve_streams_its_rows(tmp_path):
 def test_psi_builds_only_what_it_reads(tmp_path):
     """psi at the table cap builds spf and Lambda only: a fresh interpreter
     running it peaks below 105 MB resident (117 MB when every table, mobius
-    and phi too, was built; 92 MB without them)."""
+    and phi too, was built; 81 MB without them)."""
     out = tmp_path / "psi.txt"
     code, peak_kb = cli_peak_kb(
         ["psi", "--x", "4000000", "--q", "4", "--a", "1", "--out", str(out), "--timestamp", "T"]

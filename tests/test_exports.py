@@ -1,6 +1,8 @@
-"""The package's export lists name only things that exist, and a CLI run
-loads only the layers its subcommand uses."""
+"""The package's export lists name only things that exist, no helper is
+defined twice, and a CLI run loads only the layers its subcommand uses."""
 
+import ast
+import collections
 import importlib
 import json
 import os
@@ -27,10 +29,10 @@ EXPORTS = """
     SpectrumGrid SpectrumReport StructureFound TorusPoint Trace TraceStep
     averaging_projection build_tables certify characters_mod dirichlet_approx
     energy_table euler_phi extract_progression find_forbidden_pair
-    greedy_avoiding grid_spectrum growth_table inner_product_stats is_avoiding
-    is_prime iterate_once l2_witness lambda_hat_rational major_prediction
-    major_sup_ratio max_avoiding_exact mobius_of psi psi_chi ramanujan rescale
-    run spectrum_report tau tau_closed_form trace_to_jsonl transform_at
+    greedy_avoiding grid_spectrum inner_product_stats is_avoiding is_prime
+    iterate_once lambda_hat_rational major_prediction major_sup_ratio
+    max_avoiding_exact mobius_of psi psi_chi ramanujan rescale run
+    spectrum_report tau tau_closed_form trace_to_jsonl transform_at
     verify_inversion vinogradov_bound
 """.split()
 
@@ -58,6 +60,17 @@ def test_exports_are_their_home_objects():
         value = getattr(primediff, name)
         home = importlib.import_module(value.__module__)
         assert getattr(home, name) is value, name
+
+
+def test_no_top_level_name_is_defined_twice():
+    """Each top-level function or class has one home module: a second
+    definition of the same name is a copy to fold into the first."""
+    homes = collections.defaultdict(list)
+    for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                homes[node.name].append(path.name)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
 def loaded_after(code):

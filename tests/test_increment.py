@@ -1,5 +1,5 @@
 """Tests for density sets, window counting, arc energy tables, and the
-three increment operations."""
+two increment operations."""
 
 import math
 import tracemalloc
@@ -12,11 +12,11 @@ from primediff.errors import DomainError, EnergyShortfall, PreconditionError
 from primediff.increment import (
     DensitySet,
     Progression,
+    _best_inside,
     _level_energies,
     averaging_projection,
     energy_table,
     extract_progression,
-    l2_witness,
     rescale,
 )
 from primediff.spectral import grid_power
@@ -41,7 +41,6 @@ class TestDensitySet:
 
     def test_indicator_and_balanced(self):
         A = DensitySet.from_iterable(4, [1, 3])
-        assert A.indicator().values.tolist() == [1, 0, 1, 0]
         g = A.balanced()
         assert abs(g.values.sum()) < 1e-12
         assert g.values.tolist() == [0.5, -0.5, 0.5, -0.5]
@@ -69,12 +68,10 @@ class TestProgression:
             Progression(1, 2, 0)
 
 
-def best_window_naive(A, step, length, inside):
+def best_window_naive(A, step, length):
     """(first, count) maximizing window_count_naive over the translates
-    inside [1, N] (or, when not inside, every translate meeting it),
-    the leftmost among ties."""
-    reach = (length - 1) * step
-    firsts = range(1, A.n - reach + 1) if inside else range(1 - reach, A.n + 1)
+    inside [1, N], the leftmost among ties."""
+    firsts = range(1, A.n - (length - 1) * step + 1)
     counts = [window_count_naive(A.elements.tolist(), f, step, length) for f in firsts]
     best = max(counts)
     return firsts[counts.index(best)], best
@@ -94,49 +91,28 @@ class TestWindowCounts:
             (DensitySet.from_iterable(30, [1]), 2, 3),
             (DensitySet.from_iterable(30, [*range(1, 26, 3), 29, 30]), 1, 2),
         ]
+        # steps past N, where every window is one point
+        draws += [
+            (DensitySet.from_iterable(5, [2, 4]), 7, 1),
+            (DensitySet.from_iterable(1, [1]), 3, 1),
+        ]
+        # reach (length - 1) step = N - 1: the one window inside is [1, N]
+        draws += [
+            (DensitySet.from_iterable(31, [1, 11, 21, 31]), 10, 4),
+            (DensitySet.from_iterable(28, [4, 7, 8, 28]), 3, 10),
+            (DensitySet.from_iterable(30, [2, 5, 30]), 1, 30),
+        ]
         for A, step, length in draws:
+            assert _best_inside(A, step, length) == best_window_naive(A, step, length)
             q = int(rng.integers(1, 6))
             outs = [
-                (l2_witness(A, step, length), False),
-                (averaging_projection(A, step), True),
-                (extract_progression(A, q, 1 / (q * int(rng.integers(2, 40))), 0.0), True),
+                averaging_projection(A, step),
+                extract_progression(A, q, 1 / (q * int(rng.integers(2, 40))), 0.0),
             ]
-            for out, inside in outs:
+            for out in outs:
                 P = out.progression
-                want = best_window_naive(A, P.step, P.length, inside)
+                want = best_window_naive(A, P.step, P.length)
                 assert (P.first, out.intersection_count) == want, out.method
-
-
-class TestL2Witness:
-    def test_count_is_recountable(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            A = random_set(rng)
-            step = int(rng.integers(1, 5))
-            length = int(rng.integers(1, max(2, A.n // (2 * step))))
-            out = l2_witness(A, step, length)
-            P = out.progression
-            assert out.intersection_count == window_count_naive(
-                A.elements, P.first, P.step, P.length
-            )
-            assert out.new_alpha == out.intersection_count / P.length
-
-    def test_guarantee_with_slack(self):
-        """The slack-bearing correlation bound holds on seeded fuzz."""
-        rng = np.random.default_rng(59)
-        for _ in range(200):
-            A = random_set(rng)
-            step = int(rng.integers(1, 4))
-            length = int(rng.integers(1, max(2, A.n // (4 * step))))
-            out = l2_witness(A, step, length)
-            assert out.met_guarantee
-            assert out.detail["correlation"] >= 0
-
-    def test_full_interval_has_no_correlation(self):
-        A = DensitySet.from_iterable(100, range(1, 101))
-        out = l2_witness(A, 2, 10)
-        assert out.detail["correlation"] < 1e-12
-        assert out.intersection_count == 10
 
 
 class TestEnergyTable:
@@ -159,21 +135,14 @@ class TestEnergyTable:
                 assert r.energy <= table.total + 1e-12
                 assert r.eta == 1 / (r.q * table.big_q)
 
-    def test_row_lookup(self):
-        A = DensitySet.from_iterable(60, range(1, 31))
-        table = energy_table(A, 3, 10)
-        assert table.row(2).q == 2
-        with pytest.raises(DomainError):
-            table.row(9)
-
     def test_structured_set_concentrates(self):
         """A residue class mod 7 piles its energy on the level-7 arcs."""
         n = 700
         A = DensitySet.from_iterable(n, range(1, n + 1, 7))
         table = energy_table(A, 8, n // 8)
-        star7 = table.row(7).star_energy
+        star7 = table.rows[6].star_energy
         assert star7 > 0.5 * table.total
-        assert star7 > 10 * table.row(5).star_energy
+        assert star7 > 10 * table.rows[4].star_energy
 
     def test_rows_are_oracle_sums(self):
         """Every row equals, bit for bit, grid_power's |g_hat|^2 summed one

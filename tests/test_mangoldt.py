@@ -87,8 +87,8 @@ class TestMajorPrediction:
                 if math.gcd(a, q) != 1 and a != 0:
                     continue
                 actual = lambda_hat_rational(n, 1, a, q, tables_small)
-                pred = major_prediction(n, 1, a, q, tables_small).predicted()
-                assert abs(actual - pred) < 0.15 * n
+                pred = major_prediction(n, 1, a, q, tables_small)
+                assert abs(actual - pred.main_term - pred.exceptional_term) < 0.15 * n
 
     def test_exceptional_gating(self, tables_small):
         datum = ExceptionalDatum(3, 0.8)
