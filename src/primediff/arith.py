@@ -23,6 +23,7 @@ __all__ = [
     "TABLE_CAP",
     "ArithTables",
     "build_tables",
+    "check_budget",
     "DirichletCharacter",
     "characters_mod",
     "ExceptionalDatum",
@@ -41,8 +42,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tables
 
-# largest n_max build_tables accepts: spf (int32) and mangoldt (float64)
-# take 48 MB here, and the first read of mobius or phi adds mobius (int8)
+# the one size budget (check_budget): most entries any table, grid, or arc
+# walk may hold.  Tables to n_max = TABLE_CAP take 48 MB for spf (int32) and
+# mangoldt (float64), and the first read of mobius or phi adds mobius (int8)
 # and phi (int64), 36 MB more
 TABLE_CAP = 4_000_000
 
@@ -53,6 +55,14 @@ _SIEVE_BLOCK = 1 << 16
 # most angle entries _character_table computes in one pass; bounds its
 # temporaries
 _CHAR_BLOCK = 1 << 18
+
+
+def check_budget(entries: int, what: str, got=None) -> None:
+    """Refuse more than TABLE_CAP entries with the ResourceError
+    "{what} <= TABLE_CAP, got {got, by default entries}".  The cap is read
+    at call time, so every table, grid, and arc walk answers to one value."""
+    if entries > TABLE_CAP:
+        raise ResourceError(f"{what} <= {TABLE_CAP}, got {entries if got is None else got}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +143,7 @@ def build_tables(n_max: int) -> ArithTables:
     mobius and phi are left to their first read (see ArithTables)."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if n_max > TABLE_CAP:
-        raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got {n_max}")
+    check_budget(n_max, "tables limited to n_max")
     size = n_max + 1
     spf = np.zeros(size, dtype=np.int32)
     small = _primes_upto(math.isqrt(n_max))
@@ -369,8 +378,7 @@ def _character_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     phi_q = euler_phi(q)
-    if phi_q * q > TABLE_CAP:
-        raise ResourceError(f"characters mod {q} need {phi_q * q} entries > {TABLE_CAP}")
+    check_budget(phi_q * q, f"characters mod {q} limited to phi(q) q")
 
     gens: list[tuple[int, int]] = []  # (generator lifted mod q, order)
     for p, e in _factorize(q):

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arith import TABLE_CAP, ArithTables, _primes_upto, is_prime
+from . import arith
+from .arith import ArithTables, _primes_upto, check_budget, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 EXACT_CAP = 64  # largest n exact search takes without a node budget
-ROW_BYTES_CAP = 32 * TABLE_CAP  # exact search rows' n^2/8 bytes: 128 MB, as tables
+ROW_BYTES_CAP = 32 * arith.TABLE_CAP  # exact search rows' n^2/8 bytes: 128 MB, as tables
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
 
 
@@ -57,15 +58,14 @@ class ForbiddenSet:
     def build(cls, n: int, d: int, tables: ArithTables | None = None) -> "ForbiddenSet":
         if n < 1 or d < 1:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
-        if n > TABLE_CAP:
-            raise ResourceError(f"forbidden set limited to n <= {TABLE_CAP}, got n={n}")
+        check_budget(n, "forbidden set limited to n")
         top = d * (n - 1) + 1
         bits = np.zeros(n, dtype=bool)
         if tables is not None and top <= tables.n_max:
             s = np.arange(1, n, dtype=np.int64)
             vals = d * s + 1
             bits[1:] = tables.spf[vals] == vals
-        elif math.isqrt(top) <= TABLE_CAP:
+        elif math.isqrt(top) <= arith.TABLE_CAP:
             bits = _shifted_primes(n, d)
         else:
             bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]

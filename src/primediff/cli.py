@@ -26,8 +26,8 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from . import __version__
-from .arith import TABLE_CAP, ExceptionalDatum, build_tables, psi
+from . import __version__, arith
+from .arith import ExceptionalDatum, build_tables, check_budget, psi
 from .errors import (
     CertificationError,
     DomainError,
@@ -121,8 +121,8 @@ def _cmd_sieve(args) -> None:
 
 def _cmd_psi(args) -> None:
     top = int(math.floor(args.x)) if args.x >= 0 else 0
-    if top > TABLE_CAP:  # refused before n_max, which can run to 300 digits, is printed
-        raise ResourceError(f"tables limited to n_max <= {TABLE_CAP}, got x = {args.x:.12g}")
+    # refused as x, before n_max, which can run to 300 digits, is printed
+    check_budget(top, "tables limited to n_max", f"x = {args.x:.12g}")
     tables = build_tables(max(2, top))
     value = psi(args.x, args.q, args.a, tables)
     manifest = _manifest(
@@ -191,10 +191,7 @@ def _cmd_extremal(args) -> None:
 
     if args.budget is not None and args.mode != "exact":
         raise DomainError(f"--budget applies to --mode exact only, got --mode {args.mode}")
-    # past TABLE_CAP, ForbiddenSet.build sieves the values d s + 1 instead
-    need = args.d * (args.n - 1) + 2
-    tables = build_tables(need) if need <= TABLE_CAP else None
-    fs = ForbiddenSet.build(args.n, args.d, tables)
+    fs = ForbiddenSet.build(args.n, args.d)  # sieves the values d s + 1, no tables
     if args.mode == "exact":
         result = max_avoiding_exact(fs, node_budget=args.budget)
     elif args.mode == "greedy":
@@ -281,7 +278,7 @@ def _cmd_iterate(args) -> None:
     # one table serves the forbidden set and the driver; past TABLE_CAP,
     # ForbiddenSet.build sieves the values d s + 1 instead
     need = args.d * (args.n - 1) + 2
-    tables = build_tables(min(need, TABLE_CAP))
+    tables = build_tables(min(need, arith.TABLE_CAP))
     if args.greedy:
         source = "greedy"
         fs = ForbiddenSet.build(args.n, args.d, tables)

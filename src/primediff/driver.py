@@ -262,7 +262,6 @@ def iterate_once(
     d: int,
     config: IterationConfig,
     tables: ArithTables,
-    forbidden: ForbiddenSet | None = None,
 ):
     """Run the case analysis once.  Returns (outcome, diagnostics dict)."""
     if d < 1:
@@ -275,11 +274,7 @@ def iterate_once(
     if alpha < config.alpha_floor:
         return SmallAlpha(alpha), {}
 
-    if forbidden is None:
-        forbidden = ForbiddenSet.build(n, d, tables)
-    elif forbidden.n != n or forbidden.d != d:
-        raise PreconditionError("forbidden set does not match (n, d)")
-    pair = find_forbidden_pair(A.elements, forbidden)
+    pair = find_forbidden_pair(A.elements, ForbiddenSet.build(n, d, tables))
     if pair is not None:
         s, lower, upper = pair
         return StructureFound(x=s, p=d * s + 1, lower=lower, upper=upper), {}

@@ -8,10 +8,10 @@ balanced function g = 1_A - alpha 1_[1,N],
 
 with integrals realized as quadrature on the power grid the caller passes,
 (M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power (M >= 8N, 8N by
-default), E and E* of every level from one arc walk per level run
-(spectral.level_runs), each level's sum taken in ascending k.  Summed over
-the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
-pins the normalization in tests.  Extraction converts E-mass at level q into
+default), E and E* of every level from one arc walk (spectral.arc_walk),
+each level's sum taken in ascending k.  Summed over the whole torus the
+normalized energy is exactly (1 - alpha)/alpha, which pins the
+normalization in tests.  Extraction converts E-mass at level q into
 a step-q progression on which A beats alpha by the factor (1 + E/4), and the
 averaging projection keeps half of alpha on a step-d progression.  Both take
 the best window inside [1, N], its count recounted exactly from prefix sums
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import IntegerSignal, arc_indices, grid_power, level_runs
+from .spectral import IntegerSignal, arc_walk, grid_power
 
 __all__ = [
     "DensitySet",
@@ -66,7 +66,11 @@ class DensitySet:
 
     @classmethod
     def from_iterable(cls, n: int, points) -> "DensitySet":
-        return cls(n, np.array(sorted(set(int(p) for p in points)), dtype=np.int64))
+        try:
+            elements = np.array(sorted(set(int(p) for p in points)), dtype=np.int64)
+        except OverflowError:
+            raise DomainError(f"elements must fit int64 and lie in [1, {n}]") from None
+        return cls(n, elements)
 
     @property
     def size(self) -> int:
@@ -181,13 +185,12 @@ def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
 
 
 def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> list:
-    """(E, E*) for each ascending level from one arc walk per level run: the
-    power on all of the level's arcs, then on its star arcs, each summed in
-    ascending k by one bincount, so a level's sum does not depend on the
-    other levels."""
+    """(E, E*) for each ascending level from one arc walk: the power on all
+    of the level's arcs, then on its star arcs, each summed in ascending k
+    by one bincount per run, so a level's sum does not depend on the other
+    levels."""
     rows = []
-    for run in level_runs(m, levels, big_q):
-        q, k, a = arc_indices(m, run, big_q)
+    for run, q, k, a in arc_walk(m, levels, big_q):
         at_k, star = power[np.minimum(k, m - k)], np.gcd(a, q) == 1
         e = np.bincount(q, weights=at_k, minlength=run[-1] + 1)[run]
         e_star = np.bincount(q[star], weights=at_k[star], minlength=run[-1] + 1)[run]

@@ -20,14 +20,7 @@ import numpy as np
 
 from .arith import ArithTables, ExceptionalDatum, euler_phi, psi, tau
 from .errors import DomainError, PreconditionError
-from .spectral import (
-    IntegerSignal,
-    arc_indices,
-    dirichlet_approx_grid,
-    grid_power,
-    level_runs,
-    transform_at,
-)
+from .spectral import IntegerSignal, arc_walk, dirichlet_approx_grid, grid_power, transform_at
 
 __all__ = [
     "MangoldtWeight",
@@ -191,8 +184,7 @@ def spectrum_report(
     del power  # free the power grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
     major = np.zeros(m, dtype=bool)
-    for run in level_runs(m, range(1, q_prime + 1), big_q):
-        q, k, a = arc_indices(m, run, big_q)
+    for _, q, k, a in arc_walk(m, range(1, q_prime + 1), big_q):
         star = np.gcd(a, q) == 1
         q, k, a = q[star], k[star], a[star]  # disjoint across levels, as Q > 2 Q'
         major[k] = True
@@ -226,11 +218,12 @@ def major_sup_ratio(
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
     power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
-    peak = np.zeros(q_prime + 1)  # per level, the largest power on its star arcs
-    for run in level_runs(m, range(1, q_prime + 1), big_q):
-        q, k, a = arc_indices(m, run, big_q)
+    ratio = 0.0
+    for run, q, k, a in arc_walk(m, range(1, q_prime + 1), big_q):
         star = np.gcd(a, q) == 1
         k = k[star]
+        peak = np.zeros(run[-1] + 1)  # per level, the largest power on its star arcs
         np.maximum.at(peak, q[star], power[np.minimum(k, m - k)])
-    # sqrt is monotone and correctly rounded: the root of the peak power is the peak magnitude
-    return max(euler_phi(q) * math.sqrt(peak[q]) / hat_zero for q in range(1, q_prime + 1))
+        # sqrt is monotone and correctly rounded: the root of the peak power is the peak magnitude
+        ratio = max(ratio, *(euler_phi(q) * math.sqrt(peak[q]) / hat_zero for q in run.tolist()))
+    return ratio

@@ -1,7 +1,6 @@
 """Finitely supported signals on Z, their transforms on the torus, rational
-approximation, and Farey arc membership on a grid: arc_indices walks the
-arcs of many levels at once, and level_runs splits a caller's levels into
-runs whose walks hold a bounded number of points.
+approximation, and Farey arc membership on a grid: arc_walk walks the arcs
+of many levels, in runs that each hold a bounded number of points.
 
 grid_power gives the power |f_hat(k/M)|^2 of a real signal on the M-point
 grid from one real FFT: M // 2 + 1 values, k = 0..M//2, since a real
@@ -21,28 +20,29 @@ even when the support is large.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import TABLE_CAP
+from .arith import check_budget
 from .errors import DomainError, ResourceError
 
 __all__ = [
     "IntegerSignal",
     "SpectrumGrid",
     "TorusPoint",
-    "arc_indices",
+    "arc_walk",
     "dirichlet_approx",
     "dirichlet_approx_grid",
     "grid_power",
     "grid_spectrum",
-    "level_runs",
     "transform_at",
 ]
 
 _GRID_BLOCK = 1 << 16  # grid points dirichlet_approx_grid works on at a time
-_WALK_POINTS = 1 << 19  # arc points one level run holds beyond its first level
+_INT64_MAX = 2**63 - 1
+_WALK_POINTS = 1 << 19  # arc points one run of arc_walk holds beyond its first level
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +85,8 @@ class TorusPoint:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.q < 1:
-            raise DomainError(f"denominator must be >= 1, got {self.q}")
+        if not 1 <= self.q <= _INT64_MAX:  # transforms reduce x mod q in int64
+            raise DomainError(f"denominator must lie in [1, 2^63 - 1], got {self.q}")
         if not (0 <= self.a <= self.q):
             raise DomainError(f"need 0 <= a <= q, got a={self.a}, q={self.q}")
         if math.gcd(self.a, self.q) != 1 and self.a != 0:
@@ -117,7 +117,11 @@ def transform_at(f: IntegerSignal, point) -> complex:
     if not isinstance(point, TorusPoint):
         point = TorusPoint.from_float(float(point))
     idx = f.offset + np.arange(len(f.values), dtype=np.int64)
-    rational_phase = (idx % point.q) * point.a % point.q
+    x = idx % point.q
+    if int(x.max(initial=0)) * point.a <= _INT64_MAX:
+        rational_phase = x * point.a % point.q
+    else:  # x a would wrap in int64: reduce in Python ints
+        rational_phase = np.array([v * point.a % point.q for v in x.tolist()], dtype=np.int64)
     phase = np.exp(-2j * np.pi * rational_phase / point.q)
     if point.kappa != 0.0:
         phase = phase * np.exp(-2j * np.pi * point.kappa * idx)
@@ -170,8 +174,7 @@ def grid_power(f: IntegerSignal, m: int) -> tuple[int, np.ndarray]:
 
 
 def _check_grid(f: IntegerSignal, m: int) -> None:
-    if m > TABLE_CAP:
-        raise ResourceError(f"spectrum grid limited to M <= {TABLE_CAP} points, got M={m}")
+    check_budget(m, "spectrum grid limited to M")
     if m < f.support_length():
         raise ResourceError(f"grid size {m} below support length {f.support_length()}")
 
@@ -242,46 +245,43 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
 # Farey arcs
 
 
-def arc_indices(m: int, levels, big_q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def arc_walk(m: int, levels, big_q: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Grid points k/M, k in [0, M), in the level-q arcs |theta - a/q| <= 1/(qQ)
-    for every q of the strictly ascending `levels`, from one walk: arrays
-    (q, k, a) sorted by (q, k), each k once per level, with a in 1..q the
-    numerator of an arc holding it; a is reduced whenever a reduced arc holds
-    k (arcs share points only at Q <= 2), so level q's star arcs hold the rows
-    with gcd(a, q) = 1.  Decided exactly, |k q - a M| <= floor(M / Q), so
-    closed arcs keep their boundary points."""
-    levels = _check_levels(m, levels, big_q)
-    # every arc of every level, reduced numerators first within a level:
-    # np.unique keeps each (q, k)'s first occurrence
-    q = np.repeat(levels, levels)
-    a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(levels) - levels, levels)
-    order = np.argsort(2 * q + (np.gcd(a, q) != 1), kind="stable")
-    q, a = q[order], a[order]
-    w = m // big_q
-    lo = -((w - a * m) // q)  # ceil((aM - w) / q)
-    sizes = np.maximum((a * m + w) // q - lo + 1, 0)
-    # one ragged run lo, lo + 1, ..., hi per arc, keyed by q M + (k mod M)
-    k = np.arange(sizes.sum(), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-    key, first = np.unique(np.repeat(q * m, sizes) + k % m, return_index=True)
-    q = key // m
-    return q, key - q * m, np.repeat(a, sizes)[first]
-
-
-def level_runs(m: int, levels, big_q: int) -> list[np.ndarray]:
-    """The strictly ascending levels cut into consecutive runs for
-    arc_indices: a run holds at most _WALK_POINTS arc points beyond its
-    first level (level q's q arcs hold at most 2 floor(M/Q) + q points), so
-    a walk's working arrays stay bounded at any M, while a small grid walks
-    every level in one run."""
-    levels = _check_levels(m, levels, big_q)
-    points = np.cumsum(2 * (m // big_q) + levels)
-    return np.split(levels, np.flatnonzero(np.diff(points // _WALK_POINTS)) + 1)
-
-
-def _check_levels(m: int, levels, big_q: int) -> np.ndarray:
+    for every q of the strictly ascending `levels`, walked one run of
+    consecutive levels at a time: a run holds at most _WALK_POINTS arc points
+    beyond its first level (level q's q arcs hold at most 2 floor(M/Q) + q
+    points), so the working arrays stay bounded at any M, while a small grid
+    walks every level in one run.  Yields (run, q, k, a) per run: arrays
+    sorted by (q, k), each k once per level, with a in 1..q the numerator of
+    an arc holding it; a is reduced whenever a reduced arc holds k (arcs
+    share points only at Q <= 2), so level q's star arcs hold the rows with
+    gcd(a, q) = 1.  Decided exactly, |k q - a M| <= floor(M / Q), so closed
+    arcs keep their boundary points.  The levels' sum of q arcs is held to
+    the table budget before any array is built."""
+    what = "Farey arcs limited to a sum of levels q"
+    # ascending levels q >= 1 have at least 1 + 2 + ... + count arcs: the
+    # exact sum for levels 1..Q', and checkable before the levels are read
+    count = len(levels)
+    check_budget(count * (count + 1) // 2, what)
     levels = np.asarray(levels, dtype=np.int64)
     if m < 1 or big_q < 1 or levels.ndim != 1 or (levels.size and levels[0] < 1):
         raise DomainError(f"need M, Q >= 1 and levels q >= 1, got M={m}, Q={big_q}")
     if (np.diff(levels) <= 0).any():
         raise DomainError("levels must be strictly ascending")
-    return levels
+    check_budget(int(levels.sum()), what)
+    w = m // big_q
+    points = np.cumsum(2 * w + levels)
+    for run in np.split(levels, np.flatnonzero(np.diff(points // _WALK_POINTS)) + 1):
+        # every arc of every level, reduced numerators first within a level:
+        # np.unique keeps each (q, k)'s first occurrence
+        q = np.repeat(run, run)
+        a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(run) - run, run)
+        order = np.argsort(2 * q + (np.gcd(a, q) != 1), kind="stable")
+        q, a = q[order], a[order]
+        lo = -((w - a * m) // q)  # ceil((aM - w) / q)
+        sizes = np.maximum((a * m + w) // q - lo + 1, 0)
+        # one ragged run lo, lo + 1, ..., hi per arc, keyed by q M + (k mod M)
+        k = np.arange(sizes.sum(), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        key, first = np.unique(np.repeat(q * m, sizes) + k % m, return_index=True)
+        q = key // m
+        yield run, q, key - q * m, np.repeat(a, sizes)[first]

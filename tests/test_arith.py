@@ -10,11 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+from primediff import arith
 from primediff.arith import (
     _SIEVE_BLOCK,
     _character_table,
     TABLE_CAP,
-    ArithTables,
     ExceptionalDatum,
     build_tables,
     characters_mod,
@@ -122,6 +122,33 @@ def _oracle_row(n: int) -> tuple[int, float, int, int]:
 # the _SIEVE_BLOCK edge), p = 3, and primes p whose square is the top, the
 # largest prime the spf sieve and the power walk use
 _EDGE_BASES = [2**12, 2**16, 3**8, 251**2, 1999**2]
+
+
+def test_one_budget_bounds_every_size(monkeypatch):
+    """Tables, character tables, FFT grids, forbidden sets and arc walks
+    all answer to arith.TABLE_CAP, read at call time: under a cap of 100
+    each takes 100 entries (91 arcs for levels 1..13) and refuses more."""
+    from primediff.avoider import ForbiddenSet
+    from primediff.spectral import IntegerSignal, arc_walk, grid_power
+
+    monkeypatch.setattr(arith, "TABLE_CAP", 100)
+    _character_table.cache_clear()  # a cached modulus skips its check
+    f = IntegerSignal(1, np.ones(10))
+    assert build_tables(100).n_max == 100
+    assert grid_power(f, 100)[0] == 100
+    assert len(characters_mod(10)) == 4  # a 4 x 10 table
+    assert ForbiddenSet.build(100, 1).n == 100
+    assert next(arc_walk(100, range(1, 14), 30))[0][-1] == 13
+    refusals = [
+        lambda: build_tables(101),
+        lambda: grid_power(f, 101),
+        lambda: characters_mod(11),  # 10 x 11
+        lambda: ForbiddenSet.build(101, 1),
+        lambda: next(arc_walk(100, range(1, 15), 30)),  # 105 arcs
+    ]
+    for refuse in refusals:
+        with pytest.raises(ResourceError, match=r"<= 100, got 1\d\d$"):
+            refuse()
 
 
 class TestLeanTables:

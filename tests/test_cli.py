@@ -1,13 +1,11 @@
 """End-to-end tests for the command-line surface: values, schemas,
 manifests, determinism, and exit codes."""
 
-import cmath
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import pathlib
 import re
@@ -115,6 +113,15 @@ class TestLambdaCommand:
             cli.main(["lambda", "--n", "5", "--d", "2", "--at", "zebra"])
         assert exc.value.code == 2
 
+    def test_denominator_past_int64_is_usage_error(self, capsys):
+        """A reduced denominator that does not fit int64 is a malformed
+        --at, not an OverflowError inside the transform."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lambda", "--n", "10", "--d", "1", "--at", "1/100000000000000000000000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --at" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -161,12 +168,13 @@ def test_psi_refuses_huge_x_in_one_short_line(capsys):
     "argv",
     [
         ["lambda", "--d", "1", "--at", "1/3"],
-        ["spectrum", "--d", "1", "--q-prime", "2", "--big-q", "10"],
+        ["spectrum", "--d", "1", "--q-prime", "2", "--big-q", "10", "--grid-factor", "1"],
     ],
 )
 def test_tables_end_at_d_n_plus_1(argv, capsys, monkeypatch):
     """lambda and spectrum read Lambda(d x + 1) for x <= n, so n =
-    TABLE_CAP - 1 at d = 1 fits under the cap and n = TABLE_CAP does not."""
+    TABLE_CAP - 1 at d = 1 fits under the cap and n = TABLE_CAP does not
+    (spectrum's grid, n points at grid factor 1, stays under the cap)."""
     monkeypatch.setattr(arith, "TABLE_CAP", 1000)
     code, _, err = run_cli(argv + ["--n", "999"], capsys)
     assert code == 0 and err == ""
@@ -184,6 +192,12 @@ def test_tables_end_at_d_n_plus_1(argv, capsys, monkeypatch):
         # a 10^12-point FFT grid
         (["spectrum", "--n", "1000", "--d", "1", "--q-prime", "2", "--big-q", "10",
           "--grid-factor", "1000000000"], "spectrum grid limited"),
+        # 5 10^23 Farey arcs, refused before the levels are read
+        (["spectrum", "--n", "100", "--d", "1", "--q-prime", "1000000000000",
+          "--big-q", "2000000000001"], "Farey arcs limited to a sum of levels q <= 4000000"),
+        # 2 10^8 Farey arcs on a 100-point weight
+        (["spectrum", "--n", "100", "--d", "1", "--q-prime", "20000", "--big-q", "40001"],
+         "got 200010000"),
     ],
 )
 def test_memory_budget_is_resource_error(argv, message, capsys):
@@ -486,6 +500,14 @@ class TestExtremalCommand:
             b - a not in bad for i, a in enumerate(elems) for b in elems[i + 1 :]
         )
 
+    def test_builds_no_tables(self, capsys, monkeypatch):
+        """extremal sieves the values d s + 1 itself: it runs with no
+        build_tables to call and counts the same forbidden differences."""
+        monkeypatch.setattr(cli, "build_tables", None)
+        code, out, _ = run_cli(["extremal", "--n", "88", "--d", "2", "--mode", "greedy"], capsys)
+        assert code == 0
+        assert json.loads(out)["forbidden_count"] == len(forbidden_diffs_naive(88, 2))
+
     def test_greedy_seed_determinism(self, capsys, tmp_path):
         f1, f2 = tmp_path / "g1.json", tmp_path / "g2.json"
         base = ["extremal", "--n", "200", "--d", "1", "--mode", "random-local",
@@ -593,6 +615,13 @@ class TestIterateCommand:
         path.write_text("1\ntwo\n")
         code, _, err = run_cli(["iterate", "--input", str(path), "--n", "10"], capsys)
         assert code == 3
+
+    def test_element_past_int64(self, capsys, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("100000000000000000000000000000\n")
+        code, out, err = run_cli(["iterate", "--input", str(path), "--n", "10"], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: elements must fit int64 and lie in [1, 10]\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["iterate", "--input", "/no/such/file", "--n", "10"], capsys)

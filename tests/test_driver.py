@@ -133,12 +133,6 @@ class TestIterateOnce:
         assert isinstance(out, LargeDOrSmallAlpha)
         assert "d=50" in out.reason
 
-    def test_forbidden_set_mismatch(self, tables_small):
-        A = DensitySet.from_iterable(100, range(1, 101))
-        wrong = ForbiddenSet.build(50, 1, tables_small)
-        with pytest.raises(PreconditionError):
-            iterate_once(A, 1, IterationConfig(), tables_small, forbidden=wrong)
-
     def test_avoiding_class_increments(self, tables_small):
         """A sparse avoiding set still yields a recounted density jump."""
         n = 3000

@@ -1,6 +1,8 @@
 """Tests for signals, torus points, grid spectra, rational approximation,
 and Farey arc membership."""
 
+import cmath
+import itertools
 import math
 import os
 import pathlib
@@ -10,16 +12,15 @@ import sys
 import numpy as np
 import pytest
 
-from primediff import spectral
+from primediff import arith, spectral
 from primediff.spectral import (
     IntegerSignal,
     TorusPoint,
-    arc_indices,
+    arc_walk,
     dirichlet_approx,
     dirichlet_approx_grid,
     grid_power,
     grid_spectrum,
-    level_runs,
     transform_at,
 )
 from primediff.arith import TABLE_CAP
@@ -59,6 +60,14 @@ class TestTorusPoint:
         with pytest.raises(DomainError):
             TorusPoint(1, 0, 0.0)
 
+    def test_denominator_fits_int64(self):
+        assert TorusPoint(1, 2**63 - 1).q == 2**63 - 1
+        with pytest.raises(DomainError, match="2\\^63"):
+            TorusPoint(1, 2**63)
+        with pytest.raises(DomainError):
+            TorusPoint.rational(1, 10**23)
+        assert TorusPoint.rational(10**23, 2 * 10**23).q == 2  # reduced first
+
 
 class TestTransforms:
     def test_pointwise_against_naive(self):
@@ -78,6 +87,14 @@ class TestTransforms:
         z = transform_at(f, TorusPoint.rational(1, 3))
         want = dft_naive([1.0], 10**15 % 3, 1 / 3)
         assert abs(z - want) < 1e-12
+
+    def test_rational_phase_past_int64_products(self):
+        """x a mod q is exact where x a passes int64: at a/q = (10^16 - 1) /
+        10^16 every phase of 1..2000 is e(x / 10^16), so the sum is near 2000."""
+        q = 10**16
+        z = transform_at(IntegerSignal(1, np.ones(2000)), TorusPoint(q - 1, q))
+        want = sum(cmath.exp(-2j * math.pi * (x * (q - 1) % q) / q) for x in range(1, 2001))
+        assert abs(z - want) < 1e-6 and abs(z - 2000) < 1e-3
 
     def test_grid_matches_pointwise(self):
         rng = np.random.default_rng(31)
@@ -198,11 +215,17 @@ def test_grid_approximation_runs_in_blocks():
     assert peak_kb < 150 * 1024, f"peak {peak_kb // 1024} MB"
 
 
+def walk(m, levels, big_q):
+    """arc_walk's columns (q, k, a), its runs joined."""
+    runs = list(arc_walk(m, levels, big_q))
+    return [np.concatenate(col) for col in list(zip(*runs))[1:]]
+
+
 def check_arcs(m, q, big_q):
-    """arc_indices against the oracle: the same points, each labelled by an
+    """arc_walk against the oracle: the same points, each labelled by an
     arc that holds it, a reduced one whenever any reduced arc does.
     Returns the number of points more than one arc holds."""
-    levels, k, a = arc_indices(m, [q], big_q)
+    levels, k, a = walk(m, [q], big_q)
     assert (levels == q).all()
     owners = arc_numerators_naive(m, q, big_q)
     assert k.tolist() == sorted(owners), (m, q, big_q)
@@ -215,6 +238,8 @@ def check_arcs(m, q, big_q):
 
 
 class TestArcIndices:
+    """The points and labels arc_walk yields."""
+
     def test_against_fractions(self):
         rng = np.random.default_rng(44)
         shared = 0
@@ -239,7 +264,7 @@ class TestArcIndices:
             m = int(rng.integers(1, 120))
             big_q = int(rng.integers(1, 3) if trial % 3 == 0 else rng.integers(1, 40))
             levels = sorted(rng.choice(10, size=int(rng.integers(1, 5)), replace=False) + 1)
-            q, k, a = arc_indices(m, levels, big_q)
+            q, k, a = walk(m, levels, big_q)
             owners = {lv: arc_numerators_naive(m, lv, big_q) for lv in levels}
             want = [(lv, point) for lv in levels for point in sorted(owners[lv])]
             assert list(zip(q.tolist(), k.tolist())) == want, (m, levels, big_q)
@@ -255,53 +280,66 @@ class TestArcIndices:
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
         Q = 100, which rounding the arc ends in floats can drop."""
-        _, k, a = arc_indices(7000, [2], 100)
+        _, k, a = walk(7000, [2], 100)
         assert 35 in k and 6965 in k
         assert a[np.searchsorted(k, [35, 6965])].tolist() == [2, 2]
         check_arcs(7000, 2, 100)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            arc_indices(0, [1], 2)
+            next(arc_walk(0, [1], 2))
         with pytest.raises(DomainError):
-            arc_indices(10, [0], 2)
+            next(arc_walk(10, [0], 2))
+        with pytest.raises(DomainError):
+            next(arc_walk(10, [1], 0))
         with pytest.raises(DomainError, match="ascending"):
-            arc_indices(10, [2, 1], 2)
+            next(arc_walk(10, [2, 1], 2))
         with pytest.raises(DomainError, match="ascending"):
-            arc_indices(10, [3, 3], 2)
+            next(arc_walk(10, [3, 3], 2))
 
 
 class TestLevelRuns:
+    """The runs of consecutive levels arc_walk cuts its walk into."""
+
     def test_runs_walk_as_one(self, monkeypatch):
         """The runs cut the levels in order, each holding at most
         _WALK_POINTS arc points beyond its first level, and their walks
-        concatenate to the walk of every level at once."""
-        monkeypatch.setattr(spectral, "_WALK_POINTS", 40)
+        concatenate to the walk of every level in one run."""
         rng = np.random.default_rng(46)
         cuts = 0
         for _ in range(60):
             m = int(rng.integers(1, 300))
             big_q = int(rng.integers(1, 40))
             levels = np.sort(rng.choice(30, size=int(rng.integers(0, 12)), replace=False) + 1)
-            runs = level_runs(m, levels, big_q)
+            monkeypatch.setattr(spectral, "_WALK_POINTS", 1 << 62)
+            (whole,) = arc_walk(m, levels, big_q)
+            monkeypatch.setattr(spectral, "_WALK_POINTS", 40)
+            runs = list(arc_walk(m, levels, big_q))
             cuts += len(runs) - 1
-            assert np.concatenate(runs).tolist() == levels.tolist()
-            for run in runs:
+            assert np.concatenate([run for run, *_ in runs]).tolist() == levels.tolist()
+            for run, q, *_ in runs:
                 assert (2 * (m // big_q) + run[1:]).sum() <= 40, (m, big_q, run)
-            walks = [arc_indices(m, run, big_q) for run in runs]
-            whole = arc_indices(m, levels, big_q)
-            for part, col in zip(zip(*walks), whole):
+                assert np.isin(q, run).all()
+            for part, col in zip(list(zip(*runs))[1:], whole[1:]):
                 assert np.concatenate(part).tolist() == col.tolist()
         assert cuts > 0
 
     def test_driver_grid_is_one_run(self):
         """A 32,000-point grid walks its 50 levels at Q = 100 in one run;
         a 4,000,000-point grid does not."""
-        assert len(level_runs(32_000, range(1, 51), 100)) == 1
-        assert len(level_runs(4_000_000, range(1, 51), 100)) > 1
+        assert len(list(arc_walk(32_000, range(1, 51), 100))) == 1
+        assert len(list(itertools.islice(arc_walk(4_000_000, range(1, 51), 100), 2))) == 2
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            level_runs(10, [1], 0)
-        with pytest.raises(DomainError, match="ascending"):
-            level_runs(10, [2, 1], 2)
+    def test_validation(self, monkeypatch):
+        """The levels' sum of q arcs is held to TABLE_CAP, read at call
+        time, before any array is built: levels 1..10^12 are refused at
+        once, and under a cap of 55, levels 1..10 (55 arcs) walk while
+        1..11 and [1, 2, 60] do not."""
+        with pytest.raises(ResourceError, match="got 500000000000500000000000$"):
+            next(arc_walk(100, range(1, 10**12 + 1), 3 * 10**12))
+        monkeypatch.setattr(arith, "TABLE_CAP", 55)
+        assert next(arc_walk(100, range(1, 11), 30))[0].tolist() == list(range(1, 11))
+        with pytest.raises(ResourceError, match="got 66$"):
+            next(arc_walk(100, range(1, 12), 30))
+        with pytest.raises(ResourceError, match="got 63$"):
+            next(arc_walk(100, [1, 2, 60], 30))
