@@ -91,10 +91,8 @@ _EXPORTS = {
     ),
     "spectral": (
         "IntegerSignal",
-        "SpectrumGrid",
         "TorusPoint",
         "dirichlet_approx",
-        "grid_spectrum",
         "transform_at",
     ),
 }

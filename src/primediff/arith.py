@@ -212,10 +212,18 @@ def mobius_of(n: int) -> int:
 # primality
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, Math. Comp. 2017): the bases decide every n below it
+_MR_LIMIT = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit inputs."""
+    """Deterministic Miller-Rabin on the twelve prime bases 2..37, exact for
+    every n below psi_12 = 318665857834031151167461 (all 64-bit inputs
+    among them).  Raises DomainError for n >= psi_12, where those bases
+    no longer decide primality."""
+    if n >= _MR_LIMIT:
+        raise DomainError(f"is_prime is exact below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

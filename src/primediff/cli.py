@@ -275,18 +275,19 @@ def _cmd_iterate(args) -> None:
     from .increment import DensitySet
 
     config = _read_config(args.config)
-    # one table serves the forbidden set and the driver; past TABLE_CAP,
-    # ForbiddenSet.build sieves the values d s + 1 instead
-    need = args.d * (args.n - 1) + 2
-    tables = build_tables(min(need, arith.TABLE_CAP))
     if args.greedy:
         source = "greedy"
-        fs = ForbiddenSet.build(args.n, args.d, tables)
+        # sieves the values d s + 1 itself, so an n it refuses builds no tables
+        fs = ForbiddenSet.build(args.n, args.d)
         elements = greedy_avoiding(fs, strategy="first_fit").elements
     else:
         source = args.input
         elements = _read_set_file(args.input)
     A = DensitySet.from_iterable(args.n, elements)
+    # the driver's forbidden sets read these tables; past TABLE_CAP,
+    # ForbiddenSet.build sieves the values d s + 1 instead
+    need = args.d * (args.n - 1) + 2
+    tables = build_tables(min(need, arith.TABLE_CAP))
 
     params = {"n": args.n, "d": args.d, "source": source}
     manifest = _manifest("iterate", params, args.seed, args.timestamp)

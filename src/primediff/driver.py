@@ -314,14 +314,7 @@ def iterate_once(
         best = max(candidates, key=lambda r: (r.star_energy / phi[r.q], -r.q))
         target_e = 4.0 * config.gain_threshold
         try:
-            out = extract_progression(
-                A,
-                best.q,
-                1.0 / (best.q * big_q),
-                target_e,
-                c_len=config.c_len,
-                grid=grid,
-            )
+            out = extract_progression(A, best, target_e, c_len=config.c_len)
         except EnergyShortfall as shortfall:
             return (
                 LargeDOrSmallAlpha(
@@ -535,7 +528,7 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                 if tuple(expected.elements.tolist()) != nxt.set_snapshot:
                     raise CertificationError(f"{where}: rescaled snapshot mismatch")
             # energy recount from the snapshot on the same grid, at level q
-            # alone, through the helper extract_progression recorded it with
+            # alone by its own arc walk, not read from the step's energy table
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
             grid = grid_power(A.balanced(), cfg.grid_factor * s.n)

@@ -8,15 +8,15 @@ balanced function g = 1_A - alpha 1_[1,N],
 
 with integrals realized as quadrature on the power grid the caller passes,
 (M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power (M >= 8N, 8N by
-default), E and E* of every level from one arc walk (spectral.arc_walk),
-each level's sum taken in ascending k.  Summed over the whole torus the
-normalized energy is exactly (1 - alpha)/alpha, which pins the
-normalization in tests.  Extraction converts E-mass at level q into
-a step-q progression on which A beats alpha by the factor (1 + E/4), and the
-averaging projection keeps half of alpha on a step-d progression.  Both take
-the best window inside [1, N], its count recounted exactly from prefix sums
-along each residue class (_best_inside), never inferred from the transform
-side.
+default).  energy_table gives E and E* of every level from one arc walk
+(spectral.arc_walk), each level's sum taken in ascending k.  Summed over
+the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
+pins the normalization in tests.  Extraction reads E from energy_table's
+level-q row, walking no arcs of its own, and converts it into a step-q
+progression on which A beats alpha by the factor (1 + E/4); the averaging
+projection keeps half of alpha on a step-d progression.  Both take the best
+window inside [1, N], its count recounted exactly from prefix sums along
+each residue class (_best_inside), never inferred from the transform side.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# arc energy: energy_table and extract_progression share these helpers, and
-# certify recounts a recorded energy through _level_energy
+# arc energy: energy_table measures every level in one arc walk, and
+# certify recounts a recorded level's energy alone through _level_energy
 
 
 def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
@@ -198,10 +198,9 @@ def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) 
     return rows
 
 
-def _level_energy(
-    A: DensitySet, q: int, big_q: int, grid: tuple[int, np.ndarray] | None
-) -> float:
-    """E at level q alone: the value energy_table's level-q row holds."""
+def _level_energy(A: DensitySet, q: int, big_q: int, grid: tuple[int, np.ndarray]) -> float:
+    """E at level q alone, by its own arc walk: the value energy_table's
+    level-q row holds, recounted independently of the table."""
     m, power, norm = _balanced_power(A, grid)
     return _level_energies(m, power, norm, [q], big_q)[0][0]
 
@@ -235,30 +234,16 @@ def energy_table(
 
 
 def extract_progression(
-    A: DensitySet,
-    q: int,
-    eta: float,
-    target_e: float,
-    c_len: float = 0.25,
-    grid: tuple[int, np.ndarray] | None = None,
+    A: DensitySet, row: EnergyStats, target_e: float, c_len: float = 0.25
 ) -> IncrementOutcome:
-    """Turn level-q arc energy into a step-q progression where A beats its
-    density by (1 + E/4).
+    """Turn the level-q arc energy E of A's energy_table row (q, eta, E)
+    into a step-q progression where A beats its density by (1 + E/4).
 
-    eta must be the level-q half-width 1/(q Q) for an integer Q, so that E
-    is measured on the same arcs as energy_table's level-q row.  The
-    progression length respects both |P| q eta <= 1/2 and
+    The progression length respects both |P| q eta <= 1/2 and
     |P| <= c_len min(eta^{-1}, E |A|) / q, then the best translate fully
-    inside [1, N] is recounted.  Raises EnergyShortfall when the measured
-    E is below target_e."""
-    if q < 1:
-        raise DomainError(f"need q >= 1, got {q}")
-    if not (0.0 < eta <= 0.5):
-        raise DomainError(f"need eta in (0, 1/2], got {eta}")
-    big_q = round(1.0 / (q * eta))
-    if big_q < 1 or eta != 1.0 / (q * big_q):
-        raise DomainError(f"need eta = 1/(q Q) for an integer Q, got eta={eta} at q={q}")
-    energy = _level_energy(A, q, big_q, grid)
+    inside [1, N] is recounted.  Raises EnergyShortfall when the row's E
+    is below target_e."""
+    q, eta, energy = row.q, row.eta, row.energy
     if energy < target_e:
         raise EnergyShortfall(energy, target_e)
 

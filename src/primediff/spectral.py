@@ -2,11 +2,11 @@
 approximation, and Farey arc membership on a grid: arc_walk walks the arcs
 of many levels, in runs that each hold a bounded number of points.
 
-grid_power gives the power |f_hat(k/M)|^2 of a real signal on the M-point
-grid from one real FFT: M // 2 + 1 values, k = 0..M//2, since a real
-signal has |f_hat(-theta)| = |f_hat(theta)|.  Every energy and magnitude in
-the package reads it, grid point k at index min(k, M - k).  grid_spectrum
-keeps the complex values for callers that need the phase.
+grid_power, the one grid spectrum, gives the power |f_hat(k/M)|^2 of a
+real signal on the M-point grid from one real FFT: M // 2 + 1 values,
+k = 0..M//2, since a real signal has |f_hat(-theta)| = |f_hat(theta)|.
+Every energy and magnitude in the package reads it, grid point k at index
+min(k, M - k); transform_at gives f_hat, phase included, at any one point.
 
 Sign convention, used everywhere in this package:
 
@@ -30,13 +30,11 @@ from .errors import DomainError, ResourceError
 
 __all__ = [
     "IntegerSignal",
-    "SpectrumGrid",
     "TorusPoint",
     "arc_walk",
     "dirichlet_approx",
     "dirichlet_approx_grid",
     "grid_power",
-    "grid_spectrum",
     "transform_at",
 ]
 
@@ -129,54 +127,27 @@ def transform_at(f: IntegerSignal, point) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# grid spectra
-
-
-@dataclass(frozen=True)
-class SpectrumGrid:
-    """Values f_hat(k/M) for k = 0..M-1."""
-
-    m: int
-    values: np.ndarray
-
-    def total_energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) / self.m)
-
-
-def grid_spectrum(f: IntegerSignal, m: int) -> SpectrumGrid:
-    """Exact f_hat on the M-point grid via FFT of the support placed at
-    offset mod M in a zero-padded buffer.
-
-    Requires m >= support length; below that the grid aliases and the
-    Parseval identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids
-    past TABLE_CAP points are refused before anything is allocated.
-    """
-    _check_grid(f, m)
-    n, start = f.support_length(), f.offset % m
-    buf = np.zeros(m, dtype=np.result_type(f.values, 1j))  # the dtype fft computes in
-    head = min(n, m - start)  # the support wraps past M - 1 back to 0
-    buf[start : start + head] = f.values[:head]
-    buf[: n - head] = f.values[head:]
-    return SpectrumGrid(m, np.fft.fft(buf))
+# grid power
 
 
 def grid_power(f: IntegerSignal, m: int) -> tuple[int, np.ndarray]:
     """(M, |f_hat(k/M)|^2 for k = 0..M//2) of a real signal from one real
     FFT; grid point k reads index min(k, M - k).  The power does not depend
-    on f's offset.  Refuses the grids grid_spectrum refuses."""
+    on f's offset.
+
+    Requires m >= support length; below that the grid aliases and the
+    Parseval identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids
+    past TABLE_CAP points are refused before anything is allocated.
+    """
     if np.iscomplexobj(f.values):
         raise DomainError("grid_power needs a real-valued signal")
-    _check_grid(f, m)
+    check_budget(m, "spectrum grid limited to M")
+    if m < f.support_length():
+        raise ResourceError(f"grid size {m} below support length {f.support_length()}")
     spec = np.fft.rfft(f.values, n=m)
     power = spec.real**2
     power += spec.imag**2
     return m, power
-
-
-def _check_grid(f: IntegerSignal, m: int) -> None:
-    check_budget(m, "spectrum grid limited to M")
-    if m < f.support_length():
-        raise ResourceError(f"grid size {m} below support length {f.support_length()}")
 
 
 # ---------------------------------------------------------------------------

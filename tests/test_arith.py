@@ -231,6 +231,19 @@ class TestIsPrime:
         assert is_prime(10**18 + 9)
         assert not is_prime(2**31 + 1)
 
+    def test_refuses_from_psi12(self):
+        """psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to
+        all twelve bases 2..37, so from it on they decide nothing and
+        is_prime refuses; below it they decide, as at the largest 64-bit
+        prime 2^64 - 59."""
+        psi12 = 318_665_857_834_031_151_167_461
+        assert psi12 == 399_165_290_221 * 798_330_580_441
+        for n in (psi12, psi12 + 2, 10**40):
+            with pytest.raises(DomainError, match="318665857834031151167461"):
+                is_prime(n)
+        assert not is_prime(psi12 - 2)  # 137 divides it
+        assert is_prime(2**64 - 59)
+
     def test_fuzz_against_trial_division(self):
         rng = np.random.default_rng(7)
         for _ in range(400):

@@ -214,15 +214,22 @@ def test_memory_budget_is_resource_error(argv, message, capsys):
         (["extremal", "--n", "100000000000", "--d", "1", "--mode", "greedy"],
          "forbidden set limited to n <= 4000000"),
         (["iterate", "--greedy", "--n", "100000000000"], "forbidden set limited"),
+        # d s + 1 = psi_12, past where Miller-Rabin on bases 2..37 decides
+        (["extremal", "--n", "2", "--d", "318665857834031151167460", "--mode", "greedy"],
+         "exact below 318665857834031151167461"),
         # a node budget means nothing to the heuristics
         (["extremal", "--n", "50", "--d", "1", "--mode", "greedy", "--budget", "-5"],
          "--budget applies to --mode exact only"),
         (["extremal", "--n", "50", "--d", "1", "--mode", "random-local", "--budget", "100"],
          "--budget applies to --mode exact only"),
     ],
-    ids=["extremal_n1e11", "iterate_n1e11", "budget_greedy", "budget_random_local"],
+    ids=["extremal_n1e11", "iterate_n1e11", "extremal_psi12", "budget_greedy",
+         "budget_random_local"],
 )
-def test_refused_arguments_exit_3(argv, message, capsys):
+def test_refused_arguments_exit_3(argv, message, capsys, monkeypatch):
+    """Each refusal comes before any table is built: it exits 3 with no
+    build_tables to call."""
+    monkeypatch.setattr(cli, "build_tables", None)
     code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
     assert code == 3
     assert out == ""

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from primediff import increment
 from primediff.driver import (
     Budget,
     DensityIncrement,
@@ -36,6 +37,19 @@ def avoiding_set(n, d, tables):
     fs = ForbiddenSet.build(n, d, tables)
     res = greedy_avoiding(fs, strategy="first_fit")
     return DensitySet.from_iterable(n, res.elements)
+
+
+def class_avoiding_set(n, tables):
+    """First fit over 1, 4, 7, ... in [1, n] against the differences s with
+    s + 1 prime: sparse, and structured mod 3."""
+    fs = ForbiddenSet.build(n, 1, tables)
+    taken, blocked = [], np.zeros(2 * n + 1, dtype=bool)
+    diffs = np.flatnonzero(fs.bits)
+    for x in range(1, n + 1, 3):
+        if not blocked[x]:
+            taken.append(x)
+            blocked[x + diffs] = True
+    return DensitySet.from_iterable(n, taken)
 
 
 class TestIterationConfig:
@@ -135,15 +149,7 @@ class TestIterateOnce:
 
     def test_avoiding_class_increments(self, tables_small):
         """A sparse avoiding set still yields a recounted density jump."""
-        n = 3000
-        fs = ForbiddenSet.build(n, 1, tables_small)
-        taken, blocked = [], np.zeros(2 * n + 1, dtype=bool)
-        diffs = np.flatnonzero(fs.bits)
-        for x in range(1, n + 1, 3):
-            if not blocked[x]:
-                taken.append(x)
-                blocked[x + diffs] = True
-        A = DensitySet.from_iterable(n, taken)
+        A = class_avoiding_set(3000, tables_small)
         out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
         assert isinstance(out, DensityIncrement)
         inc = out.outcome
@@ -153,6 +159,23 @@ class TestIterateOnce:
         got = np.isin(inc.progression.points(), A.elements).sum()
         assert got == inc.intersection_count
         assert out.new_set.size == inc.intersection_count
+
+    def test_one_arc_walk_per_step(self, tables_small, monkeypatch):
+        """A step that reaches extraction walks the arcs once, in
+        energy_table: extraction reads its level's E from the table row."""
+        walks, arc_walk = [], increment.arc_walk
+
+        def counted(*args):
+            walks.append(args)
+            return arc_walk(*args)
+
+        monkeypatch.setattr(increment, "arc_walk", counted)
+        A = class_avoiding_set(3000, tables_small)
+        out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
+        assert isinstance(out, DensityIncrement)
+        assert len(walks) == 1
+        row = diag["energy_table"].rows[out.q - 1]
+        assert out.outcome.detail["energy"] == row.energy
 
 
 class TestRun:

@@ -26,10 +26,10 @@ EXPORTS = """
     ExceptionalDatum ForbiddenSet IncrementOutcome InnerProductStats
     IntegerSignal IterationConfig LargeDOrSmallAlpha MangoldtWeight Prediction
     PreconditionError Progression ResourceError SearchResult SmallAlpha SmallN
-    SpectrumGrid SpectrumReport StructureFound TorusPoint Trace TraceStep
+    SpectrumReport StructureFound TorusPoint Trace TraceStep
     averaging_projection build_tables certify characters_mod dirichlet_approx
     energy_table euler_phi extract_progression find_forbidden_pair
-    greedy_avoiding grid_spectrum inner_product_stats is_avoiding is_prime
+    greedy_avoiding inner_product_stats is_avoiding is_prime
     iterate_once lambda_hat_rational major_prediction major_sup_ratio
     max_avoiding_exact mobius_of psi psi_chi ramanujan rescale run
     spectrum_report tau tau_closed_form trace_to_jsonl transform_at

@@ -107,7 +107,7 @@ class TestWindowCounts:
             q = int(rng.integers(1, 6))
             outs = [
                 averaging_projection(A, step),
-                extract_progression(A, q, 1 / (q * int(rng.integers(2, 40))), 0.0),
+                extract_progression(A, energy_table(A, q, int(rng.integers(2, 40))).rows[-1], 0.0),
             ]
             for out in outs:
                 P = out.progression
@@ -214,8 +214,8 @@ class TestExtractProgression:
     def test_structured_class(self):
         n = 700
         A = DensitySet.from_iterable(n, range(1, n + 1, 7))
-        big_q = n // 8
-        out = extract_progression(A, 7, 1 / (7 * big_q), 0.5)
+        row = energy_table(A, 7, n // 8).rows[6]
+        out = extract_progression(A, row, 0.5)
         assert out.met_guarantee
         assert out.progression.step == 7
         assert out.new_alpha == 1.0
@@ -228,11 +228,11 @@ class TestExtractProgression:
     def test_length_caps(self):
         n = 700
         A = DensitySet.from_iterable(n, range(1, n + 1, 7))
-        eta = 1 / (7 * (n // 8))
-        out = extract_progression(A, 7, eta, 0.1, c_len=0.25)
+        row = energy_table(A, 7, n // 8).rows[6]
+        out = extract_progression(A, row, 0.1, c_len=0.25)
         L = out.progression.length
-        assert L <= 1 / (2 * 7 * eta)
-        assert L <= 0.25 * min(1 / eta, out.detail["energy"] * A.size) / 7
+        assert L <= 1 / (2 * 7 * row.eta)
+        assert L <= 0.25 * min(1 / row.eta, out.detail["energy"] * A.size) / 7
         assert L >= 1
 
     def test_energy_shortfall(self):
@@ -241,16 +241,9 @@ class TestExtractProgression:
             300, rng.choice(np.arange(1, 301), size=150, replace=False)
         )
         with pytest.raises(EnergyShortfall) as exc:
-            extract_progression(A, 3, 1 / (3 * 40), 1e6)
+            extract_progression(A, energy_table(A, 3, 40).rows[2], 1e6)
         assert exc.value.required == 1e6
         assert exc.value.measured < 1e6
-
-    def test_validation(self):
-        A = DensitySet.from_iterable(80, range(1, 81, 3))
-        with pytest.raises(DomainError):
-            extract_progression(A, 0, 0.01, 0.0)
-        with pytest.raises(DomainError):
-            extract_progression(A, 3, 0.9, 0.0)
 
 
 class TestAveragingProjection:

@@ -22,7 +22,7 @@ from primediff.mangoldt import (
     spectrum_report,
     vinogradov_bound,
 )
-from primediff.spectral import TorusPoint, grid_power, grid_spectrum
+from primediff.spectral import TorusPoint, grid_power, transform_at
 
 from oracles import dft_naive, mangoldt_naive
 
@@ -135,17 +135,23 @@ class TestSpectrumReport:
     def test_actual_is_scalar_abs(self, tables_small):
         """The actual column is the root of grid_power's power at
         min(k, M - k), bit for bit, on even and odd grids of about 16,000
-        points, and Python's abs() of the complex grid to rounding: the real
-        and the complex FFT round differently."""
+        points, and Python's abs() of transform_at to rounding, at k = 0 and
+        a seeded sample of k with their mirrors M - k: the real FFT and the
+        pointwise sum round differently.  k = 0 holds the largest value,
+        the mass of the nonnegative weight, which scales the tolerance."""
         n = 2000
         signal = MangoldtWeight.from_tables(n, 1, tables_small).signal
+        rng = np.random.default_rng(147)
         for m in (16000, 16001):
             report = spectrum_report(n, 1, 20, 200, m, tables_small)
             _, power = grid_power(signal, m)
             assert len(report) == m
             assert report.actual.tolist() == [math.sqrt(power[min(k, m - k)]) for k in range(m)]
-            scalar = np.array([abs(z) for z in grid_spectrum(signal, m).values.tolist()])
-            assert np.abs(report.actual - scalar).max() <= 1e-12 * scalar.max()
+            half = np.concatenate([[0], rng.choice(np.arange(1, m // 2 + 1), 64, replace=False)])
+            ks = np.concatenate([half, (m - half) % m])
+            points = [TorusPoint.rational(k, m) for k in ks.tolist()]
+            scalar = np.array([abs(transform_at(signal, t)) for t in points])
+            assert np.abs(report.actual[ks] - scalar).max() <= 1e-12 * scalar.max()
 
     def test_labels_follow_arc_membership(self, tables_small):
         """Major iff k/M lies in a closed arc |k/M - a/q| <= 1/(qQ) with

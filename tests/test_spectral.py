@@ -1,4 +1,4 @@
-"""Tests for signals, torus points, grid spectra, rational approximation,
+"""Tests for signals, torus points, grid power, rational approximation,
 and Farey arc membership."""
 
 import cmath
@@ -20,7 +20,6 @@ from primediff.spectral import (
     dirichlet_approx,
     dirichlet_approx_grid,
     grid_power,
-    grid_spectrum,
     transform_at,
 )
 from primediff.arith import TABLE_CAP
@@ -96,33 +95,6 @@ class TestTransforms:
         want = sum(cmath.exp(-2j * math.pi * (x * (q - 1) % q) / q) for x in range(1, 2001))
         assert abs(z - want) < 1e-6 and abs(z - 2000) < 1e-3
 
-    def test_grid_matches_pointwise(self):
-        rng = np.random.default_rng(31)
-        vals = rng.normal(size=17)
-        f = IntegerSignal(5, vals)
-        m = 32
-        grid = grid_spectrum(f, m)
-        for k in range(m):
-            want = transform_at(f, TorusPoint.rational(k, m))
-            assert abs(grid.values[k] - want) < 1e-9
-
-    def test_grid_wraps_the_support(self):
-        """A support placed at offset mod M runs past M - 1 and wraps to 0;
-        negative and large offsets land on the same grid values."""
-        rng = np.random.default_rng(33)
-        vals = rng.normal(size=17)
-        m = 20
-        for offset in (25, -7, 10**12 + 3):
-            grid = grid_spectrum(IntegerSignal(offset, vals), m)
-            for k in range(m):
-                want = transform_at(IntegerSignal(offset, vals), TorusPoint.rational(k, m))
-                assert abs(grid.values[k] - want) < 1e-9
-
-    def test_grid_too_small(self):
-        f = IntegerSignal(1, np.ones(10))
-        with pytest.raises(ResourceError):
-            grid_spectrum(f, 9)
-
     def test_power_matches_pointwise(self):
         """grid_power holds |f_hat(k/M)|^2 for k <= M/2, and grid point k
         reads index min(k, M - k), on even and odd grids; the support
@@ -137,8 +109,8 @@ class TestTransforms:
                 assert abs(power[min(k, m - k)] - want) < 1e-9
 
     def test_power_refusals(self):
-        """The grids grid_spectrum refuses, and complex signals, whose power
-        is not symmetric."""
+        """Grids below the support length or past TABLE_CAP points, and
+        complex signals, whose power is not symmetric."""
         f = IntegerSignal(1, np.ones(10))
         with pytest.raises(ResourceError):
             grid_power(f, 9)
@@ -153,8 +125,10 @@ class TestTransforms:
             vals = rng.normal(size=int(rng.integers(1, 200)))
             f = IntegerSignal(int(rng.integers(-3, 40)), vals)
             m = f.support_length() + int(rng.integers(0, 50))
-            grid = grid_spectrum(f, m)
-            assert abs(grid.total_energy() - f.energy()) <= 1e-9 * f.energy()
+            _, half = grid_power(f, m)
+            # the half grid holds k = 0 and, for even M, k = M/2 once
+            total = (2 * half.sum() - half[0] - (half[-1] if m % 2 == 0 else 0.0)) / m
+            assert abs(total - f.energy()) <= 1e-9 * f.energy()
 
 
 class TestDirichletApprox:
