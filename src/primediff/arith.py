@@ -42,8 +42,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tables
 
-# the one size budget (check_budget): most entries any table, grid, or arc
-# walk may hold.  Tables to n_max = TABLE_CAP take 48 MB for spf (int32) and
+# the one size budget (check_budget): most entries any table, grid, or set
+# of arcs may hold.  Tables to n_max = TABLE_CAP take 48 MB for spf (int32) and
 # mangoldt (float64), and the first read of mobius or phi adds mobius (int8)
 # and phi (int64), 36 MB more
 TABLE_CAP = 4_000_000
@@ -60,7 +60,7 @@ _CHAR_BLOCK = 1 << 18
 def check_budget(entries: int, what: str, got=None) -> None:
     """Refuse more than TABLE_CAP entries with the ResourceError
     "{what} <= TABLE_CAP, got {got, by default entries}".  The cap is read
-    at call time, so every table, grid, and arc walk answers to one value."""
+    at call time, so every table, grid, and set of arcs answers to one value."""
     if entries > TABLE_CAP:
         raise ResourceError(f"{what} <= {TABLE_CAP}, got {entries if got is None else got}")
 

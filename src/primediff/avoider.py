@@ -65,7 +65,7 @@ class ForbiddenSet:
             s = np.arange(1, n, dtype=np.int64)
             vals = d * s + 1
             bits[1:] = tables.spf[vals] == vals
-        elif math.isqrt(top) <= arith.TABLE_CAP:
+        elif n > 1 and math.isqrt(top) <= arith.TABLE_CAP:  # at n = 1, d may pass int64
             bits = _shifted_primes(n, d)
         else:
             bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]
@@ -84,7 +84,7 @@ def _shifted_primes(n: int, d: int) -> np.ndarray:
     Sieves the progression d s + 1 by the primes p <= sqrt(d (n - 1) + 1)
     that do not divide d: p strikes s_p, s_p + p, ... from s_p = -1/d mod p,
     the first s >= 1 with p | d s + 1.  A prime p = d s + 1 strikes its own
-    s, which is set back.  Needs d (n - 1) + 1 below 2^63."""
+    s, which is set back.  Needs n >= 2 and d (n - 1) + 1 below 2^63."""
     flags = np.ones(n, dtype=bool)
     flags[0] = False
     p = _primes_upto(math.isqrt(d * (n - 1) + 1))

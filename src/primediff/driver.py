@@ -32,7 +32,8 @@ from .errors import CertificationError, DomainError, EnergyShortfall, Preconditi
 from .increment import (
     DensitySet,
     IncrementOutcome,
-    _level_energy,
+    _balanced_power,
+    _level_energies,
     energy_table,
     extract_progression,
     rescale,
@@ -528,11 +529,11 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                 if tuple(expected.elements.tolist()) != nxt.set_snapshot:
                     raise CertificationError(f"{where}: rescaled snapshot mismatch")
             # energy recount from the snapshot on the same grid, at level q
-            # alone by its own arc walk, not read from the step's energy table
+            # alone from its own arc ranges, not read from the step's energy table
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
-            grid = grid_power(A.balanced(), cfg.grid_factor * s.n)
-            recomputed = _level_energy(A, out.q, big_q, grid)
+            m, power, norm = _balanced_power(A, grid_power(A.balanced(), cfg.grid_factor * s.n))
+            recomputed = _level_energies(m, power, norm, [out.q], big_q)[0][0]
             recorded = o.detail.get("energy")
             if recorded is None or abs(recomputed - recorded) > 1e-9 * max(1.0, recorded):
                 raise CertificationError(

@@ -8,11 +8,11 @@ balanced function g = 1_A - alpha 1_[1,N],
 
 with integrals realized as quadrature on the power grid the caller passes,
 (M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power (M >= 8N, 8N by
-default).  energy_table gives E and E* of every level from one arc walk
-(spectral.arc_walk), each level's sum taken in ascending k.  Summed over
+default).  energy_table gives E and E* of every level from one prefix sum
+of the power, read at the ends of spectral.arc_ranges' arcs.  Summed over
 the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
 pins the normalization in tests.  Extraction reads E from energy_table's
-level-q row, walking no arcs of its own, and converts it into a step-q
+level-q row, measuring no arcs of its own, and converts it into a step-q
 progression on which A beats alpha by the factor (1 + E/4); the averaging
 projection keeps half of alpha on a step-d progression.  Both take the best
 window inside [1, N], its count recounted exactly from prefix sums along
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import IntegerSignal, arc_walk, grid_power
+from .spectral import IntegerSignal, arc_ranges, grid_power, unfold
 
 __all__ = [
     "DensitySet",
@@ -167,8 +167,8 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# arc energy: energy_table measures every level in one arc walk, and
-# certify recounts a recorded level's energy alone through _level_energy
+# arc energy: energy_table measures every level from one arc_ranges call,
+# and certify recounts a recorded level's energy alone through _level_energies
 
 
 def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
@@ -185,24 +185,17 @@ def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
 
 
 def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> list:
-    """(E, E*) for each ascending level from one arc walk: the power on all
-    of the level's arcs, then on its star arcs, each summed in ascending k
-    by one bincount per run, so a level's sum does not depend on the other
-    levels."""
-    rows = []
-    for run, q, k, a in arc_walk(m, levels, big_q):
-        at_k, star = power[np.minimum(k, m - k)], np.gcd(a, q) == 1
-        e = np.bincount(q, weights=at_k, minlength=run[-1] + 1)[run]
-        e_star = np.bincount(q[star], weights=at_k[star], minlength=run[-1] + 1)[run]
-        rows += zip((e * norm).tolist(), (e_star * norm).tolist())
-    return rows
-
-
-def _level_energy(A: DensitySet, q: int, big_q: int, grid: tuple[int, np.ndarray]) -> float:
-    """E at level q alone, by its own arc walk: the value energy_table's
-    level-q row holds, recounted independently of the table."""
-    m, power, norm = _balanced_power(A, grid)
-    return _level_energies(m, power, norm, [q], big_q)[0][0]
+    """(E, E*) for each ascending level: with C the running sum of the power
+    at k = 0..M + w, each arc's power is C[hi + 1] - C[lo], within
+    2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a level's
+    arcs, one its star arcs, so a row does not depend on the other levels."""
+    q, a, lo, hi = arc_ranges(m, levels, big_q)
+    c = np.zeros(m + m // big_q + 2)  # C[0] = 0, then C[k + 1] = C[k] + power at k
+    np.cumsum(unfold(power, m, c[1:]), out=c[1:])
+    arc = c[hi + 1] - c[lo]
+    e = np.bincount(q, weights=arc)[levels]
+    e_star = np.bincount(q, weights=arc * (np.gcd(a, q) == 1))[levels]
+    return list(zip((e * norm).tolist(), (e_star * norm).tolist()))
 
 
 # ---------------------------------------------------------------------------

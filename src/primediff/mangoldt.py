@@ -20,7 +20,8 @@ import numpy as np
 
 from .arith import ArithTables, ExceptionalDatum, euler_phi, psi, tau
 from .errors import DomainError, PreconditionError
-from .spectral import IntegerSignal, arc_walk, dirichlet_approx_grid, grid_power, transform_at
+from .spectral import IntegerSignal, arc_ranges, dirichlet_approx_grid, grid_power
+from .spectral import transform_at, unfold
 
 __all__ = [
     "MangoldtWeight",
@@ -177,20 +178,18 @@ def spectrum_report(
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
     power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
-    # |Lambda_hat| at k <= M/2, mirrored to M - k: cheaper than gathering at min(k, M - k)
-    actual = np.empty(m)
-    np.sqrt(power, out=actual[: len(power)])
-    actual[len(power) :] = actual[(m + 1) // 2 - 1 : 0 : -1]
+    actual = unfold(np.sqrt(power), m, np.empty(m))  # |Lambda_hat| at k <= M/2, mirrored to M - k
     del power  # free the power grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
+    q, a, lo, hi = arc_ranges(m, range(1, q_prime + 1), big_q)
+    star = np.gcd(a, q) == 1
+    q, a, lo, size = q[star], a[star] % q[star], lo[star], hi[star] - lo[star] + 1
+    # each point of each star arc: disjoint across levels, as Q > 2 Q'
+    k = (np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)) % m
     major = np.zeros(m, dtype=bool)
-    for _, q, k, a in arc_walk(m, range(1, q_prime + 1), big_q):
-        star = np.gcd(a, q) == 1
-        q, k, a = q[star], k[star], a[star]  # disjoint across levels, as Q > 2 Q'
-        major[k] = True
-        q_col[k] = q
-        a_col[k] = a % q  # 1/1 is the arc of 0/1
-    del q, k, a, star  # free the walk before the bound column is built
+    major[k] = True
+    q_col[k], a_col[k] = np.repeat(q, size), np.repeat(a, size)  # 1/1 is the arc of 0/1
+    del q, a, lo, size, k, star  # free the ranges before the bound column is built
 
     # one bound per (class, q), looked up by every point of that class and q
     bounds = np.zeros((2, int(q_col.max()) + 1))
@@ -218,12 +217,11 @@ def major_sup_ratio(
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
     power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
-    ratio = 0.0
-    for run, q, k, a in arc_walk(m, range(1, q_prime + 1), big_q):
-        star = np.gcd(a, q) == 1
-        k = k[star]
-        peak = np.zeros(run[-1] + 1)  # per level, the largest power on its star arcs
-        np.maximum.at(peak, q[star], power[np.minimum(k, m - k)])
-        # sqrt is monotone and correctly rounded: the root of the peak power is the peak magnitude
-        ratio = max(ratio, *(euler_phi(q) * math.sqrt(peak[q]) / hat_zero for q in run.tolist()))
-    return ratio
+    q, a, lo, hi = arc_ranges(m, range(1, q_prime + 1), big_q)
+    star = (np.gcd(a, q) == 1) & (lo <= hi)
+    at = unfold(power, m, np.empty(m + m // big_q + 2))  # k = 0..M + w + 1: each hi + 1 readable
+    ends = np.stack([lo[star], hi[star] + 1], axis=1).ravel()  # even slots reduce lo..hi
+    peak = np.zeros(q_prime + 1)  # per level, the largest power on its star arcs
+    np.maximum.at(peak, q[star], np.maximum.reduceat(at, ends)[::2])
+    # sqrt is monotone and correctly rounded: the root of the peak power is the peak magnitude
+    return max(euler_phi(q) * math.sqrt(peak[q]) / hat_zero for q in range(1, q_prime + 1))

@@ -1,6 +1,6 @@
 """Finitely supported signals on Z, their transforms on the torus, rational
-approximation, and Farey arc membership on a grid: arc_walk walks the arcs
-of many levels, in runs that each hold a bounded number of points.
+approximation, and Farey arc membership on a grid: arc_ranges gives the
+arcs of many levels as integer ranges of grid points, listing no point.
 
 grid_power, the one grid spectrum, gives the power |f_hat(k/M)|^2 of a
 real signal on the M-point grid from one real FFT: M // 2 + 1 values,
@@ -20,7 +20,6 @@ even when the support is large.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +30,16 @@ from .errors import DomainError, ResourceError
 __all__ = [
     "IntegerSignal",
     "TorusPoint",
-    "arc_walk",
+    "arc_ranges",
     "dirichlet_approx",
     "dirichlet_approx_grid",
     "grid_power",
     "transform_at",
+    "unfold",
 ]
 
 _GRID_BLOCK = 1 << 16  # grid points dirichlet_approx_grid works on at a time
 _INT64_MAX = 2**63 - 1
-_WALK_POINTS = 1 << 19  # arc points one run of arc_walk holds beyond its first level
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +149,16 @@ def grid_power(f: IntegerSignal, m: int) -> tuple[int, np.ndarray]:
     return m, power
 
 
+def unfold(half: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """Fill out with an even function of the M-point grid, given at
+    k = 0..M//2 by half (as grid_power's power): out[k] is its value at
+    k mod M, for every k < len(out).  Returns out."""
+    out[: len(half)] = half
+    out[len(half) : m] = half[(m + 1) // 2 - 1 : 0 : -1]
+    out[m:] = np.take(out[:m], np.arange(m, len(out)), mode="wrap")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rational approximation
 
@@ -216,43 +225,39 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
 # Farey arcs
 
 
-def arc_walk(m: int, levels, big_q: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Grid points k/M, k in [0, M), in the level-q arcs |theta - a/q| <= 1/(qQ)
-    for every q of the strictly ascending `levels`, walked one run of
-    consecutive levels at a time: a run holds at most _WALK_POINTS arc points
-    beyond its first level (level q's q arcs hold at most 2 floor(M/Q) + q
-    points), so the working arrays stay bounded at any M, while a small grid
-    walks every level in one run.  Yields (run, q, k, a) per run: arrays
-    sorted by (q, k), each k once per level, with a in 1..q the numerator of
-    an arc holding it; a is reduced whenever a reduced arc holds k (arcs
-    share points only at Q <= 2), so level q's star arcs hold the rows with
-    gcd(a, q) = 1.  Decided exactly, |k q - a M| <= floor(M / Q), so closed
-    arcs keep their boundary points.  The levels' sum of q arcs is held to
-    the table budget before any array is built."""
+def arc_ranges(m: int, levels, big_q: int) -> tuple[np.ndarray, ...]:
+    """Level-q arcs |theta - a/q| <= 1/(qQ) on the M-point grid, for the
+    strictly ascending `levels`, as integer ranges (q, a, lo, hi): one row
+    per arc, in level order and ascending a, holding k = lo..hi (none when
+    hi = lo - 1).  lo = ceil((aM - w)/q) and hi = floor((aM + w)/q) with
+    w = floor(M/Q) are exact, so closed arcs keep their boundary points.
+    Only the a = q arc runs past M, by at most w; k there reads k - M.  Arcs
+    of a level touch only when 2w >= M (Q = 2, M even), at one point, kept
+    by the reduced arc if just one of the two is, else by the arc below
+    (a = q is below a = 1), so the star arcs, gcd(a, q) = 1, hold exactly
+    the points some reduced arc holds.  The levels' sum of q arcs is held
+    to the table budget before any array is built."""
     what = "Farey arcs limited to a sum of levels q"
     # ascending levels q >= 1 have at least 1 + 2 + ... + count arcs: the
     # exact sum for levels 1..Q', and checkable before the levels are read
     count = len(levels)
     check_budget(count * (count + 1) // 2, what)
     levels = np.asarray(levels, dtype=np.int64)
-    if m < 1 or big_q < 1 or levels.ndim != 1 or (levels.size and levels[0] < 1):
-        raise DomainError(f"need M, Q >= 1 and levels q >= 1, got M={m}, Q={big_q}")
+    if m < 1 or big_q < 2 or levels.ndim != 1 or (levels.size and levels[0] < 1):
+        raise DomainError(f"need M >= 1, Q >= 2 and levels q >= 1, got M={m}, Q={big_q}")
     if (np.diff(levels) <= 0).any():
         raise DomainError("levels must be strictly ascending")
     check_budget(int(levels.sum()), what)
     w = m // big_q
-    points = np.cumsum(2 * w + levels)
-    for run in np.split(levels, np.flatnonzero(np.diff(points // _WALK_POINTS)) + 1):
-        # every arc of every level, reduced numerators first within a level:
-        # np.unique keeps each (q, k)'s first occurrence
-        q = np.repeat(run, run)
-        a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(run) - run, run)
-        order = np.argsort(2 * q + (np.gcd(a, q) != 1), kind="stable")
-        q, a = q[order], a[order]
-        lo = -((w - a * m) // q)  # ceil((aM - w) / q)
-        sizes = np.maximum((a * m + w) // q - lo + 1, 0)
-        # one ragged run lo, lo + 1, ..., hi per arc, keyed by q M + (k mod M)
-        k = np.arange(sizes.sum(), dtype=np.int64) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-        key, first = np.unique(np.repeat(q * m, sizes) + k % m, return_index=True)
-        q = key // m
-        yield run, q, key - q * m, np.repeat(a, sizes)[first]
+    q = np.repeat(levels, levels)
+    a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(levels) - levels, levels)
+    lo = -((w - a * m) // q)  # ceil((aM - w) / q)
+    hi = (a * m + w) // q
+    if 2 * w >= m:  # each arc meets the next around the circle at one point
+        up = np.arange(1, len(a) + 1) - q * (a == q)  # row of the arc above: a + 1, or 1 after q
+        shared = hi == lo[up] + m * (a == q)
+        reduced = np.gcd(a, q) == 1
+        cede = shared & reduced[up] & ~reduced
+        hi[cede] -= 1
+        lo[up[shared & ~cede]] += 1
+    return q, a, lo, hi

@@ -125,11 +125,11 @@ _EDGE_BASES = [2**12, 2**16, 3**8, 251**2, 1999**2]
 
 
 def test_one_budget_bounds_every_size(monkeypatch):
-    """Tables, character tables, FFT grids, forbidden sets and arc walks
+    """Tables, character tables, FFT grids, forbidden sets and arc ranges
     all answer to arith.TABLE_CAP, read at call time: under a cap of 100
     each takes 100 entries (91 arcs for levels 1..13) and refuses more."""
     from primediff.avoider import ForbiddenSet
-    from primediff.spectral import IntegerSignal, arc_walk, grid_power
+    from primediff.spectral import IntegerSignal, arc_ranges, grid_power
 
     monkeypatch.setattr(arith, "TABLE_CAP", 100)
     _character_table.cache_clear()  # a cached modulus skips its check
@@ -138,13 +138,13 @@ def test_one_budget_bounds_every_size(monkeypatch):
     assert grid_power(f, 100)[0] == 100
     assert len(characters_mod(10)) == 4  # a 4 x 10 table
     assert ForbiddenSet.build(100, 1).n == 100
-    assert next(arc_walk(100, range(1, 14), 30))[0][-1] == 13
+    assert arc_ranges(100, range(1, 14), 30)[0][-1] == 13
     refusals = [
         lambda: build_tables(101),
         lambda: grid_power(f, 101),
         lambda: characters_mod(11),  # 10 x 11
         lambda: ForbiddenSet.build(101, 1),
-        lambda: next(arc_walk(100, range(1, 15), 30)),  # 105 arcs
+        lambda: arc_ranges(100, range(1, 15), 30),  # 105 arcs
     ]
     for refuse in refusals:
         with pytest.raises(ResourceError, match=r"<= 100, got 1\d\d$"):

@@ -428,6 +428,27 @@ def test_fuzzed_arguments_exit_cleanly(argv):
     assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--n", "1", "--d", "99999999999999999999999", "--mode", "greedy"],
+        ["extremal", "--n", "1", "--d", "99999999999999999999999", "--mode", "exact"],
+        ["iterate", "--greedy", "--n", "1", "--d", "99999999999999999999999"],
+    ],
+    ids=["extremal-greedy", "extremal-exact", "iterate-greedy"],
+)
+def test_n_1_with_d_past_int64_exits_cleanly(argv, capsys):
+    """At n = 1 there is no difference s to sieve, so a d past int64 never
+    meets an int64 array: the run exits cleanly, not with an OverflowError."""
+    try:
+        code = cli.main(argv + ["--timestamp", "T"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSieveCommand:
     def test_rows_match_oracles(self, capsys):
         code, out, _ = run_cli(["sieve", "--n-max", "40"], capsys)

@@ -160,20 +160,20 @@ class TestIterateOnce:
         assert got == inc.intersection_count
         assert out.new_set.size == inc.intersection_count
 
-    def test_one_arc_walk_per_step(self, tables_small, monkeypatch):
-        """A step that reaches extraction walks the arcs once, in
+    def test_one_arc_range_pass_per_step(self, tables_small, monkeypatch):
+        """A step that reaches extraction computes the arc ranges once, in
         energy_table: extraction reads its level's E from the table row."""
-        walks, arc_walk = [], increment.arc_walk
+        calls, arc_ranges = [], increment.arc_ranges
 
         def counted(*args):
-            walks.append(args)
-            return arc_walk(*args)
+            calls.append(args)
+            return arc_ranges(*args)
 
-        monkeypatch.setattr(increment, "arc_walk", counted)
+        monkeypatch.setattr(increment, "arc_ranges", counted)
         A = class_avoiding_set(3000, tables_small)
         out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
         assert isinstance(out, DensityIncrement)
-        assert len(walks) == 1
+        assert len(calls) == 1
         row = diag["energy_table"].rows[out.q - 1]
         assert out.outcome.detail["energy"] == row.energy
 
@@ -258,7 +258,7 @@ def test_trace_digest_is_pinned(tables_small):
         trace = run(DensitySet.from_iterable(n, elements), d, IterationConfig(), tables_small)
         for line in trace_to_jsonl(trace) + certify(trace, tables_small):
             h.update(line.encode() + b"\n")
-    assert h.hexdigest() == "fa1615b3cce66fd96f30392fc196540408c99ece93eb69ac0f0ed95946dcd4b9"
+    assert h.hexdigest() == "4c5251f32180c99d17ed250eb4c4ac3da7f0a3c795b47e4a3764f24c13db93e3"
 
 
 class TestCertify:

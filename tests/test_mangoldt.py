@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primediff import cli, spectral
+from primediff import cli
 from primediff.arith import TABLE_CAP, ExceptionalDatum, euler_phi, psi, tau
 from primediff.errors import DomainError, PreconditionError, ResourceError
 from primediff.mangoldt import (
@@ -244,17 +244,6 @@ class TestMajorSupRatio:
             major_sup_ratio(100, 1, 3, 10, TABLE_CAP // 100 + 1, tables_small)
         with pytest.raises(ResourceError, match="grid limited"):
             spectrum_report(100, 1, 3, 10, TABLE_CAP + 1, tables_small)
-
-    def test_level_runs_change_nothing(self, tables_small, monkeypatch):
-        """Walking the levels in many short runs gives the same report
-        columns and the same ratio as walking them in one."""
-        whole = spectrum_report(400, 1, 6, 20, 3200, tables_small)
-        ratio = major_sup_ratio(400, 1, 6, 20, 8, tables_small)
-        monkeypatch.setattr(spectral, "_WALK_POINTS", 50)
-        runs = spectrum_report(400, 1, 6, 20, 3200, tables_small)
-        for col in ("a", "q", "major", "actual", "bound"):
-            assert getattr(runs, col).tolist() == getattr(whole, col).tolist(), col
-        assert major_sup_ratio(400, 1, 6, 20, 8, tables_small) == ratio
 
     def test_grid_refinement_stable(self, tables_small):
         r8 = major_sup_ratio(1000, 1, 8, 125, 8, tables_small)

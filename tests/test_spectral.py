@@ -2,7 +2,6 @@
 and Farey arc membership."""
 
 import cmath
-import itertools
 import math
 import os
 import pathlib
@@ -12,11 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from primediff import arith, spectral
+from primediff import arith
 from primediff.spectral import (
     IntegerSignal,
     TorusPoint,
-    arc_walk,
+    arc_ranges,
     dirichlet_approx,
     dirichlet_approx_grid,
     grid_power,
@@ -189,17 +188,29 @@ def test_grid_approximation_runs_in_blocks():
     assert peak_kb < 150 * 1024, f"peak {peak_kb // 1024} MB"
 
 
-def walk(m, levels, big_q):
-    """arc_walk's columns (q, k, a), its runs joined."""
-    runs = list(arc_walk(m, levels, big_q))
-    return [np.concatenate(col) for col in list(zip(*runs))[1:]]
+def expand(m, levels, big_q):
+    """arc_ranges' rows as columns (q, k, a), one entry per grid point k of
+    each arc, k read mod M, sorted by (q, k).  Checks the rows' shape on the
+    way: one per arc, level after level with a = 1..q, hi >= lo - 1, and
+    only the a = q arcs past M, by at most w = floor(M/Q)."""
+    q, a, lo, hi = arc_ranges(m, levels, big_q)
+    assert q.tolist() == [lv for lv in levels for _ in range(lv)]
+    assert a.tolist() == [b for lv in levels for b in range(1, lv + 1)]
+    assert (lo >= 0).all() and (hi >= lo - 1).all()
+    assert (hi[a < q] < m).all() and (hi <= m + m // big_q).all()
+    points = sorted(
+        (lv, k % m, b)
+        for lv, b, first, last in zip(q.tolist(), a.tolist(), lo.tolist(), hi.tolist())
+        for k in range(first, last + 1)
+    )
+    return [np.array(col, dtype=np.int64) for col in zip(*points)] or [np.zeros(0, np.int64)] * 3
 
 
 def check_arcs(m, q, big_q):
-    """arc_walk against the oracle: the same points, each labelled by an
-    arc that holds it, a reduced one whenever any reduced arc does.
+    """arc_ranges against the oracle: the same points, each in one arc of
+    the level that holds it, a reduced one whenever any reduced arc does.
     Returns the number of points more than one arc holds."""
-    levels, k, a = walk(m, [q], big_q)
+    levels, k, a = expand(m, [q], big_q)
     assert (levels == q).all()
     owners = arc_numerators_naive(m, q, big_q)
     assert k.tolist() == sorted(owners), (m, q, big_q)
@@ -212,7 +223,7 @@ def check_arcs(m, q, big_q):
 
 
 class TestArcIndices:
-    """The points and labels arc_walk yields."""
+    """The integer ranges arc_ranges gives, point by point."""
 
     def test_against_fractions(self):
         rng = np.random.default_rng(44)
@@ -220,25 +231,24 @@ class TestArcIndices:
         for _ in range(300):
             m = int(rng.integers(1, 200))
             q = int(rng.integers(1, 13))
-            big_q = int(rng.integers(1, 40))
+            big_q = int(rng.integers(2, 40))
             shared += check_arcs(m, q, big_q)
-        for big_q in (1, 2):  # arcs overlap only at Q <= 2
-            for q in (1, 2, 6, 7):
-                shared += check_arcs(60, q, big_q)
+        for q in (1, 2, 6, 7):  # arcs touch only at Q = 2
+            shared += check_arcs(60, q, 2)
         assert shared > 0
 
     def test_many_levels_against_fractions(self):
-        """One walk over random, non-contiguous ascending levels gives the
+        """One call over random, non-contiguous ascending levels gives the
         per-level oracle's points, level after level, each labelled as
-        check_arcs demands; at Q <= 2 arcs share points, and the a = q arc
+        check_arcs demands; at Q = 2 arcs share points, and the a = q arc
         wraps past M onto small k."""
         rng = np.random.default_rng(45)
         shared = wrapped = 0
         for trial in range(60):
             m = int(rng.integers(1, 120))
-            big_q = int(rng.integers(1, 3) if trial % 3 == 0 else rng.integers(1, 40))
+            big_q = 2 if trial % 3 == 0 else int(rng.integers(2, 40))
             levels = sorted(rng.choice(10, size=int(rng.integers(1, 5)), replace=False) + 1)
-            q, k, a = walk(m, levels, big_q)
+            q, k, a = expand(m, levels, big_q)
             owners = {lv: arc_numerators_naive(m, lv, big_q) for lv in levels}
             want = [(lv, point) for lv in levels for point in sorted(owners[lv])]
             assert list(zip(q.tolist(), k.tolist())) == want, (m, levels, big_q)
@@ -251,69 +261,55 @@ class TestArcIndices:
                 wrapped += label == lv and 0 < point < m / 2
         assert shared > 0 and wrapped > 0
 
+    def test_touching_ends_are_clipped(self):
+        """At Q = 2 on 60 points the six arcs of level 6 each touch the
+        next at one point: a reduced arc (a = 1, 5) keeps a point it
+        shares with an unreduced one, else the arc below keeps it, and the
+        a = 6 arc past M gives 65 = 60 + 5 to the a = 1 arc."""
+        q, a, lo, hi = arc_ranges(60, [6], 2)
+        assert lo.tolist() == [5, 16, 26, 36, 45, 56]
+        assert hi.tolist() == [15, 25, 35, 44, 55, 64]
+        (lo, hi) = arc_ranges(60, [1], 2)[2:]  # level 1's one arc meets itself
+        assert (lo.tolist(), hi.tolist()) == ([31], [90])
+
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
         Q = 100, which rounding the arc ends in floats can drop."""
-        _, k, a = walk(7000, [2], 100)
+        q, a, lo, hi = arc_ranges(7000, [2], 100)
+        assert (lo[1], hi[1]) == (6965, 7000 + 35)
+        _, k, a = expand(7000, [2], 100)
         assert 35 in k and 6965 in k
         assert a[np.searchsorted(k, [35, 6965])].tolist() == [2, 2]
         check_arcs(7000, 2, 100)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            next(arc_walk(0, [1], 2))
+            arc_ranges(0, [1], 2)
         with pytest.raises(DomainError):
-            next(arc_walk(10, [0], 2))
+            arc_ranges(10, [0], 2)
         with pytest.raises(DomainError):
-            next(arc_walk(10, [1], 0))
+            arc_ranges(10, [1], 0)
+        with pytest.raises(DomainError):  # arcs at Q = 1 overlap: no consumer asks
+            arc_ranges(10, [1], 1)
         with pytest.raises(DomainError, match="ascending"):
-            next(arc_walk(10, [2, 1], 2))
+            arc_ranges(10, [2, 1], 2)
         with pytest.raises(DomainError, match="ascending"):
-            next(arc_walk(10, [3, 3], 2))
+            arc_ranges(10, [3, 3], 2)
 
 
 class TestLevelRuns:
-    """The runs of consecutive levels arc_walk cuts its walk into."""
-
-    def test_runs_walk_as_one(self, monkeypatch):
-        """The runs cut the levels in order, each holding at most
-        _WALK_POINTS arc points beyond its first level, and their walks
-        concatenate to the walk of every level in one run."""
-        rng = np.random.default_rng(46)
-        cuts = 0
-        for _ in range(60):
-            m = int(rng.integers(1, 300))
-            big_q = int(rng.integers(1, 40))
-            levels = np.sort(rng.choice(30, size=int(rng.integers(0, 12)), replace=False) + 1)
-            monkeypatch.setattr(spectral, "_WALK_POINTS", 1 << 62)
-            (whole,) = arc_walk(m, levels, big_q)
-            monkeypatch.setattr(spectral, "_WALK_POINTS", 40)
-            runs = list(arc_walk(m, levels, big_q))
-            cuts += len(runs) - 1
-            assert np.concatenate([run for run, *_ in runs]).tolist() == levels.tolist()
-            for run, q, *_ in runs:
-                assert (2 * (m // big_q) + run[1:]).sum() <= 40, (m, big_q, run)
-                assert np.isin(q, run).all()
-            for part, col in zip(list(zip(*runs))[1:], whole[1:]):
-                assert np.concatenate(part).tolist() == col.tolist()
-        assert cuts > 0
-
-    def test_driver_grid_is_one_run(self):
-        """A 32,000-point grid walks its 50 levels at Q = 100 in one run;
-        a 4,000,000-point grid does not."""
-        assert len(list(arc_walk(32_000, range(1, 51), 100))) == 1
-        assert len(list(itertools.islice(arc_walk(4_000_000, range(1, 51), 100), 2))) == 2
+    """The strictly ascending level lists one arc_ranges call takes."""
 
     def test_validation(self, monkeypatch):
         """The levels' sum of q arcs is held to TABLE_CAP, read at call
         time, before any array is built: levels 1..10^12 are refused at
-        once, and under a cap of 55, levels 1..10 (55 arcs) walk while
+        once, and under a cap of 55, levels 1..10 (55 arcs) pass while
         1..11 and [1, 2, 60] do not."""
         with pytest.raises(ResourceError, match="got 500000000000500000000000$"):
-            next(arc_walk(100, range(1, 10**12 + 1), 3 * 10**12))
+            arc_ranges(100, range(1, 10**12 + 1), 3 * 10**12)
         monkeypatch.setattr(arith, "TABLE_CAP", 55)
-        assert next(arc_walk(100, range(1, 11), 30))[0].tolist() == list(range(1, 11))
+        assert len(arc_ranges(100, range(1, 11), 30)[0]) == 55
         with pytest.raises(ResourceError, match="got 66$"):
-            next(arc_walk(100, range(1, 12), 30))
+            arc_ranges(100, range(1, 12), 30)
         with pytest.raises(ResourceError, match="got 63$"):
-            next(arc_walk(100, [1, 2, 60], 30))
+            arc_ranges(100, [1, 2, 60], 30)
