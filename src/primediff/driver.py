@@ -14,7 +14,10 @@ A run is the transitive closure plus a Budget terminal when max_steps is
 hit.  Every quantitative claim a step makes is recounted from the recorded
 set snapshots by certify(), which never trusts transforms: intersection
 counts are recounted elementwise, primality is re-established by
-Miller-Rabin, d-chains and rescalings are recomputed.
+Miller-Rabin, d-chains and rescalings are recomputed, and an increment's
+recorded arc energy is recounted from the set's difference counts against
+closed-form arc kernels, sharing neither grid_power nor arc_ranges with
+the step that produced it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .errors import CertificationError, DomainError, EnergyShortfall, Preconditi
 from .increment import (
     DensitySet,
     IncrementOutcome,
-    _balanced_power,
-    _level_energies,
     energy_table,
     extract_progression,
     rescale,
@@ -210,6 +211,19 @@ def _difference_counts(A: DensitySet, top: int) -> np.ndarray:
     return np.rint(corr[: top + 1]).astype(np.int64)
 
 
+def _correlations(A: DensitySet, top: int) -> tuple[np.ndarray, ...]:
+    """(r_AA, r_AI, r_IA, r_II) at x = 0..top with I = [1, N]: the pairs
+    (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA is the
+    exact integer count of _difference_counts, the other three closed forms
+    (set-interval by suffix counts), as floats."""
+    x = np.arange(top + 1, dtype=np.int64)
+    r_aa = _difference_counts(A, top)
+    r_ai = (A.size - np.searchsorted(A.elements, x, side="right")).astype(np.float64)
+    r_ia = np.searchsorted(A.elements, A.n - x, side="right").astype(np.float64)
+    r_ii = (A.n - x).astype(np.float64)
+    return r_aa, r_ai, r_ia, r_ii
+
+
 def inner_product_stats(
     A: DensitySet, d: int, config: IterationConfig, tables: ArithTables
 ) -> InnerProductStats:
@@ -220,15 +234,7 @@ def inner_product_stats(
         raise PreconditionError(f"window floor(c alpha N) = 0 at N={n}, alpha={alpha}")
     tables.check_range(d * n_prime + 1)
     lam = tables.mangoldt[d + 1 : d * n_prime + 2 : d]
-    x = np.arange(1, n_prime + 1, dtype=np.int64)
-
-    r_aa = _difference_counts(A, n_prime)[1:]
-    # interval correlations in closed form, set-interval by suffix counts
-    r_ii = (n - x).astype(np.float64)
-    above = np.searchsorted(A.elements, x, side="right")
-    r_ai = (A.size - above).astype(np.float64)  # pairs (a, u): a - u = x
-    below = np.searchsorted(A.elements, n - x, side="right")
-    r_ia = below.astype(np.float64)  # pairs (u, b): u - b = x
+    r_aa, r_ai, r_ia, r_ii = (r[1:] for r in _correlations(A, n_prime))
 
     ip_aa = float(np.dot(r_aa, lam))
     ip_ai = float(np.dot(r_ai, lam))
@@ -427,6 +433,9 @@ def _outcome_json(outcome) -> dict | None:
     return None
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+
+
 def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
     """Header record first (config + manifest), then one record per step:
     step, n, d, alpha, outcome, q, witness?, energy_top."""
@@ -439,7 +448,7 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
     }
     if manifest is not None:
         header["manifest"] = manifest
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [_ENCODE(header)]
     for s in trace.steps:
         rec = {
             "step": s.step,
@@ -453,7 +462,7 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
         witness = _outcome_json(s.outcome)
         if witness is not None:
             rec["witness"] = witness
-        lines.append(json.dumps(rec, sort_keys=True))
+        lines.append(_ENCODE(rec))
     return lines
 
 
@@ -461,13 +470,52 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
 # certification
 
 
+def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
+    """E of A at level q on the M-point grid, recounted in physical space:
+    no grid transform, and arc ends of its own.  On a finite grid
+
+        sum_{k in S} |g_hat(k/M)|^2 = sum_{|h| < N} r_g(h) K_S(h),
+
+    r_g the autocorrelation of g = 1_A - alpha 1_[1,N] (_correlations) and
+    K_S(h) the sum over the level's arcs of
+
+        sum_{k=lo}^{hi} cos(2 pi h k / M)
+            = sin(pi h L / M) cos(pi h (lo + hi) / M) / sin(pi h / M),
+
+    L = hi - lo + 1, with lo = ceil((aM - w)/q), hi = floor((aM + w)/q),
+    w = floor(M/Q).  When 2w >= M each arc meets the next at one point
+    (the a = q arc meets a = 1 past M), counted once.  Works arc by arc in
+    O(N) memory."""
+    alpha = A.alpha
+    r_aa, r_ai, r_ia, r_ii = _correlations(A, A.n - 1)
+    r = r_aa - alpha * (r_ai + r_ia) + alpha * alpha * r_ii
+    w = m // big_q
+    a = np.arange(1, q + 1, dtype=np.int64)
+    lo = -((w - a * m) // q)  # ceil((aM - w) / q)
+    hi = (a * m + w) // q
+    hi[hi == np.append(lo[1:], lo[0] + m)] -= 1  # the point shared with the next arc
+    length = hi - lo + 1
+    h = np.arange(1, A.n, dtype=np.int64)
+    kernel = np.zeros(A.n - 1)
+    for size, ends in zip(length.tolist(), (lo + hi).tolist()):
+        # both angles reduced mod 2M in int64 before the float multiply
+        kernel += np.sin(np.pi / m * (h * size % (2 * m))) * np.cos(
+            np.pi / m * (h * ends % (2 * m))
+        )
+    kernel /= np.sin(np.pi / m * h)
+    total = float(r[0]) * int(length.sum()) + 2.0 * float(np.dot(r[1:], kernel))
+    return total / (alpha * A.size * m)
+
+
 def certify(trace: Trace, tables: ArithTables) -> list[str]:
     """Re-verify every step of a trace from its raw set snapshots.
 
     Recounts intersections, re-runs primality by Miller-Rabin, recomputes
-    rescalings and d-chains, and re-derives the chosen level's star energy
-    on the same grid.  Returns one human-readable line per step; raises
-    CertificationError on the first mismatch."""
+    rescalings and d-chains, and recounts each increment's recorded level-q
+    energy E from the set's difference counts and the level's arc ends
+    (_recount_energy), sharing neither the grid transform nor the arc
+    ranges that produced it.  Returns one human-readable line per step;
+    raises CertificationError on the first mismatch."""
     cfg = trace.config
     lines = []
     for idx, s in enumerate(trace.steps):
@@ -509,8 +557,9 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                 raise CertificationError(f"{where}: progression leaves [1, {s.n}]")
             if P.step != out.q:
                 raise CertificationError(f"{where}: progression step != chosen q")
-            pts = P.points()
-            recount = int(np.isin(pts, A.elements).sum())
+            member = np.zeros(s.n + 1, dtype=bool)
+            member[A.elements] = True
+            recount = int(np.count_nonzero(member[P.points()]))
             if recount != o.intersection_count:
                 raise CertificationError(
                     f"{where}: intersection recount {recount} != {o.intersection_count}"
@@ -528,12 +577,11 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                     raise CertificationError(f"{where}: next step (n, d) mismatch")
                 if tuple(expected.elements.tolist()) != nxt.set_snapshot:
                     raise CertificationError(f"{where}: rescaled snapshot mismatch")
-            # energy recount from the snapshot on the same grid, at level q
-            # alone from its own arc ranges, not read from the step's energy table
+            # energy recount from the snapshot's difference counts at level q,
+            # not read from the step's energy table nor its power grid
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
-            m, power, norm = _balanced_power(A, grid_power(A.balanced(), cfg.grid_factor * s.n))
-            recomputed = _level_energies(m, power, norm, [out.q], big_q)[0][0]
+            recomputed = _recount_energy(A, out.q, cfg.grid_factor * s.n, big_q)
             recorded = o.detail.get("energy")
             if recorded is None or abs(recomputed - recorded) > 1e-9 * max(1.0, recorded):
                 raise CertificationError(

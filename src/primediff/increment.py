@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,8 +128,7 @@ class IncrementOutcome:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class EnergyStats:
+class EnergyStats(NamedTuple):
     q: int
     eta: float
     energy: float
@@ -167,8 +167,9 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# arc energy: energy_table measures every level from one arc_ranges call,
-# and certify recounts a recorded level's energy alone through _level_energies
+# arc energy: energy_table measures every level from one arc_ranges call
+# (driver.certify recounts a recorded level's E with neither arc_ranges nor
+# the power grid)
 
 
 def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):

@@ -191,16 +191,17 @@ def spectrum_report(
     q_col[k], a_col[k] = np.repeat(q, size), np.repeat(a, size)  # 1/1 is the arc of 0/1
     del q, a, lo, size, k, star  # free the ranges before the bound column is built
 
-    # one bound per (class, q), looked up by every point of that class and q
+    # one bound per (class, q), looked up by every point of that class and q;
+    # the q present come from bincount, as np.unique imports numpy.ma (~16 ms)
     bounds = np.zeros((2, int(q_col.max()) + 1))
-    for q in np.unique(q_col[major]).tolist():
+    for q in np.flatnonzero(np.bincount(q_col[major])).tolist():
         bound = hat_zero / euler_phi(q)
         if exceptional is not None and d % exceptional.modulus == 0:
             bound += float(
                 abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
             )
         bounds[1, q] = bound
-    for q in np.unique(q_col[~major]).tolist():
+    for q in np.flatnonzero(np.bincount(q_col[~major])).tolist():
         bounds[0, q] = vinogradov_bound(n, d, q, big_q)
     return SpectrumReport(a_col, q_col, major, actual, bounds[major.view(np.int8), q_col])
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from primediff import increment
+from primediff import driver, increment, spectral
 from primediff.driver import (
     Budget,
     DensityIncrement,
@@ -20,6 +20,7 @@ from primediff.driver import (
     StructureFound,
     Trace,
     TraceStep,
+    _recount_energy,
     certify,
     inner_product_stats,
     iterate_once,
@@ -28,7 +29,7 @@ from primediff.driver import (
 )
 from primediff.avoider import ForbiddenSet, greedy_avoiding
 from primediff.errors import CertificationError, DomainError, PreconditionError
-from primediff.increment import DensitySet
+from primediff.increment import DensitySet, _balanced_power, _level_energies
 
 from oracles import inner_products_naive, is_prime_naive
 
@@ -310,6 +311,65 @@ class TestCertify:
             return
         pytest.skip("no increment step in this trace")
 
+    def _first_increment(self, trace):
+        return next(i for i, s in enumerate(trace.steps) if s.outcome.tag == "density_increment")
+
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6, 0.5])
+    def test_detects_energy_tampering(self, shift, tables_small):
+        """An increment step whose recorded E moves past the tolerance
+        1e-9 max(1, E) fails the recount."""
+        trace = run(class_avoiding_set(3000, tables_small), 1, IterationConfig(), tables_small)
+        i = self._first_increment(trace)
+        s = trace.steps[i]
+        energy = s.outcome.outcome.detail["energy"]
+        detail = {**s.outcome.outcome.detail, "energy": energy + shift * max(1.0, energy)}
+        inc = dataclasses.replace(s.outcome.outcome, detail=detail)
+        bad_step = dataclasses.replace(s, outcome=dataclasses.replace(s.outcome, outcome=inc))
+        bad = dataclasses.replace(trace, steps=trace.steps[:i] + [bad_step] + trace.steps[i + 1 :])
+        with pytest.raises(CertificationError, match=f"step {s.step}: energy recount"):
+            certify(bad, tables_small)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda t: class_avoiding_set(3000, t), lambda t: avoiding_set(400, 1, t)],
+        ids=["class_avoiding_3000", "avoiding_400"],
+    )
+    def test_rejects_a_wrong_grid_power(self, build, tables_small, monkeypatch):
+        """A producer whose grid power is 1.5 times too large records wrong
+        energies; the recount reads no power grid, so it rejects them."""
+        real = driver.grid_power
+
+        def inflated(f, m):
+            m, power = real(f, m)
+            return m, 1.5 * power
+
+        monkeypatch.setattr(driver, "grid_power", inflated)
+        trace = run(build(tables_small), 1, IterationConfig(), tables_small)
+        assert any(s.outcome.tag == "density_increment" for s in trace.steps)
+        with pytest.raises(CertificationError, match="energy recount"):
+            certify(trace, tables_small)
+
+    def test_recount_shares_no_spectral_primitive(self, tables_small, monkeypatch):
+        """certify passes a good trace with the producer's grid transform,
+        arc ranges and level sums all made to raise."""
+        trace = run(class_avoiding_set(3000, tables_small), 1, IterationConfig(), tables_small)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("certify called a producer primitive")
+
+        for module, name in [
+            (driver, "grid_power"),
+            (increment, "grid_power"),
+            (spectral, "grid_power"),
+            (increment, "arc_ranges"),
+            (spectral, "arc_ranges"),
+            (increment, "_level_energies"),
+        ]:
+            monkeypatch.setattr(module, name, boom)
+        lines = certify(trace, tables_small)
+        assert any("density_increment ok" in line for line in lines)
+        assert lines[-1] == f"terminal: {trace.terminal} ok"
+
     def test_detects_fabricated_small_n(self, tables_small):
         A = DensitySet.from_iterable(3000, range(1, 3000, 3))
         step = TraceStep(
@@ -347,6 +407,34 @@ class TestCertify:
         bad = self._tampered(trace, step=2)
         with pytest.raises(CertificationError):
             certify(bad, tables_small)
+
+
+class TestEnergyRecount:
+    @pytest.mark.parametrize(
+        "seed, n, extra, big_q",
+        [
+            (1, 300, 0, 2),  # even M: neighbouring arcs can share a point
+            (2, 301, 1, 2),  # odd M at Q = 2: arcs do not meet
+            (3, 64, 5, 2),
+            (4, 512, 0, 3),
+            (5, 233, 0, 37),
+            (6, 600, 7, 90),
+            (7, 600, 0, 400),  # w = 12: arcs of high levels hold one point or none
+        ],
+    )
+    def test_matches_the_grid_route(self, seed, n, extra, big_q):
+        """_recount_energy against _level_energies on grid_power, levels
+        1..50, within 1e-12 max(1, E).  The a = q arc of level q runs past M
+        when w = floor(M/Q) >= q: at every level but in the last case."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, n + 1))
+        A = DensitySet.from_iterable(n, rng.choice(n, size=size, replace=False) + 1)
+        m = 8 * n + extra
+        levels = range(1, 51)
+        _, power, norm = _balanced_power(A, spectral.grid_power(A.balanced(), m))
+        grid = _level_energies(m, power, norm, levels, big_q)
+        for q, (e, _) in zip(levels, grid):
+            assert abs(_recount_energy(A, q, m, big_q) - e) <= 1e-12 * max(1.0, e), q
 
 
 class TestInnerProducts:
