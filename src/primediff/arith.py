@@ -155,7 +155,7 @@ def build_tables(n_max: int) -> ArithTables:
     mangoldt = np.zeros(size, dtype=np.float64)
     for lo in range(0, primes.size, _SIEVE_BLOCK):
         block = primes[lo : lo + _SIEVE_BLOCK]
-        mangoldt[block] = [math.log(p) for p in block.tolist()]
+        mangoldt[block] = np.fromiter(map(math.log, block.tolist()), np.float64, len(block))
     base, power = small, small * small
     while power.size:
         mangoldt[power] = mangoldt[base]

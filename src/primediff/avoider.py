@@ -9,7 +9,9 @@ branch-and-bound over a most-constrained-first static vertex order with
 the popcount bound runs with the same budget, and `nodes` counts both.
 Candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
 bool arrays.  The greedy strategies take a point when no chosen element
-sits at a forbidden distance from it, kept as a conflict count per point.
+sits at a forbidden distance from it, read off int bitsets: with F the
+bitset of the forbidden s, the points near x are F << x and the reversed
+F shifted down, and local search keeps the points blocked once and twice.
 Primality comes from tables covering d(n-1)+1 when they are supplied, else
 from a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1)
 (from arith._primes_upto), or from deterministic Miller-Rabin when that
@@ -275,25 +277,65 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
 # greedy strategies
 
 
-def _toggle(conflicts: np.ndarray, diffs: np.ndarray, x: int, step: int) -> None:
-    """Add (step 1) or remove (step -1) element x: shift the conflict count
-    of every y in [1, n] at a forbidden distance from x."""
-    n = len(conflicts) - 1
-    conflicts[x + diffs[: np.searchsorted(diffs, n - x, "right")]] += step
-    conflicts[x - diffs[: np.searchsorted(diffs, x - 1, "right")]] += step
+def _neighbours(fs: ForbiddenSet):
+    """(forward, full, near): forward has bit s set iff s is forbidden,
+    full has bits 1..n set, and near(x) is the bitset of the y in [1, n]
+    at a forbidden distance from x.  backward has bit n - s set iff s is
+    forbidden, so forward << x holds the x + s and backward >> (n - x)
+    the x - s."""
+    n = fs.n
+    forward = _bitset(fs.bits)
+    backward = _bitset(fs.bits[::-1]) << 1
+    full = (1 << (n + 1)) - 2
+
+    def near(x: int) -> int:
+        return ((forward << x) | (backward >> (n - x))) & full
+
+    return forward, full, near
 
 
-def _take_free(order, conflicts: np.ndarray, diffs: np.ndarray, limit: int = 0) -> list:
-    """Take each x of `order` whose conflict count is zero, counting its
-    conflicts in; stop after `limit` takes when limit > 0."""
+def _first_fit(full: int, forward: int) -> list:
+    """Ascending scan of the points of full: take the lowest free point x,
+    then block x and every x + s with s forbidden.  free is kept shifted
+    down by x, so it shrinks as the scan goes."""
     taken = []
-    for x in order:
-        if not conflicts[x]:
-            taken.append(x)
-            _toggle(conflicts, diffs, x, 1)
-            if len(taken) == limit:
-                break
+    free, x = full, 0
+    block = ~(forward | 1)
+    while free:
+        t = (free & -free).bit_length() - 1
+        free >>= t
+        x += t
+        taken.append(x)
+        free &= block
     return taken
+
+
+def _fill(order, near, n: int) -> list:
+    """Take each x of `order` at no forbidden distance from a point taken
+    before it.  Each test reads a bytes snapshot of the blocked bitset,
+    refreshed after each take, so a test is O(1), not an O(n) shift."""
+    size = n // 8 + 1
+    taken = []
+    blocked = 0
+    snap = bytes(size)
+    for x in order:
+        if not snap[x >> 3] >> (x & 7) & 1:
+            taken.append(x)
+            blocked |= near(x)
+            snap = blocked.to_bytes(size, "little")
+    return taken
+
+
+def _cover(chosen, near) -> tuple[int, int, int]:
+    """(members, once, twice): the bitset of `chosen` and of the points at
+    a forbidden distance from at least one and at least two of them."""
+    members = once = twice = 0
+    for c in chosen:
+        b = near(c)
+        members |= 1 << c
+        twice |= once & b
+        once |= b
+    return members, once, twice
 
 
 def greedy_avoiding(
@@ -303,16 +345,18 @@ def greedy_avoiding(
 
     first_fit: ascending scan, keep what fits.  random_local: best of a few
     random insertion orders, then remove-1/add-2 first-improvement local
-    search, capped at LOCAL_PASSES sweeps.  Never claims optimality."""
+    search, capped at LOCAL_PASSES sweeps.  Never claims optimality.
+    Both run on int bitsets: a point is free when no chosen element sits
+    at a forbidden distance from it, read off shifts of the bitset of the
+    forbidden s (see _neighbours).  Removing r from the set C frees the
+    points in once but neither in near(r) nor in twice; the two adds are
+    the lowest free points outside C minus r, in ascending order."""
     n = fs.n
     t0 = time.perf_counter()
-    diffs = np.flatnonzero(fs.bits)
-
-    def fill(order):
-        return _take_free(order, np.zeros(n + 1, dtype=np.int64), diffs)
+    forward, full, near = _neighbours(fs)
 
     if strategy == "first_fit":
-        chosen = fill(range(1, n + 1))
+        chosen = _first_fit(full, forward)
         return SearchResult(
             tuple(chosen), len(chosen), False, 0, time.perf_counter() - t0, strategy
         )
@@ -320,32 +364,29 @@ def greedy_avoiding(
         raise DomainError(f"unknown strategy {strategy!r}")
 
     rng = np.random.default_rng(seed)
-    best = fill(range(1, n + 1))
+    best = _first_fit(full, forward)
     for _ in range(3):
         order = rng.permutation(np.arange(1, n + 1)).tolist()
-        cand = sorted(fill(order))
+        cand = sorted(_fill(order, near, n))
         if len(cand) > len(best):
             best = cand
 
     current = set(best)
-    conflicts = np.zeros(n + 1, dtype=np.int64)
-    for x in best:
-        _toggle(conflicts, diffs, x, 1)
+    members, once, twice = _cover(current, near)
     for _ in range(LOCAL_PASSES):
         improved = False
         removal_order = sorted(current)
         rng.shuffle(removal_order)
         for r in removal_order:
-            _toggle(conflicts, diffs, r, -1)
-            outside = (x for x in range(1, n + 1) if x == r or x not in current)
-            adds = _take_free(outside, conflicts, diffs, limit=2)
-            if len(adds) == 2:
-                current = (current - {r}) | set(adds)
+            free = full & ~(members | (once & (~near(r) | twice))) | 1 << r
+            low = free & -free  # never empty: r is free
+            rest = (free ^ low) & ~(forward << (low.bit_length() - 1))
+            if rest:
+                adds = {low.bit_length() - 1, (rest & -rest).bit_length() - 1}
+                current = (current - {r}) | adds
+                members, once, twice = _cover(current, near)
                 improved = True
                 break
-            for x in adds:
-                _toggle(conflicts, diffs, x, -1)
-            _toggle(conflicts, diffs, r, 1)
         if not improved:
             break
 

@@ -232,6 +232,10 @@ def inner_product_stats(
     n_prime = config.n_prime(n, alpha)
     if n_prime < 1:
         raise PreconditionError(f"window floor(c alpha N) = 0 at N={n}, alpha={alpha}")
+    if n_prime > n - 1:  # no difference in [1, N] reaches N
+        raise PreconditionError(
+            f"window floor(c alpha N) = {n_prime} exceeds N - 1 at N={n}, alpha={alpha}"
+        )
     tables.check_range(d * n_prime + 1)
     lam = tables.mangoldt[d + 1 : d * n_prime + 2 : d]
     r_aa, r_ai, r_ia, r_ii = (r[1:] for r in _correlations(A, n_prime))

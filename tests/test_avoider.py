@@ -20,6 +20,7 @@ from oracles import (
     first_fit_naive,
     forbidden_diffs_naive,
     is_prime_naive,
+    random_local_naive,
 )
 
 
@@ -244,6 +245,29 @@ class TestGreedy:
         remove-1/add-2 step decide them, so any change in RNG use fails."""
         fs = ForbiddenSet.build(n, d, tables_small)
         assert greedy_avoiding(fs, strategy="random_local", seed=seed).elements == elements
+
+    @staticmethod
+    def _oracle_cases():
+        """(n, d, seed): 36 seeded draws, n = 1 and 2, an empty forbidden
+        set (n = 3, d = 7: 8 and 15 are composite) and a sparse d."""
+        rng = np.random.default_rng(1818)
+        cases = [(1, 1, 0), (2, 1, 4), (2, 2, 9), (3, 7, 2), (90, 10**9 + 1, 6)]
+        for _ in range(36):
+            cases.append(
+                (int(rng.integers(1, 301)), int(rng.integers(1, 7)), int(rng.integers(0, 1000)))
+            )
+        return cases
+
+    def test_bitset_search_matches_conflict_counts(self):
+        """first_fit and random_local on bitsets equal the per-point
+        conflict-count oracles, the seeded draws included."""
+        for n, d, seed in self._oracle_cases():
+            fs = ForbiddenSet.build(n, d, None)
+            assert fs.count() == len(forbidden_diffs_naive(n, d)), (n, d)
+            first = greedy_avoiding(fs, strategy="first_fit")
+            assert first.elements == tuple(first_fit_naive(n, d)), (n, d)
+            local = greedy_avoiding(fs, strategy="random_local", seed=seed)
+            assert local.elements == tuple(random_local_naive(n, d, seed)), (n, d, seed)
 
     def test_unknown_strategy(self, tables_small):
         fs = ForbiddenSet.build(30, 1, tables_small)

@@ -477,3 +477,26 @@ class TestInnerProducts:
         A = DensitySet.from_iterable(100, [1, 50])
         with pytest.raises(PreconditionError):
             inner_product_stats(A, 1, IterationConfig(), tables_small)
+
+    @pytest.mark.parametrize("c", [2.0, 3.0])
+    def test_window_past_n_rejected(self, tables_small, c):
+        """floor(c alpha N) = cN > N - 1 for A = [1, 100]: there are no
+        differences that long to count."""
+        A = DensitySet.from_iterable(100, range(1, 101))
+        with pytest.raises(PreconditionError, match="exceeds N - 1"):
+            inner_product_stats(A, 1, IterationConfig(c=c), tables_small)
+
+    def test_window_at_n_minus_one(self, tables_small):
+        """The largest window, N' = N - 1, still matches the double loop."""
+        A = DensitySet.from_iterable(100, range(1, 101))
+        stats = inner_product_stats(A, 1, IterationConfig(c=0.995), tables_small)
+        assert stats.n_prime == 99
+        r_aa, r_ii, r_ai, r_ia = inner_products_naive(A.elements.tolist(), 100)
+        lam = [float(tables_small.mangoldt[x + 1]) for x in range(1, 100)]
+        for got, r in [
+            (stats.ip_set_set, r_aa),
+            (stats.ip_set_interval, r_ai),
+            (stats.ip_interval_set, r_ia),
+            (stats.ip_interval_interval, r_ii),
+        ]:
+            assert abs(got - sum(r[x] * lam[x - 1] for x in range(1, 100))) < 1e-9
