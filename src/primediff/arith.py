@@ -458,7 +458,15 @@ def _residue_mass(x: float, q: int, tables: ArithTables) -> np.ndarray:
     if top < 1:
         return np.zeros(q)
     tables.check_range(top)
-    return np.bincount(np.arange(top + 1) % q, weights=tables.mangoldt[: top + 1], minlength=q)
+    lam = tables.mangoldt[: top + 1]
+    if q == 1:  # a one-column sum would be pairwise; this one adds in order
+        return np.cumsum(lam)[-1:]
+    # rows of q residues, summed down each column in order, then the short
+    # last row: the order, and so the bits, of bincount's n % q accumulation
+    whole = (top + 1) // q * q
+    mass = lam[:whole].reshape(-1, q).sum(axis=0)
+    mass[: top + 1 - whole] += lam[whole:]
+    return mass
 
 
 def psi_chi(x: float, chi: DirichletCharacter, tables: ArithTables) -> complex:

@@ -118,9 +118,26 @@ def is_avoiding(elements, fs: ForbiddenSet) -> bool:
 
 def find_forbidden_pair(elements, fs: ForbiddenSet):
     """Smallest forbidden difference realized in the set, as
-    (s, smaller, larger), or None.  Scans s ascending, then position."""
-    mask = _bitset(np.bincount(np.asarray(elements, dtype=np.int64)) > 0)
-    for s in np.flatnonzero(fs.bits).tolist():
+    (s, smaller, larger), or None: the least s, then the least smaller.
+    Loops over the shorter side: the forbidden s ascending, or the
+    elements a ascending, keeping the least forbidden s with a + s in the
+    set when it beats the best so far (forward then holds only the s below
+    it, and the loop stops once none is left)."""
+    elements = np.asarray(elements, dtype=np.int64)
+    present = np.bincount(elements) > 0
+    mask = _bitset(present)
+    forbidden = np.flatnonzero(fs.bits)
+    if elements.size < len(forbidden):
+        best, forward = None, _bitset(fs.bits)
+        for a in np.flatnonzero(present).tolist():
+            hit = (mask >> a) & forward
+            if hit:
+                s = (hit & -hit).bit_length() - 1
+                best, forward = (s, a, a + s), forward & ((1 << s) - 1)
+                if not forward:
+                    break
+        return best
+    for s in forbidden.tolist():
         hit = mask & (mask >> s)
         if hit:
             b = (hit & -hit).bit_length() - 1

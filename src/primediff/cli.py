@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import itertools
 import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -58,28 +57,12 @@ def _manifest_comment(manifest: dict) -> str:
     return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
 
-_CHUNK_ROWS = 1 << 16  # lines formatted, and written, at a time
-
-
-def _write_text(out_path: str | None, lines: Iterable[str]) -> None:
-    """Write the lines, each newline-terminated, to out_path or stdout,
-    _CHUNK_ROWS lines at a time."""
-    lines = iter(lines)
+def _write_text(out_path: str | None, blocks: Iterable[str]) -> None:
+    """Write each block, newline-terminated, to out_path or stdout.  A block
+    is one line, or a chunk of CSV rows from csvtext.csv_blocks."""
     with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
-            fh.write("\n".join(chunk) + "\n")
-
-
-def _csv_lines(header: str, fmt: str, n_rows: int, columns, manifest: dict) -> Iterator[str]:
-    """CSV table: the header, one `fmt % row` line per row, then the manifest
-    comment.  `columns(rows)` builds the array columns of a slice of rows;
-    it is called, and its columns converted to Python values, _CHUNK_ROWS
-    rows at a time, so no full-length column is made here."""
-    yield header
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        chunk = columns(slice(lo, min(lo + _CHUNK_ROWS, n_rows)))
-        yield from (fmt % row for row in zip(*(col.tolist() for col in chunk)))
-    yield _manifest_comment(manifest)
+        for block in blocks:
+            fh.write(block + "\n")
 
 
 def _finite_float(text: str) -> float:
@@ -108,6 +91,8 @@ def _parse_at(text: str) -> TorusPoint:
 
 
 def _cmd_sieve(args) -> None:
+    from .csvtext import csv_blocks
+
     tables = build_tables(args.n_max)
 
     def columns(rows: slice):
@@ -115,8 +100,11 @@ def _cmd_sieve(args) -> None:
         return [np.arange(n.start, n.stop), tables.mangoldt[n], tables.mobius[n], tables.phi[n]]
 
     manifest = _manifest("sieve", {"n_max": args.n_max}, args.seed, args.timestamp)
-    lines = _csv_lines("n,mangoldt,mobius,phi", "%d,%.12g,%d,%d", args.n_max, columns, manifest)
-    _write_text(args.out, lines)
+    fields = ("%d", "%.12g", "%d", "%d")
+    _write_text(
+        args.out,
+        csv_blocks("n,mangoldt,mobius,phi", fields, args.n_max, columns, _manifest_comment(manifest)),
+    )
 
 
 def _cmd_psi(args) -> None:
@@ -150,6 +138,7 @@ def _cmd_lambda(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
+    from .csvtext import csv_blocks
     from .mangoldt import spectrum_report
 
     if args.grid_factor < 1:
@@ -178,12 +167,12 @@ def _cmd_spectrum(args) -> None:
 
     def columns(rows: slice):
         actual, bound = report.actual[rows], report.bound[rows]
-        kind = np.where(report.major[rows], "major", "minor")
         theta = np.arange(rows.start, rows.stop) / m
-        return theta, report.a[rows], report.q[rows], kind, actual, bound, actual / bound
+        return theta, report.a[rows], report.q[rows], report.major[rows], actual, bound, actual / bound
 
-    header, fmt = "theta,a,q,class,actual,bound,ratio", "%.12g,%d,%d,%s,%.12g,%.12g,%.12g"
-    _write_text(args.out, _csv_lines(header, fmt, m, columns, manifest))
+    header = "theta,a,q,class,actual,bound,ratio"
+    fields = ("%.12g", "%d", "%d", ("minor", "major"), "%.12g", "%.12g", "%.12g")
+    _write_text(args.out, csv_blocks(header, fields, m, columns, _manifest_comment(manifest)))
 
 
 def _cmd_extremal(args) -> None:

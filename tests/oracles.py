@@ -163,6 +163,22 @@ def random_local_naive(n: int, d: int, seed: int) -> list[int]:
     return sorted(current)
 
 
+def forbidden_pair_scan(elements, bits) -> tuple[int, int, int] | None:
+    """find_forbidden_pair as a scan of the forbidden s ascending (bits[s]
+    true): the first s realized in the set, with the least smaller element
+    b of a pair b, b + s, as (s, b, b + s); None when no s is realized."""
+    mask = 0
+    for x in set(elements):
+        mask |= 1 << x
+    for s in range(1, len(bits)):
+        if bits[s]:
+            hit = mask & (mask >> s)
+            if hit:
+                b = (hit & -hit).bit_length() - 1
+                return s, b, b + s
+    return None
+
+
 def avoiding_prefix_optima(n: int, d: int) -> list[int]:
     """optima[k] = max size of a subset of [1, k] with no difference s such
     that d s + 1 is prime, for every k <= n.  Exhaustive depth-first

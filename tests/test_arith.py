@@ -506,6 +506,21 @@ class TestInversion:
                     got = verify_inversion(x, q, a, tables_small)
                     assert abs(got - want) <= 1e-12 * max(1.0, direct), (q, x, a)
 
+    def test_residue_mass_bits_match_bincount(self, tables_small):
+        """_residue_mass sums Lambda by rows of q residues; its bits equal
+        the bincount of n % q weighted by Lambda(n), for q = 1..60 and
+        seeded x in [0, 10^4], q > x included."""
+        rng = np.random.default_rng(2007)
+        xs = [0.0, 0.5, 1.0, 2.0, 59.0, 60.0, 61.0, 1e4, *rng.uniform(0, 1e4, 24)]
+        for q in range(1, 61):
+            for x in xs:
+                top = int(x)
+                want = np.bincount(
+                    np.arange(top + 1) % q, weights=tables_small.mangoldt[: top + 1], minlength=q
+                )
+                got = arith._residue_mass(x, q, tables_small)
+                assert got.tobytes() == want.tobytes(), (q, x)
+
     def test_non_unit_discrepancy_is_class_mass(self, tables_small):
         # off units every character vanishes, so the inversion side is 0
         # and the reported discrepancy equals the direct class sum

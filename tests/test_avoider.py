@@ -19,6 +19,7 @@ from oracles import (
     avoiding_prefix_optima,
     first_fit_naive,
     forbidden_diffs_naive,
+    forbidden_pair_scan,
     is_prime_naive,
     random_local_naive,
 )
@@ -88,6 +89,25 @@ class TestAvoidanceChecks:
         # differences 1 (-> 2 prime) and 4 (-> 5 prime) both present
         s, lower, upper = find_forbidden_pair([3, 4, 8], fs)
         assert s == 1
+
+    def test_element_scan_matches_difference_scan(self, tables_small):
+        """Whichever side find_forbidden_pair loops over, it gives the
+        frozen s-ascending scan's pair: on seeded sets sparser and denser
+        than the forbidden differences, at n = 1, and with no forbidden s."""
+        rng = np.random.default_rng(1807)
+        cases = [([1], ForbiddenSet.build(1, 1, None)), ([1, 2, 3], ForbiddenSet.build(3, 7, None))]
+        for _ in range(60):
+            n, d = int(rng.integers(2, 400)), int(rng.integers(1, 5))
+            fs = ForbiddenSet.build(n, d, tables_small)
+            for k in {2, 5, fs.count() // 2 + 1, fs.count() + 1, n // 2 + 1, n}:
+                k = min(k, n)
+                cases.append((rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist(), fs))
+        sides = set()
+        for elements, fs in cases:
+            assert find_forbidden_pair(elements, fs) == forbidden_pair_scan(elements, fs.bits)
+            sides.add(len(set(elements)) < fs.count())
+        assert sides == {True, False}
+        assert ForbiddenSet.build(3, 7, None).count() == 0
 
     def test_empty_and_singleton(self, tables_small):
         fs = ForbiddenSet.build(50, 1, tables_small)
