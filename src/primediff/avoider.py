@@ -1,22 +1,18 @@
 """Extremal sets avoiding forbidden differences s with d s + 1 prime.
 
 Sets live in [1, n]; the forbidden differences are one bool array,
-`ForbiddenSet.bits`.  The exact solver is Russian-doll search: it proves
-the optima f(1), ..., f(n) in ascending order and bounds each subtree by
-the optimum already known for its candidates' span, since the conflict
-graph is translation-invariant.  When its node budget runs out, a
-branch-and-bound over a most-constrained-first static vertex order with
-the popcount bound runs with the same budget, and `nodes` counts both.
-Candidate sets and `find_forbidden_pair`'s set are int bitsets packed from
-bool arrays.  The greedy strategies take a point when no chosen element
-sits at a forbidden distance from it, read off int bitsets: with F the
-bitset of the forbidden s, the points near x are F << x and the reversed
-F shifted down, and local search keeps the points blocked once and twice.
-Primality comes from tables covering d(n-1)+1 when they are supplied, else
-from a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1)
-(from arith._primes_upto), or from deterministic Miller-Rabin when that
-root exceeds TABLE_CAP; the routes agree (tested), keeping the search
-independent of the tables.
+`ForbiddenSet.bits`.  Every search runs on int bitsets with bit x for point
+x: with F the bitset of the forbidden s (`_conflicts`), the points at a
+forbidden distance from x are F << x and the reversed F shifted down, and
+the complement of F gives the compatible points the same way.  The exact
+solver is Russian-doll search: it proves the optima f(1), ..., f(n) in
+ascending order and bounds each subtree by the optimum already known for
+its candidates' span, since the conflict graph is translation-invariant.
+When its node budget runs out, branch-and-bound with the popcount bound
+runs with the same budget, and `nodes` counts both.  Primality comes from
+tables covering d(n-1)+1 when they are supplied, else from a sieve of the
+values d s + 1 by the primes up to sqrt(d(n-1)+1), or from deterministic
+Miller-Rabin when that root exceeds TABLE_CAP; the routes agree (tested).
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
 ]
 
 EXACT_CAP = 64  # largest n exact search takes without a node budget
-ROW_BYTES_CAP = 32 * arith.TABLE_CAP  # exact search rows' n^2/8 bytes: 128 MB, as tables
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
 
 
@@ -72,9 +67,6 @@ class ForbiddenSet:
         else:
             bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]
         return cls(n=n, d=d, bits=bits)
-
-    def forbidden(self, s: int) -> bool:
-        return 0 < s < self.n and bool(self.bits[s])
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -109,6 +101,20 @@ def _shifted_primes(n: int, d: int) -> np.ndarray:
 def _bitset(flags: np.ndarray) -> int:
     """The int with bit i set iff flags[i]."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _members(bits: int, n: int) -> tuple:
+    """The set bits of `bits` in [0, n], ascending, from one unpack."""
+    raw = np.frombuffer(bits.to_bytes(n // 8 + 1, "little"), np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+
+
+def _conflicts(fs: ForbiddenSet) -> tuple[int, int]:
+    """(forward, backward): bit s of forward and bit n - s of backward are
+    set iff s is forbidden, so forward << x holds the x + s and
+    backward >> (n - x) the x - s.  Each XOR (1 << n) - 2 is the same for
+    the allowed s in [1, n - 1]."""
+    return _bitset(fs.bits), _bitset(fs.bits[::-1]) << 1
 
 
 def is_avoiding(elements, fs: ForbiddenSet) -> bool:
@@ -170,8 +176,7 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
     no budget the answer is optimal.  When the budget runs out first,
     `_branch_and_bound` runs with the same budget and its incumbent is
     returned with optimal=False; `nodes` counts both phases.  Past
-    EXACT_CAP a node budget is required, and past n^2/8 > ROW_BYTES_CAP
-    the search is refused before anything is built."""
+    EXACT_CAP a node budget is required."""
     n = fs.n
     if node_budget is not None and node_budget < 1:
         raise DomainError(f"node budget must be >= 1, got {node_budget}")
@@ -179,18 +184,11 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
         raise ResourceError(
             f"exact search beyond n={EXACT_CAP} needs an explicit node budget, got n={n}"
         )
-    if n * n > 8 * ROW_BYTES_CAP:
-        raise ResourceError(
-            f"exact search limited to n <= {math.isqrt(8 * ROW_BYTES_CAP)}"
-            f" (n^2/8 bytes of rows), got n={n}"
-        )
     t0 = time.perf_counter()
     budget = math.inf if node_budget is None else node_budget
     # bit n - s of rev is set iff s in [1, n - 1] is allowed, so bit j of
     # rev >> (n - x) is set iff x - j is allowed
-    allowed = ~fs.bits
-    allowed[0] = False
-    rev = _bitset(allowed[::-1]) << 1
+    rev = _conflicts(fs)[1] ^ ((1 << n) - 2)
     f = [0] * (n + 1)  # f[k]: optimum on any interval of k positions
     best = 0  # bitset of the last set found, of size f[m]
     nodes = 0
@@ -218,7 +216,7 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
             stack.append((cand & (rev >> (n - hi)), size + 1, chosen | top))
         f[m] = target if best >> m & 1 else f[m - 1]
 
-    elements = tuple(x for x in range(1, n + 1) if best >> x & 1)
+    elements = _members(best, n)
     if elements and not is_avoiding(elements, fs):
         raise PreconditionError("search produced a non-avoiding set; invariant broken")
     return SearchResult(
@@ -232,35 +230,30 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
 
 
 def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult:
-    """Branch-and-bound from the first-fit incumbent over a static
-    most-constrained-first order (fewest compatible successors, index as
-    tie-break): branch on the lowest-order open vertex, and a subtree dies
-    when size + popcount(candidates) cannot beat the incumbent.  An
-    exhausted budget returns the incumbent with optimal=False."""
+    """Branch-and-bound from the first-fit incumbent: branch on the first
+    open vertex of the static order by fewest allowed successors, smaller
+    vertex on ties, and a subtree dies when size + popcount(candidates)
+    cannot beat the incumbent.  An exhausted budget returns the incumbent
+    with optimal=False.  v's count #{allowed s <= n - v} never grows with
+    v, and v - 1 and v tie iff n - v + 1 is forbidden, so the first open
+    vertex is the lowest candidate >= run_lo[h], h the highest candidate."""
     n = fs.n
-    # v has n - v successors u > v, of which those at a forbidden u - v clash
-    verts = np.arange(1, n + 1)
-    succ_count = (n - verts) - np.cumsum(fs.bits)[n - verts]
-    order = np.argsort(succ_count, kind="stable") + 1
-
-    # row i: the positions j != i whose vertex is at an allowed distance
-    compat = []
-    for i, v in enumerate(order.tolist()):
-        flags = ~fs.bits[np.abs(order - v)]
-        flags[i] = False
-        compat.append(_bitset(flags))
+    above, below = (b ^ ((1 << n) - 2) for b in _conflicts(fs))
+    starts = np.arange(n + 1, dtype=np.int32)
+    starts[2:][fs.bits[n - 1:0:-1]] = 0
+    run_lo = memoryview(np.maximum.accumulate(starts))
 
     # greedy incumbent for early pruning
     seed = greedy_avoiding(fs, strategy="first_fit")
     best_size = seed.size
-    best_mask = _bitset(np.isin(order, seed.elements))
-    order = order.tolist()
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[list(seed.elements)] = True
+    best_mask = _bitset(flags)
 
     t0 = time.perf_counter()
     nodes = 0
     truncated = False
-    full = (1 << n) - 1
-    stack = [(full, 0, 0)]  # candidates, chosen_mask, chosen_size
+    stack = [((1 << (n + 1)) - 2, 0, 0)]  # candidates, chosen_mask, chosen_size
     while stack:
         cand, chosen, size = stack.pop()
         nodes += 1
@@ -269,15 +262,17 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
             break
         if size > best_size:
             best_size, best_mask = size, chosen
-        if not cand or size + bin(cand).count("1") <= best_size:
+        if not cand or size + cand.bit_count() <= best_size:
             continue
-        low = cand & -cand
-        i = low.bit_length() - 1
+        lo = run_lo[cand.bit_length() - 1]
+        rest = cand >> lo
+        x = lo + (rest & -rest).bit_length() - 1
+        top = 1 << x
         # exclude branch first so the include branch is explored first (LIFO)
-        stack.append((cand & ~low, chosen, size))
-        stack.append((cand & compat[i], chosen | low, size + 1))
+        stack.append((cand ^ top, chosen, size))
+        stack.append((cand & ((below >> (n - x)) | (above << x)), chosen | top, size + 1))
 
-    elements = tuple(sorted(order[i] for i in range(n) if best_mask >> i & 1))
+    elements = _members(best_mask, n)
     if elements and not is_avoiding(elements, fs):
         raise PreconditionError("search produced a non-avoiding set; invariant broken")
     return SearchResult(
@@ -295,14 +290,11 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
 
 
 def _neighbours(fs: ForbiddenSet):
-    """(forward, full, near): forward has bit s set iff s is forbidden,
-    full has bits 1..n set, and near(x) is the bitset of the y in [1, n]
-    at a forbidden distance from x.  backward has bit n - s set iff s is
-    forbidden, so forward << x holds the x + s and backward >> (n - x)
-    the x - s."""
+    """(forward, full, near): forward is _conflicts', full has bits 1..n
+    set, and near(x) is the bitset of the y in [1, n] at a forbidden
+    distance from x."""
     n = fs.n
-    forward = _bitset(fs.bits)
-    backward = _bitset(fs.bits[::-1]) << 1
+    forward, backward = _conflicts(fs)
     full = (1 << (n + 1)) - 2
 
     def near(x: int) -> int:

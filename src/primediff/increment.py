@@ -241,8 +241,9 @@ def extract_progression(
     if energy < target_e:
         raise EnergyShortfall(energy, target_e)
 
-    cap_eta = math.floor(1.0 / (2.0 * q * eta))
-    cap_mass = math.floor(c_len * min(1.0 / eta, energy * A.size) / q)
+    big_q = round(1.0 / (q * eta))  # exact: energy_table's eta is 1/(q Q)
+    cap_eta = big_q // 2
+    cap_mass = math.floor(c_len * min(q * big_q, energy * A.size) / q)
     length = max(1, min(cap_eta, cap_mass, (A.n - 1) // q + 1))
 
     first, count = _best_inside(A, q, length)

@@ -179,6 +179,49 @@ def forbidden_pair_scan(elements, bits) -> tuple[int, int, int] | None:
     return None
 
 
+def branch_and_bound_rows(n: int, d: int, budget: int | None):
+    """Branch-and-bound in static-order space, as (elements, size, optimal,
+    nodes).  The order sorts [1, n] stably by the count of successors u > v
+    at an allowed distance; row i holds the order positions j != i whose
+    vertex is at an allowed distance from order[i].  From the first-fit
+    incumbent, pop a node (candidates, chosen, size), count it, stop past
+    the budget, keep a larger chosen set, drop the node when
+    size + #candidates cannot beat the incumbent, else push the branch
+    without the lowest candidate position i, then the one with it (so the
+    latter is explored first)."""
+    bad = forbidden_diffs_naive(n, d)
+    succ = {v: sum(1 for u in range(v + 1, n + 1) if u - v not in bad) for v in range(1, n + 1)}
+    order = sorted(range(1, n + 1), key=lambda v: succ[v])
+    rows = []
+    for i, v in enumerate(order):
+        row = 0
+        for j, u in enumerate(order):
+            if j != i and abs(u - v) not in bad:
+                row |= 1 << j
+        rows.append(row)
+    incumbent = first_fit_naive(n, d)
+    best_size = len(incumbent)
+    best = sum(1 << order.index(v) for v in incumbent)
+    nodes = 0
+    optimal = True
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        cand, chosen, size = stack.pop()
+        nodes += 1
+        if budget is not None and nodes > budget:
+            optimal = False
+            break
+        if size > best_size:
+            best_size, best = size, chosen
+        if not cand or size + bin(cand).count("1") <= best_size:
+            continue
+        i = (cand & -cand).bit_length() - 1
+        stack.append((cand & ~(1 << i), chosen, size))
+        stack.append((cand & rows[i], chosen | 1 << i, size + 1))
+    elements = tuple(sorted(order[i] for i in range(n) if best >> i & 1))
+    return elements, best_size, optimal, nodes
+
+
 def avoiding_prefix_optima(n: int, d: int) -> list[int]:
     """optima[k] = max size of a subset of [1, k] with no difference s such
     that d s + 1 is prime, for every k <= n.  Exhaustive depth-first

@@ -17,6 +17,7 @@ from primediff.errors import DomainError, ResourceError
 
 from oracles import (
     avoiding_prefix_optima,
+    branch_and_bound_rows,
     first_fit_naive,
     forbidden_diffs_naive,
     forbidden_pair_scan,
@@ -30,8 +31,7 @@ class TestForbiddenSet:
         for d in (1, 2, 3):
             fs = ForbiddenSet.build(300, d, tables_small)
             want = forbidden_diffs_naive(300, d)
-            for s in range(1, 300):
-                assert fs.forbidden(s) == (s in want)
+            assert np.flatnonzero(fs.bits).tolist() == sorted(want)
             assert fs.count() == len(want)
 
     def test_table_and_direct_paths_agree(self, tables_small):
@@ -142,18 +142,6 @@ class TestExactSearch:
         res = max_avoiding_exact(fs, node_budget=100_000)
         assert is_avoiding(res.elements, fs)
 
-    def test_row_budget(self, monkeypatch):
-        """Rows take n^2/8 bytes; past ROW_BYTES_CAP the search is refused
-        whatever the node budget, before any row is built."""
-        big = 32_001  # 32000^2/8 bytes is exactly the 128 MB budget
-        fs = ForbiddenSet(big, 1, np.zeros(big, dtype=bool))
-        with pytest.raises(ResourceError, match="n <= 32000"):
-            max_avoiding_exact(fs, node_budget=1)
-        monkeypatch.setattr(avoider, "ROW_BYTES_CAP", 800)  # n <= 80
-        assert max_avoiding_exact(ForbiddenSet.build(80, 1, None), node_budget=5).nodes == 12
-        with pytest.raises(ResourceError):
-            max_avoiding_exact(ForbiddenSet.build(81, 1, None), node_budget=5)
-
     @pytest.mark.parametrize(
         "n, d, budget, nodes, elements",
         [
@@ -165,8 +153,8 @@ class TestExactSearch:
     )
     def test_pinned_search(self, tables_small, n, d, budget, nodes, elements):
         """Node counts and sets pin the doll's branching order; a truncated
-        run's set pins the static order, the compatibility rows and the
-        greedy incumbent of the fallback."""
+        run's set pins the fallback's vertex order, its include branch and
+        its greedy incumbent."""
         res = max_avoiding_exact(ForbiddenSet.build(n, d, tables_small), node_budget=budget)
         assert (res.nodes, res.elements) == (nodes, elements)
         assert res.optimal == (budget is None)
@@ -181,6 +169,20 @@ class TestExactSearch:
                 assert doll.size == bnb.size == len(doll.elements), (n, d)
                 assert is_avoiding(doll.elements, fs)
 
+    def test_branch_and_bound_walks_the_rows_tree(self):
+        """The positional fallback walks the tree of the static-order search
+        with compatibility rows: the same (elements, size, optimal, nodes)
+        on seeded (n, d, budget), unbudgeted up to n = 48, and at n = 1."""
+        rng = np.random.default_rng(2020)
+        cases = [(1, 1, None), (1, 3, 1), (2, 1, None)]
+        for _ in range(150):
+            n, d = int(rng.integers(1, 161)), int(rng.integers(1, 5))
+            cases.append((n, d, None if n <= 48 else int(rng.integers(1, 3000))))
+        for n, d, budget in cases:
+            res = avoider._branch_and_bound(ForbiddenSet.build(n, d, None), budget)
+            got = (res.elements, res.size, res.optimal, res.nodes)
+            assert got == branch_and_bound_rows(n, d, budget), (n, d, budget)
+
     @pytest.mark.parametrize("n, d, optimum", [(128, 1, 12), (200, 2, 12), (160, 4, 15)])
     def test_frontier_proven(self, tables_small, n, d, optimum):
         """Optima branch-and-bound alone does not prove within 3M nodes."""
@@ -188,10 +190,13 @@ class TestExactSearch:
         assert res.optimal and res.size == optimum
 
     def test_node_guard(self, tables_small):
-        """The benchmark's exact case: 442,089 nodes by branch-and-bound."""
-        res = max_avoiding_exact(ForbiddenSet.build(88, 1, tables_small), node_budget=3_000_000)
+        """The benchmark's exact case: the doll proves it in under 10,000
+        nodes, branch-and-bound alone in 442,089."""
+        fs = ForbiddenSet.build(88, 1, tables_small)
+        res = max_avoiding_exact(fs, node_budget=3_000_000)
         assert res.optimal and res.size == 10
         assert res.nodes <= 10_000
+        assert avoider._branch_and_bound(fs, None).nodes == 442_089
 
     def test_truncated_run_is_the_fallback(self, tables_small):
         """An exhausted budget spends budget + 1 nodes in the doll, then

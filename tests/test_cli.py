@@ -22,6 +22,7 @@ from primediff.errors import CertificationError
 from oracles import (
     avoiding_prefix_optima,
     dft_naive,
+    first_fit_naive,
     forbidden_diffs_naive,
     mangoldt_naive,
     mobius_naive,
@@ -186,9 +187,9 @@ def test_tables_end_at_d_n_plus_1(argv, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # n^2/8 bytes of compatibility rows past 128 MB
-        (["extremal", "--n", "32001", "--d", "1", "--mode", "exact", "--budget", "1"],
-         "exact search limited to n <= 32000"),
+        # exact search's only size refusal is the forbidden set's
+        (["extremal", "--n", "4000001", "--d", "1", "--mode", "exact", "--budget", "10"],
+         "forbidden set limited to n <= 4000000"),
         # a 10^12-point FFT grid
         (["spectrum", "--n", "1000", "--d", "1", "--q-prime", "2", "--big-q", "10",
           "--grid-factor", "1000000000"], "spectrum grid limited"),
@@ -566,6 +567,36 @@ class TestExtremalCommand:
         payload = json.loads(out)
         assert payload["optimal"] is False
         assert payload["manifest"]["parameters"]["budget"] == 5
+
+    def test_budgeted_exact_runs_past_32000(self, capsys):
+        """Past n = 32,000, where exact search used to be refused, a budgeted
+        run falls back to branch-and-bound and returns an avoiding set at
+        least as large as the first-fit scan's."""
+        code, out, err = run_cli(
+            ["extremal", "--n", "32001", "--d", "1", "--mode", "exact", "--budget", "10"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["optimal"] is False
+        elems = payload["elements"]
+        assert len(elems) == payload["size"] >= len(first_fit_naive(32001, 1))
+        bad = forbidden_diffs_naive(32001, 1)
+        assert all(b - a not in bad for i, a in enumerate(elems) for b in elems[i + 1 :])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_budgeted_exact_at_a_million_stays_small(self, tmp_path):
+        """Exact search at n = 10^6 with budget 10 keeps no n^2 state: a
+        fresh interpreter running it peaks below 100 MB resident (about
+        57 MB measured; at the table cap, n = 4 10^6, about 145 MB)."""
+        out = tmp_path / "exact.json"
+        code, peak_kb = cli_peak_kb(
+            ["extremal", "--n", "1000000", "--d", "1", "--mode", "exact", "--budget", "10",
+             "--out", str(out), "--timestamp", "T"]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["size"] >= 1
+        assert peak_kb < 100 * 1024, f"peak {peak_kb // 1024} MB"
 
     @pytest.mark.parametrize("budget", ["-5", "0"])
     def test_budget_below_one_is_domain_error(self, budget, capsys):

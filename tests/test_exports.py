@@ -73,6 +73,38 @@ def test_no_top_level_name_is_defined_twice():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
+def _run_at_import(body):
+    """The nodes of a module body that run when it is imported: each
+    statement, but of a function only its decorators and defaults, and of a
+    class its decorators, bases and the same of its own body."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from stmt.decorator_list
+            yield from stmt.args.defaults
+            yield from filter(None, stmt.args.kw_defaults)
+        elif isinstance(stmt, ast.ClassDef):
+            yield from stmt.decorator_list + stmt.bases + stmt.keywords
+            yield from _run_at_import(stmt.body)
+        else:
+            yield stmt
+
+
+def test_no_size_cap_is_bound_at_import():
+    """Only arith reads TABLE_CAP at import: elsewhere a cap derived from it
+    at module level would miss a change to arith.TABLE_CAP, so every size
+    refusal reads it at call time."""
+    reads = []
+    for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        for top in _run_at_import(ast.parse(path.read_text()).body):
+            for node in ast.walk(top):
+                # a Name's id, an Attribute's attr, an import alias's name
+                if "TABLE_CAP" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                    reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+
+
 def loaded_after(code):
     """Sorted primediff.* modules in a fresh interpreter after it runs
     `code`."""

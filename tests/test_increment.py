@@ -10,6 +10,7 @@ import pytest
 from primediff.errors import DomainError, EnergyShortfall, PreconditionError
 from primediff.increment import (
     DensitySet,
+    EnergyStats,
     Progression,
     _best_inside,
     _level_energies,
@@ -225,6 +226,19 @@ class TestExtractProgression:
         assert L <= 1 / (2 * 7 * row.eta)
         assert L <= 0.25 * min(1 / row.eta, out.detail["energy"] * A.size) / 7
         assert L >= 1
+
+    def test_caps_are_exact_integers(self):
+        """energy_table's eta is 1/(q Q), so the caps are Q // 2 and, with
+        c_len = 1/4 and the mass side above the eta side, Q // 4 exactly;
+        1/(2 q eta) and 1/eta fell just below an integer on some pairs (at
+        q = 1, Q = 186 gave 92 for the first and Q = 372 gave 92 for the
+        second)."""
+        A = DensitySet.from_iterable(40, range(1, 41))
+        for q in range(1, 51):
+            for big_q in (186, 372, *range(2, 400, 3)):
+                row = EnergyStats(q, 1.0 / (q * big_q), 1e9, 0.0)
+                detail = extract_progression(A, row, 0.0, c_len=0.25).detail
+                assert (detail["cap_eta"], detail["cap_mass"]) == (big_q // 2, big_q // 4), (q, big_q)
 
     def test_energy_shortfall(self):
         rng = np.random.default_rng(71)
