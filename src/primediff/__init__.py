@@ -28,7 +28,6 @@ _EXPORTS = {
         "characters_mod",
         "euler_phi",
         "is_prime",
-        "mobius_of",
         "psi",
         "psi_chi",
         "ramanujan",

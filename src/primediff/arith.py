@@ -29,7 +29,6 @@ __all__ = [
     "ExceptionalDatum",
     "euler_phi",
     "is_prime",
-    "mobius_of",
     "psi",
     "psi_chi",
     "ramanujan",
@@ -194,17 +193,6 @@ def euler_phi(n: int) -> int:
     out = n
     for p, _ in _factorize(n):
         out -= out // p
-    return out
-
-
-def mobius_of(n: int) -> int:
-    if n < 1:
-        raise DomainError(f"mu undefined for {n}")
-    out = 1
-    for _, e in _factorize(n):
-        if e > 1:
-            return 0
-        out = -out
     return out
 
 

@@ -14,10 +14,12 @@ A run is the transitive closure plus a Budget terminal when max_steps is
 hit.  Every quantitative claim a step makes is recounted from the recorded
 set snapshots by certify(), which never trusts transforms: intersection
 counts are recounted elementwise, primality is re-established by
-Miller-Rabin, d-chains and rescalings are recomputed, and an increment's
-recorded arc energy is recounted from the set's difference counts against
-closed-form arc kernels, sharing neither grid_power nor arc_ranges with
-the step that produced it.
+Miller-Rabin, a step past the pair search has its set searched again,
+d-chains and rescalings are recomputed, and an increment's recorded arc
+energy is recounted from the set's difference counts against closed-form
+arc kernels, sharing neither grid_power nor arc_ranges with the step that
+produced it.  Producer and recount read one grid size,
+IterationConfig.grid_size: the least 5-smooth M >= grid_factor N.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .increment import (
     extract_progression,
     rescale,
 )
-from .spectral import grid_power
+from .spectral import fft_size, grid_power
 
 __all__ = [
     "Budget",
@@ -68,6 +70,8 @@ class IterationConfig:
     Q'  = d^4 (log N)^8 / (c'^2 alpha^2)        level cutoff, clamped to [1, q_cap]
     Q   = max(ceil(N'/Q'), 2 Q')                dissection parameter, eta = 1/(qQ)
     Q'' = 1 / (c''^2 alpha^2)                   extraction level cap, clamped
+    M   = fft_size(grid_factor N)               quadrature grid, the least
+                                                5-smooth size >= grid_factor N
 
     c_prime defaults high so Q' lands in the tens at N ~ 10^3..10^4 instead
     of overflowing any usable range; c defaults to 1/4 so sets of polylog
@@ -117,6 +121,9 @@ class IterationConfig:
     def extraction_cap(self, alpha: float) -> int:
         raw = 1.0 / (self.c_double_prime**2 * alpha**2)
         return int(min(max(raw, 1.0), self.q_cap))
+
+    def grid_size(self, n: int) -> int:
+        return fft_size(self.grid_factor * n)
 
     def d_ceiling(self, n: int) -> float:
         return n**self.d_ceiling_exponent
@@ -307,7 +314,7 @@ def iterate_once(
     q_double = config.extraction_cap(alpha)
     q_top = max(q_prime, q_double)
 
-    grid = grid_power(A.balanced(), config.grid_factor * n)
+    grid = grid_power(A.balanced(), config.grid_size(n))
     table = energy_table(A, q_top, big_q, grid=grid)
     phi = {r.q: euler_phi(r.q) for r in table.rows}
     trigger = sum(r.star_energy / phi[r.q] for r in table.rows if r.q <= q_prime)
@@ -514,7 +521,9 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
 def certify(trace: Trace, tables: ArithTables) -> list[str]:
     """Re-verify every step of a trace from its raw set snapshots.
 
-    Recounts intersections, re-runs primality by Miller-Rabin, recomputes
+    Recounts intersections, re-runs primality by Miller-Rabin, searches
+    every increment's and large_d_or_small_alpha step's set for a forbidden
+    pair, holds each increment's level to the extraction cap, recomputes
     rescalings and d-chains, and recounts each increment's recorded level-q
     energy E from the set's difference counts and the level's arc ends
     (_recount_energy), sharing neither the grid transform nor the arc
@@ -533,6 +542,17 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
         if not math.isclose(A.alpha, s.alpha, rel_tol=0, abs_tol=1e-12):
             raise CertificationError(f"{where}: alpha {s.alpha} != recount {A.alpha}")
         out = s.outcome
+        if isinstance(out, (LargeDOrSmallAlpha, DensityIncrement)):
+            # the producer reaches these only on a set that avoids: search
+            # afresh, on a forbidden set built without the producer's tables
+            try:
+                pair = find_forbidden_pair(A.elements, ForbiddenSet.build(s.n, s.d))
+            except DomainError as exc:  # d < 1
+                raise CertificationError(f"{where}: {exc}") from None
+            if pair is not None:
+                raise CertificationError(
+                    f"{where}: {out.tag} but {pair[2]} - {pair[1]} = {pair[0]} is forbidden"
+                )
 
         if isinstance(out, SmallN):
             # two emission paths: the universe fell under the floor, or the
@@ -561,6 +581,9 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                 raise CertificationError(f"{where}: progression leaves [1, {s.n}]")
             if P.step != out.q:
                 raise CertificationError(f"{where}: progression step != chosen q")
+            cap = cfg.extraction_cap(s.alpha)
+            if out.q > cap:
+                raise CertificationError(f"{where}: level q={out.q} above extraction cap {cap}")
             member = np.zeros(s.n + 1, dtype=bool)
             member[A.elements] = True
             recount = int(np.count_nonzero(member[P.points()]))
@@ -585,7 +608,7 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
             # not read from the step's energy table nor its power grid
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
-            recomputed = _recount_energy(A, out.q, cfg.grid_factor * s.n, big_q)
+            recomputed = _recount_energy(A, out.q, cfg.grid_size(s.n), big_q)
             recorded = o.detail.get("energy")
             if recorded is None or abs(recomputed - recorded) > 1e-9 * max(1.0, recorded):
                 raise CertificationError(

@@ -7,16 +7,19 @@ balanced function g = 1_A - alpha 1_[1,N],
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
 
 with integrals realized as quadrature on the power grid the caller passes,
-(M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power (M >= 8N, 8N by
-default).  energy_table gives E and E* of every level from one prefix sum
-of the power, read at the ends of spectral.arc_ranges' arcs.  Summed over
-the whole torus the normalized energy is exactly (1 - alpha)/alpha, which
-pins the normalization in tests.  Extraction reads E from energy_table's
-level-q row, measuring no arcs of its own, and converts it into a step-q
-progression on which A beats alpha by the factor (1 + E/4); the averaging
-projection keeps half of alpha on a step-d progression.  Both take the best
-window inside [1, N], its count recounted exactly from prefix sums along
-each residue class (_best_inside), never inferred from the transform side.
+(M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power.  M >= 8N; by
+default M = fft_size(8N), the least 5-smooth size >= 8N, as the driver's
+grid_size gives at its default grid_factor, so no transform runs at a
+length with a large prime factor.  energy_table gives E and E* of every
+level from one prefix sum of the power, read at the ends of
+spectral.arc_ranges' arcs.  Summed over the whole torus the normalized
+energy is exactly (1 - alpha)/alpha, which pins the normalization in tests.
+Extraction reads E from energy_table's level-q row, measuring no arcs of
+its own, and converts it into a step-q progression on which A beats alpha
+by the factor (1 + E/4); the averaging projection keeps half of alpha on a
+step-d progression.  Both take the best window inside [1, N], its count
+recounted exactly from prefix sums along each residue class (_best_inside),
+never inferred from the transform side.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import IntegerSignal, arc_ranges, grid_power, unfold
+from .spectral import IntegerSignal, arc_ranges, fft_size, grid_power, unfold
 
 __all__ = [
     "DensitySet",
@@ -174,8 +177,8 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
 def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
     """(M, |g_hat(k/M)|^2 for k <= M/2, 1/(alpha |A| M)) from the power grid,
-    by default the 8N-point one."""
-    m, power = grid_power(A.balanced(), 8 * A.n) if grid is None else grid
+    M >= 8N, by default the fft_size(8N)-point one."""
+    m, power = grid_power(A.balanced(), fft_size(8 * A.n)) if grid is None else grid
     if m < 8 * A.n:
         raise PreconditionError(f"grid {m} below 8x support {A.n}")
     if len(power) != m // 2 + 1:
@@ -211,7 +214,7 @@ def energy_table(
 ) -> EnergyTable:
     """Normalized arc energies E and E* for every level q <= q_prime at
     half-width eta = 1/(q big_q), on the power grid of A.balanced() that
-    grid_power gives (M >= 8N, default 8N)."""
+    grid_power gives (M >= 8N, default fft_size(8N))."""
     if q_prime < 1:
         raise DomainError(f"need Q' >= 1, got {q_prime}")
     if big_q < 2:

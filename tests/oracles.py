@@ -55,6 +55,14 @@ def mobius_naive(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+def five_smooth_naive(n: int) -> bool:
+    """n >= 1 has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def phi_naive(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 

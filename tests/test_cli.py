@@ -238,19 +238,21 @@ def test_refused_arguments_exit_3(argv, message, capsys, monkeypatch):
 
 
 def test_driver_grid_budget(tmp_path, capsys):
-    """The driver's FFT grid, grid_factor times n points, is held to the
-    spectrum's TABLE_CAP budget: 10^12 points are refused, not allocated."""
+    """The driver's FFT grid, the least 5-smooth size >= grid_factor times
+    n points, is held to the spectrum's TABLE_CAP budget: 10^12 points are
+    refused, not allocated, and 10^303 before any size is searched."""
     code, out, _ = run_cli(["extremal", "--n", "1000", "--d", "1", "--mode", "greedy"], capsys)
     assert code == 0
     elements = json.loads(out)["elements"]
     set_file, config = tmp_path / "ff1000.txt", tmp_path / "gf.cfg"
     set_file.write_text("".join(f"{x}\n" for x in elements))
-    config.write_text("grid_factor = 1000000000\n")
     argv = ["iterate", "--input", str(set_file), "--n", "1000", "--config", str(config)]
-    code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "spectrum grid limited" in err
+    for grid_factor in (10**9, 10**300):
+        config.write_text(f"grid_factor = {grid_factor}\n")
+        code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "spectrum grid limited" in err
 
 
 @pytest.mark.parametrize(

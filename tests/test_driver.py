@@ -79,6 +79,10 @@ class TestIterationConfig:
         assert cfg.dissection_q(4, 3) == max(math.ceil(4 / 3), 6)
         assert 1 <= cfg.extraction_cap(0.5) <= 50
         assert cfg.d_ceiling(10_000) == 10.0
+        # the least 5-smooth size >= grid_factor N: 8 N at N = 1000, and
+        # 8 * 499,979 = 3,999,832 rounds up to the cap, 2^8 5^6
+        assert cfg.grid_size(1000) == 8000
+        assert IterationConfig().grid_size(499_979) == 4_000_000
 
     def test_tag_set(self):
         tags = {
@@ -253,13 +257,16 @@ def _driver_inputs(count=60, seed=2026):
 
 def test_trace_digest_is_pinned(tables_small):
     """SHA-256 of the traces and certification lines of 60 seeded inputs:
-    energies, chosen levels and progressions stay bit-for-bit the same."""
+    energies, chosen levels and progressions stay bit-for-bit the same.
+    Re-pinned when the driver grid became the least 5-smooth size >= 8N
+    (IterationConfig.grid_size): at the N whose 8N has a prime factor
+    above 5 the quadrature grid moved, and the energies with it."""
     h = hashlib.sha256()
     for n, d, elements in _driver_inputs():
         trace = run(DensitySet.from_iterable(n, elements), d, IterationConfig(), tables_small)
         for line in trace_to_jsonl(trace) + certify(trace, tables_small):
             h.update(line.encode() + b"\n")
-    assert h.hexdigest() == "4c5251f32180c99d17ed250eb4c4ac3da7f0a3c795b47e4a3764f24c13db93e3"
+    assert h.hexdigest() == "a55f9d3eee2fa8c0453e5baf4b19ac62e81146154b194b39640313114a829a4a"
 
 
 class TestCertify:
@@ -369,6 +376,65 @@ class TestCertify:
         lines = certify(trace, tables_small)
         assert any("density_increment ok" in line for line in lines)
         assert lines[-1] == f"terminal: {trace.terminal} ok"
+
+    @pytest.mark.parametrize(
+        "n, d, tag", [(423, 1, "density_increment"), (100, 4, "large_d_or_small_alpha")]
+    )
+    def test_rejects_a_set_that_does_not_avoid(self, n, d, tag, tables_small, monkeypatch):
+        """A producer whose pair search finds nothing (stubbed here) goes on
+        past it with a set that realizes a forbidden difference; certify
+        searches the snapshot itself, on a forbidden set built without the
+        producer's tables, and rejects the step."""
+        rng = np.random.default_rng(0)
+        A = DensitySet.from_iterable(n, rng.choice(n, size=n // 3, replace=False) + 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(driver, "find_forbidden_pair", lambda elements, fs: None)
+            trace = run(A, d, IterationConfig(), tables_small)
+        assert trace.steps[0].outcome.tag == tag
+        with pytest.raises(CertificationError, match=f"step 1: {tag} but .* is forbidden"):
+            certify(trace, tables_small)
+
+    def test_rejects_a_level_above_the_extraction_cap(self, tables_small):
+        """An increment at q = 4 certifies under the config that chose it,
+        and fails under one whose extraction cap Q'' = 1/(c''^2 alpha^2)
+        clamps to 1: no run of that config could pick level 4.  (N = 120,
+        so the grid is 8N = 960 = 2^6 3 5 itself.)"""
+        trace = run(avoiding_set(120, 2, tables_small), 2, IterationConfig(), tables_small)
+        assert trace.steps[0].q == 4
+        certify(trace, tables_small)
+        capped = dataclasses.replace(trace.config, c_double_prime=1000.0)
+        assert capped.extraction_cap(trace.steps[0].alpha) == 1
+        with pytest.raises(CertificationError, match="step 1: level q=4 above extraction cap 1"):
+            certify(dataclasses.replace(trace, config=capped), tables_small)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_a_step_with_d_below_1(self, d, tables_small):
+        trace = run(avoiding_set(120, 2, tables_small), 2, IterationConfig(), tables_small)
+        bad = self._tampered(trace, d=d)
+        with pytest.raises(CertificationError, match="step 1: need n, d >= 1"):
+            certify(bad, tables_small)
+
+    def test_increment_at_a_prime_n_certifies(self, tables_small, monkeypatch):
+        """At N = 997 the producer transforms on fft_size(8 * 997) = 8,000
+        = 2^6 5^3 points, not on 7,976 = 8 * 997, and certify recounts on
+        the same grid: the step certifies, and its energy is not the 7,976-
+        point one."""
+        sizes, real = [], driver.grid_power
+
+        def recorded(f, m):
+            sizes.append(m)
+            return real(f, m)
+
+        monkeypatch.setattr(driver, "grid_power", recorded)
+        A = class_avoiding_set(997, tables_small)
+        trace = run(A, 1, IterationConfig(), tables_small)
+        assert sizes == [8000]
+        assert certify(trace, tables_small)[0].startswith("step 1: density_increment ok")
+        step = trace.steps[0]
+        cfg = trace.config
+        big_q = cfg.dissection_q(cfg.n_prime(997, A.alpha), cfg.level_cutoff(997, 1, A.alpha))
+        energy = step.outcome.outcome.detail["energy"]
+        assert abs(_recount_energy(A, step.q, 8 * 997, big_q) - energy) > 1e-9 * max(1.0, energy)
 
     def test_detects_fabricated_small_n(self, tables_small):
         A = DensitySet.from_iterable(3000, range(1, 3000, 3))

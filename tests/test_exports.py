@@ -31,7 +31,7 @@ EXPORTS = """
     energy_table euler_phi extract_progression find_forbidden_pair
     greedy_avoiding inner_product_stats is_avoiding is_prime
     iterate_once lambda_hat_rational major_prediction major_sup_ratio
-    max_avoiding_exact mobius_of psi psi_chi ramanujan rescale run
+    max_avoiding_exact psi psi_chi ramanujan rescale run
     spectrum_report tau tau_closed_form trace_to_jsonl transform_at
     verify_inversion vinogradov_bound
 """.split()

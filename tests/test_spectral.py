@@ -1,5 +1,5 @@
-"""Tests for signals, torus points, grid power, rational approximation,
-and Farey arc membership."""
+"""Tests for signals, torus points, grid power and its size rule, rational
+approximation, and Farey arc membership."""
 
 import cmath
 import math
@@ -18,13 +18,14 @@ from primediff.spectral import (
     arc_ranges,
     dirichlet_approx,
     dirichlet_approx_grid,
+    fft_size,
     grid_power,
     transform_at,
 )
 from primediff.arith import TABLE_CAP
 from primediff.errors import DomainError, ResourceError
 
-from oracles import arc_numerators_naive, dft_naive
+from oracles import arc_numerators_naive, dft_naive, five_smooth_naive
 
 
 class TestIntegerSignal:
@@ -128,6 +129,39 @@ class TestTransforms:
             # the half grid holds k = 0 and, for even M, k = M/2 once
             total = (2 * half.sum() - half[0] - (half[-1] if m % 2 == 0 else 0.0)) / m
             assert abs(total - f.energy()) <= 1e-9 * f.energy()
+
+
+class TestFftSize:
+    def test_against_brute_force(self):
+        """The least 5-smooth number >= m, for every m <= 20,000 and at the
+        cap: TABLE_CAP = 2^8 5^6 is its own size, so no m the cap accepts
+        gets a size past it."""
+        least = 20_000
+        while not five_smooth_naive(least):
+            least += 1
+        for m in range(20_000, 0, -1):
+            if five_smooth_naive(m):
+                least = m
+            assert fft_size(m) == least, m
+        for m in (TABLE_CAP - 1, TABLE_CAP):
+            least = m
+            while not five_smooth_naive(least):
+                least += 1
+            assert fft_size(m) == least == TABLE_CAP
+
+    def test_identity_on_smooth_sizes(self):
+        smooth = [
+            2**a * 3**b * 5**c
+            for a in range(22) for b in range(14) for c in range(10)
+            if 2**a * 3**b * 5**c <= TABLE_CAP
+        ]
+        assert [fft_size(m) for m in smooth] == smooth
+
+    @pytest.mark.parametrize("m", [TABLE_CAP + 1, 10**300], ids=["cap_plus_1", "1e300"])
+    def test_refuses_past_the_cap(self, m):
+        """Refused as grid_power refuses, before any size is searched."""
+        with pytest.raises(ResourceError, match="spectrum grid limited"):
+            fft_size(m)
 
 
 class TestDirichletApprox:
