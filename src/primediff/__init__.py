@@ -46,7 +46,6 @@ _EXPORTS = {
     "driver": (
         "Budget",
         "DensityIncrement",
-        "InnerProductStats",
         "IterationConfig",
         "LargeDOrSmallAlpha",
         "SmallAlpha",
@@ -55,7 +54,6 @@ _EXPORTS = {
         "Trace",
         "TraceStep",
         "certify",
-        "inner_product_stats",
         "iterate_once",
         "run",
         "trace_to_jsonl",
@@ -91,7 +89,6 @@ _EXPORTS = {
     "spectral": (
         "IntegerSignal",
         "TorusPoint",
-        "dirichlet_approx",
         "transform_at",
     ),
 }

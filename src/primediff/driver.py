@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import ArithTables, euler_phi, is_prime
 from .avoider import ForbiddenSet, find_forbidden_pair
-from .errors import CertificationError, DomainError, EnergyShortfall, PreconditionError
+from .errors import CertificationError, DomainError, EnergyShortfall
 from .increment import (
     DensitySet,
     IncrementOutcome,
@@ -41,12 +41,11 @@ from .increment import (
     extract_progression,
     rescale,
 )
-from .spectral import fft_size, grid_power
+from .spectral import fft_size
 
 __all__ = [
     "Budget",
     "DensityIncrement",
-    "InnerProductStats",
     "IterationConfig",
     "LargeDOrSmallAlpha",
     "SmallAlpha",
@@ -55,7 +54,6 @@ __all__ = [
     "Trace",
     "TraceStep",
     "certify",
-    "inner_product_stats",
     "iterate_once",
     "run",
     "trace_to_jsonl",
@@ -109,18 +107,28 @@ class IterationConfig:
             raise DomainError("d_ceiling_exponent must lie in (0, 1]")
 
     def n_prime(self, n: int, alpha: float) -> int:
-        return math.floor(self.c * alpha * n)
+        window = self.c * alpha * n
+        if window == math.inf:
+            raise DomainError(f"window c alpha N past the float range at c={self.c}, N={n}")
+        return math.floor(window)
 
     def level_cutoff(self, n: int, d: int, alpha: float) -> int:
-        raw = d**4 * math.log(n) ** 8 / (self.c_prime**2 * alpha**2)
-        return int(min(max(raw, 1.0), self.q_cap))
+        return self._clamped(d**4 * math.log(n) ** 8, self.c_prime, alpha)
 
     def dissection_q(self, n_prime: int, q_prime: int) -> int:
         return max(math.ceil(n_prime / q_prime), 2 * q_prime)
 
     def extraction_cap(self, alpha: float) -> int:
-        raw = 1.0 / (self.c_double_prime**2 * alpha**2)
-        return int(min(max(raw, 1.0), self.q_cap))
+        return self._clamped(1.0, self.c_double_prime, alpha)
+
+    def _clamped(self, top: float, c: float, alpha: float) -> int:
+        """top / (c^2 alpha^2) clamped to [1, q_cap], past the float range too."""
+        try:
+            return int(min(max(top / (c**2 * alpha**2), 1.0), self.q_cap))
+        except ZeroDivisionError:  # c^2 alpha^2 underflowed to 0
+            return self.q_cap
+        except OverflowError:  # c^2 overflowed
+            return 1
 
     def grid_size(self, n: int) -> int:
         return fft_size(self.grid_factor * n)
@@ -183,95 +191,6 @@ class Budget:
 
 
 # ---------------------------------------------------------------------------
-# inner products
-
-
-@dataclass(frozen=True)
-class InnerProductStats:
-    """Correlation inner products against the weight Lambda(d x + 1) on
-    x in [1, N'].  delta is the balanced combination over the main term:
-
-        delta = (AA - alpha AI - alpha IA + alpha^2 II) / (alpha^2 II).
-
-    support_violations lists x with A-difference mass AND d x + 1 prime;
-    it must be empty whenever A avoids the forbidden differences (any
-    remaining weight support then sits on proper prime powers)."""
-
-    n_prime: int
-    ip_set_set: float
-    ip_set_interval: float
-    ip_interval_set: float
-    ip_interval_interval: float
-    delta: float
-    support_violations: tuple
-
-
-def _difference_counts(A: DensitySet, top: int) -> np.ndarray:
-    """r[x] = #{(a,b) in A^2 : a - b = x} for x = 0..top, via FFT."""
-    size = 1
-    while size < 2 * A.n:
-        size *= 2
-    ind = np.zeros(size, dtype=np.float64)
-    ind[A.elements - 1] = 1.0
-    spec = np.fft.rfft(ind)
-    corr = np.fft.irfft(spec * np.conj(spec), n=size)
-    return np.rint(corr[: top + 1]).astype(np.int64)
-
-
-def _correlations(A: DensitySet, top: int) -> tuple[np.ndarray, ...]:
-    """(r_AA, r_AI, r_IA, r_II) at x = 0..top with I = [1, N]: the pairs
-    (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA is the
-    exact integer count of _difference_counts, the other three closed forms
-    (set-interval by suffix counts), as floats."""
-    x = np.arange(top + 1, dtype=np.int64)
-    r_aa = _difference_counts(A, top)
-    r_ai = (A.size - np.searchsorted(A.elements, x, side="right")).astype(np.float64)
-    r_ia = np.searchsorted(A.elements, A.n - x, side="right").astype(np.float64)
-    r_ii = (A.n - x).astype(np.float64)
-    return r_aa, r_ai, r_ia, r_ii
-
-
-def inner_product_stats(
-    A: DensitySet, d: int, config: IterationConfig, tables: ArithTables
-) -> InnerProductStats:
-    n = A.n
-    alpha = A.alpha
-    n_prime = config.n_prime(n, alpha)
-    if n_prime < 1:
-        raise PreconditionError(f"window floor(c alpha N) = 0 at N={n}, alpha={alpha}")
-    if n_prime > n - 1:  # no difference in [1, N] reaches N
-        raise PreconditionError(
-            f"window floor(c alpha N) = {n_prime} exceeds N - 1 at N={n}, alpha={alpha}"
-        )
-    tables.check_range(d * n_prime + 1)
-    lam = tables.mangoldt[d + 1 : d * n_prime + 2 : d]
-    r_aa, r_ai, r_ia, r_ii = (r[1:] for r in _correlations(A, n_prime))
-
-    ip_aa = float(np.dot(r_aa, lam))
-    ip_ai = float(np.dot(r_ai, lam))
-    ip_ia = float(np.dot(r_ia, lam))
-    ip_ii = float(np.dot(r_ii, lam))
-    balanced = ip_aa - alpha * ip_ai - alpha * ip_ia + alpha * alpha * ip_ii
-    delta = balanced / (alpha * alpha * ip_ii) if ip_ii > 0 else 0.0
-
-    viol = []
-    hot = np.nonzero((r_aa > 0) & (lam > 0))[0]
-    for i in hot.tolist():
-        v = d * (i + 1) + 1
-        if tables.spf[v] == v:
-            viol.append(i + 1)
-    return InnerProductStats(
-        n_prime=n_prime,
-        ip_set_set=ip_aa,
-        ip_set_interval=ip_ai,
-        ip_interval_set=ip_ia,
-        ip_interval_interval=ip_ii,
-        delta=delta,
-        support_violations=tuple(viol),
-    )
-
-
-# ---------------------------------------------------------------------------
 # one step
 
 
@@ -314,8 +233,7 @@ def iterate_once(
     q_double = config.extraction_cap(alpha)
     q_top = max(q_prime, q_double)
 
-    grid = grid_power(A.balanced(), config.grid_size(n))
-    table = energy_table(A, q_top, big_q, grid=grid)
+    table = energy_table(A, q_top, big_q, config.grid_size(n))
     phi = {r.q: euler_phi(r.q) for r in table.rows}
     trigger = sum(r.star_energy / phi[r.q] for r in table.rows if r.q <= q_prime)
     diagnostics = {
@@ -479,6 +397,30 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # certification
+
+
+def _difference_counts(A: DensitySet, top: int) -> np.ndarray:
+    """r[x] = #{(a,b) in A^2 : a - b = x} for x = 0..top, via FFT on
+    fft_size(2N) points, where the cyclic correlation does not wrap."""
+    size = fft_size(2 * A.n)
+    ind = np.zeros(size, dtype=np.float64)
+    ind[A.elements - 1] = 1.0
+    spec = np.fft.rfft(ind)
+    corr = np.fft.irfft(spec * np.conj(spec), n=size)
+    return np.rint(corr[: top + 1]).astype(np.int64)
+
+
+def _correlations(A: DensitySet, top: int) -> tuple[np.ndarray, ...]:
+    """(r_AA, r_AI, r_IA, r_II) at x = 0..top with I = [1, N]: the pairs
+    (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA is the
+    exact integer count of _difference_counts, the other three closed forms
+    (set-interval by suffix counts), as floats."""
+    x = np.arange(top + 1, dtype=np.int64)
+    r_aa = _difference_counts(A, top)
+    r_ai = (A.size - np.searchsorted(A.elements, x, side="right")).astype(np.float64)
+    r_ia = np.searchsorted(A.elements, A.n - x, side="right").astype(np.float64)
+    r_ii = (A.n - x).astype(np.float64)
+    return r_aa, r_ai, r_ia, r_ii
 
 
 def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:

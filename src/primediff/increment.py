@@ -6,20 +6,20 @@ balanced function g = 1_A - alpha 1_[1,N],
     E_{A,q,eta}  = (alpha |A|)^{-1} sum_{a=1}^{q} integral_{|t - a/q| <= eta} |g_hat|^2
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
 
-with integrals realized as quadrature on the power grid the caller passes,
-(M, |g_hat(k/M)|^2 for k <= M/2) from spectral.grid_power.  M >= 8N; by
-default M = fft_size(8N), the least 5-smooth size >= 8N, as the driver's
-grid_size gives at its default grid_factor, so no transform runs at a
+with integrals realized as quadrature on an M-point grid: energy_table
+takes the power |g_hat(k/M)|^2, k <= M/2, from spectral.grid_power at a
+size M >= 8N, by default fft_size(8N), the least 5-smooth size >= 8N (the
+driver's grid_size at its default grid_factor), so no transform runs at a
 length with a large prime factor.  energy_table gives E and E* of every
 level from one prefix sum of the power, read at the ends of
 spectral.arc_ranges' arcs.  Summed over the whole torus the normalized
-energy is exactly (1 - alpha)/alpha, which pins the normalization in tests.
-Extraction reads E from energy_table's level-q row, measuring no arcs of
-its own, and converts it into a step-q progression on which A beats alpha
-by the factor (1 + E/4); the averaging projection keeps half of alpha on a
-step-d progression.  Both take the best window inside [1, N], its count
-recounted exactly from prefix sums along each residue class (_best_inside),
-never inferred from the transform side.
+energy is exactly (1 - alpha)/alpha, which pins the normalization in
+tests.  Extraction reads E from energy_table's level-q row, measuring no
+arcs of its own, and converts it into a step-q progression on which A
+beats alpha by the factor (1 + E/4); the averaging projection keeps half
+of alpha on a step-d progression.  Both take the best window inside
+[1, N], its count recounted exactly from prefix sums along each residue
+class (_best_inside), never inferred from the transform side.
 """
 
 from __future__ import annotations
@@ -175,19 +175,6 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 # the power grid)
 
 
-def _balanced_power(A: DensitySet, grid: tuple[int, np.ndarray] | None):
-    """(M, |g_hat(k/M)|^2 for k <= M/2, 1/(alpha |A| M)) from the power grid,
-    M >= 8N, by default the fft_size(8N)-point one."""
-    m, power = grid_power(A.balanced(), fft_size(8 * A.n)) if grid is None else grid
-    if m < 8 * A.n:
-        raise PreconditionError(f"grid {m} below 8x support {A.n}")
-    if len(power) != m // 2 + 1:
-        raise PreconditionError(
-            f"power grid of M={m} needs {m // 2 + 1} values, got {len(power)}"
-        )
-    return m, power, 1.0 / (A.alpha * A.size * m)
-
-
 def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> list:
     """(E, E*) for each ascending level: with C the running sum of the power
     at k = 0..M + w, each arc's power is C[hi + 1] - C[lo], within
@@ -207,19 +194,20 @@ def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) 
 
 
 def energy_table(
-    A: DensitySet,
-    q_prime: int,
-    big_q: int,
-    grid: tuple[int, np.ndarray] | None = None,
+    A: DensitySet, q_prime: int, big_q: int, m: int | None = None
 ) -> EnergyTable:
     """Normalized arc energies E and E* for every level q <= q_prime at
-    half-width eta = 1/(q big_q), on the power grid of A.balanced() that
-    grid_power gives (M >= 8N, default fft_size(8N))."""
+    half-width eta = 1/(q big_q), on the power of A.balanced() that
+    grid_power gives on m points (m >= 8N, default fft_size(8N))."""
     if q_prime < 1:
         raise DomainError(f"need Q' >= 1, got {q_prime}")
     if big_q < 2:
         raise DomainError(f"need Q >= 2 so same-level arcs stay disjoint, got {big_q}")
-    m, power, norm = _balanced_power(A, grid)
+    m = fft_size(8 * A.n) if m is None else m
+    if m < 8 * A.n:
+        raise PreconditionError(f"grid {m} below 8x support {A.n}")
+    _, power = grid_power(A.balanced(), m)
+    norm = 1.0 / (A.alpha * A.size * m)
     levels = range(1, q_prime + 1)
     rows = [
         EnergyStats(q, 1.0 / (q * big_q), *e)
@@ -246,8 +234,10 @@ def extract_progression(
 
     big_q = round(1.0 / (q * eta))  # exact: energy_table's eta is 1/(q Q)
     cap_eta = big_q // 2
-    cap_mass = math.floor(c_len * min(q * big_q, energy * A.size) / q)
-    length = max(1, min(cap_eta, cap_mass, (A.n - 1) // q + 1))
+    span = (A.n - 1) // q + 1  # the longest step-q progression in [1, N]
+    mass = c_len * min(q * big_q, energy * A.size) / q
+    cap_mass = math.floor(mass) if mass < math.inf else span  # inf: c_len past the float range
+    length = max(1, min(cap_eta, cap_mass, span))
 
     first, count = _best_inside(A, q, length)
     alpha = A.alpha

@@ -112,8 +112,12 @@ def vinogradov_bound(n: int, d: int, q: int, big_q: int) -> float:
     implied constant taken as 1, reported but never asserted."""
     if n < 2 or d < 1 or q < 1 or big_q < 1:
         raise DomainError("need n >= 2 and positive d, q, Q")
+    try:
+        root = math.sqrt(n * big_q)
+    except OverflowError:
+        raise DomainError(f"N Q past the float range at N={n}") from None
     logn4 = math.log(n) ** 4
-    return d * logn4 * (n / math.sqrt(q) + n ** 0.8 + math.sqrt(n * big_q))
+    return d * logn4 * (n / math.sqrt(q) + n ** 0.8 + root)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "IntegerSignal",
     "TorusPoint",
     "arc_ranges",
-    "dirichlet_approx",
     "dirichlet_approx_grid",
     "fft_size",
     "grid_power",
@@ -187,38 +186,12 @@ def unfold(half: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
 # rational approximation
 
 
-def dirichlet_approx(theta: float, big_q: int) -> tuple[int, int]:
-    """Best continued-fraction approximation a/q with q <= big_q.
-
-    Returns reduced (a, q) with |theta - a/q| < 1/(q * big_q), theta taken
-    mod 1.  Exact integer arithmetic on the binary value of theta.
-    """
-    if big_q < 1:
-        raise DomainError(f"cutoff must be >= 1, got {big_q}")
-    num, den = float(theta).as_integer_ratio()  # den is a power of 2, so num % den
-    num %= den  # keeps the fraction in lowest terms
-    h_prev, h = 1, num // den
-    k_prev, k = 0, 1
-    num, den = den, num - (num // den) * den
-    while den != 0:
-        a_i = num // den
-        h_next = a_i * h + h_prev
-        k_next = a_i * k + k_prev
-        if k_next > big_q:
-            break
-        h_prev, h, k_prev, k = h, h_next, k, k_next
-        num, den = den, num - a_i * den
-    if h == k:  # theta rounded up to 1: same arc as 0
-        return 0, 1
-    return h, k
-
-
 def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
-    """dirichlet_approx(k/M, big_q) for every k in [0, M), as arrays (a, q).
-
-    Runs the same continued-fraction recurrence on the exact integer
-    fractions k/M, not on the binary values of k/M, _GRID_BLOCK values of k
-    at a time, so its working arrays stay small at any M.
+    """The last continued-fraction convergent a/q with q <= big_q of each
+    grid point k/M, k in [0, M), as arrays (a, q): reduced, 1/1 read as 0/1,
+    and |k/M - a/q| < 1/(q big_q) on the circle.  The recurrence runs on the
+    exact fractions k/M, _GRID_BLOCK values of k at a time, so its working
+    arrays stay small at any M.
     """
     if m < 1:
         raise DomainError(f"grid size must be >= 1, got {m}")

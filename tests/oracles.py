@@ -99,6 +99,32 @@ def dft_naive(values, offset: int, theta: float) -> complex:
     return total
 
 
+def dirichlet_approx(theta: float, big_q: int) -> tuple[int, int]:
+    """Best continued-fraction approximation a/q with q <= big_q.
+
+    Returns reduced (a, q) with |theta - a/q| < 1/(q * big_q), theta taken
+    mod 1.  Exact integer arithmetic on the binary value of theta.
+    """
+    if big_q < 1:
+        raise ValueError(f"cutoff must be >= 1, got {big_q}")
+    num, den = float(theta).as_integer_ratio()  # den is a power of 2, so num % den
+    num %= den  # keeps the fraction in lowest terms
+    h_prev, h = 1, num // den
+    k_prev, k = 0, 1
+    num, den = den, num - (num // den) * den
+    while den != 0:
+        a_i = num // den
+        h_next = a_i * h + h_prev
+        k_next = a_i * k + k_prev
+        if k_next > big_q:
+            break
+        h_prev, h, k_prev, k = h, h_next, k, k_next
+        num, den = den, num - a_i * den
+    if h == k:  # theta rounded up to 1: same arc as 0
+        return 0, 1
+    return h, k
+
+
 def forbidden_diffs_naive(n: int, d: int) -> set[int]:
     return {s for s in range(1, n) if is_prime_naive(d * s + 1)}
 

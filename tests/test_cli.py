@@ -237,6 +237,45 @@ def test_refused_arguments_exit_3(argv, message, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and message in err
 
 
+def test_spectrum_refuses_nq_past_the_float_range(capsys):
+    """The minor-arc bound reads (N Q)^(1/2) as a float: Q = 10^30 runs,
+    and Q = 10^400 exits 3 with one line instead of an OverflowError."""
+    argv = ["spectrum", "--n", "100", "--d", "1", "--q-prime", "2", "--timestamp", "T"]
+    code, out, _ = run_cli(argv + ["--big-q", str(10**30)], capsys)
+    assert code == 0 and out
+    code, out, err = run_cli(argv + ["--big-q", str(10**400)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: N Q past the float range at N=100\n"
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("c = 1e308", 3),  # c alpha N is inf: no window to floor
+        ("c_len = 1e308", 0),  # the mass cap is inf: the span caps the length
+        ("c_prime = 1e-300", 0),  # c'^2 alpha^2 underflows: Q' clamps to q_cap
+        ("c_double_prime = 1e-300", 0),  # likewise Q''
+        ("c_prime = 1e200", 0),  # c'^2 overflows: Q' clamps to 1
+        ("c_double_prime = 1e200", 0),  # likewise Q''
+    ],
+)
+def test_extreme_finite_config_exits_cleanly(line, code, capsys, tmp_path):
+    """Finite config values whose derived quantities leave the float range
+    exit 0 with a certified trace, or 3 with one line."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    got, out, err = run_cli(
+        ["iterate", "--greedy", "--n", "1000", "--config", str(cfg), "--timestamp", "T"], capsys
+    )
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "past the float range" in err
+    else:
+        assert err.splitlines()[-1].startswith("terminal: ")
+
+
 def test_driver_grid_budget(tmp_path, capsys):
     """The driver's FFT grid, the least 5-smooth size >= grid_factor times
     n points, is held to the spectrum's TABLE_CAP budget: 10^12 points are

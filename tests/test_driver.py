@@ -1,5 +1,5 @@
 """Tests for the iteration driver: config plumbing, case analysis,
-inner-product diagnostics, traces, and independent certification."""
+traces, independent certification and its difference counts."""
 
 import dataclasses
 import hashlib
@@ -20,16 +20,16 @@ from primediff.driver import (
     StructureFound,
     Trace,
     TraceStep,
+    _correlations,
     _recount_energy,
     certify,
-    inner_product_stats,
     iterate_once,
     run,
     trace_to_jsonl,
 )
 from primediff.avoider import ForbiddenSet, greedy_avoiding
-from primediff.errors import CertificationError, DomainError, PreconditionError
-from primediff.increment import DensitySet, _balanced_power, _level_energies
+from primediff.errors import CertificationError, DomainError
+from primediff.increment import DensitySet, energy_table
 
 from oracles import inner_products_naive, is_prime_naive
 
@@ -344,13 +344,13 @@ class TestCertify:
     def test_rejects_a_wrong_grid_power(self, build, tables_small, monkeypatch):
         """A producer whose grid power is 1.5 times too large records wrong
         energies; the recount reads no power grid, so it rejects them."""
-        real = driver.grid_power
+        real = increment.grid_power
 
         def inflated(f, m):
             m, power = real(f, m)
             return m, 1.5 * power
 
-        monkeypatch.setattr(driver, "grid_power", inflated)
+        monkeypatch.setattr(increment, "grid_power", inflated)
         trace = run(build(tables_small), 1, IterationConfig(), tables_small)
         assert any(s.outcome.tag == "density_increment" for s in trace.steps)
         with pytest.raises(CertificationError, match="energy recount"):
@@ -365,7 +365,6 @@ class TestCertify:
             raise AssertionError("certify called a producer primitive")
 
         for module, name in [
-            (driver, "grid_power"),
             (increment, "grid_power"),
             (spectral, "grid_power"),
             (increment, "arc_ranges"),
@@ -419,13 +418,13 @@ class TestCertify:
         = 2^6 5^3 points, not on 7,976 = 8 * 997, and certify recounts on
         the same grid: the step certifies, and its energy is not the 7,976-
         point one."""
-        sizes, real = [], driver.grid_power
+        sizes, real = [], increment.grid_power
 
         def recorded(f, m):
             sizes.append(m)
             return real(f, m)
 
-        monkeypatch.setattr(driver, "grid_power", recorded)
+        monkeypatch.setattr(increment, "grid_power", recorded)
         A = class_avoiding_set(997, tables_small)
         trace = run(A, 1, IterationConfig(), tables_small)
         assert sizes == [8000]
@@ -489,80 +488,49 @@ class TestEnergyRecount:
         ],
     )
     def test_matches_the_grid_route(self, seed, n, extra, big_q):
-        """_recount_energy against _level_energies on grid_power, levels
-        1..50, within 1e-12 max(1, E).  The a = q arc of level q runs past M
+        """_recount_energy against energy_table's rows on the same M-point
+        grid, levels 1..50, within 1e-12 max(1, E).  The a = q arc of level q runs past M
         when w = floor(M/Q) >= q: at every level but in the last case."""
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, n + 1))
         A = DensitySet.from_iterable(n, rng.choice(n, size=size, replace=False) + 1)
         m = 8 * n + extra
-        levels = range(1, 51)
-        _, power, norm = _balanced_power(A, spectral.grid_power(A.balanced(), m))
-        grid = _level_energies(m, power, norm, levels, big_q)
-        for q, (e, _) in zip(levels, grid):
-            assert abs(_recount_energy(A, q, m, big_q) - e) <= 1e-12 * max(1.0, e), q
+        for row in energy_table(A, 50, big_q, m).rows:
+            e = row.energy
+            assert abs(_recount_energy(A, row.q, m, big_q) - e) <= 1e-12 * max(1.0, e), row.q
 
 
-class TestInnerProducts:
-    def test_against_double_loop(self, tables_small):
+class TestCorrelations:
+    """_correlations, certify's difference counts, against double loops."""
+
+    @staticmethod
+    def check(A, top):
+        got = [r[1:] for r in _correlations(A, top)]  # x = 1..top
+        r_aa, r_ii, r_ai, r_ia = inner_products_naive(A.elements.tolist(), A.n)
+        for r, want in zip(got, (r_aa, r_ai, r_ia, r_ii)):
+            assert r.tolist() == want[1 : top + 1]
+
+    def test_against_double_loop(self):
         rng = np.random.default_rng(97)
-        cfg = IterationConfig(c=1.0)  # window = alpha N, big enough to compare
         for _ in range(10):
             n = int(rng.integers(40, 120))
-            k = int(rng.integers(10, n + 1))
-            A = DensitySet.from_iterable(
-                n, rng.choice(np.arange(1, n + 1), size=k, replace=False)
-            )
-            d = int(rng.integers(1, 3))
-            stats = inner_product_stats(A, d, cfg, tables_small)
-            r_aa, r_ii, r_ai, r_ia = inner_products_naive(A.elements.tolist(), n)
-            lam = [
-                float(tables_small.mangoldt[d * x + 1]) for x in range(1, stats.n_prime + 1)
-            ]
-            want_aa = sum(r_aa[x] * lam[x - 1] for x in range(1, stats.n_prime + 1))
-            want_ai = sum(r_ai[x] * lam[x - 1] for x in range(1, stats.n_prime + 1))
-            want_ia = sum(r_ia[x] * lam[x - 1] for x in range(1, stats.n_prime + 1))
-            want_ii = sum(r_ii[x] * lam[x - 1] for x in range(1, stats.n_prime + 1))
-            assert abs(stats.ip_set_set - want_aa) < 1e-9
-            assert abs(stats.ip_set_interval - want_ai) < 1e-9
-            assert abs(stats.ip_interval_set - want_ia) < 1e-9
-            assert abs(stats.ip_interval_interval - want_ii) < 1e-9
+            k = int(rng.integers(1, n + 1))
+            A = DensitySet.from_iterable(n, rng.choice(n, size=k, replace=False) + 1)
+            self.check(A, int(rng.integers(1, n)))
 
-    def test_avoiding_set_has_no_violations(self, tables_small):
+    def test_window_at_n_minus_one(self):
+        """top = N - 1, the longest difference and the one certify reads,
+        on a random half and on all of [1, N]; at N = 1 only x = 0 is
+        counted."""
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 97, 100, 128):
+            half = rng.choice(n, size=max(1, n // 2), replace=False) + 1
+            for A in (DensitySet.from_iterable(n, half), DensitySet.from_iterable(n, range(1, n + 1))):
+                self.check(A, n - 1)
+                assert _correlations(A, n - 1)[0][0] == A.size
+
+    def test_avoiding_set_counts_no_forbidden_difference(self, tables_small):
+        """r_AA vanishes at every forbidden difference of an avoiding set."""
         A = avoiding_set(500, 1, tables_small)
-        stats = inner_product_stats(A, 1, IterationConfig(c=1.0), tables_small)
-        assert stats.support_violations == ()
-
-    def test_violations_flag_prime_hits(self, tables_small):
-        # difference 1 with d = 1 hits the prime 2
-        A = DensitySet.from_iterable(200, range(1, 101))
-        stats = inner_product_stats(A, 1, IterationConfig(c=1.0), tables_small)
-        assert 1 in stats.support_violations
-
-    def test_window_collapse_rejected(self, tables_small):
-        A = DensitySet.from_iterable(100, [1, 50])
-        with pytest.raises(PreconditionError):
-            inner_product_stats(A, 1, IterationConfig(), tables_small)
-
-    @pytest.mark.parametrize("c", [2.0, 3.0])
-    def test_window_past_n_rejected(self, tables_small, c):
-        """floor(c alpha N) = cN > N - 1 for A = [1, 100]: there are no
-        differences that long to count."""
-        A = DensitySet.from_iterable(100, range(1, 101))
-        with pytest.raises(PreconditionError, match="exceeds N - 1"):
-            inner_product_stats(A, 1, IterationConfig(c=c), tables_small)
-
-    def test_window_at_n_minus_one(self, tables_small):
-        """The largest window, N' = N - 1, still matches the double loop."""
-        A = DensitySet.from_iterable(100, range(1, 101))
-        stats = inner_product_stats(A, 1, IterationConfig(c=0.995), tables_small)
-        assert stats.n_prime == 99
-        r_aa, r_ii, r_ai, r_ia = inner_products_naive(A.elements.tolist(), 100)
-        lam = [float(tables_small.mangoldt[x + 1]) for x in range(1, 100)]
-        for got, r in [
-            (stats.ip_set_set, r_aa),
-            (stats.ip_set_interval, r_ai),
-            (stats.ip_interval_set, r_ia),
-            (stats.ip_interval_interval, r_ii),
-        ]:
-            assert abs(got - sum(r[x] * lam[x - 1] for x in range(1, 100))) < 1e-9
+        r_aa = _correlations(A, 499)[0]
+        assert not r_aa[ForbiddenSet.build(500, 1, tables_small).bits[:500]].any()

@@ -1,5 +1,6 @@
 """The package's export lists name only things that exist, no helper is
-defined twice, and a CLI run loads only the layers its subcommand uses."""
+defined twice or left unread, and a CLI run loads only the layers its
+subcommand uses."""
 
 import ast
 import collections
@@ -23,13 +24,13 @@ MODULES = ["primediff"] + [
 EXPORTS = """
     ArithTables Budget CertificationError DensityIncrement DensitySet
     DirichletCharacter DomainError EnergyShortfall EnergyStats EnergyTable
-    ExceptionalDatum ForbiddenSet IncrementOutcome InnerProductStats
+    ExceptionalDatum ForbiddenSet IncrementOutcome
     IntegerSignal IterationConfig LargeDOrSmallAlpha MangoldtWeight Prediction
     PreconditionError Progression ResourceError SearchResult SmallAlpha SmallN
     SpectrumReport StructureFound TorusPoint Trace TraceStep
-    averaging_projection build_tables certify characters_mod dirichlet_approx
+    averaging_projection build_tables certify characters_mod
     energy_table euler_phi extract_progression find_forbidden_pair
-    greedy_avoiding inner_product_stats is_avoiding is_prime
+    greedy_avoiding is_avoiding is_prime
     iterate_once lambda_hat_rational major_prediction major_sup_ratio
     max_avoiding_exact psi psi_chi ramanujan rescale run
     spectrum_report tau tau_closed_form trace_to_jsonl transform_at
@@ -71,6 +72,26 @@ def test_no_top_level_name_is_defined_twice():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 homes[node.name].append(path.name)
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_no_private_helper_is_dead():
+    """Each private top-level function or class is named somewhere in the
+    package outside its own definition: a helper nothing reads is deleted,
+    not kept for its tests."""
+    defined, named = {}, collections.Counter()
+    for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if top.name.startswith("_") and not top.name.endswith("__"):
+                    own = defined[top.name] = top.name
+            for node in ast.walk(top):
+                # a Name's id, an Attribute's attr, an import alias's name
+                for key in ("id", "attr", "name"):
+                    name = getattr(node, key, None)
+                    if isinstance(name, str) and name != own:
+                        named[name] += 1
+    assert sorted(name for name in defined if not named[name]) == []
 
 
 def _run_at_import(body):

@@ -158,9 +158,8 @@ class TestEnergyTable:
         for _ in range(6):
             A = random_set(rng, 20, 60)
             big_q = int(rng.integers(2, 12))
-            grid = grid_power(A.balanced(), 8 * A.n)
-            table = energy_table(A, 6, big_q, grid=grid)
-            m, power = grid
+            m, power = grid_power(A.balanced(), 8 * A.n)
+            table = energy_table(A, 6, big_q, m)
             w = m // big_q
             at = [float(power[min(k % m, m - k % m)]) for k in range(m + w + 1)]
             norm = 1.0 / (A.alpha * A.size * m)
@@ -192,12 +191,12 @@ class TestEnergyTable:
         with pytest.raises(DomainError):
             energy_table(A, 3, 1)
         with pytest.raises(PreconditionError):  # M = 100 below 8N = 320
-            energy_table(A, 3, 10, grid=grid_power(A.balanced(), 100))
+            energy_table(A, 3, 10, 100)
 
     def test_grid_sets_m(self):
-        """The grid given fixes M: a 400-point grid, not the default 320."""
+        """The size given fixes M: a 400-point grid, not the default 320."""
         A = DensitySet.from_iterable(40, [1, 5, 9])
-        table = energy_table(A, 3, 10, grid=grid_power(A.balanced(), 400))
+        table = energy_table(A, 3, 10, 400)
         assert table.m == 400
         assert abs(table.total - (1 - A.alpha) / A.alpha) <= 1e-9 * table.total
 

@@ -16,7 +16,6 @@ from primediff.spectral import (
     IntegerSignal,
     TorusPoint,
     arc_ranges,
-    dirichlet_approx,
     dirichlet_approx_grid,
     fft_size,
     grid_power,
@@ -25,7 +24,7 @@ from primediff.spectral import (
 from primediff.arith import TABLE_CAP
 from primediff.errors import DomainError, ResourceError
 
-from oracles import arc_numerators_naive, dft_naive, five_smooth_naive
+from oracles import arc_numerators_naive, dft_naive, dirichlet_approx, five_smooth_naive
 
 
 class TestIntegerSignal:
@@ -165,32 +164,37 @@ class TestFftSize:
 
 
 class TestDirichletApprox:
+    @staticmethod
+    def at(m, k, big_q):
+        a, q = dirichlet_approx_grid(m, big_q)
+        return int(a[k]), int(q[k])
+
     def test_golden_cases(self):
-        assert dirichlet_approx(1 / 3, 10) == (1, 3)
-        assert dirichlet_approx(0.5, 10) == (1, 2)
-        assert dirichlet_approx(0.0, 10) == (0, 1)
-        a, q = dirichlet_approx(math.pi % 1, 10)
-        assert (a, q) == (1, 7)  # 22/7 less the integer part
+        assert self.at(3, 1, 10) == (1, 3)
+        assert self.at(2, 1, 10) == (1, 2)
+        assert self.at(2, 0, 10) == (0, 1)
+        assert self.at(113, 16, 10) == (1, 7)  # 355/113 less 3, then 22/7 less 3
 
     def test_wraps_to_zero(self):
-        a, q = dirichlet_approx(0.999999999, 50)
-        assert (a, q) == (0, 1)
+        assert self.at(1000, 999, 50) == (0, 1)
 
     def test_approximation_property(self):
-        """|theta - a/q| < 1/(q Q) with q <= Q and gcd(a, q) = 1."""
+        """|k/M - a/q| < 1/(q Q) on the circle, with q <= Q and
+        gcd(a, q) = 1, in exact integers: |kq - aM| mod qM, read both ways
+        round, times Q stays below M."""
         rng = np.random.default_rng(41)
-        for _ in range(2000):
-            theta = float(rng.uniform())
+        for _ in range(40):
+            m = int(rng.integers(1, 3000))
             big_q = int(rng.integers(1, 500))
-            a, q = dirichlet_approx(theta, big_q)
-            assert 1 <= q <= big_q
-            assert math.gcd(a, q) == 1
-            dist = abs(theta - a / q)
-            dist = min(dist, 1 - dist)
-            assert dist < 1 / (q * big_q) + 1e-15
+            a, q = dirichlet_approx_grid(m, big_q)
+            k = np.arange(m, dtype=np.int64)
+            assert ((1 <= q) & (q <= big_q)).all()
+            assert (np.gcd(a, q) == 1).all()
+            gap = (k * q - a * m) % (q * m)
+            assert (np.minimum(gap, q * m - gap) * big_q < m).all()
 
     def test_grid_matches_scalar(self):
-        """The array version agrees with the scalar one wherever k/M is
+        """The array version agrees with the scalar oracle wherever k/M is
         exact in binary, that is for M a power of two."""
         for m in (1, 2, 1024, 4096):
             for big_q in (1, 3, 40, 500, 10**6):
