@@ -44,8 +44,10 @@ class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
     is forbidden (bits[0] is False).  n is at most TABLE_CAP.  build reads
     the tables when they cover d (n - 1) + 1, else sieves the values d s + 1
-    (_shifted_primes) when sqrt(d (n - 1) + 1) is at most TABLE_CAP, else
-    runs Miller-Rabin on each."""
+    (_shifted_primes: each prime's first s from a table of inverses mod d
+    while d is at most the number of sieving primes, by a Fermat power
+    past it) when sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs
+    Miller-Rabin on each."""
 
     n: int
     d: int
@@ -78,23 +80,38 @@ def _shifted_primes(n: int, d: int) -> np.ndarray:
     Sieves the progression d s + 1 by the primes p <= sqrt(d (n - 1) + 1)
     that do not divide d: p strikes s_p, s_p + p, ... from s_p = -1/d mod p,
     the first s >= 1 with p | d s + 1.  A prime p = d s + 1 strikes its own
-    s, which is set back.  Needs n >= 2 and d (n - 1) + 1 below 2^63."""
+    s, which is set back.  When d is at most the number of sieving primes,
+    s_p = (p k - 1)/d with k = 1/p mod d read from a d-entry table of
+    inverses mod d (d s_p + 1 = p k); otherwise 1/d mod p comes from one
+    vectorized Fermat power, the route that serves a d of any size.  Needs
+    n >= 2 and d (n - 1) + 1 below 2^63."""
     flags = np.ones(n, dtype=bool)
     flags[0] = False
     p = _primes_upto(math.isqrt(d * (n - 1) + 1))
     p = p[d % p != 0]
-    # 1/d = d^(p - 2) mod p, square-and-multiply on every p at once (p^2 < 2^63)
-    inv, base, e = np.ones_like(p), d % p, p - 2
-    while e.any():
-        inv = np.where(e & 1, inv * base % p, inv)
-        base, e = base * base % p, e >> 1
-    first = p - inv
+    if d <= len(p):
+        # k in [1, d] with p k = 1 mod d, from a d-entry table of the inverses
+        # of the residues p mod d that occur (d = 1: k = 1); then d s_p + 1 =
+        # p k, and 0 < s_p < p, as p k < p_max^2 <= d (n - 1) + 1 < 2^63
+        r = p % d
+        inverse = np.zeros(d, dtype=np.int64)
+        present = np.flatnonzero(np.bincount(r, minlength=d))
+        inverse[present] = [pow(x, -1, d) or d for x in present.tolist()]
+        first = (p * inverse[r] - 1) // d
+    else:
+        # 1/d = d^(p - 2) mod p, square-and-multiply on every p at once (p^2 < 2^63)
+        inv, base, e = np.ones_like(p), d % p, p - 2
+        while e.any():
+            inv = np.where(e & 1, inv * base % p, inv)
+            base, e = base * base % p, e >> 1
+        first = p - inv
     flags[first[first < n]] = False
-    again = first + p < n  # p strikes more than once: p < n
-    for step, s in zip(p[again].tolist(), (first + p)[again].tolist()):
+    second = first + p
+    again = second < n  # p strikes more than once: p < n
+    for step, s in zip(p[again].tolist(), second[again].tolist()):
         flags[s::step] = False
-    own = p[(p - 1) % d == 0]
-    flags[(own - 1) // d] = True
+    own, rest = np.divmod(p - 1, d)  # p = d s + 1 at s = own when rest = 0
+    flags[own[rest == 0]] = True
     return flags
 
 
@@ -132,8 +149,7 @@ def find_forbidden_pair(elements, fs: ForbiddenSet):
     elements = np.asarray(elements, dtype=np.int64)
     present = np.bincount(elements) > 0
     mask = _bitset(present)
-    forbidden = np.flatnonzero(fs.bits)
-    if elements.size < len(forbidden):
+    if elements.size < np.count_nonzero(fs.bits):
         best, forward = None, _bitset(fs.bits)
         for a in np.flatnonzero(present).tolist():
             hit = (mask >> a) & forward
@@ -143,7 +159,7 @@ def find_forbidden_pair(elements, fs: ForbiddenSet):
                 if not forward:
                     break
         return best
-    for s in forbidden.tolist():
+    for s in np.flatnonzero(fs.bits).tolist():
         hit = mask & (mask >> s)
         if hit:
             b = (hit & -hit).bit_length() - 1

@@ -14,8 +14,9 @@ A run is the transitive closure plus a Budget terminal when max_steps is
 hit.  Every quantitative claim a step makes is recounted from the recorded
 set snapshots by certify(), which never trusts transforms: intersection
 counts are recounted elementwise, primality is re-established by
-Miller-Rabin, a step past the pair search has its set searched again,
-d-chains and rescalings are recomputed, and an increment's recorded arc
+Miller-Rabin, a step past the pair search has its set searched again, a
+step stopped by the d ceiling has d above it, d-chains and rescalings are
+recomputed, and an increment's recorded arc
 energy is recounted from the set's difference counts against closed-form
 arc kernels, sharing neither grid_power nor arc_ranges with the step that
 produced it.  Producer and recount read one grid size,
@@ -137,11 +138,10 @@ class IterationConfig:
         return n**self.d_ceiling_exponent
 
     @cached_property
-    def _header(self) -> dict:
-        """asdict(self) for the trace header, built once per config (the
-        cached value sits outside the frozen fields; callers must not
-        mutate it)."""
-        return asdict(self)
+    def _header_json(self) -> str:
+        """The config as the trace header's JSON, encoded once per config
+        (the cached value sits outside the frozen fields)."""
+        return _ENCODE(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,12 @@ class Budget:
 # one step
 
 
+def _ceiling_reason(n: int, d: int, config: IterationConfig) -> str:
+    """The reason of a step stopped by the d ceiling; the one reason that
+    starts with "d="."""
+    return f"d={d} above N^{config.d_ceiling_exponent} = {config.d_ceiling(n):.3g}"
+
+
 def iterate_once(
     A: DensitySet,
     d: int,
@@ -217,13 +223,7 @@ def iterate_once(
         return StructureFound(x=s, p=d * s + 1, lower=lower, upper=upper), {}
 
     if d > config.d_ceiling(n):
-        return (
-            LargeDOrSmallAlpha(
-                reason=f"d={d} above N^{config.d_ceiling_exponent} = "
-                f"{config.d_ceiling(n):.3g}"
-            ),
-            {},
-        )
+        return LargeDOrSmallAlpha(reason=_ceiling_reason(n, d, config)), {}
 
     n_prime = config.n_prime(n, alpha)
     if n_prime < 1:
@@ -234,8 +234,9 @@ def iterate_once(
     q_top = max(q_prime, q_double)
 
     table = energy_table(A, q_top, big_q, config.grid_size(n))
-    phi = {r.q: euler_phi(r.q) for r in table.rows}
-    trigger = sum(r.star_energy / phi[r.q] for r in table.rows if r.q <= q_prime)
+    rows = table.rows  # levels 1..q_top: level q is rows[q - 1]
+    phi = list(map(euler_phi, range(1, q_top + 1)))
+    trigger = sum(r.star_energy / f for r, f in zip(rows[:q_prime], phi))
     diagnostics = {
         "n_prime": n_prime,
         "q_prime": q_prime,
@@ -245,9 +246,12 @@ def iterate_once(
         "energy_table": table,
     }
 
-    candidates = [r for r in table.rows if r.q <= q_double and r.star_energy > 0]
+    # (E* / phi(q), -q, row): the highest ratio, the lowest q among ties
+    candidates = [
+        (r.star_energy / f, -r.q, r) for r, f in zip(rows[:q_double], phi) if r.star_energy > 0
+    ]
     if candidates:
-        best = max(candidates, key=lambda r: (r.star_energy / phi[r.q], -r.q))
+        best = max(candidates)[2]
         target_e = 4.0 * config.gain_threshold
         try:
             out = extract_progression(A, best, target_e, c_len=config.c_len)
@@ -373,11 +377,11 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
         "initial_n": trace.initial_n,
         "initial_d": trace.initial_d,
         "terminal": trace.terminal,
-        "config": trace.config._header,
     }
     if manifest is not None:
         header["manifest"] = manifest
-    lines = [_ENCODE(header)]
+    # "config" sorts before every other key, so its encoding opens the line
+    lines = ['{"config": ' + trace.config._header_json + ", " + _ENCODE(header)[1:]]
     for s in trace.steps:
         rec = {
             "step": s.step,
@@ -465,7 +469,9 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
 
     Recounts intersections, re-runs primality by Miller-Rabin, searches
     every increment's and large_d_or_small_alpha step's set for a forbidden
-    pair, holds each increment's level to the extraction cap, recomputes
+    pair, holds a step stopped by the d ceiling to d > N^e (its reason as
+    iterate_once writes it), holds each increment's level to the
+    extraction cap, recomputes
     rescalings and d-chains, and recounts each increment's recorded level-q
     energy E from the set's difference counts and the level's arc ends
     (_recount_energy), sharing neither the grid transform nor the arc
@@ -515,6 +521,14 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
                 raise CertificationError(f"{where}: {out.p} != {s.d}*{out.x}+1 prime")
             lines.append(f"{where}: structure_found ok (x={out.x}, p={out.p})")
         elif isinstance(out, LargeDOrSmallAlpha):
+            # the d ceiling's reason must hold, d > N^e, and read as the step writes it
+            if out.reason.startswith("d=") and (
+                s.d <= cfg.d_ceiling(s.n) or out.reason != _ceiling_reason(s.n, s.d, cfg)
+            ):
+                raise CertificationError(
+                    f"{where}: reason {out.reason!r}, but d={s.d} and N^"
+                    f"{cfg.d_ceiling_exponent} = {cfg.d_ceiling(s.n):.3g}"
+                )
             lines.append(f"{where}: large_d_or_small_alpha ok ({out.reason})")
         elif isinstance(out, DensityIncrement):
             o = out.outcome

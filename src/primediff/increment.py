@@ -12,7 +12,10 @@ size M >= 8N, by default fft_size(8N), the least 5-smooth size >= 8N (the
 driver's grid_size at its default grid_factor), so no transform runs at a
 length with a large prime factor.  energy_table gives E and E* of every
 level from one prefix sum of the power, read at the ends of
-spectral.arc_ranges' arcs.  Summed over the whole torus the normalized
+spectral.arc_ranges' arcs, with the star arcs from its star mask (cached
+per level list, so a run of steps at levels 1..Q' computes no gcd after
+its first).  Its rows hold levels 1..Q' in order, so level q is
+rows[q - 1].  Summed over the whole torus the normalized
 energy is exactly (1 - alpha)/alpha, which pins the normalization in
 tests.  Extraction reads E from energy_table's level-q row, measuring no
 arcs of its own, and converts it into a step-q progression on which A
@@ -175,18 +178,19 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 # the power grid)
 
 
-def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> list:
-    """(E, E*) for each ascending level: with C the running sum of the power
-    at k = 0..M + w, each arc's power is C[hi + 1] - C[lo], within
-    2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a level's
-    arcs, one its star arcs, so a row does not depend on the other levels."""
-    q, a, lo, hi = arc_ranges(m, levels, big_q)
+def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> tuple:
+    """(E, E*) lists over the ascending levels: with C the running sum of
+    the power at k = 0..M + w, each arc's power is C[hi + 1] - C[lo],
+    within 2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a
+    level's arcs, one its star arcs, so a row does not depend on the other
+    levels."""
+    q, _, lo, hi, star = arc_ranges(m, levels, big_q)
     c = np.zeros(m + m // big_q + 2)  # C[0] = 0, then C[k + 1] = C[k] + power at k
     np.cumsum(unfold(power, m, c[1:]), out=c[1:])
     arc = c[hi + 1] - c[lo]
     e = np.bincount(q, weights=arc)[levels]
-    e_star = np.bincount(q, weights=arc * (np.gcd(a, q) == 1))[levels]
-    return list(zip((e * norm).tolist(), (e_star * norm).tolist()))
+    e_star = np.bincount(q, weights=arc * star)[levels]
+    return (e * norm).tolist(), (e_star * norm).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +213,9 @@ def energy_table(
     _, power = grid_power(A.balanced(), m)
     norm = 1.0 / (A.alpha * A.size * m)
     levels = range(1, q_prime + 1)
-    rows = [
-        EnergyStats(q, 1.0 / (q * big_q), *e)
-        for q, e in zip(levels, _level_energies(m, power, norm, levels, big_q))
-    ]
+    etas = [1.0 / (q * big_q) for q in levels]
+    e, e_star = _level_energies(m, power, norm, levels, big_q)
+    rows = list(map(EnergyStats._make, zip(levels, etas, e, e_star)))
     # the half grid holds k = 0 and, for even M, k = M/2 once; every other k twice
     total = 2 * power.sum() - power[0] - (power[-1] if m % 2 == 0 else 0.0)
     return EnergyTable(rows=rows, total=float(total * norm), m=m, big_q=big_q)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithTables, ExceptionalDatum, euler_phi, psi, tau
+from .arith import ArithTables, ExceptionalDatum, check_budget, euler_phi, psi, tau
 from .errors import DomainError, PreconditionError
 from .spectral import IntegerSignal, arc_ranges, dirichlet_approx_grid, grid_power
 from .spectral import transform_at, unfold
@@ -150,19 +150,19 @@ def _check_dissection(q_prime: int, big_q: int) -> None:
         )
 
 
-def _weight_power(
+def _weight_mass(
     n: int, d: int, q_prime: int, big_q: int, m: int, tables: ArithTables
-) -> tuple[np.ndarray, float]:
-    """The weight's power |Lambda_hat(k/M)|^2 for k <= M/2 (grid_power) and
-    its mass Lambda_hat(0), after checking the dissection (Q > 2 Q') and that
-    the mass is positive."""
+) -> tuple[MangoldtWeight, float]:
+    """The weight and its mass Lambda_hat(0), after the checks that refuse
+    an input before its power grid is built, in this order: the grid budget
+    (grid_power's own), the dissection (Q > 2 Q') and a positive mass."""
     weight = MangoldtWeight.from_tables(n, d, tables)
-    _, power = grid_power(weight.signal, m)
+    check_budget(m, "spectrum grid limited to M")
     _check_dissection(q_prime, big_q)
     hat_zero = weight.hat_zero()
     if hat_zero <= 0:
         raise PreconditionError(f"weight mass vanished at n={n}, d={d}")
-    return power, hat_zero
+    return weight, hat_zero
 
 
 def spectrum_report(
@@ -181,14 +181,25 @@ def spectrum_report(
     A point is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
-    power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
+    weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
+    levels = range(1, q_prime + 1)
+    try:  # the minor bound refuses n < 2 and N Q past the float range: before any grid
+        vinogradov_bound(n, d, 1, big_q)
+    except DomainError:
+        # refused only if some point is minor: the star arcs are disjoint
+        # across levels, as Q > 2 Q', so iff they hold fewer than M points
+        _, _, lo, hi, star = arc_ranges(m, levels, big_q)
+        if (hi - lo + 1)[star].sum() < m:
+            raise
+    _, power = grid_power(weight.signal, m)
+    del weight
     actual = unfold(np.sqrt(power), m, np.empty(m))  # |Lambda_hat| at k <= M/2, mirrored to M - k
     del power  # free the power grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
-    q, a, lo, hi = arc_ranges(m, range(1, q_prime + 1), big_q)
-    star = np.gcd(a, q) == 1
+    q, a, lo, hi, star = arc_ranges(m, levels, big_q)
     q, a, lo, size = q[star], a[star] % q[star], lo[star], hi[star] - lo[star] + 1
-    # each point of each star arc: disjoint across levels, as Q > 2 Q'
+    del hi  # before the points are listed: the cached q, a and star stay alive
+    # each point of each star arc: disjoint across levels
     k = (np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)) % m
     major = np.zeros(m, dtype=bool)
     major[k] = True
@@ -221,9 +232,10 @@ def major_sup_ratio(
     """max over q <= Q' and star-arc grid points of
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
-    power, hat_zero = _weight_power(n, d, q_prime, big_q, m, tables)
-    q, a, lo, hi = arc_ranges(m, range(1, q_prime + 1), big_q)
-    star = (np.gcd(a, q) == 1) & (lo <= hi)
+    weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
+    _, power = grid_power(weight.signal, m)
+    q, a, lo, hi, star = arc_ranges(m, range(1, q_prime + 1), big_q)
+    star = star & (lo <= hi)
     at = unfold(power, m, np.empty(m + m // big_q + 2))  # k = 0..M + w + 1: each hi + 1 readable
     ends = np.stack([lo[star], hi[star] + 1], axis=1).ravel()  # even slots reduce lo..hi
     peak = np.zeros(q_prime + 1)  # per level, the largest power on its star arcs

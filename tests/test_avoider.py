@@ -1,6 +1,8 @@
 """Tests for forbidden difference sets, avoidance checks, exact
 Russian-doll and branch-and-bound search, and greedy heuristics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,30 @@ class TestForbiddenSet:
             want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
             assert ForbiddenSet.build(n, d, tables).bits.tolist() == want, (n, d)
             assert ForbiddenSet.build(n, d, None).bits.tolist() == want, (n, d)
+
+    def test_sieve_routes_meet_at_the_prime_count(self):
+        """Without tables the sieve finds each -1/d mod p from a table of
+        the inverses mod d while d is at most the number of sieving primes
+        (p <= sqrt(d (n - 1) + 1), p not dividing d), and by a Fermat power
+        past it.  On both sides of that boundary at several n, and at d in
+        {1, 2, 6, 30, 210}, its bits equal the tables route's and
+        is_prime's; both routes are met."""
+
+        def sieving_primes(n, d):
+            return sum(d % p != 0 for p in range(2, math.isqrt(d * (n - 1) + 1) + 1)
+                       if is_prime(p))
+
+        cases, routes = [], set()
+        for n in (10, 100, 1000, 3000):
+            past = next(d for d in range(1, 10**4) if d > sieving_primes(n, d))
+            cases += [(n, d) for d in (1, 2, 6, 30, 210, past - 2, past - 1, past, past + 1) if d]
+        tables = build_tables(max(d * (n - 1) + 1 for n, d in cases))
+        for n, d in cases:
+            routes.add(d <= sieving_primes(n, d))
+            want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
+            assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
+            assert ForbiddenSet.build(n, d, tables).bits.tolist() == want, (n, d)
+        assert routes == {True, False}
 
     def test_table_budget(self):
         """Past TABLE_CAP the difference array is refused before it is built."""

@@ -15,7 +15,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primediff import arith, cli, driver
+from primediff import arith, cli, driver, mangoldt
 from primediff.arith import TABLE_CAP
 from primediff.errors import CertificationError
 
@@ -247,6 +247,32 @@ def test_spectrum_refuses_nq_past_the_float_range(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: N Q past the float range at N=100\n"
+
+
+def test_spectrum_refuses_nq_before_the_grid(capsys, monkeypatch):
+    """A minor-arc bound that cannot be computed refuses the input before
+    any grid is built: with grid_power made to raise, M = 4e6 at
+    Q = 10^400 exits 3 with the float-range line, and N = 1 with its own.
+    A grid whose points are all major (M = 2, Q' = 2) reads no minor bound
+    and still exits 0."""
+    huge = str(10**400)
+
+    def argv(n, q_prime, factor):
+        return ["spectrum", "--n", n, "--d", "1", "--q-prime", q_prime, "--big-q", huge,
+                "--grid-factor", factor, "--timestamp", "T"]
+
+    code, out, _ = run_cli(argv("2", "2", "1"), capsys)
+    assert code == 0 and set(line.split(",")[3] for line in out.splitlines()[1:-1]) == {"major"}
+
+    def boom(*args):
+        raise AssertionError("grid_power ran")
+
+    monkeypatch.setattr(mangoldt, "grid_power", boom)
+    for args, message in [
+        (("1000", "2", "4000"), "N Q past the float range at N=1000"),
+        (("1", "2", "8"), "need n >= 2 and positive d, q, Q"),
+    ]:
+        assert run_cli(argv(*args), capsys) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,24 @@ class TestTraceJsonl:
             assert rec["step"] == step.step
             assert rec["outcome"] == step.outcome.tag
 
+    def test_header_is_one_sorted_encoding(self, tables_small):
+        """The header line, whose config is encoded once per config, equals
+        json.dumps of the whole header with sorted keys, for a config other
+        than the default and a manifest, and again without the manifest."""
+        cfg = IterationConfig(c=0.3, c_prime=1500.0, max_steps=5, q_cap=40)
+        trace = run(avoiding_set(400, 1, tables_small), 1, cfg, tables_small)
+        manifest = {"command": "iterate", "parameters": {"n": 400, "z": [1.5, None]}}
+        header = {
+            "record": "header",
+            "initial_n": 400,
+            "initial_d": 1,
+            "terminal": trace.terminal,
+            "config": dataclasses.asdict(cfg),
+        }
+        assert trace_to_jsonl(trace)[0] == json.dumps(header, sort_keys=True)
+        header["manifest"] = manifest
+        assert trace_to_jsonl(trace, manifest)[0] == json.dumps(header, sort_keys=True)
+
     def test_witness_fields(self, tables_small):
         A = DensitySet.from_iterable(100, range(1, 101))
         trace = run(A, 1, IterationConfig(), tables_small)
@@ -405,6 +423,21 @@ class TestCertify:
         assert capped.extraction_cap(trace.steps[0].alpha) == 1
         with pytest.raises(CertificationError, match="step 1: level q=4 above extraction cap 1"):
             certify(dataclasses.replace(trace, config=capped), tables_small)
+
+    def test_rejects_a_d_ceiling_that_does_not_hold(self, tables_small):
+        """{1} in [1, 100] at d = 4 > 100^(1/4) = 3.16 stops at the d
+        ceiling and certifies.  With d tampered to 3, or the exponent to
+        1/2 (ceiling 10), d no longer passes the ceiling the step states,
+        and certify rejects it."""
+        trace = run(DensitySet.from_iterable(100, [1]), 4, IterationConfig(), tables_small)
+        assert trace.steps[0].outcome.reason == "d=4 above N^0.25 = 3.16"
+        assert certify(trace, tables_small)[0] == (
+            "step 1: large_d_or_small_alpha ok (d=4 above N^0.25 = 3.16)"
+        )
+        lowered = dataclasses.replace(trace.config, d_ceiling_exponent=0.5)
+        for bad in (self._tampered(trace, d=3), dataclasses.replace(trace, config=lowered)):
+            with pytest.raises(CertificationError, match="step 1: reason 'd=4 above"):
+                certify(bad, tables_small)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_rejects_a_step_with_d_below_1(self, d, tables_small):

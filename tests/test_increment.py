@@ -184,6 +184,22 @@ class TestEnergyTable:
             tracemalloc.stop()
         assert peak < 20 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
+    def test_star_mask_is_built_once_per_level_list(self, monkeypatch):
+        """20 tables at levels 1..50, each on its own set, grid and Q, call
+        np.gcd at most once between them: the star mask gcd(a, q) = 1
+        comes with the arc geometry, built once per level list."""
+        calls, gcd = [], np.gcd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gcd(*args, **kwargs)
+
+        monkeypatch.setattr(np, "gcd", counted)
+        rng = np.random.default_rng(73)
+        for i in range(20):
+            energy_table(random_set(rng, 40, 300), 50, 100 + i)
+        assert len(calls) <= 1
+
     def test_validation(self):
         A = DensitySet.from_iterable(40, [1, 5, 9])
         with pytest.raises(DomainError):

@@ -230,8 +230,10 @@ def expand(m, levels, big_q):
     """arc_ranges' rows as columns (q, k, a), one entry per grid point k of
     each arc, k read mod M, sorted by (q, k).  Checks the rows' shape on the
     way: one per arc, level after level with a = 1..q, hi >= lo - 1, and
-    only the a = q arcs past M, by at most w = floor(M/Q)."""
-    q, a, lo, hi = arc_ranges(m, levels, big_q)
+    only the a = q arcs past M, by at most w = floor(M/Q), and the star
+    mask gcd(a, q) = 1."""
+    q, a, lo, hi, star = arc_ranges(m, levels, big_q)
+    assert (star == (np.gcd(a, q) == 1)).all()
     assert q.tolist() == [lv for lv in levels for _ in range(lv)]
     assert a.tolist() == [b for lv in levels for b in range(1, lv + 1)]
     assert (lo >= 0).all() and (hi >= lo - 1).all()
@@ -304,16 +306,18 @@ class TestArcIndices:
         next at one point: a reduced arc (a = 1, 5) keeps a point it
         shares with an unreduced one, else the arc below keeps it, and the
         a = 6 arc past M gives 65 = 60 + 5 to the a = 1 arc."""
-        q, a, lo, hi = arc_ranges(60, [6], 2)
+        q, a, lo, hi, star = arc_ranges(60, [6], 2)
         assert lo.tolist() == [5, 16, 26, 36, 45, 56]
         assert hi.tolist() == [15, 25, 35, 44, 55, 64]
-        (lo, hi) = arc_ranges(60, [1], 2)[2:]  # level 1's one arc meets itself
+        assert (star == (np.gcd(a, q) == 1)).all()
+        lo, hi = arc_ranges(60, [1], 2)[2:4]  # level 1's one arc meets itself
         assert (lo.tolist(), hi.tolist()) == ([31], [90])
 
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
         Q = 100, which rounding the arc ends in floats can drop."""
-        q, a, lo, hi = arc_ranges(7000, [2], 100)
+        q, a, lo, hi, star = arc_ranges(7000, [2], 100)
+        assert (star == (np.gcd(a, q) == 1)).all()
         assert (lo[1], hi[1]) == (6965, 7000 + 35)
         _, k, a = expand(7000, [2], 100)
         assert 35 in k and 6965 in k
@@ -333,6 +337,24 @@ class TestArcIndices:
             arc_ranges(10, [2, 1], 2)
         with pytest.raises(DomainError, match="ascending"):
             arc_ranges(10, [3, 3], 2)
+
+
+    def test_geometry_is_cached_read_only(self):
+        """q, a and the star mask are built once per level list and cannot
+        be written: levels [1, 2] and range(1, 3) give the same arrays,
+        [2, 3, 7] others, whatever M and Q."""
+        q, a, _, _, star = arc_ranges(100, [1, 2], 7)
+        for array in (q, a, star):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        again = arc_ranges(60, range(1, 3), 2)
+        for x, y in zip((q, a, star), (again[0], again[1], again[4])):
+            assert x is y and (x == y).all()  # one cache entry, read again
+        other = arc_ranges(100, [2, 3, 7], 7)
+        assert other[0].tolist() == [2] * 2 + [3] * 3 + [7] * 7
+        assert other[4].tolist() == (np.gcd(other[1], other[0]) == 1).tolist()
+        assert arc_ranges(100, [1, 2], 7)[1].tolist() == a.tolist() == [1, 1, 2]
 
 
 class TestLevelRuns:
