@@ -485,16 +485,13 @@ def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
 class ExceptionalDatum:
     """Synthetic (modulus, zero-location) pair for exercising the
     exceptional-term branch of major-arc predictions.  Not derived from any
-    actual zero computation; provenance is always "synthetic"."""
+    actual zero computation."""
 
     modulus: int
     beta: float
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         if self.modulus < 2:
             raise DomainError(f"exceptional modulus must be >= 2, got {self.modulus}")
         if not (0.5 < self.beta < 1.0):
             raise DomainError(f"beta must lie in (1/2, 1), got {self.beta}")
-        if self.provenance != "synthetic":
-            raise DomainError("only synthetic exceptional data are supported")

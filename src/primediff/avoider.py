@@ -10,9 +10,10 @@ ascending order and bounds each subtree by the optimum already known for
 its candidates' span, since the conflict graph is translation-invariant.
 When its node budget runs out, branch-and-bound with the popcount bound
 runs with the same budget, and `nodes` counts both.  Primality comes from
-tables covering d(n-1)+1 when they are supplied, else from a sieve of the
-values d s + 1 by the primes up to sqrt(d(n-1)+1), or from deterministic
-Miller-Rabin when that root exceeds TABLE_CAP; the routes agree (tested).
+a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1), or from
+deterministic Miller-Rabin when that root exceeds TABLE_CAP; sieve tables
+covering d(n-1)+1, when a caller supplies them, are a faster route to the
+same set (tested).
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
 @dataclass(frozen=True)
 class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
-    is forbidden (bits[0] is False).  n is at most TABLE_CAP.  build reads
-    the tables when they cover d (n - 1) + 1, else sieves the values d s + 1
-    (_shifted_primes: each prime's first s from a table of inverses mod d
-    while d is at most the number of sieving primes, by a Fermat power
-    past it) when sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs
-    Miller-Rabin on each."""
+    is forbidden (bits[0] is False).  n is at most TABLE_CAP.  build needs
+    no tables: it sieves the values d s + 1 (_shifted_primes: each prime's
+    first s from a table of inverses mod d while d is at most the number of
+    sieving primes, by a Fermat power past it) when sqrt(d (n - 1) + 1) is
+    at most TABLE_CAP, else runs Miller-Rabin on each.  Optional tables
+    only speed it up: it reads them when they cover d (n - 1) + 1."""
 
     n: int
     d: int

@@ -7,6 +7,8 @@ or the output path, stays out of the manifest, and the timestamp can be pinned
 with --timestamp.  Manifest placement by format: CSV and plain-value
 outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
+Sieve tables are built only where they are read (sieve, psi, lambda,
+spectrum); extremal and iterate sieve the values d s + 1 themselves.
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 4 certification failure.
@@ -25,7 +27,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from . import __version__, arith
+from . import __version__
 from .arith import ExceptionalDatum, build_tables, check_budget, psi
 from .errors import (
     CertificationError,
@@ -207,54 +209,53 @@ def _cmd_extremal(args) -> None:
     _write_text(args.out, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
-def _read_set_file(path: str) -> list[int]:
-    elements = []
+def _lines(path: str):
+    """(raw line, its text before any '#', stripped) for each line of the
+    file that holds text outside a comment."""
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                elements.append(int(line))
-            except ValueError:
-                raise PreconditionError(
-                    f"set file line {raw.strip()!r} is not an integer"
-                ) from None
+            if line:
+                yield raw, line
+
+
+def _read_set_file(path: str) -> list[int]:
+    elements = []
+    for raw, line in _lines(path):
+        try:
+            elements.append(int(line))
+        except ValueError:
+            raise PreconditionError(f"set file line {raw.strip()!r} is not an integer") from None
     if not elements:
         raise PreconditionError(f"no elements found in {path}")
     return elements
 
 
 def _read_config(path: str | None) -> IterationConfig:
-    """Flat key=value file over IterationConfig fields.
+    """Flat key=value file over IterationConfig fields, each read as the
+    type of its default (int or float).
 
     Missing keys keep their defaults; unknown keys are rejected.
     """
-    import dataclasses
-    import typing
+    from dataclasses import fields
 
     from .driver import IterationConfig
 
     values: dict = {}
     if path is not None:
-        hints = typing.get_type_hints(IterationConfig)
-        field_types = {f.name: hints[f.name] for f in dataclasses.fields(IterationConfig)}
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise PreconditionError(f"config line {raw.strip()!r} is not key=value")
-                key, _, val = (part.strip() for part in line.partition("="))
-                if key not in field_types:
-                    raise PreconditionError(f"unknown config key {key!r}")
-                try:
-                    values[key] = field_types[key](val)  # int or float
-                except ValueError:
-                    raise PreconditionError(
-                        f"config value for {key!r} is not numeric: {val!r}"
-                    ) from None
+        field_types = {f.name: type(f.default) for f in fields(IterationConfig)}
+        for raw, line in _lines(path):
+            if "=" not in line:
+                raise PreconditionError(f"config line {raw.strip()!r} is not key=value")
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in field_types:
+                raise PreconditionError(f"unknown config key {key!r}")
+            try:
+                values[key] = field_types[key](val)
+            except ValueError:
+                raise PreconditionError(
+                    f"config value for {key!r} is not numeric: {val!r}"
+                ) from None
     return IterationConfig(**values)
 
 
@@ -266,23 +267,19 @@ def _cmd_iterate(args) -> None:
     config = _read_config(args.config)
     if args.greedy:
         source = "greedy"
-        # sieves the values d s + 1 itself, so an n it refuses builds no tables
         fs = ForbiddenSet.build(args.n, args.d)
         elements = greedy_avoiding(fs, strategy="first_fit").elements
     else:
         source = args.input
         elements = _read_set_file(args.input)
     A = DensitySet.from_iterable(args.n, elements)
-    # the driver's forbidden sets read these tables; past TABLE_CAP,
-    # ForbiddenSet.build sieves the values d s + 1 instead
-    need = args.d * (args.n - 1) + 2
-    tables = build_tables(min(need, arith.TABLE_CAP))
 
     params = {"n": args.n, "d": args.d, "source": source}
     manifest = _manifest("iterate", params, args.seed, args.timestamp)
 
-    trace = run(A, args.d, config, tables)
-    for line in certify(trace, tables):
+    # no tables: each forbidden set sieves its own values d s + 1
+    trace = run(A, args.d, config, None)
+    for line in certify(trace, None):
         print(line, file=sys.stderr)
     _write_text(args.out, trace_to_jsonl(trace, manifest))
 
@@ -391,10 +388,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, PreconditionError, ResourceError, EnergyShortfall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DomainError, PreconditionError, ResourceError, EnergyShortfall, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

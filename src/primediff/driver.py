@@ -204,9 +204,11 @@ def iterate_once(
     A: DensitySet,
     d: int,
     config: IterationConfig,
-    tables: ArithTables,
+    tables: ArithTables | None,
 ):
-    """Run the case analysis once.  Returns (outcome, diagnostics dict)."""
+    """Run the case analysis once.  Returns (outcome, diagnostics dict).
+    tables, or None, only speed up the forbidden set when they cover
+    d (N - 1) + 1: the outcome is the same without them."""
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     n = A.n
@@ -315,7 +317,8 @@ def _energy_top(diagnostics: dict, k: int = 3) -> tuple:
     return tuple((r.q, r.star_energy) for r in ranked)
 
 
-def run(A: DensitySet, d: int, config: IterationConfig, tables: ArithTables) -> Trace:
+def run(A: DensitySet, d: int, config: IterationConfig, tables: ArithTables | None) -> Trace:
+    """Steps from (A, d) to a terminal outcome; tables as in iterate_once."""
     steps = []
     current, cur_d = A, d
     terminal = None
@@ -464,7 +467,7 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
     return total / (alpha * A.size * m)
 
 
-def certify(trace: Trace, tables: ArithTables) -> list[str]:
+def certify(trace: Trace, tables: ArithTables | None) -> list[str]:
     """Re-verify every step of a trace from its raw set snapshots.
 
     Recounts intersections, re-runs primality by Miller-Rabin, searches
@@ -475,8 +478,9 @@ def certify(trace: Trace, tables: ArithTables) -> list[str]:
     rescalings and d-chains, and recounts each increment's recorded level-q
     energy E from the set's difference counts and the level's arc ends
     (_recount_energy), sharing neither the grid transform nor the arc
-    ranges that produced it.  Returns one human-readable line per step;
-    raises CertificationError on the first mismatch."""
+    ranges that produced it.  It reads no tables.  Returns one
+    human-readable line per step; raises CertificationError on the first
+    mismatch."""
     cfg = trace.config
     lines = []
     for idx, s in enumerate(trace.steps):

@@ -130,7 +130,6 @@ class IncrementOutcome:
     intersection_count: int
     new_alpha: float
     met_guarantee: bool
-    method: str
     detail: dict = field(default_factory=dict)
 
 
@@ -251,7 +250,6 @@ def extract_progression(
         intersection_count=count,
         new_alpha=new_alpha,
         met_guarantee=bool(met),
-        method="extract_progression",
         detail={"energy": energy, "cap_eta": cap_eta, "cap_mass": cap_mass},
     )
 
@@ -273,8 +271,6 @@ def averaging_projection(A: DensitySet, step: int) -> IncrementOutcome:
         intersection_count=count,
         new_alpha=new_alpha,
         met_guarantee=bool(met),
-        method="averaging_projection",
-        detail={},
     )
 
 

@@ -530,7 +530,7 @@ class TestInversion:
 class TestExceptionalDatum:
     def test_accepts_valid(self):
         d = ExceptionalDatum(3, 0.75)
-        assert d.provenance == "synthetic"
+        assert (d.modulus, d.beta) == (3, 0.75)
 
     def test_rejects_bad_fields(self):
         with pytest.raises(DomainError):
@@ -539,5 +539,3 @@ class TestExceptionalDatum:
             ExceptionalDatum(3, 0.5)
         with pytest.raises(DomainError):
             ExceptionalDatum(3, 1.0)
-        with pytest.raises(DomainError):
-            ExceptionalDatum(3, 0.75, provenance="computed")

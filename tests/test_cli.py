@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from primediff import arith, cli, driver, mangoldt
 from primediff.arith import TABLE_CAP
 from primediff.errors import CertificationError
+from primediff.increment import DensitySet
 
 from oracles import (
     avoiding_prefix_optima,
@@ -759,6 +760,65 @@ class TestIterateCommand:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["iterate", "--input", "/no/such/file", "--n", "10"], capsys)
         assert code == 3
+
+    def test_builds_no_tables(self, capsys, monkeypatch, tmp_path):
+        """iterate passes no tables to the driver: it runs with no
+        build_tables to call and writes the trace of a library run whose
+        tables cover every step's d (n - 1) + 1.  The greedy run takes an
+        increment; the set file's run stops at the pair search."""
+        path = tmp_path / "set.txt"
+        path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7
+        runs = [(["--greedy"], 400, 1, first_fit_naive(400, 1)),
+                (["--input", str(path)], 100, 2, [1, 4, 10, 60])]
+        monkeypatch.setattr(cli, "build_tables", None)
+        for source, n, d, elements in runs:
+            argv = ["iterate", *source, "--n", str(n), "--d", str(d), "--timestamp", "T"]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            A = DensitySet.from_iterable(n, elements)
+            tables = arith.build_tables(d * (n - 1) + 1)
+            trace = driver.run(A, d, driver.IterationConfig(), tables)
+            manifest = json.loads(out.splitlines()[0])["manifest"]
+            assert out == "".join(line + "\n" for line in driver.trace_to_jsonl(trace, manifest))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_greedy_at_the_table_cap_stays_small(self, tmp_path):
+        """iterate --greedy at n = TABLE_CAP builds no sieve tables: a fresh
+        interpreter running it peaks below 60 MB resident (about 38 MB
+        measured; 86 MB when it built tables to d (n - 1) + 2 that its
+        small_alpha run never read)."""
+        out = tmp_path / "trace.jsonl"
+        code, peak_kb = cli_peak_kb(
+            ["iterate", "--greedy", "--n", str(TABLE_CAP), "--out", str(out), "--timestamp", "T"]
+        )
+        assert code == 0
+        assert json.loads(out.read_text().splitlines()[0])["terminal"] == "small_alpha"
+        assert peak_kb < 60 * 1024, f"peak {peak_kb // 1024} MB"
+
+    def test_negative_d_is_refused_as_d(self, capsys, tmp_path):
+        """A set file run with d < 1 is refused by the driver's own d check,
+        not by a table size derived from d."""
+        path = tmp_path / "set.txt"
+        path.write_text("1\n4\n10\n60\n")
+        argv = ["iterate", "--input", str(path), "--n", "100", "--d", "-5"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == "error: need d >= 1, got -5\n"
+
+    def test_energy_shortfall_ends_the_run(self, capsys, tmp_path):
+        """A gain threshold that no level's energy reaches ends the run at
+        the chosen level's extraction, with exit 0: the step is tagged
+        large_d_or_small_alpha, and its reason gives the measured energy,
+        the required 4 * gain_threshold and the level."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("gain_threshold = 10\n")
+        code, out, _ = run_cli(
+            ["iterate", "--greedy", "--n", "400", "--config", str(cfg), "--timestamp", "T"], capsys
+        )
+        assert code == 0
+        header, step = map(json.loads, out.splitlines())
+        assert header["terminal"] == step["outcome"] == "large_d_or_small_alpha"
+        assert step["witness"] == {"reason": "energy 1.251 below 40 at level q=1"}
 
     def test_certification_failure_exit(self, capsys, monkeypatch):
         def boom(trace, tables):

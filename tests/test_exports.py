@@ -126,6 +126,20 @@ def test_no_size_cap_is_bound_at_import():
     assert reads == []
 
 
+def test_only_arith_and_avoider_name_the_table_cap():
+    """TABLE_CAP is named by arith, whose check_budget every size refusal
+    goes through, and by avoider, which picks the sieve or the
+    Miller-Rabin route by it.  Any other module would hold a second copy
+    of the table-size policy."""
+    naming = set()
+    for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a Name's id, an Attribute's attr, an import alias's name
+            if "TABLE_CAP" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                naming.add(path.name)
+    assert naming <= {"arith.py", "avoider.py"}
+
+
 def loaded_after(code):
     """Sorted primediff.* modules in a fresh interpreter after it runs
     `code`."""

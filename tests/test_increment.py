@@ -112,7 +112,7 @@ class TestWindowCounts:
             for out in outs:
                 P = out.progression
                 want = best_window_naive(A, P.step, P.length)
-                assert (P.first, out.intersection_count) == want, out.method
+                assert (P.first, out.intersection_count) == want, P
 
 
 class TestEnergyTable:
