@@ -231,6 +231,14 @@ def _read_set_file(path: str) -> list[int]:
     return elements
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_config(path: str | None) -> IterationConfig:
     """Flat key=value file over IterationConfig fields, each read as the
     type of its default (int or float).
@@ -253,8 +261,10 @@ def _read_config(path: str | None) -> IterationConfig:
             try:
                 values[key] = field_types[key](val)
             except ValueError:
+                # an int field refuses numbers such as 2.5 or 1e3 too
+                fault = "an integer" if _is_float(val) else "numeric"
                 raise PreconditionError(
-                    f"config value for {key!r} is not numeric: {val!r}"
+                    f"config value for {key!r} is not {fault}: {val!r}"
                 ) from None
     return IterationConfig(**values)
 

@@ -236,9 +236,9 @@ def iterate_once(
     q_top = max(q_prime, q_double)
 
     table = energy_table(A, q_top, big_q, config.grid_size(n))
-    rows = table.rows  # levels 1..q_top: level q is rows[q - 1]
-    phi = list(map(euler_phi, range(1, q_top + 1)))
-    trigger = sum(r.star_energy / f for r, f in zip(rows[:q_prime], phi))
+    star = table.star_energy  # levels 1..q_top: level q at index q - 1
+    ratio = star / np.fromiter(map(euler_phi, range(1, q_top + 1)), np.float64, q_top)
+    trigger = sum(ratio[:q_prime].tolist())  # in level order, as a Python sum
     diagnostics = {
         "n_prime": n_prime,
         "q_prime": q_prime,
@@ -248,12 +248,10 @@ def iterate_once(
         "energy_table": table,
     }
 
-    # (E* / phi(q), -q, row): the highest ratio, the lowest q among ties
-    candidates = [
-        (r.star_energy / f, -r.q, r) for r, f in zip(rows[:q_double], phi) if r.star_energy > 0
-    ]
-    if candidates:
-        best = max(candidates)[2]
+    # levels q <= Q'' with E* > 0: the highest E*/phi(q), the lowest q among ties
+    admissible = star[:q_double] > 0
+    if admissible.any():
+        best = table.row(1 + int(np.argmax(np.where(admissible, ratio[:q_double], -np.inf))))
         target_e = 4.0 * config.gain_threshold
         try:
             out = extract_progression(A, best, target_e, c_len=config.c_len)
@@ -313,8 +311,15 @@ def _energy_top(diagnostics: dict, k: int = 3) -> tuple:
     table = diagnostics.get("energy_table")
     if table is None:
         return ()
-    ranked = sorted(table.rows, key=lambda r: -r.star_energy)[:k]
-    return tuple((r.q, r.star_energy) for r in ranked)
+    # k first-argmax passes: the highest E* first, ties in ascending q, as a
+    # stable sort of -E* gives them, without mapping numpy's sort code (about
+    # 128 kB of resident pages) into a process that sorts nothing else
+    star = table.star_energy
+    rest, top = star.copy(), []
+    for _ in range(min(k, len(rest))):
+        top.append(int(rest.argmax()))
+        rest[top[-1]] = -np.inf
+    return tuple(zip([q + 1 for q in top], star[top].tolist()))
 
 
 def run(A: DensitySet, d: int, config: IterationConfig, tables: ArithTables | None) -> Trace:

@@ -14,10 +14,12 @@ length with a large prime factor.  energy_table gives E and E* of every
 level from one prefix sum of the power, read at the ends of
 spectral.arc_ranges' arcs, with the star arcs from its star mask (cached
 per level list, so a run of steps at levels 1..Q' computes no gcd after
-its first).  Its rows hold levels 1..Q' in order, so level q is
-rows[q - 1].  Summed over the whole torus the normalized
+its first).  It holds E and E* as two float64 columns over levels
+1..Q', level q at index q - 1; row(q) reads one level as an EnergyStats
+(q, eta, E, E*), and rows, built on first read, lists every level in
+order.  Summed over the whole torus the normalized
 energy is exactly (1 - alpha)/alpha, which pins the normalization in
-tests.  Extraction reads E from energy_table's level-q row, measuring no
+tests.  Extraction reads E from energy_table's row(q), measuring no
 arcs of its own, and converts it into a step-q progression on which A
 beats alpha by the factor (1 + E/4); the averaging projection keeps half
 of alpha on a step-d progression.  Both take the best window inside
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +71,7 @@ class DensitySet:
             raise DomainError("element array must be one-dimensional and nonempty")
         if e[0] < 1 or e[-1] > self.n:
             raise DomainError(f"elements must lie in [1, {self.n}]")
-        if len(e) > 1 and not (np.diff(e) > 0).all():
+        if not (e[1:] > e[:-1]).all():
             raise DomainError("elements must be strictly increasing")
 
     @classmethod
@@ -142,10 +145,27 @@ class EnergyStats(NamedTuple):
 
 @dataclass(frozen=True)
 class EnergyTable:
-    rows: list[EnergyStats]
+    """E and E* of levels 1..Q' as read-only float64 columns, level q at
+    index q - 1; row(q) is one level as EnergyStats, rows all of them."""
+
+    energy: np.ndarray
+    star_energy: np.ndarray
     total: float
     m: int
     big_q: int
+
+    def row(self, q: int) -> EnergyStats:
+        if not 1 <= q <= len(self.energy):
+            raise DomainError(f"level {q} outside 1..{len(self.energy)}")
+        return EnergyStats(
+            q, 1.0 / (q * self.big_q), float(self.energy[q - 1]), float(self.star_energy[q - 1])
+        )
+
+    @cached_property
+    def rows(self) -> tuple[EnergyStats, ...]:
+        """Every level's row in order, level q at rows[q - 1], built on
+        first read (the cached value sits outside the frozen fields)."""
+        return tuple(map(self.row, range(1, len(self.energy) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +198,7 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
 
 def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> tuple:
-    """(E, E*) lists over the ascending levels: with C the running sum of
+    """(E, E*) arrays over the ascending levels: with C the running sum of
     the power at k = 0..M + w, each arc's power is C[hi + 1] - C[lo],
     within 2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a
     level's arcs, one its star arcs, so a row does not depend on the other
@@ -189,7 +209,7 @@ def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) 
     arc = c[hi + 1] - c[lo]
     e = np.bincount(q, weights=arc)[levels]
     e_star = np.bincount(q, weights=arc * star)[levels]
-    return (e * norm).tolist(), (e_star * norm).tolist()
+    return e * norm, e_star * norm
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +231,11 @@ def energy_table(
         raise PreconditionError(f"grid {m} below 8x support {A.n}")
     _, power = grid_power(A.balanced(), m)
     norm = 1.0 / (A.alpha * A.size * m)
-    levels = range(1, q_prime + 1)
-    etas = [1.0 / (q * big_q) for q in levels]
-    e, e_star = _level_energies(m, power, norm, levels, big_q)
-    rows = list(map(EnergyStats._make, zip(levels, etas, e, e_star)))
+    e, e_star = _level_energies(m, power, norm, range(1, q_prime + 1), big_q)
+    e.flags.writeable = e_star.flags.writeable = False  # rows, once read, stay equal to them
     # the half grid holds k = 0 and, for even M, k = M/2 once; every other k twice
     total = 2 * power.sum() - power[0] - (power[-1] if m % 2 == 0 else 0.0)
-    return EnergyTable(rows=rows, total=float(total * norm), m=m, big_q=big_q)
+    return EnergyTable(e, e_star, total=float(total * norm), m=m, big_q=big_q)
 
 
 def extract_progression(

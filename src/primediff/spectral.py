@@ -28,6 +28,7 @@ even when the support is large.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,21 +160,31 @@ def grid_power(f: IntegerSignal, m: int) -> tuple[int, np.ndarray]:
 
 
 def fft_size(m: int) -> int:
-    """The least 2^a 3^b 5^c >= m.  Past TABLE_CAP it refuses m, as
-    grid_power does, before searching; TABLE_CAP = 2^8 5^6 is 5-smooth, so
-    every m up to it gets a size up to it."""
+    """The least 2^a 3^b 5^c >= m, by bisection in the ascending table of
+    5-smooth sizes.  Past TABLE_CAP it refuses m, as grid_power does,
+    before searching; TABLE_CAP = 2^8 5^6 is 5-smooth, so every m up to it
+    gets a size up to it."""
     check_budget(m, "spectrum grid limited to M")
-    best = 1 << max(m - 1, 0).bit_length()
+    # a power of two >= m bounds the answer; the table reaches at least 2^22
+    sizes = _smooth_sizes(max(22, max(m - 1, 0).bit_length()))
+    return sizes[bisect_left(sizes, m)]
+
+
+@lru_cache(maxsize=1)
+def _smooth_sizes(bits: int) -> list[int]:
+    """Every 2^a 3^b 5^c <= 2^bits, ascending: 660 sizes at bits = 22, the
+    one table fft_size reads, built once, while TABLE_CAP stays below 2^22
+    (a raised cap replaces it with a longer one)."""
+    top = 1 << bits
+    sizes = []
     p5 = 1
-    while p5 < best:  # each odd part 3^b 5^c below best, times the least 2^a that reaches m
+    while p5 <= top:
         p35 = p5
-        while p35 < best:
-            size = p35 << (-(-m // p35) - 1).bit_length()
-            if size < best:
-                best = size
+        while p35 <= top:
+            sizes.extend(p35 << a for a in range((top // p35).bit_length()))
             p35 *= 3
         p5 *= 5
-    return best
+    return sorted(sizes)
 
 
 def unfold(half: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:

@@ -744,6 +744,26 @@ class TestIterateCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_steps = 2.5", "error: config value for 'max_steps' is not an integer: '2.5'\n"),
+            ("grid_factor = 1e3", "error: config value for 'grid_factor' is not an integer: '1e3'\n"),
+            ("max_steps = many", "error: config value for 'max_steps' is not numeric: 'many'\n"),
+            ("c = quarter", "error: config value for 'c' is not numeric: 'quarter'\n"),
+        ],
+        ids=["int_given_2.5", "int_given_1e3", "int_given_text", "float_given_text"],
+    )
+    def test_config_value_of_the_wrong_kind(self, line, message, capsys, tmp_path):
+        """A number where an integer is due is refused as not an integer,
+        not as not numeric; text that is no number at all is not numeric."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(
+            ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
+        )
+        assert (code, out, err) == (3, "", message)
+
     def test_malformed_set_file(self, capsys, tmp_path):
         path = tmp_path / "set.txt"
         path.write_text("1\ntwo\n")

@@ -183,6 +183,70 @@ class TestIterateOnce:
         assert out.outcome.detail["energy"] == row.energy
 
 
+class TestLevelSelection:
+    """iterate_once picks its level from energy_table's columns; a stub
+    table fixes the energies, so each rule is seen on its own.  Every E
+    is 0, below the 0.08 an extraction needs, so the step ends naming the
+    level it chose."""
+
+    @staticmethod
+    def stubbed(monkeypatch, star_at: dict):
+        """Stub driver.energy_table with E = 0 and E* from {q: E*}, 0 at
+        every other level; returns the tables it built."""
+        built = []
+
+        def stub(A, q_top, big_q, m):
+            star = np.zeros(q_top)
+            for q, value in star_at.items():
+                star[q - 1] = value
+            built.append(increment.EnergyTable(np.zeros(q_top), star, 0.0, m, big_q))
+            return built[-1]
+
+        monkeypatch.setattr(driver, "energy_table", stub)
+        return built
+
+    @pytest.fixture
+    def sparse_set(self, tables_small):
+        A = class_avoiding_set(600, tables_small)
+        _, diag = iterate_once(A, 1, IterationConfig(), tables_small)
+        assert diag["q_prime"] == diag["q_double"] == 50  # every level is admissible
+        return A
+
+    def test_tied_ratios_pick_the_lower_level(self, sparse_set, tables_small, monkeypatch):
+        """E*/phi(q) ties between q = 3 (phi 2) and q = 2 (phi 1), and at a
+        higher value between q = 7 (phi 6) and q = 4 (phi 2): q = 4 wins."""
+        self.stubbed(monkeypatch, {2: 0.5, 3: 1.0, 4: 3.0, 7: 9.0})
+        out, diag = iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        assert out.reason == "energy 0 below 0.08 at level q=4"
+        assert diag["trigger"] == 0.5 + 0.5 + 1.5 + 1.5
+        self.stubbed(monkeypatch, {2: 0.5, 3: 1.0})
+        out, _ = iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        assert out.reason == "energy 0 below 0.08 at level q=2"
+
+    def test_no_positive_star_energy(self, sparse_set, tables_small, monkeypatch):
+        self.stubbed(monkeypatch, {1: -1.0, 5: -1e-300, 50: -0.0})
+        out, diag = iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        assert out == LargeDOrSmallAlpha("no positive star energy at admissible levels")
+        assert "energy_table" in diag
+
+    def test_energy_top_keeps_ascending_q_among_ties(self, sparse_set, tables_small, monkeypatch):
+        self.stubbed(monkeypatch, {9: 0.5, 2: 0.5, 40: 0.9, 4: 0.5})
+        trace = run(sparse_set, 1, IterationConfig(), tables_small)
+        assert trace.steps[0].energy_top == ((40, 0.9), (2, 0.5), (4, 0.5))
+        self.stubbed(monkeypatch, {})
+        trace = run(sparse_set, 1, IterationConfig(), tables_small)
+        assert trace.steps[0].energy_top == ((1, 0.0), (2, 0.0), (3, 0.0))
+
+    def test_rows_of_the_stub_table(self, sparse_set, tables_small, monkeypatch):
+        built = self.stubbed(monkeypatch, {3: 0.25, 8: 2.0})
+        iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        (table,) = built
+        for q in range(1, 51):
+            want = (q, 1 / (q * table.big_q), table.energy[q - 1], table.star_energy[q - 1])
+            assert table.rows[q - 1] == want
+        assert table.rows[7] == (8, 1 / (8 * table.big_q), 0.0, 2.0)
+
+
 class TestRun:
     def test_interval_one_step(self, tables_small):
         A = DensitySet.from_iterable(100, range(1, 101))
@@ -488,8 +552,9 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "snapshot",
-        [(), (1, 1, 2), (2, 1, 3), (0, 1, 2), (1, 2, 101), (1, 2**70)],
-        ids=["empty", "duplicate", "unsorted", "below_1", "above_n", "overflow"],
+        [(), (1, 1, 2), (1, 2, 3, 3), (2, 1, 3), (0, 1, 2), (1, 2, 101), (1, 2**70)],
+        ids=["empty", "duplicate", "duplicate_last", "unsorted", "below_1", "above_n",
+             "overflow"],
     )
     def test_rejects_malformed_snapshot(self, snapshot, tables_small):
         """A snapshot that is not a strictly increasing subset of [1, n]

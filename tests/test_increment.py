@@ -52,6 +52,11 @@ class TestDensitySet:
             DensitySet.from_iterable(5, [0, 2])
         with pytest.raises(DomainError):
             DensitySet.from_iterable(5, [2, 6])
+        # the constructor itself, past from_iterable's sort and dedup
+        for elements in ([3, 2], [2, 2], [1, 4, 4], [[1, 2], [3, 4]]):
+            with pytest.raises(DomainError):
+                DensitySet(5, np.array(elements, dtype=np.int64))
+        assert DensitySet(5, np.array([4], dtype=np.int64)).size == 1
 
 
 class TestProgression:
@@ -134,6 +139,26 @@ class TestEnergyTable:
                 assert 0 <= r.star_energy <= r.energy + 1e-12
                 assert r.energy <= table.total + 1e-12
                 assert r.eta == 1 / (r.q * table.big_q)
+
+    def test_rows_read_the_columns(self):
+        """rows[q - 1] and row(q) are (q, 1/(qQ), energy[q - 1],
+        star_energy[q - 1]) for every level; the columns are read-only, so
+        rows, built on first read, stay equal to them."""
+        rng = np.random.default_rng(59)
+        A = random_set(rng, 50, 300)
+        table = energy_table(A, 9, 23)
+        assert table.energy.shape == table.star_energy.shape == (9,)
+        assert len(table.rows) == 9
+        for q in range(1, 10):
+            want = (q, 1.0 / (q * 23), table.energy[q - 1], table.star_energy[q - 1])
+            assert table.rows[q - 1] == table.row(q) == want
+            assert type(table.row(q).energy) is float
+        for column in (table.energy, table.star_energy):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        for q in (0, 10):
+            with pytest.raises(DomainError):
+                table.row(q)
 
     def test_structured_set_concentrates(self):
         """A residue class mod 7 piles its energy on the level-7 arcs."""

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from primediff import arith
+from primediff import arith, spectral
 from primediff.spectral import (
     IntegerSignal,
     TorusPoint,
@@ -155,6 +155,22 @@ class TestFftSize:
             if 2**a * 3**b * 5**c <= TABLE_CAP
         ]
         assert [fft_size(m) for m in smooth] == smooth
+
+    def test_one_table_serves_every_size(self, monkeypatch):
+        """Sizes up to TABLE_CAP read one table, built once whatever m is asked
+        for; a cap raised past 2^22 gets a longer table, and sizes past
+        2^22 still come out least."""
+        spectral._smooth_sizes.cache_clear()
+        for m in (1, 997, 7_976, 8_000, TABLE_CAP):
+            fft_size(m)
+        assert spectral._smooth_sizes.cache_info().misses == 1
+        monkeypatch.setattr(arith, "TABLE_CAP", 2**24)
+        for m in (2**22 + 1, 2**23 + 1):
+            least = m
+            while not five_smooth_naive(least):
+                least += 1
+            assert fft_size(m) == least, m
+        spectral._smooth_sizes.cache_clear()
 
     @pytest.mark.parametrize("m", [TABLE_CAP + 1, 10**300], ids=["cap_plus_1", "1e300"])
     def test_refuses_past_the_cap(self, m):
