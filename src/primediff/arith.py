@@ -120,14 +120,19 @@ def _mobius_phi(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mobius, phi
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    """The primes <= n, ascending, by a plain boolean sieve."""
+def _prime_flags(n: int) -> np.ndarray:
+    """flags[k] iff k is prime, for k = 0..n, by a plain boolean sieve."""
     is_p = np.ones(n + 1, dtype=bool)
     is_p[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if is_p[p]:
             is_p[p * p :: p] = False
-    return np.flatnonzero(is_p)
+    return is_p
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending."""
+    return np.flatnonzero(_prime_flags(n))
 
 
 def build_tables(n_max: int) -> ArithTables:

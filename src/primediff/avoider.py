@@ -10,10 +10,10 @@ ascending order and bounds each subtree by the optimum already known for
 its candidates' span, since the conflict graph is translation-invariant.
 When its node budget runs out, branch-and-bound with the popcount bound
 runs with the same budget, and `nodes` counts both.  Primality comes from
-a sieve of the values d s + 1 by the primes up to sqrt(d(n-1)+1), or from
-deterministic Miller-Rabin when that root exceeds TABLE_CAP; sieve tables
-covering d(n-1)+1, when a caller supplies them, are a faster route to the
-same set (tested).
+one read-only bitmap of the primes below 2^16 while d(n-1)+1 is below it
+(every driver step at the benchmark's sizes), else from a sieve of the
+values d s + 1 by the primes up to sqrt(d(n-1)+1), or from deterministic
+Miller-Rabin when that root exceeds TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import arith
-from .arith import ArithTables, _primes_upto, check_budget, is_prime
+from .arith import _prime_flags, _primes_upto, check_budget, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
@@ -38,41 +39,52 @@ __all__ = [
 
 EXACT_CAP = 64  # largest n exact search takes without a node budget
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
+_BITMAP_TOP = 1 << 16  # _prime_bitmap flags the values below it
 
 
 @dataclass(frozen=True)
 class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
-    is forbidden (bits[0] is False).  n is at most TABLE_CAP.  build needs
-    no tables: it sieves the values d s + 1 (_shifted_primes: each prime's
-    first s from a table of inverses mod d while d is at most the number of
-    sieving primes, by a Fermat power past it) when sqrt(d (n - 1) + 1) is
-    at most TABLE_CAP, else runs Miller-Rabin on each.  Optional tables
-    only speed it up: it reads them when they cover d (n - 1) + 1."""
+    is forbidden (bits[0] is False); bits is read-only.  n is at most
+    TABLE_CAP.  build reads the values d s + 1 in _prime_bitmap, as a
+    strided view of it, when d (n - 1) + 1 < 2^16; past it
+    it sieves them (_shifted_primes: each prime's first s from a table of
+    inverses mod d while d is at most the number of sieving primes, by a
+    Fermat power past it) when sqrt(d (n - 1) + 1) is at most TABLE_CAP,
+    else runs Miller-Rabin on each."""
 
     n: int
     d: int
     bits: np.ndarray
 
     @classmethod
-    def build(cls, n: int, d: int, tables: ArithTables | None = None) -> "ForbiddenSet":
+    def build(cls, n: int, d: int) -> "ForbiddenSet":
         if n < 1 or d < 1:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
         check_budget(n, "forbidden set limited to n")
         top = d * (n - 1) + 1
-        bits = np.zeros(n, dtype=bool)
-        if tables is not None and top <= tables.n_max:
-            s = np.arange(1, n, dtype=np.int64)
-            vals = d * s + 1
-            bits[1:] = tables.spf[vals] == vals
-        elif n > 1 and math.isqrt(top) <= arith.TABLE_CAP:  # at n = 1, d may pass int64
+        if top < _BITMAP_TOP:  # a view: the flags of 1, d + 1, ..., top (any d at n = 1)
+            bits = _prime_bitmap()[1 : top + 1 : d]
+        elif math.isqrt(top) <= arith.TABLE_CAP:
             bits = _shifted_primes(n, d)
         else:
+            bits = np.zeros(n, dtype=bool)
             bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]
+        bits.flags.writeable = False
         return cls(n=n, d=d, bits=bits)
 
     def count(self) -> int:
         return int(self.bits.sum())
+
+
+@lru_cache(maxsize=1)
+def _prime_bitmap() -> np.ndarray:
+    """flags[v] iff v is prime, for v < 2^16: one read-only 64 kB bool array
+    from arith's sieve, built on first use.  Its bound is fixed, so every
+    caller reads the same array."""
+    flags = _prime_flags(_BITMAP_TOP - 1)
+    flags.flags.writeable = False
+    return flags
 
 
 def _shifted_primes(n: int, d: int) -> np.ndarray:

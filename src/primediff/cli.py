@@ -8,7 +8,7 @@ with --timestamp.  Manifest placement by format: CSV and plain-value
 outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
 Sieve tables are built only where they are read (sieve, psi, lambda,
-spectrum); extremal and iterate sieve the values d s + 1 themselves.
+spectrum); extremal and iterate build their forbidden sets without them.
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 4 certification failure.
@@ -182,7 +182,7 @@ def _cmd_extremal(args) -> None:
 
     if args.budget is not None and args.mode != "exact":
         raise DomainError(f"--budget applies to --mode exact only, got --mode {args.mode}")
-    fs = ForbiddenSet.build(args.n, args.d)  # sieves the values d s + 1, no tables
+    fs = ForbiddenSet.build(args.n, args.d)
     if args.mode == "exact":
         result = max_avoiding_exact(fs, node_budget=args.budget)
     elif args.mode == "greedy":
@@ -287,9 +287,8 @@ def _cmd_iterate(args) -> None:
     params = {"n": args.n, "d": args.d, "source": source}
     manifest = _manifest("iterate", params, args.seed, args.timestamp)
 
-    # no tables: each forbidden set sieves its own values d s + 1
-    trace = run(A, args.d, config, None)
-    for line in certify(trace, None):
+    trace = run(A, args.d, config)
+    for line in certify(trace):
         print(line, file=sys.stderr)
     _write_text(args.out, trace_to_jsonl(trace, manifest))
 

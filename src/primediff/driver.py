@@ -15,12 +15,14 @@ hit.  Every quantitative claim a step makes is recounted from the recorded
 set snapshots by certify(), which never trusts transforms: intersection
 counts are recounted elementwise, primality is re-established by
 Miller-Rabin, a step past the pair search has its set searched again, a
-step stopped by the d ceiling has d above it, d-chains and rescalings are
-recomputed, and an increment's recorded arc
-energy is recounted from the set's difference counts against closed-form
-arc kernels, sharing neither grid_power nor arc_ranges with the step that
-produced it.  Producer and recount read one grid size,
-IterationConfig.grid_size: the least 5-smooth M >= grid_factor N.
+step stopped by the d ceiling has d above it, an increment has d at or
+below it, d-chains and rescalings are recomputed, and an increment's
+recorded arc energy is recounted from the set's exact pair differences
+against closed-form arc kernels, sharing neither grid_power nor arc_ranges
+with the step that produced it.  The run as a whole is checked too: where
+it starts, that only increments are followed by a step, and its terminal.
+Producer and recount read one grid size, IterationConfig.grid_size: the
+least 5-smooth M >= grid_factor N.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import ArithTables, euler_phi, is_prime
+from .arith import euler_phi, is_prime
 from .avoider import ForbiddenSet, find_forbidden_pair
 from .errors import CertificationError, DomainError, EnergyShortfall
 from .increment import (
@@ -200,15 +202,8 @@ def _ceiling_reason(n: int, d: int, config: IterationConfig) -> str:
     return f"d={d} above N^{config.d_ceiling_exponent} = {config.d_ceiling(n):.3g}"
 
 
-def iterate_once(
-    A: DensitySet,
-    d: int,
-    config: IterationConfig,
-    tables: ArithTables | None,
-):
-    """Run the case analysis once.  Returns (outcome, diagnostics dict).
-    tables, or None, only speed up the forbidden set when they cover
-    d (N - 1) + 1: the outcome is the same without them."""
+def iterate_once(A: DensitySet, d: int, config: IterationConfig):
+    """Run the case analysis once.  Returns (outcome, diagnostics dict)."""
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     n = A.n
@@ -219,7 +214,7 @@ def iterate_once(
     if alpha < config.alpha_floor:
         return SmallAlpha(alpha), {}
 
-    pair = find_forbidden_pair(A.elements, ForbiddenSet.build(n, d, tables))
+    pair = find_forbidden_pair(A.elements, ForbiddenSet.build(n, d))
     if pair is not None:
         s, lower, upper = pair
         return StructureFound(x=s, p=d * s + 1, lower=lower, upper=upper), {}
@@ -322,13 +317,14 @@ def _energy_top(diagnostics: dict, k: int = 3) -> tuple:
     return tuple(zip([q + 1 for q in top], star[top].tolist()))
 
 
-def run(A: DensitySet, d: int, config: IterationConfig, tables: ArithTables | None) -> Trace:
-    """Steps from (A, d) to a terminal outcome; tables as in iterate_once."""
+def run(A: DensitySet, d: int, config: IterationConfig, tables=None) -> Trace:
+    """Steps from (A, d) to a terminal outcome.  tables is accepted for
+    callers that still pass sieve tables, and not read."""
     steps = []
     current, cur_d = A, d
     terminal = None
     for i in range(1, config.max_steps + 1):
-        outcome, diagnostics = iterate_once(current, cur_d, config, tables)
+        outcome, diagnostics = iterate_once(current, cur_d, config)
         steps.append(
             TraceStep(
                 step=i,
@@ -411,24 +407,25 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
 # certification
 
 
-def _difference_counts(A: DensitySet, top: int) -> np.ndarray:
-    """r[x] = #{(a,b) in A^2 : a - b = x} for x = 0..top, via FFT on
-    fft_size(2N) points, where the cyclic correlation does not wrap."""
-    size = fft_size(2 * A.n)
-    ind = np.zeros(size, dtype=np.float64)
-    ind[A.elements - 1] = 1.0
-    spec = np.fft.rfft(ind)
-    corr = np.fft.irfft(spec * np.conj(spec), n=size)
-    return np.rint(corr[: top + 1]).astype(np.int64)
+_PAIR_BLOCK = 1 << 18  # most pair differences _correlations holds at once
 
 
 def _correlations(A: DensitySet, top: int) -> tuple[np.ndarray, ...]:
-    """(r_AA, r_AI, r_IA, r_II) at x = 0..top with I = [1, N]: the pairs
-    (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA is the
-    exact integer count of _difference_counts, the other three closed forms
-    (set-interval by suffix counts), as floats."""
+    """(r_AA, r_AI, r_IA, r_II) at x = 0..top < N with I = [1, N]: the pairs
+    (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA counts
+    the differences a - b > 0 of the ascending elements exactly, as int64,
+    a block of rows at a time: O(|A|^2) time and O(N + _PAIR_BLOCK)
+    memory.  The other three are closed forms (set-interval by suffix
+    counts), as floats."""
+    e = A.elements
+    r_aa = np.zeros(A.n, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // A.size)
+    for lo in range(0, A.size, rows):
+        diff = e[lo : lo + rows, None] - e[: lo + rows]  # b up to a's own place in the order
+        r_aa += np.bincount(diff[diff > 0], minlength=A.n)
+    r_aa[0] = A.size
+    r_aa = r_aa[: top + 1]
     x = np.arange(top + 1, dtype=np.int64)
-    r_aa = _difference_counts(A, top)
     r_ai = (A.size - np.searchsorted(A.elements, x, side="right")).astype(np.float64)
     r_ia = np.searchsorted(A.elements, A.n - x, side="right").astype(np.float64)
     r_ii = (A.n - x).astype(np.float64)
@@ -441,7 +438,8 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
 
         sum_{k in S} |g_hat(k/M)|^2 = sum_{|h| < N} r_g(h) K_S(h),
 
-    r_g the autocorrelation of g = 1_A - alpha 1_[1,N] (_correlations) and
+    r_g the autocorrelation of g = 1_A - alpha 1_[1,N] (_correlations, from
+    A's pair differences) and
     K_S(h) the sum over the level's arcs of
 
         sum_{k=lo}^{hi} cos(2 pi h k / M)
@@ -449,8 +447,8 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
 
     L = hi - lo + 1, with lo = ceil((aM - w)/q), hi = floor((aM + w)/q),
     w = floor(M/Q).  When 2w >= M each arc meets the next at one point
-    (the a = q arc meets a = 1 past M), counted once.  Works arc by arc in
-    O(N) memory."""
+    (the a = q arc meets a = 1 past M), counted once.  Works arc by arc:
+    O(qN + |A|^2) time, O(N) memory."""
     alpha = A.alpha
     r_aa, r_ai, r_ia, r_ii = _correlations(A, A.n - 1)
     r = r_aa - alpha * (r_ai + r_ia) + alpha * alpha * r_ii
@@ -472,21 +470,27 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
     return total / (alpha * A.size * m)
 
 
-def certify(trace: Trace, tables: ArithTables | None) -> list[str]:
-    """Re-verify every step of a trace from its raw set snapshots.
+def certify(trace: Trace, tables=None) -> list[str]:
+    """Re-verify every step of a trace from its raw set snapshots, then the
+    run as a whole.
 
     Recounts intersections, re-runs primality by Miller-Rabin, searches
     every increment's and large_d_or_small_alpha step's set for a forbidden
     pair, holds a step stopped by the d ceiling to d > N^e (its reason as
-    iterate_once writes it), holds each increment's level to the
-    extraction cap, recomputes
-    rescalings and d-chains, and recounts each increment's recorded level-q
-    energy E from the set's difference counts and the level's arc ends
+    iterate_once writes it) and an increment to d <= N^e, holds each
+    increment's level to the extraction cap, recomputes rescalings and
+    d-chains, and recounts each increment's recorded level-q energy E from
+    the set's exact pair differences and the level's arc ends
     (_recount_energy), sharing neither the grid transform nor the arc
-    ranges that produced it.  It reads no tables.  Returns one
-    human-readable line per step; raises CertificationError on the first
-    mismatch."""
+    ranges that produced it.  The run must have a step and at most
+    max_steps, only increments may be followed by one, step 1 must start
+    at (initial_n, initial_d), and the terminal must be the last step's
+    tag, or budget after max_steps steps that end on an increment.  tables is accepted for callers that
+    still pass sieve tables, and not read.  Returns one human-readable line
+    per step; raises CertificationError on the first mismatch."""
     cfg = trace.config
+    if not trace.steps:
+        raise CertificationError("empty trace")
     lines = []
     for idx, s in enumerate(trace.steps):
         where = f"step {s.step}"
@@ -501,7 +505,7 @@ def certify(trace: Trace, tables: ArithTables | None) -> list[str]:
         out = s.outcome
         if isinstance(out, (LargeDOrSmallAlpha, DensityIncrement)):
             # the producer reaches these only on a set that avoids: search
-            # afresh, on a forbidden set built without the producer's tables
+            # afresh, whatever the step's pair search found
             try:
                 pair = find_forbidden_pair(A.elements, ForbiddenSet.build(s.n, s.d))
             except DomainError as exc:  # d < 1
@@ -540,6 +544,12 @@ def certify(trace: Trace, tables: ArithTables | None) -> list[str]:
                 )
             lines.append(f"{where}: large_d_or_small_alpha ok ({out.reason})")
         elif isinstance(out, DensityIncrement):
+            # the producer checks the d ceiling before any energy work
+            if s.d > cfg.d_ceiling(s.n):
+                raise CertificationError(
+                    f"{where}: density_increment at d={s.d} above N^"
+                    f"{cfg.d_ceiling_exponent} = {cfg.d_ceiling(s.n):.3g}"
+                )
             o = out.outcome
             P = o.progression
             if not P.within(s.n):
@@ -584,5 +594,26 @@ def certify(trace: Trace, tables: ArithTables | None) -> list[str]:
             )
         else:
             raise CertificationError(f"{where}: unknown outcome {out!r}")
+        if idx + 1 < len(trace.steps) and not isinstance(out, DensityIncrement):
+            raise CertificationError(f"{where}: {out.tag} is followed by another step")
+
+    first, last = trace.steps[0], trace.steps[-1]
+    if len(trace.steps) > cfg.max_steps:
+        raise CertificationError(f"{len(trace.steps)} steps, past max_steps {cfg.max_steps}")
+    if (first.n, first.d) != (trace.initial_n, trace.initial_d):
+        raise CertificationError(
+            f"step 1: (n, d) = ({first.n}, {first.d}) != initial "
+            f"({trace.initial_n}, {trace.initial_d})"
+        )
+    if isinstance(last.outcome, DensityIncrement):
+        if trace.terminal != Budget.tag or len(trace.steps) != cfg.max_steps:
+            raise CertificationError(
+                f"terminal {trace.terminal!r} after {len(trace.steps)} steps ending on an "
+                f"increment, max_steps {cfg.max_steps}"
+            )
+    elif trace.terminal != last.outcome.tag:
+        raise CertificationError(
+            f"terminal {trace.terminal!r} != the last step's {last.outcome.tag!r}"
+        )
     lines.append(f"terminal: {trace.terminal} ok")
     return lines

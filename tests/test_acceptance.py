@@ -227,12 +227,11 @@ class TestAcceptance:
     def test_11_extremal_oracle_equivalence(self):
         """Branch-and-bound equals exhaustive enumeration for every n <= 22
         and d in {1, 2, 3}, and only emits avoiding sets."""
-        tables = build_tables(70)
         checked = 0
         for d in (1, 2, 3):
             prefix = avoiding_prefix_optima(22, d)
             for n in range(1, 23):
-                fs = ForbiddenSet.build(n, d, tables)
+                fs = ForbiddenSet.build(n, d)
                 res = max_avoiding_exact(fs)
                 assert res.optimal
                 assert res.size == prefix[n], (n, d, res.size, prefix[n])
@@ -259,7 +258,7 @@ class TestAcceptance:
                 residues = rng.choice(m, size=int(rng.integers(1, 4)), replace=False)
                 elements = [x for x in range(1, n + 1) if x % m in residues] or [1]
             else:
-                fs = ForbiddenSet.build(n, d, tables)
+                fs = ForbiddenSet.build(n, d)
                 elements = greedy_avoiding(fs, strategy="first_fit").elements or [1]
             trace = run(DensitySet.from_iterable(n, elements), d, config, tables)
             assert trace.terminal in TAGS

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from primediff import avoider
-from primediff.arith import TABLE_CAP, build_tables, is_prime
+from primediff.arith import TABLE_CAP, is_prime
 from primediff.avoider import (
     ForbiddenSet,
     find_forbidden_pair,
@@ -28,42 +28,76 @@ from oracles import (
 )
 
 
+def bitmap_edge(d):
+    """The least n with d (n - 1) + 1 >= 2^16: the first forbidden set
+    past the prime bitmap."""
+    return (2**16 - 2) // d + 2
+
+
 class TestForbiddenSet:
-    def test_matches_naive_primality(self, tables_small):
+    def test_matches_naive_primality(self):
         for d in (1, 2, 3):
-            fs = ForbiddenSet.build(300, d, tables_small)
+            fs = ForbiddenSet.build(300, d)
             want = forbidden_diffs_naive(300, d)
             assert np.flatnonzero(fs.bits).tolist() == sorted(want)
             assert fs.count() == len(want)
 
-    def test_table_and_direct_paths_agree(self, tables_small):
-        # no table: the sieve of the values d s + 1
-        tiny = ForbiddenSet.build(300, 7, None)
-        fast = ForbiddenSet.build(300, 7, tables_small)
-        assert np.array_equal(tiny.bits, fast.bits)
+    def test_table_and_direct_paths_agree(self):
+        """The bitmap route and the sieve of the values d s + 1
+        (_shifted_primes) give the same read-only bits at n = 2, 3 and on
+        both sides of the bitmap's bound, where ForbiddenSet.build passes
+        from the first to the second (n = bitmap_edge(d))."""
+        for d in (1, 2, 7, 200, 30_000):
+            edge = bitmap_edge(d)
+            for n in sorted({2, 3, edge - 2, edge - 1, edge, edge + 1}):
+                fs = ForbiddenSet.build(n, d)
+                assert np.array_equal(fs.bits, avoider._shifted_primes(n, d)), (n, d)
+                assert not fs.bits.flags.writeable
+
+    def test_prime_bitmap_matches_miller_rabin(self):
+        """The bitmap that producer and certify share at driver sizes, all
+        2^16 entries against is_prime (Miller-Rabin, no sieve); it is
+        read-only and built once."""
+        bitmap = avoider._prime_bitmap()
+        assert bitmap.shape == (2**16,) and not bitmap.flags.writeable
+        assert bitmap.tolist() == [is_prime(v) for v in range(2**16)]
+        assert avoider._prime_bitmap() is bitmap
+
+    def test_bitmap_bound_matches_the_oracle(self):
+        """bits against trial division where d (n - 1) + 1 crosses 2^16,
+        at the last n below it and the first two at or past it for d = 1..4
+        (the tops 2^16 - 1, 2^16 and 2^16 + 1 wherever d reaches them),
+        and at the post-increment shape (25, 200) and at (2, 65534)."""
+        cases = [(n, d, forbidden_diffs_naive(n, d)) for n, d in ((25, 200), (2, 65534))]
+        for d in range(1, 5):
+            edge = bitmap_edge(d)
+            oracle = forbidden_diffs_naive(edge + 1, d)
+            cases += [(n, d, {s for s in oracle if s < n}) for n in (edge - 1, edge, edge + 1)]
+        for n, d, want in cases:
+            assert np.flatnonzero(ForbiddenSet.build(n, d).bits).tolist() == sorted(want), (n, d)
 
     def test_sieve_matches_miller_rabin(self):
-        """Past the tables' reach the values d s + 1 are sieved: the bits
+        """Past the bitmap's bound the values d s + 1 are sieved: the bits
         equal is_prime's for d = 1..6 at sizes on both sides of the largest
-        n a 2,000-entry table covers, down to n = 1, and on the
-        Miller-Rabin route, where sqrt(d (n - 1) + 1) exceeds TABLE_CAP."""
-        tables = build_tables(2000)
+        n the bitmap covers, down to n = 1, and on the Miller-Rabin route,
+        where sqrt(d (n - 1) + 1) exceeds TABLE_CAP."""
         cases = [(2, 10**14), (3, 10**14)]  # roots 10^7 and 1.4 10^7
         for d in range(1, 7):
-            edge = (tables.n_max - 1) // d + 1  # d (edge - 1) + 1 <= n_max
-            cases += [(n, d) for n in (1, 2, 3, 4, 11, edge, edge + 1, edge + 37)]
+            edge = bitmap_edge(d)
+            cases += [(n, d) for n in (1, 2, 3, 4, 11, edge - 1, edge, edge + 37)]
+        small = [is_prime(v) for v in range(2**16 + 512)]  # each value once, not once per n
         for n, d in cases:
-            want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
-            assert ForbiddenSet.build(n, d, tables).bits.tolist() == want, (n, d)
-            assert ForbiddenSet.build(n, d, None).bits.tolist() == want, (n, d)
+            want = [s > 0 and (small[v] if v < len(small) else is_prime(v))
+                    for s, v in enumerate(range(1, d * n + 1, d))]
+            assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
 
     def test_sieve_routes_meet_at_the_prime_count(self):
-        """Without tables the sieve finds each -1/d mod p from a table of
-        the inverses mod d while d is at most the number of sieving primes
-        (p <= sqrt(d (n - 1) + 1), p not dividing d), and by a Fermat power
-        past it.  On both sides of that boundary at several n, and at d in
-        {1, 2, 6, 30, 210}, its bits equal the tables route's and
-        is_prime's; both routes are met."""
+        """The sieve of the values d s + 1 finds each -1/d mod p from a
+        table of the inverses mod d while d is at most the number of
+        sieving primes (p <= sqrt(d (n - 1) + 1), p not dividing d), and by
+        a Fermat power past it.  On both sides of that boundary at several
+        n, and at d in {1, 2, 6, 30, 210}, _shifted_primes's bits equal
+        is_prime's and ForbiddenSet.build's; both routes are met."""
 
         def sieving_primes(n, d):
             return sum(d % p != 0 for p in range(2, math.isqrt(d * (n - 1) + 1) + 1)
@@ -73,12 +107,11 @@ class TestForbiddenSet:
         for n in (10, 100, 1000, 3000):
             past = next(d for d in range(1, 10**4) if d > sieving_primes(n, d))
             cases += [(n, d) for d in (1, 2, 6, 30, 210, past - 2, past - 1, past, past + 1) if d]
-        tables = build_tables(max(d * (n - 1) + 1 for n, d in cases))
         for n, d in cases:
             routes.add(d <= sieving_primes(n, d))
             want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
+            assert avoider._shifted_primes(n, d).tolist() == want, (n, d)
             assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
-            assert ForbiddenSet.build(n, d, tables).bits.tolist() == want, (n, d)
         assert routes == {True, False}
 
     def test_table_budget(self):
@@ -87,17 +120,17 @@ class TestForbiddenSet:
             ForbiddenSet.build(TABLE_CAP + 1, 1)
 
     def test_small_universe(self):
-        fs = ForbiddenSet.build(1, 1, None)
+        fs = ForbiddenSet.build(1, 1)
         assert fs.count() == 0
 
 
 class TestAvoidanceChecks:
-    def test_pair_is_genuine(self, tables_small):
+    def test_pair_is_genuine(self):
         rng = np.random.default_rng(83)
         for _ in range(100):
             n = int(rng.integers(5, 200))
             d = int(rng.integers(1, 4))
-            fs = ForbiddenSet.build(n, d, tables_small)
+            fs = ForbiddenSet.build(n, d)
             k = int(rng.integers(2, n + 1))
             elements = sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist())
             pair = find_forbidden_pair(elements, fs)
@@ -110,21 +143,21 @@ class TestAvoidanceChecks:
                 assert is_prime_naive(d * s + 1)
                 assert not is_avoiding(elements, fs)
 
-    def test_smallest_difference_reported(self, tables_small):
-        fs = ForbiddenSet.build(30, 1, tables_small)
+    def test_smallest_difference_reported(self):
+        fs = ForbiddenSet.build(30, 1)
         # differences 1 (-> 2 prime) and 4 (-> 5 prime) both present
         s, lower, upper = find_forbidden_pair([3, 4, 8], fs)
         assert s == 1
 
-    def test_element_scan_matches_difference_scan(self, tables_small):
+    def test_element_scan_matches_difference_scan(self):
         """Whichever side find_forbidden_pair loops over, it gives the
         frozen s-ascending scan's pair: on seeded sets sparser and denser
         than the forbidden differences, at n = 1, and with no forbidden s."""
         rng = np.random.default_rng(1807)
-        cases = [([1], ForbiddenSet.build(1, 1, None)), ([1, 2, 3], ForbiddenSet.build(3, 7, None))]
+        cases = [([1], ForbiddenSet.build(1, 1)), ([1, 2, 3], ForbiddenSet.build(3, 7))]
         for _ in range(60):
             n, d = int(rng.integers(2, 400)), int(rng.integers(1, 5))
-            fs = ForbiddenSet.build(n, d, tables_small)
+            fs = ForbiddenSet.build(n, d)
             for k in {2, 5, fs.count() // 2 + 1, fs.count() + 1, n // 2 + 1, n}:
                 k = min(k, n)
                 cases.append((rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist(), fs))
@@ -133,36 +166,36 @@ class TestAvoidanceChecks:
             assert find_forbidden_pair(elements, fs) == forbidden_pair_scan(elements, fs.bits)
             sides.add(len(set(elements)) < fs.count())
         assert sides == {True, False}
-        assert ForbiddenSet.build(3, 7, None).count() == 0
+        assert ForbiddenSet.build(3, 7).count() == 0
 
-    def test_empty_and_singleton(self, tables_small):
-        fs = ForbiddenSet.build(50, 1, tables_small)
+    def test_empty_and_singleton(self):
+        fs = ForbiddenSet.build(50, 1)
         assert is_avoiding([], fs)
         assert is_avoiding([17], fs)
 
 
 class TestExactSearch:
-    def test_matches_enumeration_oracle(self, tables_small):
+    def test_matches_enumeration_oracle(self):
         for d in (1, 2, 3):
             optima = avoiding_prefix_optima(16, d)
             for n in range(1, 17):
-                fs = ForbiddenSet.build(n, d, tables_small)
+                fs = ForbiddenSet.build(n, d)
                 res = max_avoiding_exact(fs)
                 assert res.optimal
                 assert res.size == optima[n]
                 assert is_avoiding(res.elements, fs)
                 assert len(res.elements) == res.size
 
-    def test_node_budget_truncates(self, tables_small):
-        fs = ForbiddenSet.build(60, 1, tables_small)
+    def test_node_budget_truncates(self):
+        fs = ForbiddenSet.build(60, 1)
         full = max_avoiding_exact(fs)
         cut = max_avoiding_exact(fs, node_budget=3)
         assert full.optimal and not cut.optimal
         assert cut.size <= full.size
         assert is_avoiding(cut.elements, fs)
 
-    def test_requires_budget_past_cap(self, tables_small):
-        fs = ForbiddenSet.build(65, 1, tables_small)
+    def test_requires_budget_past_cap(self):
+        fs = ForbiddenSet.build(65, 1)
         with pytest.raises(ResourceError):
             max_avoiding_exact(fs)
         res = max_avoiding_exact(fs, node_budget=100_000)
@@ -177,18 +210,18 @@ class TestExactSearch:
             (300, 4, 50, 102, (1, 3, 9, 15, 17, 47, 53, 55, 173, 179, 181, 187, 225)),
         ],
     )
-    def test_pinned_search(self, tables_small, n, d, budget, nodes, elements):
+    def test_pinned_search(self, n, d, budget, nodes, elements):
         """Node counts and sets pin the doll's branching order; a truncated
         run's set pins the fallback's vertex order, its include branch and
         its greedy incumbent."""
-        res = max_avoiding_exact(ForbiddenSet.build(n, d, tables_small), node_budget=budget)
+        res = max_avoiding_exact(ForbiddenSet.build(n, d), node_budget=budget)
         assert (res.nodes, res.elements) == (nodes, elements)
         assert res.optimal == (budget is None)
 
-    def test_doll_agrees_with_branch_and_bound(self, tables_small):
+    def test_doll_agrees_with_branch_and_bound(self):
         for d in (1, 2, 3, 4):
             for n in range(1, 65):
-                fs = ForbiddenSet.build(n, d, tables_small)
+                fs = ForbiddenSet.build(n, d)
                 doll = max_avoiding_exact(fs)
                 bnb = avoider._branch_and_bound(fs, None)
                 assert doll.optimal and bnb.optimal
@@ -205,29 +238,29 @@ class TestExactSearch:
             n, d = int(rng.integers(1, 161)), int(rng.integers(1, 5))
             cases.append((n, d, None if n <= 48 else int(rng.integers(1, 3000))))
         for n, d, budget in cases:
-            res = avoider._branch_and_bound(ForbiddenSet.build(n, d, None), budget)
+            res = avoider._branch_and_bound(ForbiddenSet.build(n, d), budget)
             got = (res.elements, res.size, res.optimal, res.nodes)
             assert got == branch_and_bound_rows(n, d, budget), (n, d, budget)
 
     @pytest.mark.parametrize("n, d, optimum", [(128, 1, 12), (200, 2, 12), (160, 4, 15)])
-    def test_frontier_proven(self, tables_small, n, d, optimum):
+    def test_frontier_proven(self, n, d, optimum):
         """Optima branch-and-bound alone does not prove within 3M nodes."""
-        res = max_avoiding_exact(ForbiddenSet.build(n, d, tables_small), node_budget=3_000_000)
+        res = max_avoiding_exact(ForbiddenSet.build(n, d), node_budget=3_000_000)
         assert res.optimal and res.size == optimum
 
-    def test_node_guard(self, tables_small):
+    def test_node_guard(self):
         """The benchmark's exact case: the doll proves it in under 10,000
         nodes, branch-and-bound alone in 442,089."""
-        fs = ForbiddenSet.build(88, 1, tables_small)
+        fs = ForbiddenSet.build(88, 1)
         res = max_avoiding_exact(fs, node_budget=3_000_000)
         assert res.optimal and res.size == 10
         assert res.nodes <= 10_000
         assert avoider._branch_and_bound(fs, None).nodes == 442_089
 
-    def test_truncated_run_is_the_fallback(self, tables_small):
+    def test_truncated_run_is_the_fallback(self):
         """An exhausted budget spends budget + 1 nodes in the doll, then
         returns branch-and-bound's set under the same budget."""
-        fs = ForbiddenSet.build(120, 3, tables_small)
+        fs = ForbiddenSet.build(120, 3)
         res = max_avoiding_exact(fs, node_budget=300)
         bnb = avoider._branch_and_bound(fs, 300)
         assert not res.optimal and not bnb.optimal
@@ -235,46 +268,45 @@ class TestExactSearch:
         assert res.nodes == 301 + bnb.nodes
 
     @pytest.mark.parametrize("budget", [0, -5])
-    def test_budget_below_one(self, tables_small, budget):
+    def test_budget_below_one(self, budget):
         with pytest.raises(DomainError, match="node budget"):
-            max_avoiding_exact(ForbiddenSet.build(20, 1, tables_small), node_budget=budget)
+            max_avoiding_exact(ForbiddenSet.build(20, 1), node_budget=budget)
 
 
 class TestGreedy:
-    def test_first_fit_small_case(self, tables_small):
+    def test_first_fit_small_case(self):
         # forbidden diffs for d=1 start 1, 2, 4, 6, 10, 12; the ascending
         # scan keeps 1, then the next allowed gaps
-        fs = ForbiddenSet.build(12, 1, tables_small)
+        fs = ForbiddenSet.build(12, 1)
         res = greedy_avoiding(fs, strategy="first_fit")
         assert res.elements[0] == 1
         assert is_avoiding(res.elements, fs)
         assert not res.optimal
 
-    def test_first_fit_matches_naive_scan(self, tables_small):
+    def test_first_fit_matches_naive_scan(self):
         rng = np.random.default_rng(404)
         for _ in range(12):
             n = int(rng.integers(1, 401))
             d = int(rng.integers(1, 5))
             want = tuple(first_fit_naive(n, d))
-            for tables in (tables_small, None):  # sieve and Miller-Rabin paths
-                fs = ForbiddenSet.build(n, d, tables)
-                assert greedy_avoiding(fs, strategy="first_fit").elements == want
+            fs = ForbiddenSet.build(n, d)
+            assert greedy_avoiding(fs, strategy="first_fit").elements == want
 
-    def test_first_fit_deterministic(self, tables_small):
-        fs = ForbiddenSet.build(500, 2, tables_small)
+    def test_first_fit_deterministic(self):
+        fs = ForbiddenSet.build(500, 2)
         a = greedy_avoiding(fs, strategy="first_fit")
         b = greedy_avoiding(fs, strategy="first_fit")
         assert a.elements == b.elements
 
-    def test_random_local_improves_or_matches(self, tables_small):
-        fs = ForbiddenSet.build(400, 1, tables_small)
+    def test_random_local_improves_or_matches(self):
+        fs = ForbiddenSet.build(400, 1)
         base = greedy_avoiding(fs, strategy="first_fit")
         better = greedy_avoiding(fs, strategy="random_local", seed=5)
         assert is_avoiding(better.elements, fs)
         assert better.size >= base.size
 
-    def test_random_local_seed_determinism(self, tables_small):
-        fs = ForbiddenSet.build(300, 1, tables_small)
+    def test_random_local_seed_determinism(self):
+        fs = ForbiddenSet.build(300, 1)
         a = greedy_avoiding(fs, strategy="random_local", seed=11)
         b = greedy_avoiding(fs, strategy="random_local", seed=11)
         assert a.elements == b.elements
@@ -291,10 +323,10 @@ class TestGreedy:
                          298, 343, 348, 363, 382, 387, 396)),
         ],
     )
-    def test_pinned_random_local(self, tables_small, n, d, seed, elements):
+    def test_pinned_random_local(self, n, d, seed, elements):
         """Pinned outputs: the random orders and, on the last three, the
         remove-1/add-2 step decide them, so any change in RNG use fails."""
-        fs = ForbiddenSet.build(n, d, tables_small)
+        fs = ForbiddenSet.build(n, d)
         assert greedy_avoiding(fs, strategy="random_local", seed=seed).elements == elements
 
     @staticmethod
@@ -313,14 +345,14 @@ class TestGreedy:
         """first_fit and random_local on bitsets equal the per-point
         conflict-count oracles, the seeded draws included."""
         for n, d, seed in self._oracle_cases():
-            fs = ForbiddenSet.build(n, d, None)
+            fs = ForbiddenSet.build(n, d)
             assert fs.count() == len(forbidden_diffs_naive(n, d)), (n, d)
             first = greedy_avoiding(fs, strategy="first_fit")
             assert first.elements == tuple(first_fit_naive(n, d)), (n, d)
             local = greedy_avoiding(fs, strategy="random_local", seed=seed)
             assert local.elements == tuple(random_local_naive(n, d, seed)), (n, d, seed)
 
-    def test_unknown_strategy(self, tables_small):
-        fs = ForbiddenSet.build(30, 1, tables_small)
+    def test_unknown_strategy(self):
+        fs = ForbiddenSet.build(30, 1)
         with pytest.raises(DomainError):
             greedy_avoiding(fs, strategy="simulated_annealing")

@@ -2,17 +2,22 @@
 functions by name and its counters read attributes of their results.  It
 lists a target it cannot find as missing and goes on, so a renamed
 function or attribute would only thin out its numbers; these tests hold
-the program to what the recorder reads, without importing or editing it."""
+the program to what the recorder reads, and to the calls the benchmark's
+driver section makes (perfbench/library.py), without importing or editing
+either."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
+from primediff import driver
 from primediff.avoider import ForbiddenSet, max_avoiding_exact
 from primediff.driver import IterationConfig, iterate_once, run
 from primediff.increment import DensitySet, energy_table
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+LIBRARY = SPANS.parent / "library.py"
 
 # targets no run path has any more; the recorder reports them as missing
 MISSING = {
@@ -48,7 +53,7 @@ def test_every_span_target_resolves():
     assert {t for t in targets if not resolves(t)} == MISSING
 
 
-def test_counter_attributes_exist(tables_small):
+def test_counter_attributes_exist():
     """What the counters read: energy_table's rows (one per level),
     exact search's nodes and seconds, a run's terminal and a step's tag."""
     A = DensitySet.from_iterable(300, range(1, 301, 7))
@@ -58,7 +63,27 @@ def test_counter_attributes_exist(tables_small):
     result = max_avoiding_exact(ForbiddenSet.build(40, 1), node_budget=10_000)
     assert isinstance(result.nodes, int) and isinstance(result.seconds, float)
 
-    trace = run(A, 1, IterationConfig(), tables_small)
+    trace = run(A, 1, IterationConfig())
     assert isinstance(trace.terminal, str)
-    outcome, _ = iterate_once(A, 1, IterationConfig(), tables_small)
+    outcome, _ = iterate_once(A, 1, IterationConfig())
     assert isinstance(outcome.tag, str)
+
+
+def test_benchmark_calls_bind_to_the_driver():
+    """The benchmark's driver section calls driver.run and driver.certify
+    (it still passes sieve tables to both); each call in library.py, read
+    as source, binds to today's signature, so a dropped or renamed
+    parameter fails here, not as a TypeError in every driver operation."""
+    calls = [
+        node
+        for node in ast.walk(ast.parse(LIBRARY.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "driver"
+        and node.func.attr in ("run", "certify")
+    ]
+    assert sorted(call.func.attr for call in calls) == ["certify", "run"]
+    for call in calls:
+        signature = inspect.signature(getattr(driver, call.func.attr))
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})

@@ -841,7 +841,7 @@ class TestIterateCommand:
         assert step["witness"] == {"reason": "energy 1.251 below 40 at level q=1"}
 
     def test_certification_failure_exit(self, capsys, monkeypatch):
-        def boom(trace, tables):
+        def boom(trace):
             raise CertificationError("forced")
 
         monkeypatch.setattr(driver, "certify", boom)

@@ -5,6 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,16 +38,16 @@ from primediff.increment import DensitySet, energy_table
 from oracles import inner_products_naive, is_prime_naive
 
 
-def avoiding_set(n, d, tables):
-    fs = ForbiddenSet.build(n, d, tables)
+def avoiding_set(n, d):
+    fs = ForbiddenSet.build(n, d)
     res = greedy_avoiding(fs, strategy="first_fit")
     return DensitySet.from_iterable(n, res.elements)
 
 
-def class_avoiding_set(n, tables):
+def class_avoiding_set(n):
     """First fit over 1, 4, 7, ... in [1, n] against the differences s with
     s + 1 prime: sparse, and structured mod 3."""
-    fs = ForbiddenSet.build(n, 1, tables)
+    fs = ForbiddenSet.build(n, 1)
     taken, blocked = [], np.zeros(2 * n + 1, dtype=bool)
     diffs = np.flatnonzero(fs.bits)
     for x in range(1, n + 1, 3):
@@ -104,14 +108,14 @@ class TestIterationConfig:
 
 
 class TestIterateOnce:
-    def test_interval_structure(self, tables_small):
+    def test_interval_structure(self):
         A = DensitySet.from_iterable(100, range(1, 101))
-        out, _ = iterate_once(A, 1, IterationConfig(), tables_small)
+        out, _ = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, StructureFound)
         assert (out.x, out.p) == (1, 2)
         assert out.upper - out.lower == out.x
 
-    def test_witness_is_genuine(self, tables_small):
+    def test_witness_is_genuine(self):
         rng = np.random.default_rng(89)
         cfg = IterationConfig()
         for _ in range(60):
@@ -121,41 +125,41 @@ class TestIterateOnce:
                 n, rng.choice(np.arange(1, n + 1), size=k, replace=False)
             )
             d = int(rng.integers(1, 4))
-            out, _ = iterate_once(A, d, cfg, tables_small)
+            out, _ = iterate_once(A, d, cfg)
             if isinstance(out, StructureFound):
                 assert is_prime_naive(out.p)
                 assert out.p == d * out.x + 1
                 assert A.contains(out.lower) and A.contains(out.upper)
 
-    def test_small_universe(self, tables_small):
+    def test_small_universe(self):
         A = DensitySet.from_iterable(10, [1, 2])
-        out, _ = iterate_once(A, 1, IterationConfig(), tables_small)
+        out, _ = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, SmallN)
 
-    def test_small_alpha(self, tables_small):
+    def test_small_alpha(self):
         A = DensitySet.from_iterable(5000, [1, 3000])
-        out, _ = iterate_once(A, 1, IterationConfig(), tables_small)
+        out, _ = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, SmallAlpha)
 
-    def test_window_collapse(self, tables_small):
+    def test_window_collapse(self):
         # alpha above floor but floor(c alpha N) = 0: nothing to correlate on
         A = DensitySet.from_iterable(100, [1, 50])
-        out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
+        out, diag = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, SmallN)
         assert diag["n_prime"] == 0
 
-    def test_d_ceiling(self, tables_small):
+    def test_d_ceiling(self):
         # the pair scan precedes the ceiling check, so the set must avoid
         # the forbidden differences for this d
-        A = avoiding_set(100, 50, tables_small)
-        out, _ = iterate_once(A, 50, IterationConfig(), tables_small)
+        A = avoiding_set(100, 50)
+        out, _ = iterate_once(A, 50, IterationConfig())
         assert isinstance(out, LargeDOrSmallAlpha)
         assert "d=50" in out.reason
 
-    def test_avoiding_class_increments(self, tables_small):
+    def test_avoiding_class_increments(self):
         """A sparse avoiding set still yields a recounted density jump."""
-        A = class_avoiding_set(3000, tables_small)
-        out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
+        A = class_avoiding_set(3000)
+        out, diag = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, DensityIncrement)
         inc = out.outcome
         assert inc.met_guarantee
@@ -165,7 +169,7 @@ class TestIterateOnce:
         assert got == inc.intersection_count
         assert out.new_set.size == inc.intersection_count
 
-    def test_one_arc_range_pass_per_step(self, tables_small, monkeypatch):
+    def test_one_arc_range_pass_per_step(self, monkeypatch):
         """A step that reaches extraction computes the arc ranges once, in
         energy_table: extraction reads its level's E from the table row."""
         calls, arc_ranges = [], increment.arc_ranges
@@ -175,8 +179,8 @@ class TestIterateOnce:
             return arc_ranges(*args)
 
         monkeypatch.setattr(increment, "arc_ranges", counted)
-        A = class_avoiding_set(3000, tables_small)
-        out, diag = iterate_once(A, 1, IterationConfig(), tables_small)
+        A = class_avoiding_set(3000)
+        out, diag = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, DensityIncrement)
         assert len(calls) == 1
         row = diag["energy_table"].rows[out.q - 1]
@@ -206,26 +210,26 @@ class TestLevelSelection:
         return built
 
     @pytest.fixture
-    def sparse_set(self, tables_small):
-        A = class_avoiding_set(600, tables_small)
-        _, diag = iterate_once(A, 1, IterationConfig(), tables_small)
+    def sparse_set(self):
+        A = class_avoiding_set(600)
+        _, diag = iterate_once(A, 1, IterationConfig())
         assert diag["q_prime"] == diag["q_double"] == 50  # every level is admissible
         return A
 
-    def test_tied_ratios_pick_the_lower_level(self, sparse_set, tables_small, monkeypatch):
+    def test_tied_ratios_pick_the_lower_level(self, sparse_set, monkeypatch):
         """E*/phi(q) ties between q = 3 (phi 2) and q = 2 (phi 1), and at a
         higher value between q = 7 (phi 6) and q = 4 (phi 2): q = 4 wins."""
         self.stubbed(monkeypatch, {2: 0.5, 3: 1.0, 4: 3.0, 7: 9.0})
-        out, diag = iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        out, diag = iterate_once(sparse_set, 1, IterationConfig())
         assert out.reason == "energy 0 below 0.08 at level q=4"
         assert diag["trigger"] == 0.5 + 0.5 + 1.5 + 1.5
         self.stubbed(monkeypatch, {2: 0.5, 3: 1.0})
-        out, _ = iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        out, _ = iterate_once(sparse_set, 1, IterationConfig())
         assert out.reason == "energy 0 below 0.08 at level q=2"
 
-    def test_no_positive_star_energy(self, sparse_set, tables_small, monkeypatch):
+    def test_no_positive_star_energy(self, sparse_set, monkeypatch):
         self.stubbed(monkeypatch, {1: -1.0, 5: -1e-300, 50: -0.0})
-        out, diag = iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        out, diag = iterate_once(sparse_set, 1, IterationConfig())
         assert out == LargeDOrSmallAlpha("no positive star energy at admissible levels")
         assert "energy_table" in diag
 
@@ -237,9 +241,9 @@ class TestLevelSelection:
         trace = run(sparse_set, 1, IterationConfig(), tables_small)
         assert trace.steps[0].energy_top == ((1, 0.0), (2, 0.0), (3, 0.0))
 
-    def test_rows_of_the_stub_table(self, sparse_set, tables_small, monkeypatch):
+    def test_rows_of_the_stub_table(self, sparse_set, monkeypatch):
         built = self.stubbed(monkeypatch, {3: 0.25, 8: 2.0})
-        iterate_once(sparse_set, 1, IterationConfig(), tables_small)
+        iterate_once(sparse_set, 1, IterationConfig())
         (table,) = built
         for q in range(1, 51):
             want = (q, 1 / (q * table.big_q), table.energy[q - 1], table.star_energy[q - 1])
@@ -256,7 +260,7 @@ class TestRun:
         assert trace.steps[0].step == 1
 
     def test_avoiding_chain_terminates(self, tables_small):
-        A = avoiding_set(400, 1, tables_small)
+        A = avoiding_set(400, 1)
         trace = run(A, 1, IterationConfig(), tables_small)
         assert trace.terminal in {
             "structure_found",
@@ -273,7 +277,7 @@ class TestRun:
                 assert nxt.d == prev.d * prev.outcome.q
 
     def test_budget_terminal(self, tables_small):
-        A = avoiding_set(600, 1, tables_small)
+        A = avoiding_set(600, 1)
         cfg = IterationConfig(max_steps=1)
         trace = run(A, 1, cfg, tables_small)
         if trace.steps[0].outcome.tag == "density_increment":
@@ -282,7 +286,7 @@ class TestRun:
 
 class TestTraceJsonl:
     def test_records_parse(self, tables_small):
-        A = avoiding_set(400, 1, tables_small)
+        A = avoiding_set(400, 1)
         trace = run(A, 1, IterationConfig(), tables_small)
         lines = trace_to_jsonl(trace, manifest={"command": "t"})
         header = json.loads(lines[0])
@@ -300,7 +304,7 @@ class TestTraceJsonl:
         json.dumps of the whole header with sorted keys, for a config other
         than the default and a manifest, and again without the manifest."""
         cfg = IterationConfig(c=0.3, c_prime=1500.0, max_steps=5, q_cap=40)
-        trace = run(avoiding_set(400, 1, tables_small), 1, cfg, tables_small)
+        trace = run(avoiding_set(400, 1), 1, cfg, tables_small)
         manifest = {"command": "iterate", "parameters": {"n": 400, "z": [1.5, None]}}
         header = {
             "record": "header",
@@ -360,7 +364,7 @@ class TestCertify:
     def test_passes_on_real_traces(self, tables_small):
         for build in (
             lambda: DensitySet.from_iterable(100, range(1, 101)),
-            lambda: avoiding_set(400, 1, tables_small),
+            lambda: avoiding_set(400, 1),
             lambda: DensitySet.from_iterable(20, [1, 5]),
         ):
             trace = run(build(), 1, IterationConfig(), tables_small)
@@ -381,7 +385,7 @@ class TestCertify:
             certify(bad, tables_small)
 
     def test_detects_count_tampering(self, tables_small):
-        A = avoiding_set(400, 1, tables_small)
+        A = avoiding_set(400, 1)
         trace = run(A, 1, IterationConfig(), tables_small)
         for i, s in enumerate(trace.steps):
             if s.outcome.tag != "density_increment":
@@ -407,7 +411,7 @@ class TestCertify:
     def test_detects_energy_tampering(self, shift, tables_small):
         """An increment step whose recorded E moves past the tolerance
         1e-9 max(1, E) fails the recount."""
-        trace = run(class_avoiding_set(3000, tables_small), 1, IterationConfig(), tables_small)
+        trace = run(class_avoiding_set(3000), 1, IterationConfig(), tables_small)
         i = self._first_increment(trace)
         s = trace.steps[i]
         energy = s.outcome.outcome.detail["energy"]
@@ -420,7 +424,7 @@ class TestCertify:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda t: class_avoiding_set(3000, t), lambda t: avoiding_set(400, 1, t)],
+        [lambda: class_avoiding_set(3000), lambda: avoiding_set(400, 1)],
         ids=["class_avoiding_3000", "avoiding_400"],
     )
     def test_rejects_a_wrong_grid_power(self, build, tables_small, monkeypatch):
@@ -433,7 +437,7 @@ class TestCertify:
             return m, 1.5 * power
 
         monkeypatch.setattr(increment, "grid_power", inflated)
-        trace = run(build(tables_small), 1, IterationConfig(), tables_small)
+        trace = run(build(), 1, IterationConfig(), tables_small)
         assert any(s.outcome.tag == "density_increment" for s in trace.steps)
         with pytest.raises(CertificationError, match="energy recount"):
             certify(trace, tables_small)
@@ -441,7 +445,7 @@ class TestCertify:
     def test_recount_shares_no_spectral_primitive(self, tables_small, monkeypatch):
         """certify passes a good trace with the producer's grid transform,
         arc ranges and level sums all made to raise."""
-        trace = run(class_avoiding_set(3000, tables_small), 1, IterationConfig(), tables_small)
+        trace = run(class_avoiding_set(3000), 1, IterationConfig(), tables_small)
 
         def boom(*args, **kwargs):
             raise AssertionError("certify called a producer primitive")
@@ -480,7 +484,7 @@ class TestCertify:
         and fails under one whose extraction cap Q'' = 1/(c''^2 alpha^2)
         clamps to 1: no run of that config could pick level 4.  (N = 120,
         so the grid is 8N = 960 = 2^6 3 5 itself.)"""
-        trace = run(avoiding_set(120, 2, tables_small), 2, IterationConfig(), tables_small)
+        trace = run(avoiding_set(120, 2), 2, IterationConfig(), tables_small)
         assert trace.steps[0].q == 4
         certify(trace, tables_small)
         capped = dataclasses.replace(trace.config, c_double_prime=1000.0)
@@ -505,7 +509,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_rejects_a_step_with_d_below_1(self, d, tables_small):
-        trace = run(avoiding_set(120, 2, tables_small), 2, IterationConfig(), tables_small)
+        trace = run(avoiding_set(120, 2), 2, IterationConfig(), tables_small)
         bad = self._tampered(trace, d=d)
         with pytest.raises(CertificationError, match="step 1: need n, d >= 1"):
             certify(bad, tables_small)
@@ -522,7 +526,7 @@ class TestCertify:
             return real(f, m)
 
         monkeypatch.setattr(increment, "grid_power", recorded)
-        A = class_avoiding_set(997, tables_small)
+        A = class_avoiding_set(997)
         trace = run(A, 1, IterationConfig(), tables_small)
         assert sizes == [8000]
         assert certify(trace, tables_small)[0].startswith("step 1: density_increment ok")
@@ -572,6 +576,161 @@ class TestCertify:
             certify(bad, tables_small)
 
 
+class TestCertifyIncrement:
+    """One fault per density_increment check, on step 1 of a two-step
+    trace (an increment at q = 1 on [1, 3000], then small_n on 25
+    points): each tampered field fails that check's own message."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        trace = run(class_avoiding_set(3000), 1, IterationConfig())
+        assert [s.outcome.tag for s in trace.steps] == ["density_increment", "small_n"]
+        certify(trace)
+        return trace
+
+    @staticmethod
+    def with_increment(trace, **changes):
+        """trace with step 1's IncrementOutcome fields changed."""
+        step = trace.steps[0]
+        inc = dataclasses.replace(step.outcome.outcome, **changes)
+        out = dataclasses.replace(step.outcome, outcome=inc)
+        return dataclasses.replace(trace, steps=[dataclasses.replace(step, outcome=out), trace.steps[1]])
+
+    @staticmethod
+    def with_outcome(trace, **changes):
+        """trace with step 1's DensityIncrement fields changed."""
+        step = trace.steps[0]
+        out = dataclasses.replace(step.outcome, **changes)
+        return dataclasses.replace(trace, steps=[dataclasses.replace(step, outcome=out), trace.steps[1]])
+
+    @staticmethod
+    def with_next(trace, **changes):
+        """trace with step 2's fields changed."""
+        return dataclasses.replace(
+            trace, steps=[trace.steps[0], dataclasses.replace(trace.steps[1], **changes)]
+        )
+
+    def test_progression_leaves_the_universe(self, trace):
+        P = trace.steps[0].outcome.outcome.progression
+        bad = self.with_increment(trace, progression=dataclasses.replace(P, first=P.first + 3000))
+        with pytest.raises(CertificationError, match=r"step 1: progression leaves \[1, 3000\]"):
+            certify(bad)
+
+    def test_progression_step_is_not_the_level(self, trace):
+        bad = self.with_outcome(trace, q=2)
+        with pytest.raises(CertificationError, match="step 1: progression step != chosen q"):
+            certify(bad)
+
+    def test_new_alpha_is_not_the_recount(self, trace):
+        new_alpha = trace.steps[0].outcome.outcome.new_alpha
+        bad = self.with_increment(trace, new_alpha=new_alpha + 1e-3)
+        with pytest.raises(CertificationError, match="step 1: new_alpha inconsistent"):
+            certify(bad)
+
+    def test_gain_below_the_threshold(self, trace):
+        """A threshold the recorded gain new_alpha / alpha - 1 falls short of."""
+        step = trace.steps[0]
+        ratio = step.outcome.outcome.new_alpha / step.alpha
+        higher = dataclasses.replace(trace.config, gain_threshold=ratio)
+        bad = dataclasses.replace(trace, config=higher)
+        with pytest.raises(CertificationError, match="step 1: gain below configured threshold"):
+            certify(bad)
+
+    def test_d_chain_broken(self, trace):
+        bad = self.with_outcome(trace, new_d=2)
+        with pytest.raises(CertificationError, match="step 1: d chain broken"):
+            certify(bad)
+
+    @pytest.mark.parametrize("field", ["n", "d"])
+    def test_next_step_does_not_start_on_the_progression(self, trace, field):
+        bad = self.with_next(trace, **{field: getattr(trace.steps[1], field) + 1})
+        with pytest.raises(CertificationError, match=r"step 1: next step \(n, d\) mismatch"):
+            certify(bad)
+
+    def test_next_snapshot_is_not_the_rescaled_set(self, trace):
+        bad = self.with_next(trace, set_snapshot=trace.steps[1].set_snapshot[:-1])
+        with pytest.raises(CertificationError, match="step 1: rescaled snapshot mismatch"):
+            certify(bad)
+
+    def test_a_trace_ending_on_an_increment_certifies(self):
+        """With max_steps = 1 the run stops on its increment: there is no
+        next step to compare, and the terminal is budget."""
+        trace = run(class_avoiding_set(3000), 1, IterationConfig(max_steps=1))
+        assert [s.outcome.tag for s in trace.steps] == ["density_increment"]
+        assert trace.terminal == "budget"
+        lines = certify(trace)
+        assert lines[0].startswith("step 1: density_increment ok")
+        assert lines[-1] == "terminal: budget ok"
+
+
+class TestCertifyRun:
+    """The checks on the run as a whole, one fault each."""
+
+    @pytest.fixture(scope="class")
+    def found(self):
+        """One structure_found step on [1, 100]."""
+        return run(DensitySet.from_iterable(100, range(1, 101)), 1, IterationConfig())
+
+    @pytest.fixture(scope="class")
+    def increment(self):
+        """An increment at q = 4 on 120 points at d = 2, then small_n."""
+        trace = run(avoiding_set(120, 2), 2, IterationConfig())
+        assert [s.outcome.tag for s in trace.steps] == ["density_increment", "small_n"]
+        return trace
+
+    def test_refuses_an_empty_trace(self, found):
+        with pytest.raises(CertificationError, match="^empty trace$"):
+            certify(dataclasses.replace(found, steps=[]))
+
+    def test_no_more_steps_than_max_steps(self, increment):
+        """Two steps, the second small_n, certify under max_steps 32 and
+        not under 1, where the run would have stopped after its increment."""
+        one = dataclasses.replace(increment.config, max_steps=1)
+        with pytest.raises(CertificationError, match="^2 steps, past max_steps 1$"):
+            certify(dataclasses.replace(increment, config=one))
+
+    @pytest.mark.parametrize("field", ["initial_n", "initial_d"])
+    def test_step_1_starts_at_the_initial_n_and_d(self, found, field):
+        bad = dataclasses.replace(found, **{field: getattr(found, field) + 1})
+        with pytest.raises(CertificationError, match=r"step 1: \(n, d\) = \(100, 1\) != initial"):
+            certify(bad)
+
+    def test_only_an_increment_is_followed_by_a_step(self, found):
+        again = dataclasses.replace(found.steps[0], step=2)
+        bad = dataclasses.replace(found, steps=[found.steps[0], again])
+        with pytest.raises(CertificationError, match="step 1: structure_found is followed by another step"):
+            certify(bad)
+
+    @pytest.mark.parametrize("terminal", ["small_alpha", "budget"])
+    def test_terminal_is_the_last_steps_tag(self, found, terminal):
+        bad = dataclasses.replace(found, terminal=terminal)
+        with pytest.raises(
+            CertificationError, match=f"terminal '{terminal}' != the last step's 'structure_found'"
+        ):
+            certify(bad)
+
+    def test_budget_needs_max_steps_increments(self, increment):
+        """A run cut after its first increment, 1 of max_steps 32 steps,
+        cannot end in budget, nor end on an increment in another tag."""
+        for terminal in ("budget", "density_increment"):
+            bad = dataclasses.replace(increment, steps=increment.steps[:1], terminal=terminal)
+            with pytest.raises(
+                CertificationError,
+                match=f"terminal '{terminal}' after 1 steps ending on an increment, max_steps 32",
+            ):
+                certify(bad)
+
+    def test_increment_d_at_most_the_ceiling(self, increment):
+        """The step increments at d = 2 on N = 120; under d_ceiling_exponent
+        0.1 the ceiling is 120^0.1 = 1.61, so no run could have taken it."""
+        certify(increment)
+        lowered = dataclasses.replace(increment.config, d_ceiling_exponent=0.1)
+        with pytest.raises(
+            CertificationError, match=r"step 1: density_increment at d=2 above N\^0.1 = 1.61"
+        ):
+            certify(dataclasses.replace(increment, config=lowered))
+
+
 class TestEnergyRecount:
     @pytest.mark.parametrize(
         "seed, n, extra, big_q",
@@ -598,8 +757,36 @@ class TestEnergyRecount:
             assert abs(_recount_energy(A, row.q, m, big_q) - e) <= 1e-12 * max(1.0, e), row.q
 
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+    def test_recount_memory_is_linear_in_n(self):
+        """The recount at N = 200,000 with |A| = 5,000 counts its 12.5
+        million pair differences a block of rows at a time: a fresh
+        interpreter peaks below 100 MB resident (about 53 MB measured;
+        354 MB with all |A|^2 differences held at once)."""
+        child = (
+            "import re\n"
+            "import numpy as np\n"
+            "from primediff.driver import _recount_energy\n"
+            "from primediff.increment import DensitySet\n"
+            "rng = np.random.default_rng(0)\n"
+            "A = DensitySet(200_000, np.sort(rng.choice(200_000, size=5_000, replace=False) + 1))\n"
+            "e = _recount_energy(A, 3, 1_600_000, 100)\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(e > 0, re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+        )
+        src = str(pathlib.Path(driver.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+        )
+        positive, peak_kb = proc.stdout.split()
+        assert positive == "True"
+        assert int(peak_kb) < 100 * 1024, f"peak {int(peak_kb) // 1024} MB"
+
+
 class TestCorrelations:
-    """_correlations, certify's difference counts, against double loops."""
+    """_correlations, certify's pair-difference counts, against double loops."""
 
     @staticmethod
     def check(A, top):
@@ -627,8 +814,19 @@ class TestCorrelations:
                 self.check(A, n - 1)
                 assert _correlations(A, n - 1)[0][0] == A.size
 
-    def test_avoiding_set_counts_no_forbidden_difference(self, tables_small):
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_rows_in_blocks(self, block, monkeypatch):
+        """With at most `block` pair differences formed at once (one row a
+        block when block < |A|), the counts are the same."""
+        monkeypatch.setattr(driver, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(5):
+            n = int(rng.integers(40, 120))
+            k = int(rng.integers(2, n + 1))
+            self.check(DensitySet.from_iterable(n, rng.choice(n, size=k, replace=False) + 1), n - 1)
+
+    def test_avoiding_set_counts_no_forbidden_difference(self):
         """r_AA vanishes at every forbidden difference of an avoiding set."""
-        A = avoiding_set(500, 1, tables_small)
+        A = avoiding_set(500, 1)
         r_aa = _correlations(A, 499)[0]
-        assert not r_aa[ForbiddenSet.build(500, 1, tables_small).bits[:500]].any()
+        assert not r_aa[ForbiddenSet.build(500, 1).bits[:500]].any()
