@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import gc
 import json
 import math
 import re
@@ -167,13 +168,17 @@ def _cmd_spectrum(args) -> None:
         params["exc_beta"] = exceptional.beta
     manifest = _manifest("spectrum", params, args.seed, args.timestamp)
 
+    bounds = report.bounds.ravel()
+
     def columns(rows: slice):
-        actual, bound = report.actual[rows], report.bound[rows]
+        actual, index = report.actual[rows], report.bound_index(rows)
         theta = np.arange(rows.start, rows.stop) / m
-        return theta, report.a[rows], report.q[rows], report.major[rows], actual, bound, actual / bound
+        ratio = actual / bounds[index]
+        return theta, report.a[rows], report.q[rows], report.major[rows], actual, index, ratio
 
     header = "theta,a,q,class,actual,bound,ratio"
-    fields = ("%.12g", "%d", "%d", ("minor", "major"), "%.12g", "%.12g", "%.12g")
+    # class and bound index tables: each word and each bound is rendered once
+    fields = ("%.12g", "%d", "%d", ("%s", ("minor", "major")), "%.12g", ("%.12g", bounds), "%.12g")
     _write_text(args.out, csv_blocks(header, fields, m, columns, _manifest_comment(manifest)))
 
 
@@ -391,6 +396,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; argv None reads sys.argv, as the console script does.
+
+    Such a process keeps numpy and the package, imported by now, until it
+    exits, so they are frozen out of the collector: the full collections at
+    shut-down then skip them (about 22,000 objects, 3 ms a pass).  Objects
+    the command makes are collected as usual.  A call with argv, as from a
+    test, leaves the collector alone."""
+    if argv is None:
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -18,7 +18,14 @@ with rows of separators, transposes once, and drops every NUL with one
   (x 10^(11-X) within 1e-3 of a half-integer, or 10^(11-X) not finite),
   and every negative, -0.0, nan or inf, is formatted by `'%.12g' % x`
   itself, so the text equals printf's by construction.
-- a tuple of words (`class`): the column indexes it.
+- `%s` of a sequence of str: each word, NUL-padded to the longest.
+
+A field may also be indexed, `(fmt, table)`: its column holds indices into
+the table, and its text is that of table[index] in fmt.  The table's frame
+is rendered once per table, not once per chunk, and each chunk gathers its
+rows from it with `np.take`, so the bytes are those of the gathered values
+by construction.  The spectrum's `class` words and its per-(class, q)
+`bound` values are indexed fields.
 """
 
 from __future__ import annotations
@@ -154,27 +161,32 @@ def _g12_frame(x: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _word_frame(index: np.ndarray, words: tuple) -> np.ndarray:
-    """words[i] for each i of the column."""
+def _word_frame(words) -> np.ndarray:
+    """Each word of a sequence of str."""
     width = max(map(len, words))
     table = np.array([w.encode() for w in words], dtype=f"S{width}")
-    table = table.view(np.uint8).reshape(len(words), width).T.copy()
-    return np.take(table, index.astype(np.intp), axis=1)
+    return table.view(np.uint8).reshape(len(words), width).T
 
 
-def render_rows(fields: tuple, columns) -> bytes:
-    """The rows' CSV text, each line newline-terminated.  fields[i] is
-    "%d", "%.12g" or a tuple of words, the format of columns[i]."""
+_FRAMES = {"%d": _int_frame, "%.12g": _g12_frame, "%s": _word_frame}
+
+
+def _formatter(spec):
+    """The function from a column of the field `spec` to its frame: a
+    format of _FRAMES, or an indexed field (fmt, table), whose table is
+    rendered here, once."""
+    if isinstance(spec, str):
+        return _FRAMES[spec]
+    fmt, table = spec
+    frame = _FRAMES[fmt](table)
+    return lambda index: np.take(frame, np.asarray(index, dtype=np.intp), axis=1)
+
+
+def _render(formatters, columns) -> bytes:
     n = len(columns[0])
     frames = []
-    for spec, column in zip(fields, columns):
-        column = np.asarray(column)
-        if spec == "%d":
-            frames.append(_int_frame(column))
-        elif spec == "%.12g":
-            frames.append(_g12_frame(column))
-        else:
-            frames.append(_word_frame(column, spec))
+    for formatter, column in zip(formatters, columns):
+        frames.append(formatter(np.asarray(column)))
         frames.append(np.full((1, n), 44, dtype=np.uint8))
     frames[-1][:] = 10
     frame = np.concatenate(frames)
@@ -182,13 +194,22 @@ def render_rows(fields: tuple, columns) -> bytes:
     return frame.T.tobytes().translate(None, b"\0")
 
 
+def render_rows(fields: tuple, columns) -> bytes:
+    """The rows' CSV text, each line newline-terminated.  fields[i] is
+    "%d", "%.12g", "%s" or an indexed field (fmt, table), the format of
+    columns[i]."""
+    return _render([_formatter(spec) for spec in fields], columns)
+
+
 def csv_blocks(header: str, fields: tuple, n_rows: int, columns, trailer: str) -> Iterator[str]:
     """A CSV table as text blocks, each to be written newline-terminated:
     the header, the rows CHUNK_ROWS at a time, then the trailer line.
     `columns(rows)` builds the columns of a slice of rows, so no full-length
-    column is made here."""
+    column is made here.  The tables of indexed fields are rendered once,
+    before the first chunk."""
     yield header
+    formatters = [_formatter(spec) for spec in fields]
     for lo in range(0, n_rows, CHUNK_ROWS):
         chunk = columns(slice(lo, min(lo + CHUNK_ROWS, n_rows)))
-        yield render_rows(fields, chunk)[:-1].decode("ascii")
+        yield _render(formatters, chunk)[:-1].decode("ascii")
     yield trailer

@@ -482,7 +482,8 @@ def certify(trace: Trace, tables=None) -> list[str]:
     d-chains, and recounts each increment's recorded level-q energy E from
     the set's exact pair differences and the level's arc ends
     (_recount_energy), sharing neither the grid transform nor the arc
-    ranges that produced it.  The run must have a step and at most
+    ranges that produced it.  A step records the level q of its increment,
+    and no q on any other step.  The run must have a step and at most
     max_steps, only increments may be followed by one, step 1 must start
     at (initial_n, initial_d), and the terminal must be the last step's
     tag, or budget after max_steps steps that end on an increment.  tables is accepted for callers that
@@ -594,6 +595,11 @@ def certify(trace: Trace, tables=None) -> list[str]:
             )
         else:
             raise CertificationError(f"{where}: unknown outcome {out!r}")
+        # the step's recorded level: an increment's q, and none on any other step
+        level = out.q if isinstance(out, DensityIncrement) else None
+        if s.q != level:
+            chose = "no level" if level is None else f"q={level}"
+            raise CertificationError(f"{where}: recorded q={s.q}, but {out.tag} chose {chose}")
         if idx + 1 < len(trace.steps) and not isinstance(out, DensityIncrement):
             raise CertificationError(f"{where}: {out.tag} is followed by another step")
 

@@ -127,16 +127,29 @@ def vinogradov_bound(n: int, d: int, q: int, big_q: int) -> float:
 @dataclass(frozen=True)
 class SpectrumReport:
     """One entry per grid point k/M, k in [0, M), in columns: the label a/q,
-    whether k/M is major, the measured |Lambda_hat(k/M)| and its class bound."""
+    whether k/M is major, and the measured |Lambda_hat(k/M)|.  Class bounds
+    depend on (class, q) alone, so they are kept as a table: bounds[c, j]
+    is the bound of class c (0 minor, 1 major) at the j-th q present among
+    the labels, and bound_column[q] is that j."""
 
     a: np.ndarray
     q: np.ndarray
     major: np.ndarray
     actual: np.ndarray
-    bound: np.ndarray
+    bounds: np.ndarray
+    bound_column: np.ndarray
 
     def __len__(self) -> int:
         return len(self.actual)
+
+    def bound_index(self, rows: slice) -> np.ndarray:
+        """Each point of rows' position in bounds.ravel()."""
+        return self.major[rows] * self.bounds.shape[1] + self.bound_column[self.q[rows]]
+
+    @property
+    def bound(self) -> np.ndarray:
+        """The class bound of every point."""
+        return self.bounds.ravel()[self.bound_index(slice(None))]
 
 
 def _check_dissection(q_prime: int, big_q: int) -> None:
@@ -204,21 +217,25 @@ def spectrum_report(
     major = np.zeros(m, dtype=bool)
     major[k] = True
     q_col[k], a_col[k] = np.repeat(q, size), np.repeat(a, size)  # 1/1 is the arc of 0/1
-    del q, a, lo, size, k, star  # free the ranges before the bound column is built
+    del q, a, lo, size, k, star  # free the ranges before the bound table is built
 
-    # one bound per (class, q), looked up by every point of that class and q;
-    # the q present come from bincount, as np.unique imports numpy.ma (~16 ms)
-    bounds = np.zeros((2, int(q_col.max()) + 1))
-    for q in np.flatnonzero(np.bincount(q_col[major])).tolist():
+    # one bound per (class, q), in a column per q present: a table as small
+    # as the labels' distinct q, however large Q is.  The q present come
+    # from bincount, as np.unique imports numpy.ma (~16 ms)
+    levels = np.flatnonzero(np.bincount(q_col))
+    column = np.zeros(int(levels[-1]) + 1, dtype=np.int32)
+    column[levels] = np.arange(len(levels))
+    bounds = np.zeros((2, len(levels)))
+    for q in np.flatnonzero(np.bincount(q_col[major])).tolist():  # q <= Q'
         bound = hat_zero / euler_phi(q)
         if exceptional is not None and d % exceptional.modulus == 0:
             bound += float(
                 abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
             )
-        bounds[1, q] = bound
-    for q in np.flatnonzero(np.bincount(q_col[~major])).tolist():
-        bounds[0, q] = vinogradov_bound(n, d, q, big_q)
-    return SpectrumReport(a_col, q_col, major, actual, bounds[major.view(np.int8), q_col])
+        bounds[1, column[q]] = bound
+    if not major.all():  # the minor bound refuses n < 2: only if some point is minor
+        bounds[0] = [vinogradov_bound(n, d, q, big_q) for q in levels.tolist()]
+    return SpectrumReport(a_col, q_col, major, actual, bounds, column)
 
 
 def major_sup_ratio(

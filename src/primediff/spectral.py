@@ -205,8 +205,9 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
     """The last continued-fraction convergent a/q with q <= big_q of each
     grid point k/M, k in [0, M), as arrays (a, q): reduced, 1/1 read as 0/1,
     and |k/M - a/q| < 1/(q big_q) on the circle.  The recurrence runs on the
-    exact fractions k/M, _GRID_BLOCK values of k at a time, so its working
-    arrays stay small at any M.
+    exact fractions k/M for k <= M/2 only, _GRID_BLOCK values of k at a time,
+    so its working arrays stay small at any M.  The convergents of 1 - x are
+    1 minus those of x, so the label of M - k is (q - a)/q, with 0/1 kept.
     """
     if m < 1:
         raise DomainError(f"grid size must be >= 1, got {m}")
@@ -214,9 +215,11 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"cutoff must be >= 1, got {big_q}")
     big_q = min(big_q, m)  # no convergent of k/M has a denominator above M
     h_all, q_all = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
-    for lo in range(0, m, _GRID_BLOCK):
+    half = m // 2 + 1  # k = 0..M//2
+    for lo in range(0, half, _GRID_BLOCK):
         # k/M = [0; c_1, c_2, ...]: h/q starts at 0/1, num/den holds the remainder
-        h, q = h_all[lo : lo + _GRID_BLOCK], q_all[lo : lo + _GRID_BLOCK]  # views
+        hi = min(lo + _GRID_BLOCK, half)
+        h, q = h_all[lo:hi], q_all[lo:hi]  # views
         den = np.arange(lo, lo + len(h), dtype=np.int64)
         num, h_prev, q_prev = np.full_like(den, m), np.ones_like(den), np.zeros_like(den)
         live = np.flatnonzero(den)
@@ -230,6 +233,11 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
             num[live], den[live] = den[live], num[live] - c * den[live]
             live = live[den[live] != 0]
         h[h == q] = 0  # 1/1 is the arc of 0/1
+    # k = M//2 + 1..M - 1 from M - k = M - M//2 - 1..1, read as reversed views
+    h, q = h_all[half:], q_all[half:]
+    q[:] = q_all[m - half : 0 : -1]
+    np.subtract(q, h_all[m - half : 0 : -1], out=h)
+    h[h == q] = 0  # q - 0 over q = 1 is 1/1 again
     return h_all, q_all
 
 

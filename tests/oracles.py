@@ -125,6 +125,23 @@ def dirichlet_approx(theta: float, big_q: int) -> tuple[int, int]:
     return h, k
 
 
+def convergents_exact(k: int, m: int) -> list[tuple[int, int]]:
+    """Every continued-fraction convergent p/q of the exact fraction
+    (k mod M)/M, in order from 0/1, by Euclid's algorithm on (k mod M, M)
+    in integers.  The last convergent with q <= Q, read mod 1 (1/1 as 0/1),
+    is k/M's label at cutoff Q."""
+    num, den = k % m, m
+    p_prev, p, q_prev, q = 1, 0, 0, 1
+    out = [(p, q)]
+    while num:
+        c = den // num  # the next partial quotient of num/den < 1
+        p_prev, p = p, c * p + p_prev
+        q_prev, q = q, c * q + q_prev
+        out.append((p, q))
+        den, num = num, den - c * num
+    return out
+
+
 def forbidden_diffs_naive(n: int, d: int) -> set[int]:
     return {s for s in range(1, n) if is_prime_naive(d * s + 1)}
 

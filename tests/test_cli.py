@@ -3,6 +3,7 @@ manifests, determinism, and exit codes."""
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -347,6 +348,18 @@ def test_pinned_output_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def fresh_python(child, argv):
+    """stdout of the code `child`, run with argv in a fresh interpreter that
+    imports this checkout's package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
 def cli_peak_kb(argv):
     """(exit code, VmHWM in kB) of the CLI run in a fresh interpreter.  The
     child reads the peak of its own address space (VmHWM); its ru_maxrss
@@ -359,14 +372,36 @@ def cli_peak_kb(argv):
         "status = open('/proc/self/status').read()\n"
         "print(code, re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
     )
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, check=True
-    )
-    code, peak_kb = map(int, proc.stdout.split())
+    code, peak_kb = map(int, fresh_python(child, argv).split())
     return code, peak_kb
+
+
+FREEZE_ARGV = ["spectrum", "--n", "300", "--d", "1", "--q-prime", "3", "--big-q", "20",
+               "--timestamp", "T"]
+
+
+def test_console_entry_freezes_the_import_heap(tmp_path):
+    """main() without argv, as the console script calls it, freezes the
+    heap imported by then out of the collector, and writes the bytes an
+    in-process main(argv) writes."""
+    child = (
+        "import gc, sys\n"
+        "from primediff import cli\n"
+        "sys.argv = ['primediff', *sys.argv[1:]]\n"
+        "code = cli.main()\n"
+        "print(code, gc.get_freeze_count())\n"
+    )
+    console, direct = tmp_path / "console.csv", tmp_path / "direct.csv"
+    code, frozen = map(int, fresh_python(child, FREEZE_ARGV + ["--out", str(console)]).split())
+    assert code == 0 and frozen > 0
+    assert cli.main(FREEZE_ARGV + ["--out", str(direct)]) == 0
+    assert console.read_bytes() == direct.read_bytes()
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    before = gc.get_freeze_count()
+    assert cli.main(FREEZE_ARGV + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")

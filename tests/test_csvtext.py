@@ -55,19 +55,22 @@ def test_d_matches_printf_at_digit_boundaries():
 
 
 def test_mixed_rows_match_fmt_per_row():
-    """A spectrum-shaped table: each rendered line is `fmt % row`."""
+    """A spectrum-shaped table: each rendered line is `fmt % row`.  The
+    class and bound columns are indexed fields, read from their tables."""
     rng = np.random.default_rng(7)
     n = 3000
     theta = np.arange(n) / n
     a, q = rng.integers(0, 300, n), rng.integers(1, 300, n)
     major = rng.random(n) < 0.3
-    actual, bound = rng.random(n) * 4000, rng.random(n) * 4000
+    table = rng.random(600) * 4000
+    table[::89] = 0.0  # 0/0 and x/0: nan and inf ratios
+    index = rng.integers(0, len(table), n)
+    actual, bound = rng.random(n) * 4000, table[index]
     actual[::97] = 0.0
-    bound[::89] = 0.0  # 0/0 and x/0: nan and inf ratios
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = actual / bound
-    fields = ("%.12g", "%d", "%d", ("minor", "major"), "%.12g", "%.12g", "%.12g")
-    text = render_rows(fields, [theta, a, q, major, actual, bound, ratio]).decode("ascii")
+    fields = ("%.12g", "%d", "%d", ("%s", ("minor", "major")), "%.12g", ("%.12g", table), "%.12g")
+    text = render_rows(fields, [theta, a, q, major, actual, index, ratio]).decode("ascii")
     kind = np.where(major, "major", "minor")
     rows = zip(*(c.tolist() for c in (theta, a, q, kind, actual, bound, ratio)))
     assert text == "".join("%.12g,%d,%d,%s,%.12g,%.12g,%.12g\n" % row for row in rows)

@@ -652,6 +652,21 @@ class TestCertifyIncrement:
         with pytest.raises(CertificationError, match="step 1: rescaled snapshot mismatch"):
             certify(bad)
 
+    @pytest.mark.parametrize(
+        "index, q, message",
+        [
+            (0, 7, "step 1: recorded q=7, but density_increment chose q=1"),
+            (1, 3, "step 2: recorded q=3, but small_n chose no level"),
+        ],
+        ids=["increment_step", "small_n_step"],
+    )
+    def test_recorded_q_is_the_increments_level(self, trace, index, q, message):
+        """A step's q is its increment's level, and None on any other step."""
+        steps = list(trace.steps)
+        steps[index] = dataclasses.replace(steps[index], q=q)
+        with pytest.raises(CertificationError, match=f"^{message}$"):
+            certify(dataclasses.replace(trace, steps=steps))
+
     def test_a_trace_ending_on_an_increment_certifies(self):
         """With max_steps = 1 the run stops on its increment: there is no
         next step to compare, and the terminal is budget."""
@@ -661,6 +676,49 @@ class TestCertifyIncrement:
         lines = certify(trace)
         assert lines[0].startswith("step 1: density_increment ok")
         assert lines[-1] == "terminal: budget ok"
+
+
+class TestCertifyOutcome:
+    """One fault per check of a structure_found or small_alpha step, each
+    failing that check's own message and no check before it."""
+
+    @pytest.fixture(scope="class")
+    def found(self):
+        """One structure_found step on [1, 100] at d = 1."""
+        trace = run(DensitySet.from_iterable(100, range(1, 101)), 1, IterationConfig())
+        assert [s.outcome.tag for s in trace.steps] == ["structure_found"]
+        return trace
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        """One small_alpha step: 3 of 10,000 points."""
+        trace = run(DensitySet.from_iterable(10_000, [1, 4, 9]), 1, IterationConfig())
+        assert [s.outcome.tag for s in trace.steps] == ["small_alpha"]
+        return trace
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [
+            # upper - lower = 3, not x; p = 1 * 2 + 1 is prime and 1, 4 are in the set
+            (StructureFound(x=2, p=3, lower=1, upper=4), "witness difference mismatch"),
+            # 101 - 99 = x and p = 3 is prime, but 101 lies past [1, 100]
+            (StructureFound(x=2, p=3, lower=99, upper=101), "witness endpoints not in set"),
+        ],
+        ids=["difference", "endpoints"],
+    )
+    def test_witness_checks(self, found, witness, message):
+        bad = dataclasses.replace(found, steps=[dataclasses.replace(found.steps[0], outcome=witness)])
+        with pytest.raises(CertificationError, match=f"^step 1: {message}$"):
+            certify(bad)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0], ids=["above_the_floor", "at_the_floor"])
+    def test_small_alpha_below_the_floor(self, small, scale):
+        """A floor the step's alpha = 3e-4 reaches or passes: alpha_floor is
+        the least density the run goes on at."""
+        certify(small)
+        floor = dataclasses.replace(small.config, alpha_floor=small.steps[0].alpha * scale)
+        with pytest.raises(CertificationError, match="^step 1: SmallAlpha but alpha=0.0003$"):
+            certify(dataclasses.replace(small, config=floor))
 
 
 class TestCertifyRun:

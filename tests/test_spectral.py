@@ -24,7 +24,13 @@ from primediff.spectral import (
 from primediff.arith import TABLE_CAP
 from primediff.errors import DomainError, ResourceError
 
-from oracles import arc_numerators_naive, dft_naive, dirichlet_approx, five_smooth_naive
+from oracles import (
+    arc_numerators_naive,
+    convergents_exact,
+    dft_naive,
+    dirichlet_approx,
+    five_smooth_naive,
+)
 
 
 class TestIntegerSignal:
@@ -217,6 +223,20 @@ class TestDirichletApprox:
                 a, q = dirichlet_approx_grid(m, big_q)
                 want = [dirichlet_approx(k / m, big_q) for k in range(m)]
                 assert list(zip(a.tolist(), q.tolist())) == want
+
+    def test_grid_matches_the_exact_oracle(self):
+        """Every k/M against the convergents of the exact fraction, for
+        every M <= 300 and a few larger M, odd and even, at cutoffs from 1
+        to past M: the labels above M/2, mirrored from M - k, included."""
+        for m in [*range(1, 301), 997, 40_000, 65_537]:
+            expansions = [convergents_exact(k, m) for k in range(m)]
+            cutoffs = {1, 2, 3, m // 3, m // 2, m - 1, m, m + 1, 10**6} - {0}
+            for big_q in sorted(cutoffs):
+                a, q = dirichlet_approx_grid(m, big_q)
+                want = [
+                    next((p % c, c) for p, c in reversed(cs) if c <= big_q) for cs in expansions
+                ]
+                assert list(zip(a.tolist(), q.tolist())) == want, (m, big_q)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
