@@ -42,9 +42,9 @@ __all__ = [
 # tables
 
 # the one size budget (check_budget): most entries any table, grid, or set
-# of arcs may hold.  Tables to n_max = TABLE_CAP take 48 MB for spf (int32) and
-# mangoldt (float64), and the first read of mobius or phi adds mobius (int8)
-# and phi (int64), 36 MB more
+# of arcs may hold.  Tables to n_max = TABLE_CAP take 32 MB for mangoldt
+# (float64); the first read of spf (int32) adds 16 MB, and the first read of
+# mobius or phi adds mobius (int8) and phi (int64), 36 MB more
 TABLE_CAP = 4_000_000
 
 # longest block the mobius/phi recurrence fills in one numpy pass, and most
@@ -70,15 +70,19 @@ class ArithTables:
 
     mangoldt[n] = log p if n = p^k, else 0.  mobius and phi are the usual
     multiplicative functions; spf[n] is the smallest prime factor (spf[p] = p
-    for primes, spf[0] = spf[1] = 0).  spf is int32, mangoldt float64,
-    mobius int8 and phi int64.  build_tables fills spf and mangoldt; the
-    first read of mobius or phi computes and stores both (_mobius_phi), so
-    a caller that never reads them never pays for them.
+    for primes, spf[0] = spf[1] = 0).  mangoldt is float64, spf int32,
+    mobius int8 and phi int64.  build_tables fills mangoldt only; the first
+    read of spf sieves and stores it, and the first read of mobius or phi
+    computes and stores both (_mobius_phi, from spf), so a caller that never
+    reads them never pays for them.
     """
 
     n_max: int
-    spf: np.ndarray
     mangoldt: np.ndarray
+
+    @cached_property
+    def spf(self) -> np.ndarray:
+        return _smallest_prime_factors(self.n_max)
 
     @cached_property
     def mobius(self) -> np.ndarray:
@@ -135,28 +139,34 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(_prime_flags(n))
 
 
-def build_tables(n_max: int) -> ArithTables:
-    """Sieve smallest prime factors, then Lambda from the prime powers.
-
-    spf[p p::p] = p for the primes p <= sqrt(n_max) in descending order:
-    the smallest prime factor p of a composite n has p^2 <= n and is
-    written last.  Lambda(p) = log p by math.log (np.log is 1 ulp off at
-    some primes), _SIEVE_BLOCK primes at a time, then Lambda(p^k) =
-    Lambda(p) for k >= 2, one numpy pass per exponent over the primes
-    p <= sqrt(n_max) with p^k <= n_max.
-    mobius and phi are left to their first read (see ArithTables)."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    check_budget(n_max, "tables limited to n_max")
-    size = n_max + 1
-    spf = np.zeros(size, dtype=np.int32)
-    small = _primes_upto(math.isqrt(n_max))
-    for p in small[::-1].tolist():
+def _smallest_prime_factors(n_max: int) -> np.ndarray:
+    """spf on [0, n_max], int32: spf[p p::p] = p for the primes p <=
+    sqrt(n_max) in descending order, as the smallest prime factor p of a
+    composite n has p^2 <= n and is written last; then spf[p] = p for the
+    entries left 0 past 1."""
+    spf = np.zeros(n_max + 1, dtype=np.int32)
+    for p in _primes_upto(math.isqrt(n_max))[::-1].tolist():
         spf[p * p :: p] = p
     primes = np.flatnonzero(spf == 0)[2:]  # spf[0] = spf[1] = 0 stay
     spf[primes] = primes
+    return spf
 
-    mangoldt = np.zeros(size, dtype=np.float64)
+
+def build_tables(n_max: int) -> ArithTables:
+    """Lambda from the primes of one boolean sieve (_primes_upto).
+
+    Lambda(p) = log p by math.log (np.log is 1 ulp off at some primes),
+    _SIEVE_BLOCK primes at a time, then Lambda(p^k) = Lambda(p) for
+    k >= 2, one numpy pass per exponent over the primes p <= sqrt(n_max)
+    with p^k <= n_max.
+    spf, mobius and phi are left to their first read (see ArithTables)."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    check_budget(n_max, "tables limited to n_max")
+    primes = _primes_upto(n_max)
+    small = primes[: np.searchsorted(primes, math.isqrt(n_max), side="right")]
+
+    mangoldt = np.zeros(n_max + 1, dtype=np.float64)
     for lo in range(0, primes.size, _SIEVE_BLOCK):
         block = primes[lo : lo + _SIEVE_BLOCK]
         mangoldt[block] = np.fromiter(map(math.log, block.tolist()), np.float64, len(block))
@@ -167,7 +177,7 @@ def build_tables(n_max: int) -> ArithTables:
         keep = power <= n_max
         base, power = base[keep], power[keep]
 
-    return ArithTables(n_max=n_max, spf=spf, mangoldt=mangoldt)
+    return ArithTables(n_max=n_max, mangoldt=mangoldt)
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:

@@ -9,6 +9,9 @@ outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
 Sieve tables are built only where they are read (sieve, psi, lambda,
 spectrum); extremal and iterate build their forbidden sets without them.
+Each command imports numpy and the layers it runs itself, so importing
+this module loads neither, and a console process runs its command with the
+cyclic collector paused (see main).
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 4 certification failure.
@@ -26,10 +29,7 @@ import re
 import sys
 from collections.abc import Iterable
 
-import numpy as np
-
 from . import __version__
-from .arith import ExceptionalDatum, build_tables, check_budget, psi
 from .errors import (
     CertificationError,
     DomainError,
@@ -38,7 +38,7 @@ from .errors import (
     ResourceError,
 )
 
-# Each subcommand imports the layers it runs past arith inside its own
+# Each subcommand imports numpy and the layers it runs inside its own
 # function, so a process loads only those.
 
 
@@ -94,6 +94,9 @@ def _parse_at(text: str) -> TorusPoint:
 
 
 def _cmd_sieve(args) -> None:
+    import numpy as np
+
+    from .arith import build_tables
     from .csvtext import csv_blocks
 
     tables = build_tables(args.n_max)
@@ -111,6 +114,8 @@ def _cmd_sieve(args) -> None:
 
 
 def _cmd_psi(args) -> None:
+    from .arith import build_tables, check_budget, psi
+
     top = int(math.floor(args.x)) if args.x >= 0 else 0
     # refused as x, before n_max, which can run to 300 digits, is printed
     check_budget(top, "tables limited to n_max", f"x = {args.x:.12g}")
@@ -123,6 +128,7 @@ def _cmd_psi(args) -> None:
 
 
 def _cmd_lambda(args) -> None:
+    from .arith import build_tables
     from .mangoldt import MangoldtWeight
 
     tables = build_tables(args.d * args.n + 1)
@@ -141,6 +147,9 @@ def _cmd_lambda(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
+    import numpy as np
+
+    from .arith import ExceptionalDatum, build_tables
     from .csvtext import csv_blocks
     from .mangoldt import spectrum_report
 
@@ -398,13 +407,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; argv None reads sys.argv, as the console script does.
 
-    Such a process keeps numpy and the package, imported by now, until it
-    exits, so they are frozen out of the collector: the full collections at
-    shut-down then skip them (about 22,000 objects, 3 ms a pass).  Objects
-    the command makes are collected as usual.  A call with argv, as from a
-    test, leaves the collector alone."""
-    if argv is None:
+    Such a process pauses the cyclic collector before it parses, so numpy
+    and the layers import without its passes over them, and freezes the
+    heap once the command returns or raises, so the full collections at
+    shut-down skip it.  The commands make few reference cycles: what the
+    pause leaves uncollected raised peaks by 1.2 MB at most.  A call
+    with argv, as from a test, leaves the collector alone."""
+    if argv is not None:
+        return _run(argv)
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
         gc.freeze()
+
+
+def _run(argv) -> int:
+    """Parse argv (None: sys.argv) and run its command; the exit code."""
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -110,14 +110,23 @@ def major_prediction(
 def vinogradov_bound(n: int, d: int, q: int, big_q: int) -> float:
     """Minor-arc shape d (log N)^4 (N q^{-1/2} + N^{4/5} + (N Q)^{1/2});
     implied constant taken as 1, reported but never asserted."""
-    if n < 2 or d < 1 or q < 1 or big_q < 1:
+    if q < 1:
+        raise DomainError("need n >= 2 and positive d, q, Q")
+    return _minor_shape(n, d, q, big_q, math.sqrt)
+
+
+def _minor_shape(n: int, d: int, q, big_q: int, sqrt):
+    """vinogradov_bound at q, one modulus with sqrt = math.sqrt or an array
+    of them with np.sqrt: the same checks, and at each q the same float
+    operations in the same order (both roots are correctly rounded)."""
+    if n < 2 or d < 1 or big_q < 1:
         raise DomainError("need n >= 2 and positive d, q, Q")
     try:
         root = math.sqrt(n * big_q)
     except OverflowError:
         raise DomainError(f"N Q past the float range at N={n}") from None
     logn4 = math.log(n) ** 4
-    return d * logn4 * (n / math.sqrt(q) + n ** 0.8 + root)
+    return d * logn4 * (n / sqrt(q) + n ** 0.8 + root)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def spectrum_report(
             )
         bounds[1, column[q]] = bound
     if not major.all():  # the minor bound refuses n < 2: only if some point is minor
-        bounds[0] = [vinogradov_bound(n, d, q, big_q) for q in levels.tolist()]
+        bounds[0] = _minor_shape(n, d, levels, big_q, np.sqrt)
     return SpectrumReport(a_col, q_col, major, actual, bounds, column)
 
 

@@ -177,6 +177,17 @@ class TestLeanTables:
         assert np.array_equal(t.mobius[1:], rows[:, 2]), n_max
         assert np.array_equal(t.phi[1:], rows[:, 3]), n_max
 
+    def test_spf_built_on_first_read(self):
+        """build_tables fills mangoldt only; the first read of spf sieves
+        and stores it, and later reads return the stored array."""
+        t = build_tables(1000)
+        assert "spf" not in vars(t)
+        spf = t.spf
+        assert "spf" in vars(t) and t.spf is spf
+        assert "mobius" not in vars(t) and "phi" not in vars(t)
+        assert spf.dtype == np.int32
+        assert np.array_equal(spf[:13], [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2])
+
     @pytest.mark.parametrize("first", ["mobius", "phi"])
     def test_mobius_and_phi_built_on_first_read(self, first):
         """build_tables leaves mobius and phi out; reading either one
@@ -193,10 +204,10 @@ class TestLeanTables:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
     def test_lambda_is_filled_in_blocks(self):
         """build_tables(TABLE_CAP) takes log p of _SIEVE_BLOCK primes at a
-        time: a fresh interpreter building the tables peaks below 85 MB
-        resident (91 MB when one Python list held all 283,146 primes' logs;
-        79 MB in blocks).  The child reads the peak of its own address
-        space (VmHWM)."""
+        time: a fresh interpreter building the tables peaks below 70 MB
+        resident (62 MB measured; 91 MB when one Python list held all
+        283,146 primes' logs, and 79 MB in blocks while spf was built too).
+        The child reads the peak of its own address space (VmHWM)."""
         child = (
             "import re\n"
             "from primediff.arith import TABLE_CAP, build_tables\n"
@@ -212,7 +223,7 @@ class TestLeanTables:
         )
         prime_powers, peak_kb = map(int, proc.stdout.split())
         assert prime_powers == 283_146 + 393  # primes, then p^k for k >= 2
-        assert peak_kb < 85 * 1024, f"peak {peak_kb // 1024} MB"
+        assert peak_kb < 70 * 1024, f"peak {peak_kb // 1024} MB"
 
 
 class TestIsPrime:

@@ -232,7 +232,7 @@ def test_memory_budget_is_resource_error(argv, message, capsys):
 def test_refused_arguments_exit_3(argv, message, capsys, monkeypatch):
     """Each refusal comes before any table is built: it exits 3 with no
     build_tables to call."""
-    monkeypatch.setattr(cli, "build_tables", None)
+    monkeypatch.setattr(arith, "build_tables", None)
     code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
     assert code == 3
     assert out == ""
@@ -381,27 +381,28 @@ FREEZE_ARGV = ["spectrum", "--n", "300", "--d", "1", "--q-prime", "3", "--big-q"
 
 
 def test_console_entry_freezes_the_import_heap(tmp_path):
-    """main() without argv, as the console script calls it, freezes the
-    heap imported by then out of the collector, and writes the bytes an
-    in-process main(argv) writes."""
+    """main() without argv, as the console script calls it, runs with the
+    collector paused and freezes the heap after the command, and writes
+    the bytes an in-process main(argv) writes."""
     child = (
         "import gc, sys\n"
         "from primediff import cli\n"
         "sys.argv = ['primediff', *sys.argv[1:]]\n"
         "code = cli.main()\n"
-        "print(code, gc.get_freeze_count())\n"
+        "print(code, int(gc.isenabled()), gc.get_freeze_count())\n"
     )
     console, direct = tmp_path / "console.csv", tmp_path / "direct.csv"
-    code, frozen = map(int, fresh_python(child, FREEZE_ARGV + ["--out", str(console)]).split())
-    assert code == 0 and frozen > 0
+    out = fresh_python(child, FREEZE_ARGV + ["--out", str(console)])
+    code, enabled, frozen = map(int, out.split())
+    assert code == 0 and not enabled and frozen > 0
     assert cli.main(FREEZE_ARGV + ["--out", str(direct)]) == 0
     assert console.read_bytes() == direct.read_bytes()
 
 
 def test_in_process_main_leaves_the_collector_alone(tmp_path):
-    before = gc.get_freeze_count()
+    before = gc.isenabled(), gc.get_freeze_count()
     assert cli.main(FREEZE_ARGV + ["--out", str(tmp_path / "out.csv")]) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -422,16 +423,17 @@ def test_sieve_streams_its_rows(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
 def test_psi_builds_only_what_it_reads(tmp_path):
-    """psi at the table cap builds spf and Lambda only: a fresh interpreter
-    running it peaks below 105 MB resident (117 MB when every table, mobius
-    and phi too, was built; 81 MB without them)."""
+    """psi at the table cap builds Lambda only: a fresh interpreter
+    running it peaks below 70 MB resident (63 MB measured; 79 MB when it
+    built spf too, 117 MB when every table, mobius and phi too, was
+    built)."""
     out = tmp_path / "psi.txt"
     code, peak_kb = cli_peak_kb(
         ["psi", "--x", "4000000", "--q", "4", "--a", "1", "--out", str(out), "--timestamp", "T"]
     )
     assert code == 0
     assert abs(float(out.read_text().split()[0]) - 1999847.16839) < 1e-5
-    assert peak_kb < 105 * 1024, f"peak {peak_kb // 1024} MB"
+    assert peak_kb < 70 * 1024, f"peak {peak_kb // 1024} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -642,7 +644,7 @@ class TestExtremalCommand:
     def test_builds_no_tables(self, capsys, monkeypatch):
         """extremal sieves the values d s + 1 itself: it runs with no
         build_tables to call and counts the same forbidden differences."""
-        monkeypatch.setattr(cli, "build_tables", None)
+        monkeypatch.setattr(arith, "build_tables", None)
         code, out, _ = run_cli(["extremal", "--n", "88", "--d", "2", "--mode", "greedy"], capsys)
         assert code == 0
         assert json.loads(out)["forbidden_count"] == len(forbidden_diffs_naive(88, 2))
@@ -825,13 +827,14 @@ class TestIterateCommand:
         path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7
         runs = [(["--greedy"], 400, 1, first_fit_naive(400, 1)),
                 (["--input", str(path)], 100, 2, [1, 4, 10, 60])]
-        monkeypatch.setattr(cli, "build_tables", None)
+        build_tables = arith.build_tables
+        monkeypatch.setattr(arith, "build_tables", None)
         for source, n, d, elements in runs:
             argv = ["iterate", *source, "--n", str(n), "--d", str(d), "--timestamp", "T"]
             code, out, _ = run_cli(argv, capsys)
             assert code == 0
             A = DensitySet.from_iterable(n, elements)
-            tables = arith.build_tables(d * (n - 1) + 1)
+            tables = build_tables(d * (n - 1) + 1)
             trace = driver.run(A, d, driver.IterationConfig(), tables)
             manifest = json.loads(out.splitlines()[0])["manifest"]
             assert out == "".join(line + "\n" for line in driver.trace_to_jsonl(trace, manifest))

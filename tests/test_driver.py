@@ -789,6 +789,107 @@ class TestCertifyRun:
             certify(dataclasses.replace(increment, config=lowered))
 
 
+def one_step(n, d, elements, outcome):
+    """A one-step trace of outcome on elements in [1, n] at d, under the
+    default config, with the terminal its tag."""
+    A = DensitySet.from_iterable(n, elements)
+    step = TraceStep(step=1, n=n, d=d, alpha=A.alpha, outcome=outcome,
+                     set_snapshot=tuple(A.elements.tolist()), energy_top=(), q=None)
+    return Trace(steps=[step], terminal=outcome.tag, config=IterationConfig(),
+                 initial_n=n, initial_d=d)
+
+
+class TestCertifyBoundaries:
+    """Each comparison in certify at its boundary, where the strict and the
+    non-strict form part: the step on the accepting side certifies, the one
+    on the refusing side fails that check's own message."""
+
+    @pytest.mark.parametrize("n, size", [(32, 32), (40, 5)], ids=["n_at_the_floor", "window_of_1"])
+    def test_small_n_needs_a_small_universe_or_window(self, n, size):
+        """n_floor = 32 is the least n a run goes on at, and a window
+        N' = floor(alpha N / 4) of 1 the least it correlates on."""
+        trace = one_step(n, 1, range(1, size + 1), SmallN(n=n))
+        assert trace.config.n_prime(n, trace.steps[0].alpha) >= 1
+        with pytest.raises(CertificationError, match=f"^step 1: SmallN but n={n} >= floor 32$"):
+            certify(trace)
+
+    @pytest.mark.parametrize("n, size", [(31, 31), (40, 3)], ids=["n_below_the_floor", "window_of_0"])
+    def test_small_n_below_the_floor_or_window_certifies(self, n, size):
+        lines = certify(one_step(n, 1, range(1, size + 1), SmallN(n=n)))
+        assert lines[0] == f"step 1: small_n ok (n={n})"
+
+    def test_unknown_outcome(self):
+        """A step whose outcome is no step outcome (budget only ends a run)."""
+        with pytest.raises(CertificationError, match=r"^step 1: unknown outcome Budget\(steps=1\)$"):
+            certify(one_step(100, 1, [1], Budget(steps=1)))
+
+    def test_d_ceiling_must_be_passed(self):
+        """256^(1/4) = 4 exactly: a step stopped at d = 5 is above the
+        ceiling, and one at d = 4 is not."""
+        reason = "d={} above N^0.25 = 4"
+        certify(one_step(256, 5, [1], LargeDOrSmallAlpha(reason.format(5))))
+        bad = one_step(256, 4, [1], LargeDOrSmallAlpha(reason.format(4)))
+        message = r"^step 1: reason 'd=4 above N\^0.25 = 4', but d=4 and N\^0.25 = 4$"
+        with pytest.raises(CertificationError, match=message):
+            certify(bad)
+
+    @pytest.fixture(scope="class")
+    def increment(self):
+        """An increment at q = 4 on 120 points at d = 2 (alpha = 1/15,
+        new alpha 1), then small_n."""
+        trace = run(avoiding_set(120, 2), 2, IterationConfig())
+        assert [s.outcome.tag for s in trace.steps] == ["density_increment", "small_n"]
+        assert trace.steps[0].q == 4
+        return trace
+
+    def test_level_at_the_extraction_cap_certifies(self, increment):
+        """Q'' = 1 / (7^2 / 15^2) = 4.59 clamps to 4: level 4 is at the cap."""
+        at_cap = dataclasses.replace(increment.config, c_double_prime=7.0)
+        assert at_cap.extraction_cap(increment.steps[0].alpha) == 4
+        certify(dataclasses.replace(increment, config=at_cap))
+
+    def test_gain_at_the_threshold_certifies(self, increment):
+        """The least float threshold g with alpha (1 + g) - 1e-12 equal to
+        the new alpha certifies, and the least past it refuses."""
+        step = increment.steps[0]
+        alpha, new_alpha = step.alpha, step.outcome.outcome.new_alpha
+
+        def floor(g):
+            return alpha * (1.0 + g) - 1e-12
+
+        g = (new_alpha + 1e-12) / alpha - 1.0
+        for _ in range(32):
+            g = math.nextafter(g, -math.inf)
+        assert floor(g) < new_alpha
+        while floor(g) < new_alpha:
+            g = math.nextafter(g, math.inf)
+        assert floor(g) == new_alpha
+        past = g
+        while floor(past) == new_alpha:
+            past = math.nextafter(past, math.inf)
+        config = increment.config
+        certify(dataclasses.replace(increment, config=dataclasses.replace(config, gain_threshold=g)))
+        bad = dataclasses.replace(increment, config=dataclasses.replace(config, gain_threshold=past))
+        with pytest.raises(CertificationError, match="^step 1: gain below configured threshold$"):
+            certify(bad)
+
+    def test_energy_tolerance_is_inclusive(self, increment, monkeypatch):
+        """A recount 1e-9 = 1e-9 max(1, E) from a recorded E = 0 certifies,
+        and one float more fails.  No set recounts to exactly that, so the
+        recount is stubbed."""
+        step = increment.steps[0]
+        inc = step.outcome.outcome
+        inc = dataclasses.replace(inc, detail={**inc.detail, "energy": 0.0})
+        step = dataclasses.replace(step, outcome=dataclasses.replace(step.outcome, outcome=inc))
+        trace = dataclasses.replace(increment, steps=[step, *increment.steps[1:]])
+        monkeypatch.setattr(driver, "_recount_energy", lambda *args: 1e-9)
+        certify(trace)
+        past = math.nextafter(1e-9, 1.0)
+        monkeypatch.setattr(driver, "_recount_energy", lambda *args: past)
+        with pytest.raises(CertificationError, match=f"^step 1: energy recount {past} != recorded 0.0$"):
+            certify(trace)
+
+
 class TestEnergyRecount:
     @pytest.mark.parametrize(
         "seed, n, extra, big_q",

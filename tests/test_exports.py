@@ -158,8 +158,9 @@ def loaded_after(code):
 
 
 def test_cli_import_loads_no_subcommand_layer():
-    loaded = loaded_after("import primediff.cli")
-    expected = ["primediff", "primediff.arith", "primediff.cli", "primediff.errors"]
+    """Nor numpy: each subcommand imports it and its layers itself."""
+    loaded = loaded_after("import primediff.cli\nassert 'numpy' not in sys.modules")
+    expected = ["primediff", "primediff.cli", "primediff.errors"]
     assert loaded == expected, f"import primediff.cli loaded {loaded}"
 
 

@@ -186,6 +186,20 @@ class TestSpectrumReport:
             want = hat_zero / euler_phi(q) if major else vinogradov_bound(n, 2, q, big_q)
             assert bound == want
 
+    @pytest.mark.parametrize(
+        "n, d, q_prime, big_q, m",
+        [(2, 3, 1, 5, 200), (150, 2, 3, 30, 1200), (5000, 1, 20, 2500, 40_000),
+         (1000, 1, 2, 10**6, 50_000)],
+    )
+    def test_minor_row_is_the_scalar_bound(self, n, d, q_prime, big_q, m, tables_small):
+        """The minor row holds vinogradov_bound at each q present, bit for
+        bit, though the report evaluates it over the array of them."""
+        report = spectrum_report(n, d, q_prime, big_q, m, tables_small)
+        present = np.flatnonzero(np.bincount(report.q))
+        minor = report.bounds[0, report.bound_column[present]]
+        want = np.array([vinogradov_bound(n, d, q, big_q) for q in present.tolist()])
+        assert len(present) > 1 and minor.tobytes() == want.tobytes()
+
     def test_exceptional_widens_major_bounds(self, tables_small):
         n, m = 150, 1200
         base = spectrum_report(n, 2, 3, 30, m, tables_small)
