@@ -313,8 +313,6 @@ def tau_closed_form(a: int, d: int, q: int) -> complex:
             if bits >> i & 1:
                 e_div *= p
                 sign = -sign
-        if h % e_div != 0:
-            continue
         width = h // e_div
         if a2 % width != 0:
             continue

@@ -12,7 +12,8 @@ When its node budget runs out, branch-and-bound with the popcount bound
 runs with the same budget, and `nodes` counts both.  Primality comes from
 one read-only bitmap of the primes below 2^16 while d(n-1)+1 is below it
 (every driver step at the benchmark's sizes), else from a sieve of the
-values d s + 1 by the primes up to sqrt(d(n-1)+1), or from deterministic
+values d s + 1 by the primes up to sqrt(d(n-1)+1), each starting at
+-1/d mod p from one vectorized Fermat power, or from deterministic
 Miller-Rabin when that root exceeds TABLE_CAP.
 """
 
@@ -47,11 +48,10 @@ class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
     is forbidden (bits[0] is False); bits is read-only.  n is at most
     TABLE_CAP.  build reads the values d s + 1 in _prime_bitmap, as a
-    strided view of it, when d (n - 1) + 1 < 2^16; past it
-    it sieves them (_shifted_primes: each prime's first s from a table of
-    inverses mod d while d is at most the number of sieving primes, by a
-    Fermat power past it) when sqrt(d (n - 1) + 1) is at most TABLE_CAP,
-    else runs Miller-Rabin on each."""
+    strided view of it, when d (n - 1) + 1 < 2^16; past it it sieves them
+    (_shifted_primes: each prime's first s from a Fermat power) when
+    sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs Miller-Rabin on
+    each."""
 
     n: int
     d: int
@@ -92,32 +92,20 @@ def _shifted_primes(n: int, d: int) -> np.ndarray:
 
     Sieves the progression d s + 1 by the primes p <= sqrt(d (n - 1) + 1)
     that do not divide d: p strikes s_p, s_p + p, ... from s_p = -1/d mod p,
-    the first s >= 1 with p | d s + 1.  A prime p = d s + 1 strikes its own
-    s, which is set back.  When d is at most the number of sieving primes,
-    s_p = (p k - 1)/d with k = 1/p mod d read from a d-entry table of
-    inverses mod d (d s_p + 1 = p k); otherwise 1/d mod p comes from one
-    vectorized Fermat power, the route that serves a d of any size.  Needs
-    n >= 2 and d (n - 1) + 1 below 2^63."""
+    the first s >= 1 with p | d s + 1, where 1/d mod p comes from one
+    vectorized Fermat power for every p at once.  A prime p = d s + 1
+    strikes its own s, which is set back.  Needs n >= 2 and d (n - 1) + 1
+    below 2^63."""
     flags = np.ones(n, dtype=bool)
     flags[0] = False
     p = _primes_upto(math.isqrt(d * (n - 1) + 1))
     p = p[d % p != 0]
-    if d <= len(p):
-        # k in [1, d] with p k = 1 mod d, from a d-entry table of the inverses
-        # of the residues p mod d that occur (d = 1: k = 1); then d s_p + 1 =
-        # p k, and 0 < s_p < p, as p k < p_max^2 <= d (n - 1) + 1 < 2^63
-        r = p % d
-        inverse = np.zeros(d, dtype=np.int64)
-        present = np.flatnonzero(np.bincount(r, minlength=d))
-        inverse[present] = [pow(x, -1, d) or d for x in present.tolist()]
-        first = (p * inverse[r] - 1) // d
-    else:
-        # 1/d = d^(p - 2) mod p, square-and-multiply on every p at once (p^2 < 2^63)
-        inv, base, e = np.ones_like(p), d % p, p - 2
-        while e.any():
-            inv = np.where(e & 1, inv * base % p, inv)
-            base, e = base * base % p, e >> 1
-        first = p - inv
+    # 1/d = d^(p - 2) mod p, square-and-multiply on every p at once (p^2 < 2^63)
+    inv, base, e = np.ones_like(p), d % p, p - 2
+    while e.any():
+        inv = np.where(e & 1, inv * base % p, inv)
+        base, e = base * base % p, e >> 1
+    first = p - inv
     flags[first[first < n]] = False
     second = first + p
     again = second < n  # p strikes more than once: p < n

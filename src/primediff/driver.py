@@ -266,7 +266,6 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
                 ),
                 diagnostics,
             )
-        diagnostics["rejected"] = out
         return (
             LargeDOrSmallAlpha(
                 reason=f"extraction at q={best.q} reached alpha ratio "

@@ -176,10 +176,9 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
     """(first, count) of the window {f, f + step, ..., f + (length - 1) step}
     inside [1, N] that holds the most of A, the leftmost among ties.
 
-    Exact integers from prefix sums along each residue class mod step."""
+    Exact integers from prefix sums along each residue class mod step.
+    Callers keep (length - 1) step < N, so some window fits."""
     reach = (length - 1) * step
-    if reach >= A.n:
-        raise PreconditionError(f"no window of span {reach + 1} fits inside [1, {A.n}]")
     # one zero row, then [1, N]
     rows = -(-(step + A.n) // step)
     padded = np.zeros(rows * step, dtype=np.int64)

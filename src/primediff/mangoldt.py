@@ -81,6 +81,14 @@ class Prediction:
     sup_bound: float
 
 
+def _check_exceptional(d: int, exceptional: ExceptionalDatum | None) -> None:
+    """An exceptional datum applies only to a modulus dividing d."""
+    if exceptional is not None and d % exceptional.modulus != 0:
+        raise PreconditionError(
+            f"exceptional modulus {exceptional.modulus} must divide d={d}"
+        )
+
+
 def major_prediction(
     n: int,
     d: int,
@@ -91,10 +99,7 @@ def major_prediction(
 ) -> Prediction:
     if n < 1 or d < 1 or q < 1:
         raise DomainError(f"need n, d, q >= 1, got n={n}, d={d}, q={q}")
-    if exceptional is not None and d % exceptional.modulus != 0:
-        raise PreconditionError(
-            f"exceptional modulus {exceptional.modulus} must divide d={d}"
-        )
+    _check_exceptional(d, exceptional)
     tables.check_range(d * n + 1)
     tau_factor = tau(-a, d, q)
     denom = euler_phi(d) * euler_phi(q)
@@ -198,12 +203,13 @@ def spectrum_report(
 ) -> SpectrumReport:
     """Measured |Lambda_hat(k/M)| at every grid point against the class
     bound (major: sup bound plus the exceptional magnitude when a datum is
-    supplied; minor: Vinogradov shape).
+    supplied, whose modulus must divide d; minor: Vinogradov shape).
 
     A point is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
     weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
+    _check_exceptional(d, exceptional)
     levels = range(1, q_prime + 1)
     try:  # the minor bound refuses n < 2 and N Q past the float range: before any grid
         vinogradov_bound(n, d, 1, big_q)
@@ -237,7 +243,7 @@ def spectrum_report(
     bounds = np.zeros((2, len(levels)))
     for q in np.flatnonzero(np.bincount(q_col[major])).tolist():  # q <= Q'
         bound = hat_zero / euler_phi(q)
-        if exceptional is not None and d % exceptional.modulus == 0:
+        if exceptional is not None:
             bound += float(
                 abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
             )

@@ -119,10 +119,8 @@ class TorusPoint:
 # pointwise transform
 
 
-def transform_at(f: IntegerSignal, point) -> complex:
-    """f_hat at a TorusPoint or plain float, with e(-x theta) phases."""
-    if not isinstance(point, TorusPoint):
-        point = TorusPoint.from_float(float(point))
+def transform_at(f: IntegerSignal, point: TorusPoint) -> complex:
+    """f_hat at a TorusPoint, with e(-x theta) phases."""
     idx = f.offset + np.arange(len(f.values), dtype=np.int64)
     x = idx % point.q
     if int(x.max(initial=0)) * point.a <= _INT64_MAX:

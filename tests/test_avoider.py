@@ -92,27 +92,24 @@ class TestForbiddenSet:
             assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
 
     def test_sieve_routes_meet_at_the_prime_count(self):
-        """The sieve of the values d s + 1 finds each -1/d mod p from a
-        table of the inverses mod d while d is at most the number of
-        sieving primes (p <= sqrt(d (n - 1) + 1), p not dividing d), and by
-        a Fermat power past it.  On both sides of that boundary at several
-        n, and at d in {1, 2, 6, 30, 210}, _shifted_primes's bits equal
-        is_prime's and ForbiddenSet.build's; both routes are met."""
+        """The sieve of the values d s + 1 starts each prime p at -1/d mod p
+        from a Fermat power.  At several n, for d in {1, 2, 6, 30, 210} and
+        for d on both sides of the number of sieving primes (p <=
+        sqrt(d (n - 1) + 1), p not dividing d), _shifted_primes's bits equal
+        is_prime's and ForbiddenSet.build's."""
 
         def sieving_primes(n, d):
             return sum(d % p != 0 for p in range(2, math.isqrt(d * (n - 1) + 1) + 1)
                        if is_prime(p))
 
-        cases, routes = [], set()
+        cases = []
         for n in (10, 100, 1000, 3000):
             past = next(d for d in range(1, 10**4) if d > sieving_primes(n, d))
             cases += [(n, d) for d in (1, 2, 6, 30, 210, past - 2, past - 1, past, past + 1) if d]
         for n, d in cases:
-            routes.add(d <= sieving_primes(n, d))
             want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
             assert avoider._shifted_primes(n, d).tolist() == want, (n, d)
             assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
-        assert routes == {True, False}
 
     def test_table_budget(self):
         """Past TABLE_CAP the difference array is refused before it is built."""

@@ -16,7 +16,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primediff import arith, cli, driver, mangoldt
+from primediff import arith, cli, csvtext, driver, mangoldt
 from primediff.arith import TABLE_CAP
 from primediff.errors import CertificationError
 from primediff.increment import DensitySet
@@ -455,6 +455,33 @@ def test_spectrum_streams_its_columns(tmp_path):
     assert peak_kb < 76 * 1024, f"peak {peak_kb // 1024} MB"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--n-max", "65537"],
+        ["spectrum", "--n", "5000", "--d", "1", "--q-prime", "20", "--big-q", "2500"],
+    ],
+    ids=["sieve_65537", "spectrum_n5000"],
+)
+def test_every_csv_row_is_rendered_in_chunks(argv, capsys, monkeypatch):
+    """Every data row of a CSV command passes through csvtext's chunk
+    renderer, in ceil(rows / CHUNK_ROWS) calls: a writer that formats rows
+    one at a time in Python fails here, not only in the benchmark."""
+    chunks = []
+    render = csvtext._render
+
+    def counted(formatters, columns):
+        chunks.append(len(columns[0]))
+        return render(formatters, columns)
+
+    monkeypatch.setattr(csvtext, "_render", counted)
+    code, out, _ = run_cli(argv + ["--timestamp", "T"], capsys)
+    rows = len(out.splitlines()) - 2  # header and manifest
+    assert code == 0 and rows > csvtext.CHUNK_ROWS
+    assert sum(chunks) == rows
+    assert len(chunks) == -(-rows // csvtext.CHUNK_ROWS)
+
+
 def test_refused_spectrum_leaves_out_file_alone(tmp_path, capsys):
     """Rendering starts only after the computation: a spectrum run refused
     with exit 3 neither creates nor truncates its --out file."""
@@ -469,6 +496,17 @@ def test_refused_spectrum_leaves_out_file_alone(tmp_path, capsys):
     code, _, _ = run_cli(argv + ["--out", str(kept)], capsys)
     assert code == 3
     assert kept.read_text() == "earlier run\n"
+
+
+def test_spectrum_refuses_an_exceptional_modulus_not_dividing_d(tmp_path, capsys):
+    """An exceptional datum applies only to a modulus dividing d: one that
+    does not exits 3 with one line and writes no --out file."""
+    out_file = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--n", "300", "--d", "1", "--q-prime", "5", "--big-q", "20",
+            "--exc-modulus", "3", "--exc-beta", "0.9", "--timestamp", "T",
+            "--out", str(out_file)]
+    assert run_cli(argv, capsys) == (3, "", "error: exceptional modulus 3 must divide d=1\n")
+    assert not out_file.exists()
 
 
 def _flag(name, values):

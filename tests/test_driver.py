@@ -241,6 +241,33 @@ class TestLevelSelection:
         trace = run(sparse_set, 1, IterationConfig(), tables_small)
         assert trace.steps[0].energy_top == ((1, 0.0), (2, 0.0), (3, 0.0))
 
+    def test_weak_extraction_ends_the_step(self, sparse_set, monkeypatch):
+        """An extraction that misses its guarantee, or meets it short of the
+        gain threshold, ends the step naming the level and the alpha ratio
+        it reached.  No measured input reaches this stop, so a stub
+        extract_progression returns the outcome."""
+        self.stubbed(monkeypatch, {6: 1.0})
+        alpha = sparse_set.alpha
+        for met, new_alpha in [(False, 2 * alpha), (True, alpha)]:
+            seen = []
+
+            def weak(A, row, target_e, c_len):
+                seen.append((row.q, target_e, c_len))
+                return increment.IncrementOutcome(
+                    increment.Progression(1, row.q, 10), 1, new_alpha, met
+                )
+
+            monkeypatch.setattr(driver, "extract_progression", weak)
+            out, diag = iterate_once(sparse_set, 1, IterationConfig())
+            assert seen == [(6, 0.08, IterationConfig().c_len)]
+            assert out.tag == "large_d_or_small_alpha"
+            assert out.reason == (
+                f"extraction at q=6 reached alpha ratio {new_alpha / alpha:.4g}, below guarantee"
+            )
+            assert sorted(diag) == sorted(
+                ["n_prime", "q_prime", "big_q", "q_double", "trigger", "energy_table"]
+            )
+
     def test_rows_of_the_stub_table(self, sparse_set, monkeypatch):
         built = self.stubbed(monkeypatch, {3: 0.25, 8: 2.0})
         iterate_once(sparse_set, 1, IterationConfig())

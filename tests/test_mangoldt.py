@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primediff import cli
+from primediff import cli, mangoldt
 from primediff.arith import TABLE_CAP, ExceptionalDatum, euler_phi, psi, tau
 from primediff.errors import DomainError, PreconditionError, ResourceError
 from primediff.mangoldt import (
@@ -210,6 +210,17 @@ class TestSpectrumReport:
         assert (wide.bound[base.major] >= base.bound[base.major]).all()
         assert (wide.bound[~base.major] == base.bound[~base.major]).all()
         assert (wide.bound[base.major] > base.bound[base.major]).any()
+
+    def test_exceptional_modulus_must_divide_d(self, tables_small, monkeypatch):
+        """A datum whose modulus does not divide d is refused, as
+        major_prediction refuses it, before any power grid is built."""
+
+        def boom(*args):
+            raise AssertionError("grid_power ran")
+
+        monkeypatch.setattr(mangoldt, "grid_power", boom)
+        with pytest.raises(PreconditionError, match="modulus 3 must divide d=1"):
+            spectrum_report(300, 1, 5, 20, 2400, tables_small, ExceptionalDatum(3, 0.9))
 
     def test_dissection_validation(self, tables_small):
         """Major arcs must be disjoint (Q > 2 Q') and their cutoff positive."""
