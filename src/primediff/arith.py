@@ -201,8 +201,8 @@ def _factorize(n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=1 << 12, typed=True)
 def euler_phi(n: int) -> int:
-    """phi(n) by trial division, memoized: the driver and the spectrum
-    bounds ask for the same small moduli at every step."""
+    """phi(n) by trial division, memoized: the spectrum bounds ask for
+    the same small moduli again and again."""
     if n < 1:
         raise DomainError(f"phi undefined for {n}")
     out = n

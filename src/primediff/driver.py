@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -232,7 +233,7 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
 
     table = energy_table(A, q_top, big_q, config.grid_size(n))
     star = table.star_energy  # levels 1..q_top: level q at index q - 1
-    ratio = star / np.fromiter(map(euler_phi, range(1, q_top + 1)), np.float64, q_top)
+    ratio = star / _phi_column(q_top)
     trigger = sum(ratio[:q_prime].tolist())  # in level order, as a Python sum
     diagnostics = {
         "n_prime": n_prime,
@@ -274,6 +275,20 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
             diagnostics,
         )
     return LargeDOrSmallAlpha(reason="no positive star energy at admissible levels"), diagnostics
+
+
+_phi = np.zeros(0)  # phi(1..len(_phi)), read-only
+
+
+def _phi_column(top: int) -> np.ndarray:
+    """phi(1..top), level q at index q - 1: a read-only prefix of _phi,
+    grown to the most levels a step asks for, one euler_phi call per level
+    added."""
+    global _phi
+    if len(_phi) < top:
+        _phi = np.append(_phi, [euler_phi(q) for q in range(len(_phi) + 1, top + 1)])
+        _phi.flags.writeable = False
+    return _phi[:top]
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +453,7 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
         sum_{k in S} |g_hat(k/M)|^2 = sum_{|h| < N} r_g(h) K_S(h),
 
     r_g the autocorrelation of g = 1_A - alpha 1_[1,N] (_correlations, from
-    A's pair differences) and
-    K_S(h) the sum over the level's arcs of
+    A's pair differences) and K_S(h) the sum over the level's arcs of
 
         sum_{k=lo}^{hi} cos(2 pi h k / M)
             = sin(pi h L / M) cos(pi h (lo + hi) / M) / sin(pi h / M),
@@ -449,45 +463,42 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
     (the a = q arc meets a = 1 past M), counted once.  Works arc by arc:
     O(qN + |A|^2) time, O(N) memory."""
     alpha = A.alpha
-    r_aa, r_ai, r_ia, r_ii = _correlations(A, A.n - 1)
-    r = r_aa - alpha * (r_ai + r_ia) + alpha * alpha * r_ii
+    r_aa, r, r_ia, r_ii = _correlations(A, A.n - 1)
+    r += r_ia  # r_g = r_AA - alpha (r_AI + r_IA) + alpha^2 r_II, in place
+    r *= alpha
+    np.subtract(r_aa, r, out=r)
+    r_ii *= alpha * alpha
+    r += r_ii
     w = m // big_q
-    a = np.arange(1, q + 1, dtype=np.int64)
-    lo = -((w - a * m) // q)  # ceil((aM - w) / q)
-    hi = (a * m + w) // q
-    hi[hi == np.append(lo[1:], lo[0] + m)] -= 1  # the point shared with the next arc
-    length = hi - lo + 1
+    lo = [-((w - a * m) // q) for a in range(1, q + 1)]  # ceil((aM - w) / q)
+    hi = [(a * m + w) // q for a in range(1, q + 1)]
+    hi = [b - (b == c) for b, c in zip(hi, lo[1:] + [lo[0] + m])]
     h = np.arange(1, A.n, dtype=np.int64)
     kernel = np.zeros(A.n - 1)
-    for size, ends in zip(length.tolist(), (lo + hi).tolist()):
+    for first, last in zip(lo, hi):
         # both angles reduced mod 2M in int64 before the float multiply
-        kernel += np.sin(np.pi / m * (h * size % (2 * m))) * np.cos(
-            np.pi / m * (h * ends % (2 * m))
+        kernel += np.sin(np.pi / m * (h * (last - first + 1) % (2 * m))) * np.cos(
+            np.pi / m * (h * (first + last) % (2 * m))
         )
     kernel /= np.sin(np.pi / m * h)
-    total = float(r[0]) * int(length.sum()) + 2.0 * float(np.dot(r[1:], kernel))
+    total = float(r[0]) * (sum(hi) - sum(lo) + q) + 2.0 * float(np.dot(r[1:], kernel))
     return total / (alpha * A.size * m)
+
+
+def _holds(snapshot: tuple, x: int) -> bool:
+    """x in the ascending snapshot, by bisection."""
+    i = bisect_left(snapshot, x)
+    return i < len(snapshot) and snapshot[i] == x
 
 
 def certify(trace: Trace, tables=None) -> list[str]:
     """Re-verify every step of a trace from its raw set snapshots, then the
-    run as a whole.
-
-    Recounts intersections, re-runs primality by Miller-Rabin, searches
-    every increment's and large_d_or_small_alpha step's set for a forbidden
-    pair, holds a step stopped by the d ceiling to d > N^e (its reason as
-    iterate_once writes it) and an increment to d <= N^e, holds each
-    increment's level to the extraction cap, recomputes rescalings and
-    d-chains, and recounts each increment's recorded level-q energy E from
-    the set's exact pair differences and the level's arc ends
-    (_recount_energy), sharing neither the grid transform nor the arc
-    ranges that produced it.  A step records the level q of its increment,
-    and no q on any other step.  The run must have a step and at most
-    max_steps, only increments may be followed by one, step 1 must start
-    at (initial_n, initial_d), and the terminal must be the last step's
-    tag, or budget after max_steps steps that end on an increment.  tables is accepted for callers that
-    still pass sieve tables, and not read.  Returns one human-readable line
-    per step; raises CertificationError on the first mismatch."""
+    run as a whole, as the module docstring lists; besides, each increment's
+    level must be at most the extraction cap and be the step's recorded q
+    (no other step records one), and the run must have at most max_steps
+    steps.  tables is accepted for callers that still pass sieve tables,
+    and not read.  Returns one human-readable line per step; raises
+    CertificationError on the first mismatch."""
     cfg = trace.config
     if not trace.steps:
         raise CertificationError("empty trace")
@@ -528,7 +539,7 @@ def certify(trace: Trace, tables=None) -> list[str]:
         elif isinstance(out, StructureFound):
             if out.upper - out.lower != out.x:
                 raise CertificationError(f"{where}: witness difference mismatch")
-            if not (A.contains(out.lower) and A.contains(out.upper)):
+            if not (_holds(s.set_snapshot, out.lower) and _holds(s.set_snapshot, out.upper)):
                 raise CertificationError(f"{where}: witness endpoints not in set")
             if out.p != s.d * out.x + 1 or not is_prime(out.p):
                 raise CertificationError(f"{where}: {out.p} != {s.d}*{out.x}+1 prime")

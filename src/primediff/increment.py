@@ -12,19 +12,18 @@ size M >= 8N, by default fft_size(8N), the least 5-smooth size >= 8N (the
 driver's grid_size at its default grid_factor), so no transform runs at a
 length with a large prime factor.  energy_table gives E and E* of every
 level from one prefix sum of the power, read at the ends of
-spectral.arc_ranges' arcs, with the star arcs from its star mask (cached
-per level list, so a run of steps at levels 1..Q' computes no gcd after
-its first).  It holds E and E* as two float64 columns over levels
-1..Q', level q at index q - 1; row(q) reads one level as an EnergyStats
-(q, eta, E, E*), and rows, built on first read, lists every level in
-order.  Summed over the whole torus the normalized
-energy is exactly (1 - alpha)/alpha, which pins the normalization in
-tests.  Extraction reads E from energy_table's row(q), measuring no
-arcs of its own, and converts it into a step-q progression on which A
-beats alpha by the factor (1 + E/4); the averaging projection keeps half
-of alpha on a step-d progression.  Both take the best window inside
-[1, N], its count recounted exactly from prefix sums along each residue
-class (_best_inside), never inferred from the transform side.
+spectral.arc_ranges' arcs, with the star arcs from its cached star mask
+(a run of steps computes no gcd after its first).  It holds E and E* as
+two float64 columns over levels 1..Q', level q at index q - 1; row(q)
+reads one level as an EnergyStats (q, eta, E, E*), and rows, built on
+first read, lists every level in order.  Summed over the whole torus the
+normalized energy is exactly (1 - alpha)/alpha, which pins the
+normalization in tests.  Extraction reads E from energy_table's row(q),
+measuring no arcs of its own, and converts it into a step-q progression
+on which A beats alpha by the factor (1 + E/4); the averaging projection
+keeps half of alpha on a step-d progression.  Both take the best window
+inside [1, N], its count recounted exactly from prefix sums along each
+residue class (_best_inside), never inferred from the transform side.
 """
 
 from __future__ import annotations
@@ -196,18 +195,18 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 # the power grid)
 
 
-def _level_energies(m: int, power: np.ndarray, norm: float, levels, big_q: int) -> tuple:
-    """(E, E*) arrays over the ascending levels: with C the running sum of
-    the power at k = 0..M + w, each arc's power is C[hi + 1] - C[lo],
-    within 2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a
-    level's arcs, one its star arcs, so a row does not depend on the other
+def _level_energies(m: int, power: np.ndarray, norm: float, q_prime: int, big_q: int) -> tuple:
+    """(E, E*) arrays over levels 1..Q': with C the running sum of the
+    power at k = 0..M + w, each arc's power is C[hi + 1] - C[lo], within
+    2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a level's
+    arcs, one its star arcs, so a row does not depend on the other
     levels."""
-    q, _, lo, hi, star = arc_ranges(m, levels, big_q)
+    q, _, lo, hi, star = arc_ranges(m, q_prime, big_q)
     c = np.zeros(m + m // big_q + 2)  # C[0] = 0, then C[k + 1] = C[k] + power at k
     np.cumsum(unfold(power, m, c[1:]), out=c[1:])
-    arc = c[hi + 1] - c[lo]
-    e = np.bincount(q, weights=arc)[levels]
-    e_star = np.bincount(q, weights=arc * star)[levels]
+    arc = c[1:][hi] - c[lo]
+    e = np.bincount(q, weights=arc, minlength=q_prime + 1)[1:]
+    e_star = np.bincount(q, weights=arc * star, minlength=q_prime + 1)[1:]
     return e * norm, e_star * norm
 
 
@@ -230,7 +229,7 @@ def energy_table(
         raise PreconditionError(f"grid {m} below 8x support {A.n}")
     _, power = grid_power(A.balanced(), m)
     norm = 1.0 / (A.alpha * A.size * m)
-    e, e_star = _level_energies(m, power, norm, range(1, q_prime + 1), big_q)
+    e, e_star = _level_energies(m, power, norm, q_prime, big_q)
     e.flags.writeable = e_star.flags.writeable = False  # rows, once read, stay equal to them
     # the half grid holds k = 0 and, for even M, k = M/2 once; every other k twice
     total = 2 * power.sum() - power[0] - (power[-1] if m % 2 == 0 else 0.0)

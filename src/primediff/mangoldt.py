@@ -210,13 +210,12 @@ def spectrum_report(
     convergent of the exact fraction k/M with denominator <= Q."""
     weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
     _check_exceptional(d, exceptional)
-    levels = range(1, q_prime + 1)
     try:  # the minor bound refuses n < 2 and N Q past the float range: before any grid
         vinogradov_bound(n, d, 1, big_q)
     except DomainError:
         # refused only if some point is minor: the star arcs are disjoint
         # across levels, as Q > 2 Q', so iff they hold fewer than M points
-        _, _, lo, hi, star = arc_ranges(m, levels, big_q)
+        _, _, lo, hi, star = arc_ranges(m, q_prime, big_q)
         if (hi - lo + 1)[star].sum() < m:
             raise
     _, power = grid_power(weight.signal, m)
@@ -224,7 +223,7 @@ def spectrum_report(
     actual = unfold(np.sqrt(power), m, np.empty(m))  # |Lambda_hat| at k <= M/2, mirrored to M - k
     del power  # free the power grid before the label arrays are built
     a_col, q_col = dirichlet_approx_grid(m, big_q)
-    q, a, lo, hi, star = arc_ranges(m, levels, big_q)
+    q, a, lo, hi, star = arc_ranges(m, q_prime, big_q)
     q, a, lo, size = q[star], a[star] % q[star], lo[star], hi[star] - lo[star] + 1
     del hi  # before the points are listed: the cached q, a and star stay alive
     # each point of each star arc: disjoint across levels
@@ -266,7 +265,7 @@ def major_sup_ratio(
     m = grid_factor * n
     weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
     _, power = grid_power(weight.signal, m)
-    q, a, lo, hi, star = arc_ranges(m, range(1, q_prime + 1), big_q)
+    q, a, lo, hi, star = arc_ranges(m, q_prime, big_q)
     star = star & (lo <= hi)
     at = unfold(power, m, np.empty(m + m // big_q + 2))  # k = 0..M + w + 1: each hi + 1 readable
     ends = np.stack([lo[star], hi[star] + 1], axis=1).ravel()  # even slots reduce lo..hi

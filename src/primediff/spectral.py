@@ -1,9 +1,9 @@
 """Finitely supported signals on Z, their transforms on the torus, rational
 approximation, and Farey arc membership on a grid: arc_ranges gives the
-arcs of many levels as integer ranges of grid points, listing no point,
+arcs of levels 1..Q' as integer ranges of grid points, listing no point,
 with the star mask gcd(a, q) = 1, the package's one definition of a star
-arc.  Its arc geometry (q, a, star) depends on the levels alone and is
-built once per level list, in a one-entry cache of read-only arrays.
+arc.  Its arc geometry (q, a, star) depends on Q' alone: read-only
+prefixes of one cached entry, grown to the most levels asked for.
 
 grid_power, the one grid spectrum, gives the power |f_hat(k/M)|^2 of a
 real signal on the M-point grid from one real FFT: M // 2 + 1 values,
@@ -243,37 +243,34 @@ def dirichlet_approx_grid(m: int, big_q: int) -> tuple[np.ndarray, np.ndarray]:
 # Farey arcs
 
 
-def arc_ranges(m: int, levels, big_q: int) -> tuple[np.ndarray, ...]:
+def arc_ranges(m: int, q_prime: int, big_q: int) -> tuple[np.ndarray, ...]:
     """Level-q arcs |theta - a/q| <= 1/(qQ) on the M-point grid, for the
-    strictly ascending `levels`, as integer ranges (q, a, lo, hi) and the
-    star mask gcd(a, q) = 1: one row per arc, in level order and ascending
-    a, holding k = lo..hi (none when hi = lo - 1).  lo = ceil((aM - w)/q)
-    and hi = floor((aM + w)/q) with w = floor(M/Q) are exact, so closed
-    arcs keep their boundary points.  Only the a = q arc runs past M, by at
-    most w; k there reads k - M.  Arcs of a level touch only when 2w >= M
-    (Q = 2, M even), at one point, kept by the reduced arc if just one of
-    the two is, else by the arc below (a = q is below a = 1), so the star
-    arcs hold exactly the points some reduced arc holds.  The levels' sum
-    of q arcs is held to the table budget before any array is built.  q, a
-    and the star mask depend on the levels alone: they are built once per
-    level list and returned read-only (_arc_geometry)."""
-    what = "Farey arcs limited to a sum of levels q"
-    # ascending levels q >= 1 have at least 1 + 2 + ... + count arcs: the
-    # exact sum for levels 1..Q', and checkable before the levels are read
-    count = len(levels)
-    check_budget(count * (count + 1) // 2, what)
-    levels = np.asarray(levels, dtype=np.int64)
-    if m < 1 or big_q < 2 or levels.ndim != 1 or (levels.size and levels[0] < 1):
-        raise DomainError(f"need M >= 1, Q >= 2 and levels q >= 1, got M={m}, Q={big_q}")
-    if (np.diff(levels) <= 0).any():
-        raise DomainError("levels must be strictly ascending")
-    check_budget(int(levels.sum()), what)
-    q, a, star = _arc_geometry(levels.tobytes())
+    levels q = 1..Q', as integer ranges (q, a, lo, hi) and the star mask
+    gcd(a, q) = 1: one row per arc, in level order and ascending a, level
+    q's arcs at rows q(q - 1)/2 to q(q + 1)/2 - 1, holding k = lo..hi (none
+    when hi = lo - 1).  lo = ceil((aM - w)/q) and hi = floor((aM + w)/q)
+    with w = floor(M/Q) are exact, so closed arcs keep their boundary
+    points.  Only the a = q arc runs past M, by at most w; k there reads
+    k - M.  Arcs of a level touch only when 2w >= M (Q = 2, M even), at
+    one point, kept by the reduced arc if just one of the two is, else by
+    the arc below (a = q is below a = 1), so the star arcs hold exactly
+    the points some reduced arc holds.  The Q'(Q' + 1)/2 arcs are held to
+    the table budget before any array is built.  q, a and the star mask
+    depend on Q' alone: they are read-only prefixes of one grow-only
+    geometry (_arc_geometry)."""
+    global _arc_top
+    rows = q_prime * (q_prime + 1) // 2
+    check_budget(rows, "Farey arcs limited to a sum of levels q")
+    if m < 1 or big_q < 2 or q_prime < 1:
+        raise DomainError(f"need M >= 1, Q >= 2 and Q' >= 1, got M={m}, Q={big_q}, Q'={q_prime}")
+    top = _arc_top = max(_arc_top, q_prime)
+    q, a, star = (column[:rows] for column in _arc_geometry(top))
     w = m // big_q
-    lo = -((w - a * m) // q)  # ceil((aM - w) / q)
-    hi = (a * m + w) // q
+    am = a * m
+    lo = -((w - am) // q)  # ceil((aM - w) / q)
+    hi = (am + w) // q
     if 2 * w >= m:  # each arc meets the next around the circle at one point
-        up = np.arange(1, len(a) + 1) - q * (a == q)  # row of the arc above: a + 1, or 1 after q
+        up = np.arange(1, rows + 1) - q * (a == q)  # row of the arc above: a + 1, or 1 after q
         shared = hi == lo[up] + m * (a == q)
         cede = shared & star[up] & ~star
         hi[cede] -= 1
@@ -281,12 +278,16 @@ def arc_ranges(m: int, levels, big_q: int) -> tuple[np.ndarray, ...]:
     return q, a, lo, hi, star
 
 
+_arc_top = 0  # the most levels any arc_ranges call has asked for
+
+
 @lru_cache(maxsize=1)
-def _arc_geometry(levels: bytes) -> tuple[np.ndarray, ...]:
-    """(q, a, gcd(a, q) == 1) over the arcs of the checked ascending levels,
-    given as int64 bytes, read-only: a one-entry cache, since the driver
-    asks for levels 1..Q' at every step."""
-    levels = np.frombuffer(levels, dtype=np.int64)
+def _arc_geometry(top: int) -> tuple[np.ndarray, ...]:
+    """(q, a, gcd(a, q) == 1) over the arcs of levels 1..top, read-only.
+    One entry, grown to the most levels asked for: its first Q'(Q' + 1)/2
+    rows serve every Q' <= top, so the driver, which asks for levels
+    1..Q' at every step with Q' up to q_cap, builds it once."""
+    levels = np.arange(1, top + 1, dtype=np.int64)
     q = np.repeat(levels, levels)
     a = np.arange(1, len(q) + 1, dtype=np.int64) - np.repeat(np.cumsum(levels) - levels, levels)
     star = np.gcd(a, q) == 1

@@ -137,13 +137,13 @@ def test_one_budget_bounds_every_size(monkeypatch):
     assert grid_power(f, 100)[0] == 100
     assert len(characters_mod(10)) == 4  # a 4 x 10 table
     assert ForbiddenSet.build(100, 1).n == 100
-    assert arc_ranges(100, range(1, 14), 30)[0][-1] == 13
+    assert arc_ranges(100, 13, 30)[0][-1] == 13
     refusals = [
         lambda: build_tables(101),
         lambda: grid_power(f, 101),
         lambda: characters_mod(11),  # 10 x 11
         lambda: ForbiddenSet.build(101, 1),
-        lambda: arc_ranges(100, range(1, 15), 30),  # 105 arcs
+        lambda: arc_ranges(100, 14, 30),  # 105 arcs
     ]
     for refuse in refusals:
         with pytest.raises(ResourceError, match=r"<= 100, got 1\d\d$"):

@@ -32,7 +32,7 @@ from primediff.driver import (
     trace_to_jsonl,
 )
 from primediff.avoider import ForbiddenSet, greedy_avoiding
-from primediff.errors import CertificationError, DomainError
+from primediff.errors import CertificationError, DomainError, ResourceError
 from primediff.increment import DensitySet, energy_table
 
 from oracles import inner_products_naive, is_prime_naive
@@ -185,6 +185,19 @@ class TestIterateOnce:
         assert len(calls) == 1
         row = diag["energy_table"].rows[out.q - 1]
         assert out.outcome.detail["energy"] == row.energy
+
+    def test_a_refused_level_cutoff_reads_no_phi(self, monkeypatch):
+        """Q' is clamped to q_cap, which a config may set to 10^9: the arc
+        budget refuses such a Q' before any phi is read."""
+
+        def boom(q):
+            raise AssertionError("euler_phi ran")
+
+        monkeypatch.setattr(driver, "_phi", np.zeros(0))
+        monkeypatch.setattr(driver, "euler_phi", boom)
+        config = IterationConfig(c_prime=1e-300, q_cap=10**9)
+        with pytest.raises(ResourceError, match="^Farey arcs limited to a sum of levels q"):
+            iterate_once(class_avoiding_set(3000), 1, config)
 
 
 class TestLevelSelection:
@@ -380,6 +393,32 @@ def test_trace_digest_is_pinned(tables_small):
         for line in trace_to_jsonl(trace) + certify(trace, tables_small):
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == "a55f9d3eee2fa8c0453e5baf4b19ac62e81146154b194b39640313114a829a4a"
+
+
+def test_phi_is_computed_once_per_level(monkeypatch):
+    """Steps read phi(1..Q') from one column that grows to the most levels
+    a step asks for: over the 60 seeded inputs euler_phi runs at most once
+    per level of the largest energy table, not once per level per step."""
+    phis, tops = [], []
+    phi, table = driver.euler_phi, driver.energy_table
+
+    def counted_phi(q):
+        phis.append(q)
+        return phi(q)
+
+    def counted_table(A, q_top, *args):
+        tops.append(q_top)
+        return table(A, q_top, *args)
+
+    monkeypatch.setattr(driver, "_phi", np.zeros(0))
+    monkeypatch.setattr(driver, "euler_phi", counted_phi)
+    monkeypatch.setattr(driver, "energy_table", counted_table)
+    for n, d, elements in _driver_inputs():
+        run(DensitySet.from_iterable(n, elements), d, IterationConfig())
+    assert len(tops) > 1 and len(phis) <= max(tops)
+    column = driver._phi
+    driver._phi_column(max(tops))
+    assert driver._phi is column  # long enough: read, not rebuilt
 
 
 class TestCertify:

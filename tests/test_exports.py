@@ -63,6 +63,32 @@ def test_exports_are_their_home_objects():
         assert getattr(home, name) is value, name
 
 
+def test_a_bare_import_serves_each_layer(monkeypatch):
+    """After a bare `import primediff`, a layer's name is that layer's
+    module and an unknown name raises AttributeError: in a fresh
+    interpreter, and here with the attribute a submodule import binds on
+    the package taken off again."""
+    child = (
+        "import sys, primediff\n"
+        "assert primediff.driver is sys.modules['primediff.driver']\n"
+        "try:\n"
+        "    primediff.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(pathlib.Path(primediff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'primediff' has no attribute 'no_such_name'\n"
+    importlib.import_module("primediff.driver")
+    monkeypatch.delattr(primediff, "driver")
+    assert primediff.driver is sys.modules["primediff.driver"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        primediff.no_such_name
+
+
 def test_no_top_level_name_is_defined_twice():
     """Each top-level function or class has one home module: a second
     definition of the same name is a copy to fold into the first."""

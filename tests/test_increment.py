@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from primediff import spectral
 from primediff.errors import DomainError, EnergyShortfall, PreconditionError
 from primediff.increment import (
     DensitySet,
@@ -203,7 +204,7 @@ class TestEnergyTable:
         power = np.ones((1 << 20) + 1)
         tracemalloc.start()
         try:
-            _level_energies(1 << 21, power, 1.0, range(1, 51), 100)
+            _level_energies(1 << 21, power, 1.0, 50, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,7 +213,7 @@ class TestEnergyTable:
     def test_star_mask_is_built_once_per_level_list(self, monkeypatch):
         """20 tables at levels 1..50, each on its own set, grid and Q, call
         np.gcd at most once between them: the star mask gcd(a, q) = 1
-        comes with the arc geometry, built once per level list."""
+        comes with the arc geometry, built once."""
         calls, gcd = [], np.gcd
 
         def counted(*args, **kwargs):
@@ -224,6 +225,16 @@ class TestEnergyTable:
         for i in range(20):
             energy_table(random_set(rng, 40, 300), 50, 100 + i)
         assert len(calls) <= 1
+
+    def test_fewer_levels_read_the_grown_geometry(self, monkeypatch):
+        """Tables at Q' = 50, then 49, then 50 build the arc geometry once:
+        levels 1..49 read a prefix of the entry for 1..50."""
+        monkeypatch.setattr(spectral, "_arc_top", 0)
+        spectral._arc_geometry.cache_clear()
+        A = random_set(np.random.default_rng(74), 40, 300)
+        tables = [energy_table(A, q_prime, 120) for q_prime in (50, 49, 50)]
+        assert spectral._arc_geometry.cache_info().misses == 1
+        assert tables[1].energy.tolist() == tables[0].energy[:49].tolist()
 
     def test_validation(self):
         A = DensitySet.from_iterable(40, [1, 5, 9])

@@ -262,13 +262,21 @@ def test_grid_approximation_runs_in_blocks():
     assert peak_kb < 150 * 1024, f"peak {peak_kb // 1024} MB"
 
 
+def level_rows(m, levels, big_q):
+    """The rows of the given levels, read out of one prefix call
+    arc_ranges(M, max(levels), Q): level q's arcs are rows q(q - 1)/2 to
+    q(q + 1)/2 - 1."""
+    rows = np.concatenate([np.arange(lv * (lv - 1) // 2, lv * (lv + 1) // 2) for lv in levels])
+    return tuple(column[rows] for column in arc_ranges(m, max(levels), big_q))
+
+
 def expand(m, levels, big_q):
-    """arc_ranges' rows as columns (q, k, a), one entry per grid point k of
-    each arc, k read mod M, sorted by (q, k).  Checks the rows' shape on the
-    way: one per arc, level after level with a = 1..q, hi >= lo - 1, and
-    only the a = q arcs past M, by at most w = floor(M/Q), and the star
-    mask gcd(a, q) = 1."""
-    q, a, lo, hi, star = arc_ranges(m, levels, big_q)
+    """The rows of the ascending levels (level_rows) as columns (q, k, a),
+    one entry per grid point k of each arc, k read mod M, sorted by
+    (q, k).  Checks the rows' shape on the way: one per arc, level after
+    level with a = 1..q, hi >= lo - 1, and only the a = q arcs past M, by
+    at most w = floor(M/Q), and the star mask gcd(a, q) = 1."""
+    q, a, lo, hi, star = level_rows(m, levels, big_q)
     assert (star == (np.gcd(a, q) == 1)).all()
     assert q.tolist() == [lv for lv in levels for _ in range(lv)]
     assert a.tolist() == [b for lv in levels for b in range(1, lv + 1)]
@@ -314,10 +322,10 @@ class TestArcIndices:
         assert shared > 0
 
     def test_many_levels_against_fractions(self):
-        """One call over random, non-contiguous ascending levels gives the
-        per-level oracle's points, level after level, each labelled as
-        check_arcs demands; at Q = 2 arcs share points, and the a = q arc
-        wraps past M onto small k."""
+        """The rows of random, non-contiguous ascending levels, read out of
+        one prefix call, give the per-level oracle's points, level after
+        level, each labelled as check_arcs demands; at Q = 2 arcs share
+        points, and the a = q arc wraps past M onto small k."""
         rng = np.random.default_rng(45)
         shared = wrapped = 0
         for trial in range(60):
@@ -342,17 +350,17 @@ class TestArcIndices:
         next at one point: a reduced arc (a = 1, 5) keeps a point it
         shares with an unreduced one, else the arc below keeps it, and the
         a = 6 arc past M gives 65 = 60 + 5 to the a = 1 arc."""
-        q, a, lo, hi, star = arc_ranges(60, [6], 2)
+        q, a, lo, hi, star = level_rows(60, [6], 2)
         assert lo.tolist() == [5, 16, 26, 36, 45, 56]
         assert hi.tolist() == [15, 25, 35, 44, 55, 64]
         assert (star == (np.gcd(a, q) == 1)).all()
-        lo, hi = arc_ranges(60, [1], 2)[2:4]  # level 1's one arc meets itself
+        lo, hi = arc_ranges(60, 1, 2)[2:4]  # level 1's one arc meets itself
         assert (lo.tolist(), hi.tolist()) == ([31], [90])
 
     def test_closed_boundary(self):
         """35/7000 = 1/200 lies on the boundary of the arc around 2/2 at
         Q = 100, which rounding the arc ends in floats can drop."""
-        q, a, lo, hi, star = arc_ranges(7000, [2], 100)
+        q, a, lo, hi, star = level_rows(7000, [2], 100)
         assert (star == (np.gcd(a, q) == 1)).all()
         assert (lo[1], hi[1]) == (6965, 7000 + 35)
         _, k, a = expand(7000, [2], 100)
@@ -362,50 +370,47 @@ class TestArcIndices:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            arc_ranges(0, [1], 2)
+            arc_ranges(0, 1, 2)
         with pytest.raises(DomainError):
-            arc_ranges(10, [0], 2)
+            arc_ranges(10, 0, 2)
         with pytest.raises(DomainError):
-            arc_ranges(10, [1], 0)
+            arc_ranges(10, 1, 0)
         with pytest.raises(DomainError):  # arcs at Q = 1 overlap: no consumer asks
-            arc_ranges(10, [1], 1)
-        with pytest.raises(DomainError, match="ascending"):
-            arc_ranges(10, [2, 1], 2)
-        with pytest.raises(DomainError, match="ascending"):
-            arc_ranges(10, [3, 3], 2)
+            arc_ranges(10, 1, 1)
 
-
-    def test_geometry_is_cached_read_only(self):
-        """q, a and the star mask are built once per level list and cannot
-        be written: levels [1, 2] and range(1, 3) give the same arrays,
-        [2, 3, 7] others, whatever M and Q."""
-        q, a, _, _, star = arc_ranges(100, [1, 2], 7)
+    def test_geometry_is_cached_read_only(self, monkeypatch):
+        """q, a and the star mask are read-only prefixes of one geometry
+        entry, whatever M and Q: Q' = 2 reads the first 3 rows, Q' = 7
+        grows the entry to 28 rows, and Q' = 2 then reads its prefix, with
+        no rebuild."""
+        monkeypatch.setattr(spectral, "_arc_top", 0)
+        spectral._arc_geometry.cache_clear()
+        q, a, _, _, star = arc_ranges(100, 2, 7)
         for array in (q, a, star):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[0]
-        again = arc_ranges(60, range(1, 3), 2)
-        for x, y in zip((q, a, star), (again[0], again[1], again[4])):
-            assert x is y and (x == y).all()  # one cache entry, read again
-        other = arc_ranges(100, [2, 3, 7], 7)
-        assert other[0].tolist() == [2] * 2 + [3] * 3 + [7] * 7
+        assert (q.tolist(), a.tolist(), star.tolist()) == ([1, 2, 2], [1, 1, 2], [1, 1, 0])
+        other = arc_ranges(60, 7, 2)
+        assert other[0].tolist() == [lv for lv in range(1, 8) for _ in range(lv)]
         assert other[4].tolist() == (np.gcd(other[1], other[0]) == 1).tolist()
-        assert arc_ranges(100, [1, 2], 7)[1].tolist() == a.tolist() == [1, 1, 2]
+        again = arc_ranges(100, 2, 7)
+        for x, y, z in zip((q, a, star), (again[0], again[1], again[4]), (other[0], other[1], other[4])):
+            assert (x == y).all() and np.shares_memory(y, z)  # the grown entry, read again
+        assert spectral._arc_geometry.cache_info().misses == 2
 
 
 class TestLevelRuns:
-    """The strictly ascending level lists one arc_ranges call takes."""
+    """The levels 1..Q' one arc_ranges call takes."""
 
     def test_validation(self, monkeypatch):
-        """The levels' sum of q arcs is held to TABLE_CAP, read at call
-        time, before any array is built: levels 1..10^12 are refused at
-        once, and under a cap of 55, levels 1..10 (55 arcs) pass while
-        1..11 and [1, 2, 60] do not."""
+        """The Q'(Q' + 1)/2 arcs are held to TABLE_CAP, read at call time,
+        before any array is built: levels 1..10^12 are refused at once,
+        and under a cap of 55, levels 1..10 (55 arcs) pass while 1..11
+        do not."""
         with pytest.raises(ResourceError, match="got 500000000000500000000000$"):
-            arc_ranges(100, range(1, 10**12 + 1), 3 * 10**12)
+            arc_ranges(100, 10**12, 3 * 10**12)
         monkeypatch.setattr(arith, "TABLE_CAP", 55)
-        assert len(arc_ranges(100, range(1, 11), 30)[0]) == 55
+        assert len(arc_ranges(100, 10, 30)[0]) == 55
         with pytest.raises(ResourceError, match="got 66$"):
-            arc_ranges(100, range(1, 12), 30)
-        with pytest.raises(ResourceError, match="got 63$"):
-            arc_ranges(100, [1, 2, 60], 30)
+            arc_ranges(100, 11, 30)
