@@ -61,7 +61,6 @@ _EXPORTS = {
     "errors": (
         "CertificationError",
         "DomainError",
-        "EnergyShortfall",
         "PreconditionError",
         "ResourceError",
     ),
@@ -87,7 +86,6 @@ _EXPORTS = {
         "vinogradov_bound",
     ),
     "spectral": (
-        "IntegerSignal",
         "TorusPoint",
         "transform_at",
     ),

@@ -33,7 +33,6 @@ from . import __version__
 from .errors import (
     CertificationError,
     DomainError,
-    EnergyShortfall,
     PreconditionError,
     ResourceError,
 )
@@ -430,7 +429,7 @@ def _run(argv) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, PreconditionError, ResourceError, EnergyShortfall, OSError) as exc:
+    except (DomainError, PreconditionError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -37,7 +37,7 @@ import numpy as np
 
 from .arith import euler_phi, is_prime
 from .avoider import ForbiddenSet, find_forbidden_pair
-from .errors import CertificationError, DomainError, EnergyShortfall
+from .errors import CertificationError, DomainError
 from .increment import (
     DensitySet,
     IncrementOutcome,
@@ -248,17 +248,15 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
     admissible = star[:q_double] > 0
     if admissible.any():
         best = table.row(1 + int(np.argmax(np.where(admissible, ratio[:q_double], -np.inf))))
-        target_e = 4.0 * config.gain_threshold
-        try:
-            out = extract_progression(A, best, target_e, c_len=config.c_len)
-        except EnergyShortfall as shortfall:
+        target = 4.0 * config.gain_threshold
+        if best.energy < target:
             return (
                 LargeDOrSmallAlpha(
-                    reason=f"energy {shortfall.measured:.4g} below {shortfall.required:.4g} "
-                    f"at level q={best.q}"
+                    reason=f"energy {best.energy:.4g} below {target:.4g} at level q={best.q}"
                 ),
                 diagnostics,
             )
+        out = extract_progression(A, best, c_len=config.c_len)
         if out.met_guarantee and out.new_alpha >= alpha * (1.0 + config.gain_threshold):
             new_set = rescale(A, out.progression)
             return (

@@ -2,7 +2,8 @@
 
 Four failure families, kept distinct so the CLI can map them to exit codes:
 usage problems are argparse's business (exit 2), domain/precondition/resource
-problems exit 3, certification failures exit 4.
+problems exit 3, certification failures exit 4.  A step that finds too
+little arc energy raises nothing: the driver returns that as its outcome.
 """
 
 
@@ -16,17 +17,6 @@ class PreconditionError(ValueError):
 
 class ResourceError(RuntimeError):
     """A table, grid, or budget is too small for the requested computation."""
-
-
-class EnergyShortfall(RuntimeError):
-    """Measured arc energy fell below the caller's extraction threshold."""
-
-    def __init__(self, measured: float, required: float):
-        self.measured = measured
-        self.required = required
-        super().__init__(
-            f"arc energy {measured:.6g} below required threshold {required:.6g}"
-        )
 
 
 class CertificationError(RuntimeError):

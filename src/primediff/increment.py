@@ -1,7 +1,8 @@
 """Energy increments: turning arc-energy excess into denser progressions.
 
 The normalization used throughout: for A of density alpha in [1, N] with
-balanced function g = 1_A - alpha 1_[1,N],
+balanced function g = 1_A - alpha 1_[1,N] (DensitySet.balanced, an array
+with g(x) at index x - 1),
 
     E_{A,q,eta}  = (alpha |A|)^{-1} sum_{a=1}^{q} integral_{|t - a/q| <= eta} |g_hat|^2
     E*_{A,q,eta} = same sum restricted to gcd(a, q) = 1,
@@ -20,10 +21,12 @@ first read, lists every level in order.  Summed over the whole torus the
 normalized energy is exactly (1 - alpha)/alpha, which pins the
 normalization in tests.  Extraction reads E from energy_table's row(q),
 measuring no arcs of its own, and converts it into a step-q progression
-on which A beats alpha by the factor (1 + E/4); the averaging projection
-keeps half of alpha on a step-d progression.  Both take the best window
-inside [1, N], its count recounted exactly from prefix sums along each
-residue class (_best_inside), never inferred from the transform side.
+on which A beats alpha by the factor (1 + E/4); the driver, not
+extraction, decides whether E is large enough to try.  The averaging
+projection keeps half of alpha on a step-d progression.  Both take the
+best window inside [1, N], its count recounted exactly from prefix sums
+along each residue class (_best_inside), never inferred from the
+transform side.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EnergyShortfall, PreconditionError
-from .spectral import IntegerSignal, arc_ranges, fft_size, grid_power, unfold
+from .errors import DomainError, PreconditionError
+from .spectral import arc_ranges, fft_size, grid_power, unfold
 
 __all__ = [
     "DensitySet",
@@ -89,14 +92,11 @@ class DensitySet:
     def alpha(self) -> float:
         return self.size / self.n
 
-    def balanced(self) -> IntegerSignal:
+    def balanced(self) -> np.ndarray:
+        """g = 1_A - alpha 1_[1,N] as an array, g(x) at index x - 1."""
         vals = np.full(self.n, -self.alpha, dtype=np.float64)
         vals[self.elements - 1] += 1.0
-        return IntegerSignal(1, vals)
-
-    def contains(self, x: int) -> bool:
-        i = np.searchsorted(self.elements, x)
-        return i < self.size and self.elements[i] == x
+        return vals
 
 
 @dataclass(frozen=True)
@@ -237,18 +237,16 @@ def energy_table(
 
 
 def extract_progression(
-    A: DensitySet, row: EnergyStats, target_e: float, c_len: float = 0.25
+    A: DensitySet, row: EnergyStats, c_len: float = 0.25
 ) -> IncrementOutcome:
     """Turn the level-q arc energy E of A's energy_table row (q, eta, E)
     into a step-q progression where A beats its density by (1 + E/4).
 
     The progression length respects both |P| q eta <= 1/2 and
     |P| <= c_len min(eta^{-1}, E |A|) / q, then the best translate fully
-    inside [1, N] is recounted.  Raises EnergyShortfall when the row's E
-    is below target_e."""
+    inside [1, N] is recounted.  Whether E is enough to try is the
+    caller's test (the driver's is E >= 4 gain_threshold)."""
     q, eta, energy = row.q, row.eta, row.energy
-    if energy < target_e:
-        raise EnergyShortfall(energy, target_e)
 
     big_q = round(1.0 / (q * eta))  # exact: energy_table's eta is 1/(q Q)
     cap_eta = big_q // 2

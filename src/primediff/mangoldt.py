@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import ArithTables, ExceptionalDatum, check_budget, euler_phi, psi, tau
 from .errors import DomainError, PreconditionError
-from .spectral import IntegerSignal, arc_ranges, dirichlet_approx_grid, grid_power
+from .spectral import arc_ranges, dirichlet_approx_grid, grid_power
 from .spectral import transform_at, unfold
 
 __all__ = [
@@ -37,11 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MangoldtWeight:
-    """Lambda(d x + 1) on x in [1, n] as an IntegerSignal."""
+    """Lambda(d x + 1) on x in [1, n]: values[x - 1], read from the
+    tables' mangoldt column at stride d."""
 
     n: int
     d: int
-    signal: IntegerSignal
+    values: np.ndarray
 
     @classmethod
     def from_tables(cls, n: int, d: int, tables: ArithTables) -> "MangoldtWeight":
@@ -49,13 +50,13 @@ class MangoldtWeight:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
         tables.check_range(d * n + 1)
         vals = tables.mangoldt[d + 1 : d * n + 2 : d].astype(np.float64)
-        return cls(n, d, IntegerSignal(1, vals))
+        return cls(n, d, vals)
 
     def hat(self, point) -> complex:
-        return transform_at(self.signal, point)
+        return transform_at(self.values, point)
 
     def hat_zero(self) -> float:
-        return float(self.signal.values.sum())
+        return float(self.values.sum())
 
 
 def lambda_hat_rational(n: int, d: int, a: int, q: int, tables: ArithTables) -> complex:
@@ -218,7 +219,7 @@ def spectrum_report(
         _, _, lo, hi, star = arc_ranges(m, q_prime, big_q)
         if (hi - lo + 1)[star].sum() < m:
             raise
-    _, power = grid_power(weight.signal, m)
+    _, power = grid_power(weight.values, m)
     del weight
     actual = unfold(np.sqrt(power), m, np.empty(m))  # |Lambda_hat| at k <= M/2, mirrored to M - k
     del power  # free the power grid before the label arrays are built
@@ -264,7 +265,7 @@ def major_sup_ratio(
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
     weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
-    _, power = grid_power(weight.signal, m)
+    _, power = grid_power(weight.values, m)
     q, a, lo, hi, star = arc_ranges(m, q_prime, big_q)
     star = star & (lo <= hi)
     at = unfold(power, m, np.empty(m + m // big_q + 2))  # k = 0..M + w + 1: each hi + 1 readable

@@ -1,10 +1,11 @@
-"""Finitely supported signals on Z, their transforms on the torus, rational
+"""Signals on [1, N], their transforms on the torus, rational
 approximation, and Farey arc membership on a grid: arc_ranges gives the
 arcs of levels 1..Q' as integer ranges of grid points, listing no point,
 with the star mask gcd(a, q) = 1, the package's one definition of a star
 arc.  Its arc geometry (q, a, star) depends on Q' alone: read-only
 prefixes of one cached entry, grown to the most levels asked for.
 
+A signal is a one-dimensional array f with f(x) = f[x - 1] on [1, N].
 grid_power, the one grid spectrum, gives the power |f_hat(k/M)|^2 of a
 real signal on the M-point grid from one real FFT: M // 2 + 1 values,
 k = 0..M//2, since a real signal has |f_hat(-theta)| = |f_hat(theta)|.
@@ -38,7 +39,6 @@ from .arith import check_budget
 from .errors import DomainError, ResourceError
 
 __all__ = [
-    "IntegerSignal",
     "TorusPoint",
     "arc_ranges",
     "dirichlet_approx_grid",
@@ -50,29 +50,6 @@ __all__ = [
 
 _GRID_BLOCK = 1 << 16  # grid points dirichlet_approx_grid works on at a time
 _INT64_MAX = 2**63 - 1
-
-
-# ---------------------------------------------------------------------------
-# signals
-
-
-@dataclass(frozen=True)
-class IntegerSignal:
-    """A complex- or real-valued function on Z supported on
-    [offset, offset + len(values))."""
-
-    offset: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 1:
-            raise DomainError("signal values must be one-dimensional")
-
-    def support_length(self) -> int:
-        return len(self.values)
-
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +96,10 @@ class TorusPoint:
 # pointwise transform
 
 
-def transform_at(f: IntegerSignal, point: TorusPoint) -> complex:
-    """f_hat at a TorusPoint, with e(-x theta) phases."""
-    idx = f.offset + np.arange(len(f.values), dtype=np.int64)
+def transform_at(f: np.ndarray, point: TorusPoint) -> complex:
+    """f_hat at a TorusPoint of the signal f on [1, len(f)], with e(-x theta)
+    phases."""
+    idx = np.arange(1, len(f) + 1, dtype=np.int64)
     x = idx % point.q
     if int(x.max(initial=0)) * point.a <= _INT64_MAX:
         rational_phase = x * point.a % point.q
@@ -130,28 +108,27 @@ def transform_at(f: IntegerSignal, point: TorusPoint) -> complex:
     phase = np.exp(-2j * np.pi * rational_phase / point.q)
     if point.kappa != 0.0:
         phase = phase * np.exp(-2j * np.pi * point.kappa * idx)
-    return complex(np.dot(f.values, phase))
+    return complex(np.dot(f, phase))
 
 
 # ---------------------------------------------------------------------------
 # grid power
 
 
-def grid_power(f: IntegerSignal, m: int) -> tuple[int, np.ndarray]:
-    """(M, |f_hat(k/M)|^2 for k = 0..M//2) of a real signal from one real
-    FFT; grid point k reads index min(k, M - k).  The power does not depend
-    on f's offset.
+def grid_power(f: np.ndarray, m: int) -> tuple[int, np.ndarray]:
+    """(M, |f_hat(k/M)|^2 for k = 0..M//2) of the real signal f on
+    [1, len(f)] from one real FFT; grid point k reads index min(k, M - k).
 
-    Requires m >= support length; below that the grid aliases and the
-    Parseval identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids
-    past TABLE_CAP points are refused before anything is allocated.
+    Requires m >= len(f); below that the grid aliases and the Parseval
+    identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids past
+    TABLE_CAP points are refused before anything is allocated.
     """
-    if np.iscomplexobj(f.values):
+    if np.iscomplexobj(f):
         raise DomainError("grid_power needs a real-valued signal")
     check_budget(m, "spectrum grid limited to M")
-    if m < f.support_length():
-        raise ResourceError(f"grid size {m} below support length {f.support_length()}")
-    spec = np.fft.rfft(f.values, n=m)
+    if m < len(f):
+        raise ResourceError(f"grid size {m} below support length {len(f)}")
+    spec = np.fft.rfft(f, n=m)
     power = spec.real**2
     power += spec.imag**2
     return m, power

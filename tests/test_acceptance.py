@@ -35,7 +35,7 @@ from primediff import (
     tau_closed_form,
     verify_inversion,
 )
-from primediff.spectral import IntegerSignal, grid_power
+from primediff.spectral import grid_power
 
 from oracles import (
     avoiding_prefix_optima,
@@ -137,13 +137,14 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(100):
             length = int(rng.integers(1, 10_001))
-            values = rng.normal(size=length)
-            f = IntegerSignal(offset=int(rng.integers(1, 50)), values=values)
+            f = rng.normal(size=length)
+            rng.integers(1, 50)  # kept: the draws after it are the pinned inputs
             m = length + int(rng.integers(0, length + 8))
             _, half = grid_power(f, m)
             # the half grid holds k = 0 and, for even M, k = M/2 once
             total = (2 * half.sum() - half[0] - (half[-1] if m % 2 == 0 else 0.0)) / m
-            rel = abs(total - f.energy()) / max(1.0, f.energy())
+            energy = float(np.sum(np.abs(f) ** 2))
+            rel = abs(total - energy) / max(1.0, energy)
             worst = max(worst, rel)
         _report(6, worst <= 1e-9, f"worst relative error {worst:.3e}")
 
@@ -191,7 +192,7 @@ class TestAcceptance:
             A = DensitySet.from_iterable(n, elements)
             table = energy_table(A, 12, big_q)
             best = max(table.rows, key=lambda r: r.energy)
-            out = extract_progression(A, best, best.energy * (1 - 1e-9))
+            out = extract_progression(A, best)
             P = out.progression
             count = window_count_naive(A.elements, P.first, P.step, P.length)
             assert count == out.intersection_count

@@ -128,11 +128,11 @@ def test_one_budget_bounds_every_size(monkeypatch):
     all answer to arith.TABLE_CAP, read at call time: under a cap of 100
     each takes 100 entries (91 arcs for levels 1..13) and refuses more."""
     from primediff.avoider import ForbiddenSet
-    from primediff.spectral import IntegerSignal, arc_ranges, grid_power
+    from primediff.spectral import arc_ranges, grid_power
 
     monkeypatch.setattr(arith, "TABLE_CAP", 100)
     _character_table.cache_clear()  # a cached modulus skips its check
-    f = IntegerSignal(1, np.ones(10))
+    f = np.ones(10)
     assert build_tables(100).n_max == 100
     assert grid_power(f, 100)[0] == 100
     assert len(characters_mod(10)) == 4  # a 4 x 10 table

@@ -269,6 +269,11 @@ class TestExactSearch:
         with pytest.raises(DomainError, match="node budget"):
             max_avoiding_exact(ForbiddenSet.build(20, 1), node_budget=budget)
 
+    def test_budget_of_one_is_accepted(self):
+        fs = ForbiddenSet.build(20, 1)
+        res = max_avoiding_exact(fs, node_budget=1)
+        assert not res.optimal and is_avoiding(res.elements, fs)
+
 
 class TestGreedy:
     def test_first_fit_small_case(self):

@@ -11,10 +11,14 @@ import importlib
 import inspect
 import pathlib
 
+import numpy as np
+
 from primediff import driver
+from primediff.arith import build_tables
 from primediff.avoider import ForbiddenSet, max_avoiding_exact
 from primediff.driver import IterationConfig, iterate_once, run
 from primediff.increment import DensitySet, energy_table
+from primediff.mangoldt import spectrum_report
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 LIBRARY = SPANS.parent / "library.py"
@@ -54,8 +58,16 @@ def test_every_span_target_resolves():
 
 
 def test_counter_attributes_exist():
-    """What the counters read: energy_table's rows (one per level),
-    exact search's nodes and seconds, a run's terminal and a step's tag."""
+    """What the counters read: the ndarray attributes of build_tables'
+    result (their bytes), the length of spectrum_report's (one row per grid
+    point), energy_table's rows (one per level), exact search's nodes and
+    seconds, a run's terminal and a step's tag."""
+    tables = build_tables(201)
+    arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
+    assert sum(v.nbytes for v in arrays) == tables.mangoldt.nbytes == 202 * 8
+
+    assert len(spectrum_report(200, 1, 5, 30, 1600, tables)) == 1600
+
     A = DensitySet.from_iterable(300, range(1, 301, 7))
     table = energy_table(A, 12, 40)
     assert len(table.rows) == 12

@@ -741,6 +741,15 @@ class TestExtremalCommand:
         assert json.loads(out.read_text())["size"] >= 1
         assert peak_kb < 100 * 1024, f"peak {peak_kb // 1024} MB"
 
+    def test_budget_of_one_runs(self, capsys):
+        """A budget of 1 is the least accepted: the search stops at once and
+        reports its set as not optimal."""
+        code, out, err = run_cli(
+            ["extremal", "--n", "88", "--d", "1", "--mode", "exact", "--budget", "1"], capsys
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["optimal"] is False
+
     @pytest.mark.parametrize("budget", ["-5", "0"])
     def test_budget_below_one_is_domain_error(self, budget, capsys):
         code, out, err = run_cli(

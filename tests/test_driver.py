@@ -69,6 +69,9 @@ class TestIterationConfig:
             IterationConfig(grid_factor=4)
         with pytest.raises(DomainError):
             IterationConfig(d_ceiling_exponent=1.5)
+        for bad in ({"max_steps": 0}, {"n_floor": 1}, {"q_cap": 0}):
+            with pytest.raises(DomainError, match="max_steps, n_floor, q_cap out of range"):
+                IterationConfig(**bad)
         for name in ("c", "alpha_floor", "d_ceiling_exponent"):
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError):
@@ -129,7 +132,7 @@ class TestIterateOnce:
             if isinstance(out, StructureFound):
                 assert is_prime_naive(out.p)
                 assert out.p == d * out.x + 1
-                assert A.contains(out.lower) and A.contains(out.upper)
+                assert out.lower in A.elements and out.upper in A.elements
 
     def test_small_universe(self):
         A = DensitySet.from_iterable(10, [1, 2])
@@ -202,21 +205,22 @@ class TestIterateOnce:
 
 class TestLevelSelection:
     """iterate_once picks its level from energy_table's columns; a stub
-    table fixes the energies, so each rule is seen on its own.  Every E
-    is 0, below the 0.08 an extraction needs, so the step ends naming the
-    level it chose."""
+    table fixes the energies, so each rule is seen on its own.  Unless a
+    test sets it, every E is 0, below the 0.08 an extraction needs, so the
+    step ends naming the level it chose."""
 
     @staticmethod
-    def stubbed(monkeypatch, star_at: dict):
-        """Stub driver.energy_table with E = 0 and E* from {q: E*}, 0 at
-        every other level; returns the tables it built."""
+    def stubbed(monkeypatch, star_at: dict, energy_at: dict | None = None):
+        """Stub driver.energy_table with E* from {q: E*} and E from
+        {q: E}, 0 at every other level; returns the tables it built."""
         built = []
 
         def stub(A, q_top, big_q, m):
-            star = np.zeros(q_top)
-            for q, value in star_at.items():
-                star[q - 1] = value
-            built.append(increment.EnergyTable(np.zeros(q_top), star, 0.0, m, big_q))
+            energy, star = np.zeros(q_top), np.zeros(q_top)
+            for column, values in ((energy, energy_at or {}), (star, star_at)):
+                for q, value in values.items():
+                    column[q - 1] = value
+            built.append(increment.EnergyTable(energy, star, 0.0, m, big_q))
             return built[-1]
 
         monkeypatch.setattr(driver, "energy_table", stub)
@@ -254,18 +258,33 @@ class TestLevelSelection:
         trace = run(sparse_set, 1, IterationConfig(), tables_small)
         assert trace.steps[0].energy_top == ((1, 0.0), (2, 0.0), (3, 0.0))
 
+    def test_shortfall_ends_the_step_before_extraction(self, sparse_set, monkeypatch):
+        """E below 4 gain_threshold at the chosen level ends the step with
+        the measured E, the required 0.08 and the level, and extraction
+        never runs; the next float below 0.08 is enough to stop."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("extraction ran on a shortfall")
+
+        monkeypatch.setattr(driver, "extract_progression", boom)
+        self.stubbed(monkeypatch, {6: 1.0}, {6: math.nextafter(0.08, 0.0)})
+        out, diag = iterate_once(sparse_set, 1, IterationConfig())
+        assert out == LargeDOrSmallAlpha("energy 0.08 below 0.08 at level q=6")
+        assert "energy_table" in diag
+
     def test_weak_extraction_ends_the_step(self, sparse_set, monkeypatch):
         """An extraction that misses its guarantee, or meets it short of the
         gain threshold, ends the step naming the level and the alpha ratio
         it reached.  No measured input reaches this stop, so a stub
-        extract_progression returns the outcome."""
-        self.stubbed(monkeypatch, {6: 1.0})
+        extract_progression returns the outcome.  E sits exactly on the
+        0.08 an extraction needs, which is enough to try."""
+        self.stubbed(monkeypatch, {6: 1.0}, {6: 0.08})
         alpha = sparse_set.alpha
         for met, new_alpha in [(False, 2 * alpha), (True, alpha)]:
             seen = []
 
-            def weak(A, row, target_e, c_len):
-                seen.append((row.q, target_e, c_len))
+            def weak(A, row, c_len):
+                seen.append((row.q, row.energy, c_len))
                 return increment.IncrementOutcome(
                     increment.Progression(1, row.q, 10), 1, new_alpha, met
                 )

@@ -23,9 +23,9 @@ MODULES = ["primediff"] + [
 # the package's exports; a change to this list is a change to the public API
 EXPORTS = """
     ArithTables Budget CertificationError DensityIncrement DensitySet
-    DirichletCharacter DomainError EnergyShortfall EnergyStats EnergyTable
+    DirichletCharacter DomainError EnergyStats EnergyTable
     ExceptionalDatum ForbiddenSet IncrementOutcome
-    IntegerSignal IterationConfig LargeDOrSmallAlpha MangoldtWeight Prediction
+    IterationConfig LargeDOrSmallAlpha MangoldtWeight Prediction
     PreconditionError Progression ResourceError SearchResult SmallAlpha SmallN
     SpectrumReport StructureFound TorusPoint Trace TraceStep
     averaging_projection build_tables certify characters_mod

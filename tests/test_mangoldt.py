@@ -31,20 +31,20 @@ class TestMangoldtWeight:
     def test_values_against_naive(self, tables_small):
         for d in (1, 2, 5):
             w = MangoldtWeight.from_tables(40, d, tables_small)
-            assert w.signal.offset == 1
+            assert len(w.values) == 40
             for x in range(1, 41):
-                assert abs(w.signal.values[x - 1] - mangoldt_naive(d * x + 1)) < 1e-12
+                assert abs(w.values[x - 1] - mangoldt_naive(d * x + 1)) < 1e-12
 
     def test_hat_zero_is_mass(self, tables_small):
         w = MangoldtWeight.from_tables(500, 2, tables_small)
-        assert abs(w.hat_zero() - w.signal.values.sum()) < 1e-12
+        assert abs(w.hat_zero() - w.values.sum()) < 1e-12
         assert abs(w.hat(TorusPoint.rational(0, 1)) - w.hat_zero()) < 1e-9
 
     def test_hat_against_naive(self, tables_small):
         w = MangoldtWeight.from_tables(60, 1, tables_small)
         for theta in (0.1, 1 / 3, 0.77):
             got = w.hat(TorusPoint.from_float(theta))
-            want = dft_naive(w.signal.values.tolist(), 1, theta)
+            want = dft_naive(w.values.tolist(), 1, theta)
             assert abs(got - want) < 1e-9
 
     def test_rejects_bad_shape(self, tables_small):
@@ -140,7 +140,7 @@ class TestSpectrumReport:
         pointwise sum round differently.  k = 0 holds the largest value,
         the mass of the nonnegative weight, which scales the tolerance."""
         n = 2000
-        signal = MangoldtWeight.from_tables(n, 1, tables_small).signal
+        signal = MangoldtWeight.from_tables(n, 1, tables_small).values
         rng = np.random.default_rng(147)
         for m in (16000, 16001):
             report = spectrum_report(n, 1, 20, 200, m, tables_small)

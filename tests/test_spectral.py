@@ -13,7 +13,6 @@ import pytest
 
 from primediff import arith, spectral
 from primediff.spectral import (
-    IntegerSignal,
     TorusPoint,
     arc_ranges,
     dirichlet_approx_grid,
@@ -31,17 +30,6 @@ from oracles import (
     dirichlet_approx,
     five_smooth_naive,
 )
-
-
-class TestIntegerSignal:
-    def test_interval(self):
-        f = IntegerSignal(1, np.ones(5))
-        assert f.support_length() == 5
-        assert f.energy() == 5.0
-
-    def test_energy(self):
-        f = IntegerSignal(0, np.array([1.0, -2.0, 2.0]))
-        assert f.energy() == 9.0
 
 
 class TestTorusPoint:
@@ -63,6 +51,8 @@ class TestTorusPoint:
             TorusPoint(0, 1, 0.7)
         with pytest.raises(DomainError):
             TorusPoint(1, 0, 0.0)
+        with pytest.raises(DomainError, match="need 0 <= a <= q, got a=5, q=3"):
+            TorusPoint(5, 3)
 
     def test_denominator_fits_int64(self):
         assert TorusPoint(1, 2**63 - 1).q == 2**63 - 1
@@ -77,35 +67,26 @@ class TestTransforms:
     def test_pointwise_against_naive(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
-            off = int(rng.integers(-10, 11))
-            vals = rng.normal(size=int(rng.integers(1, 20)))
-            f = IntegerSignal(off, vals)
+            f = rng.normal(size=int(rng.integers(1, 20)))
             theta = float(rng.uniform())
             got = transform_at(f, TorusPoint.from_float(theta))
-            want = dft_naive(vals.tolist(), off, theta)
+            want = dft_naive(f.tolist(), 1, theta)
             assert abs(got - want) < 1e-9
-
-    def test_rational_phase_is_exact(self):
-        """Large coordinates keep exact phases through modular reduction."""
-        f = IntegerSignal(10**15, np.array([1.0]))
-        z = transform_at(f, TorusPoint.rational(1, 3))
-        want = dft_naive([1.0], 10**15 % 3, 1 / 3)
-        assert abs(z - want) < 1e-12
 
     def test_rational_phase_past_int64_products(self):
         """x a mod q is exact where x a passes int64: at a/q = (10^16 - 1) /
         10^16 every phase of 1..2000 is e(x / 10^16), so the sum is near 2000."""
         q = 10**16
-        z = transform_at(IntegerSignal(1, np.ones(2000)), TorusPoint(q - 1, q))
+        z = transform_at(np.ones(2000), TorusPoint(q - 1, q))
         want = sum(cmath.exp(-2j * math.pi * (x * (q - 1) % q) / q) for x in range(1, 2001))
         assert abs(z - want) < 1e-6 and abs(z - 2000) < 1e-3
 
     def test_power_matches_pointwise(self):
         """grid_power holds |f_hat(k/M)|^2 for k <= M/2, and grid point k
-        reads index min(k, M - k), on even and odd grids; the support
-        here wraps past M - 1."""
+        reads index min(k, M - k), on even and odd grids; on the 32-point
+        grid the support's last point x = 32 wraps to 0."""
         rng = np.random.default_rng(32)
-        f = IntegerSignal(25, rng.normal(size=17))
+        f = rng.normal(size=32)
         for m in (32, 33):
             size, power = grid_power(f, m)
             assert size == m and len(power) == m // 2 + 1
@@ -116,24 +97,24 @@ class TestTransforms:
     def test_power_refusals(self):
         """Grids below the support length or past TABLE_CAP points, and
         complex signals, whose power is not symmetric."""
-        f = IntegerSignal(1, np.ones(10))
+        f = np.ones(10)
         with pytest.raises(ResourceError):
             grid_power(f, 9)
         with pytest.raises(ResourceError, match="grid limited"):
             grid_power(f, TABLE_CAP + 1)
         with pytest.raises(DomainError):
-            grid_power(IntegerSignal(0, np.ones(4, dtype=complex)), 8)
+            grid_power(np.ones(4, dtype=complex), 8)
 
     def test_parseval(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
-            vals = rng.normal(size=int(rng.integers(1, 200)))
-            f = IntegerSignal(int(rng.integers(-3, 40)), vals)
-            m = f.support_length() + int(rng.integers(0, 50))
+            f = rng.normal(size=int(rng.integers(1, 200)))
+            m = len(f) + int(rng.integers(0, 50))
             _, half = grid_power(f, m)
             # the half grid holds k = 0 and, for even M, k = M/2 once
             total = (2 * half.sum() - half[0] - (half[-1] if m % 2 == 0 else 0.0)) / m
-            assert abs(total - f.energy()) <= 1e-9 * f.energy()
+            energy = float(np.sum(f**2))
+            assert abs(total - energy) <= 1e-9 * energy
 
 
 class TestFftSize:
@@ -199,6 +180,12 @@ class TestDirichletApprox:
 
     def test_wraps_to_zero(self):
         assert self.at(1000, 999, 50) == (0, 1)
+
+    def test_validation(self):
+        with pytest.raises(DomainError, match="grid size must be >= 1, got 0"):
+            dirichlet_approx_grid(0, 10)
+        with pytest.raises(DomainError, match="cutoff must be >= 1, got 0"):
+            dirichlet_approx_grid(10, 0)
 
     def test_approximation_property(self):
         """|k/M - a/q| < 1/(q Q) on the circle, with q <= Q and
