@@ -181,9 +181,8 @@ def build_tables(n_max: int) -> ArithTables:
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division; fine for the moduli we touch."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}")
+    """Prime factorization of n >= 1 by trial division; fine for the moduli
+    we touch."""
     out = []
     d = 2
     while d * d <= n:
@@ -350,13 +349,8 @@ def _unit_group_generators(p: int, e: int) -> list[tuple[int, int]]:
     # odd p: the group is cyclic; a primitive root mod p^2 works for every e
     phi_p = p - 1
     fac = [f for f, _ in _factorize(phi_p)]
-    root = None
-    for cand in range(2, p):
-        if all(pow(cand, phi_p // f, p) != 1 for f in fac):
-            root = cand
-            break
-    if root is None:  # p = 2 handled above, p = 3 gives root 2; unreachable
-        raise DomainError(f"no primitive root found mod {p}")
+    # every odd prime has a primitive root in 2..p - 1
+    root = next(c for c in range(2, p) if all(pow(c, phi_p // f, p) != 1 for f in fac))
     if e > 1 and pow(root, p - 1, p * p) == 1:
         root += p
     return [(root % pe, euler_phi(pe))]

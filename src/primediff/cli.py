@@ -75,16 +75,14 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_at(text: str) -> TorusPoint:
-    """Torus point from "0", "0.31", or "1/3"."""
+    """Torus point from "0", "0.31", or "1/3"; TorusPoint refuses a
+    denominator below 1."""
     from .spectral import TorusPoint
 
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
-        a, q = int(num), int(den)
-        if q < 1:
-            raise DomainError(f"denominator must be positive in {text!r}")
-        return TorusPoint.rational(a, q)
+        return TorusPoint.rational(int(num), int(den))
     return TorusPoint.from_float(_finite_float(s))
 
 

@@ -10,14 +10,15 @@ with rows of separators, transposes once, and drops every NUL with one
 - `%d`: a sign slot, then the four-digit groups of |v|, read from a digit
   table with `np.take(..., axis=1)`; leading zeros are NUL.
 - `%.12g` of a positive finite x: X = floor(log10 x) and the 12-digit
-  integer D = round(x 10^(11-X)), with X corrected once if D falls outside
-  [10^11, 10^12), give the digits (trailing zeros NUL).  They are laid out
-  in fixed notation for -4 <= X <= 11, behind a "0.000" prefix when X < 0,
-  and in exponent notation otherwise, with a dot slot after each digit.
-  +0.0 is "0".  A value whose float estimate cannot decide its rounding
-  (x 10^(11-X) within 1e-3 of a half-integer, or 10^(11-X) not finite),
-  and every negative, -0.0, nan or inf, is formatted by `'%.12g' % x`
-  itself, so the text equals printf's by construction.
+  integer D = round(x 10^(11-X)) give the digits (trailing zeros NUL).
+  They are laid out in fixed notation for -4 <= X <= 11, behind a "0.000"
+  prefix when X < 0, and in exponent notation otherwise, with a dot slot
+  after each digit.  +0.0 is "0".  A value whose float estimate cannot
+  decide its rounding (x 10^(11-X) within 1e-3 of a half-integer, or
+  10^(11-X) not finite), a value whose D falls outside [10^11, 10^12)
+  (its X is off by one), and every negative, -0.0, nan or inf, is
+  formatted by `'%.12g' % x` itself, so the text equals printf's by
+  construction.
 - `%s` of a sequence of str: each word, NUL-padded to the longest.
 
 A field may also be indexed, `(fmt, table)`: its column holds indices into
@@ -108,15 +109,8 @@ def _g12_frame(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         y = xs * _P10[11 - X - _P10_LO]
         D = np.rint(y)
-        # a rounding the estimate cannot decide, at the first X or the corrected one
+        # a rounding the estimate cannot decide, or an X the estimate got wrong
         undecided = np.abs(y - np.floor(y) - 0.5) < 1e-3
-        off = (D >= 1e12).astype(np.intp) - (D < 1e11)
-        fix = np.flatnonzero(off)
-        if fix.size:
-            X[fix] += off[fix]
-            y = xs[fix] * _P10[11 - X[fix] - _P10_LO]
-            D[fix] = np.rint(y)
-            undecided[fix] |= np.abs(y - np.floor(y) - 0.5) < 1e-3
         fallback = undecided | (D < 1e11) | (D >= 1e12) | ~(native | zero)
     rows = np.flatnonzero(fallback)
     X[rows], D[rows] = 0, 1e11  # placeholders, overwritten below
@@ -192,13 +186,6 @@ def _render(formatters, columns) -> bytes:
     frame = np.concatenate(frames)
     frame = frame[frame.any(axis=1)]  # rows NUL throughout add nothing
     return frame.T.tobytes().translate(None, b"\0")
-
-
-def render_rows(fields: tuple, columns) -> bytes:
-    """The rows' CSV text, each line newline-terminated.  fields[i] is
-    "%d", "%.12g", "%s" or an indexed field (fmt, table), the format of
-    columns[i]."""
-    return _render([_formatter(spec) for spec in fields], columns)
 
 
 def csv_blocks(header: str, fields: tuple, n_rows: int, columns, trailer: str) -> Iterator[str]:

@@ -422,11 +422,11 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
 _PAIR_BLOCK = 1 << 18  # most pair differences _correlations holds at once
 
 
-def _correlations(A: DensitySet, top: int) -> tuple[np.ndarray, ...]:
-    """(r_AA, r_AI, r_IA, r_II) at x = 0..top < N with I = [1, N]: the pairs
-    (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA counts
-    the differences a - b > 0 of the ascending elements exactly, as int64,
-    a block of rows at a time: O(|A|^2) time and O(N + _PAIR_BLOCK)
+def _correlations(A: DensitySet) -> tuple[np.ndarray, ...]:
+    """(r_AA, r_AI, r_IA, r_II) at every x = 0..N - 1 with I = [1, N]: the
+    pairs (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA
+    counts the differences a - b > 0 of the ascending elements exactly, as
+    int64, a block of rows at a time: O(|A|^2) time and O(N + _PAIR_BLOCK)
     memory.  The other three are closed forms (set-interval by suffix
     counts), as floats."""
     e = A.elements
@@ -436,8 +436,7 @@ def _correlations(A: DensitySet, top: int) -> tuple[np.ndarray, ...]:
         diff = e[lo : lo + rows, None] - e[: lo + rows]  # b up to a's own place in the order
         r_aa += np.bincount(diff[diff > 0], minlength=A.n)
     r_aa[0] = A.size
-    r_aa = r_aa[: top + 1]
-    x = np.arange(top + 1, dtype=np.int64)
+    x = np.arange(A.n, dtype=np.int64)
     r_ai = (A.size - np.searchsorted(A.elements, x, side="right")).astype(np.float64)
     r_ia = np.searchsorted(A.elements, A.n - x, side="right").astype(np.float64)
     r_ii = (A.n - x).astype(np.float64)
@@ -461,7 +460,7 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
     (the a = q arc meets a = 1 past M), counted once.  Works arc by arc:
     O(qN + |A|^2) time, O(N) memory."""
     alpha = A.alpha
-    r_aa, r, r_ia, r_ii = _correlations(A, A.n - 1)
+    r_aa, r, r_ia, r_ii = _correlations(A)
     r += r_ia  # r_g = r_AA - alpha (r_AI + r_IA) + alpha^2 r_II, in place
     r *= alpha
     np.subtract(r_aa, r, out=r)

@@ -145,12 +145,13 @@ class EnergyStats(NamedTuple):
 @dataclass(frozen=True)
 class EnergyTable:
     """E and E* of levels 1..Q' as read-only float64 columns, level q at
-    index q - 1; row(q) is one level as EnergyStats, rows all of them."""
+    index q - 1, with the normalized energy of the whole torus and the Q
+    of each level's eta = 1/(qQ); row(q) is one level as EnergyStats, rows
+    all of them."""
 
     energy: np.ndarray
     star_energy: np.ndarray
     total: float
-    m: int
     big_q: int
 
     def row(self, q: int) -> EnergyStats:
@@ -227,13 +228,13 @@ def energy_table(
     m = fft_size(8 * A.n) if m is None else m
     if m < 8 * A.n:
         raise PreconditionError(f"grid {m} below 8x support {A.n}")
-    _, power = grid_power(A.balanced(), m)
+    power = grid_power(A.balanced(), m)
     norm = 1.0 / (A.alpha * A.size * m)
     e, e_star = _level_energies(m, power, norm, q_prime, big_q)
     e.flags.writeable = e_star.flags.writeable = False  # rows, once read, stay equal to them
     # the half grid holds k = 0 and, for even M, k = M/2 once; every other k twice
     total = 2 * power.sum() - power[0] - (power[-1] if m % 2 == 0 else 0.0)
-    return EnergyTable(e, e_star, total=float(total * norm), m=m, big_q=big_q)
+    return EnergyTable(e, e_star, total=float(total * norm), big_q=big_q)
 
 
 def extract_progression(

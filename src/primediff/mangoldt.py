@@ -219,7 +219,7 @@ def spectrum_report(
         _, _, lo, hi, star = arc_ranges(m, q_prime, big_q)
         if (hi - lo + 1)[star].sum() < m:
             raise
-    _, power = grid_power(weight.values, m)
+    power = grid_power(weight.values, m)
     del weight
     actual = unfold(np.sqrt(power), m, np.empty(m))  # |Lambda_hat| at k <= M/2, mirrored to M - k
     del power  # free the power grid before the label arrays are built
@@ -265,7 +265,7 @@ def major_sup_ratio(
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
     weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
-    _, power = grid_power(weight.values, m)
+    power = grid_power(weight.values, m)
     q, a, lo, hi, star = arc_ranges(m, q_prime, big_q)
     star = star & (lo <= hi)
     at = unfold(power, m, np.empty(m + m // big_q + 2))  # k = 0..M + w + 1: each hi + 1 readable

@@ -115,9 +115,10 @@ def transform_at(f: np.ndarray, point: TorusPoint) -> complex:
 # grid power
 
 
-def grid_power(f: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """(M, |f_hat(k/M)|^2 for k = 0..M//2) of the real signal f on
-    [1, len(f)] from one real FFT; grid point k reads index min(k, M - k).
+def grid_power(f: np.ndarray, m: int) -> np.ndarray:
+    """The power |f_hat(k/M)|^2 for k = 0..M//2 on the grid of M = m
+    points, of the real signal f on [1, len(f)], from one real FFT; grid
+    point k reads index min(k, M - k).
 
     Requires m >= len(f); below that the grid aliases and the Parseval
     identity (1/M) sum |f_hat(k/M)|^2 = sum |f|^2 fails.  Grids past
@@ -131,7 +132,7 @@ def grid_power(f: np.ndarray, m: int) -> tuple[int, np.ndarray]:
     spec = np.fft.rfft(f, n=m)
     power = spec.real**2
     power += spec.imag**2
-    return m, power
+    return power
 
 
 def fft_size(m: int) -> int:

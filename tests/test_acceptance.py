@@ -140,7 +140,7 @@ class TestAcceptance:
             f = rng.normal(size=length)
             rng.integers(1, 50)  # kept: the draws after it are the pinned inputs
             m = length + int(rng.integers(0, length + 8))
-            _, half = grid_power(f, m)
+            half = grid_power(f, m)
             # the half grid holds k = 0 and, for even M, k = M/2 once
             total = (2 * half.sum() - half[0] - (half[-1] if m % 2 == 0 else 0.0)) / m
             energy = float(np.sum(np.abs(f) ** 2))

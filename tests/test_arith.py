@@ -134,7 +134,7 @@ def test_one_budget_bounds_every_size(monkeypatch):
     _character_table.cache_clear()  # a cached modulus skips its check
     f = np.ones(10)
     assert build_tables(100).n_max == 100
-    assert grid_power(f, 100)[0] == 100
+    assert len(grid_power(f, 100)) == 51  # k = 0..M//2 of M = 100
     assert len(characters_mod(10)) == 4  # a 4 x 10 table
     assert ForbiddenSet.build(100, 1).n == 100
     assert arc_ranges(100, 13, 30)[0][-1] == 13
@@ -289,6 +289,10 @@ class TestRamanujan:
             a = int(rng.integers(0, q1 * q2))
             assert abs(ramanujan(q1 * q2, a) - ramanujan(q1, a) * ramanujan(q2, a)) < 1e-9
 
+    def test_validation(self):
+        with pytest.raises(DomainError, match="modulus must be >= 1, got 0"):
+            ramanujan(0, 1)
+
 
 class TestTau:
     def test_naive_small_sweep(self):
@@ -322,11 +326,23 @@ class TestTau:
                 for a in range(q):
                     assert abs(abs(tau(a, d, q)) - abs(ramanujan(q, a))) < 1e-9
 
+    @pytest.mark.parametrize("route", [tau, tau_closed_form])
+    def test_validation(self, route):
+        with pytest.raises(DomainError, match="need q, d >= 1, got q=0, d=1"):
+            route(1, 1, 0)
+
 
 class TestCharacters:
     def test_group_size(self):
         for q in (1, 2, 3, 8, 12, 45, 64):
             assert len(characters_mod(q)) == euler_phi(q)
+
+    def test_validation(self):
+        """Modulus 0 has no unit group: phi and the characters refuse it."""
+        with pytest.raises(DomainError, match="phi undefined for 0"):
+            euler_phi(0)
+        with pytest.raises(DomainError, match="modulus must be >= 1, got 0"):
+            characters_mod(0)
 
     def test_principal_first(self):
         chars = characters_mod(12)
@@ -474,6 +490,8 @@ class TestPsi:
             psi(-1.0, 1, 0, tables_small)
         with pytest.raises(DomainError):
             psi(10.0, 0, 0, tables_small)
+        with pytest.raises(DomainError, match="need x >= 0, got -1"):
+            psi_chi(-1, characters_mod(3)[0], tables_small)
 
 
 class TestInversion:

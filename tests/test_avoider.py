@@ -15,7 +15,7 @@ from primediff.avoider import (
     is_avoiding,
     max_avoiding_exact,
 )
-from primediff.errors import DomainError, ResourceError
+from primediff.errors import DomainError, PreconditionError, ResourceError
 
 from oracles import (
     avoiding_prefix_optima,
@@ -358,3 +358,28 @@ class TestGreedy:
         fs = ForbiddenSet.build(30, 1)
         with pytest.raises(DomainError):
             greedy_avoiding(fs, strategy="simulated_annealing")
+
+
+class TestNonAvoidingInvariant:
+    """Fault injection: with avoider.is_avoiding made to refuse every set,
+    each search that rechecks its own result raises rather than return it."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_every_set(self, monkeypatch):
+        monkeypatch.setattr(avoider, "is_avoiding", lambda elements, fs: False)
+
+    def test_exact_doll(self):
+        """Unbudgeted, the doll finishes and branch-and-bound never runs."""
+        with pytest.raises(PreconditionError, match="^search produced a non-avoiding set"):
+            max_avoiding_exact(ForbiddenSet.build(20, 1))
+
+    def test_branch_and_bound_after_an_exhausted_budget(self):
+        """Three nodes exhaust the doll's budget, so the set checked is
+        branch-and-bound's."""
+        with pytest.raises(PreconditionError, match="^search produced a non-avoiding set"):
+            max_avoiding_exact(ForbiddenSet.build(60, 1), node_budget=3)
+
+    def test_random_local(self):
+        fs = ForbiddenSet.build(100, 1)
+        with pytest.raises(PreconditionError, match="^greedy produced a non-avoiding set"):
+            greedy_avoiding(fs, strategy="random_local", seed=1)

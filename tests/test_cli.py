@@ -125,6 +125,16 @@ class TestLambdaCommand:
         err = capsys.readouterr().err
         assert "argument --at" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("at", ["1/0", "1/-3", "0/0"])
+    def test_denominator_below_one_is_usage_error(self, at, capsys):
+        """TorusPoint refuses a denominator below 1, and argparse reports
+        the refusal as a malformed --at."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lambda", "--n", "10", "--d", "1", "--at", at])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"error: argument --at: invalid _parse_at value: '{at}'")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -665,6 +675,11 @@ class TestSpectrumCommand:
         )
         assert code == 3
 
+    def test_vanished_weight_mass(self, capsys):
+        """At n = 1, d = 13 the weight is Lambda(14) = 0: no mass to bound by."""
+        argv = ["spectrum", "--n", "1", "--d", "13", "--q-prime", "1", "--big-q", "3"]
+        assert run_cli(argv, capsys) == (3, "", "error: weight mass vanished at n=1, d=13\n")
+
 
 class TestExtremalCommand:
     def test_exact_matches_enumeration(self, capsys):
@@ -847,6 +862,20 @@ class TestIterateCommand:
             ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
         )
         assert (code, out, err) == (3, "", message)
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_steps 5\n")
+        code, out, err = run_cli(
+            ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
+        )
+        assert (code, out, err) == (3, "", "error: config line 'max_steps 5' is not key=value\n")
+
+    def test_set_file_of_comments_only(self, capsys, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("# nothing here\n")
+        code, out, err = run_cli(["iterate", "--input", str(path), "--n", "10"], capsys)
+        assert (code, out, err) == (3, "", f"error: no elements found in {path}\n")
 
     def test_malformed_set_file(self, capsys, tmp_path):
         path = tmp_path / "set.txt"

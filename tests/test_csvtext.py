@@ -1,9 +1,11 @@
 """The numpy CSV renderer against printf itself: every `%.12g` and `%d`
-value it writes is the text `'%.12g' % v` or `'%d' % v` would give."""
+value it writes is the text `'%.12g' % v` or `'%d' % v` would give.  Rows
+are rendered through csv_blocks, the path the sieve and spectrum tables
+take."""
 
 import numpy as np
 
-from primediff.csvtext import CHUNK_ROWS, csv_blocks, render_rows
+from primediff.csvtext import CHUNK_ROWS, csv_blocks
 
 
 def _ulps(values, k):
@@ -20,8 +22,15 @@ def _printf(fmt, values):
     return "".join(fmt % v + "\n" for v in values.tolist())
 
 
+def _csv(fields, columns):
+    """The rows' text from csv_blocks, each line newline-terminated, without
+    its header and trailer."""
+    blocks = csv_blocks("", fields, len(columns[0]), lambda rows: [c[rows] for c in columns], "")
+    return "".join(block + "\n" for block in list(blocks)[1:-1])
+
+
 def _rendered(spec, values):
-    return render_rows((spec,), [values]).decode("ascii")
+    return _csv((spec,), [values])
 
 
 def test_g12_matches_printf_on_adversarial_doubles():
@@ -70,7 +79,7 @@ def test_mixed_rows_match_fmt_per_row():
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = actual / bound
     fields = ("%.12g", "%d", "%d", ("%s", ("minor", "major")), "%.12g", ("%.12g", table), "%.12g")
-    text = render_rows(fields, [theta, a, q, major, actual, index, ratio]).decode("ascii")
+    text = _csv(fields, [theta, a, q, major, actual, index, ratio])
     kind = np.where(major, "major", "minor")
     rows = zip(*(c.tolist() for c in (theta, a, q, kind, actual, bound, ratio)))
     assert text == "".join("%.12g,%d,%d,%s,%.12g,%.12g,%.12g\n" % row for row in rows)

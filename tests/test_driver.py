@@ -220,7 +220,7 @@ class TestLevelSelection:
             for column, values in ((energy, energy_at or {}), (star, star_at)):
                 for q, value in values.items():
                     column[q - 1] = value
-            built.append(increment.EnergyTable(energy, star, 0.0, m, big_q))
+            built.append(increment.EnergyTable(energy, star, 0.0, big_q))
             return built[-1]
 
         monkeypatch.setattr(driver, "energy_table", stub)
@@ -518,8 +518,7 @@ class TestCertify:
         real = increment.grid_power
 
         def inflated(f, m):
-            m, power = real(f, m)
-            return m, 1.5 * power
+            return 1.5 * real(f, m)
 
         monkeypatch.setattr(increment, "grid_power", inflated)
         trace = run(build(), 1, IterationConfig(), tables_small)
@@ -975,6 +974,83 @@ class TestCertifyBoundaries:
             certify(trace)
 
 
+class TestProducerBoundaries:
+    """iterate_once's own comparisons at their boundaries, n = n_floor,
+    alpha = alpha_floor and a gain of exactly gain_threshold, each on the
+    side that goes on and one step past it.  certify, run on the same
+    input, accepts each outcome, so producer and certifier meet there."""
+
+    @staticmethod
+    def produced(A, config=IterationConfig()):
+        """iterate_once's outcome on A at d = 1, after a run on A takes the
+        same first step and certifies."""
+        out, _ = iterate_once(A, 1, config)
+        trace = run(A, 1, config)
+        assert trace.steps[0].outcome.tag == out.tag
+        certify(trace)
+        return out
+
+    @pytest.mark.parametrize(
+        "n, outcome",
+        [(32, StructureFound(x=1, p=2, lower=1, upper=2)), (31, SmallN(n=31))],
+        ids=["n_at_the_floor", "n_below_the_floor"],
+    )
+    def test_n_floor(self, n, outcome):
+        """n_floor = 32 is the least n a step goes on at: all of [1, 32]
+        shows its pair, all of [1, 31] is too small to look."""
+        assert self.produced(DensitySet.from_iterable(n, range(1, n + 1))) == outcome
+
+    @pytest.mark.parametrize(
+        "n, outcome",
+        [(1000, SmallN(n=1000)), (1001, SmallAlpha(alpha=1 / 1001))],
+        ids=["alpha_at_the_floor", "alpha_below_the_floor"],
+    )
+    def test_alpha_floor(self, n, outcome):
+        """One element in [1, 1000] is alpha = 1e-3 = alpha_floor exactly:
+        the step goes on, past the pair search, to a window floor(alpha N
+        / 4) = 0.  In [1, 1001] it is below the floor."""
+        assert self.produced(DensitySet.from_iterable(n, [1])) == outcome
+
+    def test_gain_at_the_threshold(self, monkeypatch):
+        """A stub extraction returns the progression [1, 2000] at the chosen
+        level q = 1, with 16 of A's 18 elements: new alpha 0.008.  The
+        least float g with alpha (1 + g) = 0.008 gives an increment, and
+        the least float past it, where the new alpha falls one float short
+        of alpha (1 + g), a weak extraction.  4 g = 1.33 stays below E = 7.47 at
+        q = 1, so both steps try the extraction."""
+        real = driver.extract_progression
+
+        def first_2000(A, row, c_len):
+            P = increment.Progression(1, row.q, 2000)
+            count = int(np.isin(P.points(), A.elements).sum())
+            return dataclasses.replace(
+                real(A, row, c_len), progression=P, intersection_count=count,
+                new_alpha=count / P.length,
+            )
+
+        monkeypatch.setattr(driver, "extract_progression", first_2000)
+        A = class_avoiding_set(3000)
+        alpha, new_alpha = A.alpha, 16 / 2000
+        g = new_alpha / alpha - 1.0
+        for _ in range(8):
+            g = math.nextafter(g, -math.inf)
+        while alpha * (1.0 + g) < new_alpha:
+            g = math.nextafter(g, math.inf)
+        assert alpha * (1.0 + g) == new_alpha
+        past = g
+        while alpha * (1.0 + past) == new_alpha:
+            past = math.nextafter(past, math.inf)
+        assert alpha * (1.0 + past) == math.nextafter(new_alpha, math.inf)
+
+        out = self.produced(A, IterationConfig(gain_threshold=g, max_steps=1))
+        assert isinstance(out, DensityIncrement)
+        assert (out.q, out.outcome.new_alpha) == (1, new_alpha)
+        out = self.produced(A, IterationConfig(gain_threshold=past, max_steps=1))
+        assert out == LargeDOrSmallAlpha(
+            f"extraction at q=1 reached alpha ratio {new_alpha / alpha:.4g}, below guarantee"
+        )
+
+
 class TestEnergyRecount:
     @pytest.mark.parametrize(
         "seed, n, extra, big_q",
@@ -1034,7 +1110,10 @@ class TestCorrelations:
 
     @staticmethod
     def check(A, top):
-        got = [r[1:] for r in _correlations(A, top)]  # x = 1..top
+        """The counts at x = 1..top, sliced from the full window x = 0..N - 1."""
+        full = _correlations(A)
+        assert [len(r) for r in full] == [A.n] * 4
+        got = [r[1 : top + 1] for r in full]
         r_aa, r_ii, r_ai, r_ia = inner_products_naive(A.elements.tolist(), A.n)
         for r, want in zip(got, (r_aa, r_ai, r_ia, r_ii)):
             assert r.tolist() == want[1 : top + 1]
@@ -1048,15 +1127,14 @@ class TestCorrelations:
             self.check(A, int(rng.integers(1, n)))
 
     def test_window_at_n_minus_one(self):
-        """top = N - 1, the longest difference and the one certify reads,
-        on a random half and on all of [1, N]; at N = 1 only x = 0 is
-        counted."""
+        """top = N - 1, the whole window certify reads, on a random half
+        and on all of [1, N]; at N = 1 only x = 0 is counted."""
         rng = np.random.default_rng(5)
         for n in (1, 2, 97, 100, 128):
             half = rng.choice(n, size=max(1, n // 2), replace=False) + 1
             for A in (DensitySet.from_iterable(n, half), DensitySet.from_iterable(n, range(1, n + 1))):
                 self.check(A, n - 1)
-                assert _correlations(A, n - 1)[0][0] == A.size
+                assert _correlations(A)[0][0] == A.size
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_rows_in_blocks(self, block, monkeypatch):
@@ -1072,5 +1150,5 @@ class TestCorrelations:
     def test_avoiding_set_counts_no_forbidden_difference(self):
         """r_AA vanishes at every forbidden difference of an avoiding set."""
         A = avoiding_set(500, 1)
-        r_aa = _correlations(A, 499)[0]
+        r_aa = _correlations(A)[0]
         assert not r_aa[ForbiddenSet.build(500, 1).bits[:500]].any()

@@ -100,24 +100,39 @@ def test_no_top_level_name_is_defined_twice():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
-def test_no_private_helper_is_dead():
-    """Each private top-level function or class is named somewhere in the
-    package outside its own definition: a helper nothing reads is deleted,
-    not kept for its tests."""
-    defined, named = {}, collections.Counter()
+def _unread(kept) -> list[str]:
+    """The top-level functions and classes whose name passes `kept` and
+    that the package names nowhere outside their own definition."""
+    defined, named = set(), collections.Counter()
     for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             own = None
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if top.name.startswith("_") and not top.name.endswith("__"):
-                    own = defined[top.name] = top.name
+                if kept(top.name):
+                    own = top.name
+                    defined.add(own)
             for node in ast.walk(top):
                 # a Name's id, an Attribute's attr, an import alias's name
                 for key in ("id", "attr", "name"):
                     name = getattr(node, key, None)
                     if isinstance(name, str) and name != own:
                         named[name] += 1
-    assert sorted(name for name in defined if not named[name]) == []
+    return sorted(name for name in defined if not named[name])
+
+
+def test_no_private_helper_is_dead():
+    """Each private top-level function or class is named somewhere in the
+    package outside its own definition: a helper nothing reads is deleted,
+    not kept for its tests."""
+    assert _unread(lambda name: name.startswith("_") and not name.endswith("__")) == []
+
+
+def test_no_public_helper_is_dead():
+    """Each public top-level function or class is a package export or is
+    named somewhere else in the package: a public helper that only tests
+    call is deleted too."""
+    unread = _unread(lambda name: not name.startswith("_"))
+    assert [name for name in unread if name not in primediff.__all__] == []
 
 
 def _run_at_import(body):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from primediff import spectral
+from primediff import increment, spectral
 from primediff.errors import DomainError, PreconditionError
 from primediff.increment import (
     DensitySet,
@@ -186,7 +186,8 @@ class TestEnergyTable:
         for _ in range(6):
             A = random_set(rng, 20, 60)
             big_q = int(rng.integers(2, 12))
-            m, power = grid_power(A.balanced(), 8 * A.n)
+            m = 8 * A.n
+            power = grid_power(A.balanced(), m)
             table = energy_table(A, 6, big_q, m)
             w = m // big_q
             at = [float(power[min(k % m, m - k % m)]) for k in range(m + w + 1)]
@@ -248,11 +249,18 @@ class TestEnergyTable:
         with pytest.raises(PreconditionError):  # M = 100 below 8N = 320
             energy_table(A, 3, 10, 100)
 
-    def test_grid_sets_m(self):
+    def test_grid_sets_m(self, monkeypatch):
         """The size given fixes M: a 400-point grid, not the default 320."""
+        sizes, real = [], increment.grid_power
+
+        def recorded(f, m):
+            sizes.append(m)
+            return real(f, m)
+
+        monkeypatch.setattr(increment, "grid_power", recorded)
         A = DensitySet.from_iterable(40, [1, 5, 9])
         table = energy_table(A, 3, 10, 400)
-        assert table.m == 400
+        assert sizes == [400]
         assert abs(table.total - (1 - A.alpha) / A.alpha) <= 1e-9 * table.total
 
 

@@ -70,6 +70,10 @@ class TestTransformIdentity:
         w = MangoldtWeight.from_tables(n, d, tables_small)
         assert abs(lambda_hat_rational(n, d, 0, 1, tables_small) - w.hat_zero()) < 1e-9
 
+    def test_validation(self, tables_small):
+        with pytest.raises(DomainError, match="need n, d, q >= 1, got n=10, d=1, q=0"):
+            lambda_hat_rational(10, 1, 1, 0, tables_small)
+
 
 class TestMajorPrediction:
     def test_leading_term_at_zero(self, tables_small):
@@ -89,6 +93,10 @@ class TestMajorPrediction:
                 actual = lambda_hat_rational(n, 1, a, q, tables_small)
                 pred = major_prediction(n, 1, a, q, tables_small)
                 assert abs(actual - pred.main_term - pred.exceptional_term) < 0.15 * n
+
+    def test_validation(self, tables_small):
+        with pytest.raises(DomainError, match="need n, d, q >= 1, got n=10, d=1, q=0"):
+            major_prediction(10, 1, 1, 0, tables_small)
 
     def test_exceptional_gating(self, tables_small):
         datum = ExceptionalDatum(3, 0.8)
@@ -120,6 +128,8 @@ class TestVinogradovBound:
     def test_validation(self):
         with pytest.raises(DomainError):
             vinogradov_bound(1, 1, 1, 1)
+        with pytest.raises(DomainError, match="need n >= 2 and positive d, q, Q"):
+            vinogradov_bound(1000, 1, q=0, big_q=64)
 
 
 class TestSpectrumReport:
@@ -144,7 +154,7 @@ class TestSpectrumReport:
         rng = np.random.default_rng(147)
         for m in (16000, 16001):
             report = spectrum_report(n, 1, 20, 200, m, tables_small)
-            _, power = grid_power(signal, m)
+            power = grid_power(signal, m)
             assert len(report) == m
             assert report.actual.tolist() == [math.sqrt(power[min(k, m - k)]) for k in range(m)]
             half = np.concatenate([[0], rng.choice(np.arange(1, m // 2 + 1), 64, replace=False)])
