@@ -6,6 +6,8 @@ pulls its arithmetic from one ArithTables instance, built once per run by a
 sieve. The exponential-sum primitives (ramanujan, tau) are
 normatively DIRECT sums; closed forms are exposed separately so consistency
 between the two routes stays a checkable statement rather than a tautology.
+Each function that uses numpy imports it itself, so the sieve
+(_prime_flags), is_prime and euler_phi run without it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-
-import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceError
 
@@ -108,6 +108,8 @@ def _mobius_phi(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi(n) = phi(m) (p - 1).  As m <= n/2, blocks [lo, hi) with hi <= 2 lo,
     at most _SIEVE_BLOCK long, read only entries below lo: each is one
     numpy pass."""
+    import numpy as np
+
     size = spf.size
     mobius = np.zeros(size, dtype=np.int8)
     phi = np.zeros(size, dtype=np.int64)
@@ -124,19 +126,24 @@ def _mobius_phi(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mobius, phi
 
 
-def _prime_flags(n: int) -> np.ndarray:
-    """flags[k] iff k is prime, for k = 0..n, by a plain boolean sieve."""
-    is_p = np.ones(n + 1, dtype=bool)
-    is_p[:2] = False
+def _prime_flags(n: int) -> bytearray:
+    """flags[k] = 1 iff k is prime, else 0, for k = 0..n (n >= 1), by a
+    plain sieve in a bytearray: the package's one sieve, which imports no
+    numpy."""
+    flags = bytearray(b"\x01") * (n + 1)
+    flags[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(n) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return is_p
+        if flags[p]:
+            flags[p * p :: p] = bytes((n - p * p) // p + 1)
+    return flags
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    """The primes <= n, ascending."""
-    return np.flatnonzero(_prime_flags(n))
+    """The primes <= n, ascending, read from _prime_flags through
+    np.frombuffer."""
+    import numpy as np
+
+    return np.flatnonzero(np.frombuffer(_prime_flags(n), dtype=bool))
 
 
 def _smallest_prime_factors(n_max: int) -> np.ndarray:
@@ -144,6 +151,8 @@ def _smallest_prime_factors(n_max: int) -> np.ndarray:
     sqrt(n_max) in descending order, as the smallest prime factor p of a
     composite n has p^2 <= n and is written last; then spf[p] = p for the
     entries left 0 past 1."""
+    import numpy as np
+
     spf = np.zeros(n_max + 1, dtype=np.int32)
     for p in _primes_upto(math.isqrt(n_max))[::-1].tolist():
         spf[p * p :: p] = p
@@ -160,6 +169,8 @@ def build_tables(n_max: int) -> ArithTables:
     k >= 2, one numpy pass per exponent over the primes p <= sqrt(n_max)
     with p^k <= n_max.
     spf, mobius and phi are left to their first read (see ArithTables)."""
+    import numpy as np
+
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     check_budget(n_max, "tables limited to n_max")
@@ -255,6 +266,8 @@ def is_prime(n: int) -> bool:
 
 def ramanujan(q: int, a: int) -> complex:
     """c_q(a) = sum over units u mod q of e(au/q).  Direct sum, normative."""
+    import numpy as np
+
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     u = np.arange(q, dtype=np.int64)
@@ -271,6 +284,8 @@ def tau(a: int, d: int, q: int) -> complex:
     This enumeration is the normative definition; tau_closed_form is the
     independent route used to cross-check it.
     """
+    import numpy as np
+
     if q < 1 or d < 1:
         raise DomainError(f"need q, d >= 1, got q={q}, d={d}")
     m = np.arange(q, dtype=np.int64)
@@ -291,6 +306,8 @@ def tau_closed_form(a: int, d: int, q: int) -> complex:
     t mod q/g restricted by t != -g^{-1} mod p for each prime p | q, p not
     dividing g, evaluated here by inclusion-exclusion over those primes.
     """
+    import numpy as np
+
     if q < 1 or d < 1:
         raise DomainError(f"need q, d >= 1, got q={q}, d={d}")
     g = math.gcd(d, q)
@@ -358,6 +375,8 @@ def _unit_group_generators(p: int, e: int) -> list[tuple[int, int]]:
 
 def _powers(g: int, n: int, q: int) -> np.ndarray:
     """g^0, ..., g^(n-1) mod q, doubling the filled prefix each pass."""
+    import numpy as np
+
     out = np.ones(n, dtype=np.int64)
     filled = 1
     while filled < n:
@@ -378,6 +397,8 @@ def _character_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     the discrete log of unit u_i and the label of chi_i: chi_i(u_r) =
     e(sum_j k_ij k_rj / n_j).  Only the latest modulus's table is kept:
     at most TABLE_CAP entries, 64 MB."""
+    import numpy as np
+
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     phi_q = euler_phi(q)
@@ -447,6 +468,8 @@ def psi(x: float, q: int, a: int, tables: ArithTables) -> float:
 
 def _residue_mass(x: float, q: int, tables: ArithTables) -> np.ndarray:
     """mass[r] = sum of mangoldt(n) over n <= x with n ≡ r (mod q)."""
+    import numpy as np
+
     if x < 0:
         raise DomainError(f"need x >= 0, got {x}")
     top = int(math.floor(x))
@@ -466,6 +489,8 @@ def _residue_mass(x: float, q: int, tables: ArithTables) -> np.ndarray:
 
 def psi_chi(x: float, chi: DirichletCharacter, tables: ArithTables) -> complex:
     """psi(x, chi) = sum of chi(n) mangoldt(n) over n <= x."""
+    import numpy as np
+
     return complex(np.dot(chi.values, _residue_mass(x, chi.modulus, tables)))
 
 
@@ -476,6 +501,8 @@ def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
     non-unit a every chi(a) is 0, so the discrepancy equals the direct class
     mass itself; callers that want the identity should stay on units.
     """
+    import numpy as np
+
     direct = psi(x, q, a, tables)
     values, _ = _character_table(q)
     # one pass over Lambda serves every psi(x, chi) = values @ mass

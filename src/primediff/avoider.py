@@ -1,20 +1,23 @@
 """Extremal sets avoiding forbidden differences s with d s + 1 prime.
 
-Sets live in [1, n]; the forbidden differences are one bool array,
-`ForbiddenSet.bits`.  Every search runs on int bitsets with bit x for point
-x: with F the bitset of the forbidden s (`_conflicts`), the points at a
-forbidden distance from x are F << x and the reversed F shifted down, and
-the complement of F gives the compatible points the same way.  The exact
-solver is Russian-doll search: it proves the optima f(1), ..., f(n) in
-ascending order and bounds each subtree by the optimum already known for
-its candidates' span, since the conflict graph is translation-invariant.
-When its node budget runs out, branch-and-bound with the popcount bound
-runs with the same budget, and `nodes` counts both.  Primality comes from
-one read-only bitmap of the primes below 2^16 while d(n-1)+1 is below it
-(every driver step at the benchmark's sizes), else from a sieve of the
-values d s + 1 by the primes up to sqrt(d(n-1)+1), each starting at
--1/d mod p from one vectorized Fermat power, or from deterministic
-Miller-Rabin when that root exceeds TABLE_CAP.
+Sets live in [1, n]; the forbidden differences are one bytes object of
+0/1 flags, `ForbiddenSet.bits`.  Every search runs on int bitsets with
+bit x for point x: with F the bitset of the forbidden s (`_conflicts`),
+the points at a forbidden distance from x are F << x and the reversed F
+shifted down, and the complement of F gives the compatible points the
+same way.  The exact solver is Russian-doll search: it proves the optima
+f(1), ..., f(n) in ascending order and bounds each subtree by the optimum
+already known for its candidates' span, since the conflict graph is
+translation-invariant.  When its node budget runs out, branch-and-bound
+with the popcount bound runs with the same budget, and `nodes` counts
+both.  Primality comes from one immutable bitmap of the primes below 2^16
+while d(n-1)+1 is below it (every driver step at the benchmark's sizes),
+else from a sieve of the values d s + 1 by the primes up to
+sqrt(d(n-1)+1), each starting at -1/d mod p from one vectorized Fermat
+power, or from deterministic Miller-Rabin when that root exceeds
+TABLE_CAP.  Exact search, and first fit on the bitmap route, import no
+numpy: only the sieve of d s + 1, random_local's generator and
+find_forbidden_pair's presence mask use it, each importing it itself.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate, chain
 
 from . import arith
 from .arith import _prime_flags, _primes_upto, check_budget, is_prime
@@ -41,21 +43,23 @@ __all__ = [
 EXACT_CAP = 64  # largest n exact search takes without a node budget
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
 _BITMAP_TOP = 1 << 16  # _prime_bitmap flags the values below it
+_FILL_CHUNK = 1 << 16  # permutation entries _fill reads as Python ints at a time
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 flags to binary digits
 
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """Differences s in [1, n-1] with d s + 1 prime: bits[s] is True iff s
-    is forbidden (bits[0] is False); bits is read-only.  n is at most
-    TABLE_CAP.  build reads the values d s + 1 in _prime_bitmap, as a
-    strided view of it, when d (n - 1) + 1 < 2^16; past it it sieves them
-    (_shifted_primes: each prime's first s from a Fermat power) when
-    sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs Miller-Rabin on
-    each."""
+    """Differences s in [1, n-1] with d s + 1 prime: bits holds n bytes,
+    bits[s] = 1 iff s is forbidden, else 0 (bits[0] = 0); numpy reads it as
+    np.frombuffer(bits, dtype=bool).  n is at most TABLE_CAP.  build reads
+    the values d s + 1 in _prime_bitmap, as a strided slice of it, when
+    d (n - 1) + 1 < 2^16; past it it sieves them (_shifted_primes: each
+    prime's first s from a Fermat power) when sqrt(d (n - 1) + 1) is at
+    most TABLE_CAP, else runs Miller-Rabin on each."""
 
     n: int
     d: int
-    bits: np.ndarray
+    bits: bytes
 
     @classmethod
     def build(cls, n: int, d: int) -> "ForbiddenSet":
@@ -63,28 +67,24 @@ class ForbiddenSet:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
         check_budget(n, "forbidden set limited to n")
         top = d * (n - 1) + 1
-        if top < _BITMAP_TOP:  # a view: the flags of 1, d + 1, ..., top (any d at n = 1)
+        if top < _BITMAP_TOP:  # the flags of 1, d + 1, ..., top (any d at n = 1)
             bits = _prime_bitmap()[1 : top + 1 : d]
         elif math.isqrt(top) <= arith.TABLE_CAP:
-            bits = _shifted_primes(n, d)
+            bits = _shifted_primes(n, d).tobytes()
         else:
-            bits = np.zeros(n, dtype=bool)
-            bits[1:] = [is_prime(d * s + 1) for s in range(1, n)]
-        bits.flags.writeable = False
+            bits = bytes(1) + bytes(is_prime(d * s + 1) for s in range(1, n))
         return cls(n=n, d=d, bits=bits)
 
     def count(self) -> int:
-        return int(self.bits.sum())
+        return self.bits.count(1)
 
 
 @lru_cache(maxsize=1)
-def _prime_bitmap() -> np.ndarray:
-    """flags[v] iff v is prime, for v < 2^16: one read-only 64 kB bool array
-    from arith's sieve, built on first use.  Its bound is fixed, so every
-    caller reads the same array."""
-    flags = _prime_flags(_BITMAP_TOP - 1)
-    flags.flags.writeable = False
-    return flags
+def _prime_bitmap() -> bytes:
+    """flags[v] = 1 iff v is prime, else 0, for v < 2^16: arith's one sieve
+    as 64 kB of bytes, built on first use.  Its bound is fixed, so every
+    caller reads the same object."""
+    return bytes(_prime_flags(_BITMAP_TOP - 1))
 
 
 def _shifted_primes(n: int, d: int) -> np.ndarray:
@@ -96,6 +96,8 @@ def _shifted_primes(n: int, d: int) -> np.ndarray:
     vectorized Fermat power for every p at once.  A prime p = d s + 1
     strikes its own s, which is set back.  Needs n >= 2 and d (n - 1) + 1
     below 2^63."""
+    import numpy as np
+
     flags = np.ones(n, dtype=bool)
     flags[0] = False
     p = _primes_upto(math.isqrt(d * (n - 1) + 1))
@@ -116,15 +118,19 @@ def _shifted_primes(n: int, d: int) -> np.ndarray:
     return flags
 
 
-def _bitset(flags: np.ndarray) -> int:
-    """The int with bit i set iff flags[i]."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _bitset(flags: bytes) -> int:
+    """The int with bit i set iff flags[i] (0/1 bytes, at least one)."""
+    return int(flags.translate(_DIGITS)[::-1], 2)
 
 
-def _members(bits: int, n: int) -> tuple:
-    """The set bits of `bits` in [0, n], ascending, from one unpack."""
-    raw = np.frombuffer(bits.to_bytes(n // 8 + 1, "little"), np.uint8)
-    return tuple(np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist())
+def _members(bits: int) -> tuple:
+    """The set bits of `bits`, ascending, found in its binary digits."""
+    digits = format(bits, "b")[::-1]
+    out, i = [], digits.find("1")
+    while i != -1:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return tuple(out)
 
 
 def _conflicts(fs: ForbiddenSet) -> tuple[int, int]:
@@ -143,16 +149,24 @@ def is_avoiding(elements, fs: ForbiddenSet) -> bool:
 def find_forbidden_pair(elements, fs: ForbiddenSet):
     """Smallest forbidden difference realized in the set, as
     (s, smaller, larger), or None: the least s, then the least smaller.
-    Loops over the shorter side: the forbidden s ascending, or the
-    elements a ascending, keeping the least forbidden s with a + s in the
-    set when it beats the best so far (forward then holds only the s below
-    it, and the loop stops once none is left)."""
-    elements = np.asarray(elements, dtype=np.int64)
-    present = np.bincount(elements) > 0
-    mask = _bitset(present)
-    if elements.size < np.count_nonzero(fs.bits):
+    The elements become a bitset by one bincount and packbits, and
+    _pair_in_mask searches it."""
+    import numpy as np
+
+    present = np.bincount(np.asarray(elements, dtype=np.int64)) > 0
+    mask = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+    return _pair_in_mask(mask, np.flatnonzero(present).tolist(), fs)
+
+
+def _pair_in_mask(mask: int, members, fs: ForbiddenSet):
+    """find_forbidden_pair for the set with bitset `mask` and elements
+    `members`, ascending.  Loops over the shorter side: the forbidden s
+    ascending, or the elements a ascending, keeping the least forbidden s
+    with a + s in the set when it beats the best so far (forward then
+    holds only the s below it, and the loop stops once none is left)."""
+    if len(members) < fs.count():
         best, forward = None, _bitset(fs.bits)
-        for a in np.flatnonzero(present).tolist():
+        for a in members:
             hit = (mask >> a) & forward
             if hit:
                 s = (hit & -hit).bit_length() - 1
@@ -160,11 +174,13 @@ def find_forbidden_pair(elements, fs: ForbiddenSet):
                 if not forward:
                     break
         return best
-    for s in np.flatnonzero(fs.bits).tolist():
+    s = fs.bits.find(1)
+    while s != -1:
         hit = mask & (mask >> s)
         if hit:
             b = (hit & -hit).bit_length() - 1
             return s, b, b + s
+        s = fs.bits.find(1, s + 1)
     return None
 
 
@@ -233,8 +249,8 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
             stack.append((cand & (rev >> (n - hi)), size + 1, chosen | top))
         f[m] = target if best >> m & 1 else f[m - 1]
 
-    elements = _members(best, n)
-    if elements and not is_avoiding(elements, fs):
+    elements = _members(best)
+    if _pair_in_mask(best, elements, fs) is not None:
         raise PreconditionError("search produced a non-avoiding set; invariant broken")
     return SearchResult(
         elements=elements,
@@ -256,15 +272,18 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
     vertex is the lowest candidate >= run_lo[h], h the highest candidate."""
     n = fs.n
     above, below = (b ^ ((1 << n) - 2) for b in _conflicts(fs))
-    starts = np.arange(n + 1, dtype=np.int32)
-    starts[2:][fs.bits[n - 1:0:-1]] = 0
-    run_lo = memoryview(np.maximum.accumulate(starts))
+    # ties[v - 2] = bits[n - v + 1]: v - 1 and v tie, for v = 2..n; run_lo[v]
+    # is the first vertex of v's run of ties
+    ties = fs.bits[n - 1 : 0 : -1]
+    starts = chain((0, 1), (0 if tie else v for v, tie in enumerate(ties, 2)))
+    run_lo = list(accumulate(starts, max))
 
     # greedy incumbent for early pruning
     seed = greedy_avoiding(fs, strategy="first_fit")
     best_size = seed.size
-    flags = np.zeros(n + 1, dtype=bool)
-    flags[list(seed.elements)] = True
+    flags = bytearray(n + 1)
+    for x in seed.elements:
+        flags[x] = 1
     best_mask = _bitset(flags)
 
     t0 = time.perf_counter()
@@ -289,8 +308,8 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
         stack.append((cand ^ top, chosen, size))
         stack.append((cand & ((below >> (n - x)) | (above << x)), chosen | top, size + 1))
 
-    elements = _members(best_mask, n)
-    if elements and not is_avoiding(elements, fs):
+    elements = _members(best_mask)
+    if _pair_in_mask(best_mask, elements, fs) is not None:
         raise PreconditionError("search produced a non-avoiding set; invariant broken")
     return SearchResult(
         elements=elements,
@@ -337,18 +356,20 @@ def _first_fit(full: int, forward: int) -> list:
 
 
 def _fill(order, near, n: int) -> list:
-    """Take each x of `order` at no forbidden distance from a point taken
-    before it.  Each test reads a bytes snapshot of the blocked bitset,
+    """Take each x of the array `order` at no forbidden distance from a
+    point taken before it, reading _FILL_CHUNK entries of it as Python ints
+    at a time.  Each test reads a bytes snapshot of the blocked bitset,
     refreshed after each take, so a test is O(1), not an O(n) shift."""
     size = n // 8 + 1
     taken = []
     blocked = 0
     snap = bytes(size)
-    for x in order:
-        if not snap[x >> 3] >> (x & 7) & 1:
-            taken.append(x)
-            blocked |= near(x)
-            snap = blocked.to_bytes(size, "little")
+    for lo in range(0, len(order), _FILL_CHUNK):
+        for x in order[lo : lo + _FILL_CHUNK].tolist():
+            if not snap[x >> 3] >> (x & 7) & 1:
+                taken.append(x)
+                blocked |= near(x)
+                snap = blocked.to_bytes(size, "little")
     return taken
 
 
@@ -389,11 +410,15 @@ def greedy_avoiding(
     if strategy != "random_local":
         raise DomainError(f"unknown strategy {strategy!r}")
 
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     best = _first_fit(full, forward)
     for _ in range(3):
-        order = rng.permutation(np.arange(1, n + 1)).tolist()
+        order = rng.permutation(n)  # the draws of permuting 1..n, in one array
+        order += 1
         cand = sorted(_fill(order, near, n))
+        del order  # so the next draw does not overlap it
         if len(cand) > len(best):
             best = cand
 
@@ -417,7 +442,7 @@ def greedy_avoiding(
             break
 
     elements = tuple(sorted(current))
-    if elements and not is_avoiding(elements, fs):
+    if _pair_in_mask(members, elements, fs) is not None:
         raise PreconditionError("greedy produced a non-avoiding set; invariant broken")
     return SearchResult(
         elements, len(elements), False, 0, time.perf_counter() - t0, strategy

@@ -9,9 +9,11 @@ outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
 Sieve tables are built only where they are read (sieve, psi, lambda,
 spectrum); extremal and iterate build their forbidden sets without them.
-Each command imports numpy and the layers it runs itself, so importing
-this module loads neither, and a console process runs its command with the
-cyclic collector paused (see main).
+Each command imports the layers it runs itself, and they import numpy
+where they use it, so importing this module loads neither, `extremal`
+loads no numpy for exact search or for first fit while d(n - 1) + 1 <
+2^16, and a console process runs its command with the cyclic collector
+paused (see main).
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 4 certification failure.
@@ -37,8 +39,8 @@ from .errors import (
     ResourceError,
 )
 
-# Each subcommand imports numpy and the layers it runs inside its own
-# function, so a process loads only those.
+# Each subcommand imports the layers it runs inside its own function, so
+# a process loads only those, and numpy only where they use it.
 
 
 def _manifest(command: str, parameters: dict, seed: int, timestamp: str | None) -> dict:

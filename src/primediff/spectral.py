@@ -80,9 +80,10 @@ class TorusPoint:
 
     @classmethod
     def rational(cls, a: int, q: int) -> "TorusPoint":
-        g = math.gcd(a % q if q > 0 else a, q) or 1
-        aa = (a % q) // g if q > 0 else a
-        return cls(aa, q // g if q > 0 else q, 0.0)
+        if q < 1:  # __post_init__ refuses it
+            return cls(a, q)
+        g = math.gcd(a % q, q)
+        return cls(a % q // g, q // g)
 
     @classmethod
     def from_float(cls, theta: float) -> "TorusPoint":

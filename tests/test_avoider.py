@@ -28,6 +28,11 @@ from oracles import (
 )
 
 
+def flags(fs):
+    """fs.bits, one 0/1 byte per s, as a bool array."""
+    return np.frombuffer(fs.bits, dtype=bool)
+
+
 def bitmap_edge(d):
     """The least n with d (n - 1) + 1 >= 2^16: the first forbidden set
     past the prime bitmap."""
@@ -39,28 +44,28 @@ class TestForbiddenSet:
         for d in (1, 2, 3):
             fs = ForbiddenSet.build(300, d)
             want = forbidden_diffs_naive(300, d)
-            assert np.flatnonzero(fs.bits).tolist() == sorted(want)
+            assert np.flatnonzero(flags(fs)).tolist() == sorted(want)
             assert fs.count() == len(want)
 
     def test_table_and_direct_paths_agree(self):
         """The bitmap route and the sieve of the values d s + 1
-        (_shifted_primes) give the same read-only bits at n = 2, 3 and on
+        (_shifted_primes) give the same immutable bits at n = 2, 3 and on
         both sides of the bitmap's bound, where ForbiddenSet.build passes
         from the first to the second (n = bitmap_edge(d))."""
         for d in (1, 2, 7, 200, 30_000):
             edge = bitmap_edge(d)
             for n in sorted({2, 3, edge - 2, edge - 1, edge, edge + 1}):
                 fs = ForbiddenSet.build(n, d)
-                assert np.array_equal(fs.bits, avoider._shifted_primes(n, d)), (n, d)
-                assert not fs.bits.flags.writeable
+                assert np.array_equal(flags(fs), avoider._shifted_primes(n, d)), (n, d)
+                assert type(fs.bits) is bytes
 
     def test_prime_bitmap_matches_miller_rabin(self):
         """The bitmap that producer and certify share at driver sizes, all
         2^16 entries against is_prime (Miller-Rabin, no sieve); it is
-        read-only and built once."""
+        immutable bytes and built once."""
         bitmap = avoider._prime_bitmap()
-        assert bitmap.shape == (2**16,) and not bitmap.flags.writeable
-        assert bitmap.tolist() == [is_prime(v) for v in range(2**16)]
+        assert type(bitmap) is bytes and len(bitmap) == 2**16
+        assert np.frombuffer(bitmap, dtype=bool).tolist() == [is_prime(v) for v in range(2**16)]
         assert avoider._prime_bitmap() is bitmap
 
     def test_bitmap_bound_matches_the_oracle(self):
@@ -74,7 +79,7 @@ class TestForbiddenSet:
             oracle = forbidden_diffs_naive(edge + 1, d)
             cases += [(n, d, {s for s in oracle if s < n}) for n in (edge - 1, edge, edge + 1)]
         for n, d, want in cases:
-            assert np.flatnonzero(ForbiddenSet.build(n, d).bits).tolist() == sorted(want), (n, d)
+            assert np.flatnonzero(flags(ForbiddenSet.build(n, d))).tolist() == sorted(want), (n, d)
 
     def test_sieve_matches_miller_rabin(self):
         """Past the bitmap's bound the values d s + 1 are sieved: the bits
@@ -89,7 +94,7 @@ class TestForbiddenSet:
         for n, d in cases:
             want = [s > 0 and (small[v] if v < len(small) else is_prime(v))
                     for s, v in enumerate(range(1, d * n + 1, d))]
-            assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
+            assert flags(ForbiddenSet.build(n, d)).tolist() == want, (n, d)
 
     def test_sieve_routes_meet_at_the_prime_count(self):
         """The sieve of the values d s + 1 starts each prime p at -1/d mod p
@@ -109,7 +114,7 @@ class TestForbiddenSet:
         for n, d in cases:
             want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
             assert avoider._shifted_primes(n, d).tolist() == want, (n, d)
-            assert ForbiddenSet.build(n, d).bits.tolist() == want, (n, d)
+            assert flags(ForbiddenSet.build(n, d)).tolist() == want, (n, d)
 
     def test_table_budget(self):
         """Past TABLE_CAP the difference array is refused before it is built."""
@@ -361,12 +366,13 @@ class TestGreedy:
 
 
 class TestNonAvoidingInvariant:
-    """Fault injection: with avoider.is_avoiding made to refuse every set,
-    each search that rechecks its own result raises rather than return it."""
+    """Fault injection: with avoider._pair_in_mask, the pair search each
+    search runs on the bitset of its own result, made to find a pair in
+    every set, each search raises rather than return it."""
 
     @pytest.fixture(autouse=True)
     def refuse_every_set(self, monkeypatch):
-        monkeypatch.setattr(avoider, "is_avoiding", lambda elements, fs: False)
+        monkeypatch.setattr(avoider, "_pair_in_mask", lambda mask, members, fs: (1, 1, 2))
 
     def test_exact_doll(self):
         """Unbudgeted, the doll finishes and branch-and-bound never runs."""

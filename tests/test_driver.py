@@ -49,7 +49,7 @@ def class_avoiding_set(n):
     s + 1 prime: sparse, and structured mod 3."""
     fs = ForbiddenSet.build(n, 1)
     taken, blocked = [], np.zeros(2 * n + 1, dtype=bool)
-    diffs = np.flatnonzero(fs.bits)
+    diffs = np.flatnonzero(np.frombuffer(fs.bits, dtype=bool))
     for x in range(1, n + 1, 3):
         if not blocked[x]:
             taken.append(x)
@@ -1151,4 +1151,4 @@ class TestCorrelations:
         """r_AA vanishes at every forbidden difference of an avoiding set."""
         A = avoiding_set(500, 1)
         r_aa = _correlations(A)[0]
-        assert not r_aa[ForbiddenSet.build(500, 1).bits[:500]].any()
+        assert not r_aa[np.frombuffer(ForbiddenSet.build(500, 1).bits, dtype=bool)].any()

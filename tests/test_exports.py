@@ -225,3 +225,26 @@ def test_search_and_table_commands_skip_analytic_layers():
     )
     loaded = loaded_after(code)
     assert not LAZY_LAYERS & set(loaded), f"extremal, psi and sieve loaded {loaded}"
+
+
+def test_exact_and_bitmap_greedy_runs_import_no_numpy():
+    """Exact search, its branch-and-bound fallback, and first fit while
+    d (n - 1) + 1 < 2^16 run on bytes and ints: importing avoider and
+    running them leaves numpy unloaded."""
+    runs = [
+        ["extremal", "--n", "88", "--d", "1", "--mode", "exact", "--budget", "3000000"],
+        ["extremal", "--n", "40", "--d", "1", "--mode", "exact", "--budget", "3"],
+        ["extremal", "--n", "65535", "--d", "1", "--mode", "greedy"],
+    ]
+    code = (
+        "import primediff.avoider\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from primediff import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    loaded = loaded_after(code)
+    assert loaded == ["primediff", "primediff.arith", "primediff.avoider", "primediff.cli",
+                      "primediff.errors"], loaded

@@ -5,6 +5,7 @@ import cmath
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -38,6 +39,14 @@ class TestTorusPoint:
         assert (p.a, p.q, p.kappa) == (2, 3, 0.0)
         p = TorusPoint.rational(7, 3)
         assert (p.a, p.q) == (1, 3)
+        for a in (-2, 1, 3):  # q = 1 is reduced too: every integer is 0/1
+            assert TorusPoint.rational(a, 1) == TorusPoint(0, 1)
+
+    def test_rational_refuses_a_denominator_below_one(self):
+        for a, q in ((1, 0), (1, -3), (0, 0)):
+            message = f"denominator must lie in [1, 2^63 - 1], got {q}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                TorusPoint.rational(a, q)
 
     def test_from_float_wraps(self):
         p = TorusPoint.from_float(0.8)

@@ -10,11 +10,15 @@ every line executed in src/primediff (other frames are not traced):
 
 The report lists, per function, the executable lines (from each code
 object's `co_lines`) that neither side reached, and those that only the
-tests reached, then a count of each.  A test that starts a fresh
-interpreter (the peak-memory and console-entry tests) runs its command in
-that child, which is not traced, so lines only such a test runs show as
-unreached.  A test with a time bound may fail under the tracer's cost; a
-failing run is reported on stderr and its lines still count.
+tests reached, then a count of each, and the SHA-256 of the sources
+traced.  The hash is taken before the children start; if the sources
+differ from it when the report is due, the line numbers the children
+recorded no longer match the files, and the run exits 2 with no report.
+A test that starts a fresh interpreter (the peak-memory and console-entry
+tests) runs its command in that child, which is not traced, so lines only
+such a test runs show as unreached.  A test with a time bound may fail
+under the tracer's cost; a failing run is reported on stderr and its
+lines still count.
 
     python tools/linetrace.py --seed 7 -- tests/
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -115,6 +120,15 @@ def _executable() -> dict:
     return found
 
 
+def _sources_digest() -> str:
+    """SHA-256 over the package's sources: each file's name and bytes, in
+    name order."""
+    digest = hashlib.sha256()
+    for path in sorted(PACKAGE.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _spans(lines: list[int]) -> str:
     """"3, 7-9, 12" from ascending line numbers."""
     out, start = [], None
@@ -127,7 +141,7 @@ def _spans(lines: list[int]) -> str:
     return ", ".join(out)
 
 
-def _report(tests: set, bench: set) -> None:
+def _report(tests: set, bench: set, digest: str) -> None:
     reached = {"tests": tests, "bench": bench}
     counts = {"executable": 0, "unreached": 0, "tests only": 0}
     for key, lines in sorted(_executable().items(), key=lambda kv: (kv[0][0], kv[0][2])):
@@ -145,6 +159,7 @@ def _report(tests: set, bench: set) -> None:
             if tests_only:
                 print(f"    tests only: {_spans(tests_only)}")
     print(", ".join(f"{k} {v}" for k, v in counts.items()))
+    print(f"sources sha256 {digest}")
 
 
 def main(argv=None) -> int:
@@ -161,6 +176,7 @@ def main(argv=None) -> int:
         Path(args.hits).write_text(json.dumps(sorted(hits)))
         return status
 
+    digest = _sources_digest()
     sides = {}
     with tempfile.TemporaryDirectory() as scratch:
         for side in ("tests", "bench"):
@@ -174,7 +190,10 @@ def main(argv=None) -> int:
                 print(f"{side} run wrote no trace", file=sys.stderr)
                 return 2
             sides[side] = {tuple(hit) for hit in json.loads(out.read_text())}
-    _report(sides["tests"], sides["bench"])
+    if _sources_digest() != digest:
+        print("src/primediff changed during the run; its line numbers are stale", file=sys.stderr)
+        return 2
+    _report(sides["tests"], sides["bench"], digest)
     return 0
 
 
