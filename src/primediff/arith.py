@@ -13,6 +13,7 @@ Each function that uses numpy imports it itself, so the sieve
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -24,6 +25,7 @@ __all__ = [
     "ArithTables",
     "build_tables",
     "check_budget",
+    "check_integers",
     "DirichletCharacter",
     "characters_mod",
     "ExceptionalDatum",
@@ -62,6 +64,20 @@ def check_budget(entries: int, what: str, got=None) -> None:
     at call time, so every table, grid, and set of arcs answers to one value."""
     if entries > TABLE_CAP:
         raise ResourceError(f"{what} <= {TABLE_CAP}, got {entries if got is None else got}")
+
+
+def check_integers(values) -> tuple:
+    """values as a tuple of Python ints, in their order.  operator.index
+    decides what is an integer: Python and numpy integers pass, and the
+    first value it refuses (2.5, 2.0, an array) is named in the DomainError
+    "element {value!r} is not an integer"."""
+    values = tuple(values)
+    ints = []
+    try:
+        ints.extend(map(operator.index, values))
+    except TypeError:  # extend keeps what map gave before the refusal
+        raise DomainError(f"element {values[len(ints)]!r} is not an integer") from None
+    return tuple(ints)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,14 @@ f(1), ..., f(n) in ascending order and bounds each subtree by the optimum
 already known for its candidates' span, since the conflict graph is
 translation-invariant.  When its node budget runs out, branch-and-bound
 with the popcount bound runs with the same budget, and `nodes` counts
-both.  Primality comes from one immutable bitmap of the primes below 2^16
-while d(n-1)+1 is below it (every driver step at the benchmark's sizes),
-else from a sieve of the values d s + 1 by the primes up to
-sqrt(d(n-1)+1), each starting at -1/d mod p from one vectorized Fermat
-power, or from deterministic Miller-Rabin when that root exceeds
-TABLE_CAP.  Exact search, and first fit on the bitmap route, import no
-numpy: only the sieve of d s + 1, random_local's generator and
-find_forbidden_pair's presence mask use it, each importing it itself.
+both.  Primality comes from one immutable bitmap of the primes while
+d(n-1)+1 is at most TABLE_CAP (every n at d = 1), grown to the largest
+top asked for and never shrunk, else from a sieve of the values d s + 1
+by the primes up to sqrt(d(n-1)+1), each starting at -1/d mod p from one
+vectorized Fermat power, or from deterministic Miller-Rabin when that
+root exceeds TABLE_CAP.  Exact search, first fit on the bitmap route and
+the pair search import no numpy: only the sieve of d s + 1 and
+random_local's generator use it, each importing it itself.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import accumulate, chain
 
 from . import arith
-from .arith import _prime_flags, _primes_upto, check_budget, is_prime
+from .arith import _prime_flags, _primes_upto, check_budget, check_integers, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
 
 EXACT_CAP = 64  # largest n exact search takes without a node budget
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
-_BITMAP_TOP = 1 << 16  # _prime_bitmap flags the values below it
 _FILL_CHUNK = 1 << 16  # permutation entries _fill reads as Python ints at a time
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 flags to binary digits
 
@@ -53,9 +51,10 @@ class ForbiddenSet:
     bits[s] = 1 iff s is forbidden, else 0 (bits[0] = 0); numpy reads it as
     np.frombuffer(bits, dtype=bool).  n is at most TABLE_CAP.  build reads
     the values d s + 1 in _prime_bitmap, as a strided slice of it, when
-    d (n - 1) + 1 < 2^16; past it it sieves them (_shifted_primes: each
-    prime's first s from a Fermat power) when sqrt(d (n - 1) + 1) is at
-    most TABLE_CAP, else runs Miller-Rabin on each."""
+    d (n - 1) + 1 is at most TABLE_CAP; past it it sieves them
+    (_shifted_primes: each prime's first s from a Fermat power) when
+    sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs Miller-Rabin on
+    each."""
 
     n: int
     d: int
@@ -67,8 +66,8 @@ class ForbiddenSet:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
         check_budget(n, "forbidden set limited to n")
         top = d * (n - 1) + 1
-        if top < _BITMAP_TOP:  # the flags of 1, d + 1, ..., top (any d at n = 1)
-            bits = _prime_bitmap()[1 : top + 1 : d]
+        if top <= arith.TABLE_CAP:  # the flags of 1, d + 1, ..., top (any d at n = 1)
+            bits = _prime_bitmap(top)[1 : top + 1 : d]
         elif math.isqrt(top) <= arith.TABLE_CAP:
             bits = _shifted_primes(n, d).tobytes()
         else:
@@ -79,12 +78,18 @@ class ForbiddenSet:
         return self.bits.count(1)
 
 
-@lru_cache(maxsize=1)
-def _prime_bitmap() -> bytes:
-    """flags[v] = 1 iff v is prime, else 0, for v < 2^16: arith's one sieve
-    as 64 kB of bytes, built on first use.  Its bound is fixed, so every
-    caller reads the same object."""
-    return bytes(_prime_flags(_BITMAP_TOP - 1))
+_bitmap = b""  # _prime_bitmap's flags, grown to the largest top asked for
+
+
+def _prime_bitmap(top: int) -> bytes:
+    """flags[v] = 1 iff v is prime, else 0, for v = 0..top at least:
+    arith's one sieve as bytes.  One grow-only entry: a call past its end
+    sieves it again to the new top, and every call up to its end reads the
+    same object."""
+    global _bitmap
+    if len(_bitmap) <= top:
+        _bitmap = bytes(_prime_flags(top))
+    return _bitmap
 
 
 def _shifted_primes(n: int, d: int) -> np.ndarray:
@@ -149,13 +154,25 @@ def is_avoiding(elements, fs: ForbiddenSet) -> bool:
 def find_forbidden_pair(elements, fs: ForbiddenSet):
     """Smallest forbidden difference realized in the set, as
     (s, smaller, larger), or None: the least s, then the least smaller.
-    The elements become a bitset by one bincount and packbits, and
-    _pair_in_mask searches it."""
-    import numpy as np
+    The elements are integers >= 0 (numpy's too), in any order and with
+    repeats; the first that is not an integer, or the least when one is
+    negative, is refused with DomainError.  Sorted and distinct, they
+    become a bitset (_mask), and _pair_in_mask searches it."""
+    members = sorted(set(check_integers(elements)))
+    if not members:
+        return None
+    if members[0] < 0:
+        raise DomainError(f"element {members[0]} is negative")
+    return _pair_in_mask(_mask(members), members, fs)
 
-    present = np.bincount(np.asarray(elements, dtype=np.int64)) > 0
-    mask = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
-    return _pair_in_mask(mask, np.flatnonzero(present).tolist(), fs)
+
+def _mask(members) -> int:
+    """The bitset of `members`, nonnegative ints in ascending order (at
+    least one): a plain loop sets their 0/1 flags, and _bitset reads them."""
+    flags = bytearray(members[-1] + 1)
+    for x in members:
+        flags[x] = 1
+    return _bitset(flags)
 
 
 def _pair_in_mask(mask: int, members, fs: ForbiddenSet):
@@ -281,10 +298,7 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
     # greedy incumbent for early pruning
     seed = greedy_avoiding(fs, strategy="first_fit")
     best_size = seed.size
-    flags = bytearray(n + 1)
-    for x in seed.elements:
-        flags[x] = 1
-    best_mask = _bitset(flags)
+    best_mask = _mask(seed.elements)
 
     t0 = time.perf_counter()
     nodes = 0

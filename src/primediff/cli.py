@@ -10,10 +10,12 @@ a "manifest" key, JSON-lines traces carry it in the header record.
 Sieve tables are built only where they are read (sieve, psi, lambda,
 spectrum); extremal and iterate build their forbidden sets without them.
 Each command imports the layers it runs itself, and they import numpy
-where they use it, so importing this module loads neither, `extremal`
-loads no numpy for exact search or for first fit while d(n - 1) + 1 <
-2^16, and a console process runs its command with the cyclic collector
-paused (see main).
+where they use it, so importing this module loads neither; `extremal`
+loads no numpy for exact search or for first fit while d(n - 1) + 1 is at
+most TABLE_CAP, nor `iterate` for a run whose steps all end before the
+energy step (small_n, small_alpha, structure_found, the d ceiling) and a
+greedy start on that route; and a console process runs its command with
+the cyclic collector paused (see main).
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 4 certification failure.

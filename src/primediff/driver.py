@@ -23,6 +23,14 @@ with the step that produced it.  The run as a whole is checked too: where
 it starts, that only increments are followed by a step, and its terminal.
 Producer and recount read one grid size, IterationConfig.grid_size: the
 least 5-smooth M >= grid_factor N.
+
+A step searches pairs on the int bitset of its set's elements (avoider's
+_mask and _pair_in_mask), which a DensitySet holds ascending and distinct,
+so nothing is sorted or deduplicated again, and a trace snapshot is the
+elements tuple itself.  numpy is imported only where arrays are worked
+on: the energy step with phi(1..Q'), and certify's increment recount.  A
+run whose steps all end at small_n, small_alpha, structure_found or the d
+ceiling, and its certification, load no numpy.
 """
 
 from __future__ import annotations
@@ -33,10 +41,8 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
-import numpy as np
-
 from .arith import euler_phi, is_prime
-from .avoider import ForbiddenSet, find_forbidden_pair
+from .avoider import ForbiddenSet, _mask, _pair_in_mask
 from .errors import CertificationError, DomainError
 from .increment import (
     DensitySet,
@@ -45,7 +51,6 @@ from .increment import (
     extract_progression,
     rescale,
 )
-from .spectral import fft_size
 
 __all__ = [
     "Budget",
@@ -135,6 +140,8 @@ class IterationConfig:
             return 1
 
     def grid_size(self, n: int) -> int:
+        from .spectral import fft_size
+
         return fft_size(self.grid_factor * n)
 
     def d_ceiling(self, n: int) -> float:
@@ -215,13 +222,16 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
     if alpha < config.alpha_floor:
         return SmallAlpha(alpha), {}
 
-    pair = find_forbidden_pair(A.elements, ForbiddenSet.build(n, d))
+    fs = ForbiddenSet.build(n, d)
+    pair = _pair_in_mask(_mask(A.elements), A.elements, fs)
     if pair is not None:
         s, lower, upper = pair
         return StructureFound(x=s, p=d * s + 1, lower=lower, upper=upper), {}
 
     if d > config.d_ceiling(n):
         return LargeDOrSmallAlpha(reason=_ceiling_reason(n, d, config)), {}
+
+    import numpy as np
 
     n_prime = config.n_prime(n, alpha)
     if n_prime < 1:
@@ -275,13 +285,15 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
     return LargeDOrSmallAlpha(reason="no positive star energy at admissible levels"), diagnostics
 
 
-_phi = np.zeros(0)  # phi(1..len(_phi)), read-only
+_phi = ()  # phi(1..len(_phi)), a read-only array once grown
 
 
 def _phi_column(top: int) -> np.ndarray:
     """phi(1..top), level q at index q - 1: a read-only prefix of _phi,
     grown to the most levels a step asks for, one euler_phi call per level
     added."""
+    import numpy as np
+
     global _phi
     if len(_phi) < top:
         _phi = np.append(_phi, [euler_phi(q) for q in range(len(_phi) + 1, top + 1)])
@@ -325,7 +337,7 @@ def _energy_top(diagnostics: dict, k: int = 3) -> tuple:
     rest, top = star.copy(), []
     for _ in range(min(k, len(rest))):
         top.append(int(rest.argmax()))
-        rest[top[-1]] = -np.inf
+        rest[top[-1]] = -math.inf
     return tuple(zip([q + 1 for q in top], star[top].tolist()))
 
 
@@ -344,7 +356,7 @@ def run(A: DensitySet, d: int, config: IterationConfig, tables=None) -> Trace:
                 d=cur_d,
                 alpha=current.alpha,
                 outcome=outcome,
-                set_snapshot=tuple(current.elements.tolist()),
+                set_snapshot=current.elements,
                 energy_top=_energy_top(diagnostics),
                 q=outcome.q if isinstance(outcome, DensityIncrement) else None,
             )
@@ -429,7 +441,9 @@ def _correlations(A: DensitySet) -> tuple[np.ndarray, ...]:
     int64, a block of rows at a time: O(|A|^2) time and O(N + _PAIR_BLOCK)
     memory.  The other three are closed forms (set-interval by suffix
     counts), as floats."""
-    e = A.elements
+    import numpy as np
+
+    e = A.array
     r_aa = np.zeros(A.n, dtype=np.int64)
     rows = max(1, _PAIR_BLOCK // A.size)
     for lo in range(0, A.size, rows):
@@ -437,8 +451,8 @@ def _correlations(A: DensitySet) -> tuple[np.ndarray, ...]:
         r_aa += np.bincount(diff[diff > 0], minlength=A.n)
     r_aa[0] = A.size
     x = np.arange(A.n, dtype=np.int64)
-    r_ai = (A.size - np.searchsorted(A.elements, x, side="right")).astype(np.float64)
-    r_ia = np.searchsorted(A.elements, A.n - x, side="right").astype(np.float64)
+    r_ai = (A.size - np.searchsorted(e, x, side="right")).astype(np.float64)
+    r_ia = np.searchsorted(e, A.n - x, side="right").astype(np.float64)
     r_ii = (A.n - x).astype(np.float64)
     return r_aa, r_ai, r_ia, r_ii
 
@@ -459,6 +473,8 @@ def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
     w = floor(M/Q).  When 2w >= M each arc meets the next at one point
     (the a = q arc meets a = 1 past M), counted once.  Works arc by arc:
     O(qN + |A|^2) time, O(N) memory."""
+    import numpy as np
+
     alpha = A.alpha
     r_aa, r, r_ia, r_ii = _correlations(A)
     r += r_ia  # r_g = r_AA - alpha (r_AI + r_IA) + alpha^2 r_II, in place
@@ -505,8 +521,8 @@ def certify(trace: Trace, tables=None) -> list[str]:
         if s.step != idx + 1:
             raise CertificationError(f"{where}: step indices not contiguous")
         try:
-            A = DensitySet(s.n, np.array(s.set_snapshot, dtype=np.int64))
-        except (DomainError, OverflowError) as exc:
+            A = DensitySet(s.n, s.set_snapshot)
+        except DomainError as exc:
             raise CertificationError(f"{where}: bad snapshot: {exc}") from None
         if not math.isclose(A.alpha, s.alpha, rel_tol=0, abs_tol=1e-12):
             raise CertificationError(f"{where}: alpha {s.alpha} != recount {A.alpha}")
@@ -515,9 +531,10 @@ def certify(trace: Trace, tables=None) -> list[str]:
             # the producer reaches these only on a set that avoids: search
             # afresh, whatever the step's pair search found
             try:
-                pair = find_forbidden_pair(A.elements, ForbiddenSet.build(s.n, s.d))
+                fs = ForbiddenSet.build(s.n, s.d)
             except DomainError as exc:  # d < 1
                 raise CertificationError(f"{where}: {exc}") from None
+            pair = _pair_in_mask(_mask(A.elements), A.elements, fs)
             if pair is not None:
                 raise CertificationError(
                     f"{where}: {out.tag} but {pair[2]} - {pair[1]} = {pair[0]} is forbidden"
@@ -567,8 +584,10 @@ def certify(trace: Trace, tables=None) -> list[str]:
             cap = cfg.extraction_cap(s.alpha)
             if out.q > cap:
                 raise CertificationError(f"{where}: level q={out.q} above extraction cap {cap}")
+            import numpy as np
+
             member = np.zeros(s.n + 1, dtype=bool)
-            member[A.elements] = True
+            member[A.array] = True
             recount = int(np.count_nonzero(member[P.points()]))
             if recount != o.intersection_count:
                 raise CertificationError(
@@ -585,7 +604,7 @@ def certify(trace: Trace, tables=None) -> list[str]:
                 nxt = trace.steps[idx + 1]
                 if nxt.n != P.length or nxt.d != out.new_d:
                     raise CertificationError(f"{where}: next step (n, d) mismatch")
-                if tuple(expected.elements.tolist()) != nxt.set_snapshot:
+                if expected.elements != nxt.set_snapshot:
                     raise CertificationError(f"{where}: rescaled snapshot mismatch")
             # energy recount from the snapshot's difference counts at level q,
             # not read from the step's energy table nor its power grid

@@ -27,19 +27,26 @@ projection keeps half of alpha on a step-d progression.  Both take the
 best window inside [1, N], its count recounted exactly from prefix sums
 along each residue class (_best_inside), never inferred from the
 transform side.
+
+A DensitySet holds its elements as an ascending tuple of Python ints, so
+building one, and the driver's steps that stop before the energy step,
+load no numpy.  The code that does array work (balanced, _best_inside,
+energy_table, rescale, Progression.points) imports numpy, and spectral,
+where it uses them, and reads the set through one cached int64 view,
+DensitySet.array; energy_table calls spectral's grid_power and arc_ranges
+as that module holds them at call time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
+from .arith import check_integers
 from .errors import DomainError, PreconditionError
-from .spectral import arc_ranges, fft_size, grid_power, unfold
 
 __all__ = [
     "DensitySet",
@@ -60,29 +67,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensitySet:
-    """A nonempty subset of [1, n] with its ambient interval."""
+    """A nonempty subset of [1, n] with its ambient interval.  elements is
+    an ascending tuple of distinct Python ints (the constructor reads any
+    sequence of integers, numpy's too, and refuses every other element);
+    array is the same elements as one read-only int64 array, built on first
+    read, the view each numpy reader of the set takes."""
 
     n: int
-    elements: np.ndarray
+    elements: tuple
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"ambient length must be >= 1, got {self.n}")
-        e = self.elements
-        if e.ndim != 1 or len(e) == 0:
-            raise DomainError("element array must be one-dimensional and nonempty")
+        e = check_integers(self.elements)
+        object.__setattr__(self, "elements", e)
+        if not e:
+            raise DomainError("elements must be nonempty")
         if e[0] < 1 or e[-1] > self.n:
             raise DomainError(f"elements must lie in [1, {self.n}]")
-        if not (e[1:] > e[:-1]).all():
+        if not all(map(operator.lt, e, e[1:])):
             raise DomainError("elements must be strictly increasing")
 
     @classmethod
     def from_iterable(cls, n: int, points) -> "DensitySet":
-        try:
-            elements = np.array(sorted(set(int(p) for p in points)), dtype=np.int64)
-        except OverflowError:
-            raise DomainError(f"elements must fit int64 and lie in [1, {n}]") from None
-        return cls(n, elements)
+        return cls(n, sorted(set(check_integers(points))))
 
     @property
     def size(self) -> int:
@@ -92,10 +100,22 @@ class DensitySet:
     def alpha(self) -> float:
         return self.size / self.n
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The elements as a read-only int64 array (the cached value sits
+        outside the frozen fields)."""
+        import numpy as np
+
+        array = np.array(self.elements, dtype=np.int64)
+        array.flags.writeable = False
+        return array
+
     def balanced(self) -> np.ndarray:
         """g = 1_A - alpha 1_[1,N] as an array, g(x) at index x - 1."""
+        import numpy as np
+
         vals = np.full(self.n, -self.alpha, dtype=np.float64)
-        vals[self.elements - 1] += 1.0
+        vals[self.array - 1] += 1.0
         return vals
 
 
@@ -117,6 +137,8 @@ class Progression:
         return self.first + (self.length - 1) * self.step
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return self.first + self.step * np.arange(self.length, dtype=np.int64)
 
     def within(self, n: int) -> bool:
@@ -178,11 +200,13 @@ def _best_inside(A: DensitySet, step: int, length: int) -> tuple[int, int]:
 
     Exact integers from prefix sums along each residue class mod step.
     Callers keep (length - 1) step < N, so some window fits."""
+    import numpy as np
+
     reach = (length - 1) * step
     # one zero row, then [1, N]
     rows = -(-(step + A.n) // step)
     padded = np.zeros(rows * step, dtype=np.int64)
-    padded[step - 1 + A.elements] = 1
+    padded[step - 1 + A.array] = 1
     prefix = padded.reshape(rows, step).cumsum(axis=0).ravel()
     # prefix[i] - prefix[i - length step] counts the window ending at i
     inside = prefix[step + reach : step + A.n] - prefix[: A.n - reach]
@@ -202,6 +226,10 @@ def _level_energies(m: int, power: np.ndarray, norm: float, q_prime: int, big_q:
     2 (M + w + 2) eps C[-1] of its exact sum; one bincount adds a level's
     arcs, one its star arcs, so a row does not depend on the other
     levels."""
+    import numpy as np
+
+    from .spectral import arc_ranges, unfold
+
     q, _, lo, hi, star = arc_ranges(m, q_prime, big_q)
     c = np.zeros(m + m // big_q + 2)  # C[0] = 0, then C[k + 1] = C[k] + power at k
     np.cumsum(unfold(power, m, c[1:]), out=c[1:])
@@ -221,6 +249,8 @@ def energy_table(
     """Normalized arc energies E and E* for every level q <= q_prime at
     half-width eta = 1/(q big_q), on the power of A.balanced() that
     grid_power gives on m points (m >= 8N, default fft_size(8N))."""
+    from .spectral import fft_size, grid_power
+
     if q_prime < 1:
         raise DomainError(f"need Q' >= 1, got {q_prime}")
     if big_q < 2:
@@ -297,9 +327,9 @@ def rescale(A: DensitySet, P: Progression) -> DensitySet:
         raise PreconditionError(
             f"progression [{P.first}, {P.last()}] not inside [1, {A.n}]"
         )
-    offset = A.elements - P.first
+    offset = A.array - P.first
     j = offset[(offset >= 0) & (offset % P.step == 0)] // P.step
     j = j[j < P.length]
     if not j.size:
         raise PreconditionError("progression misses A entirely; nothing to rescale")
-    return DensitySet(P.length, j + 1)
+    return DensitySet(P.length, (j + 1).tolist())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from primediff import avoider
+from primediff import arith, avoider
 from primediff.arith import TABLE_CAP, is_prime
 from primediff.avoider import (
     ForbiddenSet,
@@ -33,10 +33,20 @@ def flags(fs):
     return np.frombuffer(fs.bits, dtype=bool)
 
 
-def bitmap_edge(d):
-    """The least n with d (n - 1) + 1 >= 2^16: the first forbidden set
-    past the prime bitmap."""
-    return (2**16 - 2) // d + 2
+def bitmap_edge(d, cap=TABLE_CAP):
+    """The least n with d (n - 1) + 1 > cap: under the table cap `cap`, the
+    first forbidden set past the prime bitmap (at d = 1, past the cap)."""
+    return (cap - 1) // d + 2
+
+
+# a table cap under which the routes cross at sizes a trial-division or
+# Miller-Rabin oracle covers in full: the bitmap's bound is then 2^16
+SMALL_CAP = 2**16
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    monkeypatch.setattr(arith, "TABLE_CAP", SMALL_CAP)
 
 
 class TestForbiddenSet:
@@ -47,61 +57,107 @@ class TestForbiddenSet:
             assert np.flatnonzero(flags(fs)).tolist() == sorted(want)
             assert fs.count() == len(want)
 
-    def test_table_and_direct_paths_agree(self):
+    def test_table_and_direct_paths_agree(self, monkeypatch):
         """The bitmap route and the sieve of the values d s + 1
         (_shifted_primes) give the same immutable bits at n = 2, 3 and on
         both sides of the bitmap's bound, where ForbiddenSet.build passes
-        from the first to the second (n = bitmap_edge(d))."""
-        for d in (1, 2, 7, 200, 30_000):
+        from the first to the second (n = bitmap_edge(d)): the tops
+        TABLE_CAP (d = 3 and, at n = TABLE_CAP, d = 1) and TABLE_CAP + 1
+        (d = 2) among them.  A top of TABLE_CAP grows the bitmap to it, and
+        TABLE_CAP + 1 leaves it as it is."""
+        cases = [(TABLE_CAP, 1)]
+        for d in (2, 3, 7, 200, 30_000):
             edge = bitmap_edge(d)
-            for n in sorted({2, 3, edge - 2, edge - 1, edge, edge + 1}):
-                fs = ForbiddenSet.build(n, d)
-                assert np.array_equal(flags(fs), avoider._shifted_primes(n, d)), (n, d)
-                assert type(fs.bits) is bytes
+            cases += [(n, d) for n in sorted({2, 3, edge - 2, edge - 1, edge, edge + 1})]
+        tops = {d * (n - 1) + 1 for n, d in cases}
+        assert {TABLE_CAP, TABLE_CAP + 1} <= tops
+        for n, d in cases:
+            fs = ForbiddenSet.build(n, d)
+            assert np.array_equal(flags(fs), avoider._shifted_primes(n, d)), (n, d)
+            assert type(fs.bits) is bytes
+        monkeypatch.setattr(avoider, "_bitmap", b"")
+        ForbiddenSet.build(bitmap_edge(3) - 1, 3)  # top TABLE_CAP: the bitmap route
+        grown = avoider._bitmap
+        assert len(grown) == TABLE_CAP + 1
+        ForbiddenSet.build(bitmap_edge(2), 2)  # top TABLE_CAP + 1: the sieve
+        assert avoider._bitmap is grown
 
-    def test_prime_bitmap_matches_miller_rabin(self):
-        """The bitmap that producer and certify share at driver sizes, all
-        2^16 entries against is_prime (Miller-Rabin, no sieve); it is
-        immutable bytes and built once."""
-        bitmap = avoider._prime_bitmap()
-        assert type(bitmap) is bytes and len(bitmap) == 2**16
-        assert np.frombuffer(bitmap, dtype=bool).tolist() == [is_prime(v) for v in range(2**16)]
-        assert avoider._prime_bitmap() is bitmap
+    def test_prime_bitmap_matches_miller_rabin(self, monkeypatch):
+        """The bitmap that producer and certify share grows on demand to
+        TABLE_CAP: its first 2^16 entries and the last 2^12 of the grown one
+        against is_prime (Miller-Rabin, no sieve), and its prime count
+        against pi(4 10^6) = 283,146.  It is immutable bytes, sieved again
+        only past its end, and once grown by a large call it serves a later
+        small call as it is, forbidden sets included."""
+        monkeypatch.setattr(avoider, "_bitmap", b"")
+        small = avoider._prime_bitmap(2**16 - 1)
+        assert type(small) is bytes and len(small) == 2**16
+        assert np.frombuffer(small, dtype=bool).tolist() == [is_prime(v) for v in range(2**16)]
+        assert avoider._prime_bitmap(100) is small
+        assert len(avoider._prime_bitmap(2**16)) == 2**16 + 1  # one past its end: sieved again
+        big = avoider._prime_bitmap(TABLE_CAP)
+        assert type(big) is bytes and len(big) == TABLE_CAP + 1
+        assert big[: 2**16] == small
+        tail = range(TABLE_CAP + 1 - 2**12, TABLE_CAP + 1)
+        assert [big[v] for v in tail] == [is_prime(v) for v in tail]
+        assert TABLE_CAP == 4_000_000 and big.count(1) == 283_146
+        assert avoider._prime_bitmap(2**16) is big
+        fs = ForbiddenSet.build(300, 2)
+        assert avoider._bitmap is big
+        assert np.flatnonzero(flags(fs)).tolist() == sorted(forbidden_diffs_naive(300, 2))
 
-    def test_bitmap_bound_matches_the_oracle(self):
-        """bits against trial division where d (n - 1) + 1 crosses 2^16,
-        at the last n below it and the first two at or past it for d = 1..4
-        (the tops 2^16 - 1, 2^16 and 2^16 + 1 wherever d reaches them),
-        and at the post-increment shape (25, 200) and at (2, 65534)."""
+    def test_bitmap_bound_matches_the_oracle(self, small_cap):
+        """bits against trial division where d (n - 1) + 1 crosses the
+        bitmap's bound, at the last n inside it and the first two past it
+        for d = 2..5, under a table cap of 2^16 (the tops 2^16 and 2^16 + 1
+        wherever d reaches them), at n = 2^16 and d = 1, and at the
+        post-increment shape (25, 200) and at (2, 65534)."""
         cases = [(n, d, forbidden_diffs_naive(n, d)) for n, d in ((25, 200), (2, 65534))]
-        for d in range(1, 5):
-            edge = bitmap_edge(d)
+        cases.append((SMALL_CAP, 1, forbidden_diffs_naive(SMALL_CAP, 1)))
+        for d in range(2, 6):
+            edge = bitmap_edge(d, SMALL_CAP)
             oracle = forbidden_diffs_naive(edge + 1, d)
             cases += [(n, d, {s for s in oracle if s < n}) for n in (edge - 1, edge, edge + 1)]
         for n, d, want in cases:
             assert np.flatnonzero(flags(ForbiddenSet.build(n, d))).tolist() == sorted(want), (n, d)
 
-    def test_sieve_matches_miller_rabin(self):
-        """Past the bitmap's bound the values d s + 1 are sieved: the bits
-        equal is_prime's for d = 1..6 at sizes on both sides of the largest
-        n the bitmap covers, down to n = 1, and on the Miller-Rabin route,
-        where sqrt(d (n - 1) + 1) exceeds TABLE_CAP."""
-        cases = [(2, 10**14), (3, 10**14)]  # roots 10^7 and 1.4 10^7
-        for d in range(1, 7):
-            edge = bitmap_edge(d)
+    def test_sieve_matches_miller_rabin(self, small_cap, monkeypatch):
+        """Past the bitmap's bound the values d s + 1 are sieved: under a
+        table cap of 2^16 the bits equal is_prime's for d = 2..6 at sizes
+        on both sides of the largest n the bitmap covers, down to n = 1, and
+        on the Miller-Rabin route, where sqrt(d (n - 1) + 1) exceeds the
+        cap.  The sieve runs exactly where the top passes the cap and its
+        root does not."""
+        # roots 10^7, 1.4 10^7, and the cap + 1 and the cap (the last one sieved)
+        cases = [(2, 10**14), (3, 10**14), (2, (SMALL_CAP + 1) ** 2 - 1), (2, (SMALL_CAP + 1) ** 2 - 2)]
+        for d in range(2, 7):
+            edge = bitmap_edge(d, SMALL_CAP)
             cases += [(n, d) for n in (1, 2, 3, 4, 11, edge - 1, edge, edge + 37)]
-        small = [is_prime(v) for v in range(2**16 + 512)]  # each value once, not once per n
+        sieved, shifted_primes = [], avoider._shifted_primes
+
+        def recorded(n, d):
+            sieved.append((n, d))
+            return shifted_primes(n, d)
+
+        monkeypatch.setattr(avoider, "_shifted_primes", recorded)
+        small = [is_prime(v) for v in range(2**17 + 512)]  # each value once, not once per n
         for n, d in cases:
             want = [s > 0 and (small[v] if v < len(small) else is_prime(v))
                     for s, v in enumerate(range(1, d * n + 1, d))]
             assert flags(ForbiddenSet.build(n, d)).tolist() == want, (n, d)
+        tops = [(n, d, d * (n - 1) + 1) for n, d in cases]
+        assert sieved == [(n, d) for n, d, top in tops
+                          if top > SMALL_CAP and math.isqrt(top) <= SMALL_CAP]
+        assert (2, (SMALL_CAP + 1) ** 2 - 2) in sieved
 
     def test_sieve_routes_meet_at_the_prime_count(self):
         """The sieve of the values d s + 1 starts each prime p at -1/d mod p
         from a Fermat power.  At several n, for d in {1, 2, 6, 30, 210} and
         for d on both sides of the number of sieving primes (p <=
         sqrt(d (n - 1) + 1), p not dividing d), _shifted_primes's bits equal
-        is_prime's and ForbiddenSet.build's."""
+        is_prime's and ForbiddenSet.build's.  At the tops TABLE_CAP and
+        TABLE_CAP + 1, where build passes from the bitmap to the sieve, the
+        two agree in full and with is_prime on their last 2^10 s."""
 
         def sieving_primes(n, d):
             return sum(d % p != 0 for p in range(2, math.isqrt(d * (n - 1) + 1) + 1)
@@ -115,6 +171,11 @@ class TestForbiddenSet:
             want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
             assert avoider._shifted_primes(n, d).tolist() == want, (n, d)
             assert flags(ForbiddenSet.build(n, d)).tolist() == want, (n, d)
+        for n, d in ((bitmap_edge(3) - 1, 3), (bitmap_edge(2), 2)):  # TABLE_CAP, TABLE_CAP + 1
+            sieved = avoider._shifted_primes(n, d)
+            assert np.array_equal(flags(ForbiddenSet.build(n, d)), sieved), (n, d)
+            tail = range(n - 2**10, n)
+            assert sieved[tail.start :].tolist() == [is_prime(d * s + 1) for s in tail], (n, d)
 
     def test_table_budget(self):
         """Past TABLE_CAP the difference array is refused before it is built."""
@@ -124,6 +185,11 @@ class TestForbiddenSet:
     def test_small_universe(self):
         fs = ForbiddenSet.build(1, 1)
         assert fs.count() == 0
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (5, 0), (5, -1)])
+    def test_n_or_d_below_one_is_refused(self, n, d):
+        with pytest.raises(DomainError, match=f"^need n, d >= 1, got n={n}, d={d}$"):
+            ForbiddenSet.build(n, d)
 
 
 class TestAvoidanceChecks:
@@ -174,6 +240,30 @@ class TestAvoidanceChecks:
         fs = ForbiddenSet.build(50, 1)
         assert is_avoiding([], fs)
         assert is_avoiding([17], fs)
+
+    def test_non_integral_element_is_refused(self):
+        """2.5 is refused by name, not truncated to a "pair" (2, 2, 4)
+        whose smaller end is not in the set; 2.0 is no integer either."""
+        fs = ForbiddenSet.build(10, 1)
+        for elements, bad in (([2.5, 4], "2.5"), ([4, 2.0], "2.0")):
+            with pytest.raises(DomainError, match=f"^element {bad} is not an integer$"):
+                find_forbidden_pair(elements, fs)
+
+    def test_negative_element_is_refused(self):
+        """-1 is refused by name, not left to a failing bitset; 0 is an
+        element like any other."""
+        fs = ForbiddenSet.build(10, 1)
+        with pytest.raises(DomainError, match="^element -1 is negative$"):
+            find_forbidden_pair([-1, 3], fs)
+        assert find_forbidden_pair([0, 1], fs) == (1, 0, 1)
+
+    def test_numpy_integers_pass(self):
+        """numpy integers, unsorted and repeated, give the pair their
+        Python ints give, as Python ints."""
+        fs = ForbiddenSet.build(10, 1)
+        pair = find_forbidden_pair(np.array([7, 4, 4, 3], dtype=np.int64), fs)
+        assert pair == find_forbidden_pair([3, 4, 7], fs) == (1, 3, 4)
+        assert all(type(v) is int for v in pair)
 
 
 class TestExactSearch:

@@ -175,13 +175,13 @@ class TestIterateOnce:
     def test_one_arc_range_pass_per_step(self, monkeypatch):
         """A step that reaches extraction computes the arc ranges once, in
         energy_table: extraction reads its level's E from the table row."""
-        calls, arc_ranges = [], increment.arc_ranges
+        calls, arc_ranges = [], spectral.arc_ranges
 
         def counted(*args):
             calls.append(args)
             return arc_ranges(*args)
 
-        monkeypatch.setattr(increment, "arc_ranges", counted)
+        monkeypatch.setattr(spectral, "arc_ranges", counted)
         A = class_avoiding_set(3000)
         out, diag = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, DensityIncrement)
@@ -515,12 +515,12 @@ class TestCertify:
     def test_rejects_a_wrong_grid_power(self, build, tables_small, monkeypatch):
         """A producer whose grid power is 1.5 times too large records wrong
         energies; the recount reads no power grid, so it rejects them."""
-        real = increment.grid_power
+        real = spectral.grid_power
 
         def inflated(f, m):
             return 1.5 * real(f, m)
 
-        monkeypatch.setattr(increment, "grid_power", inflated)
+        monkeypatch.setattr(spectral, "grid_power", inflated)
         trace = run(build(), 1, IterationConfig(), tables_small)
         assert any(s.outcome.tag == "density_increment" for s in trace.steps)
         with pytest.raises(CertificationError, match="energy recount"):
@@ -528,20 +528,20 @@ class TestCertify:
 
     def test_recount_shares_no_spectral_primitive(self, tables_small, monkeypatch):
         """certify passes a good trace with the producer's grid transform,
-        arc ranges and level sums all made to raise."""
-        trace = run(class_avoiding_set(3000), 1, IterationConfig(), tables_small)
+        arc ranges and level sums all made to raise; the producer reads
+        them from spectral at call time, so the same patches stop a run."""
+        A = class_avoiding_set(3000)
+        trace = run(A, 1, IterationConfig(), tables_small)
 
         def boom(*args, **kwargs):
             raise AssertionError("certify called a producer primitive")
 
-        for module, name in [
-            (increment, "grid_power"),
-            (spectral, "grid_power"),
-            (increment, "arc_ranges"),
-            (spectral, "arc_ranges"),
-            (increment, "_level_energies"),
-        ]:
-            monkeypatch.setattr(module, name, boom)
+        for name in ("grid_power", "arc_ranges", "_level_energies"):
+            for module in (spectral, increment):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, boom)
+        with pytest.raises(AssertionError, match="producer primitive"):
+            run(A, 1, IterationConfig(), tables_small)
         lines = certify(trace, tables_small)
         assert any("density_increment ok" in line for line in lines)
         assert lines[-1] == f"terminal: {trace.terminal} ok"
@@ -557,7 +557,7 @@ class TestCertify:
         rng = np.random.default_rng(0)
         A = DensitySet.from_iterable(n, rng.choice(n, size=n // 3, replace=False) + 1)
         with monkeypatch.context() as patched:
-            patched.setattr(driver, "find_forbidden_pair", lambda elements, fs: None)
+            patched.setattr(driver, "_pair_in_mask", lambda mask, members, fs: None)
             trace = run(A, d, IterationConfig(), tables_small)
         assert trace.steps[0].outcome.tag == tag
         with pytest.raises(CertificationError, match=f"step 1: {tag} but .* is forbidden"):
@@ -603,13 +603,13 @@ class TestCertify:
         = 2^6 5^3 points, not on 7,976 = 8 * 997, and certify recounts on
         the same grid: the step certifies, and its energy is not the 7,976-
         point one."""
-        sizes, real = [], increment.grid_power
+        sizes, real = [], spectral.grid_power
 
         def recorded(f, m):
             sizes.append(m)
             return real(f, m)
 
-        monkeypatch.setattr(increment, "grid_power", recorded)
+        monkeypatch.setattr(spectral, "grid_power", recorded)
         A = class_avoiding_set(997)
         trace = run(A, 1, IterationConfig(), tables_small)
         assert sizes == [8000]
@@ -878,7 +878,7 @@ def one_step(n, d, elements, outcome):
     default config, with the terminal its tag."""
     A = DensitySet.from_iterable(n, elements)
     step = TraceStep(step=1, n=n, d=d, alpha=A.alpha, outcome=outcome,
-                     set_snapshot=tuple(A.elements.tolist()), energy_top=(), q=None)
+                     set_snapshot=A.elements, energy_top=(), q=None)
     return Trace(steps=[step], terminal=outcome.tag, config=IterationConfig(),
                  initial_n=n, initial_d=d)
 
@@ -1114,7 +1114,7 @@ class TestCorrelations:
         full = _correlations(A)
         assert [len(r) for r in full] == [A.n] * 4
         got = [r[1 : top + 1] for r in full]
-        r_aa, r_ii, r_ai, r_ia = inner_products_naive(A.elements.tolist(), A.n)
+        r_aa, r_ii, r_ai, r_ia = inner_products_naive(list(A.elements), A.n)
         for r, want in zip(got, (r_aa, r_ai, r_ia, r_ii)):
             assert r.tolist() == want[1 : top + 1]
 

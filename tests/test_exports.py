@@ -227,24 +227,34 @@ def test_search_and_table_commands_skip_analytic_layers():
     assert not LAZY_LAYERS & set(loaded), f"extremal, psi and sieve loaded {loaded}"
 
 
-def test_exact_and_bitmap_greedy_runs_import_no_numpy():
-    """Exact search, its branch-and-bound fallback, and first fit while
-    d (n - 1) + 1 < 2^16 run on bytes and ints: importing avoider and
-    running them leaves numpy unloaded."""
+def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
+    """Exact search, its branch-and-bound fallback, first fit while
+    d (n - 1) + 1 <= TABLE_CAP, and iterate runs whose steps end before the
+    energy step (at small_alpha, and at structure_found from a set file)
+    run on bytes, ints and tuples: importing avoider and running them
+    leaves numpy unloaded."""
+    path = tmp_path / "set.txt"
+    path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7: structure_found
     runs = [
         ["extremal", "--n", "88", "--d", "1", "--mode", "exact", "--budget", "3000000"],
         ["extremal", "--n", "40", "--d", "1", "--mode", "exact", "--budget", "3"],
         ["extremal", "--n", "65535", "--d", "1", "--mode", "greedy"],
+        ["extremal", "--n", "100000", "--d", "1", "--mode", "greedy"],
+        ["iterate", "--greedy", "--n", "100000"],
+        ["iterate", "--input", str(path), "--n", "100", "--d", "2"],
     ]
     code = (
         "import primediff.avoider\n"
         "assert 'numpy' not in sys.modules\n"
         "from primediff import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
         "assert codes == [0] * len(codes), codes\n"
         "assert 'numpy' not in sys.modules\n"
+        "ends = [line for line in err.getvalue().splitlines() if line.startswith('terminal')]\n"
+        "assert ends == ['terminal: small_alpha ok', 'terminal: structure_found ok'], ends\n"
     )
     loaded = loaded_after(code)
     assert loaded == ["primediff", "primediff.arith", "primediff.avoider", "primediff.cli",
-                      "primediff.errors"], loaded
+                      "primediff.driver", "primediff.errors", "primediff.increment"], loaded

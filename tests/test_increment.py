@@ -35,7 +35,7 @@ def random_set(rng, n_lo=40, n_hi=400):
 class TestDensitySet:
     def test_basic_fields(self):
         A = DensitySet.from_iterable(10, [7, 2, 5])
-        assert A.elements.tolist() == [2, 5, 7]
+        assert A.elements == (2, 5, 7)
         assert A.size == 3
         assert A.alpha == 0.3
         assert 5 in A.elements and 3 not in A.elements
@@ -61,6 +61,22 @@ class TestDensitySet:
                 DensitySet(5, np.array(elements, dtype=np.int64))
         assert DensitySet(5, np.array([4], dtype=np.int64)).size == 1
 
+    def test_non_integral_element_is_refused(self):
+        """2.5 is refused by name, not held as 2; so is 2.0, by the
+        constructor as by from_iterable."""
+        with pytest.raises(DomainError, match="^element 2.5 is not an integer$"):
+            DensitySet.from_iterable(10, [2.5, 7])
+        with pytest.raises(DomainError, match="^element 2.0 is not an integer$"):
+            DensitySet(10, (2.0, 7))
+
+    def test_elements_are_an_ascending_tuple_of_ints(self):
+        """numpy integers are read as Python ints; array is the same
+        elements, int64 and read-only, built once."""
+        A = DensitySet(10, np.array([2, 5, 7], dtype=np.int64))
+        assert A.elements == (2, 5, 7) and all(type(x) is int for x in A.elements)
+        assert A.array.dtype == np.int64 and A.array.tolist() == [2, 5, 7]
+        assert not A.array.flags.writeable and A.array is A.array
+
 
 class TestProgression:
     def test_points(self):
@@ -80,7 +96,7 @@ def best_window_naive(A, step, length):
     """(first, count) maximizing window_count_naive over the translates
     inside [1, N], the leftmost among ties."""
     firsts = range(1, A.n - (length - 1) * step + 1)
-    counts = [window_count_naive(A.elements.tolist(), f, step, length) for f in firsts]
+    counts = [window_count_naive(list(A.elements), f, step, length) for f in firsts]
     best = max(counts)
     return firsts[counts.index(best)], best
 
@@ -251,13 +267,13 @@ class TestEnergyTable:
 
     def test_grid_sets_m(self, monkeypatch):
         """The size given fixes M: a 400-point grid, not the default 320."""
-        sizes, real = [], increment.grid_power
+        sizes, real = [], spectral.grid_power
 
         def recorded(f, m):
             sizes.append(m)
             return real(f, m)
 
-        monkeypatch.setattr(increment, "grid_power", recorded)
+        monkeypatch.setattr(spectral, "grid_power", recorded)
         A = DensitySet.from_iterable(40, [1, 5, 9])
         table = energy_table(A, 3, 10, 400)
         assert sizes == [400]
@@ -333,7 +349,7 @@ class TestRescale:
         P = Progression(3, 4, 5)  # 3, 7, 11, 15, 19
         B = rescale(A, P)
         assert B.n == 5
-        assert B.elements.tolist() == [1, 2, 3, 5]
+        assert B.elements == (1, 2, 3, 5)
 
     def test_differences_scale_by_step(self):
         rng = np.random.default_rng(79)
@@ -341,7 +357,7 @@ class TestRescale:
         out = averaging_projection(A, 3)
         B = rescale(A, out.progression)
         P = out.progression
-        for x in B.elements.tolist():
+        for x in B.elements:
             assert P.first + (x - 1) * P.step in A.elements
         assert B.size == out.intersection_count
 
@@ -372,5 +388,5 @@ class TestRescale:
                 continue
             B = rescale(A, P)
             assert B.n == length
-            assert B.elements.tolist() == hits.tolist()
+            assert list(B.elements) == hits.tolist()
         assert misses > 0
