@@ -1,13 +1,15 @@
 """Sieved arithmetic tables, Ramanujan-type sums, Dirichlet characters,
 and Chebyshev partial sums.
 
-Everything downstream (exponential sums, arc energy, the iteration driver)
-pulls its arithmetic from one ArithTables instance, built once per run by a
-sieve. The exponential-sum primitives (ramanujan, tau) are
-normatively DIRECT sums; closed forms are exposed separately so consistency
-between the two routes stays a checkable statement rather than a tautology.
-Each function that uses numpy imports it itself, so the sieve
-(_prime_flags), is_prime and euler_phi run without it.
+The dense tables downstream reads (exponential sums, arc energy) come from
+one ArithTables instance, built once per run by a sieve.  Primality alone
+comes from one grow-only bitmap of that sieve (_prime_bitmap), which psi
+and the forbidden sets of avoider read.  The exponential-sum primitives
+(ramanujan, tau) are normatively DIRECT sums; closed forms are exposed
+separately so consistency between the two routes stays a checkable
+statement rather than a tautology.  Each function that uses numpy imports
+it itself, so the sieve (_prime_flags), the bitmap, psi, is_prime and
+euler_phi run without it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, compress, product
 
 from .errors import DomainError, PreconditionError, ResourceError
 
@@ -152,6 +154,20 @@ def _prime_flags(n: int) -> bytearray:
         if flags[p]:
             flags[p * p :: p] = bytes((n - p * p) // p + 1)
     return flags
+
+
+_bitmap = b""  # _prime_bitmap's flags, grown to the largest top asked for
+
+
+def _prime_bitmap(top: int) -> bytes:
+    """flags[v] = 1 iff v is prime, else 0, for v = 0..top at least
+    (top >= 1): _prime_flags as bytes.  One grow-only entry: a call past
+    its end sieves it again to the new top, and every call up to its end
+    reads the same object."""
+    global _bitmap
+    if len(_bitmap) <= top:
+        _bitmap = bytes(_prime_flags(top))
+    return _bitmap
 
 
 def _primes_upto(n: int) -> np.ndarray:
@@ -465,21 +481,34 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 # Chebyshev partial sums
 
 
-def psi(x: float, q: int, a: int, tables: ArithTables) -> float:
-    """psi(x; q, a) = sum of mangoldt(n) over n <= x, n ≡ a (mod q)."""
+def psi(x: float, q: int, a: int) -> float:
+    """psi(x; q, a) = sum of Lambda(n) over n <= x, n ≡ a (mod q), from the
+    prime bitmap alone: the math.fsum, so the correctly rounded sum, of
+    log p over the primes p of the class, a strided slice of the bitmap,
+    and of log p over each p^k of the class with k >= 2, so p <= sqrt(x).
+    x past TABLE_CAP is refused first, then q < 1, then x < 0."""
+    top = math.floor(x)
+    # refused as x, before n_max, which can run to 300 digits, is printed
+    check_budget(top, "tables limited to n_max", f"x = {x:.12g}")
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if x < 0:
         raise DomainError(f"need x >= 0, got {x}")
-    top = int(math.floor(x))
-    if top < 1:
-        return 0.0
-    tables.check_range(top)
     a0 = a % q
-    start = a0 if a0 >= 1 else q
+    start = a0 or q
     if start > top:
         return 0.0
-    return float(tables.mangoldt[start : top + 1 : q].sum())
+    bitmap = _prime_bitmap(top)
+    primes = compress(range(start, top + 1, q), bitmap[start : top + 1 : q])
+    root = math.isqrt(top)
+    powers = []  # log p for each p^k ≡ a (mod q), k >= 2
+    for p in compress(range(root + 1), bitmap[: root + 1]):
+        power = p * p
+        while power <= top:
+            if power % q == a0:
+                powers.append(math.log(p))
+            power *= p
+    return math.fsum(chain(map(math.log, primes), powers))
 
 
 def _residue_mass(x: float, q: int, tables: ArithTables) -> np.ndarray:
@@ -513,13 +542,15 @@ def psi_chi(x: float, chi: DirichletCharacter, tables: ArithTables) -> complex:
 def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
     """|psi(x; q, a) - (1/phi(q)) sum_chi conj(chi(a)) psi(x, chi)|.
 
-    For gcd(a, q) = 1 orthogonality makes this vanish up to rounding.  For
-    non-unit a every chi(a) is 0, so the discrepancy equals the direct class
-    mass itself; callers that want the identity should stay on units.
+    The two routes share no Lambda: psi reads the prime bitmap, and the
+    psi(x, chi) read tables.mangoldt.  For gcd(a, q) = 1 orthogonality
+    makes this vanish up to rounding.  For non-unit a every chi(a) is 0,
+    so the discrepancy equals the direct class mass itself; callers that
+    want the identity should stay on units.
     """
     import numpy as np
 
-    direct = psi(x, q, a, tables)
+    direct = psi(x, q, a)
     values, _ = _character_table(q)
     # one pass over Lambda serves every psi(x, chi) = values @ mass
     psi_chis = values @ _residue_mass(x, q, tables)

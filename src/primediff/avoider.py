@@ -2,7 +2,7 @@
 
 Sets live in [1, n]; the forbidden differences are one bytes object of
 0/1 flags, `ForbiddenSet.bits`.  Every search runs on int bitsets with
-bit x for point x: with F the bitset of the forbidden s (`_conflicts`),
+bit x for point x: with F the bitset of the forbidden s, `_bitset(bits)`,
 the points at a forbidden distance from x are F << x and the reversed F
 shifted down, and the complement of F gives the compatible points the
 same way.  The exact solver is Russian-doll search: it proves the optima
@@ -10,14 +10,14 @@ f(1), ..., f(n) in ascending order and bounds each subtree by the optimum
 already known for its candidates' span, since the conflict graph is
 translation-invariant.  When its node budget runs out, branch-and-bound
 with the popcount bound runs with the same budget, and `nodes` counts
-both.  Primality comes from one immutable bitmap of the primes while
-d(n-1)+1 is at most TABLE_CAP (every n at d = 1), grown to the largest
-top asked for and never shrunk, else from a sieve of the values d s + 1
-by the primes up to sqrt(d(n-1)+1), each starting at -1/d mod p from one
-vectorized Fermat power, or from deterministic Miller-Rabin when that
-root exceeds TABLE_CAP.  Exact search, first fit on the bitmap route and
-the pair search import no numpy: only the sieve of d s + 1 and
-random_local's generator use it, each importing it itself.
+both.  Primality comes from arith's one immutable bitmap of the primes,
+which psi reads too, while d(n-1)+1 is at most TABLE_CAP (every n at
+d = 1), else from a sieve of the values d s + 1 by the primes up to
+sqrt(d(n-1)+1), each starting at -1/d mod p from one vectorized Fermat
+power, or from deterministic Miller-Rabin when that root exceeds
+TABLE_CAP.  Exact search, first fit on the bitmap route and the pair
+search import no numpy: only the sieve of d s + 1 and random_local's
+generator use it, each importing it itself.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 
 from . import arith
-from .arith import _prime_flags, _primes_upto, check_budget, check_integers, is_prime
+from .arith import _prime_bitmap, _primes_upto, check_budget, check_integers, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
@@ -50,7 +50,8 @@ class ForbiddenSet:
     """Differences s in [1, n-1] with d s + 1 prime: bits holds n bytes,
     bits[s] = 1 iff s is forbidden, else 0 (bits[0] = 0); numpy reads it as
     np.frombuffer(bits, dtype=bool).  n is at most TABLE_CAP.  build reads
-    the values d s + 1 in _prime_bitmap, as a strided slice of it, when
+    the values d s + 1 in arith's _prime_bitmap, grown to the largest top
+    asked for and never shrunk, as a strided slice of it, when
     d (n - 1) + 1 is at most TABLE_CAP; past it it sieves them
     (_shifted_primes: each prime's first s from a Fermat power) when
     sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs Miller-Rabin on
@@ -76,20 +77,6 @@ class ForbiddenSet:
 
     def count(self) -> int:
         return self.bits.count(1)
-
-
-_bitmap = b""  # _prime_bitmap's flags, grown to the largest top asked for
-
-
-def _prime_bitmap(top: int) -> bytes:
-    """flags[v] = 1 iff v is prime, else 0, for v = 0..top at least:
-    arith's one sieve as bytes.  One grow-only entry: a call past its end
-    sieves it again to the new top, and every call up to its end reads the
-    same object."""
-    global _bitmap
-    if len(_bitmap) <= top:
-        _bitmap = bytes(_prime_flags(top))
-    return _bitmap
 
 
 def _shifted_primes(n: int, d: int) -> np.ndarray:
@@ -138,12 +125,12 @@ def _members(bits: int) -> tuple:
     return tuple(out)
 
 
-def _conflicts(fs: ForbiddenSet) -> tuple[int, int]:
-    """(forward, backward): bit s of forward and bit n - s of backward are
-    set iff s is forbidden, so forward << x holds the x + s and
-    backward >> (n - x) the x - s.  Each XOR (1 << n) - 2 is the same for
-    the allowed s in [1, n - 1]."""
-    return _bitset(fs.bits), _bitset(fs.bits[::-1]) << 1
+def _backward(fs: ForbiddenSet) -> int:
+    """The backward conflict bitset: bit n - s is set iff s is forbidden,
+    so backward >> (n - x) holds the x - s, as _bitset(fs.bits) << x holds
+    the x + s.  Each XOR (1 << n) - 2 is the same for the allowed s in
+    [1, n - 1]."""
+    return _bitset(fs.bits[::-1]) << 1
 
 
 def is_avoiding(elements, fs: ForbiddenSet) -> bool:
@@ -238,7 +225,7 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
     budget = math.inf if node_budget is None else node_budget
     # bit n - s of rev is set iff s in [1, n - 1] is allowed, so bit j of
     # rev >> (n - x) is set iff x - j is allowed
-    rev = _conflicts(fs)[1] ^ ((1 << n) - 2)
+    rev = _backward(fs) ^ ((1 << n) - 2)
     f = [0] * (n + 1)  # f[k]: optimum on any interval of k positions
     best = 0  # bitset of the last set found, of size f[m]
     nodes = 0
@@ -288,7 +275,7 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
     v, and v - 1 and v tie iff n - v + 1 is forbidden, so the first open
     vertex is the lowest candidate >= run_lo[h], h the highest candidate."""
     n = fs.n
-    above, below = (b ^ ((1 << n) - 2) for b in _conflicts(fs))
+    above, below = (b ^ ((1 << n) - 2) for b in (_bitset(fs.bits), _backward(fs)))
     # ties[v - 2] = bits[n - v + 1]: v - 1 and v tie, for v = 2..n; run_lo[v]
     # is the first vertex of v's run of ties
     ties = fs.bits[n - 1 : 0 : -1]
@@ -339,18 +326,15 @@ def _branch_and_bound(fs: ForbiddenSet, node_budget: int | None) -> SearchResult
 # greedy strategies
 
 
-def _neighbours(fs: ForbiddenSet):
-    """(forward, full, near): forward is _conflicts', full has bits 1..n
-    set, and near(x) is the bitset of the y in [1, n] at a forbidden
-    distance from x."""
-    n = fs.n
-    forward, backward = _conflicts(fs)
-    full = (1 << (n + 1)) - 2
+def _near(fs: ForbiddenSet, forward: int, full: int):
+    """near(x): the bitset of the y in [1, n] (full) at a forbidden
+    distance from x, read off forward, _bitset(fs.bits), and _backward."""
+    n, backward = fs.n, _backward(fs)
 
     def near(x: int) -> int:
         return ((forward << x) | (backward >> (n - x))) & full
 
-    return forward, full, near
+    return near
 
 
 def _first_fit(full: int, forward: int) -> list:
@@ -409,12 +393,14 @@ def greedy_avoiding(
     search, capped at LOCAL_PASSES sweeps.  Never claims optimality.
     Both run on int bitsets: a point is free when no chosen element sits
     at a forbidden distance from it, read off shifts of the bitset of the
-    forbidden s (see _neighbours).  Removing r from the set C frees the
-    points in once but neither in near(r) nor in twice; the two adds are
-    the lowest free points outside C minus r, in ascending order."""
+    forbidden s (see _near).  First fit reads only its upward shifts, so
+    only random_local builds the backward bitset.  Removing r from the set
+    C frees the points in once but neither in near(r) nor in twice; the
+    two adds are the lowest free points outside C minus r, in ascending
+    order."""
     n = fs.n
     t0 = time.perf_counter()
-    forward, full, near = _neighbours(fs)
+    forward, full = _bitset(fs.bits), (1 << (n + 1)) - 2
 
     if strategy == "first_fit":
         chosen = _first_fit(full, forward)
@@ -426,6 +412,7 @@ def greedy_avoiding(
 
     import numpy as np
 
+    near = _near(fs, forward, full)
     rng = np.random.default_rng(seed)
     best = _first_fit(full, forward)
     for _ in range(3):

@@ -7,11 +7,12 @@ or the output path, stays out of the manifest, and the timestamp can be pinned
 with --timestamp.  Manifest placement by format: CSV and plain-value
 outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
-Sieve tables are built only where they are read (sieve, psi, lambda,
-spectrum); extremal and iterate build their forbidden sets without them.
-Each command imports the layers it runs itself, and they import numpy
-where they use it, so importing this module loads neither; `extremal`
-loads no numpy for exact search or for first fit while d(n - 1) + 1 is at
+Sieve tables are built only where they are read (sieve, lambda,
+spectrum); psi sums over the prime bitmap, and extremal and iterate build
+their forbidden sets from it or from a sieve of their own.  Each command
+imports the layers it runs itself, and they import numpy where they use
+it, so importing this module loads neither; `psi` loads no numpy, nor
+`extremal` for exact search or for first fit while d(n - 1) + 1 is at
 most TABLE_CAP, nor `iterate` for a run whose steps all end before the
 energy step (small_n, small_alpha, structure_found, the d ceiling) and a
 greedy start on that route; and a console process runs its command with
@@ -115,13 +116,9 @@ def _cmd_sieve(args) -> None:
 
 
 def _cmd_psi(args) -> None:
-    from .arith import build_tables, check_budget, psi
+    from .arith import psi
 
-    top = int(math.floor(args.x)) if args.x >= 0 else 0
-    # refused as x, before n_max, which can run to 300 digits, is printed
-    check_budget(top, "tables limited to n_max", f"x = {args.x:.12g}")
-    tables = build_tables(max(2, top))
-    value = psi(args.x, args.q, args.a, tables)
+    value = psi(args.x, args.q, args.a)
     manifest = _manifest(
         "psi", {"x": args.x, "q": args.q, "a": args.a}, args.seed, args.timestamp
     )

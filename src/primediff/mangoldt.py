@@ -59,16 +59,16 @@ class MangoldtWeight:
         return float(self.values.sum())
 
 
-def lambda_hat_rational(n: int, d: int, a: int, q: int, tables: ArithTables) -> complex:
+def lambda_hat_rational(n: int, d: int, a: int, q: int) -> complex:
     """Transform of the weight at a/q through progression partial sums,
-    an independent route from direct summation over the support."""
+    an independent route from direct summation over the support: psi
+    reads the prime bitmap, not the tables' mangoldt column."""
     if n < 1 or d < 1 or q < 1:
         raise DomainError(f"need n, d, q >= 1, got n={n}, d={d}, q={q}")
     x = d * n + 1
-    tables.check_range(x)
     total = 0.0 + 0.0j
     for m in range(q):
-        total += np.exp(-2j * np.pi * ((m * (a % q)) % q) / q) * psi(x, d * q, m * d + 1, tables)
+        total += np.exp(-2j * np.pi * ((m * (a % q)) % q) / q) * psi(x, d * q, m * d + 1)
     return complex(total)
 
 
@@ -90,18 +90,11 @@ def _check_exceptional(d: int, exceptional: ExceptionalDatum | None) -> None:
         )
 
 
-def major_prediction(
-    n: int,
-    d: int,
-    a: int,
-    q: int,
-    tables: ArithTables,
-    exceptional: ExceptionalDatum | None = None,
-) -> Prediction:
-    if n < 1 or d < 1 or q < 1:
-        raise DomainError(f"need n, d, q >= 1, got n={n}, d={d}, q={q}")
-    _check_exceptional(d, exceptional)
-    tables.check_range(d * n + 1)
+def _leading_terms(
+    n: int, d: int, a: int, q: int, exceptional: ExceptionalDatum | None
+) -> tuple[complex, complex]:
+    """(main, exceptional) terms of the major-arc prediction at a/q: the
+    exceptional term is 0 without a datum."""
     tau_factor = tau(-a, d, q)
     denom = euler_phi(d) * euler_phi(q)
     main = d * n * tau_factor / denom
@@ -109,8 +102,21 @@ def major_prediction(
     if exceptional is not None:
         beta = exceptional.beta
         exc = -((d * n) ** beta) * tau_factor / (denom * beta)
-    sup = psi(d * n + 1, d, 1, tables) / euler_phi(q)
-    return Prediction(complex(main), complex(exc), float(sup))
+    return complex(main), complex(exc)
+
+
+def major_prediction(
+    n: int,
+    d: int,
+    a: int,
+    q: int,
+    exceptional: ExceptionalDatum | None = None,
+) -> Prediction:
+    if n < 1 or d < 1 or q < 1:
+        raise DomainError(f"need n, d, q >= 1, got n={n}, d={d}, q={q}")
+    _check_exceptional(d, exceptional)
+    sup = psi(d * n + 1, d, 1) / euler_phi(q)
+    return Prediction(*_leading_terms(n, d, a, q, exceptional), float(sup))
 
 
 def vinogradov_bound(n: int, d: int, q: int, big_q: int) -> float:
@@ -244,9 +250,7 @@ def spectrum_report(
     for q in np.flatnonzero(np.bincount(q_col[major])).tolist():  # q <= Q'
         bound = hat_zero / euler_phi(q)
         if exceptional is not None:
-            bound += float(
-                abs(major_prediction(n, d, 1, q, tables, exceptional).exceptional_term)
-            )
+            bound += abs(_leading_terms(n, d, 1, q, exceptional)[1])
         bounds[1, column[q]] = bound
     if not major.all():  # the minor bound refuses n < 2: only if some point is minor
         bounds[0] = _minor_shape(n, d, levels, big_q, np.sqrt)

@@ -94,7 +94,7 @@ class TestAcceptance:
                     if math.gcd(a, q) != 1:
                         continue
                     disc = verify_inversion(x, q, a, tables_million)
-                    rel = disc / max(1.0, psi(x, q, a, tables_million))
+                    rel = disc / max(1.0, psi(x, q, a))
                     worst = max(worst, rel)
         elapsed = time.perf_counter() - t0
         _report(
@@ -113,7 +113,7 @@ class TestAcceptance:
             for q in range(1, 21):
                 for a in range(q):
                     direct = weight.hat(TorusPoint.rational(a, q))
-                    routed = lambda_hat_rational(n, d, a, q, tables_small)
+                    routed = lambda_hat_rational(n, d, a, q)
                     rel = abs(routed - direct) / max(1.0, abs(direct))
                     worst = max(worst, rel)
         _report(4, worst <= 1e-6, f"worst relative error {worst:.3e}")
@@ -121,8 +121,7 @@ class TestAcceptance:
     def test_05_pnt_sanity(self):
         """psi(1e6) stays within two percent of 1e6."""
         t0 = time.perf_counter()
-        tables = build_tables(1_000_002)
-        value = psi(1e6, 1, 0, tables)
+        value = psi(1e6, 1, 0)
         elapsed = time.perf_counter() - t0
         err = abs(value / 1e6 - 1.0)
         _report(

@@ -465,31 +465,50 @@ class TestCharacters:
 
 
 class TestPsi:
-    def test_against_naive(self, tables_small):
+    def test_against_naive(self):
         for x in (0.0, 1.0, 10.0, 100.0, 997.5):
             for q in range(1, 8):
                 for a in range(q):
-                    assert abs(psi(x, q, a, tables_small) - psi_naive(x, q, a)) < 1e-9
+                    assert abs(psi(x, q, a) - psi_naive(x, q, a)) < 1e-9
 
-    def test_example_values(self, tables_small):
-        assert abs(psi(10, 1, 0, tables_small) - 7.832014180505) < 1e-9
-        assert psi(0, 3, 1, tables_small) == 0.0
+    def test_example_values(self):
+        assert abs(psi(10, 1, 0) - 7.832014180505) < 1e-9
+        assert psi(0, 3, 1) == 0.0
 
-    def test_classes_partition(self, tables_small):
+    def test_is_the_correctly_rounded_sum(self):
+        """psi(x, q, a) == math.fsum of Lambda(n) over n <= x, n ≡ a
+        (mod q), exactly: every x to 200 and the x below, q = 1..12 and
+        30, every a in [-q, 2q).  Among them a ≡ 0, negative a, q > x,
+        and p^k ≡ a with k >= 2 and p not dividing q (9 ≡ 1 mod 8,
+        27 ≡ 3 mod 8, 9 ≡ 49 ≡ 4 mod 5)."""
+        top = 2000
+        lam = [mangoldt_naive(n) for n in range(top + 1)]
+        xs = [*range(201), 0.5, 96.99, 997.5, 1024.0, top]
+        for q in (*range(1, 13), 30):
+            for x in xs:
+                for a in range(-q, 2 * q):
+                    want = math.fsum(lam[n] for n in range(1, int(x) + 1) if n % q == a % q)
+                    assert psi(x, q, a) == want, (x, q, a)
+        assert psi(9, 8, 1) == math.log(3)  # 1 has no weight
+        assert psi(27, 8, 3) == math.fsum([math.log(3), math.log(3), math.log(11), math.log(19)])
+        assert psi(49, 5, 4) == math.fsum(map(math.log, [2, 3, 19, 29, 7]))  # 2^2, 3^2, 7^2
+        assert psi(5, 7, -4) == math.log(3) and psi(5, 7, 6) == 0.0
+
+    def test_classes_partition(self):
         """Summing psi over all classes mod q recovers psi mod 1."""
         x = 5000.0
-        total = psi(x, 1, 0, tables_small)
+        total = psi(x, 1, 0)
         for q in (2, 3, 10):
-            parts = sum(psi(x, q, a, tables_small) for a in range(q))
+            parts = sum(psi(x, q, a) for a in range(q))
             assert abs(parts - total) < 1e-9
 
     def test_out_of_range(self, tables_small):
-        with pytest.raises(ResourceError):
-            psi(30_000, 1, 0, tables_small)
+        with pytest.raises(ResourceError, match=f"n_max <= {TABLE_CAP}, got x = 4000001$"):
+            psi(TABLE_CAP + 1, 1, 0)
         with pytest.raises(DomainError):
-            psi(-1.0, 1, 0, tables_small)
+            psi(-1.0, 1, 0)
         with pytest.raises(DomainError):
-            psi(10.0, 0, 0, tables_small)
+            psi(10.0, 0, 0)
         with pytest.raises(DomainError, match="need x >= 0, got -1"):
             psi_chi(-1, characters_mod(3)[0], tables_small)
 
@@ -528,7 +547,7 @@ class TestInversion:
             chars = characters_mod(q)
             for x in (0.0, 1.0, 97.5, 5000.0):
                 for a in range(q):
-                    direct = psi(x, q, a, tables_small)
+                    direct = psi(x, q, a)
                     acc = sum(np.conj(chi(a)) * psi_chi(x, chi, tables_small) for chi in chars)
                     want = abs(direct - acc / len(chars))
                     got = verify_inversion(x, q, a, tables_small)

@@ -75,35 +75,35 @@ class TestForbiddenSet:
             fs = ForbiddenSet.build(n, d)
             assert np.array_equal(flags(fs), avoider._shifted_primes(n, d)), (n, d)
             assert type(fs.bits) is bytes
-        monkeypatch.setattr(avoider, "_bitmap", b"")
+        monkeypatch.setattr(arith, "_bitmap", b"")
         ForbiddenSet.build(bitmap_edge(3) - 1, 3)  # top TABLE_CAP: the bitmap route
-        grown = avoider._bitmap
+        grown = arith._bitmap
         assert len(grown) == TABLE_CAP + 1
         ForbiddenSet.build(bitmap_edge(2), 2)  # top TABLE_CAP + 1: the sieve
-        assert avoider._bitmap is grown
+        assert arith._bitmap is grown
 
     def test_prime_bitmap_matches_miller_rabin(self, monkeypatch):
-        """The bitmap that producer and certify share grows on demand to
+        """The bitmap that psi, producer and certify share grows on demand to
         TABLE_CAP: its first 2^16 entries and the last 2^12 of the grown one
         against is_prime (Miller-Rabin, no sieve), and its prime count
         against pi(4 10^6) = 283,146.  It is immutable bytes, sieved again
         only past its end, and once grown by a large call it serves a later
         small call as it is, forbidden sets included."""
-        monkeypatch.setattr(avoider, "_bitmap", b"")
-        small = avoider._prime_bitmap(2**16 - 1)
+        monkeypatch.setattr(arith, "_bitmap", b"")
+        small = arith._prime_bitmap(2**16 - 1)
         assert type(small) is bytes and len(small) == 2**16
         assert np.frombuffer(small, dtype=bool).tolist() == [is_prime(v) for v in range(2**16)]
-        assert avoider._prime_bitmap(100) is small
-        assert len(avoider._prime_bitmap(2**16)) == 2**16 + 1  # one past its end: sieved again
-        big = avoider._prime_bitmap(TABLE_CAP)
+        assert arith._prime_bitmap(100) is small
+        assert len(arith._prime_bitmap(2**16)) == 2**16 + 1  # one past its end: sieved again
+        big = arith._prime_bitmap(TABLE_CAP)
         assert type(big) is bytes and len(big) == TABLE_CAP + 1
         assert big[: 2**16] == small
         tail = range(TABLE_CAP + 1 - 2**12, TABLE_CAP + 1)
         assert [big[v] for v in tail] == [is_prime(v) for v in tail]
         assert TABLE_CAP == 4_000_000 and big.count(1) == 283_146
-        assert avoider._prime_bitmap(2**16) is big
+        assert arith._prime_bitmap(2**16) is big
         fs = ForbiddenSet.build(300, 2)
-        assert avoider._bitmap is big
+        assert arith._bitmap is big
         assert np.flatnonzero(flags(fs)).tolist() == sorted(forbidden_diffs_naive(300, 2))
 
     def test_bitmap_bound_matches_the_oracle(self, small_cap):

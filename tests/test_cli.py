@@ -72,6 +72,18 @@ class TestPsiCommand:
         assert manifest["parameters"] == {"x": 10.0, "q": 1, "a": 0}
         assert manifest["timestamp"] == "T"
 
+    def test_benchmark_value_is_pinned(self, capsys):
+        """The text of psi --x 1000000 --q 4 --a 1, byte for byte."""
+        code, out, err = run_cli(
+            ["psi", "--x", "1000000", "--q", "4", "--a", "1", "--timestamp", "T"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "499368.802694\n"
+            '# manifest: {"command": "psi", "parameters": {"a": 1, "q": 4, "x": 1000000.0}, '
+            '"seed": 0, "timestamp": "T", "versions": "primediff/0.1.0"}\n'
+        )
+
     def test_domain_error_exit(self, capsys):
         code, _, err = run_cli(["psi", "--x", "-3", "--q", "1", "--a", "0"], capsys)
         assert code == 3
@@ -433,8 +445,9 @@ def test_sieve_streams_its_rows(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
 def test_psi_builds_only_what_it_reads(tmp_path):
-    """psi at the table cap builds Lambda only: a fresh interpreter
-    running it peaks below 70 MB resident (63 MB measured; 79 MB when it
+    """psi at the table cap reads the prime bitmap only, and imports no
+    numpy: a fresh interpreter running it peaks below 32 MB resident
+    (26 MB measured; 63 MB when it built the Lambda table, 79 MB when it
     built spf too, 117 MB when every table, mobius and phi too, was
     built)."""
     out = tmp_path / "psi.txt"
@@ -443,7 +456,7 @@ def test_psi_builds_only_what_it_reads(tmp_path):
     )
     assert code == 0
     assert abs(float(out.read_text().split()[0]) - 1999847.16839) < 1e-5
-    assert peak_kb < 70 * 1024, f"peak {peak_kb // 1024} MB"
+    assert peak_kb < 32 * 1024, f"peak {peak_kb // 1024} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")

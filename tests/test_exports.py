@@ -258,3 +258,22 @@ def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
     loaded = loaded_after(code)
     assert loaded == ["primediff", "primediff.arith", "primediff.avoider", "primediff.cli",
                       "primediff.driver", "primediff.errors", "primediff.increment"], loaded
+
+
+def test_psi_runs_import_no_numpy():
+    """psi sums over the prime bitmap: its runs, and its refusal of x past
+    TABLE_CAP, leave numpy unloaded and load arith alone."""
+    runs = [
+        ["psi", "--x", "1000000", "--q", "4", "--a", "1"],
+        ["psi", "--x", "10", "--q", "1", "--a", "0"],
+        ["psi", "--x", "1e300", "--q", "4", "--a", "1"],
+    ]
+    code = (
+        "from primediff import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "assert codes == [0, 0, 3], codes\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    loaded = loaded_after(code)
+    assert loaded == ["primediff", "primediff.arith", "primediff.cli", "primediff.errors"], loaded

@@ -61,27 +61,27 @@ class TestTransformIdentity:
             w = MangoldtWeight.from_tables(n, d, tables_small)
             for q in range(1, 9):
                 for a in range(q):
-                    via_psi = lambda_hat_rational(n, d, a, q, tables_small)
+                    via_psi = lambda_hat_rational(n, d, a, q)
                     direct = w.hat(TorusPoint.rational(a, q))
                     assert abs(via_psi - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_at_zero_is_mass(self, tables_small):
         n, d = 400, 2
         w = MangoldtWeight.from_tables(n, d, tables_small)
-        assert abs(lambda_hat_rational(n, d, 0, 1, tables_small) - w.hat_zero()) < 1e-9
+        assert abs(lambda_hat_rational(n, d, 0, 1) - w.hat_zero()) < 1e-9
 
     def test_validation(self, tables_small):
         with pytest.raises(DomainError, match="need n, d, q >= 1, got n=10, d=1, q=0"):
-            lambda_hat_rational(10, 1, 1, 0, tables_small)
+            lambda_hat_rational(10, 1, 1, 0)
 
 
 class TestMajorPrediction:
     def test_leading_term_at_zero(self, tables_small):
         n = 2000
-        pred = major_prediction(n, 1, 0, 1, tables_small)
+        pred = major_prediction(n, 1, 0, 1)
         assert abs(pred.main_term - n) < 1e-9
         assert pred.exceptional_term == 0
-        assert abs(pred.sup_bound - psi(n + 1, 1, 1, tables_small)) < 1e-9
+        assert abs(pred.sup_bound - psi(n + 1, 1, 1)) < 1e-9
 
     def test_prediction_accuracy(self, tables_small):
         """The main term tracks the true transform at low rationals."""
@@ -90,25 +90,25 @@ class TestMajorPrediction:
             for a in range(q):
                 if math.gcd(a, q) != 1 and a != 0:
                     continue
-                actual = lambda_hat_rational(n, 1, a, q, tables_small)
-                pred = major_prediction(n, 1, a, q, tables_small)
+                actual = lambda_hat_rational(n, 1, a, q)
+                pred = major_prediction(n, 1, a, q)
                 assert abs(actual - pred.main_term - pred.exceptional_term) < 0.15 * n
 
     def test_validation(self, tables_small):
         with pytest.raises(DomainError, match="need n, d, q >= 1, got n=10, d=1, q=0"):
-            major_prediction(10, 1, 1, 0, tables_small)
+            major_prediction(10, 1, 1, 0)
 
     def test_exceptional_gating(self, tables_small):
         datum = ExceptionalDatum(3, 0.8)
         with pytest.raises(PreconditionError):
-            major_prediction(100, 2, 1, 5, tables_small, datum)
-        pred = major_prediction(100, 6, 1, 5, tables_small, datum)
+            major_prediction(100, 2, 1, 5, datum)
+        pred = major_prediction(100, 6, 1, 5, datum)
         assert abs(pred.exceptional_term) > 0
 
     def test_exceptional_magnitude(self, tables_small):
         n, d, a, q = 150, 2, 1, 5
         datum = ExceptionalDatum(2, 0.75)
-        pred = major_prediction(n, d, a, q, tables_small, datum)
+        pred = major_prediction(n, d, a, q, datum)
         want = (d * n) ** 0.75 * abs(tau(-a, d, q)) / (euler_phi(d) * euler_phi(q) * 0.75)
         assert abs(abs(pred.exceptional_term) - want) < 1e-9
         # the synthetic zero term always pulls against the main term
