@@ -9,14 +9,18 @@ and the forbidden sets of avoider read.  The exponential-sum primitives
 separately so consistency between the two routes stays a checkable
 statement rather than a tautology.  Each function that uses numpy imports
 it itself, so the sieve (_prime_flags), the bitmap, psi, is_prime and
-euler_phi run without it.
+euler_phi run without it.  ArithTables is a plain class and
+DirichletCharacter and ExceptionalDatum are namedtuples, not
+dataclasses: importing dataclasses, which loads inspect, took longer than
+a small psi runs, and this module is loaded by every psi and extremal
+process.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, compress, product
 
@@ -82,7 +86,6 @@ def check_integers(values) -> tuple:
     return tuple(ints)
 
 
-@dataclass(frozen=True)
 class ArithTables:
     """Dense arithmetic tables on [0, n_max].
 
@@ -92,11 +95,13 @@ class ArithTables:
     mobius int8 and phi int64.  build_tables fills mangoldt only; the first
     read of spf sieves and stores it, and the first read of mobius or phi
     computes and stores both (_mobius_phi, from spf), so a caller that never
-    reads them never pays for them.
+    reads them never pays for them.  A plain class: cached_property stores
+    each table in the instance __dict__, which vars() reads.
     """
 
-    n_max: int
-    mangoldt: np.ndarray
+    def __init__(self, n_max: int, mangoldt: np.ndarray):
+        self.n_max = n_max
+        self.mangoldt = mangoldt
 
     @cached_property
     def spf(self) -> np.ndarray:
@@ -104,7 +109,7 @@ class ArithTables:
 
     @cached_property
     def mobius(self) -> np.ndarray:
-        # frozen: store the partner table past __setattr__, as cached_property does
+        # store the partner table as cached_property stores its own
         mobius, self.__dict__["phi"] = _mobius_phi(self.spf)
         return mobius
 
@@ -373,14 +378,13 @@ def tau_closed_form(a: int, d: int, q: int) -> complex:
 # Dirichlet characters
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """Dense value table of one character mod q (0 on non-units)."""
+class DirichletCharacter(
+    namedtuple("DirichletCharacter", "modulus values is_principal label", defaults=((),))
+):
+    """Dense value table of one character mod q (0 on non-units), whether
+    it is principal, and its exponent label (see _character_table)."""
 
-    modulus: int
-    values: np.ndarray
-    is_principal: bool
-    label: tuple[int, ...] = field(default=())
+    __slots__ = ()
 
     def __call__(self, n: int) -> complex:
         return complex(self.values[n % self.modulus])
@@ -484,8 +488,10 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 def psi(x: float, q: int, a: int) -> float:
     """psi(x; q, a) = sum of Lambda(n) over n <= x, n ≡ a (mod q), from the
     prime bitmap alone: the math.fsum, so the correctly rounded sum, of
-    log p over the primes p of the class, a strided slice of the bitmap,
-    and of log p over each p^k of the class with k >= 2, so p <= sqrt(x).
+    log p over the primes p of the class, a strided slice of the bitmap
+    (for odd q, of its odd members only, 2q apart, and 2 when it is of
+    the class), and of log p over each p^k of the class with k >= 2, so
+    p <= sqrt(x).
     x past TABLE_CAP is refused first, then q < 1, then x < 0."""
     top = math.floor(x)
     # refused as x, before n_max, which can run to 300 digits, is printed
@@ -499,7 +505,12 @@ def psi(x: float, q: int, a: int) -> float:
     if start > top:
         return 0.0
     bitmap = _prime_bitmap(top)
-    primes = compress(range(start, top + 1, q), bitmap[start : top + 1 : q])
+    if q % 2:  # the class alternates parity: 2, and its odd members 2q apart
+        two = (2,) if (2 - a0) % q == 0 and top >= 2 else ()
+        start, step = (start if start % 2 else start + q), 2 * q
+    else:
+        two, step = (), q
+    primes = chain(two, compress(range(start, top + 1, step), bitmap[start : top + 1 : step]))
     root = math.isqrt(top)
     powers = []  # log p for each p^k ≡ a (mod q), k >= 2
     for p in compress(range(root + 1), bitmap[: root + 1]):
@@ -562,17 +573,21 @@ def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
 # synthetic exceptional datum
 
 
-@dataclass(frozen=True)
-class ExceptionalDatum:
+class ExceptionalDatum(namedtuple("ExceptionalDatum", "modulus beta")):
     """Synthetic (modulus, zero-location) pair for exercising the
     exceptional-term branch of major-arc predictions.  Not derived from any
-    actual zero computation."""
+    actual zero computation.  The constructor checks both fields, and
+    _make, so _replace too, goes through it."""
 
-    modulus: int
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise DomainError(f"exceptional modulus must be >= 2, got {self.modulus}")
-        if not (0.5 < self.beta < 1.0):
-            raise DomainError(f"beta must lie in (1/2, 1), got {self.beta}")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __new__(cls, modulus: int, beta: float):
+        if modulus < 2:
+            raise DomainError(f"exceptional modulus must be >= 2, got {modulus}")
+        if not (0.5 < beta < 1.0):
+            raise DomainError(f"beta must lie in (1/2, 1), got {beta}")
+        return super().__new__(cls, modulus, beta)

@@ -15,16 +15,21 @@ which psi reads too, while d(n-1)+1 is at most TABLE_CAP (every n at
 d = 1), else from a sieve of the values d s + 1 by the primes up to
 sqrt(d(n-1)+1), each starting at -1/d mod p from one vectorized Fermat
 power, or from deterministic Miller-Rabin when that root exceeds
-TABLE_CAP.  Exact search, first fit on the bitmap route and the pair
-search import no numpy: only the sieve of d s + 1 and random_local's
-generator use it, each importing it itself.
+TABLE_CAP.  Exact search, first fit and random_local on the bitmap
+route and the pair search import no numpy: only the sieve of d s + 1
+uses it, and imports it itself.  random_local draws from random.Random
+(see greedy_avoiding).  ForbiddenSet and SearchResult are namedtuples,
+not dataclasses: importing dataclasses (and with it inspect) took longer
+than most of these searches run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import accumulate, chain
 
 from . import arith
@@ -41,12 +46,10 @@ __all__ = [
 
 EXACT_CAP = 64  # largest n exact search takes without a node budget
 LOCAL_PASSES = 4  # remove-1/add-2 sweeps of random_local
-_FILL_CHUNK = 1 << 16  # permutation entries _fill reads as Python ints at a time
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 flags to binary digits
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(namedtuple("ForbiddenSet", "n d bits")):
     """Differences s in [1, n-1] with d s + 1 prime: bits holds n bytes,
     bits[s] = 1 iff s is forbidden, else 0 (bits[0] = 0); numpy reads it as
     np.frombuffer(bits, dtype=bool).  n is at most TABLE_CAP.  build reads
@@ -57,9 +60,7 @@ class ForbiddenSet:
     sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs Miller-Rabin on
     each."""
 
-    n: int
-    d: int
-    bits: bytes
+    __slots__ = ()
 
     @classmethod
     def build(cls, n: int, d: int) -> "ForbiddenSet":
@@ -188,14 +189,14 @@ def _pair_in_mask(mask: int, members, fs: ForbiddenSet):
     return None
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    elements: tuple
-    size: int
-    optimal: bool
-    nodes: int
-    seconds: float
-    strategy: str
+class SearchResult(
+    namedtuple("SearchResult", "elements size optimal nodes seconds strategy")
+):
+    """A search's set (ascending tuple), its size, whether it is proven
+    optimal, the nodes searched (0 for the heuristics), its seconds and
+    the strategy ("exact", "first_fit" or "random_local")."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def max_avoiding_exact(fs: ForbiddenSet, node_budget: int | None = None) -> Sear
             if nodes > budget:
                 seconds = time.perf_counter() - t0
                 res = _branch_and_bound(fs, node_budget)
-                return replace(res, nodes=nodes + res.nodes, seconds=seconds + res.seconds)
+                return res._replace(nodes=nodes + res.nodes, seconds=seconds + res.seconds)
             if size == target:
                 best = chosen
                 break
@@ -353,21 +354,38 @@ def _first_fit(full: int, forward: int) -> list:
     return taken
 
 
-def _fill(order, near, n: int) -> list:
-    """Take each x of the array `order` at no forbidden distance from a
-    point taken before it, reading _FILL_CHUNK entries of it as Python ints
-    at a time.  Each test reads a bytes snapshot of the blocked bitset,
-    refreshed after each take, so a test is O(1), not an O(n) shift."""
-    size = n // 8 + 1
-    taken = []
-    blocked = 0
-    snap = bytes(size)
-    for lo in range(0, len(order), _FILL_CHUNK):
-        for x in order[lo : lo + _FILL_CHUNK].tolist():
-            if not snap[x >> 3] >> (x & 7) & 1:
-                taken.append(x)
-                blocked |= near(x)
-                snap = blocked.to_bytes(size, "little")
+def _select(bits: int, rank: int) -> int:
+    """The position of the set bit of the given rank (0 for the lowest) in
+    bits, 0 <= rank < bits.bit_count(): the window halves on the popcount
+    of its low half until it fits in 64 bits, so each probe reads only the
+    window, and then the rank lowest set bits are cleared."""
+    pos = 0
+    while (width := bits.bit_length()) > 64:
+        half = width >> 1
+        low = bits & ((1 << half) - 1)
+        below = low.bit_count()
+        if rank < below:
+            bits = low
+        else:
+            bits >>= half
+            pos += half
+            rank -= below
+    for _ in range(rank):
+        bits &= bits - 1
+    return pos + (bits & -bits).bit_length() - 1
+
+
+def _random_fill(full: int, near, rng) -> list:
+    """Until no point of full is free, take the free point of rank
+    rng.randrange(#free), ascending, and block it and every point at a
+    forbidden distance from it.  Each take is uniform over the free
+    points, so the set has the law of taking each point of a uniformly
+    random order of full that fits."""
+    taken, free = [], full
+    while free:
+        x = _select(free, rng.randrange(free.bit_count()))
+        taken.append(x)
+        free &= ~(near(x) | 1 << x)
     return taken
 
 
@@ -388,16 +406,21 @@ def greedy_avoiding(
 ) -> SearchResult:
     """Heuristic avoiding set.
 
-    first_fit: ascending scan, keep what fits.  random_local: best of a few
-    random insertion orders, then remove-1/add-2 first-improvement local
-    search, capped at LOCAL_PASSES sweeps.  Never claims optimality.
-    Both run on int bitsets: a point is free when no chosen element sits
-    at a forbidden distance from it, read off shifts of the bitset of the
-    forbidden s (see _near).  First fit reads only its upward shifts, so
-    only random_local builds the backward bitset.  Removing r from the set
-    C frees the points in once but neither in near(r) nor in twice; the
-    two adds are the lowest free points outside C minus r, in ascending
-    order."""
+    first_fit: ascending scan, keep what fits.  random_local: the larger
+    of first fit and three random fills (a larger fill replaces the best),
+    then remove-1/add-2 first-improvement local search, capped at
+    LOCAL_PASSES sweeps.  Never claims optimality.  Its draws come from
+    random.Random(seed), for a seed >= 0 (a negative one is refused with
+    DomainError before any draw): each fill takes the free point of rank
+    randrange(#free points), ascending, until none is free, which has the
+    law of taking each point of a uniformly random order that fits, and
+    each sweep shuffles the ascending set.  Both run on int bitsets: a
+    point is free when no chosen element sits at a forbidden distance from
+    it, read off shifts of the bitset of the forbidden s (see _near).
+    First fit reads only its upward shifts, so only random_local builds
+    the backward bitset.  Removing r from the set C frees the points in
+    once but neither in near(r) nor in twice; the two adds are the lowest
+    free points outside C minus r, in ascending order."""
     n = fs.n
     t0 = time.perf_counter()
     forward, full = _bitset(fs.bits), (1 << (n + 1)) - 2
@@ -410,16 +433,14 @@ def greedy_avoiding(
     if strategy != "random_local":
         raise DomainError(f"unknown strategy {strategy!r}")
 
-    import numpy as np
-
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     near = _near(fs, forward, full)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     best = _first_fit(full, forward)
     for _ in range(3):
-        order = rng.permutation(n)  # the draws of permuting 1..n, in one array
-        order += 1
-        cand = sorted(_fill(order, near, n))
-        del order  # so the next draw does not overlap it
+        cand = sorted(_random_fill(full, near, rng))
         if len(cand) > len(best):
             best = cand
 

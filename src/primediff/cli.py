@@ -12,10 +12,13 @@ spectrum); psi sums over the prime bitmap, and extremal and iterate build
 their forbidden sets from it or from a sieve of their own.  Each command
 imports the layers it runs itself, and they import numpy where they use
 it, so importing this module loads neither; `psi` loads no numpy, nor
-`extremal` for exact search or for first fit while d(n - 1) + 1 is at
-most TABLE_CAP, nor `iterate` for a run whose steps all end before the
-energy step (small_n, small_alpha, structure_found, the d ceiling) and a
-greedy start on that route; and a console process runs its command with
+`extremal` for exact search, or for first fit and random-local (which
+draws from random.Random) while d(n - 1) + 1 is at most TABLE_CAP, nor
+`iterate` for a run whose steps all end before the energy step (small_n,
+small_alpha, structure_found, the d ceiling) and a greedy start on that
+route.  `psi` and those `extremal` runs load no dataclasses either: the
+records of arith and avoider are namedtuples.  datetime is imported only
+when no --timestamp is given.  A console process runs its command with
 the cyclic collector paused (see main).
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import datetime
 import gc
 import json
 import math
@@ -48,6 +50,8 @@ from .errors import (
 
 def _manifest(command: str, parameters: dict, seed: int, timestamp: str | None) -> dict:
     if timestamp is None:
+        import datetime
+
         timestamp = datetime.datetime.now(datetime.timezone.utc).strftime(
             "%Y-%m-%dT%H:%M:%SZ"
         )

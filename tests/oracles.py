@@ -214,6 +214,75 @@ def random_local_naive(n: int, d: int, seed: int) -> list[int]:
     return sorted(current)
 
 
+def random_local_sampled_naive(n: int, d: int, seed: int) -> list[int]:
+    """The random_local heuristic drawn from random.Random(seed), with a
+    conflict count per point: the ascending first-fit set, then three
+    random fills, each replacing the best only when strictly larger; a fill
+    lists the points of [1, n] not taken and in conflict with none taken,
+    ascending, takes the one at index randrange(len(list)), and repeats
+    until the list is empty.  Then up to four sweeps, each shuffling the
+    sorted set with the same generator and trying every removal r in that
+    order: free r, add the two lowest points of [1, n] outside the set
+    minus r that fit, ascending, and accept the first removal that finds
+    two."""
+    import random
+
+    bad = forbidden_diffs_naive(n, d)
+
+    def toggle(conflicts, x, step):
+        for y in range(1, n + 1):
+            if abs(x - y) in bad:
+                conflicts[y] += step
+
+    def take(order, conflicts, limit=0):
+        taken = []
+        for x in order:
+            if conflicts[x] == 0:
+                taken.append(x)
+                toggle(conflicts, x, 1)
+                if len(taken) == limit:
+                    break
+        return taken
+
+    def fill():
+        conflicts, taken = [0] * (n + 1), []
+        while True:
+            free = [x for x in range(1, n + 1) if conflicts[x] == 0 and x not in taken]
+            if not free:
+                return taken
+            x = free[rng.randrange(len(free))]
+            taken.append(x)
+            toggle(conflicts, x, 1)
+
+    rng = random.Random(seed)
+    best = take(range(1, n + 1), [0] * (n + 1))
+    for _ in range(3):
+        cand = sorted(fill())
+        if len(cand) > len(best):
+            best = cand
+
+    current = set(best)
+    conflicts = [0] * (n + 1)
+    for x in best:
+        toggle(conflicts, x, 1)
+    for _ in range(4):
+        removals = sorted(current)
+        rng.shuffle(removals)
+        for r in removals:
+            toggle(conflicts, r, -1)
+            outside = [x for x in range(1, n + 1) if x == r or x not in current]
+            adds = take(outside, conflicts, limit=2)
+            if len(adds) == 2:
+                current = (current - {r}) | set(adds)
+                break
+            for x in adds:
+                toggle(conflicts, x, -1)
+            toggle(conflicts, r, 1)
+        else:
+            break
+    return sorted(current)
+
+
 def forbidden_pair_scan(elements, bits) -> tuple[int, int, int] | None:
     """find_forbidden_pair as a scan of the forbidden s ascending (bits[s]
     true): the first s realized in the set, with the least smaller element

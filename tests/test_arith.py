@@ -587,3 +587,6 @@ class TestExceptionalDatum:
             ExceptionalDatum(3, 0.5)
         with pytest.raises(DomainError):
             ExceptionalDatum(3, 1.0)
+        with pytest.raises(DomainError):  # _replace checks as the constructor does
+            ExceptionalDatum(3, 0.75)._replace(beta=1.0)
+        assert ExceptionalDatum(3, 0.75)._replace(modulus=5) == (5, 0.75)

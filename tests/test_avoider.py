@@ -24,7 +24,7 @@ from oracles import (
     forbidden_diffs_naive,
     forbidden_pair_scan,
     is_prime_naive,
-    random_local_naive,
+    random_local_sampled_naive,
 )
 
 
@@ -411,18 +411,20 @@ class TestGreedy:
     @pytest.mark.parametrize(
         "n, d, seed, elements",
         [
-            (200, 2, 3, (19, 29, 36, 74, 96, 106, 123, 151, 168, 178, 200)),
-            (300, 3, 5, (5, 13, 43, 61, 62, 90, 118, 143, 146, 161, 190, 191, 199,
-                         218, 239, 246, 274)),
-            (180, 4, 1, (6, 27, 48, 53, 69, 74, 95, 107, 109, 128, 130, 149, 151,
-                         170, 172)),
-            (400, 1, 5, (20, 40, 45, 65, 89, 96, 130, 139, 180, 214, 229, 253, 264,
-                         298, 343, 348, 363, 382, 387, 396)),
+            (200, 2, 3, (4, 17, 49, 62, 104, 111, 121, 149, 153, 166)),
+            (300, 3, 5, (1, 2, 9, 10, 17, 18, 57, 58, 115, 116, 177, 178, 235, 236)),
+            (180, 4, 1, (10, 15, 21, 29, 50, 71, 76, 92, 106, 111, 132, 153, 167, 172)),
+            (400, 1, 5, (4, 9, 29, 48, 72, 77, 80, 85, 161, 164, 169, 212, 245, 253,
+                         256, 329, 332, 337, 346, 363, 366, 380)),
+            (300, 3, 9, (4, 51, 52, 59, 82, 89, 100, 107, 182, 189, 200, 207, 230, 237,
+                         238, 245, 268, 285)),
         ],
     )
     def test_pinned_random_local(self, n, d, seed, elements):
-        """Pinned outputs: the random orders and, on the last three, the
-        remove-1/add-2 step decide them, so any change in RNG use fails."""
+        """Pinned outputs, which random_local_sampled_naive gives too: a
+        random fill beats first fit and the remove-1/add-2 step then grows
+        it, except at (300, 3, 5), where no fill beats first fit and no
+        removal frees two points, so any change in RNG use fails."""
         fs = ForbiddenSet.build(n, d)
         assert greedy_avoiding(fs, strategy="random_local", seed=seed).elements == elements
 
@@ -440,14 +442,43 @@ class TestGreedy:
 
     def test_bitset_search_matches_conflict_counts(self):
         """first_fit and random_local on bitsets equal the per-point
-        conflict-count oracles, the seeded draws included."""
+        conflict-count oracles, the seeded draws of random.Random included."""
         for n, d, seed in self._oracle_cases():
             fs = ForbiddenSet.build(n, d)
             assert fs.count() == len(forbidden_diffs_naive(n, d)), (n, d)
             first = greedy_avoiding(fs, strategy="first_fit")
             assert first.elements == tuple(first_fit_naive(n, d)), (n, d)
             local = greedy_avoiding(fs, strategy="random_local", seed=seed)
-            assert local.elements == tuple(random_local_naive(n, d, seed)), (n, d, seed)
+            assert local.elements == tuple(random_local_sampled_naive(n, d, seed)), (n, d, seed)
+
+    def test_negative_seed_is_refused(self):
+        """random.Random would read a negative seed as its absolute value:
+        greedy_avoiding refuses it before any draw."""
+        fs = ForbiddenSet.build(50, 1)
+        with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+            greedy_avoiding(fs, strategy="random_local", seed=-1)
+        with pytest.raises(TypeError):
+            greedy_avoiding(fs, strategy="random_local", seed=1.5)
+        big = greedy_avoiding(fs, strategy="random_local", seed=np.uint64(2**64 - 1))
+        assert big.elements == tuple(random_local_sampled_naive(50, 1, 2**64 - 1))
+
+    def test_select_matches_the_set_bits(self):
+        """_select(bits, r) is the r-th set bit, ascending, as a list of the
+        set bits read off bin() gives it: for single bits, bits at the
+        edges of CPython's 30-bit digits and of the 64-bit window, and
+        seeded random ints of up to 10^5 bits, sparse to dense."""
+        cases = [1 << k for k in (0, 1, 29, 30, 31, 59, 60, 63, 64, 65, 1000)]
+        edges = sum(1 << (30 * k + j) for k in range(1, 9) for j in (-1, 0))
+        cases += [edges, edges | 1, (1 << 129) - 1, (1 << 64) | 1, (1 << 65) - 2]
+        rng = np.random.default_rng(2107)
+        for density in (0.001, 0.05, 0.5, 0.99) * 10:
+            flags = rng.random(int(rng.integers(1, 100_001))) < density
+            cases.append(int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
+        for bits in filter(None, cases):
+            members = [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+            ranks = {0, len(members) - 1, *rng.integers(0, len(members), 100).tolist()}
+            for r in sorted(ranks) if len(members) > 200 else range(len(members)):
+                assert avoider._select(bits, r) == members[r], (bits.bit_length(), r)
 
     def test_unknown_strategy(self):
         fs = ForbiddenSet.build(30, 1)

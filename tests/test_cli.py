@@ -261,6 +261,16 @@ def test_refused_arguments_exit_3(argv, message, capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and message in err
 
 
+def test_random_local_refuses_a_negative_seed(capsys):
+    """A negative seed exits 3 with one line before any draw, where numpy's
+    generator once ended the run in a ValueError traceback; a seed of
+    2^64 runs."""
+    base = ["extremal", "--n", "50", "--d", "1", "--mode", "random-local", "--timestamp", "T"]
+    assert run_cli(base + ["--seed", "-1"], capsys) == (3, "", "error: seed must be >= 0, got -1\n")
+    code, out, _ = run_cli(base + ["--seed", str(2**64)], capsys)
+    assert code == 0 and json.loads(out)["manifest"]["seed"] == 2**64
+
+
 def test_spectrum_refuses_nq_past_the_float_range(capsys):
     """The minor-arc bound reads (N Q)^(1/2) as a float: Q = 10^30 runs,
     and Q = 10^400 exits 3 with one line instead of an OverflowError."""
@@ -460,21 +470,22 @@ def test_psi_builds_only_what_it_reads(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
-def test_random_local_reads_its_orders_in_chunks(tmp_path):
-    """random-local holds one random order at a time, as one int64 array,
-    and reads it as Python ints 2^16 entries at a time: a fresh
-    interpreter running it at n = 10^6 peaks below 56 MB resident (48 MB
-    measured; 123 MB when each order became one list of 10^6 ints), and
-    writes the bytes it wrote then."""
+def test_random_local_samples_on_its_bitsets(tmp_path):
+    """random-local draws each point of a fill from its free-point bitset
+    and holds no random order: a fresh interpreter running it at
+    n = 10^6 peaks below 24 MB resident (20 MB measured; 48 MB when it
+    held one int64 order and read it 2^16 entries at a time, 123 MB when
+    each order became one list of 10^6 ints), and writes the bytes it
+    wrote then."""
     out = tmp_path / "local.json"
     code, peak_kb = cli_peak_kb(
         ["extremal", "--n", "1000000", "--d", "1", "--mode", "random-local", "--seed", "1",
          "--out", str(out), "--timestamp", "T"]
     )
     assert code == 0
-    digest = "21f0b326080a9c42f287b5c18c39e13d19271233a89ffeb7d3403dc71f649224"
+    digest = "627745ac0643b23b7327245406c3fda648d31a7c9e8fa04858cfd4b46fca67a2"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    assert peak_kb < 56 * 1024, f"peak {peak_kb // 1024} MB"
+    assert peak_kb < 24 * 1024, f"peak {peak_kb // 1024} MB"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
@@ -594,7 +605,7 @@ _ARGV = st.one_of(
         _flag("--d", st.integers(-1, 4)),
         _flag("--mode", st.sampled_from(["exact", "greedy", "random-local"])),
         st.one_of(st.just([]), _flag("--budget", st.integers(-1, 2000))),
-        _flag("--seed", st.integers(0, 5)),
+        _flag("--seed", st.one_of(st.integers(-1, 5), st.just(2**64))),
     ),
     st.tuples(
         st.just(["iterate", "--greedy"]),

@@ -228,11 +228,13 @@ def test_search_and_table_commands_skip_analytic_layers():
 
 
 def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
-    """Exact search, its branch-and-bound fallback, first fit while
-    d (n - 1) + 1 <= TABLE_CAP, and iterate runs whose steps end before the
-    energy step (at small_alpha, and at structure_found from a set file)
-    run on bytes, ints and tuples: importing avoider and running them
-    leaves numpy unloaded."""
+    """Exact search, its branch-and-bound fallback, first fit and
+    random-local while d (n - 1) + 1 <= TABLE_CAP, psi, and iterate runs
+    whose steps end before the energy step (at small_alpha, and at
+    structure_found from a set file) run on bytes, ints and tuples:
+    importing avoider and running them leaves numpy unloaded, and the runs
+    before iterate, whose records are namedtuples, load neither
+    dataclasses nor inspect."""
     path = tmp_path / "set.txt"
     path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7: structure_found
     runs = [
@@ -240,6 +242,10 @@ def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
         ["extremal", "--n", "40", "--d", "1", "--mode", "exact", "--budget", "3"],
         ["extremal", "--n", "65535", "--d", "1", "--mode", "greedy"],
         ["extremal", "--n", "100000", "--d", "1", "--mode", "greedy"],
+        ["extremal", "--n", "3000", "--d", "1", "--mode", "random-local", "--seed", "1"],
+        ["psi", "--x", "1000000", "--q", "4", "--a", "1"],
+    ]
+    iterate_runs = [
         ["iterate", "--greedy", "--n", "100000"],
         ["iterate", "--input", str(path), "--n", "100", "--d", "2"],
     ]
@@ -250,7 +256,10 @@ def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
         "out, err = io.StringIO(), io.StringIO()\n"
         "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
         f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "    early = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        f"    codes += [cli.main(argv) for argv in {iterate_runs!r}]\n"
         "assert codes == [0] * len(codes), codes\n"
+        "assert early == [], early\n"
         "assert 'numpy' not in sys.modules\n"
         "ends = [line for line in err.getvalue().splitlines() if line.startswith('terminal')]\n"
         "assert ends == ['terminal: small_alpha ok', 'terminal: structure_found ok'], ends\n"

@@ -20,12 +20,15 @@ checkout.
 Stdlib only.  perfbench/ is run as a program, never imported or changed;
 each run also appends its record to .bench_out/ in the checkout that ran it.
 The `env` line's src_sha256 identifies the sources measured, also when the
-checkout has uncommitted changes (recorded as "dirty").
+checkout has uncommitted changes (recorded as "dirty"); diff_sha256, the
+SHA-256 of `git diff HEAD`'s output, says which changes to the tracked
+files were measured on top of the commit.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -35,20 +38,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _git(checkout: Path, *args: str) -> str | None:
+def _git(checkout: Path, *args: str) -> bytes | None:
+    """The stdout of git run in checkout, or None when it fails."""
     try:
         done = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
-                              text=True, timeout=60)
+                              timeout=60)
     except (OSError, subprocess.SubprocessError):
         return None
-    return done.stdout.strip() if done.returncode == 0 else None
+    return done.stdout if done.returncode == 0 else None
 
 
 def _describe(checkout: Path) -> dict:
-    """The checkout's commit, and whether its tracked files differ from it."""
-    status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
-    return {"commit": _git(checkout, "rev-parse", "HEAD"),
-            "dirty": None if status is None else bool(status)}
+    """The checkout's commit, whether its tracked files differ from it, and
+    the SHA-256 of that difference as `git diff HEAD` prints it."""
+    commit = _git(checkout, "rev-parse", "HEAD")
+    diff = _git(checkout, "diff", "HEAD")
+    return {"commit": None if commit is None else commit.decode().strip(),
+            "dirty": None if diff is None else bool(diff),
+            "diff_sha256": None if diff is None else hashlib.sha256(diff).hexdigest()}
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -101,6 +108,8 @@ def main(argv=None) -> int:
             parser.error(f"no perfbench/run.py under {args.baseline}")
         checkouts = {"baseline": args.baseline.resolve(), "change": ROOT}
 
+    # described before the runs, so an edit made while they run is not recorded as measured
+    described = {label: _describe(path) for label, path in checkouts.items()}
     runs = []
     for workload in workloads:
         for i, seed in enumerate(args.seeds):
@@ -117,7 +126,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seconds": args.seconds,
         "seeds": args.seeds,
-        "checkouts": {label: _describe(path) for label, path in checkouts.items()},
+        "checkouts": described,
         "runs": runs,
         "medians": _medians(runs),
     }
