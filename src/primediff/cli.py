@@ -16,8 +16,8 @@ it, so importing this module loads neither; `psi` loads no numpy, nor
 draws from random.Random) while d(n - 1) + 1 is at most TABLE_CAP, nor
 `iterate` for a run whose steps all end before the energy step (small_n,
 small_alpha, structure_found, the d ceiling) and a greedy start on that
-route.  `psi` and those `extremal` runs load no dataclasses either: the
-records of arith and avoider are namedtuples.  datetime is imported only
+route.  No command loads dataclasses (nor, without numpy, inspect): the
+package's records are namedtuples.  datetime is imported only
 when no --timestamp is given.  A console process runs its command with
 the cyclic collector paused (see main).
 
@@ -259,21 +259,22 @@ def _read_config(path: str | None) -> IterationConfig:
     """Flat key=value file over IterationConfig fields, each read as the
     type of its default (int or float).
 
-    Missing keys keep their defaults; unknown keys are rejected.
+    Missing keys keep their defaults; unknown and repeated keys are
+    rejected.
     """
-    from dataclasses import fields
-
     from .driver import IterationConfig
 
     values: dict = {}
     if path is not None:
-        field_types = {f.name: type(f.default) for f in fields(IterationConfig)}
+        field_types = {k: type(v) for k, v in IterationConfig._field_defaults.items()}
         for raw, line in _lines(path):
             if "=" not in line:
                 raise PreconditionError(f"config line {raw.strip()!r} is not key=value")
             key, _, val = (part.strip() for part in line.partition("="))
             if key not in field_types:
                 raise PreconditionError(f"unknown config key {key!r}")
+            if key in values:
+                raise PreconditionError(f"duplicate config key {key!r}")
             try:
                 values[key] = field_types[key](val)
             except ValueError:

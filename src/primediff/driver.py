@@ -31,6 +31,10 @@ elements tuple itself.  numpy is imported only where arrays are worked
 on: the energy step with phi(1..Q'), and certify's increment recount.  A
 run whose steps all end at small_n, small_alpha, structure_found or the d
 ceiling, and its certification, load no numpy.
+
+The config, the outcomes, TraceStep and Trace are namedtuples, not
+dataclasses: importing dataclasses, which loads inspect, took longer than
+an iterate run that stops before the energy step.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from functools import cached_property
 
 from .arith import euler_phi, is_prime
@@ -69,8 +73,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IterationConfig:
+class IterationConfig(
+    namedtuple(
+        "IterationConfig",
+        "c c_prime c_double_prime grid_factor gain_threshold max_steps alpha_floor"
+        " n_floor d_ceiling_exponent q_cap c_len",
+        defaults=(0.25, 2000.0, 1.0, 8, 0.02, 32, 1e-3, 32, 0.25, 50, 0.25),
+    )
+):
     """Knobs for one run.  Derived quantities:
 
     N'  = floor(c alpha N)                      correlation window
@@ -85,25 +95,20 @@ class IterationConfig:
     size (the realistic density of avoiding sets at this scale) still get a
     nonempty correlation window.  The 2 Q' floor on Q keeps arcs narrower
     than the spacing of level-Q' centers when N' collapses.
+
+    The constructor checks every field, and _make, so _replace too, goes
+    through it.  No __slots__: _header_json caches in the instance dict.
     """
 
-    c: float = 0.25
-    c_prime: float = 2000.0
-    c_double_prime: float = 1.0
-    grid_factor: int = 8
-    gain_threshold: float = 0.02
-    max_steps: int = 32
-    alpha_floor: float = 1e-3
-    n_floor: int = 32
-    d_ceiling_exponent: float = 0.25
-    q_cap: int = 50
-    c_len: float = 0.25
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"config field {f.name} must be finite, got {value}")
+                raise DomainError(f"config field {name} must be finite, got {value}")
         for name in ("c", "c_prime", "c_double_prime", "gain_threshold",
                      "alpha_floor", "c_len"):
             if getattr(self, name) <= 0:
@@ -114,6 +119,7 @@ class IterationConfig:
             raise DomainError("max_steps, n_floor, q_cap out of range")
         if self.d_ceiling_exponent <= 0 or self.d_ceiling_exponent > 1:
             raise DomainError("d_ceiling_exponent must lie in (0, 1]")
+        return self
 
     def n_prime(self, n: int, alpha: float) -> int:
         window = self.c * alpha * n
@@ -150,53 +156,42 @@ class IterationConfig:
     @cached_property
     def _header_json(self) -> str:
         """The config as the trace header's JSON, encoded once per config
-        (the cached value sits outside the frozen fields)."""
-        return _ENCODE(asdict(self))
+        (the cached value sits in the instance dict, outside the fields)."""
+        return _ENCODE(self._asdict())
 
 
 # ---------------------------------------------------------------------------
-# outcomes
+# outcomes: namedtuples, so SmallN(32) == Budget(32) as tuples; an outcome
+# is told apart by its class (isinstance, or its tag), never by ==
 
 
-@dataclass(frozen=True)
-class StructureFound:
-    x: int
-    p: int
-    lower: int
-    upper: int
+class StructureFound(namedtuple("StructureFound", "x p lower upper")):
+    __slots__ = ()
     tag = "structure_found"
 
 
-@dataclass(frozen=True)
-class SmallN:
-    n: int
+class SmallN(namedtuple("SmallN", "n")):
+    __slots__ = ()
     tag = "small_n"
 
 
-@dataclass(frozen=True)
-class SmallAlpha:
-    alpha: float
+class SmallAlpha(namedtuple("SmallAlpha", "alpha")):
+    __slots__ = ()
     tag = "small_alpha"
 
 
-@dataclass(frozen=True)
-class LargeDOrSmallAlpha:
-    reason: str
+class LargeDOrSmallAlpha(namedtuple("LargeDOrSmallAlpha", "reason")):
+    __slots__ = ()
     tag = "large_d_or_small_alpha"
 
 
-@dataclass(frozen=True)
-class DensityIncrement:
-    q: int
-    outcome: IncrementOutcome
-    new_set: DensitySet
-    new_d: int
+class DensityIncrement(namedtuple("DensityIncrement", "q outcome new_set new_d")):
+    __slots__ = ()
     tag = "density_increment"
 
 
-@dataclass(frozen=True)
-class Budget:
-    steps: int
+class Budget(namedtuple("Budget", "steps")):
+    __slots__ = ()
     tag = "budget"
 
 
@@ -305,25 +300,14 @@ def _phi_column(top: int) -> np.ndarray:
 # runs and traces
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    n: int
-    d: int
-    alpha: float
-    outcome: object
-    set_snapshot: tuple
-    energy_top: tuple
-    q: int | None
+class TraceStep(
+    namedtuple("TraceStep", "step n d alpha outcome set_snapshot energy_top q")
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trace:
-    steps: list
-    terminal: str
-    config: IterationConfig
-    initial_n: int
-    initial_d: int
+class Trace(namedtuple("Trace", "steps terminal config initial_n initial_d")):
+    __slots__ = ()
 
 
 def _energy_top(diagnostics: dict, k: int = 3) -> tuple:

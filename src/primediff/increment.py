@@ -35,15 +35,17 @@ energy_table, rescale, Progression.points) imports numpy, and spectral,
 where it uses them, and reads the set through one cached int64 view,
 DensitySet.array; energy_table calls spectral's grid_power and arc_ranges
 as that module holds them at call time.
+
+The records are namedtuples, not dataclasses, which load inspect on
+import.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .arith import check_integers
 from .errors import DomainError, PreconditionError
@@ -65,28 +67,30 @@ __all__ = [
 # carriers
 
 
-@dataclass(frozen=True)
-class DensitySet:
+class DensitySet(namedtuple("DensitySet", "n elements")):
     """A nonempty subset of [1, n] with its ambient interval.  elements is
     an ascending tuple of distinct Python ints (the constructor reads any
     sequence of integers, numpy's too, and refuses every other element);
     array is the same elements as one read-only int64 array, built on first
-    read, the view each numpy reader of the set takes."""
+    read, the view each numpy reader of the set takes, cached in the
+    instance dict.  _make, so _replace too, goes through the constructor's
+    checks."""
 
-    n: int
-    elements: tuple
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"ambient length must be >= 1, got {self.n}")
-        e = check_integers(self.elements)
-        object.__setattr__(self, "elements", e)
+    def __new__(cls, n: int, elements):
+        if n < 1:
+            raise DomainError(f"ambient length must be >= 1, got {n}")
+        e = check_integers(elements)
         if not e:
             raise DomainError("elements must be nonempty")
-        if e[0] < 1 or e[-1] > self.n:
-            raise DomainError(f"elements must lie in [1, {self.n}]")
+        if e[0] < 1 or e[-1] > n:
+            raise DomainError(f"elements must lie in [1, {n}]")
         if not all(map(operator.lt, e, e[1:])):
             raise DomainError("elements must be strictly increasing")
+        return super().__new__(cls, n, e)
 
     @classmethod
     def from_iterable(cls, n: int, points) -> "DensitySet":
@@ -102,8 +106,7 @@ class DensitySet:
 
     @cached_property
     def array(self) -> np.ndarray:
-        """The elements as a read-only int64 array (the cached value sits
-        outside the frozen fields)."""
+        """The elements as a read-only int64 array."""
         import numpy as np
 
         array = np.array(self.elements, dtype=np.int64)
@@ -119,19 +122,20 @@ class DensitySet:
         return vals
 
 
-@dataclass(frozen=True)
-class Progression:
-    """{first + j step : 0 <= j < length}."""
+class Progression(namedtuple("Progression", "first step length")):
+    """{first + j step : 0 <= j < length}.  _make, so _replace too, goes
+    through the constructor's check."""
 
-    first: int
-    step: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.step < 1 or self.length < 1:
-            raise DomainError(
-                f"need step, length >= 1, got step={self.step}, length={self.length}"
-            )
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __new__(cls, first: int, step: int, length: int):
+        if step < 1 or length < 1:
+            raise DomainError(f"need step, length >= 1, got step={step}, length={length}")
+        return super().__new__(cls, first, step, length)
 
     def last(self) -> int:
         return self.first + (self.length - 1) * self.step
@@ -145,36 +149,32 @@ class Progression:
         return self.first >= 1 and self.last() <= n
 
 
-@dataclass(frozen=True)
-class IncrementOutcome:
+class IncrementOutcome(
+    namedtuple(
+        "IncrementOutcome", "progression intersection_count new_alpha met_guarantee detail"
+    )
+):
     """Result of one extraction attempt.  met_guarantee refers to the
-    operation's own inequality, checked on the recounted intersection."""
+    operation's own inequality, checked on the recounted intersection.
+    detail defaults to a new empty dict per outcome."""
 
-    progression: Progression
-    intersection_count: int
-    new_alpha: float
-    met_guarantee: bool
-    detail: dict = field(default_factory=dict)
+    __slots__ = ()
 
-
-class EnergyStats(NamedTuple):
-    q: int
-    eta: float
-    energy: float
-    star_energy: float
+    def __new__(cls, progression, intersection_count, new_alpha, met_guarantee, detail=None):
+        detail = {} if detail is None else detail
+        return super().__new__(
+            cls, progression, intersection_count, new_alpha, met_guarantee, detail
+        )
 
 
-@dataclass(frozen=True)
-class EnergyTable:
+EnergyStats = namedtuple("EnergyStats", "q eta energy star_energy")
+
+
+class EnergyTable(namedtuple("EnergyTable", "energy star_energy total big_q")):
     """E and E* of levels 1..Q' as read-only float64 columns, level q at
     index q - 1, with the normalized energy of the whole torus and the Q
     of each level's eta = 1/(qQ); row(q) is one level as EnergyStats, rows
-    all of them."""
-
-    energy: np.ndarray
-    star_energy: np.ndarray
-    total: float
-    big_q: int
+    all of them, cached in the instance dict."""
 
     def row(self, q: int) -> EnergyStats:
         if not 1 <= q <= len(self.energy):
@@ -186,7 +186,7 @@ class EnergyTable:
     @cached_property
     def rows(self) -> tuple[EnergyStats, ...]:
         """Every level's row in order, level q at rows[q - 1], built on
-        first read (the cached value sits outside the frozen fields)."""
+        first read."""
         return tuple(map(self.row, range(1, len(self.energy) + 1)))
 
 

@@ -9,12 +9,15 @@ a combination of Chebyshev partial sums in progressions:
 (the minus sign matches the package-wide transform convention).  Major-arc
 predictions carry the tau factor evaluated at -a for the same reason; the
 magnitudes reported downstream are unaffected.
+
+MangoldtWeight and Prediction are namedtuples and SpectrumReport a plain
+class, the package's one record idiom, which loads no dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,14 +38,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MangoldtWeight:
+class MangoldtWeight(namedtuple("MangoldtWeight", "n d values")):
     """Lambda(d x + 1) on x in [1, n]: values[x - 1], read from the
     tables' mangoldt column at stride d."""
 
-    n: int
-    d: int
-    values: np.ndarray
+    __slots__ = ()
 
     @classmethod
     def from_tables(cls, n: int, d: int, tables: ArithTables) -> "MangoldtWeight":
@@ -72,14 +72,11 @@ def lambda_hat_rational(n: int, d: int, a: int, q: int) -> complex:
     return complex(total)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(namedtuple("Prediction", "main_term exceptional_term sup_bound")):
     """Major-arc prediction at a/q: leading term, optional synthetic
     exceptional term, and the arc sup bound Lambda_hat(0)/phi(q)."""
 
-    main_term: complex
-    exceptional_term: complex
-    sup_bound: float
+    __slots__ = ()
 
 
 def _check_exceptional(d: int, exceptional: ExceptionalDatum | None) -> None:
@@ -145,20 +142,19 @@ def _minor_shape(n: int, d: int, q, big_q: int, sqrt):
 # spectrum report
 
 
-@dataclass(frozen=True)
 class SpectrumReport:
     """One entry per grid point k/M, k in [0, M), in columns: the label a/q,
     whether k/M is major, and the measured |Lambda_hat(k/M)|.  Class bounds
     depend on (class, q) alone, so they are kept as a table: bounds[c, j]
     is the bound of class c (0 minor, 1 major) at the j-th q present among
-    the labels, and bound_column[q] is that j."""
+    the labels, and bound_column[q] is that j.  A plain class, not a
+    namedtuple: its length is the number of points."""
 
-    a: np.ndarray
-    q: np.ndarray
-    major: np.ndarray
-    actual: np.ndarray
-    bounds: np.ndarray
-    bound_column: np.ndarray
+    __slots__ = ("a", "q", "major", "actual", "bounds", "bound_column")
+
+    def __init__(self, a, q, major, actual, bounds, bound_column):
+        self.a, self.q, self.major, self.actual = a, q, major, actual
+        self.bounds, self.bound_column = bounds, bound_column
 
     def __len__(self) -> int:
         return len(self.actual)

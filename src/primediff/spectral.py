@@ -23,14 +23,15 @@ Sign convention, used everywhere in this package:
 
 Rational points theta = a/q + kappa evaluate the rational part by exact
 integer reduction mod q, so transforms at arc centers keep full precision
-even when the support is large.
+even when the support is large.  A TorusPoint is a namedtuple that checks
+its fields in its constructor, which _replace goes through too.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -56,31 +57,34 @@ _INT64_MAX = 2**63 - 1
 # torus points
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(namedtuple("TorusPoint", "a q kappa")):
     """theta = a/q + kappa with gcd(a, q) = 1, 0 <= a <= q, |kappa| <= 1/2.
 
     Plain reals enter through from_float, which uses the trivial rational
-    part 0/1.  Exact rationals get kappa = 0.
+    part 0/1.  Exact rationals get kappa = 0.  The constructor checks the
+    fields, and _make, so _replace too, goes through it.
     """
 
-    a: int
-    q: int
-    kappa: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.q <= _INT64_MAX:  # transforms reduce x mod q in int64
-            raise DomainError(f"denominator must lie in [1, 2^63 - 1], got {self.q}")
-        if not (0 <= self.a <= self.q):
-            raise DomainError(f"need 0 <= a <= q, got a={self.a}, q={self.q}")
-        if math.gcd(self.a, self.q) != 1 and self.a != 0:
-            raise DomainError(f"a/q must be reduced, got {self.a}/{self.q}")
-        if abs(self.kappa) > 0.5 + 1e-15:
-            raise DomainError(f"|kappa| must be <= 1/2, got {self.kappa}")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __new__(cls, a: int, q: int, kappa: float = 0.0):
+        if not 1 <= q <= _INT64_MAX:  # transforms reduce x mod q in int64
+            raise DomainError(f"denominator must lie in [1, 2^63 - 1], got {q}")
+        if not (0 <= a <= q):
+            raise DomainError(f"need 0 <= a <= q, got a={a}, q={q}")
+        if math.gcd(a, q) != 1 and a != 0:
+            raise DomainError(f"a/q must be reduced, got {a}/{q}")
+        if abs(kappa) > 0.5 + 1e-15:
+            raise DomainError(f"|kappa| must be <= 1/2, got {kappa}")
+        return super().__new__(cls, a, q, kappa)
 
     @classmethod
     def rational(cls, a: int, q: int) -> "TorusPoint":
-        if q < 1:  # __post_init__ refuses it
+        if q < 1:  # the constructor refuses it
             return cls(a, q)
         g = math.gcd(a % q, q)
         return cls(a % q // g, q // g)

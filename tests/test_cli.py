@@ -2,7 +2,6 @@
 manifests, determinism, and exit codes."""
 
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -931,6 +930,38 @@ class TestIterateCommand:
         )
         assert (code, out, err) == (3, "", "error: config line 'max_steps 5' is not key=value\n")
 
+    def test_duplicate_config_key(self, capsys, tmp_path):
+        """A repeated key is refused, not read as its last value."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_steps = 32\nmax_steps=0  # again\n")
+        code, out, err = run_cli(
+            ["iterate", "--greedy", "--n", "100", "--config", str(cfg)], capsys
+        )
+        assert (code, out, err) == (3, "", "error: duplicate config key 'max_steps'\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [f"{key} = {value}"
+         for key in ("c", "c_len", "gain_threshold", "d_ceiling_exponent",
+                     "max_steps", "grid_factor", "n_floor", "q_cap")
+         for value in ("nan", "inf", "1e309", "2.5", str(10**23))]
+        + ["warp_speed = 1", "max_steps 5", "= 5", "max_steps ="],
+    )
+    def test_config_sweep_exits_cleanly(self, line, capsys, tmp_path):
+        """Each value, in a float and an int field: exit 0 with a certified
+        trace, or 3 with one error line; never a traceback."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(
+            ["iterate", "--greedy", "--n", "1000", "--config", str(cfg), "--timestamp", "T"],
+            capsys,
+        )
+        assert code in (0, 3) and "Traceback" not in err
+        if code == 3:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert err.splitlines()[-1].startswith("terminal: ")
+
     def test_set_file_of_comments_only(self, capsys, tmp_path):
         path = tmp_path / "set.txt"
         path.write_text("# nothing here\n")
@@ -1032,10 +1063,8 @@ class TestIterateCommand:
 
         def unsorted(*args):
             trace = real_run(*args)
-            step = dataclasses.replace(
-                trace.steps[0], set_snapshot=trace.steps[0].set_snapshot[::-1]
-            )
-            return dataclasses.replace(trace, steps=[step, *trace.steps[1:]])
+            step = trace.steps[0]._replace(set_snapshot=trace.steps[0].set_snapshot[::-1])
+            return trace._replace(steps=[step, *trace.steps[1:]])
 
         monkeypatch.setattr(driver, "run", unsorted)
         code, _, err = run_cli(["iterate", "--greedy", "--n", "100"], capsys)

@@ -1,7 +1,6 @@
 """Tests for the iteration driver: config plumbing, case analysis,
 traces, independent certification and its difference counts."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -76,6 +75,15 @@ class TestIterationConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError):
                     IterationConfig(**{name: value})
+
+    def test_replace_runs_the_checks(self):
+        """_replace refuses what the constructor refuses, and keeps the
+        other fields."""
+        for bad in ({"grid_factor": 4}, {"c": math.nan}, {"max_steps": 0},
+                    {"d_ceiling_exponent": 1.5}):
+            with pytest.raises(DomainError):
+                IterationConfig()._replace(**bad)
+        assert IterationConfig()._replace(max_steps=5) == IterationConfig(max_steps=5)
 
     def test_derived_quantities(self):
         cfg = IterationConfig(c=0.25, c_prime=2000.0, q_cap=50)
@@ -370,7 +378,7 @@ class TestTraceJsonl:
             "initial_n": 400,
             "initial_d": 1,
             "terminal": trace.terminal,
-            "config": dataclasses.asdict(cfg),
+            "config": cfg._asdict(),
         }
         assert trace_to_jsonl(trace)[0] == json.dumps(header, sort_keys=True)
         header["manifest"] = manifest
@@ -443,8 +451,8 @@ def test_phi_is_computed_once_per_level(monkeypatch):
 class TestCertify:
     def _tampered(self, trace, **changes):
         step = trace.steps[0]
-        bad_step = dataclasses.replace(step, **changes)
-        return dataclasses.replace(trace, steps=[bad_step] + trace.steps[1:])
+        bad_step = step._replace(**changes)
+        return trace._replace(steps=[bad_step] + trace.steps[1:])
 
     def test_passes_on_real_traces(self, tables_small):
         for build in (
@@ -475,15 +483,12 @@ class TestCertify:
         for i, s in enumerate(trace.steps):
             if s.outcome.tag != "density_increment":
                 continue
-            inc = dataclasses.replace(
-                s.outcome.outcome,
+            inc = s.outcome.outcome._replace(
                 intersection_count=s.outcome.outcome.intersection_count + 1,
             )
-            bad_out = dataclasses.replace(s.outcome, outcome=inc)
-            bad_step = dataclasses.replace(s, outcome=bad_out)
-            bad = dataclasses.replace(
-                trace, steps=trace.steps[:i] + [bad_step] + trace.steps[i + 1 :]
-            )
+            bad_out = s.outcome._replace(outcome=inc)
+            bad_step = s._replace(outcome=bad_out)
+            bad = trace._replace(steps=trace.steps[:i] + [bad_step] + trace.steps[i + 1 :])
             with pytest.raises(CertificationError):
                 certify(bad, tables_small)
             return
@@ -501,9 +506,9 @@ class TestCertify:
         s = trace.steps[i]
         energy = s.outcome.outcome.detail["energy"]
         detail = {**s.outcome.outcome.detail, "energy": energy + shift * max(1.0, energy)}
-        inc = dataclasses.replace(s.outcome.outcome, detail=detail)
-        bad_step = dataclasses.replace(s, outcome=dataclasses.replace(s.outcome, outcome=inc))
-        bad = dataclasses.replace(trace, steps=trace.steps[:i] + [bad_step] + trace.steps[i + 1 :])
+        inc = s.outcome.outcome._replace(detail=detail)
+        bad_step = s._replace(outcome=s.outcome._replace(outcome=inc))
+        bad = trace._replace(steps=trace.steps[:i] + [bad_step] + trace.steps[i + 1 :])
         with pytest.raises(CertificationError, match=f"step {s.step}: energy recount"):
             certify(bad, tables_small)
 
@@ -571,10 +576,10 @@ class TestCertify:
         trace = run(avoiding_set(120, 2), 2, IterationConfig(), tables_small)
         assert trace.steps[0].q == 4
         certify(trace, tables_small)
-        capped = dataclasses.replace(trace.config, c_double_prime=1000.0)
+        capped = trace.config._replace(c_double_prime=1000.0)
         assert capped.extraction_cap(trace.steps[0].alpha) == 1
         with pytest.raises(CertificationError, match="step 1: level q=4 above extraction cap 1"):
-            certify(dataclasses.replace(trace, config=capped), tables_small)
+            certify(trace._replace(config=capped), tables_small)
 
     def test_rejects_a_d_ceiling_that_does_not_hold(self, tables_small):
         """{1} in [1, 100] at d = 4 > 100^(1/4) = 3.16 stops at the d
@@ -586,8 +591,8 @@ class TestCertify:
         assert certify(trace, tables_small)[0] == (
             "step 1: large_d_or_small_alpha ok (d=4 above N^0.25 = 3.16)"
         )
-        lowered = dataclasses.replace(trace.config, d_ceiling_exponent=0.5)
-        for bad in (self._tampered(trace, d=3), dataclasses.replace(trace, config=lowered)):
+        lowered = trace.config._replace(d_ceiling_exponent=0.5)
+        for bad in (self._tampered(trace, d=3), trace._replace(config=lowered)):
             with pytest.raises(CertificationError, match="step 1: reason 'd=4 above"):
                 certify(bad, tables_small)
 
@@ -676,27 +681,25 @@ class TestCertifyIncrement:
     def with_increment(trace, **changes):
         """trace with step 1's IncrementOutcome fields changed."""
         step = trace.steps[0]
-        inc = dataclasses.replace(step.outcome.outcome, **changes)
-        out = dataclasses.replace(step.outcome, outcome=inc)
-        return dataclasses.replace(trace, steps=[dataclasses.replace(step, outcome=out), trace.steps[1]])
+        inc = step.outcome.outcome._replace(**changes)
+        out = step.outcome._replace(outcome=inc)
+        return trace._replace(steps=[step._replace(outcome=out), trace.steps[1]])
 
     @staticmethod
     def with_outcome(trace, **changes):
         """trace with step 1's DensityIncrement fields changed."""
         step = trace.steps[0]
-        out = dataclasses.replace(step.outcome, **changes)
-        return dataclasses.replace(trace, steps=[dataclasses.replace(step, outcome=out), trace.steps[1]])
+        out = step.outcome._replace(**changes)
+        return trace._replace(steps=[step._replace(outcome=out), trace.steps[1]])
 
     @staticmethod
     def with_next(trace, **changes):
         """trace with step 2's fields changed."""
-        return dataclasses.replace(
-            trace, steps=[trace.steps[0], dataclasses.replace(trace.steps[1], **changes)]
-        )
+        return trace._replace(steps=[trace.steps[0], trace.steps[1]._replace(**changes)])
 
     def test_progression_leaves_the_universe(self, trace):
         P = trace.steps[0].outcome.outcome.progression
-        bad = self.with_increment(trace, progression=dataclasses.replace(P, first=P.first + 3000))
+        bad = self.with_increment(trace, progression=P._replace(first=P.first + 3000))
         with pytest.raises(CertificationError, match=r"step 1: progression leaves \[1, 3000\]"):
             certify(bad)
 
@@ -715,8 +718,8 @@ class TestCertifyIncrement:
         """A threshold the recorded gain new_alpha / alpha - 1 falls short of."""
         step = trace.steps[0]
         ratio = step.outcome.outcome.new_alpha / step.alpha
-        higher = dataclasses.replace(trace.config, gain_threshold=ratio)
-        bad = dataclasses.replace(trace, config=higher)
+        higher = trace.config._replace(gain_threshold=ratio)
+        bad = trace._replace(config=higher)
         with pytest.raises(CertificationError, match="step 1: gain below configured threshold"):
             certify(bad)
 
@@ -747,9 +750,9 @@ class TestCertifyIncrement:
     def test_recorded_q_is_the_increments_level(self, trace, index, q, message):
         """A step's q is its increment's level, and None on any other step."""
         steps = list(trace.steps)
-        steps[index] = dataclasses.replace(steps[index], q=q)
+        steps[index] = steps[index]._replace(q=q)
         with pytest.raises(CertificationError, match=f"^{message}$"):
-            certify(dataclasses.replace(trace, steps=steps))
+            certify(trace._replace(steps=steps))
 
     def test_a_trace_ending_on_an_increment_certifies(self):
         """With max_steps = 1 the run stops on its increment: there is no
@@ -791,7 +794,7 @@ class TestCertifyOutcome:
         ids=["difference", "endpoints"],
     )
     def test_witness_checks(self, found, witness, message):
-        bad = dataclasses.replace(found, steps=[dataclasses.replace(found.steps[0], outcome=witness)])
+        bad = found._replace(steps=[found.steps[0]._replace(outcome=witness)])
         with pytest.raises(CertificationError, match=f"^step 1: {message}$"):
             certify(bad)
 
@@ -800,9 +803,9 @@ class TestCertifyOutcome:
         """A floor the step's alpha = 3e-4 reaches or passes: alpha_floor is
         the least density the run goes on at."""
         certify(small)
-        floor = dataclasses.replace(small.config, alpha_floor=small.steps[0].alpha * scale)
+        floor = small.config._replace(alpha_floor=small.steps[0].alpha * scale)
         with pytest.raises(CertificationError, match="^step 1: SmallAlpha but alpha=0.0003$"):
-            certify(dataclasses.replace(small, config=floor))
+            certify(small._replace(config=floor))
 
 
 class TestCertifyRun:
@@ -820,32 +823,49 @@ class TestCertifyRun:
         assert [s.outcome.tag for s in trace.steps] == ["density_increment", "small_n"]
         return trace
 
+    @pytest.mark.parametrize(
+        "fixture, kind",
+        [("increment", Budget), ("increment", SmallAlpha), ("found", DensityIncrement)],
+        ids=["small_n_as_budget", "small_n_as_small_alpha", "structure_as_increment"],
+    )
+    def test_an_equal_outcome_of_another_kind_is_refused(self, fixture, kind, request):
+        """Outcomes are tuples, so SmallN(n) == Budget(n): the last step's
+        outcome replaced by one of another kind with the same values
+        compares equal to it, and certify refuses it all the same."""
+        trace = request.getfixturevalue(fixture)
+        last = trace.steps[-1]
+        swapped = kind(*last.outcome)
+        assert swapped == last.outcome and type(swapped) is not type(last.outcome)
+        bad = trace._replace(steps=[*trace.steps[:-1], last._replace(outcome=swapped)])
+        with pytest.raises(CertificationError):
+            certify(bad)
+
     def test_refuses_an_empty_trace(self, found):
         with pytest.raises(CertificationError, match="^empty trace$"):
-            certify(dataclasses.replace(found, steps=[]))
+            certify(found._replace(steps=[]))
 
     def test_no_more_steps_than_max_steps(self, increment):
         """Two steps, the second small_n, certify under max_steps 32 and
         not under 1, where the run would have stopped after its increment."""
-        one = dataclasses.replace(increment.config, max_steps=1)
+        one = increment.config._replace(max_steps=1)
         with pytest.raises(CertificationError, match="^2 steps, past max_steps 1$"):
-            certify(dataclasses.replace(increment, config=one))
+            certify(increment._replace(config=one))
 
     @pytest.mark.parametrize("field", ["initial_n", "initial_d"])
     def test_step_1_starts_at_the_initial_n_and_d(self, found, field):
-        bad = dataclasses.replace(found, **{field: getattr(found, field) + 1})
+        bad = found._replace(**{field: getattr(found, field) + 1})
         with pytest.raises(CertificationError, match=r"step 1: \(n, d\) = \(100, 1\) != initial"):
             certify(bad)
 
     def test_only_an_increment_is_followed_by_a_step(self, found):
-        again = dataclasses.replace(found.steps[0], step=2)
-        bad = dataclasses.replace(found, steps=[found.steps[0], again])
+        again = found.steps[0]._replace(step=2)
+        bad = found._replace(steps=[found.steps[0], again])
         with pytest.raises(CertificationError, match="step 1: structure_found is followed by another step"):
             certify(bad)
 
     @pytest.mark.parametrize("terminal", ["small_alpha", "budget"])
     def test_terminal_is_the_last_steps_tag(self, found, terminal):
-        bad = dataclasses.replace(found, terminal=terminal)
+        bad = found._replace(terminal=terminal)
         with pytest.raises(
             CertificationError, match=f"terminal '{terminal}' != the last step's 'structure_found'"
         ):
@@ -855,7 +875,7 @@ class TestCertifyRun:
         """A run cut after its first increment, 1 of max_steps 32 steps,
         cannot end in budget, nor end on an increment in another tag."""
         for terminal in ("budget", "density_increment"):
-            bad = dataclasses.replace(increment, steps=increment.steps[:1], terminal=terminal)
+            bad = increment._replace(steps=increment.steps[:1], terminal=terminal)
             with pytest.raises(
                 CertificationError,
                 match=f"terminal '{terminal}' after 1 steps ending on an increment, max_steps 32",
@@ -866,11 +886,11 @@ class TestCertifyRun:
         """The step increments at d = 2 on N = 120; under d_ceiling_exponent
         0.1 the ceiling is 120^0.1 = 1.61, so no run could have taken it."""
         certify(increment)
-        lowered = dataclasses.replace(increment.config, d_ceiling_exponent=0.1)
+        lowered = increment.config._replace(d_ceiling_exponent=0.1)
         with pytest.raises(
             CertificationError, match=r"step 1: density_increment at d=2 above N\^0.1 = 1.61"
         ):
-            certify(dataclasses.replace(increment, config=lowered))
+            certify(increment._replace(config=lowered))
 
 
 def one_step(n, d, elements, outcome):
@@ -928,9 +948,9 @@ class TestCertifyBoundaries:
 
     def test_level_at_the_extraction_cap_certifies(self, increment):
         """Q'' = 1 / (7^2 / 15^2) = 4.59 clamps to 4: level 4 is at the cap."""
-        at_cap = dataclasses.replace(increment.config, c_double_prime=7.0)
+        at_cap = increment.config._replace(c_double_prime=7.0)
         assert at_cap.extraction_cap(increment.steps[0].alpha) == 4
-        certify(dataclasses.replace(increment, config=at_cap))
+        certify(increment._replace(config=at_cap))
 
     def test_gain_at_the_threshold_certifies(self, increment):
         """The least float threshold g with alpha (1 + g) - 1e-12 equal to
@@ -952,8 +972,8 @@ class TestCertifyBoundaries:
         while floor(past) == new_alpha:
             past = math.nextafter(past, math.inf)
         config = increment.config
-        certify(dataclasses.replace(increment, config=dataclasses.replace(config, gain_threshold=g)))
-        bad = dataclasses.replace(increment, config=dataclasses.replace(config, gain_threshold=past))
+        certify(increment._replace(config=config._replace(gain_threshold=g)))
+        bad = increment._replace(config=config._replace(gain_threshold=past))
         with pytest.raises(CertificationError, match="^step 1: gain below configured threshold$"):
             certify(bad)
 
@@ -963,9 +983,9 @@ class TestCertifyBoundaries:
         recount is stubbed."""
         step = increment.steps[0]
         inc = step.outcome.outcome
-        inc = dataclasses.replace(inc, detail={**inc.detail, "energy": 0.0})
-        step = dataclasses.replace(step, outcome=dataclasses.replace(step.outcome, outcome=inc))
-        trace = dataclasses.replace(increment, steps=[step, *increment.steps[1:]])
+        inc = inc._replace(detail={**inc.detail, "energy": 0.0})
+        step = step._replace(outcome=step.outcome._replace(outcome=inc))
+        trace = increment._replace(steps=[step, *increment.steps[1:]])
         monkeypatch.setattr(driver, "_recount_energy", lambda *args: 1e-9)
         certify(trace)
         past = math.nextafter(1e-9, 1.0)
@@ -1023,9 +1043,8 @@ class TestProducerBoundaries:
         def first_2000(A, row, c_len):
             P = increment.Progression(1, row.q, 2000)
             count = int(np.isin(P.points(), A.elements).sum())
-            return dataclasses.replace(
-                real(A, row, c_len), progression=P, intersection_count=count,
-                new_alpha=count / P.length,
+            return real(A, row, c_len)._replace(
+                progression=P, intersection_count=count, new_alpha=count / P.length
             )
 
         monkeypatch.setattr(driver, "extract_progression", first_2000)

@@ -181,6 +181,23 @@ def test_only_arith_and_avoider_name_the_table_cap():
     assert naming <= {"arith.py", "avoider.py"}
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    """Records are collections.namedtuple subclasses: importing dataclasses
+    loads inspect, which cost a driver process more time than its run."""
+    imports = []
+    for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if {name.split(".")[0] for name in names} & {"dataclasses", "typing"}:
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
+
+
 def loaded_after(code):
     """Sorted primediff.* modules in a fresh interpreter after it runs
     `code`."""
@@ -232,8 +249,8 @@ def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
     random-local while d (n - 1) + 1 <= TABLE_CAP, psi, and iterate runs
     whose steps end before the energy step (at small_alpha, and at
     structure_found from a set file) run on bytes, ints and tuples:
-    importing avoider and running them leaves numpy unloaded, and the runs
-    before iterate, whose records are namedtuples, load neither
+    importing avoider and running them leaves numpy unloaded, and as every
+    record is a namedtuple, the runs, iterate's too, load neither
     dataclasses nor inspect."""
     path = tmp_path / "set.txt"
     path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7: structure_found
@@ -258,9 +275,9 @@ def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
         f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
         "    early = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
         f"    codes += [cli.main(argv) for argv in {iterate_runs!r}]\n"
+        "late = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
         "assert codes == [0] * len(codes), codes\n"
-        "assert early == [], early\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert (early, late) == ([], []), (early, late)\n"
         "ends = [line for line in err.getvalue().splitlines() if line.startswith('terminal')]\n"
         "assert ends == ['terminal: small_alpha ok', 'terminal: structure_found ok'], ends\n"
     )

@@ -61,6 +61,16 @@ class TestDensitySet:
                 DensitySet(5, np.array(elements, dtype=np.int64))
         assert DensitySet(5, np.array([4], dtype=np.int64)).size == 1
 
+    def test_replace_runs_the_checks(self):
+        """_replace refuses what the constructor refuses, and reads its
+        elements as the constructor does."""
+        A = DensitySet(5, (1, 3))
+        for bad in ({"n": 0}, {"n": 2}, {"elements": ()}, {"elements": (3, 1)},
+                    {"elements": (2.5,)}):
+            with pytest.raises(DomainError):
+                A._replace(**bad)
+        assert A._replace(elements=np.array([2, 4])) == DensitySet(5, (2, 4))
+
     def test_non_integral_element_is_refused(self):
         """2.5 is refused by name, not held as 2; so is 2.0, by the
         constructor as by from_iterable."""
@@ -90,6 +100,13 @@ class TestProgression:
             Progression(1, 0, 3)
         with pytest.raises(DomainError):
             Progression(1, 2, 0)
+
+    def test_replace_runs_the_checks(self):
+        P = Progression(1, 2, 3)
+        for bad in ({"step": 0}, {"length": 0}):
+            with pytest.raises(DomainError):
+                P._replace(**bad)
+        assert P._replace(first=5) == Progression(5, 2, 3)
 
 
 def best_window_naive(A, step, length):

@@ -63,6 +63,13 @@ class TestTorusPoint:
         with pytest.raises(DomainError, match="need 0 <= a <= q, got a=5, q=3"):
             TorusPoint(5, 3)
 
+    def test_replace_runs_the_checks(self):
+        p = TorusPoint(1, 3)
+        for bad in ({"q": 0}, {"a": 4}, {"q": 6, "a": 2}, {"kappa": 0.7}):
+            with pytest.raises(DomainError):
+                p._replace(**bad)
+        assert p._replace(kappa=0.25) == TorusPoint(1, 3, 0.25)
+
     def test_denominator_fits_int64(self):
         assert TorusPoint(1, 2**63 - 1).q == 2**63 - 1
         with pytest.raises(DomainError, match="2\\^63"):
