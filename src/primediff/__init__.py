@@ -11,7 +11,9 @@ it as reproducible, manifest-stamped experiments.
 
 Each layer is imported on first access to one of its names (PEP 562), so
 `import primediff` loads no layer and a CLI run loads only the layers its
-subcommand uses.
+subcommand uses; numpy stays behind module boundaries (see arith).  The
+records are namedtuples or plain classes, not dataclasses: importing
+dataclasses loads inspect, which took longer than a short search runs.
 """
 
 import importlib
@@ -21,19 +23,9 @@ __version__ = "0.1.0"
 # home module of each exported name
 _EXPORTS = {
     "arith": (
-        "ArithTables",
-        "DirichletCharacter",
-        "ExceptionalDatum",
-        "build_tables",
-        "characters_mod",
         "euler_phi",
         "is_prime",
         "psi",
-        "psi_chi",
-        "ramanujan",
-        "tau",
-        "tau_closed_form",
-        "verify_inversion",
     ),
     "avoider": (
         "ForbiddenSet",
@@ -58,6 +50,13 @@ _EXPORTS = {
         "run",
         "trace_to_jsonl",
     ),
+    "energy": (
+        "EnergyTable",
+        "averaging_projection",
+        "energy_table",
+        "extract_progression",
+        "rescale",
+    ),
     "errors": (
         "CertificationError",
         "DomainError",
@@ -67,13 +66,8 @@ _EXPORTS = {
     "increment": (
         "DensitySet",
         "EnergyStats",
-        "EnergyTable",
         "IncrementOutcome",
         "Progression",
-        "averaging_projection",
-        "energy_table",
-        "extract_progression",
-        "rescale",
     ),
     "mangoldt": (
         "MangoldtWeight",
@@ -88,6 +82,18 @@ _EXPORTS = {
     "spectral": (
         "TorusPoint",
         "transform_at",
+    ),
+    "tables": (
+        "ArithTables",
+        "DirichletCharacter",
+        "ExceptionalDatum",
+        "build_tables",
+        "characters_mod",
+        "psi_chi",
+        "ramanujan",
+        "tau",
+        "tau_closed_form",
+        "verify_inversion",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

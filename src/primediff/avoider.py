@@ -15,12 +15,9 @@ which psi reads too, while d(n-1)+1 is at most TABLE_CAP (every n at
 d = 1), else from a sieve of the values d s + 1 by the primes up to
 sqrt(d(n-1)+1), each starting at -1/d mod p from one vectorized Fermat
 power, or from deterministic Miller-Rabin when that root exceeds
-TABLE_CAP.  Exact search, first fit and random_local on the bitmap
-route and the pair search import no numpy: only the sieve of d s + 1
-uses it, and imports it itself.  random_local draws from random.Random
-(see greedy_avoiding).  ForbiddenSet and SearchResult are namedtuples,
-not dataclasses: importing dataclasses (and with it inspect) took longer
-than most of these searches run.
+TABLE_CAP.  This module imports no numpy (see arith): the sieve of
+d s + 1 is tables._shifted_primes, which build imports on that route
+alone.  random_local draws from random.Random (see greedy_avoiding).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from collections import namedtuple
 from itertools import accumulate, chain
 
 from . import arith
-from .arith import _prime_bitmap, _primes_upto, check_budget, check_integers, is_prime
+from .arith import _prime_bitmap, check_budget, check_integers, is_prime
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = [
@@ -56,7 +53,7 @@ class ForbiddenSet(namedtuple("ForbiddenSet", "n d bits")):
     the values d s + 1 in arith's _prime_bitmap, grown to the largest top
     asked for and never shrunk, as a strided slice of it, when
     d (n - 1) + 1 is at most TABLE_CAP; past it it sieves them
-    (_shifted_primes: each prime's first s from a Fermat power) when
+    (tables._shifted_primes: each prime's first s from a Fermat power) when
     sqrt(d (n - 1) + 1) is at most TABLE_CAP, else runs Miller-Rabin on
     each."""
 
@@ -71,6 +68,8 @@ class ForbiddenSet(namedtuple("ForbiddenSet", "n d bits")):
         if top <= arith.TABLE_CAP:  # the flags of 1, d + 1, ..., top (any d at n = 1)
             bits = _prime_bitmap(top)[1 : top + 1 : d]
         elif math.isqrt(top) <= arith.TABLE_CAP:
+            from .tables import _shifted_primes
+
             bits = _shifted_primes(n, d).tobytes()
         else:
             bits = bytes(1) + bytes(is_prime(d * s + 1) for s in range(1, n))
@@ -78,37 +77,6 @@ class ForbiddenSet(namedtuple("ForbiddenSet", "n d bits")):
 
     def count(self) -> int:
         return self.bits.count(1)
-
-
-def _shifted_primes(n: int, d: int) -> np.ndarray:
-    """flags[s] iff d s + 1 is prime, for s in [0, n) (flags[0] is False).
-
-    Sieves the progression d s + 1 by the primes p <= sqrt(d (n - 1) + 1)
-    that do not divide d: p strikes s_p, s_p + p, ... from s_p = -1/d mod p,
-    the first s >= 1 with p | d s + 1, where 1/d mod p comes from one
-    vectorized Fermat power for every p at once.  A prime p = d s + 1
-    strikes its own s, which is set back.  Needs n >= 2 and d (n - 1) + 1
-    below 2^63."""
-    import numpy as np
-
-    flags = np.ones(n, dtype=bool)
-    flags[0] = False
-    p = _primes_upto(math.isqrt(d * (n - 1) + 1))
-    p = p[d % p != 0]
-    # 1/d = d^(p - 2) mod p, square-and-multiply on every p at once (p^2 < 2^63)
-    inv, base, e = np.ones_like(p), d % p, p - 2
-    while e.any():
-        inv = np.where(e & 1, inv * base % p, inv)
-        base, e = base * base % p, e >> 1
-    first = p - inv
-    flags[first[first < n]] = False
-    second = first + p
-    again = second < n  # p strikes more than once: p < n
-    for step, s in zip(p[again].tolist(), second[again].tolist()):
-        flags[s::step] = False
-    own, rest = np.divmod(p - 1, d)  # p = d s + 1 at s = own when rest = 0
-    flags[own[rest == 0]] = True
-    return flags
 
 
 def _bitset(flags: bytes) -> int:

@@ -9,17 +9,11 @@ outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
 Sieve tables are built only where they are read (sieve, lambda,
 spectrum); psi sums over the prime bitmap, and extremal and iterate build
-their forbidden sets from it or from a sieve of their own.  Each command
-imports the layers it runs itself, and they import numpy where they use
-it, so importing this module loads neither; `psi` loads no numpy, nor
-`extremal` for exact search, or for first fit and random-local (which
-draws from random.Random) while d(n - 1) + 1 is at most TABLE_CAP, nor
-`iterate` for a run whose steps all end before the energy step (small_n,
-small_alpha, structure_found, the d ceiling) and a greedy start on that
-route.  No command loads dataclasses (nor, without numpy, inspect): the
-package's records are namedtuples.  datetime is imported only
-when no --timestamp is given.  A console process runs its command with
-the cyclic collector paused (see main).
+their forbidden sets from it or from a sieve of their own.  This module
+imports no numpy (see arith), and each command imports the layers it runs
+itself: psi, extremal and iterate import numpy-free layers alone.
+datetime is imported only when no --timestamp is given.  A console
+process runs its command with the cyclic collector paused (see main).
 
 Exit codes: 0 success, 2 usage, 3 domain/precondition/resource,
 4 certification failure.
@@ -43,9 +37,6 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-
-# Each subcommand imports the layers it runs inside its own function, so
-# a process loads only those, and numpy only where they use it.
 
 
 def _manifest(command: str, parameters: dict, seed: int, timestamp: str | None) -> dict:
@@ -100,16 +91,14 @@ def _parse_at(text: str) -> TorusPoint:
 
 
 def _cmd_sieve(args) -> None:
-    import numpy as np
-
-    from .arith import build_tables
-    from .csvtext import csv_blocks
+    from .csvtext import column_range, csv_blocks
+    from .tables import build_tables
 
     tables = build_tables(args.n_max)
 
     def columns(rows: slice):
         n = slice(rows.start + 1, rows.stop + 1)
-        return [np.arange(n.start, n.stop), tables.mangoldt[n], tables.mobius[n], tables.phi[n]]
+        return [column_range(n), tables.mangoldt[n], tables.mobius[n], tables.phi[n]]
 
     manifest = _manifest("sieve", {"n_max": args.n_max}, args.seed, args.timestamp)
     fields = ("%d", "%.12g", "%d", "%d")
@@ -130,8 +119,8 @@ def _cmd_psi(args) -> None:
 
 
 def _cmd_lambda(args) -> None:
-    from .arith import build_tables
     from .mangoldt import MangoldtWeight
+    from .tables import build_tables
 
     tables = build_tables(args.d * args.n + 1)
     weight = MangoldtWeight.from_tables(args.n, args.d, tables)
@@ -149,11 +138,9 @@ def _cmd_lambda(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    import numpy as np
-
-    from .arith import ExceptionalDatum, build_tables
-    from .csvtext import csv_blocks
+    from .csvtext import column_range, csv_blocks
     from .mangoldt import spectrum_report
+    from .tables import ExceptionalDatum, build_tables
 
     if args.grid_factor < 1:
         raise DomainError(f"grid factor must be >= 1, got {args.grid_factor}")
@@ -183,7 +170,7 @@ def _cmd_spectrum(args) -> None:
 
     def columns(rows: slice):
         actual, index = report.actual[rows], report.bound_index(rows)
-        theta = np.arange(rows.start, rows.stop) / m
+        theta = column_range(rows) / m
         ratio = actual / bounds[index]
         return theta, report.a[rows], report.q[rows], report.major[rows], actual, index, ratio
 

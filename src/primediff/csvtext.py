@@ -35,7 +35,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["CHUNK_ROWS", "csv_blocks"]
+__all__ = ["CHUNK_ROWS", "column_range", "csv_blocks"]
 
 CHUNK_ROWS = 1 << 14  # rows rendered, and written, at a time
 
@@ -200,3 +200,9 @@ def csv_blocks(header: str, fields: tuple, n_rows: int, columns, trailer: str) -
         chunk = columns(slice(lo, min(lo + CHUNK_ROWS, n_rows)))
         yield _render(formatters, chunk)[:-1].decode("ascii")
     yield trailer
+
+
+def column_range(rows: slice) -> np.ndarray:
+    """rows.start, ..., rows.stop - 1 as an integer column, for the
+    `columns(rows)` of csv_blocks' callers, which import no numpy."""
+    return np.arange(rows.start, rows.stop)

@@ -27,14 +27,10 @@ least 5-smooth M >= grid_factor N.
 A step searches pairs on the int bitset of its set's elements (avoider's
 _mask and _pair_in_mask), which a DensitySet holds ascending and distinct,
 so nothing is sorted or deduplicated again, and a trace snapshot is the
-elements tuple itself.  numpy is imported only where arrays are worked
-on: the energy step with phi(1..Q'), and certify's increment recount.  A
-run whose steps all end at small_n, small_alpha, structure_found or the d
-ceiling, and its certification, load no numpy.
-
-The config, the outcomes, TraceStep and Trace are namedtuples, not
-dataclasses: importing dataclasses, which loads inspect, took longer than
-an iterate run that stops before the energy step.
+elements tuple itself.  This module imports no numpy (see arith): a step
+past the d ceiling, and certify's recount of an increment, import energy
+where they run.  A run whose steps all end at small_n, small_alpha,
+structure_found or the d ceiling, and its certification, load no numpy.
 """
 
 from __future__ import annotations
@@ -45,16 +41,10 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
 
-from .arith import euler_phi, is_prime
+from .arith import is_prime
 from .avoider import ForbiddenSet, _mask, _pair_in_mask
 from .errors import CertificationError, DomainError
-from .increment import (
-    DensitySet,
-    IncrementOutcome,
-    energy_table,
-    extract_progression,
-    rescale,
-)
+from .increment import DensitySet
 
 __all__ = [
     "Budget",
@@ -226,74 +216,9 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
     if d > config.d_ceiling(n):
         return LargeDOrSmallAlpha(reason=_ceiling_reason(n, d, config)), {}
 
-    import numpy as np
+    from .energy import _energy_step
 
-    n_prime = config.n_prime(n, alpha)
-    if n_prime < 1:
-        return SmallN(n), {"n_prime": n_prime}
-    q_prime = config.level_cutoff(n, d, alpha)
-    big_q = config.dissection_q(n_prime, q_prime)
-    q_double = config.extraction_cap(alpha)
-    q_top = max(q_prime, q_double)
-
-    table = energy_table(A, q_top, big_q, config.grid_size(n))
-    star = table.star_energy  # levels 1..q_top: level q at index q - 1
-    ratio = star / _phi_column(q_top)
-    trigger = sum(ratio[:q_prime].tolist())  # in level order, as a Python sum
-    diagnostics = {
-        "n_prime": n_prime,
-        "q_prime": q_prime,
-        "big_q": big_q,
-        "q_double": q_double,
-        "trigger": trigger,
-        "energy_table": table,
-    }
-
-    # levels q <= Q'' with E* > 0: the highest E*/phi(q), the lowest q among ties
-    admissible = star[:q_double] > 0
-    if admissible.any():
-        best = table.row(1 + int(np.argmax(np.where(admissible, ratio[:q_double], -np.inf))))
-        target = 4.0 * config.gain_threshold
-        if best.energy < target:
-            return (
-                LargeDOrSmallAlpha(
-                    reason=f"energy {best.energy:.4g} below {target:.4g} at level q={best.q}"
-                ),
-                diagnostics,
-            )
-        out = extract_progression(A, best, c_len=config.c_len)
-        if out.met_guarantee and out.new_alpha >= alpha * (1.0 + config.gain_threshold):
-            new_set = rescale(A, out.progression)
-            return (
-                DensityIncrement(
-                    q=best.q, outcome=out, new_set=new_set, new_d=d * best.q
-                ),
-                diagnostics,
-            )
-        return (
-            LargeDOrSmallAlpha(
-                reason=f"extraction at q={best.q} reached alpha ratio "
-                f"{out.new_alpha / alpha:.4g}, below guarantee"
-            ),
-            diagnostics,
-        )
-    return LargeDOrSmallAlpha(reason="no positive star energy at admissible levels"), diagnostics
-
-
-_phi = ()  # phi(1..len(_phi)), a read-only array once grown
-
-
-def _phi_column(top: int) -> np.ndarray:
-    """phi(1..top), level q at index q - 1: a read-only prefix of _phi,
-    grown to the most levels a step asks for, one euler_phi call per level
-    added."""
-    import numpy as np
-
-    global _phi
-    if len(_phi) < top:
-        _phi = np.append(_phi, [euler_phi(q) for q in range(len(_phi) + 1, top + 1)])
-        _phi.flags.writeable = False
-    return _phi[:top]
+    return _energy_step(A, d, config)
 
 
 # ---------------------------------------------------------------------------
@@ -415,73 +340,6 @@ def trace_to_jsonl(trace: Trace, manifest: dict | None = None) -> list[str]:
 # certification
 
 
-_PAIR_BLOCK = 1 << 18  # most pair differences _correlations holds at once
-
-
-def _correlations(A: DensitySet) -> tuple[np.ndarray, ...]:
-    """(r_AA, r_AI, r_IA, r_II) at every x = 0..N - 1 with I = [1, N]: the
-    pairs (u, v) with u - v = x from A x A, A x I, I x A and I x I.  r_AA
-    counts the differences a - b > 0 of the ascending elements exactly, as
-    int64, a block of rows at a time: O(|A|^2) time and O(N + _PAIR_BLOCK)
-    memory.  The other three are closed forms (set-interval by suffix
-    counts), as floats."""
-    import numpy as np
-
-    e = A.array
-    r_aa = np.zeros(A.n, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // A.size)
-    for lo in range(0, A.size, rows):
-        diff = e[lo : lo + rows, None] - e[: lo + rows]  # b up to a's own place in the order
-        r_aa += np.bincount(diff[diff > 0], minlength=A.n)
-    r_aa[0] = A.size
-    x = np.arange(A.n, dtype=np.int64)
-    r_ai = (A.size - np.searchsorted(e, x, side="right")).astype(np.float64)
-    r_ia = np.searchsorted(e, A.n - x, side="right").astype(np.float64)
-    r_ii = (A.n - x).astype(np.float64)
-    return r_aa, r_ai, r_ia, r_ii
-
-
-def _recount_energy(A: DensitySet, q: int, m: int, big_q: int) -> float:
-    """E of A at level q on the M-point grid, recounted in physical space:
-    no grid transform, and arc ends of its own.  On a finite grid
-
-        sum_{k in S} |g_hat(k/M)|^2 = sum_{|h| < N} r_g(h) K_S(h),
-
-    r_g the autocorrelation of g = 1_A - alpha 1_[1,N] (_correlations, from
-    A's pair differences) and K_S(h) the sum over the level's arcs of
-
-        sum_{k=lo}^{hi} cos(2 pi h k / M)
-            = sin(pi h L / M) cos(pi h (lo + hi) / M) / sin(pi h / M),
-
-    L = hi - lo + 1, with lo = ceil((aM - w)/q), hi = floor((aM + w)/q),
-    w = floor(M/Q).  When 2w >= M each arc meets the next at one point
-    (the a = q arc meets a = 1 past M), counted once.  Works arc by arc:
-    O(qN + |A|^2) time, O(N) memory."""
-    import numpy as np
-
-    alpha = A.alpha
-    r_aa, r, r_ia, r_ii = _correlations(A)
-    r += r_ia  # r_g = r_AA - alpha (r_AI + r_IA) + alpha^2 r_II, in place
-    r *= alpha
-    np.subtract(r_aa, r, out=r)
-    r_ii *= alpha * alpha
-    r += r_ii
-    w = m // big_q
-    lo = [-((w - a * m) // q) for a in range(1, q + 1)]  # ceil((aM - w) / q)
-    hi = [(a * m + w) // q for a in range(1, q + 1)]
-    hi = [b - (b == c) for b, c in zip(hi, lo[1:] + [lo[0] + m])]
-    h = np.arange(1, A.n, dtype=np.int64)
-    kernel = np.zeros(A.n - 1)
-    for first, last in zip(lo, hi):
-        # both angles reduced mod 2M in int64 before the float multiply
-        kernel += np.sin(np.pi / m * (h * (last - first + 1) % (2 * m))) * np.cos(
-            np.pi / m * (h * (first + last) % (2 * m))
-        )
-    kernel /= np.sin(np.pi / m * h)
-    total = float(r[0]) * (sum(hi) - sum(lo) + q) + 2.0 * float(np.dot(r[1:], kernel))
-    return total / (alpha * A.size * m)
-
-
 def _holds(snapshot: tuple, x: int) -> bool:
     """x in the ascending snapshot, by bisection."""
     i = bisect_left(snapshot, x)
@@ -543,6 +401,8 @@ def certify(trace: Trace, tables=None) -> list[str]:
                 raise CertificationError(f"{where}: {out.p} != {s.d}*{out.x}+1 prime")
             lines.append(f"{where}: structure_found ok (x={out.x}, p={out.p})")
         elif isinstance(out, LargeDOrSmallAlpha):
+            if not isinstance(out.reason, str):
+                raise CertificationError(f"{where}: reason {out.reason!r} is not text")
             # the d ceiling's reason must hold, d > N^e, and read as the step writes it
             if out.reason.startswith("d=") and (
                 s.d <= cfg.d_ceiling(s.n) or out.reason != _ceiling_reason(s.n, s.d, cfg)
@@ -568,11 +428,9 @@ def certify(trace: Trace, tables=None) -> list[str]:
             cap = cfg.extraction_cap(s.alpha)
             if out.q > cap:
                 raise CertificationError(f"{where}: level q={out.q} above extraction cap {cap}")
-            import numpy as np
+            from .energy import _recount_energy, rescale
 
-            member = np.zeros(s.n + 1, dtype=bool)
-            member[A.array] = True
-            recount = int(np.count_nonzero(member[P.points()]))
+            recount = sum(_holds(s.set_snapshot, x) for x in range(P.first, P.last() + 1, P.step))
             if recount != o.intersection_count:
                 raise CertificationError(
                     f"{where}: intersection recount {recount} != {o.intersection_count}"

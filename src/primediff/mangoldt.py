@@ -21,10 +21,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from .arith import ArithTables, ExceptionalDatum, check_budget, euler_phi, psi, tau
+from .arith import check_budget, euler_phi, psi
 from .errors import DomainError, PreconditionError
 from .spectral import arc_ranges, dirichlet_approx_grid, grid_power
 from .spectral import transform_at, unfold
+from .tables import ArithTables, ExceptionalDatum, tau
 
 __all__ = [
     "MangoldtWeight",

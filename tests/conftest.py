@@ -6,7 +6,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from primediff.arith import build_tables
+from primediff.tables import build_tables
 
 
 @pytest.hookimpl(trylast=True)

@@ -10,17 +10,14 @@ import sys
 import numpy as np
 import pytest
 
-from primediff import arith
-from primediff.arith import (
+from primediff import arith, tables
+from primediff.arith import TABLE_CAP, euler_phi, is_prime, psi
+from primediff.tables import (
     _SIEVE_BLOCK,
     _character_table,
-    TABLE_CAP,
     ExceptionalDatum,
     build_tables,
     characters_mod,
-    euler_phi,
-    is_prime,
-    psi,
     psi_chi,
     ramanujan,
     tau,
@@ -565,7 +562,7 @@ class TestInversion:
                 want = np.bincount(
                     np.arange(top + 1) % q, weights=tables_small.mangoldt[: top + 1], minlength=q
                 )
-                got = arith._residue_mass(x, q, tables_small)
+                got = tables._residue_mass(x, q, tables_small)
                 assert got.tobytes() == want.tobytes(), (q, x)
 
     def test_non_unit_discrepancy_is_class_mass(self, tables_small):

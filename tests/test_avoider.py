@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from primediff import arith, avoider
+from primediff import arith, avoider, tables
 from primediff.arith import TABLE_CAP, is_prime
 from primediff.avoider import (
     ForbiddenSet,
@@ -73,7 +73,7 @@ class TestForbiddenSet:
         assert {TABLE_CAP, TABLE_CAP + 1} <= tops
         for n, d in cases:
             fs = ForbiddenSet.build(n, d)
-            assert np.array_equal(flags(fs), avoider._shifted_primes(n, d)), (n, d)
+            assert np.array_equal(flags(fs), tables._shifted_primes(n, d)), (n, d)
             assert type(fs.bits) is bytes
         monkeypatch.setattr(arith, "_bitmap", b"")
         ForbiddenSet.build(bitmap_edge(3) - 1, 3)  # top TABLE_CAP: the bitmap route
@@ -133,13 +133,13 @@ class TestForbiddenSet:
         for d in range(2, 7):
             edge = bitmap_edge(d, SMALL_CAP)
             cases += [(n, d) for n in (1, 2, 3, 4, 11, edge - 1, edge, edge + 37)]
-        sieved, shifted_primes = [], avoider._shifted_primes
+        sieved, shifted_primes = [], tables._shifted_primes
 
         def recorded(n, d):
             sieved.append((n, d))
             return shifted_primes(n, d)
 
-        monkeypatch.setattr(avoider, "_shifted_primes", recorded)
+        monkeypatch.setattr(tables, "_shifted_primes", recorded)
         small = [is_prime(v) for v in range(2**17 + 512)]  # each value once, not once per n
         for n, d in cases:
             want = [s > 0 and (small[v] if v < len(small) else is_prime(v))
@@ -169,10 +169,10 @@ class TestForbiddenSet:
             cases += [(n, d) for d in (1, 2, 6, 30, 210, past - 2, past - 1, past, past + 1) if d]
         for n, d in cases:
             want = [s > 0 and is_prime(d * s + 1) for s in range(n)]
-            assert avoider._shifted_primes(n, d).tolist() == want, (n, d)
+            assert tables._shifted_primes(n, d).tolist() == want, (n, d)
             assert flags(ForbiddenSet.build(n, d)).tolist() == want, (n, d)
         for n, d in ((bitmap_edge(3) - 1, 3), (bitmap_edge(2), 2)):  # TABLE_CAP, TABLE_CAP + 1
-            sieved = avoider._shifted_primes(n, d)
+            sieved = tables._shifted_primes(n, d)
             assert np.array_equal(flags(ForbiddenSet.build(n, d)), sieved), (n, d)
             tail = range(n - 2**10, n)
             assert sieved[tail.start :].tolist() == [is_prime(d * s + 1) for s in tail], (n, d)

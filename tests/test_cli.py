@@ -15,7 +15,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primediff import arith, cli, csvtext, driver, mangoldt
+from primediff import arith, cli, csvtext, driver, mangoldt, tables
 from primediff.arith import TABLE_CAP
 from primediff.errors import CertificationError
 from primediff.increment import DensitySet
@@ -253,7 +253,7 @@ def test_memory_budget_is_resource_error(argv, message, capsys):
 def test_refused_arguments_exit_3(argv, message, capsys, monkeypatch):
     """Each refusal comes before any table is built: it exits 3 with no
     build_tables to call."""
-    monkeypatch.setattr(arith, "build_tables", None)
+    monkeypatch.setattr(tables, "build_tables", None)
     code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
     assert code == 3
     assert out == ""
@@ -738,7 +738,7 @@ class TestExtremalCommand:
     def test_builds_no_tables(self, capsys, monkeypatch):
         """extremal sieves the values d s + 1 itself: it runs with no
         build_tables to call and counts the same forbidden differences."""
-        monkeypatch.setattr(arith, "build_tables", None)
+        monkeypatch.setattr(tables, "build_tables", None)
         code, out, _ = run_cli(["extremal", "--n", "88", "--d", "2", "--mode", "greedy"], capsys)
         assert code == 0
         assert json.loads(out)["forbidden_count"] == len(forbidden_diffs_naive(88, 2))
@@ -996,15 +996,15 @@ class TestIterateCommand:
         path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7
         runs = [(["--greedy"], 400, 1, first_fit_naive(400, 1)),
                 (["--input", str(path)], 100, 2, [1, 4, 10, 60])]
-        build_tables = arith.build_tables
-        monkeypatch.setattr(arith, "build_tables", None)
+        build_tables = tables.build_tables
+        monkeypatch.setattr(tables, "build_tables", None)
         for source, n, d, elements in runs:
             argv = ["iterate", *source, "--n", str(n), "--d", str(d), "--timestamp", "T"]
             code, out, _ = run_cli(argv, capsys)
             assert code == 0
             A = DensitySet.from_iterable(n, elements)
-            tables = build_tables(d * (n - 1) + 1)
-            trace = driver.run(A, d, driver.IterationConfig(), tables)
+            sieved = build_tables(d * (n - 1) + 1)
+            trace = driver.run(A, d, driver.IterationConfig(), sieved)
             manifest = json.loads(out.splitlines()[0])["manifest"]
             assert out == "".join(line + "\n" for line in driver.trace_to_jsonl(trace, manifest))
 

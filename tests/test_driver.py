@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from primediff import driver, increment, spectral
+from primediff import driver, energy, increment, spectral
 from primediff.driver import (
     Budget,
     DensityIncrement,
@@ -23,8 +23,6 @@ from primediff.driver import (
     StructureFound,
     Trace,
     TraceStep,
-    _correlations,
-    _recount_energy,
     certify,
     iterate_once,
     run,
@@ -32,7 +30,8 @@ from primediff.driver import (
 )
 from primediff.avoider import ForbiddenSet, greedy_avoiding
 from primediff.errors import CertificationError, DomainError, ResourceError
-from primediff.increment import DensitySet, energy_table
+from primediff.energy import EnergyTable, _correlations, _recount_energy, energy_table
+from primediff.increment import DensitySet
 
 from oracles import inner_products_naive, is_prime_naive
 
@@ -176,7 +175,8 @@ class TestIterateOnce:
         assert inc.met_guarantee
         assert inc.new_alpha >= A.alpha * 1.02
         assert out.new_d == out.q
-        got = np.isin(inc.progression.points(), A.elements).sum()
+        P = inc.progression
+        got = np.isin(np.arange(P.first, P.last() + 1, P.step), A.elements).sum()
         assert got == inc.intersection_count
         assert out.new_set.size == inc.intersection_count
 
@@ -189,7 +189,7 @@ class TestIterateOnce:
             calls.append(args)
             return arc_ranges(*args)
 
-        monkeypatch.setattr(spectral, "arc_ranges", counted)
+        monkeypatch.setattr(energy, "arc_ranges", counted)
         A = class_avoiding_set(3000)
         out, diag = iterate_once(A, 1, IterationConfig())
         assert isinstance(out, DensityIncrement)
@@ -204,8 +204,8 @@ class TestIterateOnce:
         def boom(q):
             raise AssertionError("euler_phi ran")
 
-        monkeypatch.setattr(driver, "_phi", np.zeros(0))
-        monkeypatch.setattr(driver, "euler_phi", boom)
+        monkeypatch.setattr(energy, "_phi", np.zeros(0))
+        monkeypatch.setattr(energy, "euler_phi", boom)
         config = IterationConfig(c_prime=1e-300, q_cap=10**9)
         with pytest.raises(ResourceError, match="^Farey arcs limited to a sum of levels q"):
             iterate_once(class_avoiding_set(3000), 1, config)
@@ -219,7 +219,7 @@ class TestLevelSelection:
 
     @staticmethod
     def stubbed(monkeypatch, star_at: dict, energy_at: dict | None = None):
-        """Stub driver.energy_table with E* from {q: E*} and E from
+        """Stub energy.energy_table with E* from {q: E*} and E from
         {q: E}, 0 at every other level; returns the tables it built."""
         built = []
 
@@ -228,10 +228,10 @@ class TestLevelSelection:
             for column, values in ((energy, energy_at or {}), (star, star_at)):
                 for q, value in values.items():
                     column[q - 1] = value
-            built.append(increment.EnergyTable(energy, star, 0.0, big_q))
+            built.append(EnergyTable(energy, star, 0.0, big_q))
             return built[-1]
 
-        monkeypatch.setattr(driver, "energy_table", stub)
+        monkeypatch.setattr(energy, "energy_table", stub)
         return built
 
     @pytest.fixture
@@ -274,7 +274,7 @@ class TestLevelSelection:
         def boom(*args, **kwargs):
             raise AssertionError("extraction ran on a shortfall")
 
-        monkeypatch.setattr(driver, "extract_progression", boom)
+        monkeypatch.setattr(energy, "extract_progression", boom)
         self.stubbed(monkeypatch, {6: 1.0}, {6: math.nextafter(0.08, 0.0)})
         out, diag = iterate_once(sparse_set, 1, IterationConfig())
         assert out == LargeDOrSmallAlpha("energy 0.08 below 0.08 at level q=6")
@@ -297,7 +297,7 @@ class TestLevelSelection:
                     increment.Progression(1, row.q, 10), 1, new_alpha, met
                 )
 
-            monkeypatch.setattr(driver, "extract_progression", weak)
+            monkeypatch.setattr(energy, "extract_progression", weak)
             out, diag = iterate_once(sparse_set, 1, IterationConfig())
             assert seen == [(6, 0.08, IterationConfig().c_len)]
             assert out.tag == "large_d_or_small_alpha"
@@ -427,7 +427,7 @@ def test_phi_is_computed_once_per_level(monkeypatch):
     a step asks for: over the 60 seeded inputs euler_phi runs at most once
     per level of the largest energy table, not once per level per step."""
     phis, tops = [], []
-    phi, table = driver.euler_phi, driver.energy_table
+    phi, table = energy.euler_phi, energy.energy_table
 
     def counted_phi(q):
         phis.append(q)
@@ -437,15 +437,15 @@ def test_phi_is_computed_once_per_level(monkeypatch):
         tops.append(q_top)
         return table(A, q_top, *args)
 
-    monkeypatch.setattr(driver, "_phi", np.zeros(0))
-    monkeypatch.setattr(driver, "euler_phi", counted_phi)
-    monkeypatch.setattr(driver, "energy_table", counted_table)
+    monkeypatch.setattr(energy, "_phi", np.zeros(0))
+    monkeypatch.setattr(energy, "euler_phi", counted_phi)
+    monkeypatch.setattr(energy, "energy_table", counted_table)
     for n, d, elements in _driver_inputs():
         run(DensitySet.from_iterable(n, elements), d, IterationConfig())
     assert len(tops) > 1 and len(phis) <= max(tops)
-    column = driver._phi
-    driver._phi_column(max(tops))
-    assert driver._phi is column  # long enough: read, not rebuilt
+    column = energy._phi
+    energy._phi_column(max(tops))
+    assert energy._phi is column  # long enough: read, not rebuilt
 
 
 class TestCertify:
@@ -525,7 +525,7 @@ class TestCertify:
         def inflated(f, m):
             return 1.5 * real(f, m)
 
-        monkeypatch.setattr(spectral, "grid_power", inflated)
+        monkeypatch.setattr(energy, "grid_power", inflated)
         trace = run(build(), 1, IterationConfig(), tables_small)
         assert any(s.outcome.tag == "density_increment" for s in trace.steps)
         with pytest.raises(CertificationError, match="energy recount"):
@@ -534,7 +534,7 @@ class TestCertify:
     def test_recount_shares_no_spectral_primitive(self, tables_small, monkeypatch):
         """certify passes a good trace with the producer's grid transform,
         arc ranges and level sums all made to raise; the producer reads
-        them from spectral at call time, so the same patches stop a run."""
+        them from energy at call time, so the same patches stop a run."""
         A = class_avoiding_set(3000)
         trace = run(A, 1, IterationConfig(), tables_small)
 
@@ -542,7 +542,7 @@ class TestCertify:
             raise AssertionError("certify called a producer primitive")
 
         for name in ("grid_power", "arc_ranges", "_level_energies"):
-            for module in (spectral, increment):
+            for module in (spectral, energy):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, boom)
         with pytest.raises(AssertionError, match="producer primitive"):
@@ -596,6 +596,15 @@ class TestCertify:
             with pytest.raises(CertificationError, match="step 1: reason 'd=4 above"):
                 certify(bad, tables_small)
 
+    def test_rejects_a_reason_that_is_not_text(self, tables_small):
+        """The d-ceiling step of {1} in [1, 100] at d = 4 with its reason
+        replaced by the int 7 is refused as a certification failure, not
+        by an AttributeError from reading the reason as text."""
+        trace = run(DensitySet.from_iterable(100, [1]), 4, IterationConfig(), tables_small)
+        bad = self._tampered(trace, outcome=LargeDOrSmallAlpha(7))
+        with pytest.raises(CertificationError, match="^step 1: reason 7 is not text$"):
+            certify(bad, tables_small)
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_rejects_a_step_with_d_below_1(self, d, tables_small):
         trace = run(avoiding_set(120, 2), 2, IterationConfig(), tables_small)
@@ -614,7 +623,7 @@ class TestCertify:
             sizes.append(m)
             return real(f, m)
 
-        monkeypatch.setattr(spectral, "grid_power", recorded)
+        monkeypatch.setattr(energy, "grid_power", recorded)
         A = class_avoiding_set(997)
         trace = run(A, 1, IterationConfig(), tables_small)
         assert sizes == [8000]
@@ -622,8 +631,8 @@ class TestCertify:
         step = trace.steps[0]
         cfg = trace.config
         big_q = cfg.dissection_q(cfg.n_prime(997, A.alpha), cfg.level_cutoff(997, 1, A.alpha))
-        energy = step.outcome.outcome.detail["energy"]
-        assert abs(_recount_energy(A, step.q, 8 * 997, big_q) - energy) > 1e-9 * max(1.0, energy)
+        e = step.outcome.outcome.detail["energy"]
+        assert abs(_recount_energy(A, step.q, 8 * 997, big_q) - e) > 1e-9 * max(1.0, e)
 
     def test_detects_fabricated_small_n(self, tables_small):
         A = DensitySet.from_iterable(3000, range(1, 3000, 3))
@@ -986,10 +995,10 @@ class TestCertifyBoundaries:
         inc = inc._replace(detail={**inc.detail, "energy": 0.0})
         step = step._replace(outcome=step.outcome._replace(outcome=inc))
         trace = increment._replace(steps=[step, *increment.steps[1:]])
-        monkeypatch.setattr(driver, "_recount_energy", lambda *args: 1e-9)
+        monkeypatch.setattr(energy, "_recount_energy", lambda *args: 1e-9)
         certify(trace)
         past = math.nextafter(1e-9, 1.0)
-        monkeypatch.setattr(driver, "_recount_energy", lambda *args: past)
+        monkeypatch.setattr(energy, "_recount_energy", lambda *args: past)
         with pytest.raises(CertificationError, match=f"^step 1: energy recount {past} != recorded 0.0$"):
             certify(trace)
 
@@ -1038,16 +1047,16 @@ class TestProducerBoundaries:
         the least float past it, where the new alpha falls one float short
         of alpha (1 + g), a weak extraction.  4 g = 1.33 stays below E = 7.47 at
         q = 1, so both steps try the extraction."""
-        real = driver.extract_progression
+        real = energy.extract_progression
 
         def first_2000(A, row, c_len):
             P = increment.Progression(1, row.q, 2000)
-            count = int(np.isin(P.points(), A.elements).sum())
+            count = int(np.isin(np.arange(P.first, P.last() + 1, P.step), A.elements).sum())
             return real(A, row, c_len)._replace(
                 progression=P, intersection_count=count, new_alpha=count / P.length
             )
 
-        monkeypatch.setattr(driver, "extract_progression", first_2000)
+        monkeypatch.setattr(energy, "extract_progression", first_2000)
         A = class_avoiding_set(3000)
         alpha, new_alpha = A.alpha, 16 / 2000
         g = new_alpha / alpha - 1.0
@@ -1105,7 +1114,7 @@ class TestEnergyRecount:
         child = (
             "import re\n"
             "import numpy as np\n"
-            "from primediff.driver import _recount_energy\n"
+            "from primediff.energy import _recount_energy\n"
             "from primediff.increment import DensitySet\n"
             "rng = np.random.default_rng(0)\n"
             "A = DensitySet(200_000, np.sort(rng.choice(200_000, size=5_000, replace=False) + 1))\n"
@@ -1159,7 +1168,7 @@ class TestCorrelations:
     def test_rows_in_blocks(self, block, monkeypatch):
         """With at most `block` pair differences formed at once (one row a
         block when block < |A|), the counts are the same."""
-        monkeypatch.setattr(driver, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(energy, "_PAIR_BLOCK", block)
         rng = np.random.default_rng(block)
         for _ in range(5):
             n = int(rng.integers(40, 120))

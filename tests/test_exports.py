@@ -1,6 +1,6 @@
 """The package's export lists name only things that exist, no helper is
-defined twice or left unread, and a CLI run loads only the layers its
-subcommand uses."""
+defined twice or left unread, numpy stays behind module boundaries, and a
+CLI run loads only the layers its subcommand uses."""
 
 import ast
 import collections
@@ -38,7 +38,10 @@ EXPORTS = """
 """.split()
 
 # the layers that only some subcommands run
-LAZY_LAYERS = {"primediff.driver", "primediff.increment", "primediff.mangoldt", "primediff.spectral"}
+LAZY_LAYERS = {
+    "primediff.driver", "primediff.energy", "primediff.increment", "primediff.mangoldt",
+    "primediff.spectral",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -91,13 +94,15 @@ def test_a_bare_import_serves_each_layer(monkeypatch):
 
 def test_no_top_level_name_is_defined_twice():
     """Each top-level function or class has one home module: a second
-    definition of the same name is a copy to fold into the first."""
+    definition of the same name is a copy to fold into the first.  PEP 562
+    module hooks (__getattr__, __dir__) are one per module by design."""
     homes = collections.defaultdict(list)
     for path in sorted(pathlib.Path(primediff.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 homes[node.name].append(path.name)
-    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+    hooks = ("__getattr__", "__dir__")
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1 and name not in hooks} == {}
 
 
 def _unread(kept) -> list[str]:
@@ -198,6 +203,68 @@ def test_no_module_imports_dataclasses_or_typing():
     assert imports == []
 
 
+# the modules that import no numpy, and those that import it at their top
+NUMPY_FREE = {"__init__", "arith", "avoider", "cli", "driver", "errors", "increment"}
+NUMPY_LAYERS = {"csvtext", "energy", "mangoldt", "spectral", "tables"}
+
+# each import of a numpy layer from a numpy-free module: (module, the
+# function it sits in, the layer).  Everything else a numpy-free module
+# imports is numpy-free, so a process that takes none of these routes
+# loads no numpy code.
+HOPS = {
+    ("arith", "__getattr__", "tables"),  # arith.build_tables and the other moved names
+    ("avoider", "ForbiddenSet.build", "tables"),  # _shifted_primes, past the bitmap
+    ("increment", "DensitySet.array", "energy"),
+    ("increment", "DensitySet.balanced", "energy"),
+    ("increment", "__getattr__", "energy"),  # increment.energy_table and the rest
+    ("driver", "IterationConfig.grid_size", "spectral"),
+    ("driver", "iterate_once", "energy"),  # the energy step, past the d ceiling
+    ("driver", "certify", "energy"),  # an increment's recount
+    ("cli", "_parse_at", "spectral"),
+    ("cli", "_cmd_sieve", "csvtext"),
+    ("cli", "_cmd_sieve", "tables"),
+    ("cli", "_cmd_lambda", "mangoldt"),
+    ("cli", "_cmd_lambda", "tables"),
+    ("cli", "_cmd_spectrum", "csvtext"),
+    ("cli", "_cmd_spectrum", "mangoldt"),
+    ("cli", "_cmd_spectrum", "tables"),
+}
+
+
+def _imports(node, scope=None):
+    """(qualified name of the enclosing function or class, or None at the
+    top, imported module name) for each import under node; `from . import
+    x` imports x."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _imports(child, f"{scope}.{child.name}" if scope else child.name)
+        elif isinstance(child, ast.Import):
+            yield from ((scope, alias.name) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            names = [alias.name for alias in child.names] if child.module is None else [child.module]
+            yield from ((scope, name) for name in names)
+        else:
+            yield from _imports(child, scope)
+
+
+def test_numpy_stays_behind_module_boundaries():
+    """The import graph, read from the source: numpy is imported at the top
+    of each numpy layer and nowhere else, and a numpy-free module imports a
+    numpy layer only inside a function, at one of the hops HOPS names."""
+    paths = sorted(pathlib.Path(primediff.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == NUMPY_FREE | NUMPY_LAYERS
+    numpy_imports, hops = set(), set()
+    for path in paths:
+        for scope, target in _imports(ast.parse(path.read_text())):
+            root = target.split(".")[0]
+            if root == "numpy":
+                numpy_imports.add((path.stem, scope))
+            elif path.stem in NUMPY_FREE and root in NUMPY_LAYERS:
+                hops.add((path.stem, scope, root))
+    assert numpy_imports == {(layer, None) for layer in NUMPY_LAYERS}
+    assert hops == HOPS
+
+
 def loaded_after(code):
     """Sorted primediff.* modules in a fresh interpreter after it runs
     `code`."""
@@ -244,51 +311,9 @@ def test_search_and_table_commands_skip_analytic_layers():
     assert not LAZY_LAYERS & set(loaded), f"extremal, psi and sieve loaded {loaded}"
 
 
-def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
-    """Exact search, its branch-and-bound fallback, first fit and
-    random-local while d (n - 1) + 1 <= TABLE_CAP, psi, and iterate runs
-    whose steps end before the energy step (at small_alpha, and at
-    structure_found from a set file) run on bytes, ints and tuples:
-    importing avoider and running them leaves numpy unloaded, and as every
-    record is a namedtuple, the runs, iterate's too, load neither
-    dataclasses nor inspect."""
-    path = tmp_path / "set.txt"
-    path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7: structure_found
-    runs = [
-        ["extremal", "--n", "88", "--d", "1", "--mode", "exact", "--budget", "3000000"],
-        ["extremal", "--n", "40", "--d", "1", "--mode", "exact", "--budget", "3"],
-        ["extremal", "--n", "65535", "--d", "1", "--mode", "greedy"],
-        ["extremal", "--n", "100000", "--d", "1", "--mode", "greedy"],
-        ["extremal", "--n", "3000", "--d", "1", "--mode", "random-local", "--seed", "1"],
-        ["psi", "--x", "1000000", "--q", "4", "--a", "1"],
-    ]
-    iterate_runs = [
-        ["iterate", "--greedy", "--n", "100000"],
-        ["iterate", "--input", str(path), "--n", "100", "--d", "2"],
-    ]
-    code = (
-        "import primediff.avoider\n"
-        "assert 'numpy' not in sys.modules\n"
-        "from primediff import cli\n"
-        "out, err = io.StringIO(), io.StringIO()\n"
-        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
-        "    early = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
-        f"    codes += [cli.main(argv) for argv in {iterate_runs!r}]\n"
-        "late = [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules]\n"
-        "assert codes == [0] * len(codes), codes\n"
-        "assert (early, late) == ([], []), (early, late)\n"
-        "ends = [line for line in err.getvalue().splitlines() if line.startswith('terminal')]\n"
-        "assert ends == ['terminal: small_alpha ok', 'terminal: structure_found ok'], ends\n"
-    )
-    loaded = loaded_after(code)
-    assert loaded == ["primediff", "primediff.arith", "primediff.avoider", "primediff.cli",
-                      "primediff.driver", "primediff.errors", "primediff.increment"], loaded
-
-
 def test_psi_runs_import_no_numpy():
     """psi sums over the prime bitmap: its runs, and its refusal of x past
-    TABLE_CAP, leave numpy unloaded and load arith alone."""
+    TABLE_CAP, leave numpy unloaded and load arith alone, not tables."""
     runs = [
         ["psi", "--x", "1000000", "--q", "4", "--a", "1"],
         ["psi", "--x", "10", "--q", "1", "--a", "0"],
@@ -303,3 +328,45 @@ def test_psi_runs_import_no_numpy():
     )
     loaded = loaded_after(code)
     assert loaded == ["primediff", "primediff.arith", "primediff.cli", "primediff.errors"], loaded
+
+
+def test_exact_and_bitmap_greedy_runs_import_no_numpy(tmp_path):
+    """The witness of test_numpy_stays_behind_module_boundaries, in a fresh
+    interpreter.  Exact search, its branch-and-bound fallback, first fit and
+    random-local while d (n - 1) + 1 <= TABLE_CAP, and iterate runs whose
+    steps end before the energy step (at small_alpha, and at
+    structure_found from a set file) run on bytes, ints and tuples: they
+    load neither tables, energy nor numpy, and, as every record is a
+    namedtuple, neither dataclasses nor inspect."""
+    path = tmp_path / "set.txt"
+    path.write_text("1\n4\n10\n60\n")  # 4 - 1 = 3 and 2 * 3 + 1 = 7: structure_found
+    runs = [
+        ["extremal", "--n", "88", "--d", "1", "--mode", "exact", "--budget", "3000000"],
+        ["extremal", "--n", "40", "--d", "1", "--mode", "exact", "--budget", "3"],
+        ["extremal", "--n", "65535", "--d", "1", "--mode", "greedy"],
+        ["extremal", "--n", "100000", "--d", "1", "--mode", "greedy"],
+        ["extremal", "--n", "3000", "--d", "1", "--mode", "random-local", "--seed", "1"],
+    ]
+    iterate_runs = [
+        ["iterate", "--greedy", "--n", "100000"],
+        ["iterate", "--input", str(path), "--n", "100", "--d", "2"],
+    ]
+    code = (
+        "from primediff import cli\n"
+        "unloaded = ('numpy', 'dataclasses', 'inspect', 'primediff.tables', 'primediff.energy')\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    import primediff.avoider\n"
+        "    avoider = [m for m in unloaded if m in sys.modules]\n"
+        f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "    early = [m for m in unloaded if m in sys.modules]\n"
+        f"    codes += [cli.main(argv) for argv in {iterate_runs!r}]\n"
+        "late = [m for m in unloaded if m in sys.modules]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "assert (avoider, early, late) == ([], [], []), (avoider, early, late)\n"
+        "ends = [line for line in err.getvalue().splitlines() if line.startswith('terminal')]\n"
+        "assert ends == ['terminal: small_alpha ok', 'terminal: structure_found ok'], ends\n"
+    )
+    loaded = loaded_after(code)
+    assert loaded == ["primediff", "primediff.arith", "primediff.avoider", "primediff.cli",
+                      "primediff.driver", "primediff.errors", "primediff.increment"], loaded

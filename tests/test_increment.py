@@ -7,12 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from primediff import increment, spectral
+from primediff import energy, increment, spectral
 from primediff.errors import DomainError, PreconditionError
-from primediff.increment import (
-    DensitySet,
-    EnergyStats,
-    Progression,
+from primediff.energy import (
     _best_inside,
     _level_energies,
     averaging_projection,
@@ -20,6 +17,7 @@ from primediff.increment import (
     extract_progression,
     rescale,
 )
+from primediff.increment import DensitySet, EnergyStats, Progression
 from primediff.spectral import grid_power
 
 from oracles import arc_numerators_naive, window_count_naive
@@ -91,7 +89,7 @@ class TestDensitySet:
 class TestProgression:
     def test_points(self):
         P = Progression(3, 4, 3)
-        assert P.points().tolist() == [3, 7, 11]
+        assert list(range(P.first, P.last() + 1, P.step)) == [3, 7, 11]
         assert P.last() == 11
         assert P.within(11) and not P.within(10)
 
@@ -290,7 +288,7 @@ class TestEnergyTable:
             sizes.append(m)
             return real(f, m)
 
-        monkeypatch.setattr(spectral, "grid_power", recorded)
+        monkeypatch.setattr(energy, "grid_power", recorded)
         A = DensitySet.from_iterable(40, [1, 5, 9])
         table = energy_table(A, 3, 10, 400)
         assert sizes == [400]
@@ -397,7 +395,7 @@ class TestRescale:
             length = int(rng.integers(1, (A.n - 1) // step + 2))
             first = int(rng.integers(1, A.n - (length - 1) * step + 1))
             P = Progression(first, step, length)
-            hits = np.flatnonzero(np.isin(P.points(), A.elements)) + 1
+            hits = np.flatnonzero(np.isin(np.arange(P.first, P.last() + 1, P.step), A.elements)) + 1
             if hits.size == 0:
                 misses += 1
                 with pytest.raises(PreconditionError, match="misses A"):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from primediff import cli, mangoldt
-from primediff.arith import TABLE_CAP, ExceptionalDatum, euler_phi, psi, tau
+from primediff.arith import TABLE_CAP, euler_phi, psi
+from primediff.tables import ExceptionalDatum, tau
 from primediff.errors import DomainError, PreconditionError, ResourceError
 from primediff.mangoldt import (
     MangoldtWeight,
