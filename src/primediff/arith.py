@@ -8,8 +8,8 @@ numpy code only by a lazy import of one of the others, inside the function
 that needs it, and tests/test_exports.py names each such hop.  The sieve
 tables, exponential sums and Dirichlet characters live in tables, whose
 public names this module answers too (PEP 562): `arith.build_tables`
-loads tables on first access.  Primality comes from one grow-only bitmap
-of the sieve (_prime_bitmap), which psi and avoider's forbidden sets read.
+loads tables on first access.  Primality to a bound comes from the one
+grow-only bitmap of the sieve (_prime_bitmap), which every reader shares.
 """
 
 from __future__ import annotations
@@ -61,30 +61,36 @@ def check_integers(values) -> tuple:
     return tuple(ints)
 
 
-def _prime_flags(n: int) -> bytearray:
-    """flags[k] = 1 iff k is prime, else 0, for k = 0..n (n >= 1), by a
-    plain sieve in a bytearray: the package's one sieve, which imports no
-    numpy."""
-    flags = bytearray(b"\x01") * (n + 1)
-    flags[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes((n - p * p) // p + 1)
-    return flags
-
-
 _bitmap = b""  # _prime_bitmap's flags, grown to the largest top asked for
 
 
 def _prime_bitmap(top: int) -> bytes:
     """flags[v] = 1 iff v is prime, else 0, for v = 0..top at least
-    (top >= 1): _prime_flags as bytes.  One grow-only entry: a call past
-    its end sieves it again to the new top, and every call up to its end
-    reads the same object."""
+    (top >= 1), by a plain sieve in a bytearray: the package's one sieve,
+    which imports no numpy.  One grow-only entry: a call past its end
+    sieves it again to the new top, and every call up to its end reads
+    the same object."""
     global _bitmap
     if len(_bitmap) <= top:
-        _bitmap = bytes(_prime_flags(top))
+        flags = bytearray(b"\x01") * (top + 1)
+        flags[:2] = b"\x00\x00"
+        zeros = memoryview(bytes(top // 2))  # the longest run struck, p = 2
+        for p in range(2, math.isqrt(top) + 1):
+            if flags[p]:
+                flags[p * p :: p] = zeros[: (top - p * p) // p + 1]
+        _bitmap = bytes(flags)
     return _bitmap
+
+
+def _prime_powers(top: int):
+    """(p, p^k) for each prime p and k >= 2 with p^k <= top, in order of
+    p, then k: so p <= sqrt(top), read from the bitmap."""
+    root = math.isqrt(top)
+    for p in compress(range(root + 1), _prime_bitmap(root)[: root + 1]):
+        power = p * p
+        while power <= top:
+            yield p, power
+            power *= p
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -186,14 +192,7 @@ def psi(x: float, q: int, a: int) -> float:
     else:
         two, step = (), q
     primes = chain(two, compress(range(start, top + 1, step), bitmap[start : top + 1 : step]))
-    root = math.isqrt(top)
-    powers = []  # log p for each p^k ≡ a (mod q), k >= 2
-    for p in compress(range(root + 1), bitmap[: root + 1]):
-        power = p * p
-        while power <= top:
-            if power % q == a0:
-                powers.append(math.log(p))
-            power *= p
+    powers = [math.log(p) for p, power in _prime_powers(top) if power % q == a0]
     return math.fsum(chain(map(math.log, primes), powers))
 
 

@@ -7,9 +7,9 @@ or the output path, stays out of the manifest, and the timestamp can be pinned
 with --timestamp.  Manifest placement by format: CSV and plain-value
 outputs get a trailing `# manifest: {...}` comment line, JSON objects carry
 a "manifest" key, JSON-lines traces carry it in the header record.
-Sieve tables are built only where they are read (sieve, lambda,
-spectrum); psi sums over the prime bitmap, and extremal and iterate build
-their forbidden sets from it or from a sieve of their own.  This module
+Sieve tables are built only by sieve; psi, lambda and spectrum read
+Lambda from the prime bitmap, and extremal and iterate build their
+forbidden sets from it or from a sieve of their own.  This module
 imports no numpy (see arith), and each command imports the layers it runs
 itself: psi, extremal and iterate import numpy-free layers alone.
 datetime is imported only when no --timestamp is given.  A console
@@ -120,10 +120,8 @@ def _cmd_psi(args) -> None:
 
 def _cmd_lambda(args) -> None:
     from .mangoldt import MangoldtWeight
-    from .tables import build_tables
 
-    tables = build_tables(args.d * args.n + 1)
-    weight = MangoldtWeight.from_tables(args.n, args.d, tables)
+    weight = MangoldtWeight.build(args.n, args.d)
     z = weight.hat(args.at)
     manifest = _manifest(
         "lambda",
@@ -140,7 +138,7 @@ def _cmd_lambda(args) -> None:
 def _cmd_spectrum(args) -> None:
     from .csvtext import column_range, csv_blocks
     from .mangoldt import spectrum_report
-    from .tables import ExceptionalDatum, build_tables
+    from .tables import ExceptionalDatum
 
     if args.grid_factor < 1:
         raise DomainError(f"grid factor must be >= 1, got {args.grid_factor}")
@@ -150,9 +148,8 @@ def _cmd_spectrum(args) -> None:
     if args.exc_modulus is not None:
         exceptional = ExceptionalDatum(args.exc_modulus, args.exc_beta)
 
-    tables = build_tables(args.d * args.n + 1)
     m = args.grid_factor * args.n
-    report = spectrum_report(args.n, args.d, args.q_prime, args.big_q, m, tables, exceptional)
+    report = spectrum_report(args.n, args.d, args.q_prime, args.big_q, m, exceptional)
 
     params = {
         "n": args.n,

@@ -25,7 +25,7 @@ from .arith import check_budget, euler_phi, psi
 from .errors import DomainError, PreconditionError
 from .spectral import arc_ranges, dirichlet_approx_grid, grid_power
 from .spectral import transform_at, unfold
-from .tables import ArithTables, ExceptionalDatum, tau
+from .tables import ExceptionalDatum, _mangoldt_column, tau
 
 __all__ = [
     "MangoldtWeight",
@@ -40,18 +40,17 @@ __all__ = [
 
 
 class MangoldtWeight(namedtuple("MangoldtWeight", "n d values")):
-    """Lambda(d x + 1) on x in [1, n]: values[x - 1], read from the
-    tables' mangoldt column at stride d."""
+    """Lambda(d x + 1) on x in [1, n]: values[x - 1], the Lambda column
+    of d + 1, 2d + 1, ..., d n + 1 read from the prime bitmap."""
 
     __slots__ = ()
 
     @classmethod
-    def from_tables(cls, n: int, d: int, tables: ArithTables) -> "MangoldtWeight":
+    def build(cls, n: int, d: int) -> "MangoldtWeight":
         if n < 1 or d < 1:
             raise DomainError(f"need n, d >= 1, got n={n}, d={d}")
-        tables.check_range(d * n + 1)
-        vals = tables.mangoldt[d + 1 : d * n + 2 : d].astype(np.float64)
-        return cls(n, d, vals)
+        check_budget(d * n + 1, "tables limited to n_max")
+        return cls(n, d, _mangoldt_column(n, d, d + 1))
 
     def hat(self, point) -> complex:
         return transform_at(self.values, point)
@@ -63,7 +62,7 @@ class MangoldtWeight(namedtuple("MangoldtWeight", "n d values")):
 def lambda_hat_rational(n: int, d: int, a: int, q: int) -> complex:
     """Transform of the weight at a/q through progression partial sums,
     an independent route from direct summation over the support: psi
-    reads the prime bitmap, not the tables' mangoldt column."""
+    sums log p over each progression's primes, not the weight's values."""
     if n < 1 or d < 1 or q < 1:
         raise DomainError(f"need n, d, q >= 1, got n={n}, d={d}, q={q}")
     x = d * n + 1
@@ -182,12 +181,12 @@ def _check_dissection(q_prime: int, big_q: int) -> None:
 
 
 def _weight_mass(
-    n: int, d: int, q_prime: int, big_q: int, m: int, tables: ArithTables
+    n: int, d: int, q_prime: int, big_q: int, m: int
 ) -> tuple[MangoldtWeight, float]:
     """The weight and its mass Lambda_hat(0), after the checks that refuse
     an input before its power grid is built, in this order: the grid budget
     (grid_power's own), the dissection (Q > 2 Q') and a positive mass."""
-    weight = MangoldtWeight.from_tables(n, d, tables)
+    weight = MangoldtWeight.build(n, d)
     check_budget(m, "spectrum grid limited to M")
     _check_dissection(q_prime, big_q)
     hat_zero = weight.hat_zero()
@@ -202,7 +201,6 @@ def spectrum_report(
     q_prime: int,
     big_q: int,
     m: int,
-    tables: ArithTables,
     exceptional: ExceptionalDatum | None = None,
 ) -> SpectrumReport:
     """Measured |Lambda_hat(k/M)| at every grid point against the class
@@ -212,7 +210,7 @@ def spectrum_report(
     A point is major when k/M lies in a major arc |theta - a/q| <= 1/(qQ),
     q <= Q', and then carries that arc's a/q; otherwise it carries the last
     convergent of the exact fraction k/M with denominator <= Q."""
-    weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
+    weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m)
     _check_exceptional(d, exceptional)
     try:  # the minor bound refuses n < 2 and N Q past the float range: before any grid
         vinogradov_bound(n, d, 1, big_q)
@@ -260,12 +258,11 @@ def major_sup_ratio(
     q_prime: int,
     big_q: int,
     grid_factor: int,
-    tables: ArithTables,
 ) -> float:
     """max over q <= Q' and star-arc grid points of
     phi(q) |Lambda_hat(theta)| / Lambda_hat(0), on the M = grid_factor * n grid."""
     m = grid_factor * n
-    weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m, tables)
+    weight, hat_zero = _weight_mass(n, d, q_prime, big_q, m)
     power = grid_power(weight.values, m)
     q, a, lo, hi, star = arc_ranges(m, q_prime, big_q)
     star = star & (lo <= hi)

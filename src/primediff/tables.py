@@ -1,10 +1,10 @@
 """Sieve tables, exponential sums over residues, Dirichlet characters and
 character sums: arith's arithmetic on numpy arrays.
 
-One ArithTables instance, built once per run by a sieve, holds the dense
-tables downstream reads.  ramanujan and tau are normatively DIRECT sums;
-tau_closed_form is a separate route, so their agreement stays a checkable
-statement.  _shifted_primes is avoider's sieve of the values d s + 1.
+One builder on arith's prime bitmap, _mangoldt_column, makes every Lambda
+array.  ramanujan and tau are normatively DIRECT sums; tau_closed_form
+is a separate route, so their agreement stays a checkable statement.
+_shifted_primes is avoider's sieve of the values d s + 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from . import _EXPORTS
-from .arith import _factorize, _prime_flags, check_budget, euler_phi, psi
+from .arith import _factorize, _prime_bitmap, _prime_powers, check_budget, euler_phi, psi
 from .errors import DomainError, PreconditionError, ResourceError
 
 __all__ = list(_EXPORTS["tables"])
@@ -26,8 +26,8 @@ __all__ = list(_EXPORTS["tables"])
 # ---------------------------------------------------------------------------
 # tables
 
-# longest block the mobius/phi recurrence fills in one numpy pass, and most
-# primes build_tables takes Lambda(p) of at a time; bounds their temporaries
+# longest block the mobius/phi recurrence fills in one numpy pass, and
+# _mangoldt_column scans for primes at once; bounds their temporaries
 _SIEVE_BLOCK = 1 << 16
 
 # most angle entries _character_table computes in one pass; bounds its
@@ -44,7 +44,8 @@ class ArithTables:
     mobius int8 and phi int64.  build_tables fills mangoldt only; the first
     read of spf sieves and stores it, and the first read of mobius or phi
     computes and stores both (_mobius_phi, from spf), so a caller that never
-    reads them never pays for them.  A plain class: cached_property stores
+    reads them never pays for them.  It serves sieve, the character route
+    and library callers only.  A plain class: cached_property stores
     each table in the instance __dict__, which vars() reads.
     """
 
@@ -97,9 +98,28 @@ def _mobius_phi(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    """The primes <= n, ascending, read from _prime_flags through
+    """The primes <= n, ascending, read from the prime bitmap through
     np.frombuffer."""
-    return np.flatnonzero(np.frombuffer(_prime_flags(n), dtype=bool))
+    return np.flatnonzero(np.frombuffer(_prime_bitmap(n), dtype=bool)[: n + 1])
+
+
+def _mangoldt_column(count: int, d: int, b: int) -> np.ndarray:
+    """Lambda(d j + b) for j in [0, count), 0 <= b <= d + 1, float64, from
+    the prime bitmap: log p by math.log (np.log is 1 ulp off at some
+    primes) at the primes of the column, _SIEVE_BLOCK entries at a time,
+    then log p at each p^k of the column with k >= 2 (_prime_powers),
+    which as p^k >= 4 lies at j >= 0."""
+    top = d * (count - 1) + b
+    flags = np.frombuffer(_prime_bitmap(top), dtype=bool)[b : top + 1 : d]
+    column = np.zeros(count, dtype=np.float64)
+    for lo in range(0, count, _SIEVE_BLOCK):
+        at = np.flatnonzero(flags[lo : lo + _SIEVE_BLOCK]) + lo
+        primes = (at * d + b).tolist()
+        column[at] = np.fromiter(map(math.log, primes), np.float64, len(primes))
+    for p, power in _prime_powers(top):
+        if (power - b) % d == 0:
+            column[(power - b) // d] = math.log(p)
+    return column
 
 
 def _shifted_primes(n: int, d: int) -> np.ndarray:
@@ -135,41 +155,22 @@ def _smallest_prime_factors(n_max: int) -> np.ndarray:
     """spf on [0, n_max], int32: spf[p p::p] = p for the primes p <=
     sqrt(n_max) in descending order, as the smallest prime factor p of a
     composite n has p^2 <= n and is written last; then spf[p] = p for the
-    entries left 0 past 1."""
+    primes p <= n_max (spf[0] = spf[1] = 0 stay)."""
     spf = np.zeros(n_max + 1, dtype=np.int32)
     for p in _primes_upto(math.isqrt(n_max))[::-1].tolist():
         spf[p * p :: p] = p
-    primes = np.flatnonzero(spf == 0)[2:]  # spf[0] = spf[1] = 0 stay
+    primes = _primes_upto(n_max)
     spf[primes] = primes
     return spf
 
 
 def build_tables(n_max: int) -> ArithTables:
-    """Lambda from the primes of one boolean sieve (_primes_upto).
-
-    Lambda(p) = log p by math.log (np.log is 1 ulp off at some primes),
-    _SIEVE_BLOCK primes at a time, then Lambda(p^k) = Lambda(p) for
-    k >= 2, one numpy pass per exponent over the primes p <= sqrt(n_max)
-    with p^k <= n_max.
+    """Lambda on [0, n_max] from the prime bitmap (_mangoldt_column).
     spf, mobius and phi are left to their first read (see ArithTables)."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     check_budget(n_max, "tables limited to n_max")
-    primes = _primes_upto(n_max)
-    small = primes[: np.searchsorted(primes, math.isqrt(n_max), side="right")]
-
-    mangoldt = np.zeros(n_max + 1, dtype=np.float64)
-    for lo in range(0, primes.size, _SIEVE_BLOCK):
-        block = primes[lo : lo + _SIEVE_BLOCK]
-        mangoldt[block] = np.fromiter(map(math.log, block.tolist()), np.float64, len(block))
-    base, power = small, small * small
-    while power.size:
-        mangoldt[power] = mangoldt[base]
-        power *= base
-        keep = power <= n_max
-        base, power = base[keep], power[keep]
-
-    return ArithTables(n_max=n_max, mangoldt=mangoldt)
+    return ArithTables(n_max=n_max, mangoldt=_mangoldt_column(n_max + 1, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +374,9 @@ def psi_chi(x: float, chi: DirichletCharacter, tables: ArithTables) -> complex:
 def verify_inversion(x: float, q: int, a: int, tables: ArithTables) -> float:
     """|psi(x; q, a) - (1/phi(q)) sum_chi conj(chi(a)) psi(x, chi)|.
 
-    The two routes share no Lambda: psi reads the prime bitmap, and the
-    psi(x, chi) read tables.mangoldt.  For gcd(a, q) = 1 orthogonality
+    Both routes read Lambda from the prime bitmap, and the identity holds
+    for any weight, so this checks the characters; Lambda itself is held
+    against a trial-division oracle.  For gcd(a, q) = 1 orthogonality
     makes this vanish up to rounding.  For non-unit a every chi(a) is 0,
     so the discrepancy equals the direct class mass itself; callers that
     want the identity should stay on units.

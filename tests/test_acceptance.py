@@ -103,13 +103,13 @@ class TestAcceptance:
             f"worst relative discrepancy {worst:.3e}, {elapsed:.2f}s",
         )
 
-    def test_04_transform_identity(self, tables_small):
+    def test_04_transform_identity(self):
         """Character-route rational transforms equal direct evaluation for
         n = 2000, d in {1, 2, 6}, all a/q with q <= 20."""
         n = 2000
         worst = 0.0
         for d in (1, 2, 6):
-            weight = MangoldtWeight.from_tables(n, d, tables_small)
+            weight = MangoldtWeight.build(n, d)
             for q in range(1, 21):
                 for a in range(q):
                     direct = weight.hat(TorusPoint.rational(a, q))
@@ -147,14 +147,14 @@ class TestAcceptance:
             worst = max(worst, rel)
         _report(6, worst <= 1e-9, f"worst relative error {worst:.3e}")
 
-    def test_07_major_arc_concentration(self, tables_million):
+    def test_07_major_arc_concentration(self):
         """Normalized major-arc sup of the weight transform is grid-stable
         and stays under the frozen regression bound."""
         # Calibration pre-run (frozen): n = 1e5, d = 1, Q' = 50,
         # Q = 2000 = n / Q' gave 1.197146 at grid factor 8 and 1.199250 at
         # 16; the bound 1.26 leaves five percent headroom over the larger.
-        r8 = major_sup_ratio(100_000, 1, 50, 2000, 8, tables_million)
-        r16 = major_sup_ratio(100_000, 1, 50, 2000, 16, tables_million)
+        r8 = major_sup_ratio(100_000, 1, 50, 2000, 8)
+        r16 = major_sup_ratio(100_000, 1, 50, 2000, 16)
         gap = abs(r8 - r16) / min(r8, r16)
         _report(
             7,

@@ -200,11 +200,12 @@ class TestLeanTables:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
     def test_lambda_is_filled_in_blocks(self):
-        """build_tables(TABLE_CAP) takes log p of _SIEVE_BLOCK primes at a
-        time: a fresh interpreter building the tables peaks below 70 MB
-        resident (62 MB measured; 91 MB when one Python list held all
-        283,146 primes' logs, and 79 MB in blocks while spf was built too).
-        The child reads the peak of its own address space (VmHWM)."""
+        """build_tables(TABLE_CAP) takes log p of the primes of
+        _SIEVE_BLOCK column entries at a time: a fresh interpreter building
+        the tables peaks below 70 MB resident (65.6 MB measured, the prime
+        bitmap of 4 MB kept; 91 MB when one Python list held all 283,146
+        primes' logs, and 79 MB in blocks while spf was built too).  The
+        child reads the peak of its own address space (VmHWM)."""
         child = (
             "import re\n"
             "from primediff.arith import TABLE_CAP, build_tables\n"

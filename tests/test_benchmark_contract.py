@@ -66,7 +66,7 @@ def test_counter_attributes_exist():
     arrays = [v for v in vars(tables).values() if isinstance(v, np.ndarray)]
     assert sum(v.nbytes for v in arrays) == tables.mangoldt.nbytes == 202 * 8
 
-    assert len(spectrum_report(200, 1, 5, 30, 1600, tables)) == 1600
+    assert len(spectrum_report(200, 1, 5, 30, 1600)) == 1600
 
     A = DensitySet.from_iterable(300, range(1, 301, 7))
     table = energy_table(A, 12, 40)

@@ -5,6 +5,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -145,6 +146,44 @@ class TestLambdaCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(f"error: argument --at: invalid _parse_at value: '{at}'")
+
+
+def test_weight_commands_build_no_tables(capsys, monkeypatch):
+    """lambda and spectrum read Lambda(d x + 1) from the prime bitmap: both
+    run with a build_tables that raises."""
+
+    def boom(n_max):
+        raise AssertionError("build_tables ran")
+
+    monkeypatch.setattr(tables, "build_tables", boom)
+    for argv in (["lambda", "--n", "500", "--d", "3", "--at", "1/3"],
+                 ["spectrum", "--n", "500", "--d", "3", "--q-prime", "4", "--big-q", "40"]):
+        code, out, err = run_cli(argv + ["--timestamp", "T"], capsys)
+        assert code == 0 and err == "" and out.splitlines()[-1].startswith("# manifest: ")
+
+
+@pytest.mark.parametrize(
+    "command, tail",
+    [("lambda", ["--at", "1/3"]), ("spectrum", ["--q-prime", "1", "--big-q", "3"])],
+)
+def test_weight_refusals_at_the_edges(command, tail, capsys):
+    """lambda and spectrum at every n, d in {-1, 0, 1, 2, TABLE_CAP,
+    2^63 - 1}: each run succeeds in silence or exits 3 with one error
+    line.  n or d below 1 is refused as such, whatever d n + 1 is, and
+    d n + 1 past TABLE_CAP as the weight's budget."""
+    edges = (-1, 0, 1, 2, TABLE_CAP, 2**63 - 1)
+    for n, d in itertools.product(edges, repeat=2):
+        argv = [command, "--n", str(n), "--d", str(d), *tail, "--timestamp", "T"]
+        code, out, err = run_cli(argv, capsys)
+        if n < 1 or d < 1:
+            assert err == f"error: need n, d >= 1, got n={n}, d={d}\n", argv
+        elif d * n + 1 > TABLE_CAP:
+            assert err == f"error: tables limited to n_max <= {TABLE_CAP}, got {d * n + 1}\n", argv
+        if code == 0:
+            assert err == "", argv
+        else:
+            assert code == 3 and out == "", argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
 
 
 @pytest.mark.parametrize(

@@ -224,7 +224,6 @@ HOPS = {
     ("cli", "_cmd_sieve", "csvtext"),
     ("cli", "_cmd_sieve", "tables"),
     ("cli", "_cmd_lambda", "mangoldt"),
-    ("cli", "_cmd_lambda", "tables"),
     ("cli", "_cmd_spectrum", "csvtext"),
     ("cli", "_cmd_spectrum", "mangoldt"),
     ("cli", "_cmd_spectrum", "tables"),
