@@ -36,6 +36,7 @@ from .errors import DomainError, PreconditionError, ResourceError
 __all__ = [
     "ForbiddenSet",
     "SearchResult",
+    "find_forbidden_pair",
     "greedy_avoiding",
     "is_avoiding",
     "max_avoiding_exact",

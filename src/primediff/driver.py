@@ -1,7 +1,9 @@
 """Density-increment iteration: case analysis, trace, certification.
 
-One step inspects a set A of density alpha in [1, N] with difference
-parameter d and lands in exactly one of five outcomes:
+One step, iterate_once, inspects a set A of density alpha in [1, N] with
+difference parameter d and lands in exactly one of five outcomes; it is
+the whole case analysis, the energy step included, and energy lends it
+numerics only:
 
   StructureFound       a realized difference s has d s + 1 prime
   SmallN               N fell below the working floor
@@ -16,11 +18,13 @@ set snapshots by certify(), which never trusts transforms: intersection
 counts are recounted elementwise, primality is re-established by
 Miller-Rabin, a step past the pair search has its set searched again, a
 step stopped by the d ceiling has d above it, an increment has d at or
-below it, d-chains and rescalings are recomputed, and an increment's
-recorded arc energy is recounted from the set's exact pair differences
-against closed-form arc kernels, sharing neither grid_power nor arc_ranges
-with the step that produced it.  The run as a whole is checked too: where
-it starts, that only increments are followed by a step, and its terminal.
+below it, d-chains are recomputed, rescalings are rebuilt from the
+snapshot by the certifier's own arithmetic, not rescale, and an
+increment's recorded arc energy is recounted from the set's exact pair
+differences against closed-form arc kernels, sharing neither grid_power
+nor arc_ranges with the step that produced it.  The run as a whole is
+checked too: where it starts, that only increments are followed by a
+step, and its terminal.
 Producer and recount read one grid size, IterationConfig.grid_size: the
 least 5-smooth M >= grid_factor N.
 
@@ -28,16 +32,17 @@ A step searches pairs on the int bitset of its set's elements (avoider's
 _mask and _pair_in_mask), which a DensitySet holds ascending and distinct,
 so nothing is sorted or deduplicated again, and a trace snapshot is the
 elements tuple itself.  This module imports no numpy (see arith): a step
-past the d ceiling, and certify's recount of an increment, import energy
-where they run.  A run whose steps all end at small_n, small_alpha,
-structure_found or the d ceiling, and its certification, load no numpy.
+that reaches the energy table, and certify's recount of an increment,
+import energy where they run.  A run whose steps all end at small_n,
+small_alpha, structure_found or the d ceiling, and its certification,
+load no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 
@@ -196,7 +201,10 @@ def _ceiling_reason(n: int, d: int, config: IterationConfig) -> str:
 
 
 def iterate_once(A: DensitySet, d: int, config: IterationConfig):
-    """Run the case analysis once.  Returns (outcome, diagnostics dict)."""
+    """Run the case analysis once: the floors, the pair search, the d
+    ceiling, then the energy table of A at levels 1..max(Q', Q''), the
+    admissible level with the highest E*/phi(q) and the extraction there.
+    Returns (outcome, diagnostics dict)."""
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     n = A.n
@@ -216,9 +224,39 @@ def iterate_once(A: DensitySet, d: int, config: IterationConfig):
     if d > config.d_ceiling(n):
         return LargeDOrSmallAlpha(reason=_ceiling_reason(n, d, config)), {}
 
-    from .energy import _energy_step
+    n_prime = config.n_prime(n, alpha)
+    if n_prime < 1:
+        return SmallN(n), {"n_prime": n_prime}
+    q_prime = config.level_cutoff(n, d, alpha)
+    big_q = config.dissection_q(n_prime, q_prime)
+    q_double = config.extraction_cap(alpha)
+    q_top = max(q_prime, q_double)
 
-    return _energy_step(A, d, config)
+    from . import energy
+
+    table = energy.energy_table(A, q_top, big_q, config.grid_size(n))
+    # E*/phi(q) at levels 1..q_top, level q at index q - 1; trigger sums it in level order
+    ratio = (table.star_energy / energy._phi_column(q_top)).tolist()
+    diagnostics = dict(n_prime=n_prime, q_prime=q_prime, big_q=big_q, q_double=q_double,
+                       trigger=sum(ratio[:q_prime]), energy_table=table)
+
+    # levels q <= Q'' with E* > 0: the highest E*/phi(q), the lowest q among ties
+    star = table.star_energy[:q_double].tolist()
+    admissible = [i for i, e in enumerate(star) if e > 0]
+    if not admissible:
+        return LargeDOrSmallAlpha("no positive star energy at admissible levels"), diagnostics
+    best = table.row(1 + max(admissible, key=ratio.__getitem__))
+    target = 4.0 * config.gain_threshold
+    if best.energy < target:
+        reason = f"energy {best.energy:.4g} below {target:.4g} at level q={best.q}"
+        return LargeDOrSmallAlpha(reason), diagnostics
+    out = energy.extract_progression(A, best, c_len=config.c_len)
+    if out.met_guarantee and out.new_alpha >= alpha * (1.0 + config.gain_threshold):
+        new_set = energy.rescale(A, out.progression)
+        return DensityIncrement(best.q, out, new_set, d * best.q), diagnostics
+    reason = (f"extraction at q={best.q} reached alpha ratio {out.new_alpha / alpha:.4g},"
+              " below guarantee")
+    return LargeDOrSmallAlpha(reason), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +277,11 @@ def _energy_top(diagnostics: dict, k: int = 3) -> tuple:
     table = diagnostics.get("energy_table")
     if table is None:
         return ()
-    # k first-argmax passes: the highest E* first, ties in ascending q, as a
-    # stable sort of -E* gives them, without mapping numpy's sort code (about
-    # 128 kB of resident pages) into a process that sorts nothing else
-    star = table.star_energy
-    rest, top = star.copy(), []
-    for _ in range(min(k, len(rest))):
-        top.append(int(rest.argmax()))
-        rest[top[-1]] = -math.inf
-    return tuple(zip([q + 1 for q in top], star[top].tolist()))
+    # the highest E* first, ties in ascending q: a stable sort, in Python, so
+    # numpy's sort code (about 128 kB of resident pages) stays unmapped
+    star = table.star_energy.tolist()
+    top = sorted(range(len(star)), key=star.__getitem__, reverse=True)[:k]
+    return tuple((q + 1, star[q]) for q in top)
 
 
 def run(A: DensitySet, d: int, config: IterationConfig, tables=None) -> Trace:
@@ -428,9 +462,12 @@ def certify(trace: Trace, tables=None) -> list[str]:
             cap = cfg.extraction_cap(s.alpha)
             if out.q > cap:
                 raise CertificationError(f"{where}: level q={out.q} above extraction cap {cap}")
-            from .energy import _recount_energy, rescale
-
-            recount = sum(_holds(s.set_snapshot, x) for x in range(P.first, P.last() + 1, P.step))
+            # A ∩ P pulled back to [1, |P|] by arithmetic of its own, not rescale:
+            # the snapshot's points in [first, last], by bisection, on P's residue
+            snap, first = s.set_snapshot, P.first
+            inside = snap[bisect_left(snap, first) : bisect_right(snap, P.last())]
+            pulled = tuple((x - first) // P.step + 1 for x in inside if (x - first) % P.step == 0)
+            recount = len(pulled)
             if recount != o.intersection_count:
                 raise CertificationError(
                     f"{where}: intersection recount {recount} != {o.intersection_count}"
@@ -441,15 +478,16 @@ def certify(trace: Trace, tables=None) -> list[str]:
                 raise CertificationError(f"{where}: gain below configured threshold")
             if out.new_d != s.d * out.q:
                 raise CertificationError(f"{where}: d chain broken")
-            expected = rescale(A, P)
             if idx + 1 < len(trace.steps):
                 nxt = trace.steps[idx + 1]
                 if nxt.n != P.length or nxt.d != out.new_d:
                     raise CertificationError(f"{where}: next step (n, d) mismatch")
-                if expected.elements != nxt.set_snapshot:
+                if pulled != nxt.set_snapshot:
                     raise CertificationError(f"{where}: rescaled snapshot mismatch")
             # energy recount from the snapshot's difference counts at level q,
             # not read from the step's energy table nor its power grid
+            from .energy import _recount_energy
+
             n_prime = cfg.n_prime(s.n, s.alpha)
             big_q = cfg.dissection_q(n_prime, cfg.level_cutoff(s.n, s.d, s.alpha))
             recomputed = _recount_energy(A, out.q, cfg.grid_size(s.n), big_q)

@@ -1,5 +1,6 @@
-"""Energy increments: turning arc-energy excess into denser progressions,
-the driver's energy step, and certify's recount of it.
+"""Energy increments, numerics only: arc energies, turning their excess
+into denser progressions, rescaling, the phi column the driver weighs
+levels by, and certify's recount of an increment's energy.
 
 For A of density alpha in [1, N] with balanced function
 g = 1_A - alpha 1_[1,N] (DensitySet.balanced, g(x) at index x - 1),
@@ -12,10 +13,11 @@ default fft_size(8N), the least 5-smooth size >= 8N.  Summed over the
 whole torus the normalized energy is exactly (1 - alpha)/alpha, which
 pins the normalization in tests.  Extraction turns a level's E into a
 step-q progression on which A beats alpha by the factor (1 + E/4); the
-energy step (_energy_step), not extraction, decides whether E is large
-enough to try.  Window counts are recounted exactly (_best_inside), never
-inferred from the transform side.  increment's carriers build their
-arrays here (see arith for the numpy rule).
+driver's iterate_once, not extraction, decides whether E is large enough
+to try, and this module imports nothing from the driver.  Window counts
+are recounted exactly (_best_inside), never inferred from the transform
+side.  increment's carriers build their arrays here (see arith for the
+numpy rule).
 """
 
 from __future__ import annotations
@@ -206,68 +208,7 @@ def rescale(A: DensitySet, P: Progression) -> DensitySet:
 
 
 # ---------------------------------------------------------------------------
-# the driver's energy step
-
-
-def _energy_step(A: DensitySet, d: int, config):
-    """iterate_once past the pair search and the d ceiling: the energy
-    table of A at levels 1..max(Q', Q''), the admissible level with the
-    highest E*/phi(q), and the extraction there.  Returns (outcome,
-    diagnostics dict)."""
-    from .driver import DensityIncrement, LargeDOrSmallAlpha, SmallN
-
-    n = A.n
-    alpha = A.alpha
-    n_prime = config.n_prime(n, alpha)
-    if n_prime < 1:
-        return SmallN(n), {"n_prime": n_prime}
-    q_prime = config.level_cutoff(n, d, alpha)
-    big_q = config.dissection_q(n_prime, q_prime)
-    q_double = config.extraction_cap(alpha)
-    q_top = max(q_prime, q_double)
-
-    table = energy_table(A, q_top, big_q, config.grid_size(n))
-    star = table.star_energy  # levels 1..q_top: level q at index q - 1
-    ratio = star / _phi_column(q_top)
-    trigger = sum(ratio[:q_prime].tolist())  # in level order, as a Python sum
-    diagnostics = {
-        "n_prime": n_prime,
-        "q_prime": q_prime,
-        "big_q": big_q,
-        "q_double": q_double,
-        "trigger": trigger,
-        "energy_table": table,
-    }
-
-    # levels q <= Q'' with E* > 0: the highest E*/phi(q), the lowest q among ties
-    admissible = star[:q_double] > 0
-    if admissible.any():
-        best = table.row(1 + int(np.argmax(np.where(admissible, ratio[:q_double], -np.inf))))
-        target = 4.0 * config.gain_threshold
-        if best.energy < target:
-            return (
-                LargeDOrSmallAlpha(
-                    reason=f"energy {best.energy:.4g} below {target:.4g} at level q={best.q}"
-                ),
-                diagnostics,
-            )
-        out = extract_progression(A, best, c_len=config.c_len)
-        if out.met_guarantee and out.new_alpha >= alpha * (1.0 + config.gain_threshold):
-            new_set = rescale(A, out.progression)
-            return (
-                DensityIncrement(
-                    q=best.q, outcome=out, new_set=new_set, new_d=d * best.q
-                ),
-                diagnostics,
-            )
-        return (
-            LargeDOrSmallAlpha(
-                reason=f"extraction at q={best.q} reached alpha ratio "
-                f"{out.new_alpha / alpha:.4g}, below guarantee"
-            ),
-            diagnostics,
-        )
-    return LargeDOrSmallAlpha(reason="no positive star energy at admissible levels"), diagnostics
+# the driver's level weights
 
 
 _phi = ()  # phi(1..len(_phi)), a read-only array once grown

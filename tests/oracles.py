@@ -3,7 +3,7 @@
 Everything here is deliberately naive: trial division, double loops, plain
 DFT sums, exhaustive enumeration.  None of it shares code with the package
 under test, so agreement is evidence rather than tautology.  Frozen; edit
-only to add new oracles.
+only to add new oracles, or to remove one that no test reads.
 """
 
 from __future__ import annotations
@@ -155,63 +155,6 @@ def first_fit_naive(n: int, d: int) -> list[int]:
         if all(x - y not in bad for y in kept):
             kept.append(x)
     return kept
-
-
-def random_local_naive(n: int, d: int, seed: int) -> list[int]:
-    """The random_local heuristic with a conflict count per point: the
-    ascending first-fit set, then three orders drawn by
-    default_rng(seed).permutation, each replacing the best only when
-    strictly larger; then up to four sweeps, each shuffling the sorted set
-    with the same generator and trying every removal r in that order: free
-    r, add the two lowest points of [1, n] outside the set minus r that
-    fit, ascending, and accept the first removal that finds two."""
-    import numpy as np
-
-    bad = forbidden_diffs_naive(n, d)
-
-    def toggle(conflicts, x, step):
-        for y in range(1, n + 1):
-            if abs(x - y) in bad:
-                conflicts[y] += step
-
-    def take(order, conflicts, limit=0):
-        taken = []
-        for x in order:
-            if conflicts[x] == 0:
-                taken.append(x)
-                toggle(conflicts, x, 1)
-                if len(taken) == limit:
-                    break
-        return taken
-
-    rng = np.random.default_rng(seed)
-    best = take(range(1, n + 1), [0] * (n + 1))
-    for _ in range(3):
-        order = rng.permutation(np.arange(1, n + 1)).tolist()
-        cand = sorted(take(order, [0] * (n + 1)))
-        if len(cand) > len(best):
-            best = cand
-
-    current = set(best)
-    conflicts = [0] * (n + 1)
-    for x in best:
-        toggle(conflicts, x, 1)
-    for _ in range(4):
-        removals = sorted(current)
-        rng.shuffle(removals)
-        for r in removals:
-            toggle(conflicts, r, -1)
-            outside = [x for x in range(1, n + 1) if x == r or x not in current]
-            adds = take(outside, conflicts, limit=2)
-            if len(adds) == 2:
-                current = (current - {r}) | set(adds)
-                break
-            for x in adds:
-                toggle(conflicts, x, -1)
-            toggle(conflicts, r, 1)
-        else:
-            break
-    return sorted(current)
 
 
 def random_local_sampled_naive(n: int, d: int, seed: int) -> list[int]:

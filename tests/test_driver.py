@@ -748,6 +748,26 @@ class TestCertifyIncrement:
         with pytest.raises(CertificationError, match="step 1: rescaled snapshot mismatch"):
             certify(bad)
 
+    def test_a_faulty_rescale_does_not_certify_itself(self, monkeypatch):
+        """A producer whose rescale drops the last element of every rescaled
+        set with two or more elements writes a wrong next snapshot.  The
+        fault is patched where the producer reads rescale, and stays in
+        place while certify runs: certify pulls the snapshot back by its own
+        arithmetic, so it rejects the step."""
+        real = energy.rescale
+
+        def faulty(A, P):
+            rescaled = real(A, P)
+            if rescaled.size < 2:
+                return rescaled
+            return DensitySet(rescaled.n, rescaled.elements[:-1])
+
+        monkeypatch.setattr(energy, "rescale", faulty)
+        trace = run(class_avoiding_set(3000), 1, IterationConfig())
+        assert trace.steps[0].outcome.tag == "density_increment"
+        with pytest.raises(CertificationError, match="step 1: rescaled snapshot mismatch"):
+            certify(trace)
+
     @pytest.mark.parametrize(
         "index, q, message",
         [
@@ -1005,16 +1025,17 @@ class TestCertifyBoundaries:
 
 class TestProducerBoundaries:
     """iterate_once's own comparisons at their boundaries, n = n_floor,
-    alpha = alpha_floor and a gain of exactly gain_threshold, each on the
-    side that goes on and one step past it.  certify, run on the same
-    input, accepts each outcome, so producer and certifier meet there."""
+    alpha = alpha_floor, d = N^e and a gain of exactly gain_threshold, each
+    on the side that goes on and one step past it.  certify, run on the
+    same input, accepts each outcome, so producer and certifier meet
+    there.  d = 0, one below the least d, is refused."""
 
     @staticmethod
-    def produced(A, config=IterationConfig()):
-        """iterate_once's outcome on A at d = 1, after a run on A takes the
+    def produced(A, config=IterationConfig(), d=1):
+        """iterate_once's outcome on A at d, after a run on A takes the
         same first step and certifies."""
-        out, _ = iterate_once(A, 1, config)
-        trace = run(A, 1, config)
+        out, _ = iterate_once(A, d, config)
+        trace = run(A, d, config)
         assert trace.steps[0].outcome.tag == out.tag
         certify(trace)
         return out
@@ -1039,6 +1060,21 @@ class TestProducerBoundaries:
         the step goes on, past the pair search, to a window floor(alpha N
         / 4) = 0.  In [1, 1001] it is below the floor."""
         assert self.produced(DensitySet.from_iterable(n, [1])) == outcome
+
+    @pytest.mark.parametrize(
+        "d, outcome",
+        [(3, SmallN(n=81)), (4, LargeDOrSmallAlpha("d=4 above N^0.25 = 3"))],
+        ids=["d_at_the_ceiling", "d_above_the_ceiling"],
+    )
+    def test_d_ceiling(self, d, outcome):
+        """81^(1/4) = 3 exactly: {1} in [1, 81] at d = 3 goes on past the
+        ceiling to a window floor(alpha N / 4) = 0, and at d = 4 stops
+        there."""
+        assert self.produced(DensitySet.from_iterable(81, [1]), d=d) == outcome
+
+    def test_d_below_1_is_refused(self):
+        with pytest.raises(DomainError, match="^need d >= 1, got 0$"):
+            iterate_once(DensitySet.from_iterable(81, [1]), 0, IterationConfig())
 
     def test_gain_at_the_threshold(self, monkeypatch):
         """A stub extraction returns the progression [1, 2000] at the chosen
@@ -1180,3 +1216,15 @@ class TestCorrelations:
         A = avoiding_set(500, 1)
         r_aa = _correlations(A)[0]
         assert not r_aa[np.frombuffer(ForbiddenSet.build(500, 1).bits, dtype=bool)].any()
+
+
+def test_tracedigest_tool_is_pinned():
+    """tools/tracedigest.py at seed 7: one SHA-256 over every trace and
+    certification line of the benchmark's 500 driver inputs.  A declared
+    change to the trace or certify bytes updates this pin, and CHANGES.md
+    logs it."""
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "tracedigest.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "--seeds", "7"], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "cb7afd4566cbc31661b5b2510277f12158cae33020b2dad231633d97fe7877a1\n"

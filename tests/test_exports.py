@@ -56,6 +56,17 @@ def test_package_exports_are_pinned():
     assert sorted(primediff.__all__) == sorted(EXPORTS)
 
 
+def test_home_modules_list_their_exports():
+    """A home module with an __all__ lists every name the package exports
+    from it, so a star import of that module gives them all."""
+    missing = []
+    for home, names in primediff._EXPORTS.items():
+        listed = getattr(importlib.import_module(f"primediff.{home}"), "__all__", None)
+        if listed is not None:
+            missing += [f"{home}.{name}" for name in names if name not in listed]
+    assert missing == []
+
+
 def test_exports_are_their_home_objects():
     """Each exported name is the object its home module defines, and dir()
     lists it."""
@@ -207,6 +218,10 @@ def test_no_module_imports_dataclasses_or_typing():
 NUMPY_FREE = {"__init__", "arith", "avoider", "cli", "driver", "errors", "increment"}
 NUMPY_LAYERS = {"csvtext", "energy", "mangoldt", "spectral", "tables"}
 
+# the numpy-free modules a numpy layer may import, besides the package
+# itself: the layers under it, never driver, avoider or cli
+LAYER_BASE = {"arith", "errors", "increment"}
+
 # each import of a numpy layer from a numpy-free module: (module, the
 # function it sits in, the layer).  Everything else a numpy-free module
 # imports is numpy-free, so a process that takes none of these routes
@@ -248,20 +263,26 @@ def _imports(node, scope=None):
 
 def test_numpy_stays_behind_module_boundaries():
     """The import graph, read from the source: numpy is imported at the top
-    of each numpy layer and nowhere else, and a numpy-free module imports a
-    numpy layer only inside a function, at one of the hops HOPS names."""
+    of each numpy layer and nowhere else, a numpy-free module imports a
+    numpy layer only inside a function, at one of the hops HOPS names, and
+    a numpy layer imports no numpy-free module but those of LAYER_BASE, at
+    the top or inside a function: the driver's step holds its own case
+    analysis, and energy lends it numerics only."""
     paths = sorted(pathlib.Path(primediff.__file__).parent.glob("*.py"))
     assert {path.stem for path in paths} == NUMPY_FREE | NUMPY_LAYERS
-    numpy_imports, hops = set(), set()
+    numpy_imports, hops, upward = set(), set(), set()
     for path in paths:
         for scope, target in _imports(ast.parse(path.read_text())):
-            root = target.split(".")[0]
+            root = target.removeprefix("primediff.").split(".")[0]
             if root == "numpy":
                 numpy_imports.add((path.stem, scope))
             elif path.stem in NUMPY_FREE and root in NUMPY_LAYERS:
                 hops.add((path.stem, scope, root))
+            elif path.stem in NUMPY_LAYERS and root in NUMPY_FREE - LAYER_BASE:
+                upward.add((path.stem, scope, root))
     assert numpy_imports == {(layer, None) for layer in NUMPY_LAYERS}
     assert hops == HOPS
+    assert upward == set()
 
 
 def loaded_after(code):

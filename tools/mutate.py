@@ -3,10 +3,10 @@
 Each site in the named function yields one mutant: a comparison flipped
 (< and <=, > and >=, == and !=) or a `raise` replaced by `pass`.  Every
 mutant runs the given pytest arguments in a scratch copy of src/, tests/,
-perfbench/ and pyproject.toml, and is killed only when pytest reports a
-failing test (exit code 1) or runs past the timeout.  A collection error,
-a usage error or an empty selection (exit codes 2 to 5) kills nothing: it
-is reported as an error.  No mutant is judged unless the unmutated copy
+tools/, perfbench/ and pyproject.toml, and is killed only when pytest
+reports a failing test (exit code 1) or runs past the timeout.  A
+collection error, a usage error or an empty selection (exit codes 2 to 5)
+kills nothing: it is reported as an error.  No mutant is judged unless the unmutated copy
 passes first.
 
     python tools/mutate.py src/primediff/driver.py certify -- \\
@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")  # what tier-1 reads
+COPIED = ("src", "tests", "perfbench", "tools", "pyproject.toml")  # what tier-1 reads
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
