@@ -27,6 +27,15 @@ is rendered once per table, not once per chunk, and each chunk gathers its
 rows from it with `np.take`, so the bytes are those of the gathered values
 by construction.  The spectrum's `class` words and its per-(class, q)
 `bound` values are indexed fields.
+
+A chunk is 2^12 rows.  Rendering a `spectrum` chunk (its frames, their
+transposed copy, the text and the `%.12g` temporaries) peaks near 470
+bytes a row, under 2 MB a chunk.  At 2^14 rows the same buffers took
+7.3 MB and set the peak resident memory of `spectrum --n 5000`: 41.7 MB,
+against 35.0 MB at 2^12, and no faster.  A chunk also costs a fixed
+0.1-0.2 ms of numpy calls (0.14 ms for the sieve's four columns), so a
+4*10^6-row table pays it about 730 times more at 2^12 than at 2^14.  The
+`%d` frames pay that back: they split digit groups with `//` alone.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import numpy as np
 
 __all__ = ["CHUNK_ROWS", "column_range", "csv_blocks"]
 
-CHUNK_ROWS = 1 << 14  # rows rendered, and written, at a time
+CHUNK_ROWS = 1 << 12  # rows rendered, and written, at a time
 
 # digit table: column g < 10^4 holds g's four digits, column _LEAD + g the
 # same with leading zeros NUL (0 all NUL), _TRAIL + g with trailing zeros NUL
@@ -78,22 +87,26 @@ _F10 = 10.0 ** np.arange(12)
 def _int_frame(v: np.ndarray) -> np.ndarray:
     """`%d` of each value of an integer column (int64 values)."""
     v = v.astype(np.int64, copy=False)
-    u = v.astype(np.uint64)
     neg = v < 0
-    mag = np.where(neg, -u, u)  # uint64 negation wraps: exact at -2^63 too
-    groups = -(-len(str(int(mag.max(initial=0)))) // 4)  # four-digit groups of the widest
     sign = int(neg.any())
+    mag = v.astype(np.uint64)
+    if sign:
+        mag = np.where(neg, -mag, mag)  # uint64 negation wraps: exact at -2^63 too
+    groups = -(-len(str(int(mag.max(initial=0)))) // 4)  # four-digit groups of the widest
     frame = np.empty((sign + 4 * groups, len(v)), dtype=np.uint8)
     if sign:
         frame[0] = neg * np.uint8(45)
-    for j in range(groups):  # j = 0 is the lowest group
-        idx = (mag // 10 ** (4 * j) % 10_000).astype(np.intp)
+    for j in range(groups):  # j = 0 is the lowest group; mag holds the groups from j up
         if j < groups - 1:
-            idx += _LEAD * (mag < 10 ** (4 * (j + 1)))
+            # uint64 `%` takes several times as long as `//`
+            high = mag // 10_000
+            idx = (mag - high * 10_000).astype(np.intp)
+            idx += _LEAD * (high == 0)
+            mag = high
         else:
-            idx += _LEAD
+            idx = mag.astype(np.intp) + _LEAD
         if j == 0:
-            idx[mag == 0] = _ZERO
+            idx[idx == _LEAD] = _ZERO  # the value 0
         top = sign + 4 * (groups - 1 - j)
         np.take(_DIGITS, idx, axis=1, out=frame[top : top + 4], mode="clip")
     return frame
@@ -137,7 +150,7 @@ def _g12_frame(x: np.ndarray) -> np.ndarray:
     dot = np.where(fixed, X, 0)
     digits = frame[5:28:2]
     np.maximum(digits, (_DIGIT_AT <= dot) * np.uint8(48), out=digits)
-    tail = D / _F10[np.clip(11 - dot, 0, 11)]
+    tail = D / _F10[np.minimum(11 - dot, 11)]  # dot <= 11, so the index is >= 0
     dot[(dot < 0) | (tail == np.floor(tail))] = -1
     np.multiply(_DOT_AFTER == dot, np.uint8(46), out=frame[6:28:2])
     expo = ~fixed

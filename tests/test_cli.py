@@ -400,11 +400,12 @@ def test_driver_grid_budget(tmp_path, capsys):
         (["spectrum", "--n", "150", "--d", "2", "--q-prime", "3", "--big-q", "30",
           "--exc-modulus", "2", "--exc-beta", "0.8"],
          "60894384648ff8e30a1fb009fab247c3214de80db6101a634ff707160f21a801"),
-        # 65,537 rows: four 2^14-row chunks, then a chunk of one row
+        # 65,537 rows: sixteen 2^12-row chunks, then a chunk of one row
         (["sieve", "--n-max", "65537"],
          "13af67027ce88a26fbc1c947bd4b779244cd02e0fa7b58031f110b7764f62189"),
-        # M = 32,000 rows cross the 2^14-row chunk boundary; theta's rows
-        # 1 and 2, 3.125e-05 and 6.25e-05, are in exponent notation
+        # M = 32,000 rows: seven 2^12-row chunks, then one of 3,328 rows;
+        # theta's rows 1 and 2, 3.125e-05 and 6.25e-05, are in exponent
+        # notation
         (["spectrum", "--n", "4000", "--d", "1", "--q-prime", "20", "--big-q", "400"],
          "e01ee6ef0ac85bfaf1daf3758003cb0a9c1bae97f52d2b6f91546ed5a3d68d43"),
     ],
@@ -478,9 +479,10 @@ def test_in_process_main_leaves_the_collector_alone(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
 def test_sieve_streams_its_rows(tmp_path):
     """A million-row sieve CSV is rendered and written a chunk at a time: a
-    fresh interpreter running it peaks below 64 MB resident (55 MB measured;
-    72 MB when Python formatted each row, 2^16 rows at a time; 266 MB when
-    every line was built before the first write)."""
+    fresh interpreter running it peaks below 64 MB resident (53.5 MB
+    measured; 55.8 MB with 2^14-row chunks; 72 MB when Python formatted
+    each row, 2^16 rows at a time; 266 MB when every line was built before
+    the first write)."""
     out = tmp_path / "sieve.csv"
     code, peak_kb = cli_peak_kb(
         ["sieve", "--n-max", "1000000", "--out", str(out), "--timestamp", "T"]
@@ -530,10 +532,10 @@ def test_random_local_samples_on_its_bitsets(tmp_path):
 def test_spectrum_streams_its_columns(tmp_path):
     """An 800,000-point spectrum CSV builds its theta, class and ratio
     columns, and renders its text, a chunk at a time: a fresh interpreter
-    running it peaks below 76 MB resident (66 MB measured; 99 MB when
-    Python formatted each row, 2^16 rows at a time; 132 MB when the three
-    columns were built full-length first, the class column at 20 bytes a
-    row)."""
+    running it peaks below 76 MB resident (56.9 MB measured; 59.8 MB with
+    2^14-row chunks; 99 MB when Python formatted each row, 2^16 rows at a
+    time; 132 MB when the three columns were built full-length first, the
+    class column at 20 bytes a row)."""
     out = tmp_path / "spectrum.csv"
     code, peak_kb = cli_peak_kb(
         ["spectrum", "--n", "1000", "--d", "1", "--q-prime", "2", "--big-q", "10",
@@ -543,6 +545,23 @@ def test_spectrum_streams_its_columns(tmp_path):
     with open(out) as fh:
         assert sum(1 for _ in fh) == 1 + 800_000 + 1  # header, rows, manifest
     assert peak_kb < 76 * 1024, f"peak {peak_kb // 1024} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_spectrum_chunks_stay_small(tmp_path):
+    """The benchmark's spectrum operation (40,000 rows) renders its CSV in
+    2^12-row chunks: a fresh interpreter running it peaks below 38 MB
+    resident (34.5 MB measured; 41.5 MB with 2^14-row chunks, whose frames
+    and text set the peak)."""
+    out = tmp_path / "spectrum.csv"
+    code, peak_kb = cli_peak_kb(
+        ["spectrum", "--n", "5000", "--d", "1", "--q-prime", "20", "--big-q", "2500",
+         "--out", str(out), "--timestamp", "T"]
+    )
+    assert code == 0
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 1 + 40_000 + 1  # header, rows, manifest
+    assert peak_kb < 38 * 1024, f"peak {peak_kb / 1024:.1f} MB"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ take."""
 
 import numpy as np
 
+from primediff import csvtext
 from primediff.csvtext import CHUNK_ROWS, csv_blocks
 
 
@@ -97,3 +98,25 @@ def test_blocks_split_rows_at_the_chunk_size():
     assert calls == [(0, CHUNK_ROWS), (CHUNK_ROWS, 2 * CHUNK_ROWS), (2 * CHUNK_ROWS, n)]
     assert blocks[-2] == str(n - 1)
     assert "".join(b + "\n" for b in blocks) == "n\n" + _printf("%d", np.arange(n)) + "# end\n"
+
+
+def test_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    """One table rendered at 1, 7, 2^12 and 2^14 rows a chunk gives the same
+    text: a chunk's field widths, sign slots and exponent slots, which
+    follow its own rows, never show in the output."""
+    rng = np.random.default_rng(41)
+    n = 5000  # two chunks at 2^12 rows, one at 2^14
+    mixed = rng.random(n) * 10.0 ** rng.integers(-9, 16, n).astype(np.float64)
+    mixed[::13] = 0.0
+    mixed[::211] = -mixed[::211]  # negatives: printf's own text
+    counts = rng.integers(-(10**12), 10**12, n) // 10 ** rng.integers(0, 12, n)
+    table = np.concatenate([rng.random(40) * 1e4, [0.0, 1e-7, 3e17]])
+    fields = ("%.12g", "%d", ("%s", ("minor", "major")), ("%.12g", table), "%d")
+    columns = [mixed, counts, rng.random(n) < 0.3, rng.integers(0, len(table), n),
+               np.arange(n)]
+    texts = []
+    for rows in (1, 7, 1 << 12, 1 << 14):
+        monkeypatch.setattr(csvtext, "CHUNK_ROWS", rows)
+        texts.append(_csv(fields, columns))
+    assert texts[0].count("\n") == n
+    assert texts[1:] == texts[:1] * 3
